@@ -36,21 +36,6 @@ bool tree_repaired(core::RBayCluster& cluster, const core::TreeSpec& spec) {
   return true;
 }
 
-int satisfied_queries(bench::EvalFederation& fed, int n) {
-  int ok = 0;
-  for (int i = 0; i < n; ++i) {
-    std::vector<std::size_t> live;
-    for (std::size_t j = 0; j < fed.cluster.size(); ++j) {
-      if (!fed.cluster.overlay().is_failed(j)) live.push_back(j);
-    }
-    const auto from = live[fed.cluster.engine().rng().uniform(live.size())];
-    const auto outcome = fed.run_query(
-        from, "SELECT 1 FROM * WHERE CPU_utilization < 0.95 AND Matlab != 'none' WITH \"rbay\"");
-    if (outcome.satisfied) ++ok;
-  }
-  return ok;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {

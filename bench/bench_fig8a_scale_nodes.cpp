@@ -69,9 +69,11 @@ SweepPoint run_sweep_point(unsigned threads, std::size_t n, int queries,
   overlay.populate(n / kSites);
   overlay.build_static();
 
-  HopRecorder recorder;
+  // One recorder per site: a site's nodes deliver only on that site's
+  // shard, so each recorder has a single writer at any worker count.
+  std::vector<HopRecorder> recorders(kSites);
   for (std::size_t i = 0; i < overlay.size(); ++i) {
-    overlay.node(i).register_app("q", &recorder);
+    overlay.node(i).register_app("q", &recorders[overlay.ref(i).site]);
   }
 
   // Same key universe / query mix as the hop sweep, drawn from the
@@ -104,10 +106,12 @@ SweepPoint run_sweep_point(unsigned threads, std::size_t n, int queries,
   point.events_per_sec = static_cast<std::int64_t>(
       static_cast<double>(point.events) /
       (static_cast<double>(std::max<std::int64_t>(wall.count(), 1)) / 1000.0));
-  for (const double hops : recorder.hop_samples.values()) {
-    point.hop_sum += static_cast<std::uint64_t>(hops);
+  for (const HopRecorder& recorder : recorders) {  // merged in site order
+    for (const double hops : recorder.hop_samples.values()) {
+      point.hop_sum += static_cast<std::uint64_t>(hops);
+    }
+    point.deliveries += recorder.hop_samples.count();
   }
-  point.deliveries = recorder.hop_samples.count();
   return point;
 }
 

@@ -42,7 +42,9 @@ void BM_RoutingNextHop(benchmark::State& state) {
   }();
   util::Rng rng{3};
   std::vector<pastry::NodeId> keys;
-  for (int i = 0; i < 64; ++i) keys.push_back(util::Sha1::hash128("k" + std::to_string(i)));
+  for (int i = 0; i < 64; ++i) {
+    keys.push_back(util::Sha1::hash128(std::string("k").append(std::to_string(i))));
+  }
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(overlay->node(i % 1024).next_hop(keys[i % keys.size()],

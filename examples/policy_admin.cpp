@@ -48,7 +48,7 @@ end
     double lo = 1e9, hi = -1e9;
     for (std::size_t i = 0; i < cluster.size(); ++i) {
       double v = 0;
-      cluster.node(i).attributes().find("price_per_hour")->value().numeric(v);
+      if (!cluster.node(i).attributes().find("price_per_hour")->value().numeric(v)) continue;
       lo = std::min(lo, v);
       hi = std::max(hi, v);
     }

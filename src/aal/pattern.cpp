@@ -40,7 +40,7 @@ struct Pattern::Matcher {
     std::size_t len = 0;
     bool open = false;
   };
-  mutable std::vector<Capture> captures;
+  mutable std::vector<Capture> captures{};
 
   void step() const {
     if (++steps > kMaxSteps) throw PatternError{"pattern exceeded step limit"};

@@ -487,7 +487,7 @@ std::vector<Value> crypto_hmac(Interp&, std::vector<Value>& args) {
     const auto digest = util::Sha1::hash(key);
     key.assign(reinterpret_cast<const char*>(digest.data()), digest.size());
   }
-  key.resize(kBlock, ' ');
+  key.resize(kBlock, '\0');
   std::string ipad = key, opad = key;
   for (std::size_t i = 0; i < kBlock; ++i) {
     ipad[i] = static_cast<char>(ipad[i] ^ 0x36);

@@ -19,6 +19,9 @@ namespace rbay::core {
 struct Candidate {
   pastry::NodeRef node;
   double sort_value = 0.0;  // value of the GROUPBY attribute, if any
+  /// False when the GROUPBY attribute is missing or non-numeric: the
+  /// candidate then ranks after every numeric one, in either order.
+  bool has_sort_value = false;
 };
 
 /// The anycast payload: "this anycast message has a buffer of k empty

@@ -17,6 +17,18 @@ obs::CausalLog* causal_log(sim::Engine& engine) {
   return registry == nullptr ? nullptr : &registry->causal();
 }
 
+/// Records a phase point (obs/causal.hpp) as a child of `ctx`, so it lands
+/// in that query's trace whatever is ambient — a timer or another query's
+/// coalesced probe may have called us.
+obs::TraceContext record_phase_point(obs::CausalLog* causal, const obs::TraceContext& ctx,
+                                     RBayNode& node, const char* what, obs::Phase phase,
+                                     util::SimTime since, int hops) {
+  if (causal == nullptr) return {};
+  obs::ContextScope scope(causal, ctx);
+  return causal->phase_point(node.site(), node.self().endpoint, what, phase, since,
+                             node.engine().now(), hops);
+}
+
 }  // namespace
 
 QueryInterface::QueryInterface(RBayNode& owner, QueryConfig config)
@@ -67,7 +79,6 @@ void QueryInterface::execute(query::Query query, Callback callback) {
   pending.outcome.started = owner_.engine().now();
   if (auto* reg = owner_.engine().metrics()) {
     reg->fed().counter("query.started").inc();
-    reg->tracer().begin_query(pending.outcome.query_id, pending.outcome.started);
     pending.ctx = reg->causal().begin_trace(pending.outcome.query_id, owner_.site(),
                                             owner_.self().endpoint, pending.outcome.started);
   }
@@ -181,8 +192,6 @@ void QueryInterface::attempt(std::uint64_t id) {
     if (auto* reg = owner_.engine().metrics()) {
       reg->fed().counter("query.site_timeouts").inc(
           static_cast<std::uint64_t>(tp.waiting_sites));
-      reg->tracer().event(tp.outcome.query_id, "site_timeout", attempt_no,
-                          owner_.engine().now());
     }
     tp.outcome.sites_timed_out += tp.waiting_sites;
     tp.waiting_sites = 0;
@@ -243,13 +252,11 @@ void QueryInterface::complete(std::map<std::uint64_t, Pending>::iterator it) {
     fed.counter("query.attempts").inc(static_cast<std::uint64_t>(p.outcome.attempts));
     fed.latency("query.latency").add(p.outcome.latency());
     reg->site(owner_.site()).latency("query.latency").add(p.outcome.latency());
-    reg->tracer().finish_query(p.outcome.query_id, p.outcome.finished, p.outcome.satisfied,
-                               p.outcome.attempts);
     // Terminus of the causal chain: its parent is the ambient span (the
     // final reply/timeout that completed the query), making the walk from
     // here backward the critical path.
     reg->causal().finish_trace(p.ctx, owner_.site(), owner_.self().endpoint,
-                               p.outcome.finished);
+                               p.outcome.finished, p.outcome.satisfied, p.outcome.attempts);
   }
   auto cb = std::move(p.callback);
   auto outcome = std::move(p.outcome);
@@ -277,6 +284,13 @@ void QueryInterface::finish_attempt(std::uint64_t id) {
     return;
   }
 
+  // Attachment point for the causal work below: the ambient span when it
+  // belongs to this trace (the reply that closed the attempt), else the
+  // stored per-query context.
+  auto* causal = causal_log(owner_.engine());
+  obs::TraceContext base = causal != nullptr ? causal->current() : obs::TraceContext{};
+  if (!base.active() || base.trace_id != p.ctx.trace_id) base = p.ctx;
+
   if (p.query.count_only) {
     // Aggregate answer: no reservations, no retries.  A degraded read (a
     // promoted root answered from its replicated snapshot) still satisfies
@@ -287,29 +301,25 @@ void QueryInterface::finish_attempt(std::uint64_t id) {
       if (auto* reg = owner_.engine().metrics()) {
         reg->fed().counter("query.stale_answers").inc();
         if (p.outcome.cached) reg->fed().counter("query.cached_answers").inc();
-        reg->tracer().event(p.outcome.query_id, "stale_answer", p.outcome.attempts,
-                            owner_.engine().now());
+        obs::ContextScope stale_scope(causal, base);
+        causal->local(owner_.site(), owner_.self().endpoint, "query.stale_answer",
+                      owner_.engine().now(), static_cast<int>(obs::Phase::kProbe));
       }
     }
     complete(it);
     return;
   }
 
-  // Deterministic candidate order: GROUPBY value, ties by node id.
+  // Deterministic candidate order: GROUPBY value (candidates without a
+  // numeric one last), ties by node id.
   const bool desc = p.query.descending;
   std::sort(p.gathered.begin(), p.gathered.end(), [&](const Candidate& a, const Candidate& b) {
+    if (a.has_sort_value != b.has_sort_value) return a.has_sort_value;
     if (a.sort_value != b.sort_value) {
       return desc ? a.sort_value > b.sort_value : a.sort_value < b.sort_value;
     }
     return a.node.id < b.node.id;
   });
-
-  // Attachment point for commit/retry causal work: the ambient span when it
-  // belongs to this trace (the reply that closed the attempt), else the
-  // stored per-query context.
-  auto* causal = causal_log(owner_.engine());
-  obs::TraceContext base = causal != nullptr ? causal->current() : obs::TraceContext{};
-  if (!base.active() || base.trace_id != p.ctx.trace_id) base = p.ctx;
 
   const auto want = static_cast<std::size_t>(p.query.k);
   if (p.gathered.size() >= want) {
@@ -323,13 +333,10 @@ void QueryInterface::finish_attempt(std::uint64_t id) {
       release->query_id = p.outcome.query_id;
       owner_.pastry().send_direct(p.gathered[i].node, std::move(release), kAppName);
     }
-    if (auto* reg = owner_.engine().metrics()) {
-      // Step 5: one span covering the commit/release dispatch; hops = every
-      // reservation dispositioned (k kept + surplus released).
-      const auto now = owner_.engine().now();
-      reg->tracer().add_span(p.outcome.query_id, obs::Phase::kCommit, p.outcome.attempts,
-                             now, now, static_cast<int>(p.gathered.size()));
-    }
+    // Step 5 span: the commit/release dispatch; hops = every reservation
+    // dispositioned (k kept + surplus released).
+    record_phase_point(causal, cctx, owner_, "query.commit", obs::Phase::kCommit,
+                       owner_.engine().now(), static_cast<int>(p.gathered.size()));
     p.outcome.satisfied = true;
     complete(it);
     return;
@@ -357,11 +364,7 @@ void QueryInterface::finish_attempt(std::uint64_t id) {
 
   const query::Backoff backoff{config_.backoff_slot};
   const auto delay = backoff.delay_after(p.outcome.attempts, owner_.engine().rng());
-  if (auto* reg = owner_.engine().metrics()) {
-    reg->fed().counter("query.backoff_retries").inc();
-    reg->tracer().event(p.outcome.query_id, "backoff_retry", p.outcome.attempts,
-                        owner_.engine().now());
-  }
+  if (auto* reg = owner_.engine().metrics()) reg->fed().counter("query.backoff_retries").inc();
   if (causal != nullptr) {
     // Move the re-attachment point to a "query.backoff_retry" event hanging
     // off the reply that ended this attempt: the next attempt's messages
@@ -435,6 +438,8 @@ void QueryInterface::run_site_query(SiteJob job, std::function<void(SiteResult)>
     util::SimTime staleness = util::SimTime::zero();
     // At least one probe answered from the answer cache (implies stale).
     bool cached = false;
+    // This site query's own causal context (phase points hang off it).
+    obs::TraceContext ctx;
     std::function<void(SiteResult)> done;
   };
   auto state = std::make_shared<ProbeState>();
@@ -448,14 +453,15 @@ void QueryInterface::run_site_query(SiteJob job, std::function<void(SiteResult)>
 
   auto anycast_smallest = [this, state]() {
     const auto probe_end = owner_.engine().now();
+    auto* causal = causal_log(owner_.engine());
     if (auto* reg = owner_.engine().metrics()) {
-      // Steps 1-2 finished: one probe span per site attempt, hops = trees
-      // probed (each probe is one routed request + one direct reply).
-      reg->tracer().add_span(state->job.query_id, obs::Phase::kProbe, state->job.attempt,
-                             state->probe_start, probe_end,
-                             static_cast<int>(state->topics.size()));
       reg->fed().latency("query.phase_probe").add(probe_end - state->probe_start);
     }
+    // Steps 1-2 finished: one probe span per site attempt, hops = trees
+    // probed.  Cache hits and coalesced probes send no message of their
+    // own, so the count is recorded here.
+    record_phase_point(causal, state->ctx, owner_, "query.probe", obs::Phase::kProbe,
+                       state->probe_start, static_cast<int>(state->topics.size()));
     // Step 3: "choose the tree with smaller size to send another anycast".
     std::size_t best = SIZE_MAX;
     for (std::size_t i = 0; i < state->sizes.size(); ++i) {
@@ -486,36 +492,33 @@ void QueryInterface::run_site_query(SiteJob job, std::function<void(SiteResult)>
     payload->group_by = state->job.group_by;
     payload->hold = state->job.hold;
     const auto anycast_start = probe_end;
-    if (auto* reg = owner_.engine().metrics()) {
-      reg->tracer().begin_span(state->job.query_id, obs::Phase::kAnycast, state->job.attempt,
-                               anycast_start);
-    }
+    // Step 3 opens here; the walk's end points are children of this one.
+    const obs::TraceContext anycast_ctx =
+        record_phase_point(causal, state->ctx, owner_, "query.anycast", obs::Phase::kAnycast,
+                           anycast_start, 0);
     // The dispatch leg toward the tree carries the Anycast phase; the first
     // tree node remaps it to MemberSearch for the DFS walk.
-    auto* causal = causal_log(owner_.engine());
     obs::TraceContext dispatch_ctx =
         causal != nullptr ? causal->current() : obs::TraceContext{};
     dispatch_ctx.phase = static_cast<std::uint8_t>(obs::Phase::kAnycast);
     obs::ContextScope dispatch_scope(causal, dispatch_ctx);
     owner_.scribe().anycast(
         state->topics[best], std::move(payload),
-        [this, state, anycast_start](bool /*satisfied*/, int visited,
-                                     scribe::AnycastPayload& result) {
+        [this, state, anycast_start, anycast_ctx](bool /*satisfied*/, int visited,
+                                                  scribe::AnycastPayload& result) {
           auto& filled = dynamic_cast<CandidatePayload&>(result);
           const auto end = owner_.engine().now();
           if (auto* reg = owner_.engine().metrics()) {
-            auto& tracer = reg->tracer();
-            const auto& id = state->job.query_id;
-            // Step 3 span closes with the dispatch leg; steps 4a/4b share
-            // the walk's wall-clock but count different work: members
-            // visited vs slots actually filled.
-            tracer.end_span(id, obs::Phase::kAnycast, end, 1);
-            tracer.add_span(id, obs::Phase::kMemberSearch, state->job.attempt, anycast_start,
-                            end, visited);
-            tracer.add_span(id, obs::Phase::kSlotFill, state->job.attempt, anycast_start,
-                            end, static_cast<int>(filled.found.size()));
             reg->fed().latency("query.phase_anycast").add(end - anycast_start);
           }
+          // The walk's end closes step 3; steps 4a/4b share its sim-time but
+          // count different work: members visited vs slots actually filled.
+          auto* causal = causal_log(owner_.engine());
+          record_phase_point(causal, anycast_ctx, owner_, "query.member_search",
+                             obs::Phase::kMemberSearch, anycast_start, visited);
+          record_phase_point(causal, anycast_ctx, owner_, "query.slots_filled",
+                             obs::Phase::kSlotFill, anycast_start,
+                             static_cast<int>(filled.found.size()));
           SiteResult site_result;
           site_result.candidates = std::move(filled.found);
           site_result.visited = visited;
@@ -533,6 +536,7 @@ void QueryInterface::run_site_query(SiteJob job, std::function<void(SiteResult)>
   auto* causal = causal_log(owner_.engine());
   obs::TraceContext probe_ctx = causal != nullptr ? causal->current() : obs::TraceContext{};
   probe_ctx.phase = static_cast<std::uint8_t>(obs::Phase::kProbe);
+  state->ctx = probe_ctx;
   obs::ContextScope probe_scope(causal, probe_ctx);
   for (std::size_t i = 0; i < state->topics.size(); ++i) {
     const auto topic = state->topics[i];

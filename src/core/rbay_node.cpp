@@ -244,7 +244,8 @@ bool RBayNode::on_anycast(const scribe::TopicId& /*topic*/, scribe::AnycastPaylo
   if (!lock_.try_reserve(request->query_id, engine().now(), request->hold)) {
     if (reg != nullptr) {
       reg->fed().counter("query.conflicts").inc();
-      reg->tracer().event(request->query_id, "conflict", 0, engine().now());
+      reg->causal().local(site(), self().endpoint, "query.conflict", engine().now(),
+                          static_cast<int>(obs::Phase::kSlotFill));
     }
     return false;
   }
@@ -256,13 +257,13 @@ bool RBayNode::on_anycast(const scribe::TopicId& /*topic*/, scribe::AnycastPaylo
                         static_cast<int>(obs::Phase::kSlotFill));
   }
 
-  double sort_value = 0.0;
+  Candidate candidate{self()};
   if (request->group_by) {
     if (const auto* attr = store_.find(*request->group_by)) {
-      attr->value().numeric(sort_value);
+      candidate.has_sort_value = attr->value().numeric(candidate.sort_value);
     }
   }
-  request->found.push_back(Candidate{self(), sort_value});
+  request->found.push_back(std::move(candidate));
   return request->found.size() >= want;
 }
 

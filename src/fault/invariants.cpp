@@ -81,7 +81,10 @@ InvariantReport check_tree_reachability(core::RBayCluster& cluster) {
       }
       if (roots.size() > 1) {
         std::string list;
-        for (const auto r : roots) list += " " + std::to_string(r);
+        for (const auto r : roots) {
+          list += ' ';
+          list += std::to_string(r);
+        }
         report.add("tree-reachability", tag + "split brain: multiple live roots:" + list,
                    roots);
         continue;

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/contract.hpp"
 
 namespace rbay::obs {
@@ -18,6 +17,38 @@ const char* causal_kind_name(CausalKind kind) {
   }
   return "?";
 }
+
+const char* phase_name(Phase phase) {
+  switch (phase) {
+    case Phase::kProbe: return "probe";
+    case Phase::kAnycast: return "anycast";
+    case Phase::kMemberSearch: return "member_search";
+    case Phase::kSlotFill: return "slot_fill";
+    case Phase::kCommit: return "commit";
+  }
+  return "unknown";
+}
+
+namespace {
+
+/// An event carrying `ctx`'s identity, phase and attempt.
+CausalEvent stamp(CausalKind kind, const TraceContext& ctx, std::uint32_t site,
+                  std::uint32_t endpoint, const char* what, util::SimTime at) {
+  CausalEvent ev;
+  ev.kind = kind;
+  ev.phase = ctx.phase;
+  ev.attempt = ctx.attempt;
+  ev.site = site;
+  ev.endpoint = endpoint;
+  ev.trace_id = ctx.trace_id;
+  ev.span_id = ctx.span_id;
+  ev.parent_span_id = ctx.parent_span_id;
+  ev.at = at;
+  ev.what = what;
+  return ev;
+}
+
+}  // namespace
 
 const char* phase_label(std::uint8_t phase) {
   if (phase < static_cast<std::uint8_t>(kPhaseCount)) {
@@ -57,44 +88,30 @@ TraceContext CausalLog::begin_trace(const std::string& query_id, std::uint32_t s
   by_query_.get_or_create(query_id).ref = ctx.trace_id;
   trace_count_.fetch_add(1, std::memory_order_relaxed);
 
-  CausalEvent ev;
-  ev.kind = CausalKind::kLocal;
-  ev.site = site;
-  ev.endpoint = endpoint;
-  ev.trace_id = ctx.trace_id;
-  ev.span_id = ctx.span_id;
-  ev.parent_span_id = 0;
-  ev.at = at;
-  ev.what = "query.start";
-  record(std::move(ev));
+  record(stamp(CausalKind::kLocal, ctx, site, endpoint, "query.start", at));
   return ctx;
 }
 
 void CausalLog::finish_trace(const TraceContext& fallback, std::uint32_t site,
-                             std::uint32_t endpoint, util::SimTime at) {
+                             std::uint32_t endpoint, util::SimTime at, bool satisfied,
+                             int attempts) {
   const TraceContext& ambient = current();
   const TraceContext& parent =
       (ambient.active() && ambient.trace_id == fallback.trace_id) ? ambient : fallback;
   if (!parent.active()) return;
 
-  CausalEvent ev;
-  ev.kind = CausalKind::kLocal;
-  ev.phase = kPhaseNone;
-  ev.attempt = parent.attempt;
-  ev.site = site;
-  ev.endpoint = endpoint;
-  ev.trace_id = parent.trace_id;
-  ev.span_id = mint_span();
-  ev.parent_span_id = parent.span_id;
-  ev.at = at;
-  ev.what = "query.finish";
-
-  traces_.with(parent.trace_id, [&](TraceMeta& meta) {
-    meta.terminus_span = ev.span_id;
+  TraceContext ctx = parent;
+  ctx.parent_span_id = parent.span_id;
+  ctx.span_id = mint_span();
+  ctx.phase = kPhaseNone;
+  traces_.with(ctx.trace_id, [&](TraceMeta& meta) {
+    meta.terminus_span = ctx.span_id;
     meta.finished = at;
     meta.done = true;
+    meta.satisfied = satisfied;
+    meta.attempts = attempts;
   });
-  record(std::move(ev));
+  record(stamp(CausalKind::kLocal, ctx, site, endpoint, "query.finish", at));
 }
 
 const TraceMeta* CausalLog::find_trace(std::uint64_t trace_id) const {
@@ -108,78 +125,47 @@ std::uint64_t CausalLog::trace_id_for(const std::string& query_id) const {
 
 TraceContext CausalLog::on_send(std::uint32_t site, std::uint32_t endpoint, const char* what,
                                 util::SimTime at) {
-  TraceContext ctx = current();
-  if (ctx.active()) {
-    ctx.parent_span_id = ctx.span_id;
-    ctx.span_id = mint_span();
-  }
-  CausalEvent ev;
-  ev.kind = CausalKind::kSend;
-  ev.phase = ctx.phase;
-  ev.attempt = ctx.attempt;
-  ev.site = site;
-  ev.endpoint = endpoint;
-  ev.trace_id = ctx.trace_id;
-  ev.span_id = ctx.span_id;
-  ev.parent_span_id = ctx.parent_span_id;
-  ev.at = at;
-  ev.what = what;
-  record(std::move(ev));
+  const TraceContext ctx = child_of_ambient();
+  record(stamp(CausalKind::kSend, ctx, site, endpoint, what, at));
   return ctx;
 }
 
 void CausalLog::on_recv(const TraceContext& ctx, std::uint32_t site, std::uint32_t endpoint,
                         const char* what, util::SimTime at) {
-  CausalEvent ev;
-  ev.kind = CausalKind::kRecv;
-  ev.phase = ctx.phase;
-  ev.attempt = ctx.attempt;
-  ev.site = site;
-  ev.endpoint = endpoint;
-  ev.trace_id = ctx.trace_id;
-  ev.span_id = ctx.span_id;
-  ev.parent_span_id = ctx.parent_span_id;
-  ev.at = at;
-  ev.what = what;
-  record(std::move(ev));
+  record(stamp(CausalKind::kRecv, ctx, site, endpoint, what, at));
 }
 
 void CausalLog::on_drop(const TraceContext& ctx, std::uint32_t site, std::uint32_t endpoint,
                         const char* what, util::SimTime at) {
-  CausalEvent ev;
-  ev.kind = CausalKind::kDrop;
-  ev.phase = ctx.phase;
-  ev.attempt = ctx.attempt;
-  ev.site = site;
-  ev.endpoint = endpoint;
-  ev.trace_id = ctx.trace_id;
-  ev.span_id = ctx.span_id;
-  ev.parent_span_id = ctx.parent_span_id;
-  ev.at = at;
-  ev.what = what;
-  record(std::move(ev));
+  record(stamp(CausalKind::kDrop, ctx, site, endpoint, what, at));
 }
 
 TraceContext CausalLog::local(std::uint32_t site, std::uint32_t endpoint, const char* what,
                               util::SimTime at, int phase_override) {
+  TraceContext ctx = child_of_ambient();
+  if (phase_override >= 0) ctx.phase = static_cast<std::uint8_t>(phase_override);
+  record(stamp(CausalKind::kLocal, ctx, site, endpoint, what, at));
+  return ctx;
+}
+
+TraceContext CausalLog::phase_point(std::uint32_t site, std::uint32_t endpoint,
+                                    const char* what, Phase phase, util::SimTime since,
+                                    util::SimTime at, int hops) {
+  TraceContext ctx = child_of_ambient();
+  ctx.phase = static_cast<std::uint8_t>(phase);
+  CausalEvent ev = stamp(CausalKind::kLocal, ctx, site, endpoint, what, at);
+  ev.since = since;
+  ev.hops = hops;
+  record(std::move(ev));
+  return ctx;
+}
+
+TraceContext CausalLog::child_of_ambient() {
   TraceContext ctx = current();
   if (ctx.active()) {
     ctx.parent_span_id = ctx.span_id;
     ctx.span_id = mint_span();
   }
-  if (phase_override >= 0) ctx.phase = static_cast<std::uint8_t>(phase_override);
-  CausalEvent ev;
-  ev.kind = CausalKind::kLocal;
-  ev.phase = ctx.phase;
-  ev.attempt = ctx.attempt;
-  ev.site = site;
-  ev.endpoint = endpoint;
-  ev.trace_id = ctx.trace_id;
-  ev.span_id = ctx.span_id;
-  ev.parent_span_id = ctx.parent_span_id;
-  ev.at = at;
-  ev.what = what;
-  record(std::move(ev));
   return ctx;
 }
 
@@ -246,19 +232,35 @@ std::vector<const CausalEvent*> CausalLog::trace_events(std::uint64_t trace_id) 
   return out;
 }
 
+std::vector<std::pair<std::string, std::uint64_t>> CausalLog::traces_by_query() const {
+  std::vector<std::pair<std::string, std::uint64_t>> out;
+  by_query_.for_each_ordered([&](const std::string& query_id, const std::uint64_t& trace_id) {
+    out.emplace_back(query_id, trace_id);
+  });
+  return out;
+}
+
 std::uint64_t CausalLog::dropped() const {
   std::uint64_t n = 0;
   for (const SlotState& s : slots_) n += s.dropped;
   return n;
 }
 
-void CausalLog::bind_counters(Counter* events, Counter* dropped) {
+std::uint64_t CausalLog::flight_overwrites() const {
+  std::uint64_t n = 0;
+  for (const SlotState& s : slots_) n += s.flight_overwrites;
+  return n;
+}
+
+void CausalLog::bind_counters(Counter* events, Counter* dropped, Counter* flight_overwrites) {
   events_counter_ = events;
   dropped_counter_ = dropped;
+  overwrites_counter_ = flight_overwrites;
 }
 
 void CausalLog::record(CausalEvent ev) {
   SlotState& s = slot();
+  ev.slot = static_cast<std::uint8_t>(&s - slots_.data());
   // Flight ring first: it sees every event, traced or not.
   bool ring_ok = ev.endpoint < rings_.size();
   if (!ring_ok && stride_ == 1) {
@@ -272,8 +274,8 @@ void CausalLog::record(CausalEvent ev) {
     if (wrapped) {
       ring.slots[ring.next] = ev;
       ring.next = (ring.next + 1) % flight_capacity_;
-      ++s.dropped;
-      if (dropped_counter_ != nullptr) dropped_counter_->inc();
+      ++s.flight_overwrites;
+      if (overwrites_counter_ != nullptr) overwrites_counter_->inc();
     } else {
       ring.slots.push_back(ev);
       ring.next = ring.slots.size() % flight_capacity_;
@@ -284,6 +286,7 @@ void CausalLog::record(CausalEvent ev) {
   if (s.events.size() >= kMaxEvents / stride_) {
     ++s.dropped;
     if (dropped_counter_ != nullptr) dropped_counter_->inc();
+    traces_.with(ev.trace_id, [](TraceMeta& meta) { meta.complete = false; });
     return;
   }
   s.events.push_back(std::move(ev));

@@ -20,7 +20,8 @@
 //     function of the deterministic per-shard sequences, so the merged log
 //     (and the Chrome export built from it) is byte-identical at any
 //     worker-thread count.  Bounded by kMaxEvents split evenly across
-//     slots; past that, traced events are counted in trace.dropped.
+//     slots; past that, traced events are counted in trace.dropped and
+//     their trace is marked incomplete (TraceMeta::complete).
 //   * Flight recorder.  Every event — traced or not — is also written into
 //     a small per-endpoint ring (set_flight_capacity), so when a chaos
 //     invariant fails the harness can dump the last N causal events of the
@@ -28,7 +29,12 @@
 //     its site's shard (plus barrier-serialized control events), so rings
 //     need no locks — but under a sharded engine they must be pre-sized
 //     via reserve_rings() because growing the ring vector would move rings
-//     other shards are writing.  Ring overwrites count into trace.dropped.
+//     other shards are writing.  Ring overwrites are routine and count into
+//     trace.flight_overwrites, never into trace.dropped.
+//
+// The per-query span view (obs/critical_path.hpp, build_query_trace) is
+// derived from this log at snapshot time; phase_point() records the
+// figures it needs that no message event carries.
 //
 // Determinism: timestamps are sim-time; span/trace ids are minted from
 // per-slot counters strided by the slot count (slot k mints k+1, k+1+S,
@@ -40,6 +46,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/context.hpp"
@@ -66,14 +73,19 @@ struct CausalEvent {
   CausalKind kind = CausalKind::kLocal;
   std::uint8_t phase = kPhaseNone;
   std::uint8_t attempt = 0;
+  std::uint8_t slot = 0;       // execution slot that recorded the event
   std::uint32_t site = 0;      // site where the event happened
   std::uint32_t endpoint = 0;  // endpoint where the event happened
+  std::int32_t hops = 0;       // phase points only: the span's hop figure
   std::uint64_t trace_id = 0;
   std::uint64_t span_id = 0;
   std::uint64_t parent_span_id = 0;
   util::SimTime at = util::SimTime::zero();
+  util::SimTime since = util::SimTime::zero();  // phase points: span start
   std::string what;  // payload type name or local-op label
 };
+
+static_assert(kMaxExecSlots <= 256, "CausalEvent::slot stores the execution slot in one byte");
 
 struct TraceMeta {
   std::string query_id;
@@ -82,6 +94,11 @@ struct TraceMeta {
   util::SimTime started = util::SimTime::zero();
   util::SimTime finished = util::SimTime::zero();
   bool done = false;
+  bool satisfied = false;
+  int attempts = 0;
+  /// False once the log bound dropped one of this trace's events: its
+  /// span view and critical path may be missing steps.
+  bool complete = true;
 };
 
 class CausalLog {
@@ -121,7 +138,7 @@ class CausalLog {
   /// the query — which makes the parent chain the critical path), else
   /// `fallback` (the stored per-query context).
   void finish_trace(const TraceContext& fallback, std::uint32_t site, std::uint32_t endpoint,
-                    util::SimTime at);
+                    util::SimTime at, bool satisfied, int attempts);
 
   [[nodiscard]] const TraceMeta* find_trace(std::uint64_t trace_id) const;
   /// 0 when the query was never traced.
@@ -142,6 +159,10 @@ class CausalLog {
   /// pass -1 to inherit.  Returns the minted context.
   TraceContext local(std::uint32_t site, std::uint32_t endpoint, const char* what,
                      util::SimTime at, int phase_override = -1);
+  /// Records a phase point: a local event tagged `phase` that closes the
+  /// query-trace span [since, at] and carries its hop figure.
+  TraceContext phase_point(std::uint32_t site, std::uint32_t endpoint, const char* what,
+                           Phase phase, util::SimTime since, util::SimTime at, int hops);
 
   // --- flight recorder ---------------------------------------------------
   void set_flight_capacity(std::size_t capacity);
@@ -158,12 +179,20 @@ class CausalLog {
   /// arrive.  Snapshot-time only when sharded.
   [[nodiscard]] const std::vector<CausalEvent>& events() const;
   [[nodiscard]] std::vector<const CausalEvent*> trace_events(std::uint64_t trace_id) const;
+  /// Query ids of every trace, ordered, each with its trace id.
+  /// Snapshot-time only.
+  [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> traces_by_query() const;
+  /// True once set_slots() declared more than one execution slot.
+  [[nodiscard]] bool sharded() const { return stride_ > 1; }
+  /// Traced events lost to the log bound.
   [[nodiscard]] std::uint64_t dropped() const;
+  /// Flight-ring wraps: routine, and unrelated to trace completeness.
+  [[nodiscard]] std::uint64_t flight_overwrites() const;
 
-  /// Binds the trace.events / trace.dropped counters.  The Registry calls
-  /// this lazily from its causal() accessor so a registry that never traces
-  /// never grows the counters.
-  void bind_counters(Counter* events, Counter* dropped);
+  /// Binds the trace.events / trace.dropped / trace.flight_overwrites
+  /// counters.  The Registry calls this lazily from its causal() accessor
+  /// so a registry that never traces never grows the counters.
+  void bind_counters(Counter* events, Counter* dropped, Counter* flight_overwrites);
 
  private:
   struct FlightRing {
@@ -179,6 +208,7 @@ class CausalLog {
     std::uint64_t next_trace = 0;
     std::uint64_t next_span = 0;
     std::uint64_t dropped = 0;
+    std::uint64_t flight_overwrites = 0;
     std::vector<CausalEvent> events;
   };
 
@@ -199,6 +229,9 @@ class CausalLog {
     SlotState& s = slot();
     return (s.next_trace++) * stride_ + (&s - slots_.data()) + 1;
   }
+  /// The ambient context with a freshly minted child span (unchanged when
+  /// no trace is ambient).
+  TraceContext child_of_ambient();
   void record(CausalEvent ev);
 
   std::vector<SlotState> slots_{1};
@@ -211,6 +244,7 @@ class CausalLog {
   std::size_t flight_capacity_ = kDefaultFlightCapacity;
   Counter* events_counter_ = nullptr;
   Counter* dropped_counter_ = nullptr;
+  Counter* overwrites_counter_ = nullptr;
   /// Merged-events cache, rebuilt when the per-slot totals change.
   mutable std::vector<CausalEvent> merged_;
   mutable std::size_t merged_from_ = 0;

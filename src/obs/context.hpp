@@ -20,6 +20,25 @@
 
 namespace rbay::obs {
 
+/// The five steps of the composite query protocol (paper Fig. 7).
+///
+///   Probe        steps 1-2: size-probe every predicate tree
+///   Anycast      step 3:    dispatch the k-slot buffer into the smallest tree
+///   MemberSearch step 4a:   the DFS walk visiting tree members
+///   SlotFill     step 4b:   members reserving themselves and filling slots
+///   Commit       step 5:    assigning the k best / releasing the surplus
+enum class Phase : std::uint8_t {
+  kProbe = 0,
+  kAnycast = 1,
+  kMemberSearch = 2,
+  kSlotFill = 3,
+  kCommit = 4,
+};
+
+inline constexpr int kPhaseCount = 5;
+
+[[nodiscard]] const char* phase_name(Phase phase);
+
 /// Sentinel for "no protocol phase attributed" (see obs::Phase for 0..4).
 inline constexpr std::uint8_t kPhaseNone = 0xFF;
 

@@ -1,6 +1,7 @@
 #include "obs/critical_path.hpp"
 
 #include <algorithm>
+#include <string_view>
 
 #include "obs/json.hpp"
 
@@ -131,7 +132,11 @@ std::string CriticalPath::to_string() const {
   }
   out += "  by phase:";
   for (const auto& [phase, t] : by_phase) {
-    out += " " + std::string(phase_label(phase)) + "=" + std::to_string(t.as_micros()) + "us";
+    out += ' ';
+    out += phase_label(phase);
+    out += '=';
+    out += std::to_string(t.as_micros());
+    out += "us";
   }
   out += "\n";
   return out;
@@ -215,6 +220,164 @@ void CriticalPath::write_json(std::string& out) const {
     out += '}';
   }
   out += "]}";
+}
+
+// --- Query traces -----------------------------------------------------------
+
+bool QueryTrace::has_phase(Phase phase) const { return first_span(phase) != nullptr; }
+
+const Span* QueryTrace::first_span(Phase phase) const {
+  const auto it = std::find_if(spans.begin(), spans.end(),
+                               [phase](const Span& s) { return s.phase == phase; });
+  return it == spans.end() ? nullptr : &*it;
+}
+
+bool QueryTrace::has_event(const std::string& what) const {
+  return std::any_of(events.begin(), events.end(),
+                     [&what](const TraceEvent& e) { return e.what == what; });
+}
+
+namespace {
+
+constexpr std::string_view kQueryPrefix = "query.";
+
+/// Local points rendered as trace events, named without the prefix.
+bool is_incident(const std::string& what) {
+  return what == "query.site_timeout" || what == "query.backoff_retry" ||
+         what == "query.conflict" || what == "query.stale_answer";
+}
+
+/// The span view of one trace, from its events in log order.
+QueryTrace view_of(const TraceMeta& meta, const std::vector<const CausalEvent*>& events,
+                   bool sharded) {
+  QueryTrace trace;
+  trace.query_id = meta.query_id;
+  trace.started = meta.started;
+  trace.finished = meta.finished;
+  trace.done = meta.done;
+  trace.satisfied = meta.satisfied;
+  trace.complete = meta.complete;
+  trace.attempts = meta.attempts;
+
+  // Anycast spans whose walk has not ended, keyed by the span id of their
+  // "query.anycast" point (the walk-end points are its children).
+  std::map<std::uint64_t, std::size_t> open;
+  auto add = [&](const CausalEvent& ev, Phase phase, util::SimTime start, int hops) {
+    trace.spans.push_back(Span{phase, ev.attempt, start, ev.at, hops, ev.slot});
+  };
+  auto close_open = [&](util::SimTime at) {
+    for (const auto& [span_id, index] : open) trace.spans[index].end = at;
+    open.clear();
+  };
+  for (const CausalEvent* ev : events) {
+    if (ev->kind != CausalKind::kLocal) continue;
+    const std::string& what = ev->what;
+    if (what == "query.probe") {
+      add(*ev, Phase::kProbe, ev->since, ev->hops);
+    } else if (what == "query.anycast") {
+      open[ev->span_id] = trace.spans.size();
+      add(*ev, Phase::kAnycast, ev->at, 0);
+    } else if (what == "query.member_search") {
+      if (const auto it = open.find(ev->parent_span_id); it != open.end()) {
+        trace.spans[it->second].end = ev->at;
+        trace.spans[it->second].hops = 1;
+        open.erase(it);
+      }
+      add(*ev, Phase::kMemberSearch, ev->since, ev->hops);
+    } else if (what == "query.slots_filled") {
+      add(*ev, Phase::kSlotFill, ev->since, ev->hops);
+    } else if (what == "query.commit") {
+      add(*ev, Phase::kCommit, ev->since, ev->hops);
+    } else if (what == "query.finish") {
+      close_open(ev->at);
+    } else if (is_incident(what)) {
+      trace.events.push_back(
+          TraceEvent{ev->at, ev->attempt, what.substr(kQueryPrefix.size())});
+    }
+  }
+  // The terminus itself may have been lost to the log bound.
+  if (meta.done) close_open(meta.finished);
+  if (sharded) {
+    std::stable_sort(trace.spans.begin(), trace.spans.end(), [](const Span& a, const Span& b) {
+      if (a.start != b.start) return a.start < b.start;
+      return a.slot < b.slot;
+    });
+  }
+  return trace;
+}
+
+/// Appends `,"key":value`.
+void int_field(std::string& out, const char* key, std::int64_t value) {
+  out += ',';
+  json::append_key(out, key);
+  json::append_int(out, value);
+}
+
+void bool_field(std::string& out, const char* key, bool value) {
+  out += ',';
+  json::append_key(out, key);
+  out += value ? "true" : "false";
+}
+
+void write_trace_json(const QueryTrace& trace, std::string& out) {
+  out += "{\"query_id\":";
+  json::append_string(out, trace.query_id);
+  int_field(out, "started_us", trace.started.as_micros());
+  int_field(out, "finished_us", (trace.done ? trace.finished : trace.started).as_micros());
+  bool_field(out, "done", trace.done);
+  bool_field(out, "satisfied", trace.satisfied);
+  int_field(out, "attempts", trace.attempts);
+  if (!trace.complete) bool_field(out, "complete", false);
+  out += ",\"spans\":[";
+  json::Comma span_comma;
+  for (const Span& span : trace.spans) {
+    span_comma.next(out);
+    out += "{\"phase\":";
+    json::append_string(out, phase_name(span.phase));
+    int_field(out, "attempt", span.attempt);
+    int_field(out, "start_us", span.start.as_micros());
+    int_field(out, "end_us", span.end.as_micros());
+    int_field(out, "hops", span.hops);
+    out += '}';
+  }
+  out += "],\"events\":[";
+  json::Comma event_comma;
+  for (const TraceEvent& event : trace.events) {
+    event_comma.next(out);
+    out += "{\"at_us\":";
+    json::append_int(out, event.at.as_micros());
+    int_field(out, "attempt", event.attempt);
+    out += ",\"what\":";
+    json::append_string(out, event.what);
+    out += '}';
+  }
+  out += "]}";
+}
+
+}  // namespace
+
+std::optional<QueryTrace> build_query_trace(const CausalLog& log, const std::string& query_id) {
+  const std::uint64_t trace_id = log.trace_id_for(query_id);
+  const TraceMeta* meta = log.find_trace(trace_id);
+  if (meta == nullptr) return std::nullopt;
+  return view_of(*meta, log.trace_events(trace_id), log.sharded());
+}
+
+void write_query_traces_json(const CausalLog& log, std::string& out) {
+  // One pass groups the log by trace; each view then reads its own events.
+  std::map<std::uint64_t, std::vector<const CausalEvent*>> by_trace;
+  for (const CausalEvent& ev : log.events()) {
+    if (ev.kind == CausalKind::kLocal) by_trace[ev.trace_id].push_back(&ev);
+  }
+  out += '[';
+  json::Comma comma;
+  for (const auto& [query_id, trace_id] : log.traces_by_query()) {
+    const TraceMeta* meta = log.find_trace(trace_id);
+    if (meta == nullptr) continue;
+    comma.next(out);
+    write_trace_json(view_of(*meta, by_trace[trace_id], log.sharded()), out);
+  }
+  out += ']';
 }
 
 }  // namespace rbay::obs

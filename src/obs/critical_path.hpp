@@ -1,6 +1,6 @@
 #pragma once
 
-// Critical-path analysis over the causal log.
+// Critical-path analysis and per-query span views over the causal log.
 //
 // A query's completion is event-driven: each phase ends when its *last*
 // outstanding reply (or timeout) arrives, and the "query.finish" terminus
@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -67,5 +68,63 @@ struct CriticalPath {
 [[nodiscard]] CriticalPath analyze_critical_path(const CausalLog& log, std::uint64_t trace_id);
 [[nodiscard]] CriticalPath analyze_critical_path(const CausalLog& log,
                                                  const std::string& query_id);
+
+// --- Query traces --------------------------------------------------------
+//
+// The per-query span view of the five-step protocol: one span per phase
+// per site attempt, with sim-time bounds and a hop count, plus protocol
+// incidents ("conflict", "backoff_retry", ...) between spans.  It is built
+// from a trace's causal events when a snapshot is taken; the phase points
+// the query layer records (CausalLog::phase_point) carry each span's
+// bounds and hops (docs/TRACING.md has the table).
+//
+// Order rules: spans and events follow the log, i.e. recording order.  A
+// sharded log additionally orders spans by (start, slot), keeping each
+// slot's recording order, so the view is a pure function of the schedule.
+// An anycast span still open when its query finishes ends at the finish
+// (hops 0); one still open at snapshot time renders zero-length.
+
+struct Span {
+  Phase phase = Phase::kProbe;
+  int attempt = 1;
+  util::SimTime start = util::SimTime::zero();
+  util::SimTime end = util::SimTime::zero();
+  /// Network legs / member visits attributed to the phase: trees probed,
+  /// anycast dispatches, members visited, slots filled, nodes committed.
+  int hops = 0;
+  std::uint32_t slot = 0;  ///< execution slot that recorded the span
+
+  [[nodiscard]] util::SimTime latency() const { return end - start; }
+};
+
+struct TraceEvent {
+  util::SimTime at = util::SimTime::zero();
+  int attempt = 1;
+  std::string what;
+};
+
+struct QueryTrace {
+  std::string query_id;
+  util::SimTime started = util::SimTime::zero();
+  util::SimTime finished = util::SimTime::zero();
+  bool done = false;
+  bool satisfied = false;
+  /// False when the log bound dropped some of the trace's events.
+  bool complete = true;
+  int attempts = 0;
+  std::vector<Span> spans;
+  std::vector<TraceEvent> events;
+
+  [[nodiscard]] bool has_phase(Phase phase) const;
+  [[nodiscard]] const Span* first_span(Phase phase) const;
+  [[nodiscard]] bool has_event(const std::string& what) const;
+};
+
+/// The span view of one query; nullopt when the query was never traced.
+[[nodiscard]] std::optional<QueryTrace> build_query_trace(const CausalLog& log,
+                                                          const std::string& query_id);
+
+/// Appends every trace's view as a JSON array, ordered by query id.
+void write_query_traces_json(const CausalLog& log, std::string& out);
 
 }  // namespace rbay::obs

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cmath>
 
+#include "obs/critical_path.hpp"
 #include "obs/json.hpp"
 #include "util/contract.hpp"
 
@@ -207,7 +208,6 @@ void Registry::set_exec_slots(std::uint32_t slots) {
   RBAY_REQUIRE(slots >= 1 && slots <= kMaxExecSlots,
                "Registry::set_exec_slots: slot count out of range (raise kMaxExecSlots)");
   causal_.set_slots(slots);
-  tracer_.set_slots(slots);
 }
 
 std::string Registry::to_json() const {
@@ -242,7 +242,7 @@ std::string Registry::to_json() const {
   out += '}';
   out += ',';
   json::append_key(out, "traces");
-  tracer_.write_json(out);
+  write_query_traces_json(causal_, out);
   out += '}';
   out += '\n';
   return out;

@@ -2,7 +2,7 @@
 
 // Observability registry: named counters, gauges, and HDR-style latency
 // histograms, organized into scopes — one federation-wide, one per site,
-// one per node — plus the query Tracer.
+// one per node — plus the causal log that query traces are built from.
 //
 // Design rules (they are what make the deterministic-replay test possible):
 //   * every timestamp and latency is sim-time from the engine's virtual
@@ -40,7 +40,6 @@
 
 #include "obs/causal.hpp"
 #include "obs/exec_slot.hpp"
-#include "obs/trace.hpp"
 #include "util/sim_time.hpp"
 
 namespace rbay::obs {
@@ -268,7 +267,7 @@ class Scope {
 
 /// The root of the observability tree: federation scope, per-site scopes
 /// (keyed by site id), per-node scopes (keyed by node id hex), and the
-/// query tracer.  Attach to a sim::Engine with engine.set_metrics(&reg);
+/// causal log.  Attach to a sim::Engine with engine.set_metrics(&reg);
 /// detached (the default) every instrumented path is a null-check no-op.
 class Registry {
  public:
@@ -288,17 +287,15 @@ class Registry {
   [[nodiscard]] const Scope& fed() const { return fed_; }
   /// Read-only view of the per-site scopes (never creates; snapshot-time).
   [[nodiscard]] const std::map<std::uint32_t, Scope>& sites() const { return sites_; }
-  Tracer& tracer() { return tracer_; }
-  [[nodiscard]] const Tracer& tracer() const { return tracer_; }
 
-  /// Causal tracing log.  The mutable accessor lazily binds the
-  /// trace.events / trace.dropped counters into the federation scope, so a
-  /// registry whose causal log is never touched keeps a counter-free
-  /// snapshot (the registry JSON stability test depends on it).
+  /// Causal tracing log.  The mutable accessor lazily binds the trace.*
+  /// counters into the federation scope, so a registry whose causal log is
+  /// never touched keeps a counter-free snapshot.
   CausalLog& causal() {
     std::lock_guard<std::mutex> lk(mu_);
     if (!causal_bound_) {
-      causal_.bind_counters(&fed_.counter("trace.events"), &fed_.counter("trace.dropped"));
+      causal_.bind_counters(&fed_.counter("trace.events"), &fed_.counter("trace.dropped"),
+                            &fed_.counter("trace.flight_overwrites"));
       causal_bound_ = true;
     }
     return causal_;
@@ -320,7 +317,6 @@ class Registry {
   Scope fed_;
   std::map<std::uint32_t, Scope> sites_;
   std::map<std::string, Scope> nodes_;
-  Tracer tracer_;
   CausalLog causal_;
   bool causal_bound_ = false;
 };

@@ -19,7 +19,7 @@
 //     time; a key genuinely shared across shards (a cross-site query's
 //     trace) must instead mutate inside with()/get_or_create — under the
 //     stripe lock — and make its snapshot ordering a pure function of the
-//     recorded data, not of lock-acquisition order (see obs::Tracer);
+//     recorded data, not of lock-acquisition order;
 //   * size() is exact only when no writer is concurrent (snapshot time);
 //   * for_each_ordered()/keys_ordered() are snapshot-time only.
 

@@ -29,7 +29,8 @@ TEST(PastStore, FootprintScalesWithEntries) {
   PastStore small, large;
   small.put("a", util::Sha1::hash128("x"));
   for (int i = 0; i < 1000; ++i) {
-    large.put("attr-" + std::to_string(i), util::Sha1::hash128("n" + std::to_string(i)));
+    const std::string n = std::to_string(i);
+    large.put(std::string("attr-").append(n), util::Sha1::hash128(std::string("n").append(n)));
   }
   EXPECT_GT(large.memory_footprint(), small.memory_footprint() * 100);
 }

@@ -127,6 +127,33 @@ TEST(QueryEndToEnd, GroupByOrdersCandidates) {
   }
 }
 
+TEST(QueryEndToEnd, GroupByRanksNonNumericCandidatesLast) {
+  // Half the members carry a numeric Memory value, a quarter a string, a
+  // quarter none at all.  Neither of the latter has a value to rank by, so
+  // every numeric candidate gathered must come first, ascending or not.
+  QueryFixture f{1, 16};
+  f.provision(1.0, 1.0);
+  for (std::size_t i = 0; i < 16; ++i) {
+    if (i % 2 == 0) {
+      ASSERT_TRUE(f.cluster.node(i).post("Memory", 8.0 * static_cast<double>(i + 1)).ok());
+    } else if (i % 4 == 1) {
+      ASSERT_TRUE(f.cluster.node(i).post("Memory", std::string{"plenty"}).ok());
+    }
+  }
+  for (const bool desc : {false, true}) {
+    const auto out = f.run_query(0, std::string{"SELECT 2 FROM * WHERE GPU = true GROUPBY Memory"} +
+                                        (desc ? " DESC" : " ASC"));
+    ASSERT_TRUE(out.satisfied) << out.error;
+    ASSERT_EQ(out.nodes.size(), 2u);
+    for (const auto& c : out.nodes) {
+      const auto idx = f.cluster.index_of(c.node.id);
+      EXPECT_EQ(idx % 2, 0u) << "node " << idx << " has no numeric Memory"
+                             << (desc ? " (DESC)" : " (ASC)");
+    }
+    f.cluster.run_for(util::SimTime::seconds(2));  // let the reservations lapse
+  }
+}
+
 TEST(QueryEndToEnd, PasswordPolicyEnforcedDuringAnycast) {
   QueryFixture f{1, 12};
   const std::string password_handler = R"(

@@ -130,7 +130,9 @@ TEST(SplitChaos, RootCrashMidRotationStaysBoundedThenReconverges) {
       const auto outcome = count_site0(cluster, prober);
       EXPECT_TRUE(outcome.satisfied) << outcome.error;
       EXPECT_GT(outcome.count, 0.0) << "round " << round << " answered empty";
-      if (outcome.stale) EXPECT_LE(outcome.staleness, max_staleness);
+      if (outcome.stale) {
+        EXPECT_LE(outcome.staleness, max_staleness);
+      }
     }
 
     cluster.run_for(SimTime::seconds(6));

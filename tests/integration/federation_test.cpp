@@ -173,7 +173,8 @@ TEST(Federation, DeterministicAcrossRuns) {
     std::string signature = std::to_string(outcome.satisfied) + "|" +
                             std::to_string(outcome.latency().as_micros()) + "|";
     for (const auto& c : outcome.nodes) signature += c.node.id.to_hex() + ",";
-    signature += "|" + std::to_string(f.cluster.network().stats().messages_sent);
+    signature += '|';
+    signature += std::to_string(f.cluster.network().stats().messages_sent);
     return signature;
   };
   EXPECT_EQ(run_once(99), run_once(99));

@@ -93,11 +93,11 @@ TEST(Monitor, PeriodicTicksOnEngine) {
 
 TEST(Monitor, StandardMetricsCoverEvaluationWorkload) {
   util::Rng rng{8};
-  const auto specs = standard_node_metrics(rng);
+  auto specs = standard_node_metrics(rng);
   ASSERT_GE(specs.size(), 4u);
   store::AttributeStore store;
   ResourceMonitor mon{store, util::Rng{9}};
-  for (auto spec : specs) mon.add_metric(std::move(spec));
+  for (auto& spec : specs) mon.add_metric(std::move(spec));
   EXPECT_TRUE(store.contains("CPU_utilization"));
   EXPECT_TRUE(store.contains("GPU"));
   EXPECT_TRUE(store.contains("Matlab"));

@@ -14,7 +14,6 @@
 #include "core/cluster.hpp"
 #include "obs/causal.hpp"
 #include "obs/critical_path.hpp"
-#include "obs/trace.hpp"
 
 namespace rbay::core {
 namespace {
@@ -143,8 +142,8 @@ TEST(CausalTrace, HopAttributionCrossCheck) {
   const auto trace_id = log.trace_id_for(out.query_id);
   ASSERT_NE(trace_id, 0u);
 
-  const auto* trace = registry->tracer().find(out.query_id);
-  ASSERT_NE(trace, nullptr);
+  const auto trace = obs::build_query_trace(log, out.query_id);
+  ASSERT_TRUE(trace.has_value());
 
   // The MemberSearch span's hop count, the outcome's visit count, and the
   // causal log's member-visit events are three independent counts of the
@@ -199,7 +198,9 @@ TEST(CausalTrace, CriticalPathReconciliation) {
 
   for (const auto& seg : path.segments) {
     EXPECT_LE(seg.start, seg.end);
-    if (!seg.network) EXPECT_EQ(seg.from_site, seg.to_site);
+    if (!seg.network) {
+      EXPECT_EQ(seg.from_site, seg.to_site);
+    }
   }
 
   // The renderings exist and mention the totals.
@@ -227,11 +228,15 @@ TEST(CausalTrace, FlightRecorderRingStaysBounded) {
     EXPECT_GE(ring[i].at, ring[i - 1].at);
   }
 
-  // Plenty of traffic wrapped the tiny rings; the drops are counted both
-  // in the log and in the bound trace.dropped counter.
-  EXPECT_GT(causal.dropped(), 0u);
-  EXPECT_EQ(f.cluster.metrics()->fed().counter("trace.dropped").value(), causal.dropped());
-  EXPECT_GT(f.cluster.metrics()->fed().counter("trace.events").value(), 0u);
+  // Plenty of traffic wrapped the tiny rings; the overwrites are counted
+  // both in the log and in the bound trace.flight_overwrites counter, and
+  // none of them is a lost trace event.
+  auto& fed = f.cluster.metrics()->fed();
+  EXPECT_GT(causal.flight_overwrites(), 0u);
+  EXPECT_EQ(fed.counter("trace.flight_overwrites").value(), causal.flight_overwrites());
+  EXPECT_EQ(causal.dropped(), 0u);
+  EXPECT_EQ(fed.counter("trace.dropped").value(), 0u);
+  EXPECT_GT(fed.counter("trace.events").value(), 0u);
 
   const auto dump = causal.dump_flight(endpoint);
   EXPECT_NE(dump.find("flight recorder endpoint"), std::string::npos);

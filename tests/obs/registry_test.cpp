@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "obs/critical_path.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace rbay::obs {
 namespace {
@@ -95,7 +95,7 @@ TEST(Scope, LookupCreatesOnceAndReferencesAreStable) {
   Counter& a = s.counter("x");
   a.inc();
   // Creating unrelated metrics must not move `a` (std::map node stability).
-  for (int i = 0; i < 100; ++i) s.counter("c" + std::to_string(i));
+  for (int i = 0; i < 100; ++i) s.counter(std::string("c").append(std::to_string(i)));
   s.gauge("g").set(7);
   s.latency("l").add_us(5);
   EXPECT_EQ(&s.counter("x"), &a);
@@ -103,15 +103,38 @@ TEST(Scope, LookupCreatesOnceAndReferencesAreStable) {
   EXPECT_FALSE(s.empty());
 }
 
+/// Records a query trace straight into a causal log: the points the query
+/// layer records, minus the network between them.
+struct TraceWriter {
+  CausalLog& log;
+  TraceContext root;
+
+  TraceWriter(CausalLog& l, const std::string& query_id, SimTime at)
+      : log(l), root(l.begin_trace(query_id, 0, 0, at)) {}
+
+  TraceContext point(const TraceContext& parent, const char* what, Phase phase, SimTime since,
+                     SimTime at, int hops) {
+    ContextScope scope(&log, parent);
+    return log.phase_point(0, 0, what, phase, since, at, hops);
+  }
+  void incident(const char* what, SimTime at) {
+    ContextScope scope(&log, root);
+    log.local(0, 0, what, at);
+  }
+  void finish(SimTime at, bool satisfied, int attempts) {
+    log.finish_trace(root, 0, 0, at, satisfied, attempts);
+  }
+};
+
 TEST(Registry, JsonHasAllSectionsAndIsStable) {
   Registry reg;
   reg.fed().counter("events").inc(3);
   reg.site(1).counter("msgs").inc();
   reg.node("abcd").gauge("depth").set(2);
   reg.fed().latency("lat").add_us(250);
-  reg.tracer().begin_query("q-1", SimTime::micros(10));
-  reg.tracer().add_span("q-1", Phase::kProbe, 1, SimTime::micros(10), SimTime::micros(20), 2);
-  reg.tracer().finish_query("q-1", SimTime::micros(30), true, 1);
+  TraceWriter q{reg.causal(), "q-1", SimTime::micros(10)};
+  q.point(q.root, "query.probe", Phase::kProbe, SimTime::micros(10), SimTime::micros(20), 2);
+  q.finish(SimTime::micros(30), true, 1);
 
   const std::string json = reg.to_json();
   EXPECT_NE(json.find("\"federation\""), std::string::npos);
@@ -123,70 +146,129 @@ TEST(Registry, JsonHasAllSectionsAndIsStable) {
   EXPECT_EQ(json.back(), '\n');
   // Pure serialization: a second call emits identical bytes.
   EXPECT_EQ(reg.to_json(), json);
-  // Integer-only contract: no floating point formatting anywhere.
-  EXPECT_EQ(json.find('.'), std::string::npos) << json;
+  // Integer-only contract: no floating point formatting anywhere.  The
+  // only dots are in the names of the trace.* counters tracing binds.
+  std::string values = json;
+  for (const std::string name : {"trace.events", "trace.dropped", "trace.flight_overwrites"}) {
+    const auto at = values.find(name);
+    ASSERT_NE(at, std::string::npos) << name;
+    values.erase(at, name.size());
+  }
+  EXPECT_EQ(values.find('.'), std::string::npos) << json;
 }
 
 TEST(Registry, JsonEscapesStringContent) {
   Registry reg;
-  reg.tracer().begin_query("q\"1\\\n", SimTime::zero());
-  reg.tracer().finish_query("q\"1\\\n", SimTime::micros(1), false, 1);
+  TraceWriter q{reg.causal(), "q\"1\\\n", SimTime::zero()};
+  q.finish(SimTime::micros(1), false, 1);
   const std::string json = reg.to_json();
   EXPECT_NE(json.find("q\\\"1\\\\\\n"), std::string::npos) << json;
 }
 
-// --- Tracer ------------------------------------------------------------------
+// --- Query trace view --------------------------------------------------------
 
-TEST(Tracer, RecordsSpansAndEventsInOrder) {
-  Tracer t;
-  t.begin_query("q", SimTime::micros(0));
-  t.begin_span("q", Phase::kProbe, 1, SimTime::micros(0));
-  t.end_span("q", Phase::kProbe, SimTime::micros(40), 3);
-  t.add_span("q", Phase::kAnycast, 1, SimTime::micros(40), SimTime::micros(90), 1);
-  t.event("q", "conflict", 1, SimTime::micros(70));
-  t.finish_query("q", SimTime::micros(100), true, 1);
+TEST(QueryTraceView, RecordsSpansAndEventsInOrder) {
+  CausalLog log;
+  TraceWriter q{log, "q", SimTime::micros(0)};
+  q.point(q.root, "query.probe", Phase::kProbe, SimTime::micros(0), SimTime::micros(40), 3);
+  const auto anycast = q.point(q.root, "query.anycast", Phase::kAnycast, SimTime::micros(40),
+                               SimTime::micros(40), 0);
+  q.incident("query.conflict", SimTime::micros(70));
+  q.point(anycast, "query.member_search", Phase::kMemberSearch, SimTime::micros(40),
+          SimTime::micros(90), 4);
+  q.finish(SimTime::micros(100), true, 1);
 
-  const QueryTrace* trace = t.find("q");
-  ASSERT_NE(trace, nullptr);
+  const auto trace = build_query_trace(log, "q");
+  ASSERT_TRUE(trace.has_value());
   EXPECT_TRUE(trace->done);
   EXPECT_TRUE(trace->satisfied);
+  EXPECT_TRUE(trace->complete);
   EXPECT_EQ(trace->finished, SimTime::micros(100));
-  ASSERT_EQ(trace->spans.size(), 2u);
+  ASSERT_EQ(trace->spans.size(), 3u);
   EXPECT_EQ(trace->spans[0].phase, Phase::kProbe);
   EXPECT_EQ(trace->spans[0].latency(), SimTime::micros(40));
   EXPECT_EQ(trace->spans[0].hops, 3);
-  EXPECT_TRUE(trace->has_phase(Phase::kAnycast));
+  // The walk's end closed the anycast span it hangs off.
+  EXPECT_EQ(trace->spans[1].phase, Phase::kAnycast);
+  EXPECT_EQ(trace->spans[1].end, SimTime::micros(90));
+  EXPECT_EQ(trace->spans[1].hops, 1);
+  EXPECT_EQ(trace->spans[2].phase, Phase::kMemberSearch);
+  EXPECT_EQ(trace->spans[2].hops, 4);
   EXPECT_FALSE(trace->has_phase(Phase::kCommit));
   EXPECT_TRUE(trace->has_event("conflict"));
   EXPECT_FALSE(trace->has_event("backoff_retry"));
 }
 
-TEST(Tracer, FinishClosesAbandonedOpenSpans) {
-  Tracer t;
-  t.begin_query("q", SimTime::micros(0));
-  t.begin_span("q", Phase::kAnycast, 1, SimTime::micros(10));
-  t.finish_query("q", SimTime::micros(50), false, 2);
-  const auto* span = t.find("q")->first_span(Phase::kAnycast);
+TEST(QueryTraceView, FinishClosesAbandonedOpenSpans) {
+  CausalLog log;
+  TraceWriter q{log, "q", SimTime::micros(0)};
+  const auto anycast = q.point(q.root, "query.anycast", Phase::kAnycast, SimTime::micros(10),
+                               SimTime::micros(10), 0);
+  q.finish(SimTime::micros(50), false, 2);
+  // A walk ending after its query finished does not reopen the span.
+  q.point(anycast, "query.member_search", Phase::kMemberSearch, SimTime::micros(10),
+          SimTime::micros(80), 1);
+  const auto trace = build_query_trace(log, "q");
+  ASSERT_TRUE(trace.has_value());
+  const auto* span = trace->first_span(Phase::kAnycast);
   ASSERT_NE(span, nullptr);
   EXPECT_EQ(span->end, SimTime::micros(50));
+  EXPECT_EQ(span->hops, 0);
+  EXPECT_EQ(trace->attempts, 2);
 }
 
-TEST(Tracer, UnknownQueryIdIsIgnored) {
-  Tracer t;
-  t.add_span("ghost", Phase::kProbe, 1, SimTime::zero(), SimTime::micros(1), 1);
-  t.event("ghost", "x", 1, SimTime::zero());
-  t.finish_query("ghost", SimTime::micros(1), true, 1);
-  EXPECT_EQ(t.find("ghost"), nullptr);
-  EXPECT_EQ(t.size(), 0u);
+TEST(QueryTraceView, UntracedPointsAreIgnored) {
+  CausalLog log;
+  log.phase_point(0, 0, "query.probe", Phase::kProbe, SimTime::zero(), SimTime::micros(1), 1);
+  log.local(0, 0, "query.conflict", SimTime::zero());
+  log.finish_trace(TraceContext{}, 0, 0, SimTime::micros(1), true, 1);
+  EXPECT_FALSE(build_query_trace(log, "ghost").has_value());
+  std::string json;
+  write_query_traces_json(log, json);
+  EXPECT_EQ(json, "[]");
 }
 
-TEST(Tracer, CapsRecordedTracesAndCountsDrops) {
-  Tracer t;
-  for (std::size_t i = 0; i < Tracer::kMaxTraces + 10; ++i) {
-    t.begin_query("q" + std::to_string(i), SimTime::micros(static_cast<std::int64_t>(i)));
+TEST(QueryTraceView, CapsRecordedTraces) {
+  CausalLog log;
+  std::size_t inactive = 0;
+  for (std::size_t i = 0; i < CausalLog::kMaxTraces + 10; ++i) {
+    const auto ctx = log.begin_trace(std::string("q").append(std::to_string(i)), 0, 0,
+                                     SimTime::micros(static_cast<std::int64_t>(i)));
+    if (!ctx.active()) ++inactive;
   }
-  EXPECT_EQ(t.size(), Tracer::kMaxTraces);
-  EXPECT_EQ(t.dropped(), 10u);
+  EXPECT_EQ(log.traces_by_query().size(), CausalLog::kMaxTraces);
+  EXPECT_EQ(inactive, 10u);
+}
+
+TEST(QueryTraceView, LogBoundMarksTraceIncomplete) {
+  Registry reg;
+  CausalLog& log = reg.causal();
+  TraceWriter early{log, "early", SimTime::zero()};
+  early.finish(SimTime::micros(1), true, 1);
+  TraceWriter full{log, "full", SimTime::micros(2)};
+  // Fill the log from inside one trace: the last point has no room.
+  while (log.events().size() < CausalLog::kMaxEvents) {
+    full.incident("query.conflict", SimTime::micros(3));
+  }
+  EXPECT_EQ(log.dropped(), 0u);
+  full.finish(SimTime::micros(4), true, 1);
+  EXPECT_EQ(log.dropped(), 1u);
+  EXPECT_EQ(reg.fed().counter("trace.dropped").value(), 1u);
+
+  const auto trace = build_query_trace(log, "full");
+  ASSERT_TRUE(trace.has_value());
+  EXPECT_FALSE(trace->complete);
+  // The lost terminus does not lose the outcome.
+  EXPECT_TRUE(trace->done);
+  EXPECT_EQ(trace->finished, SimTime::micros(4));
+  EXPECT_TRUE(build_query_trace(log, "early")->complete);
+
+  const std::string json = reg.to_json();
+  EXPECT_NE(json.find("\"query_id\":\"full\",\"started_us\":2,\"finished_us\":4,\"done\":true,"
+                      "\"satisfied\":true,\"attempts\":1,\"complete\":false,"),
+            std::string::npos);
+  // Only the incomplete trace carries the key.
+  EXPECT_EQ(json.find("\"complete\""), json.rfind("\"complete\""));
 }
 
 TEST(PhaseNames, AllFiveAreDistinct) {

@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/cluster.hpp"
-#include "obs/trace.hpp"
+#include "obs/critical_path.hpp"
 
 namespace rbay::core {
 namespace {
@@ -48,8 +48,8 @@ struct TraceFixture {
     return out;
   }
 
-  const obs::QueryTrace* trace_of(const QueryOutcome& out) {
-    return cluster.metrics()->tracer().find(out.query_id);
+  std::optional<obs::QueryTrace> trace_of(const QueryOutcome& out) {
+    return obs::build_query_trace(cluster.metrics()->causal_log(), out.query_id);
   }
 };
 
@@ -59,8 +59,8 @@ TEST(QueryTrace, CompositeQueryRecordsAllFivePhasesInOrder) {
       f.run_query(0, "SELECT 3 FROM * WHERE GPU = true AND CPU_utilization < 10%");
   ASSERT_TRUE(out.satisfied) << out.error;
 
-  const auto* trace = f.trace_of(out);
-  ASSERT_NE(trace, nullptr) << "no trace for query " << out.query_id;
+  const auto trace = f.trace_of(out);
+  ASSERT_TRUE(trace.has_value()) << "no trace for query " << out.query_id;
   EXPECT_TRUE(trace->done);
   EXPECT_TRUE(trace->satisfied);
   EXPECT_EQ(trace->attempts, out.attempts);
@@ -119,8 +119,8 @@ TEST(QueryTrace, ForcedConflictRecordsBackoffRetry) {
   // span set for every attempt.
   bool saw_retry = false;
   for (const auto& out : outs) {
-    const auto* trace = f.trace_of(out);
-    ASSERT_NE(trace, nullptr);
+    const auto trace = f.trace_of(out);
+    ASSERT_TRUE(trace.has_value());
     if (out.attempts > 1) {
       saw_retry = true;
       EXPECT_TRUE(trace->has_event("backoff_retry")) << out.query_id;
@@ -136,8 +136,8 @@ TEST(QueryTrace, FailedQueryTraceIsClosedUnsatisfied) {
   TraceFixture f{6};
   const auto out = f.run_query(0, "SELECT 1 FROM * WHERE GPU = false");
   EXPECT_FALSE(out.satisfied);
-  const auto* trace = f.trace_of(out);
-  ASSERT_NE(trace, nullptr);
+  const auto trace = f.trace_of(out);
+  ASSERT_TRUE(trace.has_value());
   EXPECT_TRUE(trace->done);
   EXPECT_FALSE(trace->satisfied);
   EXPECT_EQ(trace->attempts, out.attempts);
@@ -149,8 +149,8 @@ TEST(QueryTrace, CountQueryTracesProbeOnly) {
   TraceFixture f{10};
   const auto out = f.run_query(0, "SELECT COUNT FROM * WHERE GPU = true");
   ASSERT_TRUE(out.satisfied) << out.error;
-  const auto* trace = f.trace_of(out);
-  ASSERT_NE(trace, nullptr);
+  const auto trace = f.trace_of(out);
+  ASSERT_TRUE(trace.has_value());
   EXPECT_TRUE(trace->done);
   // Aggregate answers never anycast or reserve.
   EXPECT_FALSE(trace->has_phase(Phase::kAnycast));

@@ -49,10 +49,10 @@ TEST(Samples, PercentilesOnKnownData) {
 
 TEST(Samples, PercentileContractViolations) {
   Samples s;
-  EXPECT_THROW(s.percentile(50), ContractError);
+  EXPECT_THROW((void)s.percentile(50), ContractError);
   s.add(1.0);
-  EXPECT_THROW(s.percentile(-1), ContractError);
-  EXPECT_THROW(s.percentile(101), ContractError);
+  EXPECT_THROW((void)s.percentile(-1), ContractError);
+  EXPECT_THROW((void)s.percentile(101), ContractError);
   EXPECT_DOUBLE_EQ(s.percentile(50), 1.0);
 }
 
