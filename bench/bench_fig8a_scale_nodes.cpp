@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -62,7 +63,6 @@ SweepPoint run_sweep_point(unsigned threads, std::size_t n, int queries,
                            std::uint64_t seed) {
   sim::EngineConfig config;
   config.threads = threads;
-  config.shard_by_site = true;
   sim::Engine engine{seed, config};
   constexpr std::size_t kSites = 16;
   pastry::Overlay overlay{engine, net::Topology::uniform(kSites, 0.5, 40.0)};
@@ -227,6 +227,9 @@ int main(int argc, char** argv) {
     out += ",";
     obs::json::append_key(out, "sweep_nodes");
     obs::json::append_uint(out, sweep_nodes);
+    out += ",";
+    obs::json::append_key(out, "nproc");  // cores the wall-clock figures ran on
+    obs::json::append_uint(out, std::thread::hardware_concurrency());
     out += ",";
     obs::json::append_key(out, "peak_threads");
     obs::json::append_uint(out, sweep.back().threads);

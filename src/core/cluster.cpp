@@ -44,7 +44,8 @@ RBayNode& RBayCluster::add_node(net::SiteId site, const std::string& admin) {
   RBAY_REQUIRE(!finalized_, "add_node after finalize");
   // Pin construction-time timers (Scribe aggregation/heartbeat, Pastry
   // maintenance) to the node's site shard; setup-time Rng draws still come
-  // from the control stream, so node identities match the serial engine.
+  // from the control stream, so node identities do not depend on the site
+  // count.
   sim::Engine::ShardScope scope(engine_, engine_.shard_for_site(site));
   nodes_.push_back(std::make_unique<RBayNode>(overlay_, site, admin, config_.node));
   return *nodes_.back();

@@ -23,10 +23,10 @@ namespace rbay::core {
 struct ClusterConfig {
   net::Topology topology = net::Topology::single_site();
   std::uint64_t seed = 42;
-  /// Simulation execution mode (docs/PARALLEL_ENGINE.md).  The default is
-  /// read from RBAY_SIM_THREADS / RBAY_SIM_SHARDED so whole test suites can
-  /// be pushed onto the sharded engine without code changes; in-process
-  /// callers set it explicitly (e.g. the parallel-equivalence matrix).
+  /// Engine configuration (docs/PARALLEL_ENGINE.md).  The worker count is
+  /// read from RBAY_SIM_THREADS so whole test suites can run on several
+  /// workers without code changes; in-process callers set it explicitly
+  /// (e.g. the parallel-equivalence matrix).
   sim::EngineConfig engine = sim::EngineConfig::from_env();
   pastry::PastryConfig pastry;
   RBayNodeConfig node;

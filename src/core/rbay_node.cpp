@@ -93,7 +93,7 @@ const std::vector<TreeSpec>& RBayNode::tree_specs() const {
 void RBayNode::enable_monitor(std::vector<monitor::MetricSpec> metrics,
                               util::SimTime interval) {
   // The fork draws from the calling context's Rng (setup: the control
-  // stream, matching the serial engine); ticks then use the monitor's own
+  // stream); ticks then use the monitor's own
   // stream, so pinning the tick timer to this node's site shard below does
   // not perturb any other draw sequence.
   monitor_ = std::make_unique<monitor::ResourceMonitor>(store_, engine().rng().fork());

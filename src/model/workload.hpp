@@ -121,10 +121,9 @@ struct WorkloadSpec {
   // multicasts are suppressed while weather is active (a dropped one-shot
   // multicast is a real divergence, not a protocol bug).
   bool weather = false;
-  // Simulation execution mode (docs/PARALLEL_ENGINE.md).  The default is
-  // the serial engine; the model-par matrix sets threads=4 to run the
-  // oracle on the sharded schedule, proving protocol correctness is
-  // independent of the execution mode.
+  // Engine configuration (docs/PARALLEL_ENGINE.md).  The default runs one
+  // worker; the model-par matrix sets threads=4, proving protocol
+  // correctness is independent of the worker count.
   sim::EngineConfig engine{};
 };
 

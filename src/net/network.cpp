@@ -7,24 +7,21 @@ namespace rbay::net {
 
 Network::Network(sim::Engine& engine, Topology topology)
     : engine_(engine), topology_(std::move(topology)) {
-  if (engine_.sharded()) {
-    const auto sites = static_cast<std::uint32_t>(topology_.site_count());
-    engine_.configure_shards(sites);
-    slot_stats_.assign(sites + 1, NetworkStats{});
-    slot_seq_.assign(sites + 1, 0);
-    update_lookahead();
-    engine_.on_run_start([this] {
-      // Neither the metric-cache refresh nor a flight-ring grow may happen
-      // mid-window (both move memory other shards read), so both are done
-      // here, with the workers guaranteed parked.
-      if (metrics_.registry != engine_.metrics()) refresh_metrics();
-      if (metrics_.causal != nullptr) metrics_.causal->reserve_rings(endpoints_.size());
-    });
-  }
+  const auto sites = static_cast<std::uint32_t>(topology_.site_count());
+  engine_.configure_shards(sites);
+  slot_stats_.assign(sites + 1, NetworkStats{});
+  slot_seq_.assign(sites + 1, 0);
+  update_lookahead();
+  engine_.on_run_start([this] {
+    // Neither the metric-cache refresh nor a flight-ring grow may happen
+    // mid-window (both move memory other shards read), so both are done
+    // here, with the workers guaranteed parked.
+    if (metrics_.registry != engine_.metrics()) refresh_metrics();
+    if (metrics_.causal != nullptr) metrics_.causal->reserve_rings(endpoints_.size());
+  });
 }
 
 void Network::update_lookahead() {
-  if (!engine_.sharded()) return;
   std::int64_t min_us = std::numeric_limits<std::int64_t>::max();
   for (SiteId a = 0; a < topology_.site_count(); ++a) {
     for (SiteId b = 0; b < topology_.site_count(); ++b) {
@@ -37,13 +34,12 @@ void Network::update_lookahead() {
   // delays).  Truncation rounds the bound down — the safe direction.
   const auto floor_us = static_cast<std::int64_t>(static_cast<double>(min_us) * (1.0 - jitter_));
   RBAY_REQUIRE(floor_us >= 1,
-               "Network: sharded engine needs a positive cross-site delay floor "
+               "Network: the engine needs a positive cross-site delay floor "
                "(jitter too large for the shortest link)");
   engine_.set_cross_shard_lookahead(util::SimTime::micros(floor_us));
 }
 
 const NetworkStats& Network::stats() const {
-  if (slot_stats_.size() == 1) return slot_stats_[0];
   merged_stats_ = NetworkStats{};
   for (const NetworkStats& cell : slot_stats_) {
     merged_stats_.messages_sent += cell.messages_sent;
@@ -58,13 +54,11 @@ const NetworkStats& Network::stats() const {
 }
 
 std::uint64_t Network::next_send_seq() {
-  if (!engine_.sharded()) return send_seq_++;
   // Per-slot counters, disambiguated in the low byte (kMaxExecSlots < 256):
   // unique without cross-shard coordination, and a pure function of the
   // minting shard's deterministic event sequence.
   const std::uint32_t slot = obs::exec_slot().index;
-  const std::uint32_t index = slot < slot_seq_.size() ? slot : 0;
-  return (slot_seq_[index]++ << 8) | index;
+  return (slot_seq_[slot]++ << 8) | slot;
 }
 
 EndpointId Network::add_endpoint(SiteId site, Handler handler) {
@@ -236,9 +230,9 @@ void Network::schedule_delivery(EndpointId from, EndpointId to,
                                 std::size_t size, util::SimTime delay,
                                 obs::TraceContext trace) {
   const std::uint64_t seq = next_send_seq();
-  // The delivery runs on the receiver's site shard (serial engine: shard 0
-  // is everything).  Cross-site sends satisfy the lookahead contract by
-  // construction — see update_lookahead().
+  // The delivery runs on the receiver's site shard.  Cross-site sends
+  // satisfy the lookahead contract by construction — see
+  // update_lookahead().
   engine_.schedule_on(engine_.shard_for_site(endpoints_[to].site), delay,
                       [this, from, to, box, size, delay, trace, seq]() {
     auto& dst = endpoints_[to];

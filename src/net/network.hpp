@@ -47,11 +47,12 @@ struct Envelope {
   /// no trace was ambient).  The network re-establishes it as the ambient
   /// context around the handler, so most receivers never read it directly.
   obs::TraceContext trace;
-  /// Monotonic per-delivery sequence stamped by the network.  Deliveries
-  /// that collapse onto the same sim-time instant (held, reordered, or
-  /// duplicated copies) drain in ascending `seq` — the engine breaks
-  /// equal-time ties by schedule order, and the network schedules in seq
-  /// order — so same-seed runs stay byte-identical under the conditioner.
+  /// Per-delivery sequence stamped by the network: the sending slot's
+  /// counter with the slot in the low byte, so it is unique without
+  /// cross-shard coordination.  A slot mints seqs in schedule order, so
+  /// same-slot deliveries that collapse onto one sim-time instant (held,
+  /// reordered, or duplicated copies) drain in ascending `seq`, and
+  /// same-seed runs stay byte-identical under the conditioner.
   std::uint64_t seq = 0;
 };
 
@@ -77,8 +78,8 @@ class Network {
  public:
   using Handler = std::function<void(Envelope)>;
 
-  /// On a sharded engine, construction also fixes the shard topology (one
-  /// shard per site), computes the conservative cross-shard lookahead from
+  /// Construction also fixes the engine's shard topology (one shard per
+  /// site), computes the conservative cross-shard lookahead from
   /// the minimum cross-site one-way delay, and registers a run-start hook
   /// that refreshes metric caches and pre-sizes the causal flight rings —
   /// none of which may happen mid-window.
@@ -129,8 +130,8 @@ class Network {
     update_lookahead();  // jitter shrinks the guaranteed minimum delay
   }
 
-  /// Aggregate traffic counters.  Sharded engine: merged across the
-  /// per-shard cells at call time — snapshot/barrier use only.
+  /// Aggregate traffic counters, merged across the per-shard cells at call
+  /// time — snapshot/barrier use only.
   [[nodiscard]] const NetworkStats& stats() const;
   [[nodiscard]] const EndpointStats& endpoint_stats(EndpointId ep) const {
     return endpoints_.at(ep).stats;
@@ -177,15 +178,11 @@ class Network {
                          std::shared_ptr<std::unique_ptr<Payload>> box, std::size_t size,
                          util::SimTime delay, obs::TraceContext trace);
 
-  /// The NetworkStats cell of the calling execution slot.  Serial engine:
-  /// always the single cell — the historical counters, unchanged.
-  [[nodiscard]] NetworkStats& live_stats() {
-    const std::uint32_t slot = obs::exec_slot().index;
-    return slot_stats_[slot < slot_stats_.size() ? slot : 0];
-  }
+  /// The NetworkStats cell of the calling execution slot.
+  [[nodiscard]] NetworkStats& live_stats() { return slot_stats_[obs::exec_slot().index]; }
   [[nodiscard]] std::uint64_t next_send_seq();
-  /// Derives the sharded engine's lookahead: the minimum cross-site one-way
-  /// delay shrunk by the jitter floor.  No-op on a serial engine.
+  /// Derives the engine's lookahead: the minimum cross-site one-way delay
+  /// shrunk by the jitter floor.
   void update_lookahead();
 
   sim::Engine& engine_;
@@ -195,9 +192,8 @@ class Network {
   double drop_probability_ = 0.0;
   double jitter_ = 0.1;
   LinkConditioner conditioner_;
-  std::uint64_t send_seq_ = 0;            // serial: the historical counter
-  std::vector<std::uint64_t> slot_seq_;   // sharded: per-slot counters
-  std::vector<NetworkStats> slot_stats_{1};
+  std::vector<std::uint64_t> slot_seq_;  // per-slot Envelope::seq counters
+  std::vector<NetworkStats> slot_stats_;
   mutable NetworkStats merged_stats_;
   MetricsCache metrics_;
 };

@@ -63,9 +63,8 @@ void CausalLog::set_slots(std::uint32_t slots) {
   if (slots == slots_.size()) return;
   RBAY_REQUIRE(slots_.size() == 1, "CausalLog::set_slots: slot count already fixed");
   RBAY_REQUIRE(slots_[0].next_trace == 0 && slots_[0].next_span == 0,
-               "CausalLog::set_slots: ids already minted under stride 1");
+               "CausalLog::set_slots: ids already minted under one slot");
   slots_.resize(slots);
-  stride_ = slots;
 }
 
 void CausalLog::reserve_rings(std::size_t endpoint_count) {
@@ -172,8 +171,8 @@ TraceContext CausalLog::child_of_ambient() {
 void CausalLog::set_flight_capacity(std::size_t capacity) {
   flight_capacity_ = capacity == 0 ? 1 : capacity;
   // Existing rings keep their contents up to the new capacity; simplest
-  // deterministic behavior is to restart them.  (A sharded engine's
-  // run-start hook re-reserves the ring vector afterwards.)
+  // deterministic behavior is to restart them.  (The Network's run-start
+  // hook re-reserves the ring vector afterwards.)
   rings_.clear();
 }
 
@@ -206,7 +205,7 @@ std::string CausalLog::dump_flight(std::uint32_t endpoint) const {
 }
 
 const std::vector<CausalEvent>& CausalLog::events() const {
-  if (stride_ == 1) return slots_[0].events;
+  if (slots_.size() == 1) return slots_[0].events;  // one log is already canonical
   std::size_t total = 0;
   for (const SlotState& s : slots_) total += s.events.size();
   if (total != merged_from_) {
@@ -262,12 +261,7 @@ void CausalLog::record(CausalEvent ev) {
   SlotState& s = slot();
   ev.slot = static_cast<std::uint8_t>(&s - slots_.data());
   // Flight ring first: it sees every event, traced or not.
-  bool ring_ok = ev.endpoint < rings_.size();
-  if (!ring_ok && stride_ == 1) {
-    rings_.resize(ev.endpoint + 1);  // serial: grow on demand, as always
-    ring_ok = true;
-  }
-  if (ring_ok) {
+  if (ev.endpoint < rings_.size()) {
     FlightRing& ring = rings_[ev.endpoint];
     ++ring.total;
     const bool wrapped = ring.slots.size() >= flight_capacity_;
@@ -283,7 +277,7 @@ void CausalLog::record(CausalEvent ev) {
   }
 
   if (ev.trace_id == 0) return;
-  if (s.events.size() >= kMaxEvents / stride_) {
+  if (s.events.size() >= kMaxEvents / slots_.size()) {
     ++s.dropped;
     if (dropped_counter_ != nullptr) dropped_counter_->inc();
     traces_.with(ev.trace_id, [](TraceMeta& meta) { meta.complete = false; });

@@ -6,9 +6,8 @@
 // for span identity.  Three cooperating mechanisms:
 //
 //   * Ambient context.  "The context of the code currently running" is one
-//     TraceContext slot per *execution slot* (obs/exec_slot.hpp): the
-//     serial engine only ever uses slot 0; the sharded engine gives every
-//     site shard its own ambient slot, since shards execute handlers
+//     TraceContext slot per *execution slot* (obs/exec_slot.hpp): every
+//     site shard has its own ambient slot, since shards execute handlers
 //     concurrently.  The network sets it (via ContextScope) around every
 //     delivery handler; trace roots and timer continuations set it
 //     explicitly.  on_send()/local() mint child spans of whatever is
@@ -27,9 +26,9 @@
 //     invariant fails the harness can dump the last N causal events of the
 //     nodes named in the report.  Each endpoint's ring is written only by
 //     its site's shard (plus barrier-serialized control events), so rings
-//     need no locks — but under a sharded engine they must be pre-sized
-//     via reserve_rings() because growing the ring vector would move rings
-//     other shards are writing.  Ring overwrites are routine and count into
+//     need no locks — but they must be pre-sized via reserve_rings()
+//     because growing the ring vector would move rings other shards are
+//     writing.  Events for an endpoint without a ring skip the recorder.  Ring overwrites are routine and count into
 //     trace.flight_overwrites, never into trace.dropped.
 //
 // The per-query span view (obs/critical_path.hpp, build_query_trace) is
@@ -37,9 +36,8 @@
 // figures it needs that no message event carries.
 //
 // Determinism: timestamps are sim-time; span/trace ids are minted from
-// per-slot counters strided by the slot count (slot k mints k+1, k+1+S,
-// ...), so ids are a pure function of (seed, shard) — the serial engine
-// has stride 1 and mints the exact historical sequence 1, 2, 3, ...
+// per-slot counters strided by the slot count S (slot k mints k+1, k+1+S,
+// ...), so ids are a pure function of (seed, shard).
 
 #include <atomic>
 #include <cstdint>
@@ -112,11 +110,11 @@ class CausalLog {
 
   // --- sharding ----------------------------------------------------------
   /// Declares the execution-slot count (site shards + control).  Called by
-  /// a sharded engine before its first run, while only slot 0 has state.
-  /// The serial engine never calls it: one slot, stride 1, historical ids.
+  /// the engine before its first run, while only slot 0 has state.  A log
+  /// that is never told keeps one slot.
   void set_slots(std::uint32_t slots);
-  /// Pre-sizes the flight-ring vector (sharded runs must not grow it from
-  /// inside a window; see the flight-recorder note above).
+  /// Pre-sizes the flight-ring vector (a run must not grow it from inside
+  /// a window; see the flight-recorder note above).
   void reserve_rings(std::size_t endpoint_count);
 
   // --- ambient context ---------------------------------------------------
@@ -173,17 +171,15 @@ class CausalLog {
   [[nodiscard]] std::string dump_flight(std::uint32_t endpoint) const;
 
   // --- access ------------------------------------------------------------
-  /// All traced events in canonical order.  Serial engine: the slot-0 log,
-  /// zero-copy.  Sharded: a snapshot-time merge of the per-slot logs,
-  /// ordered by (at, slot, intra-slot index) and cached until new events
-  /// arrive.  Snapshot-time only when sharded.
+  /// All traced events in canonical order: a snapshot-time merge of the
+  /// per-slot logs, ordered by (at, slot, intra-slot index) and cached
+  /// until new events arrive (a log never told its slot count returns its
+  /// one log).  Snapshot-time only.
   [[nodiscard]] const std::vector<CausalEvent>& events() const;
   [[nodiscard]] std::vector<const CausalEvent*> trace_events(std::uint64_t trace_id) const;
   /// Query ids of every trace, ordered, each with its trace id.
   /// Snapshot-time only.
   [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> traces_by_query() const;
-  /// True once set_slots() declared more than one execution slot.
-  [[nodiscard]] bool sharded() const { return stride_ > 1; }
   /// Traced events lost to the log bound.
   [[nodiscard]] std::uint64_t dropped() const;
   /// Flight-ring wraps: routine, and unrelated to trace completeness.
@@ -223,11 +219,11 @@ class CausalLog {
 
   std::uint64_t mint_span() {
     SlotState& s = slot();
-    return (s.next_span++) * stride_ + (&s - slots_.data()) + 1;
+    return (s.next_span++) * slots_.size() + (&s - slots_.data()) + 1;
   }
   std::uint64_t mint_trace() {
     SlotState& s = slot();
-    return (s.next_trace++) * stride_ + (&s - slots_.data()) + 1;
+    return (s.next_trace++) * slots_.size() + (&s - slots_.data()) + 1;
   }
   /// The ambient context with a freshly minted child span (unchanged when
   /// no trace is ambient).
@@ -235,12 +231,10 @@ class CausalLog {
   void record(CausalEvent ev);
 
   std::vector<SlotState> slots_{1};
-  std::uint64_t stride_ = 1;
   util::StripedMap<std::uint64_t, TraceMeta> traces_;
   util::StripedMap<std::string, std::uint64_t> by_query_;
   std::atomic<std::size_t> trace_count_{0};
-  std::vector<FlightRing> rings_;  // indexed by endpoint; grown on demand
-                                   // (serial) or pre-sized (sharded)
+  std::vector<FlightRing> rings_;  // indexed by endpoint; pre-sized
   std::size_t flight_capacity_ = kDefaultFlightCapacity;
   Counter* events_counter_ = nullptr;
   Counter* dropped_counter_ = nullptr;

@@ -248,8 +248,7 @@ bool is_incident(const std::string& what) {
 }
 
 /// The span view of one trace, from its events in log order.
-QueryTrace view_of(const TraceMeta& meta, const std::vector<const CausalEvent*>& events,
-                   bool sharded) {
+QueryTrace view_of(const TraceMeta& meta, const std::vector<const CausalEvent*>& events) {
   QueryTrace trace;
   trace.query_id = meta.query_id;
   trace.started = meta.started;
@@ -297,12 +296,10 @@ QueryTrace view_of(const TraceMeta& meta, const std::vector<const CausalEvent*>&
   }
   // The terminus itself may have been lost to the log bound.
   if (meta.done) close_open(meta.finished);
-  if (sharded) {
-    std::stable_sort(trace.spans.begin(), trace.spans.end(), [](const Span& a, const Span& b) {
-      if (a.start != b.start) return a.start < b.start;
-      return a.slot < b.slot;
-    });
-  }
+  std::stable_sort(trace.spans.begin(), trace.spans.end(), [](const Span& a, const Span& b) {
+    if (a.start != b.start) return a.start < b.start;
+    return a.slot < b.slot;
+  });
   return trace;
 }
 
@@ -360,7 +357,7 @@ std::optional<QueryTrace> build_query_trace(const CausalLog& log, const std::str
   const std::uint64_t trace_id = log.trace_id_for(query_id);
   const TraceMeta* meta = log.find_trace(trace_id);
   if (meta == nullptr) return std::nullopt;
-  return view_of(*meta, log.trace_events(trace_id), log.sharded());
+  return view_of(*meta, log.trace_events(trace_id));
 }
 
 void write_query_traces_json(const CausalLog& log, std::string& out) {
@@ -375,7 +372,7 @@ void write_query_traces_json(const CausalLog& log, std::string& out) {
     const TraceMeta* meta = log.find_trace(trace_id);
     if (meta == nullptr) continue;
     comma.next(out);
-    write_trace_json(view_of(*meta, by_trace[trace_id], log.sharded()), out);
+    write_trace_json(view_of(*meta, by_trace[trace_id]), out);
   }
   out += ']';
 }

@@ -78,9 +78,9 @@ struct CriticalPath {
 // the query layer records (CausalLog::phase_point) carry each span's
 // bounds and hops (docs/TRACING.md has the table).
 //
-// Order rules: spans and events follow the log, i.e. recording order.  A
-// sharded log additionally orders spans by (start, slot), keeping each
-// slot's recording order, so the view is a pure function of the schedule.
+// Order rules: events follow the log, i.e. recording order; spans are
+// ordered by (start, slot), keeping each slot's recording order, so the
+// view is a pure function of the schedule.
 // An anycast span still open when its query finishes ends at the finish
 // (hops 0); one still open at snapshot time renders zero-length.
 

@@ -2,25 +2,21 @@
 
 // Execution-slot identity for the sharded simulation engine.
 //
-// When the engine runs sharded (docs/PARALLEL_ENGINE.md), every event
-// executes under an *execution slot*: slot 0 is the control shard (setup,
-// benches, churn, fault injection, observers — always barrier-serialized)
-// and slot s+1 is site s's shard.  The observability layer keys its
+// Every engine event (docs/PARALLEL_ENGINE.md) executes under an
+// *execution slot*: slot 0 is the control shard (setup, benches, churn,
+// fault injection, observers — always barrier-serialized) and slot s+1 is
+// site s's shard.  The observability layer keys its
 // per-shard cells (Gauge stamps, LatencyHisto cells, CausalLog slot logs)
 // off this thread-local, so metric writes from concurrently-advancing
 // shards never touch shared mutable state and snapshots can merge the
-// cells deterministically.
-//
-// In the classic serial engine nothing ever changes the slot: index stays
-// 0 and every cell-indexed structure degenerates to its single slot-0
-// cell, byte-identical to the pre-sharding behavior.
+// cells deterministically.  Outside any event the slot is 0.
 
 #include <cstdint>
 
 namespace rbay::obs {
 
-/// Upper bound on execution slots: control + up to 128 site shards.  A
-/// sharded engine refuses topologies beyond this (raise and recompile).
+/// Upper bound on execution slots: control + up to 128 site shards.  The
+/// engine refuses topologies beyond this (raise and recompile).
 inline constexpr std::uint32_t kMaxExecSlots = 129;
 
 struct ExecSlot {

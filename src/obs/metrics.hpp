@@ -15,9 +15,9 @@
 //     code guards on a null pointer and pays nothing else.  std::map node
 //     stability lets hot paths cache Counter*/Gauge* handles across calls.
 //
-// Sharded-engine rules (docs/PARALLEL_ENGINE.md).  When the engine runs
-// sharded, metric writes arrive concurrently from per-site shards, so every
-// instrument is *merge-on-snapshot*:
+// Sharded-engine rules (docs/PARALLEL_ENGINE.md).  Metric writes arrive
+// concurrently from per-site shards, so every instrument is
+// *merge-on-snapshot*:
 //   * Counter is a relaxed atomic — increments commute, totals are exact;
 //   * Gauge and LatencyHisto keep one cell per execution slot
 //     (obs/exec_slot.hpp).  Each shard writes only its own cell; readers
@@ -29,8 +29,8 @@
 //     cached handles keep hot paths lock-free.  Ordered iteration and
 //     to_json() are snapshot-time operations: they run at barriers or
 //     after the run, when no shard is writing.
-// The serial engine never moves off slot 0, so every structure collapses
-// to its slot-0 cell and behaves byte-for-byte as before.
+// An engine without a Network never leaves slot 0, so every structure
+// stays in its slot-0 cell.
 
 #include <atomic>
 #include <cstdint>
@@ -47,7 +47,7 @@ namespace rbay::obs {
 namespace detail {
 
 /// Lazily-allocated per-slot cells for slots 1..kMaxExecSlots-1 (slot 0 is
-/// inline in the instrument, so the serial engine never allocates).  The
+/// inline in the instrument, so control-only writers never allocate).  The
 /// block is installed with a CAS: concurrent first writers race benignly.
 template <typename CellT>
 struct CellBlock {
@@ -88,8 +88,7 @@ class Counter {
 };
 
 /// Point-in-time level (queue depth, live reservations).  Tracks the high
-/// water mark alongside the last value.  Under the sharded engine each
-/// execution slot writes its own stamped cell; value() is the write with
+/// water mark alongside the last value.  Each execution slot writes its own stamped cell; value() is the write with
 /// the greatest (sim-time, slot) stamp and max() the high water across
 /// cells — both pure functions of the deterministic per-shard sequences.
 class Gauge {
@@ -113,7 +112,7 @@ class Gauge {
   [[nodiscard]] std::int64_t value() const {
     std::int64_t best = 0;
     std::int64_t best_stamp = -1;
-    // Ascending slot order, ties won by the later slot: the serial sharded
+    // Ascending slot order, ties won by the later slot: the one-worker
     // schedule processes higher shards later within an equal-time window.
     scan([&](const Cell& c) {
       if (c.written && c.stamp_us >= best_stamp) {
@@ -155,8 +154,8 @@ class Gauge {
 /// power-of-two range is split into 2^kSubBits linear sub-buckets, giving
 /// ~6% relative resolution over the full int64 range with a small sparse
 /// footprint.  Percentiles are reported as the midpoint of the selected
-/// bucket, clamped to the observed [min, max].  Under the sharded engine
-/// each execution slot records into its own cell and readers merge — a
+/// bucket, clamped to the observed [min, max].  Each execution slot
+/// records into its own cell and readers merge — a
 /// commutative sum, so snapshots are thread-count independent.
 class LatencyHisto {
  public:
@@ -303,8 +302,8 @@ class Registry {
   [[nodiscard]] const CausalLog& causal_log() const { return causal_; }
 
   /// Declares how many execution slots the attached engine uses (site
-  /// shards + control).  Called by a sharded engine before its first run;
-  /// the serial engine never calls it and everything stays on slot 0.
+  /// shards + control).  Called by the engine once its shard topology is
+  /// fixed; until then everything stays on slot 0.
   void set_exec_slots(std::uint32_t slots);
 
   /// Full snapshot: {"federation": {...}, "sites": {...}, "nodes": {...},

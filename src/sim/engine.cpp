@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <limits>
-#include <string>
 
 #include "obs/exec_slot.hpp"
 #include "obs/metrics.hpp"
@@ -48,20 +47,14 @@ EngineConfig EngineConfig::from_env() {
     const long parsed = std::strtol(threads, nullptr, 10);
     if (parsed >= 1) config.threads = static_cast<unsigned>(parsed);
   }
-  if (const char* sharded = std::getenv("RBAY_SIM_SHARDED"); sharded != nullptr) {
-    const std::string value(sharded);
-    if (value == "1" || value == "true") config.shard_by_site = true;
-  }
   return config;
 }
 
-Engine::Engine(std::uint64_t seed, EngineConfig config)
-    : seed_(seed), config_(config), sharded_(config.sharded()), rng_(seed) {
-  if (sharded_) {
-    // Control shard: the legacy Rng stream, so setup-time draws (id mints,
-    // attribute synthesis, workload generation) match the serial engine.
-    shards_.push_back(std::make_unique<Shard>(0, util::Rng{seed}));
-  }
+Engine::Engine(std::uint64_t seed, EngineConfig config) : seed_(seed), config_(config) {
+  // Control shard: draws the seed's own stream, so setup-time draws (id
+  // mints, attribute synthesis, workload generation) do not depend on the
+  // site count.
+  shards_.push_back(std::make_unique<Shard>(0, util::Rng{seed}));
 }
 
 Engine::~Engine() {
@@ -73,13 +66,12 @@ void Engine::set_metrics(obs::Registry* registry) {
   metrics_ = registry;
   events_counter_ = registry == nullptr ? nullptr : &registry->fed().counter("sim.events");
   queue_gauge_ = registry == nullptr ? nullptr : &registry->fed().gauge("sim.queue_depth");
-  if (registry != nullptr && sharded_ && shards_.size() > 1) {
+  if (registry != nullptr && shards_.size() > 1) {
     registry->set_exec_slots(static_cast<std::uint32_t>(shards_.size()));
   }
 }
 
 void Engine::configure_shards(std::uint32_t site_count) {
-  if (!sharded_) return;
   RBAY_REQUIRE(site_count >= 1, "Engine::configure_shards: need at least one site");
   if (shards_.size() == static_cast<std::size_t>(site_count) + 1) return;  // idempotent
   RBAY_REQUIRE(shards_.size() == 1,
@@ -97,8 +89,6 @@ void Engine::configure_shards(std::uint32_t site_count) {
   }
 }
 
-std::uint32_t Engine::current_shard() const { return sharded_ ? exec_shard() : 0; }
-
 void Engine::set_cross_shard_lookahead(SimTime lookahead) {
   RBAY_REQUIRE(lookahead > SimTime::zero(),
                "Engine::set_cross_shard_lookahead: lookahead must be positive "
@@ -106,17 +96,11 @@ void Engine::set_cross_shard_lookahead(SimTime lookahead) {
   lookahead_ = lookahead;
 }
 
-SimTime Engine::now() const {
-  if (!sharded_) return now_;
-  return shards_[exec_shard()]->now;
-}
+SimTime Engine::now() const { return shards_[current_shard()]->now; }
 
-util::Rng& Engine::rng() {
-  if (!sharded_) return rng_;
-  return shards_[exec_shard()]->rng;
-}
+util::Rng& Engine::rng() { return shards_[current_shard()]->rng; }
 
-std::uint32_t Engine::exec_shard() const {
+std::uint32_t Engine::current_shard() const {
   const ExecCtx& ctx = exec_ctx();
   return ctx.engine == this ? ctx.shard : 0;
 }
@@ -153,121 +137,34 @@ void Timer::cancel() {
 }
 
 void Engine::release_foreground(detail::EventFlag& flag) {
-  if (sharded_) {
-    shards_[flag.shard]->foreground.fetch_sub(1, std::memory_order_acq_rel);
-  } else {
-    --foreground_pending_;
-  }
-}
-
-// --- serial path (the classic engine, byte-for-byte) -------------------------
-
-void Engine::push(SimTime at, bool background, std::shared_ptr<detail::EventFlag> flag,
-                  std::function<void()> fn, bool observer) {
-  if (!background) {
-    ++foreground_pending_;
-    flag->counts_foreground = true;
-    flag->engine = this;
-  }
-  if (observer) ++observer_pending_;
-  queue_.push(Entry{at, next_seq_++, background, observer, std::move(flag), std::move(fn)});
-}
-
-void Engine::push_periodic(SimTime period, std::shared_ptr<detail::EventFlag> flag,
-                           std::function<void()> fn, bool observer) {
-  // Each firing owns its callback and hands it to the next firing; the
-  // chain is linear, so cancelling (or destroying the engine) frees
-  // everything.  A self-referential closure would leak as a shared_ptr
-  // cycle.
-  push(now_ + period, /*background=*/true, flag,
-       [this, period, observer, flag, fn = std::move(fn)]() mutable {
-         fn();
-         if (flag->alive.load(std::memory_order_relaxed)) {
-           push_periodic(period, std::move(flag), std::move(fn), observer);
-         }
-       },
-       observer);
-}
-
-void Engine::dispatch(Entry e) {
-  if (e.observer) --observer_pending_;  // popped, whether it still fires or not
-  if (!e.flag->alive.load(std::memory_order_relaxed)) {
-    return;  // cancelled: claim already released, clock untouched
-  }
-  if (!e.background) {
-    --foreground_pending_;
-    e.flag->counts_foreground = false;
-  }
-  now_ = e.at;
-  // Observer events advance the clock and fire, but leave the engine's own
-  // metrics (and `executed()`) untouched: attaching the health plane must
-  // not change what the run records about itself.
-  if (!e.observer) {
-    ++executed_;
-    if (events_counter_ != nullptr) {
-      events_counter_->inc();
-      queue_gauge_->set(static_cast<std::int64_t>(queue_.size() - observer_pending_));
-    }
-  }
-  const bool saved = in_background_;
-  in_background_ = e.background;
-  e.fn();
-  in_background_ = saved;
-}
-
-bool Engine::step() {
-  RBAY_REQUIRE(!sharded_, "Engine::step: a sharded schedule has no single next event");
-  if (queue_.empty()) return false;
-  Entry e = queue_.top();
-  queue_.pop();
-  dispatch(std::move(e));
-  return true;
+  shards_[flag.shard]->foreground.fetch_sub(1, std::memory_order_acq_rel);
 }
 
 // --- scheduling entry points -------------------------------------------------
 
 Timer Engine::schedule(SimTime delay, std::function<void()> fn) {
   RBAY_REQUIRE(delay >= SimTime::zero(), "Engine::schedule: delay must be non-negative");
-  if (sharded_) {
-    const bool background = shards_[exec_shard()]->in_background;
-    return schedule_impl(target_shard(), delay, background, /*observer=*/false, std::move(fn));
-  }
-  auto flag = std::make_shared<detail::EventFlag>();
-  push(now_ + delay, in_background_, flag, std::move(fn));
-  return Timer{std::move(flag)};
+  const bool background = shards_[current_shard()]->in_background;
+  return schedule_impl(target_shard(), delay, background, /*observer=*/false, std::move(fn));
 }
 
 Timer Engine::schedule_on(std::uint32_t shard, SimTime delay, std::function<void()> fn) {
   RBAY_REQUIRE(delay >= SimTime::zero(), "Engine::schedule_on: delay must be non-negative");
   RBAY_REQUIRE(shard < shard_count(), "Engine::schedule_on: no such shard");
-  if (!sharded_) {
-    auto flag = std::make_shared<detail::EventFlag>();
-    push(now_ + delay, in_background_, flag, std::move(fn));
-    return Timer{std::move(flag)};
-  }
-  const bool background = shards_[exec_shard()]->in_background;
+  const bool background = shards_[current_shard()]->in_background;
   return schedule_impl(shard, delay, background, /*observer=*/false, std::move(fn));
 }
 
 Timer Engine::schedule_background(SimTime delay, std::function<void()> fn) {
   RBAY_REQUIRE(delay >= SimTime::zero(), "Engine::schedule_background: delay must be non-negative");
-  if (sharded_) {
-    return schedule_impl(target_shard(), delay, /*background=*/true, /*observer=*/false,
-                         std::move(fn));
-  }
-  auto flag = std::make_shared<detail::EventFlag>();
-  push(now_ + delay, /*background=*/true, flag, std::move(fn));
-  return Timer{std::move(flag)};
+  return schedule_impl(target_shard(), delay, /*background=*/true, /*observer=*/false,
+                       std::move(fn));
 }
 
 Timer Engine::schedule_periodic(SimTime period, std::function<void()> fn) {
   RBAY_REQUIRE(period > SimTime::zero(), "Engine::schedule_periodic: period must be positive");
   auto flag = std::make_shared<detail::EventFlag>();
-  if (sharded_) {
-    push_periodic_sharded(period, flag, std::move(fn), /*observer=*/false);
-  } else {
-    push_periodic(period, flag, std::move(fn));
-  }
+  push_periodic(period, flag, std::move(fn), /*observer=*/false);
   return Timer{std::move(flag)};
 }
 
@@ -275,27 +172,23 @@ Timer Engine::schedule_observer_periodic(SimTime period, std::function<void()> f
   RBAY_REQUIRE(period > SimTime::zero(),
                "Engine::schedule_observer_periodic: period must be positive");
   auto flag = std::make_shared<detail::EventFlag>();
-  if (sharded_) {
-    push_periodic_sharded(period, flag, std::move(fn), /*observer=*/true);
-  } else {
-    push_periodic(period, flag, std::move(fn), /*observer=*/true);
-  }
+  push_periodic(period, flag, std::move(fn), /*observer=*/true);
   return Timer{std::move(flag)};
 }
 
-// --- sharded path ------------------------------------------------------------
+// --- queues ------------------------------------------------------------------
 
 Timer Engine::schedule_impl(std::uint32_t dst, SimTime delay, bool background, bool observer,
                             std::function<void()> fn) {
   auto flag = std::make_shared<detail::EventFlag>();
-  const SimTime at = shards_[exec_shard()]->now + delay;
-  push_sharded(dst, at, background, observer, flag, std::move(fn));
+  const SimTime at = shards_[current_shard()]->now + delay;
+  push(dst, at, background, observer, flag, std::move(fn));
   return Timer{std::move(flag)};
 }
 
-void Engine::push_sharded(std::uint32_t dst, SimTime at, bool background, bool observer,
-                          std::shared_ptr<detail::EventFlag> flag, std::function<void()> fn) {
-  RBAY_REQUIRE(dst < shards_.size(), "Engine::push_sharded: no such shard");
+void Engine::push(std::uint32_t dst, SimTime at, bool background, bool observer,
+                  std::shared_ptr<detail::EventFlag> flag, std::function<void()> fn) {
+  RBAY_REQUIRE(dst < shards_.size(), "Engine::push: no such shard");
   flag->engine = this;
   flag->shard = dst;
   if (!background) {
@@ -305,12 +198,12 @@ void Engine::push_sharded(std::uint32_t dst, SimTime at, bool background, bool o
     shards_[dst]->foreground.fetch_add(1, std::memory_order_acq_rel);
     flag->counts_foreground = true;
   }
-  const std::uint32_t src = exec_shard();
+  const std::uint32_t src = current_shard();
   if (in_parallel_window_ && src != dst) {
     // Mid-window cross-shard push: park it in the source's outbox.  The
     // lookahead contract guarantees it cannot land inside the window.
     RBAY_REQUIRE(at >= window_end_,
-                 "Engine::push_sharded: cross-shard event violates the lookahead contract "
+                 "Engine::push: cross-shard event violates the lookahead contract "
                  "(delay shorter than the minimum cross-site delay)");
     Shard& source = *shards_[src];
     source.outbox.push_back(Staged{dst, src, source.outbox_order++, at, background, observer,
@@ -319,37 +212,35 @@ void Engine::push_sharded(std::uint32_t dst, SimTime at, bool background, bool o
   }
   // Same shard, or a barrier/setup context with the workers parked: enqueue
   // directly (the foreground claim above already happened).
-  enqueue_direct(*shards_[dst], at, background, observer, flag, std::move(fn),
-                 /*claim_foreground=*/false);
+  enqueue_direct(*shards_[dst], at, background, observer, flag, std::move(fn));
 }
 
 void Engine::enqueue_direct(Shard& dst, SimTime at, bool background, bool observer,
                             const std::shared_ptr<detail::EventFlag>& flag,
-                            std::function<void()> fn, bool claim_foreground) {
-  if (claim_foreground && !background) {
-    dst.foreground.fetch_add(1, std::memory_order_acq_rel);
-  }
+                            std::function<void()> fn) {
   if (observer) ++dst.observer_pending;
   dst.queue.push(Entry{at, dst.next_seq++, background, observer, flag, std::move(fn)});
 }
 
-void Engine::push_periodic_sharded(SimTime period, std::shared_ptr<detail::EventFlag> flag,
-                                   std::function<void()> fn, bool observer) {
-  // Same linear-chain ownership as the serial engine; the chain stays on
-  // whatever shard it was first scheduled onto, because each refire runs in
-  // that shard's context and targets it again.
+void Engine::push_periodic(SimTime period, std::shared_ptr<detail::EventFlag> flag,
+                           std::function<void()> fn, bool observer) {
+  // Each firing owns its callback and hands it to the next firing; the
+  // chain is linear, so cancelling (or destroying the engine) frees
+  // everything — a self-referential closure would leak as a shared_ptr
+  // cycle.  The chain stays on whatever shard it was first scheduled onto,
+  // because each refire runs in that shard's context and targets it again.
   const std::uint32_t dst = target_shard();
-  const SimTime at = shards_[exec_shard()]->now + period;
-  push_sharded(dst, at, /*background=*/true, observer, flag,
-               [this, period, observer, flag, fn = std::move(fn)]() mutable {
-                 fn();
-                 if (flag->alive.load(std::memory_order_relaxed)) {
-                   push_periodic_sharded(period, std::move(flag), std::move(fn), observer);
-                 }
-               });
+  const SimTime at = shards_[current_shard()]->now + period;
+  push(dst, at, /*background=*/true, observer, flag,
+       [this, period, observer, flag, fn = std::move(fn)]() mutable {
+         fn();
+         if (flag->alive.load(std::memory_order_relaxed)) {
+           push_periodic(period, std::move(flag), std::move(fn), observer);
+         }
+       });
 }
 
-void Engine::dispatch_sharded(Shard& shard, Entry e) {
+void Engine::dispatch(Shard& shard, Entry e) {
   ++shard.popped;
   if (e.observer) --shard.observer_pending;
   if (!e.flag->alive.load(std::memory_order_acquire)) return;
@@ -378,7 +269,7 @@ void Engine::process_shard(Shard& shard, SimTime window_end) {
   while (!shard.queue.empty() && shard.queue.top().at < window_end) {
     Entry e = shard.queue.top();
     shard.queue.pop();
-    dispatch_sharded(shard, std::move(e));
+    dispatch(shard, std::move(e));
   }
 }
 
@@ -387,11 +278,11 @@ void Engine::run_control_batch(SimTime at) {
   Shard& ctl = *shards_[0];
   // All control work due now runs in one serial batch — including events a
   // batch member schedules at zero delay.  Site shards are parked, so the
-  // batch may touch anything, exactly like the serial engine.
+  // batch may touch anything.
   while (!ctl.queue.empty() && ctl.queue.top().at == at) {
     Entry e = ctl.queue.top();
     ctl.queue.pop();
-    dispatch_sharded(ctl, std::move(e));
+    dispatch(ctl, std::move(e));
   }
 }
 
@@ -414,16 +305,15 @@ void Engine::integrate_staged() {
   for (Staged& s : staged_scratch_) {
     // Cancelled-in-flight events are enqueued anyway (dispatch skips dead
     // flags); their foreground claim was already released by the cancel.
-    enqueue_direct(*shards_[s.dst], s.at, s.background, s.observer, s.flag, std::move(s.fn),
-                   /*claim_foreground=*/false);
+    enqueue_direct(*shards_[s.dst], s.at, s.background, s.observer, s.flag, std::move(s.fn));
   }
   staged_scratch_.clear();
 }
 
 void Engine::run_window(SimTime window_end) {
   if (pool_size_ == 0) {
-    // Serial reference execution of the sharded schedule (threads == 1):
-    // shards advance through the window in ascending id order.  This order
+    // One worker (threads == 1): shards advance through the window on the
+    // calling thread in ascending id order.  This order
     // is what the slot-tie rules in the metric merges replicate.
     window_end_ = window_end;
     in_parallel_window_ = true;
@@ -514,12 +404,6 @@ std::int64_t Engine::total_foreground() const {
   return n;
 }
 
-std::uint64_t Engine::total_executed() const {
-  std::uint64_t n = 0;
-  for (const auto& shard : shards_) n += shard->executed;
-  return n;
-}
-
 std::uint64_t Engine::total_popped() const {
   std::uint64_t n = 0;
   for (const auto& shard : shards_) n += shard->popped;
@@ -553,9 +437,15 @@ std::size_t Engine::run_windows(bool until_quiescent, SimTime deadline) {
     if (!until_quiescent) window_end = std::min(window_end, deadline + SimTime::micros(1));
     run_window(window_end);
   }
-  if (!until_quiescent) {
-    for (auto& shard : shards_) shard->now = deadline;
+  // Leave every clock where the federation stopped: the deadline, or the
+  // latest time any shard reached.  No queue holds an event before that
+  // time (each window and control batch drained everything below its end),
+  // and it trails the last foreground event by at most one window.
+  SimTime stop = deadline;
+  if (until_quiescent) {
+    for (const auto& shard : shards_) stop = std::max(stop, shard->now);
   }
+  for (auto& shard : shards_) shard->now = stop;
   update_queue_gauge();
   clear_exec_context();
   return static_cast<std::size_t>(total_popped() - popped_before);
@@ -563,52 +453,36 @@ std::size_t Engine::run_windows(bool until_quiescent, SimTime deadline) {
 
 // --- run loops ---------------------------------------------------------------
 
-std::size_t Engine::run() {
-  if (sharded_) return run_windows(/*until_quiescent=*/true, SimTime::zero());
-  std::size_t n = 0;
-  while (foreground_pending_ > 0 && step()) ++n;
-  return n;
-}
+std::size_t Engine::run() { return run_windows(/*until_quiescent=*/true, SimTime::zero()); }
 
 std::size_t Engine::run_until(SimTime deadline) {
-  if (sharded_) {
-    RBAY_REQUIRE(deadline >= shards_[0]->now, "Engine::run_until: deadline is in the past");
-    return run_windows(/*until_quiescent=*/false, deadline);
-  }
-  RBAY_REQUIRE(deadline >= now_, "Engine::run_until: deadline is in the past");
-  std::size_t n = 0;
-  while (!queue_.empty() && queue_.top().at <= deadline) {
-    Entry e = queue_.top();
-    queue_.pop();
-    dispatch(std::move(e));
-    ++n;
-  }
-  now_ = deadline;
-  return n;
+  RBAY_REQUIRE(deadline >= shards_[0]->now, "Engine::run_until: deadline is in the past");
+  return run_windows(/*until_quiescent=*/false, deadline);
 }
 
 // --- introspection -----------------------------------------------------------
 
 std::size_t Engine::pending() const {
-  if (!sharded_) return queue_.size();
   std::size_t n = 0;
   for (const auto& shard : shards_) n += shard->queue.size() + shard->outbox.size();
   return n;
 }
 
 std::size_t Engine::foreground_pending() const {
-  if (!sharded_) return foreground_pending_;
   const std::int64_t n = total_foreground();
   return n < 0 ? 0 : static_cast<std::size_t>(n);
 }
 
-std::uint64_t Engine::executed() const { return sharded_ ? total_executed() : executed_; }
+std::uint64_t Engine::executed() const {
+  std::uint64_t n = 0;
+  for (const auto& shard : shards_) n += shard->executed;
+  return n;
+}
 
 // --- ShardScope --------------------------------------------------------------
 
 Engine::ShardScope::ShardScope(Engine& engine, std::uint32_t shard)
     : engine_(engine), saved_(engine.ambient_shard_) {
-  if (!engine_.sharded_) return;
   RBAY_REQUIRE(shard < engine_.shards_.size(), "ShardScope: no such shard");
   RBAY_REQUIRE(!engine_.in_parallel_window_, "ShardScope: not for use inside worker events");
   engine_.ambient_shard_ = shard;

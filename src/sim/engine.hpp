@@ -8,41 +8,32 @@
 //   * events at equal timestamps fire in schedule order (monotonic seq);
 //   * all randomness flows through engine-owned seeded Rngs.
 //
-// Two execution modes (docs/PARALLEL_ENGINE.md):
+// Execution (docs/PARALLEL_ENGINE.md): the event queue is split into one
+// *control* shard (shard 0: setup, benches, churn, fault injection,
+// observers — anything that may touch cross-site god-view state) and one
+// shard per site, each with its own queue, clock, seq counter, and Rng
+// stream (util::Rng::stream(seed, shard)).  Site shards advance through
+// conservative-lookahead windows:
 //
-//   * Serial (EngineConfig{} — the default).  One queue, one clock, one
-//     Rng: byte-for-byte the classic engine.  Every pre-existing test and
-//     scenario runs on this path unchanged.
+//   window = [t_min, min(t_min + stride, t_ctl, deadline + 1us))
 //
-//   * Sharded (threads > 1, or shard_by_site for the serial reference
-//     execution of the same schedule).  The event queue is split into one
-//     *control* shard (shard 0: setup, benches, churn, fault injection,
-//     observers — anything that may touch cross-site god-view state) and
-//     one shard per site, each with its own queue, clock, seq counter, and
-//     Rng stream (util::Rng::stream(seed, shard)).  Site shards advance in
-//     parallel through conservative-lookahead windows:
+// where stride is the lookahead — the minimum cross-site one-way delay
+// (set by the Network) — or a fixed 100ms quantum when no lookahead is set
+// (single-site topologies have no cross-site links).  A message sent from
+// inside the window can only land at or after the window's end, so shards
+// never see each other mid-window.  Cross-shard schedules are staged in
+// per-shard outboxes and integrated at the barrier in (time, source shard,
+// source order) — a pure function of queue state, never of thread
+// interleaving.  Control events act as barriers: whenever the control
+// queue's head is due, all site shards are parked and control events drain
+// serially, so churn, fault injection, and observers may touch anything.
 //
-//       window = [t_min, min(t_min + stride, t_ctl, deadline + 1us))
-//
-//     where stride is the lookahead — the minimum cross-site one-way delay
-//     (set by the Network) — or a fixed 100ms quantum when no lookahead is
-//     set (single-site topologies have no cross-site links).  A message
-//     sent from inside the window can only land at or after the window's
-//     end, so shards never see each other mid-window.
-//     Cross-shard schedules are staged in per-shard outboxes and
-//     integrated at the barrier in (time, source shard, source order) —
-//     a pure function of queue state, never of thread interleaving.
-//     Control events act as barriers: whenever the control queue's head is
-//     due, all workers are parked and control events drain serially, so
-//     churn, fault injection, and observers may touch anything, exactly
-//     like the serial engine.
-//
-//     The same seed therefore produces the same schedule — and the same
-//     metrics/trace/query bytes — at any worker-thread count; the
-//     parallel-equivalence matrix test pins this.  Sharded output differs
-//     from *serial* output (per-shard Rng streams replace the single
-//     global draw order), which is why the serial engine is preserved
-//     verbatim behind the default config.
+// EngineConfig::threads only sets how many workers advance the site shards
+// inside a window; threads == 1 runs the same windows on the calling
+// thread.  The same seed therefore produces the same schedule — and the
+// same metrics/trace/query bytes — at any worker-thread count; the
+// parallel-equivalence matrix test pins this.  Between runs every shard
+// clock agrees, so now() outside an event is the federation's time.
 
 #include <atomic>
 #include <condition_variable>
@@ -77,21 +68,16 @@ using util::SimTime;
 
 class Engine;
 
-/// Execution-mode configuration, fixed at engine construction.
+/// Engine configuration, fixed at engine construction.
 struct EngineConfig {
-  /// Worker threads for the sharded scheduler.  1 (the default) keeps the
-  /// classic serial engine byte-for-byte unless shard_by_site is set.
+  /// Worker threads that advance site shards inside a window.  Never
+  /// changes the schedule; 1 (the default) runs windows on the caller.
   unsigned threads = 1;
-  /// Forces the sharded scheduler even at threads == 1: the serial
-  /// reference execution the parallel-equivalence matrix compares
-  /// against.  Implied by threads > 1.
+  /// Ignored: every engine is sharded.  Kept only because perfbench's route_100k sets it.
   bool shard_by_site = false;
 
-  [[nodiscard]] bool sharded() const { return shard_by_site || threads > 1; }
-
-  /// Reads RBAY_SIM_THREADS (worker count; >= 2 implies sharding) and
-  /// RBAY_SIM_SHARDED (=1 forces shard_by_site) — how the ThreadSanitizer
-  /// CI lane pushes the whole cluster test suite onto the sharded engine.
+  /// Reads RBAY_SIM_THREADS (worker count) — how the ThreadSanitizer CI
+  /// lane runs the whole cluster test suite on four workers.
   static EngineConfig from_env();
 };
 
@@ -100,8 +86,8 @@ namespace detail {
 struct EventFlag {
   std::atomic<bool> alive{true};
   bool counts_foreground = false;
-  /// Owning shard (sharded mode): which shard's foreground count this
-  /// flag's claim lives in.  0 covers both serial mode and control.
+  /// Owning shard: which shard's foreground count this flag's claim
+  /// lives in.
   std::uint32_t shard = 0;
   Engine* engine = nullptr;
 };
@@ -111,9 +97,9 @@ struct EventFlag {
 /// but cancellation immediately releases the event's foreground claim, so
 /// run() never waits out a dead timer's deadline.
 ///
-/// Sharded mode: a shard may cancel its own timers, and any context may
-/// cancel control-owned timers (control events only fire at barriers, so
-/// the cancellation is always observed before the event could run).
+/// A shard may cancel its own timers, and any context may cancel
+/// control-owned timers (control events only fire at barriers, so the
+/// cancellation is always observed before the event could run).
 /// Cancelling another *site* shard's timer mid-window would be a
 /// nondeterministic race and is forbidden by contract.
 class Timer {
@@ -140,28 +126,26 @@ class Engine {
   ~Engine();
 
   [[nodiscard]] const EngineConfig& config() const { return config_; }
-  [[nodiscard]] bool sharded() const { return sharded_; }
 
-  /// Current time of the calling context's shard (serial: the one clock).
+  /// Current time of the calling context's shard.
   [[nodiscard]] SimTime now() const;
-  /// Rng stream of the calling context's shard (serial: the one Rng).
+  /// Rng stream of the calling context's shard.
   [[nodiscard]] util::Rng& rng();
 
-  // --- sharded-mode topology (no-ops / trivial on the serial engine) -----
+  // --- shard topology ------------------------------------------------------
 
   /// Declares the site count; creates one shard per site (plus the control
   /// shard the engine is born with).  Called by the Network from its
   /// constructor; idempotent for the same count, a contract violation for
-  /// a different one.  Serial engine: no-op.
+  /// a different one.  An engine without a Network runs everything on the
+  /// control shard.
   void configure_shards(std::uint32_t site_count);
-  /// Total shards including control (serial: 1).
+  /// Total shards including control.
   [[nodiscard]] std::uint32_t shard_count() const {
-    return sharded_ ? static_cast<std::uint32_t>(shards_.size()) : 1;
+    return static_cast<std::uint32_t>(shards_.size());
   }
-  /// The shard that owns site `site` (serial: 0 — everything is shard 0).
-  [[nodiscard]] std::uint32_t shard_for_site(std::uint32_t site) const {
-    return sharded_ ? site + 1 : 0;
-  }
+  /// The shard that owns site `site`.
+  [[nodiscard]] std::uint32_t shard_for_site(std::uint32_t site) const { return site + 1; }
   /// The shard of the currently executing context (0 outside any event).
   [[nodiscard]] std::uint32_t current_shard() const;
 
@@ -189,14 +173,14 @@ class Engine {
   [[nodiscard]] obs::Registry* metrics() const { return metrics_; }
 
   /// Schedules `fn` to run `delay` after the current time.  The event is
-  /// foreground unless scheduled from within a background event.  Sharded:
-  /// targets the calling context's shard (or the ShardScope-pinned shard
-  /// when scheduling from setup code).
+  /// foreground unless scheduled from within a background event.  Targets
+  /// the calling context's shard (or the ShardScope-pinned shard when
+  /// scheduling from setup code).
   Timer schedule(SimTime delay, std::function<void()> fn);
 
-  /// Schedules `fn` onto a specific shard (sharded mode; serial engines
-  /// have only shard 0).  From a worker, a cross-shard target must satisfy
-  /// the lookahead contract: now() + delay >= the current window end.
+  /// Schedules `fn` onto a specific shard.  From inside a window, a
+  /// cross-shard target must satisfy the lookahead contract:
+  /// now() + delay >= the current window end.
   Timer schedule_on(std::uint32_t shard, SimTime delay, std::function<void()> fn);
 
   /// Schedules `fn` every `period`, starting one period from now, until the
@@ -217,7 +201,10 @@ class Engine {
   Timer schedule_observer_periodic(SimTime period, std::function<void()> fn);
 
   /// Runs events (in timestamp order, background included) until no
-  /// foreground event remains queued.  Returns events executed.
+  /// foreground event remains queued.  Afterwards every shard clock stands
+  /// at the latest time any shard reached: never earlier than the last
+  /// foreground event, and at most one window (lookahead or the 100ms
+  /// quantum) past it.  Returns events dequeued.
   std::size_t run();
 
   /// Runs events with timestamp <= deadline (advances the clock to exactly
@@ -226,10 +213,6 @@ class Engine {
 
   /// Runs for `duration` of virtual time from now.
   std::size_t run_for(SimTime duration) { return run_until(now() + duration); }
-
-  /// Executes at most one pending event.  Returns false if queue empty.
-  /// Serial engine only (a sharded schedule has no single "next event").
-  bool step();
 
   [[nodiscard]] std::size_t pending() const;
   [[nodiscard]] std::size_t foreground_pending() const;
@@ -240,8 +223,8 @@ class Engine {
   /// from the control context enqueue onto `shard` instead of the control
   /// queue.  This is how per-node periodic timers (aggregation, heartbeat,
   /// maintenance, monitors) land on their node's site shard.  Does not
-  /// affect now()/rng() — setup draws stay on the control stream.  No-op
-  /// on the serial engine.  Not for use inside worker events.
+  /// affect now()/rng() — setup draws stay on the control stream.  Not for
+  /// use inside worker events.
   class ShardScope {
    public:
     ShardScope(Engine& engine, std::uint32_t shard);
@@ -306,27 +289,17 @@ class Engine {
 
   friend class Timer;
 
-  // --- serial path (unchanged from the classic engine) -------------------
-  void dispatch(Entry e);
-  void push(SimTime at, bool background, std::shared_ptr<detail::EventFlag> flag,
-            std::function<void()> fn, bool observer = false);
-  /// One firing of a periodic timer: runs `fn`, then re-pushes itself.
-  void push_periodic(SimTime period, std::shared_ptr<detail::EventFlag> flag,
-                     std::function<void()> fn, bool observer = false);
-
-  // --- sharded path -------------------------------------------------------
-  [[nodiscard]] std::uint32_t exec_shard() const;    // executing context's shard
   [[nodiscard]] std::uint32_t target_shard() const;  // default scheduling target
-  void push_sharded(std::uint32_t dst, SimTime at, bool background, bool observer,
-                    std::shared_ptr<detail::EventFlag> flag, std::function<void()> fn);
+  void push(std::uint32_t dst, SimTime at, bool background, bool observer,
+            std::shared_ptr<detail::EventFlag> flag, std::function<void()> fn);
   void enqueue_direct(Shard& dst, SimTime at, bool background, bool observer,
-                      const std::shared_ptr<detail::EventFlag>& flag, std::function<void()> fn,
-                      bool claim_foreground);
+                      const std::shared_ptr<detail::EventFlag>& flag, std::function<void()> fn);
   Timer schedule_impl(std::uint32_t dst, SimTime delay, bool background, bool observer,
                       std::function<void()> fn);
-  void push_periodic_sharded(SimTime period, std::shared_ptr<detail::EventFlag> flag,
-                             std::function<void()> fn, bool observer);
-  void dispatch_sharded(Shard& shard, Entry e);
+  /// One firing of a periodic timer: runs `fn`, then re-pushes itself.
+  void push_periodic(SimTime period, std::shared_ptr<detail::EventFlag> flag,
+                     std::function<void()> fn, bool observer);
+  void dispatch(Shard& shard, Entry e);
   void process_shard(Shard& shard, SimTime window_end);
   void run_window(SimTime window_end);
   void integrate_staged();
@@ -334,7 +307,6 @@ class Engine {
   std::size_t run_windows(bool until_quiescent, SimTime deadline);
   void run_control_batch(SimTime at);
   [[nodiscard]] std::int64_t total_foreground() const;
-  [[nodiscard]] std::uint64_t total_executed() const;
   [[nodiscard]] std::uint64_t total_popped() const;
   void update_queue_gauge();
   void ensure_pool();
@@ -345,25 +317,11 @@ class Engine {
 
   const std::uint64_t seed_;
   const EngineConfig config_;
-  const bool sharded_;
 
   obs::Registry* metrics_ = nullptr;
   obs::Counter* events_counter_ = nullptr;
   obs::Gauge* queue_gauge_ = nullptr;
 
-  // Serial engine state (untouched in sharded mode).
-  SimTime now_ = SimTime::zero();
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t executed_ = 0;
-  std::size_t foreground_pending_ = 0;
-  /// Observer events currently queued — subtracted from the depth the
-  /// `sim.queue_depth` gauge reports so observers stay invisible to it.
-  std::size_t observer_pending_ = 0;
-  bool in_background_ = false;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue_;
-  util::Rng rng_;
-
-  // Sharded engine state.
   std::vector<std::unique_ptr<Shard>> shards_;  // [0] = control, [s+1] = site s
   SimTime lookahead_ = SimTime::micros(0);      // 0 = unset (no cross-shard traffic)
   SimTime window_end_ = SimTime::zero();        // current window bound (workers read)
@@ -372,7 +330,7 @@ class Engine {
   std::vector<std::function<void()>> run_hooks_;
   std::vector<Staged> staged_scratch_;
 
-  // Worker pool (created lazily on the first sharded run with threads > 1).
+  // Worker pool (created lazily on the first run with threads > 1).
   std::vector<std::thread> workers_;
   std::mutex pool_mu_;
   std::condition_variable cv_workers_;

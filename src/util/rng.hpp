@@ -121,8 +121,7 @@ class Rng {
   /// shard sees is a pure function of (seed, shard) — independent of how
   /// many worker threads execute the shards or in what order.
   /// stream(seed, 0) is deliberately distinct from Rng(seed): the control
-  /// shard keeps the legacy Rng(seed) stream so setup draws match the
-  /// serial engine exactly.
+  /// shard draws Rng(seed) itself.
   static Rng stream(std::uint64_t seed, std::uint64_t stream_id) {
     SplitMix64 a{seed};
     SplitMix64 b{stream_id ^ 0xD1B54A32D192ED03ULL};

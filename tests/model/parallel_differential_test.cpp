@@ -3,10 +3,10 @@
 //
 // Same matrices as differential_test.cpp — default workload and the
 // adversarial weather workload — but every cluster runs with
-// EngineConfig{threads=4, shard_by_site}: four worker threads executing
-// the sharded schedule under conservative lookahead.  The centralized
-// reference model is execution-mode-oblivious, so any divergence here
-// that the serial matrix does not show is a parallel-engine bug — a lost
+// EngineConfig{threads=4}: four worker threads executing the sharded
+// schedule under conservative lookahead.  The centralized reference model
+// is worker-count-oblivious, so any divergence here that the one-worker
+// matrix does not show is a parallel-engine bug — a lost
 // cross-shard message, a barrier ordering error, or a data race that
 // corrupted protocol state.
 
@@ -25,7 +25,6 @@ WorkloadSpec parallel_spec(std::uint64_t seed, bool weather) {
   spec.seed = seed;
   spec.weather = weather;
   spec.engine.threads = 4;
-  spec.engine.shard_by_site = true;
   return spec;
 }
 

@@ -89,18 +89,6 @@ TEST(Engine, PeriodicCancelFromInsideCallback) {
   EXPECT_EQ(count, 3);
 }
 
-TEST(Engine, StepExecutesAtMostOne) {
-  Engine engine;
-  int count = 0;
-  engine.schedule(SimTime::millis(1), [&] { ++count; });
-  engine.schedule(SimTime::millis(2), [&] { ++count; });
-  EXPECT_TRUE(engine.step());
-  EXPECT_EQ(count, 1);
-  EXPECT_TRUE(engine.step());
-  EXPECT_FALSE(engine.step());
-  EXPECT_EQ(count, 2);
-}
-
 TEST(Engine, NegativeDelayViolatesContract) {
   Engine engine;
   EXPECT_THROW(engine.schedule(SimTime::millis(-1), [] {}), util::ContractError);

@@ -1,11 +1,11 @@
-// Serial-equivalence determinism matrix for the sharded engine
+// Worker-count determinism matrix for the sharded engine
 // (docs/PARALLEL_ENGINE.md).
 //
 // Contract: a federation run on the sharded schedule produces the SAME
 // bytes — final registry snapshot, time-series JSON, and query/output
 // transcript — no matter how many worker threads execute it.  The
-// reference is threads=1 on the sharded schedule (the same per-shard
-// event sequences executed serially); 2, 4, and 8 workers must match it
+// reference is threads=1 (the same per-shard event sequences executed on
+// the calling thread); 2, 4, and 8 workers must match it
 // byte for byte across an eight-seed matrix of a churn + weather + query
 // workload.
 //
@@ -72,7 +72,6 @@ ScenarioOptions engine_options(unsigned threads) {
   ScenarioOptions options;
   options.metrics = true;
   options.engine.threads = threads;
-  options.engine.shard_by_site = true;  // same schedule at every thread count
   return options;
 }
 
@@ -119,7 +118,7 @@ TEST(ParallelEquivalence, ThreadsDirectiveSelectsTheShardedEngine) {
   // `threads N` in the scenario text takes effect (and wins over the
   // options default).  The run must still satisfy its expectations.
   std::string text = "threads 4\n" + workload(29);
-  const auto report = run_scenario(text);  // default options: serial engine
+  const auto report = run_scenario(text);  // default options: one worker
   ASSERT_TRUE(report.ok()) << report.error();
   EXPECT_EQ(report.value().queries_satisfied, 3);
 }

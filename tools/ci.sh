@@ -125,6 +125,14 @@ ctest --preset ci -L qplane --output-on-failure
 cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc 2>/dev/null || echo 4)"
 ctest --preset tsan -L 'sim|chaos|qplane' --output-on-failure
+# The two bench paths that raced or diverged on a multi-core machine, run
+# on four workers under TSan: the Fig. 8a thread sweep (one delivery
+# recorder shared across site shards) and a control-driven Fig. 10 query
+# loop (a run() that left the clock behind).
+TSAN_BENCH_OPTIONS="suppressions=$PWD/.tsan-suppressions.txt halt_on_error=1 second_deadlock_stack=1"
+TSAN_OPTIONS="$TSAN_BENCH_OPTIONS" build-tsan/bench/bench_fig8a_scale_nodes --small --threads 4
+TSAN_OPTIONS="$TSAN_BENCH_OPTIONS" RBAY_SIM_THREADS=4 \
+  build-tsan/bench/bench_fig10_latency_sites --small
 
 # Flash-crowd scenario: 100x demand spike on one attribute — admission
 # sheds deterministically, the cache absorbs the warm wave.  Transcript

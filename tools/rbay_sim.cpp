@@ -44,14 +44,14 @@ usage: rbay_sim [--metrics <path>] [--trace <path>] [--timeseries <path>]
                      in the scenario.  Deterministic: same scenario + seed
                      => byte-identical file.  See docs/HEALTH.md; render
                      with tools/rbay_top.
-  --threads N        run on the sharded engine with N worker threads
-                     (docs/PARALLEL_ENGINE.md).  N=1 keeps the serial
-                     engine.  A scenario-level `threads` directive takes
+  --threads N        advance the site shards with N worker threads
+                     (docs/PARALLEL_ENGINE.md); the output is the same at
+                     every N.  A scenario-level `threads` directive takes
                      precedence over this flag.
 
 directives (one per line; '#' comments; see tools/scenario.hpp for details):
   topology ec2 | single | uniform <sites> <intra_ms> <cross_ms>
-  threads N (sharded engine; 1 = serial)
+  threads N (worker threads; same output at every N)
   seed N | aggregation MS | heartbeat MS | max-attempts N
   tree <attr> <op> <literal>       tree-exists <attr>
   taxonomy-major <attr>            taxonomy-link <attr> <parent>
@@ -134,7 +134,6 @@ int main(int argc, char** argv) {
   options.metrics = !metrics_path.empty();
   options.trace = !trace_path.empty();
   options.engine.threads = threads;
-  options.engine.shard_by_site = threads > 1;
   const auto result = rbay::tools::run_scenario(text.str(), options);
   if (!result.ok()) {
     std::fprintf(stderr, "rbay_sim: %s: %s\n", scenario_path.c_str(),

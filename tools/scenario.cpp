@@ -306,10 +306,9 @@ class Runner {
     return error_at(d.line, "topology: expected 'ec2', 'single', or 'uniform K intra cross'");
   }
 
-  /// threads <N> — run the scenario on the sharded engine with N worker
-  /// threads (docs/PARALLEL_ENGINE.md).  `threads 1` keeps the serial
-  /// engine (shipped scenarios pin serial transcripts); N > 1 shards the
-  /// schedule by site, which legitimately re-seeds per-shard Rng streams.
+  /// threads <N> — advance the site shards with N worker threads
+  /// (docs/PARALLEL_ENGINE.md).  The schedule, and so the transcript, is
+  /// the same at every N.
   util::Result<void> do_threads(const Directive& d) {
     if (cluster_ != nullptr) return error_at(d.line, "threads must precede 'nodes'");
     if (d.args.size() != 1) return error_at(d.line, "threads needs a worker count");
@@ -317,7 +316,6 @@ class Runner {
     if (n < 1) return error_at(d.line, "threads needs a positive worker count");
     sim::EngineConfig config;
     config.threads = static_cast<unsigned>(n);
-    config.shard_by_site = n > 1;
     engine_override_ = config;
     return {};
   }

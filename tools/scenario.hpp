@@ -27,9 +27,9 @@
 // Directives (a <target> is `*`, a site name, or `<site>:<i>` addressing
 // the site's i-th node — the form counterexample exports use):
 //   topology ec2 | single | uniform <sites> <intra_ms> <cross_ms>
-//   threads N                       run on the sharded engine with N worker
-//                                   threads (before 'nodes'; 1 = serial —
-//                                   see docs/PARALLEL_ENGINE.md)
+//   threads N                       advance site shards with N worker
+//                                   threads (before 'nodes'; same output
+//                                   at every N — docs/PARALLEL_ENGINE.md)
 //   seed N | aggregation MS | heartbeat MS | max-attempts N
 //   site-timeout MS | reservation-hold MS
 //   admission-window N [queue]     in-flight query budget (+FIFO backlog)
@@ -130,10 +130,11 @@ struct ScenarioOptions {
   /// Export the causal log as Chrome trace-event JSON into
   /// ScenarioReport::trace_json (implies metrics).
   bool trace = false;
-  /// Simulation execution mode (docs/PARALLEL_ENGINE.md).  The default is
-  /// the serial engine — NOT EngineConfig::from_env() — because shipped
-  /// scenarios pin legacy serial transcripts; opt in per run (equivalence
-  /// matrix) or per scenario (`threads N` directive / `--threads N` flag).
+  /// Engine configuration (docs/PARALLEL_ENGINE.md).  The default is one
+  /// worker — NOT EngineConfig::from_env() — so a scenario run never
+  /// depends on the environment; the worker count never changes the
+  /// transcript.  Set per run (equivalence matrix) or per scenario
+  /// (`threads N` directive / `--threads N` flag).
   sim::EngineConfig engine{};
 };
 // ScenarioReport::timeseries_json is filled whenever the scenario declares
