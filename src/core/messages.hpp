@@ -24,21 +24,47 @@ struct Candidate {
   bool has_sort_value = false;
 };
 
-/// The anycast payload: "this anycast message has a buffer of k empty
-/// entries" (§III.D step 3).  Members fill entries as the DFS visits them.
-struct CandidatePayload final : scribe::AnycastPayload {
+/// One site's share of a query (Fig. 7 steps 1-4): what the query
+/// interface runs in its own site and ships to every other site's gateway.
+struct SiteJob {
   std::string query_id;  // reservation holder identity
+  int attempt = 1;
+  bool count_only = false;
   int k = 1;
   std::string get_payload;  // forwarded to onGet (e.g. password)
   std::vector<query::Predicate> predicates;
   std::optional<std::string> group_by;
   util::SimTime hold = util::SimTime::millis(500);
+
+  [[nodiscard]] std::size_t predicate_bytes() const {
+    std::size_t size = 0;
+    for (const auto& p : predicates) size += 24 + p.attribute.size() + p.literal.wire_size();
+    return size;
+  }
+};
+
+/// One site's answer to a SiteJob.
+struct SiteResult {
+  net::SiteId site = 0;
+  std::vector<Candidate> candidates;
+  int visited = 0;     // tree members the anycast walked
+  double count = 0.0;  // for count-only queries
+  /// Degraded read: the count came from a promoted root's replicated
+  /// snapshot, `staleness` sim-time old.
+  bool stale = false;
+  util::SimTime staleness = util::SimTime::zero();
+  /// Answered (at least partly) from the probe answer cache.
+  bool cached = false;
+};
+
+/// The anycast payload: "this anycast message has a buffer of k empty
+/// entries" (§III.D step 3).  Members fill entries as the DFS visits them.
+struct CandidatePayload final : scribe::AnycastPayload {
+  SiteJob job;
   std::vector<Candidate> found;
 
   [[nodiscard]] std::size_t wire_size() const override {
-    std::size_t size = 64 + get_payload.size() + found.size() * 32;
-    for (const auto& p : predicates) size += 24 + p.attribute.size() + p.literal.wire_size();
-    return size;
+    return 64 + job.get_payload.size() + found.size() * 32 + job.predicate_bytes();
   }
   [[nodiscard]] std::unique_ptr<scribe::AnycastPayload> clone() const override {
     return std::make_unique<CandidatePayload>(*this);
@@ -48,20 +74,11 @@ struct CandidatePayload final : scribe::AnycastPayload {
 /// Query interface → remote site gateway: run this query inside your site.
 struct SiteQueryRequest final : pastry::AppMessage {
   std::uint64_t request_id = 0;
-  int attempt = 0;
   pastry::NodeRef origin;
-  std::string query_id;
-  bool count_only = false;
-  int k = 1;
-  std::string get_payload;
-  std::vector<query::Predicate> predicates;
-  std::optional<std::string> group_by;
-  util::SimTime hold = util::SimTime::millis(500);
+  SiteJob job;
 
   [[nodiscard]] std::size_t wire_size() const override {
-    std::size_t size = 96 + get_payload.size();
-    for (const auto& p : predicates) size += 24 + p.attribute.size() + p.literal.wire_size();
-    return size;
+    return 96 + job.get_payload.size() + job.predicate_bytes();
   }
   [[nodiscard]] const char* type_name() const override { return "rbay.SiteQueryRequest"; }
   [[nodiscard]] std::unique_ptr<pastry::AppMessage> clone_msg() const override {
@@ -73,19 +90,10 @@ struct SiteQueryRequest final : pastry::AppMessage {
 struct SiteQueryReply final : pastry::AppMessage {
   std::uint64_t request_id = 0;
   int attempt = 0;
-  net::SiteId site = 0;
-  int members_visited = 0;
-  double count = 0.0;  // for count-only queries
-  /// Degraded read: the count came from a promoted root's replicated
-  /// snapshot, `staleness` sim-time old.
-  bool stale = false;
-  util::SimTime staleness = util::SimTime::zero();
-  /// The gateway answered (at least partly) from its probe answer cache.
-  bool cached = false;
-  std::vector<Candidate> candidates;
+  SiteResult result;
 
   [[nodiscard]] std::size_t wire_size() const override {
-    return 41 + candidates.size() * 32;
+    return 41 + result.candidates.size() * 32;
   }
   [[nodiscard]] const char* type_name() const override { return "rbay.SiteQueryReply"; }
   [[nodiscard]] std::unique_ptr<pastry::AppMessage> clone_msg() const override {
@@ -118,7 +126,10 @@ struct RenewMsg final : pastry::AppMessage {
 
 struct ReleaseMsg final : pastry::AppMessage {
   std::string query_id;
-  [[nodiscard]] std::size_t wire_size() const override { return 16 + query_id.size(); }
+  /// The query attempt whose reservations this frees (0 = any): the node
+  /// ignores a release older than the attempt that last reserved it.
+  int attempt = 0;
+  [[nodiscard]] std::size_t wire_size() const override { return 20 + query_id.size(); }
   [[nodiscard]] const char* type_name() const override { return "rbay.Release"; }
   [[nodiscard]] std::unique_ptr<pastry::AppMessage> clone_msg() const override {
     return std::make_unique<ReleaseMsg>(*this);

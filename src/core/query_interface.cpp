@@ -41,17 +41,33 @@ QueryInterface::QueryInterface(RBayNode& owner, QueryConfig config)
   // the moment the orphaned payload surfaces (see Scribe::complete_anycast).
   owner_.scribe().set_orphan_handler(
       [this](const scribe::TopicId& /*topic*/, scribe::AnycastPayload& payload) {
-        auto* filled = dynamic_cast<CandidatePayload*>(&payload);
-        if (filled == nullptr || filled->found.empty()) return;
-        for (const auto& c : filled->found) {
-          auto release = std::make_unique<ReleaseMsg>();
-          release->query_id = filled->query_id;
-          owner_.pastry().send_direct(c.node, std::move(release), kAppName);
-        }
-        if (auto* reg = owner_.engine().metrics()) {
-          reg->fed().counter("query.orphan_releases").inc(filled->found.size());
+        if (auto* filled = dynamic_cast<CandidatePayload*>(&payload)) {
+          release_orphans(filled->job.query_id, filled->job.attempt, filled->found);
         }
       });
+}
+
+std::string QueryInterface::query_id_of(std::uint64_t id) const {
+  return owner_.self().id.to_hex().substr(0, 12) + "#" + std::to_string(id);
+}
+
+void QueryInterface::send_releases(const std::string& query_id, int attempt,
+                                   std::span<const Candidate> nodes) {
+  for (const auto& c : nodes) {
+    auto release = std::make_unique<ReleaseMsg>();
+    release->query_id = query_id;
+    release->attempt = attempt;
+    owner_.pastry().send_direct(c.node, std::move(release), kAppName);
+  }
+}
+
+void QueryInterface::release_orphans(const std::string& query_id, int attempt,
+                                     const std::vector<Candidate>& candidates) {
+  if (candidates.empty()) return;
+  send_releases(query_id, attempt, candidates);
+  if (auto* reg = owner_.engine().metrics()) {
+    reg->fed().counter("query.orphan_releases").inc(candidates.size());
+  }
 }
 
 void QueryInterface::execute_sql(const std::string& sql, Callback callback) {
@@ -75,7 +91,7 @@ void QueryInterface::execute(query::Query query, Callback callback) {
   Pending pending;
   pending.query = std::move(query);
   pending.callback = std::move(callback);
-  pending.outcome.query_id = owner_.self().id.to_hex().substr(0, 12) + "#" + std::to_string(id);
+  pending.outcome.query_id = query_id_of(id);
   pending.outcome.started = owner_.engine().now();
   if (auto* reg = owner_.engine().metrics()) {
     reg->fed().counter("query.started").inc();
@@ -202,7 +218,10 @@ void QueryInterface::attempt(std::uint64_t id) {
       // Local part runs on this very node's query interface.
       run_site_query(job, [this, id, attempt_no](SiteResult result) {
         auto pit = pending_.find(id);
-        if (pit == pending_.end() || pit->second.outcome.attempts != attempt_no) return;
+        if (pit == pending_.end() || pit->second.outcome.attempts != attempt_no) {
+          release_orphans(query_id_of(id), attempt_no, result.candidates);  // late local answer
+          return;
+        }
         result.site = owner_.site();
         site_done(id, std::move(result));
       });
@@ -212,15 +231,8 @@ void QueryInterface::attempt(std::uint64_t id) {
                    "cross-site query without gateway directory");
       auto req = std::make_unique<SiteQueryRequest>();
       req->request_id = id;
-      req->attempt = attempt_no;
       req->origin = owner_.self();
-      req->query_id = job.query_id;
-      req->count_only = job.count_only;
-      req->k = job.k;
-      req->get_payload = job.get_payload;
-      req->predicates = job.predicates;
-      req->group_by = job.group_by;
-      req->hold = job.hold;
+      req->job = job;
       owner_.pastry().send_direct(dir->gateways[site], std::move(req), kAppName);
     }
   }
@@ -328,11 +340,8 @@ void QueryInterface::finish_attempt(std::uint64_t id) {
     cctx.phase = static_cast<std::uint8_t>(obs::Phase::kCommit);
     obs::ContextScope commit_scope(causal, cctx);
     // Release the surplus reservations immediately.
-    for (std::size_t i = want; i < p.gathered.size(); ++i) {
-      auto release = std::make_unique<ReleaseMsg>();
-      release->query_id = p.outcome.query_id;
-      owner_.pastry().send_direct(p.gathered[i].node, std::move(release), kAppName);
-    }
+    send_releases(p.outcome.query_id, p.outcome.attempts,
+                  std::span<const Candidate>(p.gathered).subspan(want));
     // Step 5 span: the commit/release dispatch; hops = every reservation
     // dispositioned (k kept + surplus released).
     record_phase_point(causal, cctx, owner_, "query.commit", obs::Phase::kCommit,
@@ -348,11 +357,7 @@ void QueryInterface::finish_attempt(std::uint64_t id) {
     obs::TraceContext rctx = base;
     rctx.phase = static_cast<std::uint8_t>(obs::Phase::kCommit);
     obs::ContextScope release_scope(causal, rctx);
-    for (const auto& c : p.gathered) {
-      auto release = std::make_unique<ReleaseMsg>();
-      release->query_id = p.outcome.query_id;
-      owner_.pastry().send_direct(c.node, std::move(release), kAppName);
-    }
+    send_releases(p.outcome.query_id, p.outcome.attempts, p.gathered);
   }
   p.gathered.clear();
 
@@ -420,36 +425,27 @@ void QueryInterface::run_site_query(SiteJob job, std::function<void(SiteResult)>
     return;
   }
 
-  const std::string site_name =
-      owner_.directory() && owner_.site() < owner_.directory()->site_names.size()
-          ? owner_.directory()->site_names[owner_.site()]
-          : "site" + std::to_string(owner_.site());
-
   struct ProbeState {
     SiteJob job;
-    std::vector<std::string> trees;
     std::vector<scribe::TopicId> topics;
     std::vector<double> sizes;
     std::size_t remaining = 0;
     util::SimTime probe_start = util::SimTime::zero();
-    // Degraded-read accumulation across the probed trees: stale if any
-    // root answered stale; staleness is the oldest such snapshot's age.
-    bool stale = false;
-    util::SimTime staleness = util::SimTime::zero();
-    // At least one probe answered from the answer cache (implies stale).
-    bool cached = false;
+    // The answer under construction.  Degraded reads accumulate across the
+    // probed trees: stale if any root answered stale (or the answer cache
+    // did), staleness the oldest such snapshot's age.
+    SiteResult result;
     // This site query's own causal context (phase points hang off it).
     obs::TraceContext ctx;
     std::function<void(SiteResult)> done;
   };
   auto state = std::make_shared<ProbeState>();
   state->job = std::move(job);
-  state->trees = trees;
   state->done = std::move(done);
   state->sizes.assign(trees.size(), 0.0);
   state->remaining = trees.size();
   state->probe_start = owner_.engine().now();
-  for (const auto& tree : trees) state->topics.push_back(site_topic(tree, site_name));
+  for (const auto& tree : trees) state->topics.push_back(owner_.topic_of(tree));
 
   auto anycast_smallest = [this, state]() {
     const auto probe_end = owner_.engine().now();
@@ -476,21 +472,12 @@ void QueryInterface::run_site_query(SiteJob job, std::function<void(SiteResult)>
       // SELECT COUNT stops after steps 1-2: the root's aggregate IS the
       // answer (exact for a single tree-backed predicate; the smallest
       // tree's size is the tight upper bound for conjunctions).
-      SiteResult result;
-      result.count = state->sizes[best];
-      result.stale = state->stale;
-      result.staleness = state->staleness;
-      result.cached = state->cached;
-      state->done(std::move(result));
+      state->result.count = state->sizes[best];
+      state->done(std::move(state->result));
       return;
     }
     auto payload = std::make_unique<CandidatePayload>();
-    payload->query_id = state->job.query_id;
-    payload->k = state->job.k;
-    payload->get_payload = state->job.get_payload;
-    payload->predicates = state->job.predicates;
-    payload->group_by = state->job.group_by;
-    payload->hold = state->job.hold;
+    payload->job = std::move(state->job);
     const auto anycast_start = probe_end;
     // Step 3 opens here; the walk's end points are children of this one.
     const obs::TraceContext anycast_ctx =
@@ -519,13 +506,9 @@ void QueryInterface::run_site_query(SiteJob job, std::function<void(SiteResult)>
           record_phase_point(causal, anycast_ctx, owner_, "query.slots_filled",
                              obs::Phase::kSlotFill, anycast_start,
                              static_cast<int>(filled.found.size()));
-          SiteResult site_result;
-          site_result.candidates = std::move(filled.found);
-          site_result.visited = visited;
-          site_result.stale = state->stale;
-          site_result.staleness = state->staleness;
-          site_result.cached = state->cached;
-          state->done(std::move(site_result));
+          state->result.candidates = std::move(filled.found);
+          state->result.visited = visited;
+          state->done(std::move(state->result));
         },
         pastry::Scope::Site);
   };
@@ -547,9 +530,9 @@ void QueryInterface::run_site_query(SiteJob job, std::function<void(SiteResult)>
       if (auto hit = answer_cache_.lookup(topic, owner_.engine().now())) {
         if (auto* reg = owner_.engine().metrics()) reg->fed().counter("qplane.cache_hits").inc();
         state->sizes[i] = hit->value;
-        state->stale = true;
-        state->cached = true;
-        state->staleness = std::max(state->staleness, hit->age);
+        state->result.stale = true;
+        state->result.cached = true;
+        state->result.staleness = std::max(state->result.staleness, hit->age);
         if (--state->remaining == 0) anycast_smallest();
         continue;
       }
@@ -584,8 +567,8 @@ void QueryInterface::run_site_query(SiteJob job, std::function<void(SiteResult)>
       }
       state->sizes[i] = info.value;
       if (info.stale) {
-        state->stale = true;
-        state->staleness = std::max(state->staleness, info.age);
+        state->result.stale = true;
+        state->result.staleness = std::max(state->result.staleness, info.age);
       }
       if (--state->remaining == 0) anycast_smallest();
     };
@@ -629,11 +612,7 @@ void QueryInterface::renew(const QueryOutcome& outcome, util::SimTime lease) {
 }
 
 void QueryInterface::release(const QueryOutcome& outcome) {
-  for (const auto& c : outcome.nodes) {
-    auto msg = std::make_unique<ReleaseMsg>();
-    msg->query_id = outcome.query_id;
-    owner_.pastry().send_direct(c.node, std::move(msg), kAppName);
-  }
+  send_releases(outcome.query_id, outcome.attempts, outcome.nodes);
 }
 
 // --- message handling ------------------------------------------------------------
@@ -646,29 +625,15 @@ void QueryInterface::deliver(const pastry::NodeId& /*key*/, pastry::AppMessage& 
 void QueryInterface::receive(const pastry::NodeRef& from, pastry::AppMessage& msg) {
   if (auto* req = dynamic_cast<SiteQueryRequest*>(&msg)) {
     // Gateway role: run the query inside our site and reply to the origin.
-    SiteJob job;
-    job.query_id = req->query_id;
-    job.attempt = req->attempt;
-    job.count_only = req->count_only;
-    job.k = req->k;
-    job.get_payload = req->get_payload;
-    job.predicates = req->predicates;
-    job.group_by = req->group_by;
-    job.hold = req->hold;
     const auto request_id = req->request_id;
-    const auto attempt_no = req->attempt;
+    const auto attempt_no = req->job.attempt;
     const auto origin = req->origin;
-    run_site_query(std::move(job), [this, request_id, attempt_no, origin](SiteResult result) {
+    run_site_query(std::move(req->job), [this, request_id, attempt_no, origin](SiteResult result) {
       auto reply = std::make_unique<SiteQueryReply>();
       reply->request_id = request_id;
       reply->attempt = attempt_no;
-      reply->site = owner_.site();
-      reply->members_visited = result.visited;
-      reply->count = result.count;
-      reply->stale = result.stale;
-      reply->staleness = result.staleness;
-      reply->cached = result.cached;
-      reply->candidates = std::move(result.candidates);
+      reply->result = std::move(result);
+      reply->result.site = owner_.site();
       owner_.pastry().send_direct(origin, std::move(reply), kAppName);
     });
     return;
@@ -676,18 +641,12 @@ void QueryInterface::receive(const pastry::NodeRef& from, pastry::AppMessage& ms
   if (auto* reply = dynamic_cast<SiteQueryReply*>(&msg)) {
     auto it = pending_.find(reply->request_id);
     if (it == pending_.end() || it->second.outcome.attempts != reply->attempt) {
-      // Stale reply from an earlier attempt: release its reservations.
-      for (const auto& c : reply->candidates) {
-        auto release = std::make_unique<ReleaseMsg>();
-        release->query_id = it == pending_.end() ? "" : it->second.outcome.query_id;
-        if (!release->query_id.empty()) {
-          owner_.pastry().send_direct(c.node, std::move(release), kAppName);
-        }
-      }
+      // Late reply: its query finished or moved on to a later attempt.
+      release_orphans(query_id_of(reply->request_id), reply->attempt, reply->result.candidates);
       return;
     }
     const auto& answered = it->second.outcome.sites_answered;
-    if (std::find(answered.begin(), answered.end(), reply->site) != answered.end()) {
+    if (std::find(answered.begin(), answered.end(), reply->result.site) != answered.end()) {
       // Duplicate reply for the current attempt: the first copy already
       // counted the site, decremented waiting_sites, and recorded these
       // same reservations — do NOT release them, just drop the copy.
@@ -696,15 +655,7 @@ void QueryInterface::receive(const pastry::NodeRef& from, pastry::AppMessage& ms
       }
       return;
     }
-    SiteResult result;
-    result.site = reply->site;
-    result.candidates = std::move(reply->candidates);
-    result.visited = reply->members_visited;
-    result.count = reply->count;
-    result.stale = reply->stale;
-    result.staleness = reply->staleness;
-    result.cached = reply->cached;
-    site_done(reply->request_id, std::move(result));
+    site_done(reply->request_id, std::move(reply->result));
     return;
   }
   if (auto* commit = dynamic_cast<CommitMsg*>(&msg)) {
@@ -716,7 +667,7 @@ void QueryInterface::receive(const pastry::NodeRef& from, pastry::AppMessage& ms
     return;
   }
   if (auto* release = dynamic_cast<ReleaseMsg*>(&msg)) {
-    owner_.lock().release(release->query_id, owner_.engine().now());
+    owner_.lock().release(release->query_id, owner_.engine().now(), release->attempt);
     return;
   }
   RBAY_WARN("rbay.query", "unhandled direct message " << msg.type_name() << " from "

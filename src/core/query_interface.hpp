@@ -17,6 +17,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -101,17 +102,6 @@ class QueryInterface final : public pastry::PastryApp {
   [[nodiscard]] const qplane::AnswerCache& answer_cache() const { return answer_cache_; }
 
  private:
-  struct SiteJob {
-    std::string query_id;
-    int attempt = 1;
-    bool count_only = false;
-    int k = 1;
-    std::string get_payload;
-    std::vector<query::Predicate> predicates;
-    std::optional<std::string> group_by;
-    util::SimTime hold;
-  };
-
   struct Pending {
     query::Query query;
     Callback callback;
@@ -127,16 +117,19 @@ class QueryInterface final : public pastry::PastryApp {
     obs::TraceContext ctx;
   };
 
-  /// Per-site completion data threaded from run_site_query to site_done.
-  struct SiteResult {
-    net::SiteId site = 0;
-    std::vector<Candidate> candidates;
-    int visited = 0;
-    double count = 0.0;
-    bool stale = false;
-    util::SimTime staleness = util::SimTime::zero();
-    bool cached = false;
-  };
+  /// Reservation holder name of this interface's query `id`.
+  [[nodiscard]] std::string query_id_of(std::uint64_t id) const;
+
+  /// Sends each node a ReleaseMsg for the reservation `query_id` took in
+  /// attempt `attempt`; a node a later attempt reserved again ignores it.
+  void send_releases(const std::string& query_id, int attempt, std::span<const Candidate> nodes);
+
+  /// Releases reservations no live attempt will commit or release: those
+  /// carried by an orphaned anycast result or by a site answer that
+  /// arrived after its query finished or moved on to a later attempt.
+  /// Counted in query.orphan_releases, one per ReleaseMsg sent.
+  void release_orphans(const std::string& query_id, int attempt,
+                       const std::vector<Candidate>& candidates);
 
   void attempt(std::uint64_t id);
   void site_done(std::uint64_t id, SiteResult result);

@@ -105,11 +105,11 @@ void RBayNode::enable_monitor(std::vector<monitor::MetricSpec> metrics,
 
 // --- tree membership --------------------------------------------------------------
 
-scribe::TopicId RBayNode::topic_of(const TreeSpec& spec) const {
+scribe::TopicId RBayNode::topic_of(const std::string& canonical) const {
   const std::string site_name = directory_ && site() < directory_->site_names.size()
                                     ? directory_->site_names[site()]
                                     : "site" + std::to_string(site());
-  return site_topic(spec.canonical, site_name);
+  return site_topic(canonical, site_name);
 }
 
 bool RBayNode::store_matches(const query::Predicate& pred) const {
@@ -228,20 +228,21 @@ bool RBayNode::on_anycast(const scribe::TopicId& /*topic*/, scribe::AnycastPaylo
   if (request == nullptr) return false;
   auto* reg = engine().metrics();
   if (reg != nullptr) reg->fed().counter("query.member_checks").inc();
-  const auto want = static_cast<std::size_t>(request->k);
+  const auto& job = request->job;
+  const auto want = static_cast<std::size_t>(job.k);
   if (request->found.size() >= want) return true;
 
   // (i) check the remaining predicates against the local key-value map.
-  for (const auto& pred : request->predicates) {
+  for (const auto& pred : job.predicates) {
     if (!store_matches(pred)) return false;
   }
   // (ii) trigger the AA handlers to check the query's authorization.
-  if (!authorize_get(request->predicates, request->query_id, request->get_payload)) {
+  if (!authorize_get(job.predicates, job.query_id, job.get_payload)) {
     return false;
   }
   // Reserve the node for this query; an existing reservation by another
   // query makes this node unavailable (the conflict the backoff handles).
-  if (!lock_.try_reserve(request->query_id, engine().now(), request->hold)) {
+  if (!lock_.try_reserve(job.query_id, engine().now(), job.hold, job.attempt)) {
     if (reg != nullptr) {
       reg->fed().counter("query.conflicts").inc();
       reg->causal().local(site(), self().endpoint, "query.conflict", engine().now(),
@@ -258,8 +259,8 @@ bool RBayNode::on_anycast(const scribe::TopicId& /*topic*/, scribe::AnycastPaylo
   }
 
   Candidate candidate{self()};
-  if (request->group_by) {
-    if (const auto* attr = store_.find(*request->group_by)) {
+  if (job.group_by) {
+    if (const auto* attr = store_.find(*job.group_by)) {
       candidate.has_sort_value = attr->value().numeric(candidate.sort_value);
     }
   }

@@ -99,7 +99,11 @@ class RBayNode final : public scribe::TopicMember {
   void maintenance();
 
   [[nodiscard]] bool subscribed_to(const TreeSpec& spec) const;
-  [[nodiscard]] scribe::TopicId topic_of(const TreeSpec& spec) const;
+  /// TreeId of the tree for predicate `canonical` in this node's site.
+  [[nodiscard]] scribe::TopicId topic_of(const std::string& canonical) const;
+  [[nodiscard]] scribe::TopicId topic_of(const TreeSpec& spec) const {
+    return topic_of(spec.canonical);
+  }
 
   // --- admin commands ---------------------------------------------------------
   /// Multicasts an onDeliver command to every member of `spec`'s tree in

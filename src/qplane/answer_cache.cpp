@@ -18,21 +18,14 @@ std::optional<AnswerCache::SizeInfo> AnswerCache::lookup(const scribe::TopicId& 
   }
   const auto age = now - it->second.stored_at;
   if (age > ttl_) {
-    if (mutate_armed_) {
-      // Deliberate bug for the oracle self-test: serve the expired entry
-      // (once per cache instance) with its honest over-TTL age.
-      mutate_armed_ = false;
-      ++hits_;
-      SizeInfo info;
-      info.value = it->second.value;
-      info.epoch = it->second.epoch;
-      info.stale = true;
-      info.age = age;
-      return info;
+    if (!mutate_armed_) {
+      entries_.erase(it);
+      ++misses_;
+      return std::nullopt;
     }
-    entries_.erase(it);
-    ++misses_;
-    return std::nullopt;
+    // Deliberate bug for the oracle self-test: serve the expired entry
+    // (once per cache instance) with its honest over-TTL age.
+    mutate_armed_ = false;
   }
   ++hits_;
   SizeInfo info;

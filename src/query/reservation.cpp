@@ -17,7 +17,7 @@ bool ReservationLock::reserved(util::SimTime now) const {
 }
 
 bool ReservationLock::try_reserve(const std::string& holder, util::SimTime now,
-                                  util::SimTime hold) {
+                                  util::SimTime hold, int attempt) {
   RBAY_REQUIRE(!holder.empty(), "reservation holder must be named");
   if (committed(now)) return false;
   if (committed_) {
@@ -27,6 +27,7 @@ bool ReservationLock::try_reserve(const std::string& holder, util::SimTime now,
     holder_.clear();
   }
   if (reserved(now) && holder_ != holder) return false;
+  attempt_ = holder_ == holder ? std::max(attempt_, attempt) : attempt;
   holder_ = holder;
   expiry_ = now + hold;
   return true;
@@ -51,9 +52,9 @@ bool ReservationLock::renew(const std::string& holder, util::SimTime now,
   return true;
 }
 
-void ReservationLock::release(const std::string& holder, util::SimTime now) {
+void ReservationLock::release(const std::string& holder, util::SimTime now, int attempt) {
   (void)now;
-  if (holder_ != holder) return;
+  if (holder_ != holder || (attempt != 0 && attempt < attempt_)) return;
   // The holder's release always clears its tenancy — live lease, expired
   // lease, or plain anycast hold alike.  An expired lease must not linger
   // as stale committed_/lease_expiry_ state until the next try_reserve:
@@ -63,6 +64,7 @@ void ReservationLock::release(const std::string& holder, util::SimTime now) {
   lease_expiry_ = util::SimTime::zero();
   holder_.clear();
   expiry_ = util::SimTime::zero();
+  attempt_ = 0;
 }
 
 util::SimTime Backoff::delay_after(int failures, util::Rng& rng) const {

@@ -26,8 +26,10 @@ namespace rbay::query {
 class ReservationLock {
  public:
   /// Attempts to reserve for `holder` until `now + hold`.  Fails if an
-  /// unexpired reservation by another holder exists.
-  bool try_reserve(const std::string& holder, util::SimTime now, util::SimTime hold);
+  /// unexpired reservation by another holder exists.  `attempt` is the
+  /// holder's query attempt; the lock remembers the latest that reserved.
+  bool try_reserve(const std::string& holder, util::SimTime now, util::SimTime hold,
+                   int attempt = 0);
 
   /// Commits the reservation (the customer took the node).  Only the
   /// current holder may commit.  `lease` bounds the tenancy; zero means
@@ -38,8 +40,11 @@ class ReservationLock {
   /// Extends a live lease by the current holder to `now + lease`.
   bool renew(const std::string& holder, util::SimTime now, util::SimTime lease);
 
-  /// Explicitly releases `holder`'s reservation or committed lease.
-  void release(const std::string& holder, util::SimTime now);
+  /// Explicitly releases `holder`'s reservation or committed lease.  A
+  /// release from an attempt older than the latest that reserved is
+  /// ignored: it is a late answer to a retried query, and the node now
+  /// belongs to the later attempt.  Attempt 0 releases unconditionally.
+  void release(const std::string& holder, util::SimTime now, int attempt = 0);
 
   [[nodiscard]] bool reserved(util::SimTime now) const;
   [[nodiscard]] bool committed(util::SimTime now) const;
@@ -50,6 +55,7 @@ class ReservationLock {
  private:
   std::string holder_;
   util::SimTime expiry_ = util::SimTime::zero();
+  int attempt_ = 0;
   bool committed_ = false;
   bool lease_bounded_ = false;
   util::SimTime lease_expiry_ = util::SimTime::zero();

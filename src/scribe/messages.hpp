@@ -164,19 +164,24 @@ struct SizeProbeMsg final : pastry::AppMessage {
   }
 };
 
+/// A root's answer to a size probe.  `stale` marks a degraded read: a
+/// freshly promoted root serving the last replicated snapshot, `age`
+/// sim-time old.  `epoch` is the root's replication epoch — it never
+/// moves backwards across a failover.
+struct SizeInfo {
+  double value = 0.0;
+  std::uint64_t epoch = 0;
+  bool stale = false;
+  util::SimTime age = util::SimTime::zero();
+  /// Served by a non-root member of the topic's root set (always a
+  /// staleness-bounded degraded read).
+  bool from_root_set = false;
+};
+
 struct SizeReplyMsg final : pastry::AppMessage {
   TopicId topic;
   std::uint64_t request_id = 0;
-  double size = 0.0;
-  /// Monotone per-root replication epoch of the answering root's view.
-  std::uint64_t epoch = 0;
-  /// Degraded read: the answer is a replicated pre-failover snapshot,
-  /// `age` sim-time old (always ≤ the root's `max_staleness`).
-  bool stale = false;
-  util::SimTime age = util::SimTime::zero();
-  /// The answer was served by a non-root member of the topic's root set
-  /// (a serving replica holder) — always a degraded read.
-  bool from_root_set = false;
+  SizeInfo info;
   /// Direct probe landed on a node that can no longer serve for this
   /// topic (replica expired / state gone): the originator must drop its
   /// cached root set and fall back to a routed probe.
@@ -194,33 +199,41 @@ struct SizeReplyMsg final : pastry::AppMessage {
   }
 };
 
-/// Root → leaf-set successor: incremental replication of the rendezvous
-/// state a warm standby needs to take over the tree on root failure — the
-/// children/subscriber set, the latest aggregate snapshot (stamped with a
-/// monotone epoch), and the reservation holders active at the root.
-struct RootReplicaMsg final : pastry::AppMessage {
-  TopicId topic;
-  pastry::Scope scope = pastry::Scope::Global;
+/// Rendezvous state a warm standby needs to take over a tree on root
+/// failure — the children/subscriber set, the latest aggregate snapshot
+/// (stamped with a monotone epoch), and the reservation holders active at
+/// the root.  Shipped in a RootReplicaMsg and held by the receiver.
+struct ReplicaState {
   std::uint64_t epoch = 0;
   AggregateKind agg_kind = AggregateKind::Count;
+  pastry::Scope scope = pastry::Scope::Global;
   double value = 0.0;
   util::SimTime snapshot_time = util::SimTime::zero();
+  /// Stamped by the receiver; not on the wire.
+  util::SimTime received_at = util::SimTime::zero();
   std::vector<NodeRef> children;
   std::vector<std::string> holders;
   /// Root-set rotation (`root_set` > 0): this holder is a *serving*
   /// member of the topic's root set — it may answer size probes and
-  /// accept anycast entries from its replicated snapshot, spreading the
-  /// rendezvous root's read load across the set.
+  /// accept anycast entries from its replicated snapshot while it is
+  /// fresh, spreading the rendezvous root's read load across the set.
   bool serve = false;
   /// Roster of the topic's root set (root first, then the serving
   /// holders), re-advertised by every member so originators can fan
   /// probes directly across the set.
   std::vector<NodeRef> root_set;
+};
+
+/// Root → leaf-set successor: incremental replication of the rendezvous
+/// state, every aggregation round.
+struct RootReplicaMsg final : pastry::AppMessage {
+  TopicId topic;
+  ReplicaState replica;
 
   [[nodiscard]] std::size_t wire_size() const override {
     std::size_t holders_bytes = 0;
-    for (const auto& h : holders) holders_bytes += h.size();
-    return 49 + children.size() * 24 + root_set.size() * 24 + holders_bytes;
+    for (const auto& h : replica.holders) holders_bytes += h.size();
+    return 49 + replica.children.size() * 24 + replica.root_set.size() * 24 + holders_bytes;
   }
   [[nodiscard]] const char* type_name() const override { return "scribe.RootReplica"; }
   [[nodiscard]] std::unique_ptr<pastry::AppMessage> clone_msg() const override {

@@ -26,21 +26,6 @@ obs::CausalLog* causal_log(pastry::PastryNode& node) {
   return registry == nullptr ? nullptr : &registry->causal();
 }
 
-/// Moves an in-flight anycast out of a borrowed message reference.
-std::unique_ptr<AnycastMsg> take_anycast(AnycastMsg& msg) {
-  auto owned = std::make_unique<AnycastMsg>();
-  owned->topic = msg.topic;
-  owned->scope = msg.scope;
-  owned->request_id = msg.request_id;
-  owned->originator = msg.originator;
-  owned->members_visited = msg.members_visited;
-  owned->reroutes = msg.reroutes;
-  owned->visited = std::move(msg.visited);
-  owned->stack = std::move(msg.stack);
-  owned->payload = std::move(msg.payload);
-  return owned;
-}
-
 double identity(AggregateKind kind) {
   switch (kind) {
     case AggregateKind::Count:
@@ -209,7 +194,7 @@ bool Scribe::forward(const pastry::NodeId& /*key*/, pastry::AppMessage& msg,
       // First tree node on the path: start the DFS here (anycast reaches a
       // member near the sender thanks to Pastry route convergence).
       // Already-visited nodes let rerouted anycasts pass toward the root.
-      continue_anycast(take_anycast(*anycast));
+      continue_anycast(std::make_unique<AnycastMsg>(std::move(*anycast)));
       return false;
     }
     if (!already_visited && anycast->reroutes == 0) {
@@ -225,7 +210,7 @@ bool Scribe::forward(const pastry::NodeId& /*key*/, pastry::AppMessage& msg,
         const auto& children = it->second.children;
         const auto& target = children[anycast->request_id % children.size()];
         if (target.id != node_.self().id && target.id != anycast->originator.id) {
-          node_.send_direct(target, take_anycast(*anycast), kAppName);
+          node_.send_direct(target, std::make_unique<AnycastMsg>(std::move(*anycast)), kAppName);
           return false;
         }
       }
@@ -590,43 +575,36 @@ void Scribe::replicate_roots() {
     st.serve_set.assign(picked.begin(),
                         picked.begin() + static_cast<std::ptrdiff_t>(serve_n));
 
-    auto proto = std::make_unique<RootReplicaMsg>();
-    proto->topic = topic;
-    proto->scope = st.scope;
-    proto->epoch = st.epoch;
-    proto->agg_kind = st.agg_kind;
-    proto->value = window ? st.stale_value : subtree_value(topic, st);
-    proto->snapshot_time = window ? st.stale_at : now;
-    proto->children.reserve(st.children.size());
-    for (const auto& child : st.children) proto->children.push_back(child.ref);
-    if (reservation_reporter_) proto->holders = reservation_reporter_();
+    RootReplicaMsg proto;
+    proto.topic = topic;
+    auto& rep = proto.replica;
+    rep.scope = st.scope;
+    rep.epoch = st.epoch;
+    rep.agg_kind = st.agg_kind;
+    rep.value = window ? st.stale_value : subtree_value(topic, st);
+    rep.snapshot_time = window ? st.stale_at : now;
+    rep.children.reserve(st.children.size());
+    for (const auto& child : st.children) rep.children.push_back(child.ref);
+    if (reservation_reporter_) rep.holders = reservation_reporter_();
     if (serve_n > 0) {
-      proto->root_set.reserve(serve_n + 1);
-      proto->root_set.push_back(node_.self());
-      for (const auto& s : st.serve_set) proto->root_set.push_back(s);
+      rep.root_set.reserve(serve_n + 1);
+      rep.root_set.push_back(node_.self());
+      for (const auto& s : st.serve_set) rep.root_set.push_back(s);
     }
     for (std::size_t i = 0; i < picked.size(); ++i) {
-      auto msg = std::make_unique<RootReplicaMsg>(*proto);
-      msg->serve = i < serve_n;
+      auto msg = std::make_unique<RootReplicaMsg>(proto);
+      msg->replica.serve = i < serve_n;
       if (auto* m = fed_metrics(node_)) m->counter("scribe.root_replications").inc();
       node_.send_direct(picked[i], std::move(msg), kAppName);
     }
   }
 }
 
-void Scribe::handle_replica(const RootReplicaMsg& msg) {
+void Scribe::handle_replica(RootReplicaMsg& msg) {
   auto& rep = replicas_[msg.topic];
-  if (msg.epoch < rep.epoch) return;  // late copy from an older round
-  rep.epoch = msg.epoch;
-  rep.agg_kind = msg.agg_kind;
-  rep.scope = msg.scope;
-  rep.value = msg.value;
-  rep.snapshot_time = msg.snapshot_time;
+  if (msg.replica.epoch < rep.epoch) return;  // late copy from an older round
+  rep = std::move(msg.replica);
   rep.received_at = node_.network().engine().now();
-  rep.children = msg.children;
-  rep.holders = msg.holders;
-  rep.serve = msg.serve;
-  rep.root_set = msg.root_set;
 }
 
 void Scribe::neighbor_failed(const pastry::NodeId& /*id*/) {
@@ -769,18 +747,37 @@ std::optional<Scribe::SizeInfo> Scribe::replica_answer(const TopicId& topic) {
 void Scribe::answer_probe_from_replica(const SizeProbeMsg& probe, const SizeInfo& info) {
   ++rotations_;
   if (auto* m = fed_metrics(node_)) m->counter("scribe.rotations").inc();
+  send_size_reply(probe, info);
+}
+
+void Scribe::send_size_reply(const SizeProbeMsg& probe, const SizeInfo& info, bool declined) {
   auto reply = std::make_unique<SizeReplyMsg>();
   reply->topic = probe.topic;
   reply->request_id = probe.request_id;
-  reply->size = info.value;
-  reply->epoch = info.epoch;
-  reply->stale = info.stale;
-  reply->age = info.age;
-  reply->from_root_set = true;
-  if (auto it = replicas_.find(probe.topic); it != replicas_.end()) {
-    reply->root_set = it->second.root_set;
+  reply->info = info;
+  reply->declined = declined;
+  // The root-set roster: a serving holder re-advertises the one it was
+  // replicated; a root names itself first, then its serving holders.
+  if (info.from_root_set) {
+    if (auto it = replicas_.find(probe.topic); it != replicas_.end()) {
+      reply->root_set = it->second.root_set;
+    }
+  } else if (config_.root_set > 0) {
+    if (const auto* st = find_topic(probe.topic); st != nullptr && st->root) {
+      reply->root_set.push_back(node_.self());
+      for (const auto& s : st->serve_set) reply->root_set.push_back(s);
+    }
   }
   node_.send_direct(probe.originator, std::move(reply), kAppName);
+}
+
+void Scribe::complete_size_waiter(std::uint64_t request_id, const SizeInfo& info) {
+  auto it = size_waiters_.find(request_id);
+  if (it == size_waiters_.end()) return;
+  auto waiter = std::move(it->second);
+  size_waiters_.erase(it);
+  waiter.deadline.cancel();
+  waiter.callback(info);
 }
 
 void Scribe::learn_root_set(const TopicId& topic, const std::vector<NodeRef>& members,
@@ -1103,36 +1100,17 @@ void Scribe::deliver(const pastry::NodeId& key, pastry::AppMessage& msg, int /*h
     return;
   }
   if (auto* anycast = dynamic_cast<AnycastMsg*>(&msg)) {
-    continue_anycast(take_anycast(*anycast));
+    continue_anycast(std::make_unique<AnycastMsg>(std::move(*anycast)));
     return;
   }
   if (auto* probe = dynamic_cast<SizeProbeMsg*>(&msg)) {
     SizeInfo info;
     if (auto* st = find_topic(probe->topic)) info = probe_answer(probe->topic, *st);
     if (probe->originator.id == node_.self().id) {
-      auto it = size_waiters_.find(probe->request_id);
-      if (it != size_waiters_.end()) {
-        auto waiter = std::move(it->second);
-        size_waiters_.erase(it);
-        waiter.deadline.cancel();
-        waiter.callback(info);
-      }
+      complete_size_waiter(probe->request_id, info);
       return;
     }
-    auto reply = std::make_unique<SizeReplyMsg>();
-    reply->topic = probe->topic;
-    reply->request_id = probe->request_id;
-    reply->size = info.value;
-    reply->epoch = info.epoch;
-    reply->stale = info.stale;
-    reply->age = info.age;
-    if (config_.root_set > 0) {
-      if (auto* st = find_topic(probe->topic); st != nullptr && st->root) {
-        reply->root_set.push_back(node_.self());
-        for (const auto& s : st->serve_set) reply->root_set.push_back(s);
-      }
-    }
-    node_.send_direct(probe->originator, std::move(reply), kAppName);
+    send_size_reply(*probe, info);
     return;
   }
   RBAY_WARN("scribe", "unhandled delivered message " << msg.type_name() << " at key "
@@ -1171,7 +1149,7 @@ void Scribe::receive(const NodeRef& from, pastry::AppMessage& msg) {
     return;
   }
   if (auto* anycast = dynamic_cast<AnycastMsg*>(&msg)) {
-    continue_anycast(take_anycast(*anycast));
+    continue_anycast(std::make_unique<AnycastMsg>(std::move(*anycast)));
     return;
   }
   if (auto* result = dynamic_cast<AnycastResultMsg*>(&msg)) {
@@ -1221,39 +1199,23 @@ void Scribe::receive(const NodeRef& from, pastry::AppMessage& msg) {
     // root, as a serving replica holder, or decline so the originator
     // drops its roster and falls back to a routed probe.
     if (auto* st = find_topic(probe->topic); st != nullptr && st->root) {
-      const auto info = probe_answer(probe->topic, *st);
-      auto reply = std::make_unique<SizeReplyMsg>();
-      reply->topic = probe->topic;
-      reply->request_id = probe->request_id;
-      reply->size = info.value;
-      reply->epoch = info.epoch;
-      reply->stale = info.stale;
-      reply->age = info.age;
-      if (config_.root_set > 0) {
-        reply->root_set.push_back(node_.self());
-        for (const auto& s : st->serve_set) reply->root_set.push_back(s);
-      }
-      node_.send_direct(probe->originator, std::move(reply), kAppName);
+      send_size_reply(*probe, probe_answer(probe->topic, *st));
       return;
     }
     if (auto info = replica_answer(probe->topic)) {
       answer_probe_from_replica(*probe, *info);
       return;
     }
-    auto reply = std::make_unique<SizeReplyMsg>();
-    reply->topic = probe->topic;
-    reply->request_id = probe->request_id;
-    reply->declined = true;
-    node_.send_direct(probe->originator, std::move(reply), kAppName);
+    send_size_reply(*probe, SizeInfo{}, /*declined=*/true);
     return;
   }
   if (auto* reply = dynamic_cast<SizeReplyMsg*>(&msg)) {
     if (!reply->root_set.empty()) {
-      learn_root_set(reply->topic, reply->root_set, reply->epoch);
+      learn_root_set(reply->topic, reply->root_set, reply->info.epoch);
     }
-    auto it = size_waiters_.find(reply->request_id);
-    if (it == size_waiters_.end()) return;
     if (reply->declined) {
+      auto it = size_waiters_.find(reply->request_id);
+      if (it == size_waiters_.end()) return;
       if (!it->second.via_root_set) {
         // Duplicated decline: the first copy already re-routed this waiter;
         // a second routed probe would double the traffic for nothing.
@@ -1267,16 +1229,7 @@ void Scribe::receive(const NodeRef& from, pastry::AppMessage& msg) {
       route_size_probe(it->second.topic, reply->request_id, it->second.scope);
       return;
     }
-    auto waiter = std::move(it->second);
-    size_waiters_.erase(it);
-    waiter.deadline.cancel();
-    SizeInfo info;
-    info.value = reply->size;
-    info.epoch = reply->epoch;
-    info.stale = reply->stale;
-    info.age = reply->age;
-    info.from_root_set = reply->from_root_set;
-    waiter.callback(info);
+    complete_size_waiter(reply->request_id, reply->info);
     return;
   }
   if (auto* replica = dynamic_cast<RootReplicaMsg*>(&msg)) {

@@ -120,19 +120,7 @@ class Scribe final : public pastry::PastryApp {
   /// whole tree).  Count aggregation yields tree size.
   [[nodiscard]] double aggregate_value(const TopicId& topic) const;
 
-  /// A root's answer to a size probe.  `stale` marks a degraded read: a
-  /// freshly promoted root serving the last replicated snapshot, `age`
-  /// sim-time old.  `epoch` is the root's replication epoch — it never
-  /// moves backwards across a failover.
-  struct SizeInfo {
-    double value = 0.0;
-    std::uint64_t epoch = 0;
-    bool stale = false;
-    util::SimTime age = util::SimTime::zero();
-    /// Served by a non-root member of the topic's root set (always a
-    /// staleness-bounded degraded read).
-    bool from_root_set = false;
-  };
+  using SizeInfo = scribe::SizeInfo;
 
   /// Asks the topic root for its aggregate (Fig. 7 steps 1-2).
   using SizeCallback = std::function<void(const SizeInfo& info)>;
@@ -186,21 +174,7 @@ class Scribe final : public pastry::PastryApp {
 
   /// Replicated rendezvous state held on behalf of a (possibly failed)
   /// tree root.
-  struct ReplicaState {
-    std::uint64_t epoch = 0;
-    AggregateKind agg_kind = AggregateKind::Count;
-    pastry::Scope scope = pastry::Scope::Global;
-    double value = 0.0;
-    util::SimTime snapshot_time = util::SimTime::zero();
-    util::SimTime received_at = util::SimTime::zero();
-    std::vector<NodeRef> children;
-    std::vector<std::string> holders;
-    /// Serving member of the topic's root set (may answer probes and
-    /// accept anycast entries from this snapshot while it is fresh).
-    bool serve = false;
-    /// Advertised root-set roster (root first) as of this snapshot.
-    std::vector<NodeRef> root_set;
-  };
+  using ReplicaState = scribe::ReplicaState;
   [[nodiscard]] const ReplicaState* replica_of(const TopicId& topic) const;
 
   // PastryApp interface -----------------------------------------------------
@@ -306,7 +280,7 @@ class Scribe final : public pastry::PastryApp {
   void rejoin(const TopicId& topic);
   [[nodiscard]] double subtree_value(const TopicId& topic, const TopicState& st) const;
   void replicate_roots();
-  void handle_replica(const RootReplicaMsg& msg);
+  void handle_replica(RootReplicaMsg& msg);
   void promotion_check();
   void promote_from_replica(const TopicId& topic, ReplicaState replica);
   void on_anycast_deadline(std::uint64_t request_id);
@@ -329,6 +303,13 @@ class Scribe final : public pastry::PastryApp {
   /// when this node cannot serve (no fresh serving replica).
   [[nodiscard]] std::optional<SizeInfo> replica_answer(const TopicId& topic);
   void answer_probe_from_replica(const SizeProbeMsg& probe, const SizeInfo& info);
+  /// Answers `probe` directly to its originator, advertising the root-set
+  /// roster when this node serves one.  The only place a SizeReplyMsg is
+  /// built.
+  void send_size_reply(const SizeProbeMsg& probe, const SizeInfo& info, bool declined = false);
+  /// Removes the waiter for `request_id` (cancelling its deadline) and
+  /// answers it; a no-op if it already completed.
+  void complete_size_waiter(std::uint64_t request_id, const SizeInfo& info);
   void learn_root_set(const TopicId& topic, const std::vector<NodeRef>& members,
                       std::uint64_t epoch);
   void route_size_probe(const TopicId& topic, std::uint64_t request_id,

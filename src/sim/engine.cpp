@@ -182,44 +182,41 @@ Timer Engine::schedule_impl(std::uint32_t dst, SimTime delay, bool background, b
                             std::function<void()> fn) {
   auto flag = std::make_shared<detail::EventFlag>();
   const SimTime at = shards_[current_shard()]->now + delay;
-  push(dst, at, background, observer, flag, std::move(fn));
+  push(dst, Entry{at, 0, background, observer, flag, std::move(fn)});
   return Timer{std::move(flag)};
 }
 
-void Engine::push(std::uint32_t dst, SimTime at, bool background, bool observer,
-                  std::shared_ptr<detail::EventFlag> flag, std::function<void()> fn) {
+void Engine::push(std::uint32_t dst, Entry e) {
   RBAY_REQUIRE(dst < shards_.size(), "Engine::push: no such shard");
-  flag->engine = this;
-  flag->shard = dst;
-  if (!background) {
+  e.flag->engine = this;
+  e.flag->shard = dst;
+  if (!e.background) {
     // Claim the destination's foreground slot at push time (atomically —
     // the destination may belong to another shard), so the quiescence
     // check counts in-flight cross-shard messages.
     shards_[dst]->foreground.fetch_add(1, std::memory_order_acq_rel);
-    flag->counts_foreground = true;
+    e.flag->counts_foreground = true;
   }
   const std::uint32_t src = current_shard();
   if (in_parallel_window_ && src != dst) {
     // Mid-window cross-shard push: park it in the source's outbox.  The
     // lookahead contract guarantees it cannot land inside the window.
-    RBAY_REQUIRE(at >= window_end_,
+    RBAY_REQUIRE(e.at >= window_end_,
                  "Engine::push: cross-shard event violates the lookahead contract "
                  "(delay shorter than the minimum cross-site delay)");
     Shard& source = *shards_[src];
-    source.outbox.push_back(Staged{dst, src, source.outbox_order++, at, background, observer,
-                                   std::move(flag), std::move(fn)});
+    source.outbox.push_back(Staged{dst, src, source.outbox_order++, std::move(e)});
     return;
   }
   // Same shard, or a barrier/setup context with the workers parked: enqueue
   // directly (the foreground claim above already happened).
-  enqueue_direct(*shards_[dst], at, background, observer, flag, std::move(fn));
+  enqueue_direct(*shards_[dst], std::move(e));
 }
 
-void Engine::enqueue_direct(Shard& dst, SimTime at, bool background, bool observer,
-                            const std::shared_ptr<detail::EventFlag>& flag,
-                            std::function<void()> fn) {
-  if (observer) ++dst.observer_pending;
-  dst.queue.push(Entry{at, dst.next_seq++, background, observer, flag, std::move(fn)});
+void Engine::enqueue_direct(Shard& dst, Entry e) {
+  if (e.observer) ++dst.observer_pending;
+  e.seq = dst.next_seq++;
+  dst.queue.push(std::move(e));
 }
 
 void Engine::push_periodic(SimTime period, std::shared_ptr<detail::EventFlag> flag,
@@ -231,13 +228,13 @@ void Engine::push_periodic(SimTime period, std::shared_ptr<detail::EventFlag> fl
   // because each refire runs in that shard's context and targets it again.
   const std::uint32_t dst = target_shard();
   const SimTime at = shards_[current_shard()]->now + period;
-  push(dst, at, /*background=*/true, observer, flag,
-       [this, period, observer, flag, fn = std::move(fn)]() mutable {
-         fn();
-         if (flag->alive.load(std::memory_order_relaxed)) {
-           push_periodic(period, std::move(flag), std::move(fn), observer);
-         }
-       });
+  push(dst, Entry{at, 0, /*background=*/true, observer, flag,
+                 [this, period, observer, flag, fn = std::move(fn)]() mutable {
+                   fn();
+                   if (flag->alive.load(std::memory_order_relaxed)) {
+                     push_periodic(period, std::move(flag), std::move(fn), observer);
+                   }
+                 }});
 }
 
 void Engine::dispatch(Shard& shard, Entry e) {
@@ -298,14 +295,14 @@ void Engine::integrate_staged() {
   // deterministic event sequences — never of thread interleaving — so the
   // destination seq numbers this assigns are identical at any thread count.
   std::sort(staged_scratch_.begin(), staged_scratch_.end(), [](const Staged& a, const Staged& b) {
-    if (a.at != b.at) return a.at < b.at;
+    if (a.entry.at != b.entry.at) return a.entry.at < b.entry.at;
     if (a.src != b.src) return a.src < b.src;
     return a.src_order < b.src_order;
   });
   for (Staged& s : staged_scratch_) {
     // Cancelled-in-flight events are enqueued anyway (dispatch skips dead
     // flags); their foreground claim was already released by the cancel.
-    enqueue_direct(*shards_[s.dst], s.at, s.background, s.observer, s.flag, std::move(s.fn));
+    enqueue_direct(*shards_[s.dst], std::move(s.entry));
   }
   staged_scratch_.clear();
 }

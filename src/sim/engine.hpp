@@ -240,7 +240,7 @@ class Engine {
  private:
   struct Entry {
     SimTime at;
-    std::uint64_t seq;
+    std::uint64_t seq = 0;  // assigned by the destination shard on enqueue
     bool background = false;
     bool observer = false;
     std::shared_ptr<detail::EventFlag> flag;
@@ -258,11 +258,7 @@ class Engine {
     std::uint32_t dst = 0;
     std::uint32_t src = 0;
     std::uint64_t src_order = 0;
-    SimTime at = SimTime::zero();
-    bool background = false;
-    bool observer = false;
-    std::shared_ptr<detail::EventFlag> flag;
-    std::function<void()> fn;
+    Entry entry;
   };
 
   /// One site (or control) shard: queue, clock, seq, Rng, outbox.  All
@@ -290,10 +286,8 @@ class Engine {
   friend class Timer;
 
   [[nodiscard]] std::uint32_t target_shard() const;  // default scheduling target
-  void push(std::uint32_t dst, SimTime at, bool background, bool observer,
-            std::shared_ptr<detail::EventFlag> flag, std::function<void()> fn);
-  void enqueue_direct(Shard& dst, SimTime at, bool background, bool observer,
-                      const std::shared_ptr<detail::EventFlag>& flag, std::function<void()> fn);
+  void push(std::uint32_t dst, Entry e);
+  void enqueue_direct(Shard& dst, Entry e);
   Timer schedule_impl(std::uint32_t dst, SimTime delay, bool background, bool observer,
                       std::function<void()> fn);
   /// One firing of a periodic timer: runs `fn`, then re-pushes itself.

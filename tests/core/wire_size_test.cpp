@@ -1,0 +1,141 @@
+// Wire accounting of the protocol messages that carry a shared record.
+// net.bytes_sent, the Fig. 11 bandwidth numbers and the ablations all sum
+// wire_size(); each expected value below is the byte count the formula
+// gives for the populated message, written out as a literal so a change
+// to the formula (or to what it counts) fails here first.
+
+#include <gtest/gtest.h>
+
+#include "core/messages.hpp"
+#include "scribe/messages.hpp"
+
+namespace rbay {
+namespace {
+
+std::vector<query::Predicate> predicates() {
+  return {{"GPU", query::CompareOp::Eq, store::AttributeValue{true}},
+          {"CPU_utilization", query::CompareOp::Less, store::AttributeValue{0.1}},
+          {"instance", query::CompareOp::Eq, store::AttributeValue{std::string("c3.8xlarge")}}};
+}
+
+pastry::NodeRef ref(int i) {
+  pastry::NodeRef r;
+  r.endpoint = static_cast<net::EndpointId>(i);
+  return r;
+}
+
+core::SiteJob job() {
+  core::SiteJob j;
+  j.query_id = "0123456789ab#7";
+  j.attempt = 2;
+  j.k = 9;
+  j.get_payload = "password";
+  j.predicates = predicates();
+  j.group_by = "CPU_utilization";
+  return j;
+}
+
+std::vector<pastry::NodeRef> refs(int n) {
+  std::vector<pastry::NodeRef> out;
+  for (int i = 0; i < n; ++i) out.push_back(ref(i));
+  return out;
+}
+
+TEST(ProtocolWire, SiteQueryRequestCountsPayloadAndPredicates) {
+  core::SiteQueryRequest req;
+  req.request_id = 7;
+  req.origin = ref(1);
+  req.job = job();
+  EXPECT_EQ(req.wire_size(), 236u);
+}
+
+TEST(ProtocolWire, SiteQueryReplyCountsCandidates) {
+  core::SiteQueryReply reply;
+  reply.request_id = 7;
+  reply.attempt = 2;
+  reply.result.site = 3;
+  reply.result.visited = 11;
+  reply.result.count = 4;
+  reply.result.stale = true;
+  reply.result.cached = true;
+  for (int i = 0; i < 3; ++i) reply.result.candidates.push_back(core::Candidate{ref(i), 0.5, true});
+  EXPECT_EQ(reply.wire_size(), 137u);
+}
+
+TEST(ProtocolWire, CandidatePayloadCountsJobAndFoundSlots) {
+  core::CandidatePayload payload;
+  payload.job = job();
+  for (int i = 0; i < 2; ++i) payload.found.push_back(core::Candidate{ref(i), 0.5, true});
+  EXPECT_EQ(payload.wire_size(), 268u);
+}
+
+scribe::SizeReplyMsg size_reply() {
+  scribe::SizeReplyMsg reply;
+  reply.request_id = 5;
+  reply.info.value = 42;
+  reply.info.epoch = 3;
+  reply.info.stale = true;
+  reply.info.age = util::SimTime::millis(120);
+  reply.info.from_root_set = true;
+  reply.root_set = refs(3);
+  return reply;
+}
+
+scribe::RootReplicaMsg root_replica() {
+  scribe::RootReplicaMsg msg;
+  msg.replica.epoch = 4;
+  msg.replica.agg_kind = scribe::AggregateKind::Sum;
+  msg.replica.scope = pastry::Scope::Site;
+  msg.replica.value = 17;
+  msg.replica.snapshot_time = util::SimTime::millis(750);
+  msg.replica.children = refs(2);
+  msg.replica.holders = {"0123456789ab#7", "fedcba987654#12"};
+  msg.replica.serve = true;
+  msg.replica.root_set = refs(3);
+  return msg;
+}
+
+TEST(ProtocolWire, SizeReplyCountsRootSetRoster) {
+  EXPECT_EQ(size_reply().wire_size(), 123u);
+}
+
+TEST(ProtocolWire, RootReplicaCountsChildrenRosterAndHolders) {
+  EXPECT_EQ(root_replica().wire_size(), 198u);
+}
+
+// The link conditioner duplicates a message through clone_msg(): the copy
+// must carry the embedded record, not a default-constructed one.
+TEST(ProtocolWire, SizeReplyCloneKeepsTheSizeInfo) {
+  const auto original = size_reply();
+  const auto copy = original.clone_msg();
+  const auto* reply = dynamic_cast<const scribe::SizeReplyMsg*>(copy.get());
+  ASSERT_NE(reply, nullptr);
+  EXPECT_EQ(reply->request_id, 5u);
+  EXPECT_EQ(reply->info.value, 42.0);
+  EXPECT_EQ(reply->info.epoch, 3u);
+  EXPECT_TRUE(reply->info.stale);
+  EXPECT_EQ(reply->info.age, util::SimTime::millis(120));
+  EXPECT_TRUE(reply->info.from_root_set);
+  EXPECT_EQ(reply->root_set.size(), 3u);
+  EXPECT_EQ(reply->wire_size(), original.wire_size());
+}
+
+TEST(ProtocolWire, RootReplicaCloneKeepsTheReplicaState) {
+  const auto original = root_replica();
+  const auto copy = original.clone_msg();
+  const auto* msg = dynamic_cast<const scribe::RootReplicaMsg*>(copy.get());
+  ASSERT_NE(msg, nullptr);
+  EXPECT_EQ(msg->replica.epoch, 4u);
+  EXPECT_EQ(msg->replica.agg_kind, scribe::AggregateKind::Sum);
+  EXPECT_EQ(msg->replica.scope, pastry::Scope::Site);
+  EXPECT_EQ(msg->replica.value, 17.0);
+  EXPECT_EQ(msg->replica.snapshot_time, util::SimTime::millis(750));
+  EXPECT_EQ(msg->replica.children.size(), 2u);
+  EXPECT_EQ(msg->replica.holders, original.replica.holders);
+  EXPECT_TRUE(msg->replica.serve);
+  EXPECT_EQ(msg->replica.root_set.size(), 3u);
+  EXPECT_EQ(msg->wire_size(), original.wire_size());
+}
+
+}  // namespace
+}  // namespace rbay

@@ -179,13 +179,20 @@ fi
 # per-query forward share at least 2x versus the uncapped run (the bench
 # itself already fails if any answer differs between the two), and the
 # balanced share must never regress more than 10% against the previously
-# archived copy.
+# archived copy.  The shares depend on the Zipf stream's length, so the
+# bench runs at full size (as the committed baseline was recorded) and the
+# gate refuses to compare runs of different sizes.
 PREV_HOT=""
+PREV_QUERIES=""
 if [ -f build-ci/artifacts/BENCH_fig8b.json ]; then
   PREV_HOT="$(sed -n 's/.*"zipf_capped_hottest_bp":\([0-9][0-9]*\).*/\1/p' \
       build-ci/artifacts/BENCH_fig8b.json | head -n 1)"
+  PREV_QUERIES="$(sed -n 's/.*"zipf_queries":\([0-9][0-9]*\).*/\1/p' \
+      build-ci/artifacts/BENCH_fig8b.json | head -n 1)"
 fi
-build-ci/bench/bench_fig8b_scale_queries --small --json build-ci/artifacts/BENCH_fig8b.json
+build-ci/bench/bench_fig8b_scale_queries --json build-ci/artifacts/BENCH_fig8b.json
+NEW_QUERIES="$(sed -n 's/.*"zipf_queries":\([0-9][0-9]*\).*/\1/p' \
+    build-ci/artifacts/BENCH_fig8b.json | head -n 1)"
 UNCAPPED_HOT="$(sed -n 's/.*"zipf_uncapped_hottest_bp":\([0-9][0-9]*\).*/\1/p' \
     build-ci/artifacts/BENCH_fig8b.json | head -n 1)"
 CAPPED_HOT="$(sed -n 's/.*"zipf_capped_hottest_bp":\([0-9][0-9]*\).*/\1/p' \
@@ -200,6 +207,12 @@ if [ $((CAPPED_HOT * 2)) -gt "$UNCAPPED_HOT" ]; then
   exit 1
 fi
 if [ -n "$PREV_HOT" ]; then
+  if [ "$PREV_QUERIES" != "$NEW_QUERIES" ]; then
+    echo "hot-tree gate: archived BENCH_fig8b.json ran ${PREV_QUERIES:-an unknown number of}" \
+         "Zipf queries, this run ${NEW_QUERIES:-an unknown number}; shares of runs of" \
+         "different sizes are not comparable" >&2
+    exit 1
+  fi
   CEIL=$((PREV_HOT * 110 / 100))
   if [ "$CAPPED_HOT" -gt "$CEIL" ]; then
     echo "hot-tree balance regression: capped hottest share ${CAPPED_HOT}bp > 110% of" \

@@ -83,7 +83,8 @@ namespace {
 /// Execution state threaded through directive handlers.
 class Runner {
  public:
-  explicit Runner(ScenarioOptions options) : options_(options) {}
+  explicit Runner(ScenarioOptions options)
+      : options_(options), config_(initial_config(options_)) {}
 
   util::Result<ScenarioReport> run(const std::vector<Directive>& directives) {
     for (const auto& d : directives) {
@@ -96,7 +97,7 @@ class Runner {
       watchdog_->stop();
       auto verdict = watchdog_->finalize();
       if (!verdict.ok()) {
-        return util::make_error("watchdog (seed " + std::to_string(seed_) +
+        return util::make_error("watchdog (seed " + std::to_string(config_.seed) +
                                 "): " + verdict.error());
       }
       report_.output.push_back(
@@ -168,7 +169,7 @@ class Runner {
     // node the harness touched.
     const auto colon = site_word.find(':');
     if (colon != std::string::npos) {
-      const auto site = topology_.site_by_name(site_word.substr(0, colon));
+      const auto site = config_.topology.site_by_name(site_word.substr(0, colon));
       const auto members = cluster_->nodes_in_site(site);
       const auto idx = static_cast<std::size_t>(std::stoul(site_word.substr(colon + 1)));
       if (idx >= members.size()) {
@@ -178,34 +179,25 @@ class Runner {
       out.push_back(members[idx]);
       return out;
     }
-    const auto site = topology_.site_by_name(site_word);  // throws ContractError if bad
+    const auto site = config_.topology.site_by_name(site_word);  // throws ContractError if bad
     return cluster_->nodes_in_site(site);
+  }
+
+  /// The DSL's defaults: ClusterConfig's, but 250 ms aggregation rounds
+  /// and the worker count the options ask for.
+  static core::ClusterConfig initial_config(const ScenarioOptions& options) {
+    core::ClusterConfig config;
+    config.engine = options.engine;
+    config.node.scribe.aggregation_interval = util::SimTime::millis(250);
+    return config;
   }
 
   util::Result<void> ensure_cluster(const Directive& d) {
     if (cluster_ != nullptr) return {};
-    core::ClusterConfig config;
-    config.topology = topology_;
-    config.seed = seed_;
-    config.engine = engine_override_ ? *engine_override_ : options_.engine;
-    config.node.scribe.aggregation_interval = aggregation_;
-    config.node.scribe.heartbeat_interval = heartbeat_;
-    config.node.scribe.anycast_timeout = anycast_timeout_;
-    config.node.scribe.max_staleness = max_staleness_;
-    config.node.scribe.root_replicas = root_replicas_;
-    config.node.query.max_attempts = max_attempts_;
-    config.node.query.site_timeout = site_timeout_;
-    config.node.query.reservation_hold = reservation_hold_;
-    config.node.query.qplane.admission_window = admission_window_;
-    config.node.query.qplane.admission_queue = admission_queue_;
-    config.node.query.qplane.cache_ttl = cache_ttl_;
-    config.node.query.qplane.batch_probes = batch_probes_;
-    config.node.scribe.fan_in_cap = fan_in_cap_;
-    config.node.scribe.root_set = root_set_;
     // A declared sampler needs a registry to sample, whatever the CLI said.
-    config.metrics =
+    config_.metrics =
         options_.metrics || options_.trace || timeseries_interval_ > util::SimTime::zero();
-    cluster_ = std::make_unique<core::RBayCluster>(config);
+    cluster_ = std::make_unique<core::RBayCluster>(config_);
     for (auto& spec : pending_specs_) cluster_->add_tree_spec(std::move(spec));
     pending_specs_.clear();
     cluster_->set_taxonomy(std::move(taxonomy_));
@@ -235,20 +227,22 @@ class Runner {
     const auto& kw = d.keyword;
     if (kw == "topology") return do_topology(d);
     if (kw == "threads") return do_threads(d);
-    if (kw == "seed") return set_u64(d, seed_);
-    if (kw == "aggregation") return set_ms(d, aggregation_);
-    if (kw == "heartbeat") return set_ms(d, heartbeat_);
-    if (kw == "max-attempts") return set_int(d, max_attempts_);
-    if (kw == "anycast-timeout") return set_ms(d, anycast_timeout_);
-    if (kw == "max-staleness") return set_ms(d, max_staleness_);
-    if (kw == "root-replicas") return set_int(d, root_replicas_);
-    if (kw == "site-timeout") return set_ms(d, site_timeout_);
-    if (kw == "reservation-hold") return set_ms(d, reservation_hold_);
+    auto& scribe_cfg = config_.node.scribe;
+    auto& query_cfg = config_.node.query;
+    if (kw == "seed") return set_u64(d, config_.seed);
+    if (kw == "aggregation") return set_ms(d, scribe_cfg.aggregation_interval);
+    if (kw == "heartbeat") return set_ms(d, scribe_cfg.heartbeat_interval);
+    if (kw == "max-attempts") return set_int(d, query_cfg.max_attempts);
+    if (kw == "anycast-timeout") return set_ms(d, scribe_cfg.anycast_timeout);
+    if (kw == "max-staleness") return set_ms(d, scribe_cfg.max_staleness);
+    if (kw == "root-replicas") return set_int(d, scribe_cfg.root_replicas);
+    if (kw == "site-timeout") return set_ms(d, query_cfg.site_timeout);
+    if (kw == "reservation-hold") return set_ms(d, query_cfg.reservation_hold);
     if (kw == "admission-window") return do_admission_window(d);
-    if (kw == "cache-ttl") return set_ms(d, cache_ttl_);
+    if (kw == "cache-ttl") return set_ms(d, query_cfg.qplane.cache_ttl);
     if (kw == "batch-probes") return do_batch_probes(d);
-    if (kw == "fan-in-cap") return set_int(d, fan_in_cap_);
-    if (kw == "root-set") return set_int(d, root_set_);
+    if (kw == "fan-in-cap") return set_int(d, scribe_cfg.fan_in_cap);
+    if (kw == "root-set") return set_int(d, scribe_cfg.root_set);
     if (kw == "tree") return do_tree(d);
     if (kw == "tree-exists") return do_tree_exists(d);
     if (kw == "taxonomy-major") return do_taxonomy_major(d);
@@ -291,16 +285,16 @@ class Runner {
     if (cluster_ != nullptr) return error_at(d.line, "topology must precede 'nodes'");
     if (d.args.empty()) return error_at(d.line, "topology needs a kind");
     if (d.args[0] == "ec2") {
-      topology_ = net::Topology::ec2_eight_sites();
+      config_.topology = net::Topology::ec2_eight_sites();
       return {};
     }
     if (d.args[0] == "single") {
-      topology_ = net::Topology::single_site();
+      config_.topology = net::Topology::single_site();
       return {};
     }
     if (d.args[0] == "uniform" && d.args.size() == 4) {
-      topology_ = net::Topology::uniform(std::stoul(d.args[1]), std::stod(d.args[2]),
-                                         std::stod(d.args[3]));
+      config_.topology = net::Topology::uniform(std::stoul(d.args[1]),
+                                                std::stod(d.args[2]), std::stod(d.args[3]));
       return {};
     }
     return error_at(d.line, "topology: expected 'ec2', 'single', or 'uniform K intra cross'");
@@ -314,9 +308,7 @@ class Runner {
     if (d.args.size() != 1) return error_at(d.line, "threads needs a worker count");
     const int n = std::stoi(d.args[0]);
     if (n < 1) return error_at(d.line, "threads needs a positive worker count");
-    sim::EngineConfig config;
-    config.threads = static_cast<unsigned>(n);
-    engine_override_ = config;
+    config_.engine.threads = static_cast<unsigned>(n);
     return {};
   }
 
@@ -342,8 +334,9 @@ class Runner {
     if (d.args.empty() || d.args.size() > 2) {
       return error_at(d.line, "admission-window needs: <slots> [queue]");
     }
-    admission_window_ = std::stoi(d.args[0]);
-    admission_queue_ = d.args.size() == 2 ? std::stoi(d.args[1]) : 0;
+    auto& qplane = config_.node.query.qplane;
+    qplane.admission_window = std::stoi(d.args[0]);
+    qplane.admission_queue = d.args.size() == 2 ? std::stoi(d.args[1]) : 0;
     return {};
   }
 
@@ -351,7 +344,7 @@ class Runner {
     if (d.args.size() != 1 || (d.args[0] != "on" && d.args[0] != "off")) {
       return error_at(d.line, "batch-probes needs: on|off");
     }
-    batch_probes_ = d.args[0] == "on";
+    config_.node.query.qplane.batch_probes = d.args[0] == "on";
     return {};
   }
 
@@ -391,7 +384,7 @@ class Runner {
     if (finalized_) return error_at(d.line, "nodes after finalize");
     auto ensured = ensure_cluster(d);
     if (!ensured.ok()) return ensured;
-    const auto site = topology_.site_by_name(d.args[0]);
+    const auto site = config_.topology.site_by_name(d.args[0]);
     const auto count = std::stoul(d.args[1]);
     for (std::size_t i = 0; i < count; ++i) cluster_->add_node(site);
     return {};
@@ -509,7 +502,7 @@ class Runner {
     if (last_outcome_.shed) os << " shed";
     for (const auto& c : last_outcome_.nodes) {
       os << " " << c.node.id.to_hex().substr(0, 8) << "@"
-         << topology_.site(c.node.site).name;
+         << config_.topology.site(c.node.site).name;
     }
     if (!last_outcome_.error.empty()) os << " error: " << last_outcome_.error;
     report_.output.push_back(os.str());
@@ -616,7 +609,7 @@ class Runner {
     if (d.args.size() != 3) {
       return error_at(d.line, d.keyword + " needs: <site> <tree-canonical> <attr>");
     }
-    const auto site = topology_.site_by_name(d.args[0]);
+    const auto site = config_.topology.site_by_name(d.args[0]);
     const auto members = cluster_->nodes_in_site(site);
     const core::TreeSpec* spec = nullptr;
     for (const auto& s : cluster_->tree_specs()) {
@@ -633,7 +626,7 @@ class Runner {
     if (d.args.size() < 4) {
       return error_at(d.line, "admin-deliver needs: <site> <tree-canonical> <attr> <payload>");
     }
-    const auto site = topology_.site_by_name(d.args[0]);
+    const auto site = config_.topology.site_by_name(d.args[0]);
     const auto members = cluster_->nodes_in_site(site);
     const core::TreeSpec* spec = nullptr;
     for (const auto& s : cluster_->tree_specs()) {
@@ -658,7 +651,7 @@ class Runner {
 
   util::Result<void> do_fail_recover(const Directive& d) {
     if (d.args.size() != 2) return error_at(d.line, d.keyword + " needs: <site> <index>");
-    const auto site = topology_.site_by_name(d.args[0]);
+    const auto site = config_.topology.site_by_name(d.args[0]);
     const auto members = cluster_->nodes_in_site(site);
     const auto idx = static_cast<std::size_t>(std::stoul(d.args[1]));
     if (idx >= members.size()) return error_at(d.line, "node index out of range");
@@ -675,7 +668,7 @@ class Runner {
   util::Result<void> do_crash_root(const Directive& d) {
     if (!finalized_) return error_at(d.line, "crash-root before finalize");
     if (d.args.empty()) return error_at(d.line, "crash-root needs: <site> [tree-index]");
-    const auto site = topology_.site_by_name(d.args[0]);
+    const auto site = config_.topology.site_by_name(d.args[0]);
     const std::size_t tree = d.args.size() > 1 ? std::stoul(d.args[1]) : 0;
     if (tree >= cluster_->tree_specs().size()) {
       return error_at(d.line, "tree index out of range");
@@ -870,8 +863,8 @@ class Runner {
     }
     ++report_.expectations;
     if (!report.ok()) {
-      std::string msg =
-          "invariant check failed (seed " + std::to_string(seed_) + "):\n" + report.to_string();
+      std::string msg = "invariant check failed (seed " + std::to_string(config_.seed) +
+                        "):\n" + report.to_string();
       if (injector_ != nullptr && !injector_->log().empty()) {
         msg += "applied fault log:\n" + injector_->log_text();
       }
@@ -1095,23 +1088,9 @@ class Runner {
   // --- state ----------------------------------------------------------------
 
   ScenarioOptions options_;
-  net::Topology topology_ = net::Topology::single_site();
-  std::uint64_t seed_ = 42;
-  std::optional<sim::EngineConfig> engine_override_;  // `threads` directive
-  util::SimTime aggregation_ = util::SimTime::millis(250);
-  util::SimTime heartbeat_ = util::SimTime::zero();
-  util::SimTime anycast_timeout_ = util::SimTime::zero();
-  util::SimTime max_staleness_ = util::SimTime::seconds(5);
-  int root_replicas_ = 2;
-  int max_attempts_ = 5;
-  util::SimTime site_timeout_ = core::QueryConfig{}.site_timeout;
-  util::SimTime reservation_hold_ = core::QueryConfig{}.reservation_hold;
-  int admission_window_ = 0;
-  int admission_queue_ = 0;
-  util::SimTime cache_ttl_ = util::SimTime::zero();
-  bool batch_probes_ = false;
-  int fan_in_cap_ = 0;
-  int root_set_ = 0;
+  /// What the directives before `nodes` configure; the cluster is built
+  /// from it.
+  core::ClusterConfig config_;
   std::optional<std::size_t> last_crashed_root_;
   core::Taxonomy taxonomy_;
   std::vector<core::TreeSpec> pending_specs_;
