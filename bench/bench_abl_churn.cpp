@@ -53,7 +53,6 @@ int main(int argc, char** argv) {
     config.seed = args.seed;
     config.node.scribe.aggregation_interval = util::SimTime::millis(250);
     config.node.scribe.heartbeat_interval = util::SimTime::millis(500);
-    config.node.scribe.heartbeat_misses = 3;
     config.node.query.max_attempts = 3;
     // The obs flags instrument the harshest (last) kill fraction.
     const bool instrumented = kill_fraction == 0.30;

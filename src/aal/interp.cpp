@@ -335,6 +335,7 @@ class Executor {
         auto closure = std::make_shared<Closure>();
         closure->body = expr.func;
         closure->env = env;
+        interp_.note_capture(env);
         return Value::closure(std::move(closure));
       }
       case ExprKind::Unary: return eval_unary(expr, env);
@@ -447,6 +448,21 @@ void Interp::run_chunk(const Block& block, const EnvPtr& env) {
 std::vector<Value> Interp::call_value(const Value& fn, std::vector<Value> args, int line) {
   Executor exec{*this};
   return exec.call(fn, std::move(args), line);
+}
+
+void Interp::note_capture(const EnvPtr& env) {
+  if (captured_.size() >= prune_at_) {
+    std::erase_if(captured_, [](const std::weak_ptr<Env>& w) { return w.expired(); });
+    prune_at_ = 64 + 2 * captured_.size();
+  }
+  captured_.push_back(env);
+}
+
+void Interp::release_captured_scopes() {
+  for (const auto& weak : captured_) {
+    for (EnvPtr env = weak.lock(); env != nullptr; env = env->parent) env->vars.clear();
+  }
+  captured_.clear();
 }
 
 EnvPtr Interp::make_globals() {

@@ -11,6 +11,7 @@
 //     basic functions (type, tostring, tonumber, pairs, ipairs, error).
 //   * print() is captured to an in-memory buffer the host can inspect.
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -49,8 +50,17 @@ class Interp {
   void clear_output() { output_.clear(); }
   void capture_print(std::string line) { output_.push_back(std::move(line)); }
 
+  /// Empties every live scope a closure of this interpreter captured, and
+  /// their enclosing scopes.  With no collector, a function stored in the
+  /// scope it closes over (any global function, a recursive local) keeps
+  /// that scope alive forever; the owning Script calls this when it dies.
+  void release_captured_scopes();
+
  private:
   friend class Executor;
+
+  /// Remembers `env` as captured by a new closure.
+  void note_capture(const EnvPtr& env);
 
   void step(int line) {
     if (++steps_used_ > limits_.max_steps) {
@@ -64,6 +74,9 @@ class Interp {
   int steps_used_ = 0;
   int depth_ = 0;
   std::vector<std::string> output_;
+  // Scopes closures captured; dead entries are pruned as the list grows.
+  std::vector<std::weak_ptr<Env>> captured_;
+  std::size_t prune_at_ = 64;
 };
 
 /// Installs the restricted stdlib into `env` (exposed for tests).

@@ -13,6 +13,13 @@ Script::Script(std::shared_ptr<const Chunk> chunk, SandboxLimits limits)
   globals_ = interp_.make_globals();
 }
 
+Script::~Script() {
+  // The script's functions close over its globals, which hold them:
+  // break those cycles, or the whole state outlives the script.
+  interp_.release_captured_scopes();
+  globals_->vars.clear();
+}
+
 util::Result<std::shared_ptr<Script>> Script::instantiate(std::shared_ptr<const Chunk> chunk,
                                                           SandboxLimits limits) {
   RBAY_REQUIRE(chunk != nullptr, "Script::instantiate: chunk required");

@@ -51,6 +51,10 @@ class Script {
   static util::Result<std::shared_ptr<Script>> instantiate(
       std::shared_ptr<const Chunk> chunk, SandboxLimits limits = {});
 
+  ~Script();
+  Script(const Script&) = delete;
+  Script& operator=(const Script&) = delete;
+
   /// True if the chunk defined a global function `name` (e.g. "onGet").
   [[nodiscard]] bool has_function(const std::string& name) const;
 

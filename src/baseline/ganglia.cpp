@@ -49,12 +49,16 @@ struct QueryReply final : net::Payload {
 };
 
 constexpr std::size_t kBytesPerAttribute = 32;
+/// Attributes per member node (snapshot size driver).
+constexpr std::size_t kAttributesPerNode = 10;
+/// Polling period (master→members and central→masters).
+constexpr util::SimTime kPollInterval = util::SimTime::seconds(1);
 
 }  // namespace
 
 GangliaFederation::GangliaFederation(sim::Engine& engine, net::Topology topology,
-                                     std::size_t members_per_site, GangliaConfig config)
-    : engine_(engine), network_(engine, std::move(topology)), config_(config) {
+                                     std::size_t members_per_site)
+    : engine_(engine), network_(engine, std::move(topology)) {
   const auto sites = network_.topology().site_count();
   clusters_.resize(sites);
   central_view_.resize(sites);
@@ -70,7 +74,7 @@ GangliaFederation::GangliaFederation(sim::Engine& engine, net::Topology topology
       Member member;
       member.endpoint = network_.add_endpoint(
           s, [this, s, m](net::Envelope env) { on_member(s, m, std::move(env)); });
-      for (std::size_t a = 0; a < config_.attributes_per_node; ++a) {
+      for (std::size_t a = 0; a < kAttributesPerNode; ++a) {
         member.attributes["attr-" + std::to_string(a)] = store::AttributeValue{true};
       }
       cluster.members.push_back(std::move(member));
@@ -80,7 +84,7 @@ GangliaFederation::GangliaFederation(sim::Engine& engine, net::Topology topology
 
 void GangliaFederation::start() {
   stop();
-  poll_timer_ = engine_.schedule_periodic(config_.poll_interval, [this]() { poll_cycle(); });
+  poll_timer_ = engine_.schedule_periodic(kPollInterval, [this]() { poll_cycle(); });
 }
 
 void GangliaFederation::stop() { poll_timer_.cancel(); }
@@ -127,7 +131,7 @@ void GangliaFederation::on_master(net::SiteId site, net::Envelope env) {
   // state to the central manager.
   static_assert(kBytesPerAttribute > 0);
   const std::size_t expected =
-      cluster.members.size() * config_.attributes_per_node * kBytesPerAttribute;
+      cluster.members.size() * kAttributesPerNode * kBytesPerAttribute;
   if (cluster.snapshot_bytes >= expected) {
     auto up = std::make_unique<ClusterSnapshot>();
     up->cycle = snapshot->cycle;

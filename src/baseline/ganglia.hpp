@@ -21,21 +21,13 @@
 
 namespace rbay::baseline {
 
-struct GangliaConfig {
-  /// Attributes per member node (snapshot size driver).
-  std::size_t attributes_per_node = 10;
-  /// Polling period (master→members and central→masters).
-  util::SimTime poll_interval = util::SimTime::seconds(1);
-};
-
 class GangliaFederation {
  public:
   /// Builds one master per site, `members_per_site` member nodes each, and
   /// a central manager co-located in site 0.
-  GangliaFederation(sim::Engine& engine, net::Topology topology, std::size_t members_per_site,
-                    GangliaConfig config = {});
+  GangliaFederation(sim::Engine& engine, net::Topology topology, std::size_t members_per_site);
 
-  /// Starts the periodic poll cycle.
+  /// Starts the periodic poll cycle (one per simulated second).
   void start();
   void stop();
 
@@ -77,7 +69,6 @@ class GangliaFederation {
 
   sim::Engine& engine_;
   net::Network network_;
-  GangliaConfig config_;
   std::vector<Cluster> clusters_;
   net::EndpointId central_ = net::kInvalidEndpoint;
   // Central manager's federated view: per site, attribute → match count.

@@ -4,6 +4,11 @@
 
 namespace rbay::core {
 
+namespace {
+/// How often each node republishes its predicted availability.
+constexpr util::SimTime kRefreshInterval = util::SimTime::seconds(1);
+}  // namespace
+
 ChurnDriver::ChurnDriver(RBayCluster& cluster, ChurnConfig config)
     : cluster_(cluster), config_(config) {
   const auto n = cluster_.size();
@@ -27,7 +32,7 @@ void ChurnDriver::start() {
     trackers_[i].record_up(now);
     if (!gateway_[i]) schedule_down(i);
   }
-  refresh_timer_ = cluster_.engine().schedule_periodic(config_.refresh,
+  refresh_timer_ = cluster_.engine().schedule_periodic(kRefreshInterval,
                                                        [this]() { refresh_reliability(); });
   refresh_reliability();
 }

@@ -24,8 +24,6 @@ struct ChurnConfig {
   /// Fraction of nodes whose mean uptime is divided by `churny_penalty`.
   double churny_fraction = 0.3;
   double churny_penalty = 15.0;
-  /// How often each node republishes its predicted availability.
-  util::SimTime refresh = util::SimTime::seconds(1);
 };
 
 class ChurnDriver {

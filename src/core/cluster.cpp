@@ -5,7 +5,7 @@ namespace rbay::core {
 RBayCluster::RBayCluster(ClusterConfig config)
     : config_(std::move(config)),
       engine_(config_.seed, config_.engine),
-      overlay_(engine_, config_.topology, config_.pastry),
+      overlay_(engine_, config_.topology),
       tree_specs_(std::make_shared<std::vector<TreeSpec>>()),
       taxonomy_(std::make_shared<Taxonomy>()) {
   // Attach before any node exists so every component sees the registry

@@ -28,7 +28,6 @@ struct ClusterConfig {
   /// workers without code changes; in-process callers set it explicitly
   /// (e.g. the parallel-equivalence matrix).
   sim::EngineConfig engine = sim::EngineConfig::from_env();
-  pastry::PastryConfig pastry;
   RBayNodeConfig node;
   /// Attach an obs::Registry to the engine: every layer then records
   /// counters/latencies and the query tracer collects spans.  Off by

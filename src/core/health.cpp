@@ -59,10 +59,7 @@ void HealthPublisher::publish_node(std::size_t index) {
   const util::SimTime staleness = node.scribe().max_replica_age(now);
   const util::SimTime lag = node.scribe().max_heartbeat_lag(now);
 
-  const bool overloaded =
-      queue_depth >= config_.overload_queue_depth ||
-      (config_.overload_heartbeat_lag > util::SimTime::zero() &&
-       lag > config_.overload_heartbeat_lag);
+  const bool overloaded = queue_depth >= config_.overload_queue_depth;
 
   // Raw puts + one re-evaluation: a six-post round must not run the tree
   // join/leave machinery six times.

@@ -38,9 +38,6 @@ struct HealthConfig {
   util::SimTime interval = util::SimTime::seconds(1);
   /// Queued-query depth at/above which a node declares itself overloaded.
   std::int64_t overload_queue_depth = 4;
-  /// Parent-heartbeat lag above which a node declares itself overloaded
-  /// (zero: lag never overloads).
-  util::SimTime overload_heartbeat_lag = util::SimTime::zero();
 };
 
 /// Attribute names published every round.

@@ -13,16 +13,10 @@ struct QueryConfig {
   util::SimTime reservation_hold = util::SimTime::millis(500);
   /// Re-query attempts before a query reports failure.
   int max_attempts = 5;
-  /// Backoff slot time (delay is uniform in [0, 2^c - 1] slots).
-  util::SimTime backoff_slot = util::SimTime::millis(50);
   /// Per-attempt deadline for site answers: sites that have not replied
   /// (lost probes/anycasts under churn, dead gateways) are treated as
   /// empty and the attempt completes with whatever arrived.
   util::SimTime site_timeout = util::SimTime::seconds(3);
-  /// When the query orders results (GROUPBY), each site's anycast
-  /// over-collects by this factor so the interface can keep the best k
-  /// and release the rest — ranking needs candidates to choose among.
-  int groupby_oversample = 3;
   /// Throughput layer: admission control, probe batching, answer caching
   /// (all off by default; see docs/QUERY_PLANE.md).
   qplane::QPlaneConfig qplane;

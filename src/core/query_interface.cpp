@@ -10,6 +10,14 @@ namespace rbay::core {
 
 namespace {
 
+/// Slot time of the §III.D truncated exponential backoff: a retry waits a
+/// uniform [0, 2^c - 1] slots after c failures.
+constexpr util::SimTime kBackoffSlot = util::SimTime::millis(50);
+/// GROUPBY over-collection: each site's anycast gathers this many times k
+/// candidates so the interface can keep the best k and release the rest —
+/// ranking needs candidates to choose among.
+constexpr int kGroupByOversample = 3;
+
 /// Causal log of the engine-attached registry, or nullptr when
 /// observability is off.
 obs::CausalLog* causal_log(sim::Engine& engine) {
@@ -180,7 +188,7 @@ void QueryInterface::attempt(std::uint64_t id) {
   job.query_id = p.outcome.query_id;
   job.attempt = p.outcome.attempts;
   job.count_only = p.query.count_only;
-  job.k = p.query.group_by ? p.query.k * std::max(1, config_.groupby_oversample) : p.query.k;
+  job.k = p.query.group_by ? p.query.k * kGroupByOversample : p.query.k;
   job.get_payload = p.query.payload;
   job.predicates = p.query.predicates;
   job.group_by = p.query.group_by;
@@ -367,7 +375,7 @@ void QueryInterface::finish_attempt(std::uint64_t id) {
     return;
   }
 
-  const query::Backoff backoff{config_.backoff_slot};
+  const query::Backoff backoff{kBackoffSlot};
   const auto delay = backoff.delay_after(p.outcome.attempts, owner_.engine().rng());
   if (auto* reg = owner_.engine().metrics()) reg->fed().counter("query.backoff_retries").inc();
   if (causal != nullptr) {

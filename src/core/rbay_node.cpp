@@ -42,7 +42,7 @@ util::Result<void> RBayNode::post(const std::string& name, store::AttributeValue
                                   const std::string& handler_source) {
   store_.put(name, std::move(value));
   if (!handler_source.empty()) {
-    auto attached = store_.attach_handlers(name, handler_source, config_.sandbox);
+    auto attached = store_.attach_handlers(name, handler_source);
     if (!attached.ok()) {
       store_.remove(name);
       return util::make_error(attached.error());

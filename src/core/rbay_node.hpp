@@ -32,7 +32,6 @@ class QueryInterface;
 
 struct RBayNodeConfig {
   scribe::ScribeConfig scribe;
-  aal::SandboxLimits sandbox;
   QueryConfig query;
   /// Re-evaluate subscriptions / fire onTimer every this often (zero: only
   /// on demand).

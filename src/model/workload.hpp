@@ -89,7 +89,7 @@ struct WorkloadSpec {
   // Protocol knobs shared by the harness cluster and the exported
   // scenario.  The hold outlives any op (commits land instantly after the
   // outcome, never against an expired hold); the settle gap outlasts
-  // heartbeat_misses * heartbeat plus aggregation propagation.
+  // Scribe's three-beat miss budget plus aggregation propagation.
   util::SimTime aggregation = util::SimTime::millis(200);
   util::SimTime heartbeat = util::SimTime::millis(250);
   util::SimTime anycast_timeout = util::SimTime::millis(1500);

@@ -10,7 +10,6 @@ Network::Network(sim::Engine& engine, Topology topology)
   const auto sites = static_cast<std::uint32_t>(topology_.site_count());
   engine_.configure_shards(sites);
   slot_stats_.assign(sites + 1, NetworkStats{});
-  slot_seq_.assign(sites + 1, 0);
   update_lookahead();
   engine_.on_run_start([this] {
     // Neither the metric-cache refresh nor a flight-ring grow may happen
@@ -51,14 +50,6 @@ const NetworkStats& Network::stats() const {
     merged_stats_.reordered += cell.reordered;
   }
   return merged_stats_;
-}
-
-std::uint64_t Network::next_send_seq() {
-  // Per-slot counters, disambiguated in the low byte (kMaxExecSlots < 256):
-  // unique without cross-shard coordination, and a pure function of the
-  // minting shard's deterministic event sequence.
-  const std::uint32_t slot = obs::exec_slot().index;
-  return (slot_seq_[slot]++ << 8) | slot;
 }
 
 EndpointId Network::add_endpoint(SiteId site, Handler handler) {
@@ -204,10 +195,10 @@ void Network::send(EndpointId from, EndpointId to, std::unique_ptr<Payload> payl
   // inside a shared box and is moved out exactly once at delivery.
   auto box = std::make_shared<std::unique_ptr<Payload>>(std::move(payload));
   if (weather.duplicate) {
-    // The copy gets its own jitter draw, its own hold, and its own seq —
-    // two genuinely independent deliveries of the same bytes.  Payloads
-    // that cannot deep-copy (clone_payload() == nullptr) stay singular;
-    // the dup chance was already drawn, so the RNG stream is unaffected.
+    // The copy gets its own jitter draw and its own hold — two genuinely
+    // independent deliveries of the same bytes.  Payloads that cannot
+    // deep-copy (clone_payload() == nullptr) stay singular; the dup chance
+    // was already drawn, so the RNG stream is unaffected.
     if (auto copy = (*box)->clone_payload()) {
       const util::SimTime dup_delay = jittered(base) + weather.dup_hold;
       ++stats.duplicated;
@@ -229,12 +220,11 @@ void Network::schedule_delivery(EndpointId from, EndpointId to,
                                 std::shared_ptr<std::unique_ptr<Payload>> box,
                                 std::size_t size, util::SimTime delay,
                                 obs::TraceContext trace) {
-  const std::uint64_t seq = next_send_seq();
   // The delivery runs on the receiver's site shard.  Cross-site sends
   // satisfy the lookahead contract by construction — see
   // update_lookahead().
   engine_.schedule_on(engine_.shard_for_site(endpoints_[to].site), delay,
-                      [this, from, to, box, size, delay, trace, seq]() {
+                      [this, from, to, box, size, delay, trace]() {
     auto& dst = endpoints_[to];
     if (dst.down) {
       ++live_stats().messages_dropped;
@@ -259,7 +249,7 @@ void Network::schedule_delivery(EndpointId from, EndpointId to,
     // message.  That one rule propagates causality through pastry, scribe,
     // and the query protocol without any per-protocol plumbing.
     obs::ContextScope scope(metrics_.causal, trace);
-    dst.handler(Envelope{from, to, std::move(*box), trace, seq});
+    dst.handler(Envelope{from, to, std::move(*box), trace});
   });
 }
 

@@ -47,13 +47,6 @@ struct Envelope {
   /// no trace was ambient).  The network re-establishes it as the ambient
   /// context around the handler, so most receivers never read it directly.
   obs::TraceContext trace;
-  /// Per-delivery sequence stamped by the network: the sending slot's
-  /// counter with the slot in the low byte, so it is unique without
-  /// cross-shard coordination.  A slot mints seqs in schedule order, so
-  /// same-slot deliveries that collapse onto one sim-time instant (held,
-  /// reordered, or duplicated copies) drain in ascending `seq`, and
-  /// same-seed runs stay byte-identical under the conditioner.
-  std::uint64_t seq = 0;
 };
 
 struct NetworkStats {
@@ -172,15 +165,14 @@ class Network {
   void refresh_metrics();
   obs::Counter& lazy_counter(obs::Counter*& slot, const char* name);
 
-  /// Stamps a fresh Envelope::seq and schedules one delivery after `delay`
-  /// onto the destination endpoint's site shard.
+  /// Schedules one delivery after `delay` onto the destination endpoint's
+  /// site shard.
   void schedule_delivery(EndpointId from, EndpointId to,
                          std::shared_ptr<std::unique_ptr<Payload>> box, std::size_t size,
                          util::SimTime delay, obs::TraceContext trace);
 
   /// The NetworkStats cell of the calling execution slot.
   [[nodiscard]] NetworkStats& live_stats() { return slot_stats_[obs::exec_slot().index]; }
-  [[nodiscard]] std::uint64_t next_send_seq();
   /// Derives the engine's lookahead: the minimum cross-site one-way delay
   /// shrunk by the jitter floor.
   void update_lookahead();
@@ -192,7 +184,6 @@ class Network {
   double drop_probability_ = 0.0;
   double jitter_ = 0.1;
   LinkConditioner conditioner_;
-  std::vector<std::uint64_t> slot_seq_;  // per-slot Envelope::seq counters
   std::vector<NetworkStats> slot_stats_;
   mutable NetworkStats merged_stats_;
   MetricsCache metrics_;

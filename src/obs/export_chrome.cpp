@@ -1,6 +1,5 @@
 #include "obs/export_chrome.hpp"
 
-#include <cctype>
 #include <set>
 #include <utility>
 #include <vector>
@@ -157,222 +156,14 @@ std::string write_chrome_trace(const CausalLog& log, const ChromeTraceLabels& la
   return out;
 }
 
-// --- minimal JSON parser for validation ------------------------------------
+// --- validation -----------------------------------------------------------
 
 namespace {
 
-struct JValue {
-  enum Kind : std::uint8_t { kNull, kBool, kNum, kStr, kArr, kObj };
-  Kind kind = kNull;
-  bool boolean = false;
-  double num = 0.0;
-  bool integral = false;
-  std::string str;
-  std::vector<JValue> arr;
-  std::vector<std::pair<std::string, JValue>> obj;
-
-  [[nodiscard]] const JValue* get(const std::string& key) const {
-    for (const auto& [k, v] : obj) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class Parser {
- public:
-  explicit Parser(const std::string& text) : text_(text) {}
-
-  bool parse(JValue& out, std::string& error) {
-    if (!value(out)) {
-      error = error_.empty() ? "malformed JSON" : error_;
-      error += " (at byte " + std::to_string(pos_) + ")";
-      return false;
-    }
-    skip_ws();
-    if (pos_ != text_.size()) {
-      error = "trailing garbage after JSON value (at byte " + std::to_string(pos_) + ")";
-      return false;
-    }
-    return true;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  bool literal(const char* word) {
-    const std::size_t n = std::string(word).size();
-    if (text_.compare(pos_, n, word) != 0) return fail("bad literal");
-    pos_ += n;
-    return true;
-  }
-
-  bool fail(const char* why) {
-    if (error_.empty()) error_ = why;
-    return false;
-  }
-
-  bool value(JValue& out) {
-    skip_ws();
-    if (pos_ >= text_.size()) return fail("unexpected end of input");
-    const char c = text_[pos_];
-    switch (c) {
-      case '{': return object(out);
-      case '[': return array(out);
-      case '"': {
-        out.kind = JValue::kStr;
-        return string(out.str);
-      }
-      case 't':
-        out.kind = JValue::kBool;
-        out.boolean = true;
-        return literal("true");
-      case 'f':
-        out.kind = JValue::kBool;
-        out.boolean = false;
-        return literal("false");
-      case 'n':
-        out.kind = JValue::kNull;
-        return literal("null");
-      default: return number(out);
-    }
-  }
-
-  bool object(JValue& out) {
-    out.kind = JValue::kObj;
-    ++pos_;  // '{'
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      std::string key;
-      if (pos_ >= text_.size() || text_[pos_] != '"' || !string(key)) {
-        return fail("expected object key");
-      }
-      skip_ws();
-      if (pos_ >= text_.size() || text_[pos_] != ':') return fail("expected ':'");
-      ++pos_;
-      JValue v;
-      if (!value(v)) return false;
-      out.obj.emplace_back(std::move(key), std::move(v));
-      skip_ws();
-      if (pos_ >= text_.size()) return fail("unterminated object");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return fail("expected ',' or '}'");
-    }
-  }
-
-  bool array(JValue& out) {
-    out.kind = JValue::kArr;
-    ++pos_;  // '['
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      JValue v;
-      if (!value(v)) return false;
-      out.arr.push_back(std::move(v));
-      skip_ws();
-      if (pos_ >= text_.size()) return fail("unterminated array");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return fail("expected ',' or ']'");
-    }
-  }
-
-  bool string(std::string& out) {
-    ++pos_;  // '"'
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == '"') {
-        ++pos_;
-        return true;
-      }
-      if (c == '\\') {
-        if (pos_ + 1 >= text_.size()) return fail("bad escape");
-        const char e = text_[pos_ + 1];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'u': {
-            if (pos_ + 5 >= text_.size()) return fail("bad \\u escape");
-            out += '?';  // exact code point irrelevant for validation
-            pos_ += 4;
-            break;
-          }
-          default: return fail("bad escape");
-        }
-        pos_ += 2;
-        continue;
-      }
-      out += c;
-      ++pos_;
-    }
-    return fail("unterminated string");
-  }
-
-  bool number(JValue& out) {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    bool digits = false;
-    bool fractional = false;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (std::isdigit(static_cast<unsigned char>(c)) != 0) {
-        digits = true;
-        ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
-        fractional = true;
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    if (!digits) return fail("expected value");
-    out.kind = JValue::kNum;
-    out.integral = !fractional;
-    out.num = std::stod(text_.substr(start, pos_ - start));
-    return true;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-  std::string error_;
-};
-
-bool check_int_field(const JValue& ev, const char* key, std::size_t index,
+bool check_int_field(const json::Value& ev, const char* key, std::size_t index,
                      std::string& error) {
-  const JValue* v = ev.get(key);
-  if (v == nullptr || v->kind != JValue::kNum || !v->integral) {
+  const json::Value* v = ev.find(key);
+  if (v == nullptr || v->kind != json::Value::Kind::Number || !v->integral) {
     error = "traceEvents[" + std::to_string(index) + "]: missing integer \"" + key + "\"";
     return false;
   }
@@ -381,40 +172,39 @@ bool check_int_field(const JValue& ev, const char* key, std::size_t index,
 
 }  // namespace
 
-bool validate_chrome_trace(const std::string& json, std::string& error) {
-  JValue root;
-  Parser parser(json);
-  if (!parser.parse(root, error)) return false;
-  if (root.kind != JValue::kObj) {
+bool validate_chrome_trace(const std::string& text, std::string& error) {
+  json::Value root;
+  if (!json::parse(text, root, error)) return false;
+  if (root.kind != json::Value::Kind::Object) {
     error = "top level is not an object";
     return false;
   }
-  const JValue* events = root.get("traceEvents");
-  if (events == nullptr || events->kind != JValue::kArr) {
+  const json::Value* events = root.find("traceEvents");
+  if (events == nullptr || events->kind != json::Value::Kind::Array) {
     error = "missing \"traceEvents\" array";
     return false;
   }
-  for (std::size_t i = 0; i < events->arr.size(); ++i) {
-    const JValue& ev = events->arr[i];
-    if (ev.kind != JValue::kObj) {
+  for (std::size_t i = 0; i < events->items.size(); ++i) {
+    const json::Value& ev = events->items[i];
+    if (ev.kind != json::Value::Kind::Object) {
       error = "traceEvents[" + std::to_string(i) + "] is not an object";
       return false;
     }
-    const JValue* ph = ev.get("ph");
-    if (ph == nullptr || ph->kind != JValue::kStr || ph->str.size() != 1) {
+    const json::Value* ph = ev.find("ph");
+    if (ph == nullptr || ph->kind != json::Value::Kind::String || ph->string.size() != 1) {
       error = "traceEvents[" + std::to_string(i) + "]: missing one-char \"ph\"";
       return false;
     }
-    const JValue* name = ev.get("name");
-    if (name == nullptr || name->kind != JValue::kStr || name->str.empty()) {
+    const json::Value* name = ev.find("name");
+    if (name == nullptr || name->kind != json::Value::Kind::String || name->string.empty()) {
       error = "traceEvents[" + std::to_string(i) + "]: missing string \"name\"";
       return false;
     }
     if (!check_int_field(ev, "pid", i, error)) return false;
     if (!check_int_field(ev, "tid", i, error)) return false;
-    if (ph->str == "M") continue;  // metadata needs no timestamp
+    if (ph->string == "M") continue;  // metadata needs no timestamp
     if (!check_int_field(ev, "ts", i, error)) return false;
-    if (ph->str == "X" && !check_int_field(ev, "dur", i, error)) return false;
+    if (ph->string == "X" && !check_int_field(ev, "dur", i, error)) return false;
   }
   return true;
 }

@@ -41,6 +41,6 @@ struct ChromeTraceLabels {
 /// "name", integer "pid"/"tid", and (for non-metadata events) an integer
 /// "ts" ("dur" too for "X" slices).  Returns false and fills `error` on the
 /// first violation.  Used by tools/trace_check and the export tests.
-[[nodiscard]] bool validate_chrome_trace(const std::string& json, std::string& error);
+[[nodiscard]] bool validate_chrome_trace(const std::string& text, std::string& error);
 
 }  // namespace rbay::obs

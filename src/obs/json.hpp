@@ -1,11 +1,15 @@
 #pragma once
 
-// Minimal JSON emission helpers for the observability snapshot.  Only what
+// Minimal JSON helpers for the observability layer.  Emission is only what
 // to_json() needs: integers, escaped strings, and comma bookkeeping.  No
-// floating-point output — determinism of the snapshot depends on it.
+// floating-point output — determinism of the snapshot depends on it.  The
+// reader (parse) loads the files the repo's tools consume: exported Chrome
+// traces (validate_chrome_trace) and time-series snapshots (rbay_top).
 
 #include <cstdint>
+#include <map>
 #include <string>
+#include <vector>
 
 namespace rbay::obs::json {
 
@@ -51,5 +55,30 @@ class Comma {
  private:
   bool first_ = true;
 };
+
+/// A parsed JSON value.  Object keys are kept sorted; a repeated key keeps
+/// its first value.
+struct Value {
+  enum class Kind : std::uint8_t { Null, Bool, Number, String, Array, Object };
+  Kind kind = Kind::Null;
+  bool boolean = false;
+  double number = 0.0;
+  /// The number was written without fraction or exponent; `integer` then
+  /// holds it exactly.
+  bool integral = false;
+  std::int64_t integer = 0;
+  std::string string;
+  std::vector<Value> items;
+  std::map<std::string, Value> fields;
+
+  /// Field `key` of an object, or nullptr.
+  [[nodiscard]] const Value* find(const std::string& key) const;
+  /// The number truncated toward zero (0 for non-numbers).
+  [[nodiscard]] std::int64_t as_int() const;
+};
+
+/// Parses `text` as one JSON value.  Returns false and fills `error` (with
+/// the byte offset) on malformed input.  `\u` escapes decode to '?'.
+[[nodiscard]] bool parse(const std::string& text, Value& out, std::string& error);
 
 }  // namespace rbay::obs::json

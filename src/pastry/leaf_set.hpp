@@ -15,9 +15,12 @@
 
 namespace rbay::pastry {
 
+/// L/2: entries per side of every node's leaf set (Pastry's L = 16).
+inline constexpr int kLeafHalfSize = 8;
+
 class LeafSet {
  public:
-  LeafSet(NodeRef owner, int half_size = 8) : owner_(owner), half_(half_size) {}
+  LeafSet(NodeRef owner, int half_size = kLeafHalfSize) : owner_(owner), half_(half_size) {}
 
   [[nodiscard]] const NodeRef& owner() const { return owner_; }
 

@@ -6,24 +6,22 @@
 
 namespace rbay::pastry {
 
-PastryNode::PastryNode(net::Network& network, net::SiteId site, std::string ip,
-                       PastryConfig config)
+PastryNode::PastryNode(net::Network& network, net::SiteId site, std::string ip)
     : network_(network),
       ip_(std::move(ip)),
       self_{node_id_from_ip(ip_), net::kInvalidEndpoint, site},
-      config_(config),
-      leaves_(self_, config.leaf_half_size),
+      leaves_(self_),
       table_(self_),
-      site_leaves_(self_, config.leaf_half_size),
+      site_leaves_(self_),
       site_table_(self_) {
   self_.endpoint = network_.add_endpoint(site, [this](net::Envelope env) {
     on_envelope(std::move(env));
   });
   // The constructors above captured a NodeRef without the endpoint; rebuild
   // the owner-dependent structures now that it is known.
-  leaves_ = LeafSet{self_, config.leaf_half_size};
+  leaves_ = LeafSet{self_};
   table_ = RoutingTable{self_};
-  site_leaves_ = LeafSet{self_, config.leaf_half_size};
+  site_leaves_ = LeafSet{self_};
   site_table_ = RoutingTable{self_};
 }
 

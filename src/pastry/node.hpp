@@ -53,15 +53,11 @@ class PastryApp {
   virtual void neighbor_failed(const NodeId& id) { (void)id; }
 };
 
-struct PastryConfig {
-  int leaf_half_size = 8;
-};
-
 class PastryNode {
  public:
   /// Creates the node and registers its network endpoint.  NodeId is
   /// SHA-1(ip) as in the paper.
-  PastryNode(net::Network& network, net::SiteId site, std::string ip, PastryConfig config = {});
+  PastryNode(net::Network& network, net::SiteId site, std::string ip);
 
   PastryNode(const PastryNode&) = delete;
   PastryNode& operator=(const PastryNode&) = delete;
@@ -146,7 +142,6 @@ class PastryNode {
   net::Network& network_;
   std::string ip_;
   NodeRef self_;
-  PastryConfig config_;
   MetricsCache metrics_;
   LeafSet leaves_;
   RoutingTable table_;

@@ -4,8 +4,8 @@
 
 namespace rbay::pastry {
 
-Overlay::Overlay(sim::Engine& engine, net::Topology topology, PastryConfig config)
-    : engine_(engine), network_(engine, std::move(topology)), config_(config) {}
+Overlay::Overlay(sim::Engine& engine, net::Topology topology)
+    : engine_(engine), network_(engine, std::move(topology)) {}
 
 PastryNode& Overlay::create_node(net::SiteId site) {
   const auto i = nodes_.size();
@@ -13,7 +13,7 @@ PastryNode& Overlay::create_node(net::SiteId site) {
   // NodeId = SHA-1(IP) derivation.
   const std::string ip = "10." + std::to_string(site) + "." + std::to_string(i / 250) + "." +
                          std::to_string(i % 250) + ":" + std::to_string(i);
-  auto node = std::make_unique<PastryNode>(network_, site, ip, config_);
+  auto node = std::make_unique<PastryNode>(network_, site, ip);
   RBAY_REQUIRE(by_id_.emplace(node->self().id, i).second,
                "Overlay::create_node: NodeId collision");
   nodes_.push_back(std::move(node));
@@ -91,7 +91,7 @@ void Overlay::build_static() {
   });
 
   const auto n = order.size();
-  const auto half = static_cast<std::size_t>(config_.leaf_half_size);
+  const auto half = static_cast<std::size_t>(kLeafHalfSize);
   for (std::size_t pos = 0; pos < n; ++pos) {
     auto& node = *nodes_[order[pos]];
     for (std::size_t k = 1; k <= half && k < n; ++k) {
@@ -182,7 +182,7 @@ void Overlay::recover_node(std::size_t i) {
     });
     const auto pos = static_cast<std::size_t>(
         std::find(order.begin(), order.end(), i) - order.begin());
-    const auto half = static_cast<std::size_t>(config_.leaf_half_size);
+    const auto half = static_cast<std::size_t>(kLeafHalfSize);
     const auto n = order.size();
     for (std::size_t k = 1; k <= half && k < n; ++k) {
       for (const auto neighbor : {order[(pos + k) % n], order[(pos + n - k) % n]}) {

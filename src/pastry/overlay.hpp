@@ -23,7 +23,7 @@ namespace rbay::pastry {
 
 class Overlay {
  public:
-  Overlay(sim::Engine& engine, net::Topology topology, PastryConfig config = {});
+  Overlay(sim::Engine& engine, net::Topology topology);
 
   Overlay(const Overlay&) = delete;
   Overlay& operator=(const Overlay&) = delete;
@@ -74,7 +74,6 @@ class Overlay {
  private:
   sim::Engine& engine_;
   net::Network network_;
-  PastryConfig config_;
   std::vector<std::unique_ptr<PastryNode>> nodes_;
   std::vector<bool> failed_;
   std::unordered_map<NodeId, std::size_t, util::U128Hash> by_id_;

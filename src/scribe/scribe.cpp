@@ -10,6 +10,12 @@ namespace rbay::scribe {
 
 namespace {
 
+/// Missed-beat multiple after which a child declares its parent dead.
+constexpr int kHeartbeatMisses = 3;
+/// Leaf-set neighbours each tree root replicates rendezvous state to,
+/// every aggregation round.
+constexpr int kRootReplicas = 2;
+
 /// Federation scope of the engine-attached registry, or nullptr when
 /// observability is off.  Scribe operations are per-query / per-round (not
 /// per-message), so a map lookup at the call site is affordable and no
@@ -532,9 +538,8 @@ void Scribe::aggregation_round() {
 }
 
 void Scribe::replicate_roots() {
-  if (config_.root_replicas <= 0 && config_.root_set <= 0) return;
   // Root-set rotation needs at least `root_set` replicated holders.
-  const int replicas_wanted = std::max(config_.root_replicas, config_.root_set);
+  const int replicas_wanted = std::max(kRootReplicas, config_.root_set);
   const auto now = node_.network().engine().now();
   for (auto& [topic, st] : topics_) {
     if (!st.root || (!st.member && st.children.empty())) continue;
@@ -993,7 +998,7 @@ void Scribe::on_probe_deadline(std::uint64_t request_id) {
 void Scribe::heartbeat_round() {
   const auto now = node_.network().engine().now();
   const auto limit =
-      config_.heartbeat_interval * static_cast<std::int64_t>(config_.heartbeat_misses + 1);
+      config_.heartbeat_interval * static_cast<std::int64_t>(kHeartbeatMisses + 1);
   std::vector<TopicId> emptied;
   for (auto& [topic, st] : topics_) {
     // Prune children that stopped acking: they died or re-attached
@@ -1029,7 +1034,7 @@ void Scribe::heartbeat_round() {
 void Scribe::check_parents() {
   const auto now = node_.network().engine().now();
   const auto limit =
-      config_.heartbeat_interval * static_cast<std::int64_t>(config_.heartbeat_misses);
+      config_.heartbeat_interval * static_cast<std::int64_t>(kHeartbeatMisses);
   std::vector<TopicId> to_rejoin;
   for (auto& [topic, st] : topics_) {
     if (!st.parent) {

@@ -53,11 +53,6 @@ struct ScribeConfig {
   util::SimTime aggregation_interval = util::SimTime::zero();
   /// Parent→child heartbeat period; zero disables repair.
   util::SimTime heartbeat_interval = util::SimTime::zero();
-  /// Missed-beat multiple after which a child declares its parent dead.
-  int heartbeat_misses = 3;
-  /// Leaf-set successors each tree root replicates rendezvous state to,
-  /// every aggregation round (zero disables replication/failover).
-  int root_replicas = 2;
   /// Longest a promoted root may serve a replicated aggregate snapshot as
   /// a degraded (stale-tagged) read before failing back to its live view.
   util::SimTime max_staleness = util::SimTime::seconds(5);
@@ -320,7 +315,7 @@ class Scribe final : public pastry::PastryApp {
   /// Ordered by TopicId, NOT hashed: the periodic rounds (aggregation,
   /// heartbeats, parent checks, replica promotion) iterate these maps and
   /// send one message per entry, so iteration order decides per-message
-  /// jitter draws and Envelope::seq tie-breaks.  A hash map's order is a
+  /// jitter draws and same-instant tie-breaks.  A hash map's order is a
   /// function of its insertion/erase history — two nodes with the same
   /// topic set but different subscription histories would schedule
   /// differently.  Sorted order is a pure function of the key set

@@ -11,9 +11,8 @@ void ActiveAttribute::sync_globals() {
 
 namespace rbay::store {
 
-util::Result<void> ActiveAttribute::attach_handlers(const std::string& source,
-                                                    aal::SandboxLimits limits) {
-  auto loaded = aal::Script::load(source, limits);
+util::Result<void> ActiveAttribute::attach_handlers(const std::string& source) {
+  auto loaded = aal::Script::load(source);
   if (!loaded.ok()) return util::make_error(loaded.error());
   script_ = loaded.take();
   // Mirror the attribute's current value into the sandbox so handlers can

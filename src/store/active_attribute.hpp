@@ -39,7 +39,7 @@ class ActiveAttribute {
 
   /// Attaches admin-written handler code.  Returns an error if the script
   /// fails to parse or its top-level chunk errors.
-  util::Result<void> attach_handlers(const std::string& source, aal::SandboxLimits limits = {});
+  util::Result<void> attach_handlers(const std::string& source);
 
   /// Installs a pre-built script instance (AttributeStore interning:
   /// attributes carrying the same admin policy share the compiled chunk

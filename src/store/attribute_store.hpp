@@ -37,8 +37,7 @@ class AttributeStore {
   /// Attaches handler source to `name`, interning identical sources: all
   /// attributes of this store with the same policy text share one compiled
   /// script (and its persistent state).  Creates the attribute if missing.
-  util::Result<void> attach_handlers(const std::string& name, const std::string& source,
-                                     aal::SandboxLimits limits = {});
+  util::Result<void> attach_handlers(const std::string& name, const std::string& source);
 
   /// Fires every attribute's onTimer handler; returns handler error count.
   /// Shared scripts fire once per owning attribute (each attribute is its

@@ -83,22 +83,20 @@ TEST(Ganglia, QueriesFunnelThroughCentral) {
 
 TEST(Ganglia, UpdatesAreStaleUntilNextPoll) {
   sim::Engine engine{4};
-  GangliaConfig config;
-  config.poll_interval = SimTime::seconds(10);
-  GangliaFederation fed{engine, net::Topology::uniform(1, 0.5, 0.5), 4, config};
+  GangliaFederation fed{engine, net::Topology::uniform(1, 0.5, 0.5), 4};
   fed.start();
-  engine.run_until(SimTime::seconds(11));  // one poll cycle done
+  engine.run_until(SimTime::millis(1500));  // one poll cycle done (t = 1 s)
 
   // A brand-new attribute is invisible until the next cycle.
   fed.set_member_attribute(0, 0, "new-attr", store::AttributeValue{true});
   int matches = -1;
   fed.query(0, "new-attr", [&](int m) { matches = m; });
-  engine.run_until(SimTime::seconds(12));
+  engine.run_until(SimTime::millis(1600));
   EXPECT_EQ(matches, 0) << "central view should still be stale";
 
-  engine.run_until(SimTime::seconds(22));  // second poll cycle
+  engine.run_until(SimTime::millis(2500));  // second poll cycle (t = 2 s)
   fed.query(0, "new-attr", [&](int m) { matches = m; });
-  engine.run_until(SimTime::seconds(23));
+  engine.run_until(SimTime::millis(2600));
   EXPECT_EQ(matches, 1);
 }
 

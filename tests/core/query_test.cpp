@@ -154,6 +154,43 @@ TEST(QueryEndToEnd, GroupByRanksNonNumericCandidatesLast) {
   }
 }
 
+TEST(QueryEndToEnd, GroupByOverCollectsAndReleasesTheSurplus) {
+  // A ranked query needs candidates to choose among: each site's anycast
+  // fills 3k slots, the interface keeps the best k, and the surplus is
+  // released when the query commits.
+  auto config = QueryFixture::make_config(1, 42);
+  config.metrics = true;
+  RBayCluster cluster{config};
+  cluster.add_tree_spec(TreeSpec::from_predicate(
+      {"CPU_utilization", query::CompareOp::Less, store::AttributeValue{0.1}}));
+  cluster.populate(16);
+  for (std::size_t i = 0; i < cluster.size(); ++i) {
+    ASSERT_TRUE(
+        cluster.node(i).post("CPU_utilization", 0.001 * static_cast<double>(i + 1)).ok());
+  }
+  cluster.finalize();
+  cluster.run_for(util::SimTime::seconds(2));
+
+  QueryOutcome out;
+  bool done = false;
+  cluster.node(0).query().execute_sql(
+      "SELECT 5 FROM * WHERE CPU_utilization < 10% GROUPBY CPU_utilization DESC",
+      [&](const QueryOutcome& o) {
+        out = o;
+        done = true;
+      });
+  cluster.run();
+  ASSERT_TRUE(done);
+  ASSERT_TRUE(out.satisfied) << out.error;
+  ASSERT_EQ(out.nodes.size(), 5u);
+  EXPECT_EQ(cluster.metrics()->fed().counter("query.slots_filled").value(), 15u);
+  std::size_t holders = 0;
+  for (std::size_t i = 0; i < cluster.size(); ++i) {
+    if (cluster.node(i).lock().holder() == out.query_id) ++holders;
+  }
+  EXPECT_EQ(holders, 5u);
+}
+
 TEST(QueryEndToEnd, PasswordPolicyEnforcedDuringAnycast) {
   QueryFixture f{1, 12};
   const std::string password_handler = R"(

@@ -52,9 +52,8 @@ struct ProbeOverlay {
   Overlay overlay;
   std::vector<std::unique_ptr<ProbeApp>> apps;
 
-  ProbeOverlay(net::Topology topo, std::size_t per_site, std::uint64_t seed = 42,
-               PastryConfig config = {})
-      : engine(seed), overlay(engine, std::move(topo), config) {
+  ProbeOverlay(net::Topology topo, std::size_t per_site, std::uint64_t seed = 42)
+      : engine(seed), overlay(engine, std::move(topo)) {
     overlay.populate(per_site);
     overlay.build_static();
     for (std::size_t i = 0; i < overlay.size(); ++i) {

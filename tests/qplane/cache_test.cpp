@@ -216,7 +216,6 @@ aggregation 200
 heartbeat 250
 anycast-timeout 1000
 max-staleness 5000
-root-replicas 2
 cache-ttl 300
 batch-probes on
 tree GPU = true

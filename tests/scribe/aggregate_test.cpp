@@ -105,7 +105,6 @@ TEST(Repair, ChildRejoinsAfterParentFailure) {
   ScribeConfig cfg;
   cfg.aggregation_interval = SimTime::millis(100);
   cfg.heartbeat_interval = SimTime::millis(200);
-  cfg.heartbeat_misses = 3;
   ScribeOverlay so{24, net::Topology::single_site(), cfg};
   const TopicId topic = pastry::tree_id("GPU", "admin");
   so.subscribe_all(topic);

@@ -4,7 +4,7 @@
 // Scribe's periodic rounds — aggregation reports, heartbeats, parent
 // checks, replica promotion — iterate the per-node topic map and send one
 // message per entry, so the iteration order decides the per-message
-// jitter draws and Envelope::seq tie-breaks of every round.  These tests
+// jitter draws and same-instant tie-breaks of every round.  These tests
 // pin the contract that the order is sorted by TopicId: a pure function
 // of the topic SET.  They fail against a hash-map implementation, whose
 // order is a function of insertion/erase HISTORY — two nodes holding the

@@ -19,7 +19,6 @@ ScribeConfig failover_config() {
   ScribeConfig cfg;
   cfg.aggregation_interval = SimTime::millis(100);
   cfg.heartbeat_interval = SimTime::millis(250);
-  cfg.root_replicas = 2;
   cfg.max_staleness = SimTime::seconds(5);
   return cfg;
 }

@@ -18,7 +18,6 @@ ScribeConfig capped_config(int cap, int root_set = 0) {
   ScribeConfig cfg;
   cfg.aggregation_interval = SimTime::millis(100);
   cfg.heartbeat_interval = SimTime::millis(250);
-  cfg.root_replicas = 2;
   cfg.max_staleness = SimTime::seconds(5);
   cfg.fan_in_cap = cap;
   cfg.root_set = root_set;

@@ -9,208 +9,21 @@
 // latency quantiles, and a per-site activity table — all computed from
 // the JSON alone, no simulator state.  Output is byte-deterministic for a
 // given input file (integer math only), so CI can archive and diff it.
-//
-// The JSON reader below is deliberately minimal: just what the
-// TimeSeries::to_json() schema emits (objects, arrays, strings, integer
-// numbers, booleans).  Exit 0 on success, 1 on malformed input, 2 on
-// usage/IO errors.
+// Exit 0 on success, 1 on malformed input, 2 on usage/IO errors.
 
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <string>
-#include <vector>
+
+#include "obs/json.hpp"
 
 namespace {
 
-// --- minimal JSON ----------------------------------------------------------
-
-struct JsonValue {
-  enum class Kind { Null, Bool, Int, Double, String, Array, Object };
-  Kind kind = Kind::Null;
-  bool b = false;
-  std::int64_t i = 0;
-  double d = 0.0;
-  std::string s;
-  std::vector<JsonValue> items;
-  std::map<std::string, JsonValue> fields;
-
-  [[nodiscard]] const JsonValue* find(const std::string& key) const {
-    const auto it = fields.find(key);
-    return it == fields.end() ? nullptr : &it->second;
-  }
-  [[nodiscard]] std::int64_t as_int() const { return kind == Kind::Double ? static_cast<std::int64_t>(d) : i; }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  bool parse(JsonValue& out, std::string& error) {
-    const bool ok = value(out) && (skip_ws(), pos_ == text_.size());
-    if (!ok) {
-      error = "parse error at offset " + std::to_string(pos_);
-    }
-    return ok;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool literal(const char* word) {
-    const std::size_t n = std::string(word).size();
-    if (text_.compare(pos_, n, word) != 0) return false;
-    pos_ += n;
-    return true;
-  }
-
-  bool value(JsonValue& out) {
-    skip_ws();
-    if (pos_ >= text_.size()) return false;
-    const char c = text_[pos_];
-    if (c == '{') return object(out);
-    if (c == '[') return array(out);
-    if (c == '"') {
-      out.kind = JsonValue::Kind::String;
-      return string(out.s);
-    }
-    if (c == 't') {
-      out.kind = JsonValue::Kind::Bool;
-      out.b = true;
-      return literal("true");
-    }
-    if (c == 'f') {
-      out.kind = JsonValue::Kind::Bool;
-      out.b = false;
-      return literal("false");
-    }
-    if (c == 'n') return literal("null");
-    return number(out);
-  }
-
-  bool number(JsonValue& out) {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) ++pos_;
-    bool is_double = false;
-    if (pos_ < text_.size() && (text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      is_double = true;
-      while (pos_ < text_.size() &&
-             (std::isdigit(static_cast<unsigned char>(text_[pos_])) || text_[pos_] == '.' ||
-              text_[pos_] == 'e' || text_[pos_] == 'E' || text_[pos_] == '+' ||
-              text_[pos_] == '-')) {
-        ++pos_;
-      }
-    }
-    if (pos_ == start) return false;
-    const std::string tok = text_.substr(start, pos_ - start);
-    if (is_double) {
-      out.kind = JsonValue::Kind::Double;
-      out.d = std::stod(tok);
-    } else {
-      out.kind = JsonValue::Kind::Int;
-      out.i = std::stoll(tok);
-    }
-    return true;
-  }
-
-  bool string(std::string& out) {
-    if (text_[pos_] != '"') return false;
-    ++pos_;
-    out.clear();
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) {
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case 'r': c = '\r'; break;
-          case 'u':
-            pos_ += 4;  // schema only escapes control chars; render as '?'
-            c = '?';
-            break;
-          default: c = esc;
-        }
-      }
-      out += c;
-    }
-    if (pos_ >= text_.size()) return false;
-    ++pos_;  // closing quote
-    return true;
-  }
-
-  bool object(JsonValue& out) {
-    out.kind = JsonValue::Kind::Object;
-    ++pos_;  // '{'
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      std::string key;
-      if (!string(key)) return false;
-      skip_ws();
-      if (pos_ >= text_.size() || text_[pos_] != ':') return false;
-      ++pos_;
-      JsonValue v;
-      if (!value(v)) return false;
-      out.fields.emplace(std::move(key), std::move(v));
-      skip_ws();
-      if (pos_ >= text_.size()) return false;
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool array(JsonValue& out) {
-    out.kind = JsonValue::Kind::Array;
-    ++pos_;  // '['
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      JsonValue v;
-      if (!value(v)) return false;
-      out.items.push_back(std::move(v));
-      skip_ws();
-      if (pos_ >= text_.size()) return false;
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
+using JsonValue = rbay::obs::json::Value;
 
 // --- rendering --------------------------------------------------------------
 
@@ -261,7 +74,7 @@ int render(const JsonValue& root) {
     if (rule == nullptr || is_open == nullptr || t == nullptr || vm == nullptr) continue;
     const std::int64_t milli = vm->as_int();
     std::printf("  t=%-10s %-5s %-24s value=%lld.%03lld\n", fmt_time_us(t->as_int()).c_str(),
-                is_open->b ? "OPEN" : "close", rule->s.c_str(),
+                is_open->boolean ? "OPEN" : "close", rule->string.c_str(),
                 static_cast<long long>(milli / 1000),
                 static_cast<long long>(milli < 0 ? -milli % 1000 : milli % 1000));
   }
@@ -347,11 +160,9 @@ int main(int argc, char** argv) {
     text << file.rdbuf();
   }
 
-  const std::string json = text.str();
   JsonValue root;
   std::string error;
-  JsonParser parser{json};
-  if (!parser.parse(root, error)) {
+  if (!rbay::obs::json::parse(text.str(), root, error)) {
     std::fprintf(stderr, "rbay_top: %s: %s\n", path.c_str(), error.c_str());
     return 1;
   }

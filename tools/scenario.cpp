@@ -235,7 +235,6 @@ class Runner {
     if (kw == "max-attempts") return set_int(d, query_cfg.max_attempts);
     if (kw == "anycast-timeout") return set_ms(d, scribe_cfg.anycast_timeout);
     if (kw == "max-staleness") return set_ms(d, scribe_cfg.max_staleness);
-    if (kw == "root-replicas") return set_int(d, scribe_cfg.root_replicas);
     if (kw == "site-timeout") return set_ms(d, query_cfg.site_timeout);
     if (kw == "reservation-hold") return set_ms(d, query_cfg.reservation_hold);
     if (kw == "admission-window") return do_admission_window(d);
@@ -800,13 +799,12 @@ class Runner {
     return {};
   }
 
-  /// health-publish <interval_ms> [queue-depth N] [heartbeat-lag MS]
+  /// health-publish <interval_ms> [queue-depth N]
   util::Result<void> do_health_publish(const Directive& d) {
     if (!finalized_) return error_at(d.line, "health-publish after finalize only");
     if (cluster_->health() != nullptr) return error_at(d.line, "health-publish already on");
     if (d.args.empty()) {
-      return error_at(d.line,
-                      "health-publish needs: <interval_ms> [queue-depth N] [heartbeat-lag MS]");
+      return error_at(d.line, "health-publish needs: <interval_ms> [queue-depth N]");
     }
     core::HealthConfig config;
     config.interval = util::SimTime::millis(std::stod(d.args[0]));
@@ -816,8 +814,6 @@ class Runner {
     for (std::size_t i = 1; i + 1 < d.args.size(); i += 2) {
       if (d.args[i] == "queue-depth") {
         config.overload_queue_depth = std::stol(d.args[i + 1]);
-      } else if (d.args[i] == "heartbeat-lag") {
-        config.overload_heartbeat_lag = util::SimTime::millis(std::stod(d.args[i + 1]));
       } else {
         return error_at(d.line, "unknown health-publish option '" + d.args[i] + "'");
       }

@@ -70,7 +70,7 @@
 //                                    violations that never heal fail the
 //                                    scenario at the end, healed ones are
 //                                    recorded as watchdog.time_to_heal
-//   health-publish <interval_ms> [queue-depth N] [heartbeat-lag MS]
+//   health-publish <interval_ms> [queue-depth N]
 //                                    start the rbay.health.* self-
 //                                    publication round on every live node
 //   check-invariants [checker...]    run post-convergence invariant
