@@ -1,18 +1,19 @@
 #include "baseline/ganglia.hpp"
 
 #include "util/contract.hpp"
+#include "util/msg_tag.hpp"
 
 namespace rbay::baseline {
 
 namespace {
 
-struct MemberPoll final : net::Payload {
+struct MemberPoll final : net::TaggedPayload<MemberPoll> {
   std::uint64_t cycle = 0;
   [[nodiscard]] std::size_t wire_size() const override { return 16; }
   [[nodiscard]] const char* type_name() const override { return "ganglia.MemberPoll"; }
 };
 
-struct MemberSnapshot final : net::Payload {
+struct MemberSnapshot final : net::TaggedPayload<MemberSnapshot> {
   std::uint64_t cycle = 0;
   std::size_t member_index = 0;
   std::vector<std::string> attributes;
@@ -24,7 +25,7 @@ struct MemberSnapshot final : net::Payload {
 /// The full cluster state flows to the central manager ("all individual
 /// data are returned ... even though only their aggregates are of
 /// interest"), which is exactly the bottleneck RBAY removes.
-struct ClusterSnapshot final : net::Payload {
+struct ClusterSnapshot final : net::TaggedPayload<ClusterSnapshot> {
   std::uint64_t cycle = 0;
   net::SiteId site = 0;
   std::map<std::string, int> counts;
@@ -33,7 +34,7 @@ struct ClusterSnapshot final : net::Payload {
   [[nodiscard]] const char* type_name() const override { return "ganglia.ClusterSnapshot"; }
 };
 
-struct QueryReq final : net::Payload {
+struct QueryReq final : net::TaggedPayload<QueryReq> {
   std::uint64_t id = 0;
   std::string attribute;
   net::EndpointId reply_to = net::kInvalidEndpoint;
@@ -41,7 +42,7 @@ struct QueryReq final : net::Payload {
   [[nodiscard]] const char* type_name() const override { return "ganglia.QueryReq"; }
 };
 
-struct QueryReply final : net::Payload {
+struct QueryReply final : net::TaggedPayload<QueryReply> {
   std::uint64_t id = 0;
   int matches = 0;
   [[nodiscard]] std::size_t wire_size() const override { return 16; }
@@ -109,8 +110,8 @@ void GangliaFederation::poll_cycle() {
 }
 
 void GangliaFederation::on_member(net::SiteId site, std::size_t index, net::Envelope env) {
-  if (dynamic_cast<MemberPoll*>(env.payload.get()) == nullptr) return;
-  const auto* poll = dynamic_cast<MemberPoll*>(env.payload.get());
+  const auto* poll = util::msg_as<MemberPoll>(*env.payload);
+  if (poll == nullptr) return;
   auto& member = clusters_[site].members[index];
   auto snapshot = std::make_unique<MemberSnapshot>();
   snapshot->cycle = poll->cycle;
@@ -121,7 +122,7 @@ void GangliaFederation::on_member(net::SiteId site, std::size_t index, net::Enve
 }
 
 void GangliaFederation::on_master(net::SiteId site, net::Envelope env) {
-  auto* snapshot = dynamic_cast<MemberSnapshot*>(env.payload.get());
+  auto* snapshot = util::msg_as<MemberSnapshot>(*env.payload);
   if (snapshot == nullptr) return;
   auto& cluster = clusters_[site];
   for (const auto& attr : snapshot->attributes) cluster.snapshot[attr] += 1;
@@ -143,11 +144,11 @@ void GangliaFederation::on_master(net::SiteId site, net::Envelope env) {
 }
 
 void GangliaFederation::on_central(net::Envelope env) {
-  if (auto* snapshot = dynamic_cast<ClusterSnapshot*>(env.payload.get())) {
+  if (auto* snapshot = util::msg_as<ClusterSnapshot>(*env.payload)) {
     central_view_[snapshot->site] = snapshot->counts;
     return;
   }
-  if (auto* query = dynamic_cast<QueryReq*>(env.payload.get())) {
+  if (auto* query = util::msg_as<QueryReq>(*env.payload)) {
     int matches = 0;
     for (const auto& site_view : central_view_) {
       auto it = site_view.find(query->attribute);
@@ -167,7 +168,7 @@ void GangliaFederation::query(net::SiteId site, const std::string& attribute,
   query_waiters_[id] = std::move(callback);
   // A transient client endpoint per query keeps the model simple.
   const auto client = network_.add_endpoint(site, [this](net::Envelope env) {
-    if (auto* reply = dynamic_cast<QueryReply*>(env.payload.get())) {
+    if (auto* reply = util::msg_as<QueryReply>(*env.payload)) {
       auto it = query_waiters_.find(reply->id);
       if (it != query_waiters_.end()) {
         auto cb = std::move(it->second);

@@ -1,12 +1,13 @@
 #include "baseline/past_dht.hpp"
 
+#include "util/msg_tag.hpp"
 #include "util/sha1.hpp"
 
 namespace rbay::baseline {
 
 namespace {
 
-struct InsertMsg final : pastry::AppMessage {
+struct InsertMsg final : pastry::TaggedMessage<InsertMsg> {
   std::string text_key;
   std::string value;
   std::uint64_t request_id = 0;
@@ -17,7 +18,7 @@ struct InsertMsg final : pastry::AppMessage {
   [[nodiscard]] const char* type_name() const override { return "past.Insert"; }
 };
 
-struct ReplicateMsg final : pastry::AppMessage {
+struct ReplicateMsg final : pastry::TaggedMessage<ReplicateMsg> {
   pastry::NodeId key;
   std::string text_key;
   std::string value;
@@ -27,21 +28,21 @@ struct ReplicateMsg final : pastry::AppMessage {
   [[nodiscard]] const char* type_name() const override { return "past.Replicate"; }
 };
 
-struct InsertAckMsg final : pastry::AppMessage {
+struct InsertAckMsg final : pastry::TaggedMessage<InsertAckMsg> {
   std::uint64_t request_id = 0;
   int replicas = 0;
   [[nodiscard]] std::size_t wire_size() const override { return 16; }
   [[nodiscard]] const char* type_name() const override { return "past.InsertAck"; }
 };
 
-struct LookupMsg final : pastry::AppMessage {
+struct LookupMsg final : pastry::TaggedMessage<LookupMsg> {
   std::uint64_t request_id = 0;
   pastry::NodeRef origin;
   [[nodiscard]] std::size_t wire_size() const override { return 40; }
   [[nodiscard]] const char* type_name() const override { return "past.Lookup"; }
 };
 
-struct LookupReplyMsg final : pastry::AppMessage {
+struct LookupReplyMsg final : pastry::TaggedMessage<LookupReplyMsg> {
   std::uint64_t request_id = 0;
   bool found = false;
   std::vector<std::string> values;
@@ -60,9 +61,7 @@ pastry::NodeId key_id(const std::string& text_key) {
 }  // namespace
 
 PastDhtNode::PastDhtNode(pastry::PastryNode& node, PastDhtConfig config)
-    : node_(node), config_(config) {
-  node_.register_app(kAppName, this);
-}
+    : node_(node), app_(node.register_app(kAppName, this)), config_(config) {}
 
 void PastDhtNode::store_local(const pastry::NodeId& key, const std::string& text_key,
                               const std::string& value) {
@@ -83,7 +82,7 @@ void PastDhtNode::insert(const std::string& key, const std::string& value,
   msg->value = value;
   msg->request_id = id;
   msg->origin = node_.self();
-  node_.route(key_id(key), std::move(msg), kAppName);
+  node_.route(key_id(key), std::move(msg), app_);
 }
 
 void PastDhtNode::lookup(const std::string& key, LookupCallback callback) {
@@ -92,11 +91,11 @@ void PastDhtNode::lookup(const std::string& key, LookupCallback callback) {
   auto msg = std::make_unique<LookupMsg>();
   msg->request_id = id;
   msg->origin = node_.self();
-  node_.route(key_id(key), std::move(msg), kAppName);
+  node_.route(key_id(key), std::move(msg), app_);
 }
 
 void PastDhtNode::deliver(const pastry::NodeId& key, pastry::AppMessage& msg, int /*hops*/) {
-  if (auto* insert = dynamic_cast<InsertMsg*>(&msg)) {
+  if (auto* insert = util::msg_as<InsertMsg>(msg)) {
     // We are the key root: store and replicate to our closest leaves.
     store_local(key, insert->text_key, insert->value);
     int replicas = 1;
@@ -106,7 +105,7 @@ void PastDhtNode::deliver(const pastry::NodeId& key, pastry::AppMessage& msg, in
       rep->key = key;
       rep->text_key = insert->text_key;
       rep->value = insert->value;
-      node_.send_direct(leaf, std::move(rep), kAppName);
+      node_.send_direct(leaf, std::move(rep), app_);
       ++replicas;
     }
     auto ack = std::make_unique<InsertAckMsg>();
@@ -121,10 +120,10 @@ void PastDhtNode::deliver(const pastry::NodeId& key, pastry::AppMessage& msg, in
       }
       return;
     }
-    node_.send_direct(insert->origin, std::move(ack), kAppName);
+    node_.send_direct(insert->origin, std::move(ack), app_);
     return;
   }
-  if (auto* lookup = dynamic_cast<LookupMsg*>(&msg)) {
+  if (auto* lookup = util::msg_as<LookupMsg>(msg)) {
     auto reply = std::make_unique<LookupReplyMsg>();
     reply->request_id = lookup->request_id;
     auto it = store_.find(key);
@@ -141,17 +140,17 @@ void PastDhtNode::deliver(const pastry::NodeId& key, pastry::AppMessage& msg, in
       }
       return;
     }
-    node_.send_direct(lookup->origin, std::move(reply), kAppName);
+    node_.send_direct(lookup->origin, std::move(reply), app_);
     return;
   }
 }
 
 void PastDhtNode::receive(const pastry::NodeRef& /*from*/, pastry::AppMessage& msg) {
-  if (auto* rep = dynamic_cast<ReplicateMsg*>(&msg)) {
+  if (auto* rep = util::msg_as<ReplicateMsg>(msg)) {
     store_local(rep->key, rep->text_key, rep->value);
     return;
   }
-  if (auto* ack = dynamic_cast<InsertAckMsg*>(&msg)) {
+  if (auto* ack = util::msg_as<InsertAckMsg>(msg)) {
     auto it = insert_waiters_.find(ack->request_id);
     if (it != insert_waiters_.end()) {
       auto cb = std::move(it->second);
@@ -160,7 +159,7 @@ void PastDhtNode::receive(const pastry::NodeRef& /*from*/, pastry::AppMessage& m
     }
     return;
   }
-  if (auto* reply = dynamic_cast<LookupReplyMsg*>(&msg)) {
+  if (auto* reply = util::msg_as<LookupReplyMsg>(msg)) {
     auto it = lookup_waiters_.find(reply->request_id);
     if (it != lookup_waiters_.end()) {
       auto cb = std::move(it->second);

@@ -58,6 +58,7 @@ class PastDhtNode final : public pastry::PastryApp {
                    const std::string& value);
 
   pastry::PastryNode& node_;
+  pastry::AppId app_;  // kAppName, interned
   PastDhtConfig config_;
   // key id → (textual key, values)
   std::unordered_map<pastry::NodeId, std::pair<std::string, std::vector<std::string>>,

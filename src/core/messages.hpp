@@ -59,7 +59,7 @@ struct SiteResult {
 
 /// The anycast payload: "this anycast message has a buffer of k empty
 /// entries" (§III.D step 3).  Members fill entries as the DFS visits them.
-struct CandidatePayload final : scribe::AnycastPayload {
+struct CandidatePayload final : scribe::TaggedAnycastPayload<CandidatePayload> {
   SiteJob job;
   std::vector<Candidate> found;
 
@@ -72,7 +72,7 @@ struct CandidatePayload final : scribe::AnycastPayload {
 };
 
 /// Query interface → remote site gateway: run this query inside your site.
-struct SiteQueryRequest final : pastry::AppMessage {
+struct SiteQueryRequest final : pastry::TaggedMessage<SiteQueryRequest> {
   std::uint64_t request_id = 0;
   pastry::NodeRef origin;
   SiteJob job;
@@ -87,7 +87,7 @@ struct SiteQueryRequest final : pastry::AppMessage {
 };
 
 /// Gateway → query interface: candidates found in my site.
-struct SiteQueryReply final : pastry::AppMessage {
+struct SiteQueryReply final : pastry::TaggedMessage<SiteQueryReply> {
   std::uint64_t request_id = 0;
   int attempt = 0;
   SiteResult result;
@@ -103,7 +103,7 @@ struct SiteQueryReply final : pastry::AppMessage {
 
 /// Customer decision on a reserved node (Fig. 7, step 5).  `lease` bounds
 /// the tenancy (zero = indefinite).
-struct CommitMsg final : pastry::AppMessage {
+struct CommitMsg final : pastry::TaggedMessage<CommitMsg> {
   std::string query_id;
   util::SimTime lease = util::SimTime::zero();
   [[nodiscard]] std::size_t wire_size() const override { return 24 + query_id.size(); }
@@ -114,7 +114,7 @@ struct CommitMsg final : pastry::AppMessage {
 };
 
 /// Tenant extends its lease before expiry.
-struct RenewMsg final : pastry::AppMessage {
+struct RenewMsg final : pastry::TaggedMessage<RenewMsg> {
   std::string query_id;
   util::SimTime lease = util::SimTime::zero();
   [[nodiscard]] std::size_t wire_size() const override { return 24 + query_id.size(); }
@@ -124,7 +124,7 @@ struct RenewMsg final : pastry::AppMessage {
   }
 };
 
-struct ReleaseMsg final : pastry::AppMessage {
+struct ReleaseMsg final : pastry::TaggedMessage<ReleaseMsg> {
   std::string query_id;
   /// The query attempt whose reservations this frees (0 = any): the node
   /// ignores a release older than the attempt that last reserved it.

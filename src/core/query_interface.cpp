@@ -5,6 +5,7 @@
 #include "core/rbay_node.hpp"
 #include "obs/metrics.hpp"
 #include "util/log.hpp"
+#include "util/msg_tag.hpp"
 
 namespace rbay::core {
 
@@ -40,16 +41,15 @@ obs::TraceContext record_phase_point(obs::CausalLog* causal, const obs::TraceCon
 }  // namespace
 
 QueryInterface::QueryInterface(RBayNode& owner, QueryConfig config)
-    : owner_(owner), config_(config),
+    : owner_(owner), app_(owner.pastry().register_app(kAppName, this)), config_(config),
       admission_(config.qplane.admission_window, config.qplane.admission_queue),
       answer_cache_(config.qplane.cache_ttl) {
-  owner_.pastry().register_app(kAppName, this);
   // A satisfied anycast result that raced the timeout retry carries
   // member-side reservations nobody will ever commit or release; free them
   // the moment the orphaned payload surfaces (see Scribe::complete_anycast).
   owner_.scribe().set_orphan_handler(
       [this](const scribe::TopicId& /*topic*/, scribe::AnycastPayload& payload) {
-        if (auto* filled = dynamic_cast<CandidatePayload*>(&payload)) {
+        if (auto* filled = util::msg_as<CandidatePayload>(payload)) {
           release_orphans(filled->job.query_id, filled->job.attempt, filled->found);
         }
       });
@@ -65,7 +65,7 @@ void QueryInterface::send_releases(const std::string& query_id, int attempt,
     auto release = std::make_unique<ReleaseMsg>();
     release->query_id = query_id;
     release->attempt = attempt;
-    owner_.pastry().send_direct(c.node, std::move(release), kAppName);
+    owner_.pastry().send_direct(c.node, std::move(release), app_);
   }
 }
 
@@ -241,7 +241,7 @@ void QueryInterface::attempt(std::uint64_t id) {
       req->request_id = id;
       req->origin = owner_.self();
       req->job = job;
-      owner_.pastry().send_direct(dir->gateways[site], std::move(req), kAppName);
+      owner_.pastry().send_direct(dir->gateways[site], std::move(req), app_);
     }
   }
 }
@@ -501,7 +501,8 @@ void QueryInterface::run_site_query(SiteJob job, std::function<void(SiteResult)>
         state->topics[best], std::move(payload),
         [this, state, anycast_start, anycast_ctx](bool /*satisfied*/, int visited,
                                                   scribe::AnycastPayload& result) {
-          auto& filled = dynamic_cast<CandidatePayload&>(result);
+          // The walk carries the CandidatePayload this query built.
+          auto& filled = *util::msg_as<CandidatePayload>(result);
           const auto end = owner_.engine().now();
           if (auto* reg = owner_.engine().metrics()) {
             reg->fed().latency("query.phase_anycast").add(end - anycast_start);
@@ -606,7 +607,7 @@ void QueryInterface::commit(const QueryOutcome& outcome, util::SimTime lease) {
     auto msg = std::make_unique<CommitMsg>();
     msg->query_id = outcome.query_id;
     msg->lease = lease;
-    owner_.pastry().send_direct(c.node, std::move(msg), kAppName);
+    owner_.pastry().send_direct(c.node, std::move(msg), app_);
   }
 }
 
@@ -615,7 +616,7 @@ void QueryInterface::renew(const QueryOutcome& outcome, util::SimTime lease) {
     auto msg = std::make_unique<RenewMsg>();
     msg->query_id = outcome.query_id;
     msg->lease = lease;
-    owner_.pastry().send_direct(c.node, std::move(msg), kAppName);
+    owner_.pastry().send_direct(c.node, std::move(msg), app_);
   }
 }
 
@@ -631,7 +632,7 @@ void QueryInterface::deliver(const pastry::NodeId& /*key*/, pastry::AppMessage& 
 }
 
 void QueryInterface::receive(const pastry::NodeRef& from, pastry::AppMessage& msg) {
-  if (auto* req = dynamic_cast<SiteQueryRequest*>(&msg)) {
+  if (auto* req = util::msg_as<SiteQueryRequest>(msg)) {
     // Gateway role: run the query inside our site and reply to the origin.
     const auto request_id = req->request_id;
     const auto attempt_no = req->job.attempt;
@@ -642,11 +643,11 @@ void QueryInterface::receive(const pastry::NodeRef& from, pastry::AppMessage& ms
       reply->attempt = attempt_no;
       reply->result = std::move(result);
       reply->result.site = owner_.site();
-      owner_.pastry().send_direct(origin, std::move(reply), kAppName);
+      owner_.pastry().send_direct(origin, std::move(reply), app_);
     });
     return;
   }
-  if (auto* reply = dynamic_cast<SiteQueryReply*>(&msg)) {
+  if (auto* reply = util::msg_as<SiteQueryReply>(msg)) {
     auto it = pending_.find(reply->request_id);
     if (it == pending_.end() || it->second.outcome.attempts != reply->attempt) {
       // Late reply: its query finished or moved on to a later attempt.
@@ -666,15 +667,15 @@ void QueryInterface::receive(const pastry::NodeRef& from, pastry::AppMessage& ms
     site_done(reply->request_id, std::move(reply->result));
     return;
   }
-  if (auto* commit = dynamic_cast<CommitMsg*>(&msg)) {
+  if (auto* commit = util::msg_as<CommitMsg>(msg)) {
     owner_.lock().commit(commit->query_id, owner_.engine().now(), commit->lease);
     return;
   }
-  if (auto* renew = dynamic_cast<RenewMsg*>(&msg)) {
+  if (auto* renew = util::msg_as<RenewMsg>(msg)) {
     owner_.lock().renew(renew->query_id, owner_.engine().now(), renew->lease);
     return;
   }
-  if (auto* release = dynamic_cast<ReleaseMsg*>(&msg)) {
+  if (auto* release = util::msg_as<ReleaseMsg>(msg)) {
     owner_.lock().release(release->query_id, owner_.engine().now(), release->attempt);
     return;
   }

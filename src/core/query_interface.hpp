@@ -159,6 +159,7 @@ class QueryInterface final : public pastry::PastryApp {
   void shed_query(const query::Query& query, Callback& callback);
 
   RBayNode& owner_;
+  pastry::AppId app_;  // kAppName, interned
   QueryConfig config_;
   std::uint64_t next_id_ = 1;
   std::map<std::uint64_t, Pending> pending_;

@@ -5,6 +5,7 @@
 #include "core/query_interface.hpp"
 #include "obs/metrics.hpp"
 #include "util/log.hpp"
+#include "util/msg_tag.hpp"
 
 namespace rbay::core {
 
@@ -224,7 +225,7 @@ bool RBayNode::authorize_get(const std::vector<query::Predicate>& predicates,
 }
 
 bool RBayNode::on_anycast(const scribe::TopicId& /*topic*/, scribe::AnycastPayload& payload) {
-  auto* request = dynamic_cast<CandidatePayload*>(&payload);
+  auto* request = util::msg_as<CandidatePayload>(payload);
   if (request == nullptr) return false;
   auto* reg = engine().metrics();
   if (reg != nullptr) reg->fed().counter("query.member_checks").inc();

@@ -191,15 +191,12 @@ void Network::send(EndpointId from, EndpointId to, std::unique_ptr<Payload> payl
     }
   }
 
-  // std::function requires copyable callables, so the unique_ptr travels
-  // inside a shared box and is moved out exactly once at delivery.
-  auto box = std::make_shared<std::unique_ptr<Payload>>(std::move(payload));
   if (weather.duplicate) {
     // The copy gets its own jitter draw and its own hold — two genuinely
     // independent deliveries of the same bytes.  Payloads that cannot
     // deep-copy (clone_payload() == nullptr) stay singular; the dup chance
     // was already drawn, so the RNG stream is unaffected.
-    if (auto copy = (*box)->clone_payload()) {
+    if (auto copy = payload->clone_payload()) {
       const util::SimTime dup_delay = jittered(base) + weather.dup_hold;
       ++stats.duplicated;
       if (weather.dup_hold > util::SimTime::zero()) ++stats.reordered;
@@ -209,28 +206,23 @@ void Network::send(EndpointId from, EndpointId to, std::unique_ptr<Payload> payl
           lazy_counter(metrics_.reordered, "net.reordered").inc();
         }
       }
-      auto dup_box = std::make_shared<std::unique_ptr<Payload>>(std::move(copy));
-      schedule_delivery(from, to, std::move(dup_box), size, dup_delay, trace);
+      schedule_delivery(from, to, std::move(copy), size, dup_delay, trace);
     }
   }
-  schedule_delivery(from, to, std::move(box), size, delay, trace);
+  schedule_delivery(from, to, std::move(payload), size, delay, trace);
 }
 
-void Network::schedule_delivery(EndpointId from, EndpointId to,
-                                std::shared_ptr<std::unique_ptr<Payload>> box,
+void Network::schedule_delivery(EndpointId from, EndpointId to, std::unique_ptr<Payload> payload,
                                 std::size_t size, util::SimTime delay,
                                 obs::TraceContext trace) {
-  // The delivery runs on the receiver's site shard.  Cross-site sends
-  // satisfy the lookahead contract by construction — see
-  // update_lookahead().
-  engine_.schedule_on(engine_.shard_for_site(endpoints_[to].site), delay,
-                      [this, from, to, box, size, delay, trace]() {
+  auto deliver = [this, from, to, payload = std::move(payload), size, delay,
+                  trace]() mutable {
     auto& dst = endpoints_[to];
     if (dst.down) {
       ++live_stats().messages_dropped;
       if (metrics_.dropped != nullptr) metrics_.dropped->inc();
       if (metrics_.causal != nullptr) {
-        metrics_.causal->on_drop(trace, dst.site, to, (*box)->type_name(), engine_.now());
+        metrics_.causal->on_drop(trace, dst.site, to, payload->type_name(), engine_.now());
       }
       return;
     }
@@ -242,15 +234,22 @@ void Network::schedule_delivery(EndpointId from, EndpointId to,
       metrics_.delay->add(delay);
     }
     if (metrics_.causal != nullptr) {
-      metrics_.causal->on_recv(trace, dst.site, to, (*box)->type_name(), engine_.now());
+      metrics_.causal->on_recv(trace, dst.site, to, payload->type_name(), engine_.now());
     }
     // Re-establish the message's context around the handler: every send or
     // recorded local op the handler performs becomes a child span of this
     // message.  That one rule propagates causality through pastry, scribe,
     // and the query protocol without any per-protocol plumbing.
     obs::ContextScope scope(metrics_.causal, trace);
-    dst.handler(Envelope{from, to, std::move(*box), trace});
-  });
+    dst.handler(Envelope{from, to, std::move(payload), trace});
+  };
+  // The closure owns the payload and is stored inline in its event node.
+  static_assert(sizeof(deliver) <= sim::detail::kInlineCallback,
+                "the delivery closure must fit an event node's inline callback storage");
+  // The delivery runs on the receiver's site shard.  Cross-site sends
+  // satisfy the lookahead contract by construction — see
+  // update_lookahead().
+  engine_.schedule_on(engine_.shard_for_site(endpoints_[to].site), delay, std::move(deliver));
 }
 
 obs::Counter& Network::lazy_counter(obs::Counter*& slot, const char* name) {

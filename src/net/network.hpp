@@ -19,6 +19,7 @@
 #include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 #include "util/contract.hpp"
+#include "util/msg_tag.hpp"
 
 namespace rbay::net {
 
@@ -27,9 +28,12 @@ constexpr EndpointId kInvalidEndpoint = static_cast<EndpointId>(-1);
 
 /// Polymorphic message payload.  Concrete protocol messages (Pastry JOIN,
 /// Scribe ANYCAST, query probes, ...) derive from this and report their
-/// approximate wire size for bandwidth accounting.
+/// approximate wire size for bandwidth accounting.  Protocol payloads
+/// derive through TaggedPayload so receivers dispatch with util::msg_as.
 struct Payload {
+  Payload() = default;
   virtual ~Payload() = default;
+  [[nodiscard]] util::MsgTag tag() const { return tag_; }
   [[nodiscard]] virtual std::size_t wire_size() const = 0;
   [[nodiscard]] virtual const char* type_name() const = 0;
   /// Deep copy, used only by the link conditioner to deliver a message
@@ -37,7 +41,16 @@ struct Payload {
   /// Returning nullptr — the default — marks the payload non-clonable, and
   /// the conditioner simply will not duplicate it.
   [[nodiscard]] virtual std::unique_ptr<Payload> clone_payload() const { return nullptr; }
+
+ protected:
+  explicit Payload(util::MsgTag tag) : tag_(tag) {}
+
+ private:
+  util::MsgTag tag_ = nullptr;
 };
+
+template <class T>
+using TaggedPayload = util::Tagged<T, Payload>;
 
 struct Envelope {
   EndpointId from = kInvalidEndpoint;
@@ -167,9 +180,8 @@ class Network {
 
   /// Schedules one delivery after `delay` onto the destination endpoint's
   /// site shard.
-  void schedule_delivery(EndpointId from, EndpointId to,
-                         std::shared_ptr<std::unique_ptr<Payload>> box, std::size_t size,
-                         util::SimTime delay, obs::TraceContext trace);
+  void schedule_delivery(EndpointId from, EndpointId to, std::unique_ptr<Payload> payload,
+                         std::size_t size, util::SimTime delay, obs::TraceContext trace);
 
   /// The NetworkStats cell of the calling execution slot.
   [[nodiscard]] NetworkStats& live_stats() { return slot_stats_[obs::exec_slot().index]; }

@@ -1,10 +1,58 @@
 #include "pastry/node.hpp"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <mutex>
 
 #include "util/log.hpp"
+#include "util/msg_tag.hpp"
 
 namespace rbay::pastry {
+
+namespace {
+
+/// Process-wide app-name table.  Names are written once, under the lock,
+/// before `count` publishes them, so readers scan without locking.
+struct AppTable {
+  static constexpr std::uint32_t kCapacity = 64;
+  std::array<std::string, kCapacity> names;
+  std::atomic<std::uint32_t> count{0};
+  std::mutex mu;
+
+  [[nodiscard]] std::optional<AppId> find(std::string_view name, std::uint32_t n) const {
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if (names[i] == name) return AppId{i};
+    }
+    return std::nullopt;
+  }
+};
+
+AppTable& app_table() {
+  static AppTable table;
+  return table;
+}
+
+}  // namespace
+
+AppId intern_app(std::string_view name) {
+  AppTable& table = app_table();
+  if (auto id = table.find(name, table.count.load(std::memory_order_acquire))) return *id;
+  std::lock_guard<std::mutex> lk(table.mu);
+  const std::uint32_t n = table.count.load(std::memory_order_relaxed);
+  if (auto id = table.find(name, n)) return *id;
+  RBAY_REQUIRE(n < AppTable::kCapacity, "intern_app: too many Pastry application names");
+  table.names[n] = std::string(name);
+  table.count.store(n + 1, std::memory_order_release);
+  return AppId{n};
+}
+
+const std::string& app_name(AppId id) {
+  const AppTable& table = app_table();
+  const auto i = static_cast<std::uint32_t>(id);
+  RBAY_REQUIRE(i < table.count.load(std::memory_order_acquire), "app_name: unknown AppId");
+  return table.names[i];
+}
 
 PastryNode::PastryNode(net::Network& network, net::SiteId site, std::string ip)
     : network_(network),
@@ -41,14 +89,13 @@ void PastryNode::refresh_metrics() {
   metrics_.causal = &registry->causal();
 }
 
-void PastryNode::register_app(const std::string& app_name, PastryApp* app) {
+AppId PastryNode::register_app(const std::string& name, PastryApp* app) {
   RBAY_REQUIRE(app != nullptr, "register_app: app required");
-  apps_[app_name] = app;
-}
-
-PastryApp* PastryNode::find_app(const std::string& name) {
-  auto it = apps_.find(name);
-  return it == apps_.end() ? nullptr : it->second;
+  const AppId id = intern_app(name);
+  const auto i = static_cast<std::size_t>(id);
+  if (apps_.size() <= i) apps_.resize(i + 1, nullptr);
+  apps_[i] = app;
+  return id;
 }
 
 std::int64_t PastryNode::proximity_to(const NodeRef& other) const {
@@ -79,7 +126,14 @@ void PastryNode::forget(const NodeId& id) {
   if (in_leaf_set) {
     // Notify after the removal so apps querying next_hop() see the
     // post-transfer ownership of keys the dead neighbor used to cover.
-    for (auto& entry : apps_) entry.second->neighbor_failed(id);
+    // In app-name order, whatever order the names were interned in.
+    std::vector<AppId> order;
+    for (std::size_t i = 0; i < apps_.size(); ++i) {
+      if (apps_[i] != nullptr) order.push_back(AppId{static_cast<std::uint32_t>(i)});
+    }
+    std::sort(order.begin(), order.end(),
+              [](AppId a, AppId b) { return app_name(a) < app_name(b); });
+    for (AppId app : order) apps_[static_cast<std::size_t>(app)]->neighbor_failed(id);
   }
 }
 
@@ -120,33 +174,32 @@ std::optional<NodeRef> PastryNode::next_hop(const NodeId& key, Scope scope) cons
   return rare_case_hop(key, scope);
 }
 
-void PastryNode::route(const NodeId& key, std::unique_ptr<AppMessage> msg,
-                       const std::string& app_name, Scope scope) {
+void PastryNode::route(const NodeId& key, std::unique_ptr<AppMessage> msg, AppId app,
+                       Scope scope) {
   RBAY_REQUIRE(msg != nullptr, "route: message required");
   if (auto* c = metric(&MetricsCache::routes)) c->inc();
   const auto hop = next_hop(key, scope);
   if (!hop) {
-    deliver_local(key, app_name, std::move(msg), 0);
+    deliver_local(key, app, *msg, 0);
     return;
   }
-  if (auto* app = find_app(app_name)) {
-    if (!app->forward(key, *msg, *hop)) return;
+  if (auto* handler = find_app(app)) {
+    if (!handler->forward(key, *msg, *hop)) return;
   }
   auto env = std::make_unique<RouteEnvelope>();
   env->key = key;
   env->scope = scope;
   env->hops = 1;
-  env->app = app_name;
+  env->app = app;
   env->msg = std::move(msg);
   network_.send(self_.endpoint, hop->endpoint, std::move(env));
 }
 
-void PastryNode::send_direct(const NodeRef& target, std::unique_ptr<AppMessage> msg,
-                             const std::string& app_name) {
+void PastryNode::send_direct(const NodeRef& target, std::unique_ptr<AppMessage> msg, AppId app) {
   RBAY_REQUIRE(msg != nullptr, "send_direct: message required");
   auto env = std::make_unique<DirectEnvelope>();
   env->sender = self_;
-  env->app = app_name;
+  env->app = app;
   env->msg = std::move(msg);
   network_.send(self_.endpoint, target.endpoint, std::move(env));
 }
@@ -157,8 +210,7 @@ void PastryNode::join(const NodeRef& bootstrap) {
   network_.send(self_.endpoint, bootstrap.endpoint, std::move(req));
 }
 
-void PastryNode::deliver_local(const NodeId& key, const std::string& app_name,
-                               std::unique_ptr<AppMessage> msg, int hops) {
+void PastryNode::deliver_local(const NodeId& key, AppId app, AppMessage& msg, int hops) {
   if (metric(&MetricsCache::delivers) != nullptr) {
     metrics_.delivers->inc();
     metrics_.delivery_hops->add_us(hops);
@@ -167,17 +219,17 @@ void PastryNode::deliver_local(const NodeId& key, const std::string& app_name,
     metrics_.causal->local(network_.site_of(self_.endpoint), self_.endpoint, "pastry.deliver",
                            network_.engine().now());
   }
-  if (auto* app = find_app(app_name)) {
-    app->deliver(key, *msg, hops);
+  if (auto* handler = find_app(app)) {
+    handler->deliver(key, msg, hops);
   } else {
-    RBAY_WARN("pastry", "no app '" << app_name << "' registered on " << self_.id.to_hex());
+    RBAY_WARN("pastry", "no app '" << app_name(app) << "' registered on " << self_.id.to_hex());
   }
 }
 
-void PastryNode::handle_route(net::EndpointId /*from*/, RouteEnvelope& env) {
-  const auto hop = next_hop(env.key, env.scope);
+void PastryNode::handle_route(std::unique_ptr<RouteEnvelope> env) {
+  const auto hop = next_hop(env->key, env->scope);
   if (!hop) {
-    deliver_local(env.key, env.app, std::move(env.msg), env.hops);
+    deliver_local(env->key, env->app, *env->msg, env->hops);
     return;
   }
   ++forward_count_;
@@ -185,16 +237,12 @@ void PastryNode::handle_route(net::EndpointId /*from*/, RouteEnvelope& env) {
     metrics_.forwards->inc();
     metrics_.node_forwards->inc();
   }
-  if (auto* app = find_app(env.app)) {
-    if (!app->forward(env.key, *env.msg, *hop)) return;
+  if (auto* handler = find_app(env->app)) {
+    if (!handler->forward(env->key, *env->msg, *hop)) return;
   }
-  auto next = std::make_unique<RouteEnvelope>();
-  next->key = env.key;
-  next->scope = env.scope;
-  next->hops = env.hops + 1;
-  next->app = env.app;
-  next->msg = std::move(env.msg);
-  network_.send(self_.endpoint, hop->endpoint, std::move(next));
+  // Forward the received envelope itself: one hop more, no copy.
+  ++env->hops;
+  network_.send(self_.endpoint, hop->endpoint, std::move(env));
 }
 
 void PastryNode::handle_join_request(JoinRequest& req) {
@@ -251,17 +299,19 @@ void PastryNode::handle_join_reply(const JoinReply& reply) {
 }
 
 void PastryNode::on_envelope(net::Envelope env) {
-  if (auto* route = dynamic_cast<RouteEnvelope*>(env.payload.get())) {
-    handle_route(env.from, *route);
-  } else if (auto* direct = dynamic_cast<DirectEnvelope*>(env.payload.get())) {
+  net::Payload& payload = *env.payload;
+  if (util::msg_as<RouteEnvelope>(payload) != nullptr) {
+    handle_route(std::unique_ptr<RouteEnvelope>(
+        static_cast<RouteEnvelope*>(env.payload.release())));
+  } else if (auto* direct = util::msg_as<DirectEnvelope>(payload)) {
     if (auto* app = find_app(direct->app)) {
       app->receive(direct->sender, *direct->msg);
     }
-  } else if (auto* join_req = dynamic_cast<JoinRequest*>(env.payload.get())) {
+  } else if (auto* join_req = util::msg_as<JoinRequest>(payload)) {
     handle_join_request(*join_req);
-  } else if (auto* join_reply = dynamic_cast<JoinReply*>(env.payload.get())) {
+  } else if (auto* join_reply = util::msg_as<JoinReply>(payload)) {
     handle_join_reply(*join_reply);
-  } else if (auto* ann = dynamic_cast<StateAnnounce*>(env.payload.get())) {
+  } else if (auto* ann = util::msg_as<StateAnnounce>(payload)) {
     learn(ann->node);
   } else {
     RBAY_WARN("pastry", "unknown payload type " << env.payload->type_name());

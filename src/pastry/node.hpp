@@ -9,10 +9,10 @@
 // converge on a "virtual root" inside the site (§III.E).
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "net/network.hpp"
 #include "pastry/leaf_set.hpp"
@@ -66,17 +66,27 @@ class PastryNode {
   [[nodiscard]] const std::string& ip() const { return ip_; }
   [[nodiscard]] net::Network& network() { return network_; }
 
-  /// Registers an application under `app_name`.  The pointer must outlive
-  /// the node.
-  void register_app(const std::string& app_name, PastryApp* app);
+  /// Registers an application under `name` and returns the name's
+  /// interned id, which the app then sends under.  Registering a name again
+  /// replaces its app.  The pointer must outlive the node.
+  AppId register_app(const std::string& name, PastryApp* app);
 
   /// Routes `msg` toward the root of `key` within `scope`.
-  void route(const NodeId& key, std::unique_ptr<AppMessage> msg, const std::string& app_name,
+  void route(const NodeId& key, std::unique_ptr<AppMessage> msg, AppId app,
              Scope scope = Scope::Global);
+  /// Same, naming the app by string (interned on every call).
+  void route(const NodeId& key, std::unique_ptr<AppMessage> msg, const std::string& name,
+             Scope scope = Scope::Global) {
+    route(key, std::move(msg), intern_app(name), scope);
+  }
 
   /// Sends directly to a known node, bypassing key routing.
+  void send_direct(const NodeRef& target, std::unique_ptr<AppMessage> msg, AppId app);
+  /// Same, naming the app by string (interned on every call).
   void send_direct(const NodeRef& target, std::unique_ptr<AppMessage> msg,
-                   const std::string& app_name);
+                   const std::string& name) {
+    send_direct(target, std::move(msg), intern_app(name));
+  }
 
   /// Starts the join protocol via an existing overlay member.
   void join(const NodeRef& bootstrap);
@@ -110,12 +120,14 @@ class PastryNode {
 
  private:
   void on_envelope(net::Envelope env);
-  void handle_route(net::EndpointId from, RouteEnvelope& env);
+  void handle_route(std::unique_ptr<RouteEnvelope> env);
   void handle_join_request(JoinRequest& req);
   void handle_join_reply(const JoinReply& reply);
-  void deliver_local(const NodeId& key, const std::string& app_name,
-                     std::unique_ptr<AppMessage> msg, int hops);
-  [[nodiscard]] PastryApp* find_app(const std::string& name);
+  void deliver_local(const NodeId& key, AppId app, AppMessage& msg, int hops);
+  [[nodiscard]] PastryApp* find_app(AppId app) const {
+    const auto i = static_cast<std::size_t>(app);
+    return i < apps_.size() ? apps_[i] : nullptr;
+  }
   [[nodiscard]] std::int64_t proximity_to(const NodeRef& other) const;
   [[nodiscard]] std::optional<NodeRef> rare_case_hop(const NodeId& key, Scope scope) const;
 
@@ -147,7 +159,7 @@ class PastryNode {
   RoutingTable table_;
   LeafSet site_leaves_;
   RoutingTable site_table_;
-  std::map<std::string, PastryApp*> apps_;
+  std::vector<PastryApp*> apps_;  // indexed by AppId; nullptr = not registered
   bool joined_ = false;
   // One-shot latch for handle_join_reply.  Distinct from joined_, which any
   // learn() (e.g. a concurrent joiner's StateAnnounce) can set before our

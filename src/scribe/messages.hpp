@@ -22,13 +22,24 @@ enum class AggregateKind { Count, Sum, Min, Max };
 /// member handlers mutate it in place.  `clone()` exists so the originator
 /// can keep a pristine copy to retry with after an anycast timeout.
 struct AnycastPayload {
+  AnycastPayload() = default;
   virtual ~AnycastPayload() = default;
+  [[nodiscard]] util::MsgTag tag() const { return tag_; }
   [[nodiscard]] virtual std::size_t wire_size() const = 0;
   [[nodiscard]] virtual std::unique_ptr<AnycastPayload> clone() const = 0;
+
+ protected:
+  explicit AnycastPayload(util::MsgTag tag) : tag_(tag) {}
+
+ private:
+  util::MsgTag tag_ = nullptr;
 };
 
+template <class T>
+using TaggedAnycastPayload = util::Tagged<T, AnycastPayload>;
+
 /// Routed toward the TopicId; absorbed by the first tree node on the path.
-struct JoinMsg final : pastry::AppMessage {
+struct JoinMsg final : pastry::TaggedMessage<JoinMsg> {
   TopicId topic;
   NodeRef child;
   pastry::Scope scope = pastry::Scope::Global;
@@ -45,7 +56,7 @@ struct JoinMsg final : pastry::AppMessage {
 };
 
 /// Parent→child acknowledgment carrying the parent's identity.
-struct JoinAckMsg final : pastry::AppMessage {
+struct JoinAckMsg final : pastry::TaggedMessage<JoinAckMsg> {
   TopicId topic;
 
   [[nodiscard]] std::size_t wire_size() const override { return 16; }
@@ -56,7 +67,7 @@ struct JoinAckMsg final : pastry::AppMessage {
 };
 
 /// Child→parent: drop me (and prune upward if the parent empties).
-struct LeaveMsg final : pastry::AppMessage {
+struct LeaveMsg final : pastry::TaggedMessage<LeaveMsg> {
   TopicId topic;
   pastry::NodeId child;
 
@@ -68,7 +79,7 @@ struct LeaveMsg final : pastry::AppMessage {
 };
 
 /// Routed to the rendezvous root, then disseminated down the tree.
-struct MulticastMsg final : pastry::AppMessage {
+struct MulticastMsg final : pastry::TaggedMessage<MulticastMsg> {
   TopicId topic;
   std::string data;
 
@@ -81,7 +92,7 @@ struct MulticastMsg final : pastry::AppMessage {
 
 /// Distributed depth-first search over the tree.  `visited` and `stack`
 /// travel with the message; `payload` accumulates the answer.
-struct AnycastMsg final : pastry::AppMessage {
+struct AnycastMsg final : pastry::TaggedMessage<AnycastMsg> {
   TopicId topic;
   pastry::Scope scope = pastry::Scope::Global;
   std::uint64_t request_id = 0;
@@ -114,7 +125,7 @@ struct AnycastMsg final : pastry::AppMessage {
 };
 
 /// Final answer delivered directly to the anycast originator.
-struct AnycastResultMsg final : pastry::AppMessage {
+struct AnycastResultMsg final : pastry::TaggedMessage<AnycastResultMsg> {
   TopicId topic;
   std::uint64_t request_id = 0;
   bool satisfied = false;
@@ -138,7 +149,7 @@ struct AnycastResultMsg final : pastry::AppMessage {
 
 /// Child→parent periodic aggregation report (the paper's `aggregate`
 /// extension, §II.B.3).
-struct AggReportMsg final : pastry::AppMessage {
+struct AggReportMsg final : pastry::TaggedMessage<AggReportMsg> {
   TopicId topic;
   pastry::NodeId child;
   double value = 0.0;
@@ -152,7 +163,7 @@ struct AggReportMsg final : pastry::AppMessage {
 
 /// Routed probe asking the root for its aggregated view (e.g. tree size —
 /// Step 1/2 of the paper's query protocol, Fig. 7).
-struct SizeProbeMsg final : pastry::AppMessage {
+struct SizeProbeMsg final : pastry::TaggedMessage<SizeProbeMsg> {
   TopicId topic;
   std::uint64_t request_id = 0;
   NodeRef originator;
@@ -178,7 +189,7 @@ struct SizeInfo {
   bool from_root_set = false;
 };
 
-struct SizeReplyMsg final : pastry::AppMessage {
+struct SizeReplyMsg final : pastry::TaggedMessage<SizeReplyMsg> {
   TopicId topic;
   std::uint64_t request_id = 0;
   SizeInfo info;
@@ -226,7 +237,7 @@ struct ReplicaState {
 
 /// Root → leaf-set successor: incremental replication of the rendezvous
 /// state, every aggregation round.
-struct RootReplicaMsg final : pastry::AppMessage {
+struct RootReplicaMsg final : pastry::TaggedMessage<RootReplicaMsg> {
   TopicId topic;
   ReplicaState replica;
 
@@ -244,7 +255,7 @@ struct RootReplicaMsg final : pastry::AppMessage {
 /// Overloaded parent → delegate (leaf-set pick or lightest child): adopt
 /// these children of mine for `topic` (D3-Tree style weight balancing).
 /// Sent when the parent's fan-in exceeds the configured cap.
-struct DelegateMsg final : pastry::AppMessage {
+struct DelegateMsg final : pastry::TaggedMessage<DelegateMsg> {
   TopicId topic;
   pastry::Scope scope = pastry::Scope::Global;
   AggregateKind agg_kind = AggregateKind::Count;
@@ -265,7 +276,7 @@ struct DelegateMsg final : pastry::AppMessage {
 
 /// Delegate → overloaded parent: adopted these children (the parent drops
 /// them and links the delegate as its single replacement child).
-struct DelegateAckMsg final : pastry::AppMessage {
+struct DelegateAckMsg final : pastry::TaggedMessage<DelegateAckMsg> {
   TopicId topic;
   std::uint64_t episode = 0;  // echoed from the DelegateMsg
   std::vector<pastry::NodeId> accepted;
@@ -281,7 +292,7 @@ struct DelegateAckMsg final : pastry::AppMessage {
 
 /// Delegate → overloaded parent: cannot adopt (it already has conflicting
 /// tree state for the topic); the parent retries with another candidate.
-struct DelegateNackMsg final : pastry::AppMessage {
+struct DelegateNackMsg final : pastry::TaggedMessage<DelegateNackMsg> {
   TopicId topic;
   std::uint64_t episode = 0;  // echoed from the DelegateMsg
 
@@ -296,7 +307,7 @@ struct DelegateNackMsg final : pastry::AppMessage {
 /// to me.  A child whose parent is no longer `old_parent` declines by
 /// sending the delegate a Leave, so stale delegations cannot corrupt the
 /// tree.
-struct ReparentMsg final : pastry::AppMessage {
+struct ReparentMsg final : pastry::TaggedMessage<ReparentMsg> {
   TopicId topic;
   pastry::NodeId old_parent;
 
@@ -308,7 +319,7 @@ struct ReparentMsg final : pastry::AppMessage {
 };
 
 /// Parent→child liveness beacon for tree repair.
-struct HeartbeatMsg final : pastry::AppMessage {
+struct HeartbeatMsg final : pastry::TaggedMessage<HeartbeatMsg> {
   TopicId topic;
 
   [[nodiscard]] std::size_t wire_size() const override { return 16; }
@@ -320,7 +331,7 @@ struct HeartbeatMsg final : pastry::AppMessage {
 
 /// Child→parent liveness response; lets parents prune dead children (and
 /// stop counting their stale aggregate reports).
-struct HeartbeatAckMsg final : pastry::AppMessage {
+struct HeartbeatAckMsg final : pastry::TaggedMessage<HeartbeatAckMsg> {
   TopicId topic;
 
   [[nodiscard]] std::size_t wire_size() const override { return 16; }

@@ -5,6 +5,7 @@
 
 #include "obs/metrics.hpp"
 #include "util/log.hpp"
+#include "util/msg_tag.hpp"
 
 namespace rbay::scribe {
 
@@ -53,8 +54,8 @@ double combine(AggregateKind kind, double a, double b) {
   return a;
 }
 
-Scribe::Scribe(pastry::PastryNode& node, ScribeConfig config) : node_(node), config_(config) {
-  node_.register_app(kAppName, this);
+Scribe::Scribe(pastry::PastryNode& node, ScribeConfig config)
+    : node_(node), app_(node.register_app(kAppName, this)), config_(config) {
   auto& engine = node_.network().engine();
   if (config_.aggregation_interval > util::SimTime::zero()) {
     agg_timer_ = engine.schedule_periodic(config_.aggregation_interval,
@@ -141,7 +142,7 @@ void Scribe::subscribe(const TopicId& topic, TopicMember* member,
   join->topic = topic;
   join->child = node_.self();
   join->scope = scope;
-  node_.route(topic, std::move(join), kAppName, scope);
+  node_.route(topic, std::move(join), app_, scope);
 }
 
 void Scribe::unsubscribe(const TopicId& topic) {
@@ -168,7 +169,7 @@ void Scribe::maybe_prune(const TopicId& topic) {
     auto leave = std::make_unique<LeaveMsg>();
     leave->topic = topic;
     leave->child = node_.self().id;
-    node_.send_direct(*st->parent, std::move(leave), kAppName);
+    node_.send_direct(*st->parent, std::move(leave), app_);
   }
   if (st->epoch > 0) retired_epochs_[topic] = st->epoch;
   topics_.erase(topic);
@@ -178,7 +179,7 @@ void Scribe::maybe_prune(const TopicId& topic) {
 
 bool Scribe::forward(const pastry::NodeId& /*key*/, pastry::AppMessage& msg,
                      const NodeRef& /*next_hop*/) {
-  if (auto* join = dynamic_cast<JoinMsg*>(&msg)) {
+  if (auto* join = util::msg_as<JoinMsg>(msg)) {
     if (join->child.id == node_.self().id) return true;  // our own fresh join
     if (join->repair) return true;  // repair joins attach only at the root
     topic_state(join->topic).scope = join->scope;
@@ -192,7 +193,7 @@ bool Scribe::forward(const pastry::NodeId& /*key*/, pastry::AppMessage& msg,
     join->child = node_.self();
     return true;
   }
-  if (auto* anycast = dynamic_cast<AnycastMsg*>(&msg)) {
+  if (auto* anycast = util::msg_as<AnycastMsg>(msg)) {
     const bool already_visited =
         std::find(anycast->visited.begin(), anycast->visited.end(), node_.self().id) !=
         anycast->visited.end();
@@ -216,14 +217,14 @@ bool Scribe::forward(const pastry::NodeId& /*key*/, pastry::AppMessage& msg,
         const auto& children = it->second.children;
         const auto& target = children[anycast->request_id % children.size()];
         if (target.id != node_.self().id && target.id != anycast->originator.id) {
-          node_.send_direct(target, std::make_unique<AnycastMsg>(std::move(*anycast)), kAppName);
+          node_.send_direct(target, std::make_unique<AnycastMsg>(std::move(*anycast)), app_);
           return false;
         }
       }
     }
     return true;
   }
-  if (auto* probe = dynamic_cast<SizeProbeMsg*>(&msg)) {
+  if (auto* probe = util::msg_as<SizeProbeMsg>(msg)) {
     // Serving root-set holder on the routing path: answer the probe here
     // (staleness-bounded) and advertise the roster, so the originator
     // fans later probes directly across the set — the rendezvous root
@@ -255,7 +256,7 @@ void Scribe::handle_join(JoinMsg& join, bool at_root) {
   if (at_root && !st.parent) st.root = true;
   auto ack = std::make_unique<JoinAckMsg>();
   ack->topic = join.topic;
-  node_.send_direct(join.child, std::move(ack), kAppName);
+  node_.send_direct(join.child, std::move(ack), app_);
 }
 
 // --- multicast ---------------------------------------------------------------
@@ -265,7 +266,7 @@ void Scribe::multicast(const TopicId& topic, std::string data, pastry::Scope sco
   auto msg = std::make_unique<MulticastMsg>();
   msg->topic = topic;
   msg->data = std::move(data);
-  node_.route(topic, std::move(msg), kAppName, scope);
+  node_.route(topic, std::move(msg), app_, scope);
 }
 
 void Scribe::handle_multicast_down(const TopicId& topic, const std::string& data) {
@@ -281,7 +282,7 @@ void Scribe::handle_multicast_down(const TopicId& topic, const std::string& data
     auto msg = std::make_unique<MulticastMsg>();
     msg->topic = topic;
     msg->data = data;
-    node_.send_direct(ref, std::move(msg), kAppName);
+    node_.send_direct(ref, std::move(msg), app_);
   }
 }
 
@@ -310,7 +311,7 @@ void Scribe::anycast(const TopicId& topic, std::unique_ptr<AnycastPayload> paylo
   msg->request_id = id;
   msg->originator = node_.self();
   msg->payload = std::move(payload);
-  node_.route(topic, std::move(msg), kAppName, scope);
+  node_.route(topic, std::move(msg), app_, scope);
 }
 
 void Scribe::continue_anycast(std::unique_ptr<AnycastMsg> msg) {
@@ -378,7 +379,7 @@ void Scribe::continue_anycast(std::unique_ptr<AnycastMsg> msg) {
   if (st->parent) consider(*st->parent);
 
   if (next) {
-    node_.send_direct(*next, std::move(msg), kAppName);
+    node_.send_direct(*next, std::move(msg), app_);
     return;
   }
 
@@ -386,7 +387,7 @@ void Scribe::continue_anycast(std::unique_ptr<AnycastMsg> msg) {
   if (!msg->stack.empty() && msg->stack.back().id == self_id) msg->stack.pop_back();
   if (!msg->stack.empty()) {
     const NodeRef back = msg->stack.back();
-    node_.send_direct(back, std::move(msg), kAppName);
+    node_.send_direct(back, std::move(msg), app_);
     return;
   }
   // Fragment exhausted.  During tree-repair windows the entry fragment may
@@ -397,7 +398,7 @@ void Scribe::continue_anycast(std::unique_ptr<AnycastMsg> msg) {
     ++msg->reroutes;
     const auto topic = msg->topic;
     const auto scope = msg->scope;
-    node_.route(topic, std::move(msg), kAppName, scope);
+    node_.route(topic, std::move(msg), app_, scope);
     return;
   }
   finish_anycast(*msg, /*satisfied=*/false);
@@ -416,7 +417,7 @@ void Scribe::finish_anycast(AnycastMsg& msg, bool satisfied) {
                      result->members_visited, *result->payload);
     return;
   }
-  node_.send_direct(msg.originator, std::move(result), kAppName);
+  node_.send_direct(msg.originator, std::move(result), app_);
 }
 
 std::optional<Scribe::AnycastWaiter> Scribe::take_anycast_waiter(std::uint64_t request_id) {
@@ -462,7 +463,7 @@ void Scribe::on_anycast_deadline(std::uint64_t request_id) {
     msg->payload = waiter.retry_payload->clone();
     waiter.deadline = node_.network().engine().schedule(
         config_.anycast_timeout, [this, request_id]() { on_anycast_deadline(request_id); });
-    node_.route(waiter.topic, std::move(msg), kAppName, waiter.scope);
+    node_.route(waiter.topic, std::move(msg), app_, waiter.scope);
     return;
   }
   // Second expiry: complete with a miss so the caller's backoff machinery
@@ -532,7 +533,7 @@ void Scribe::aggregation_round() {
     report->topic = topic;
     report->child = node_.self().id;
     report->value = subtree_value(topic, st);
-    node_.send_direct(*st.parent, std::move(report), kAppName);
+    node_.send_direct(*st.parent, std::move(report), app_);
   }
   replicate_roots();
 }
@@ -600,7 +601,7 @@ void Scribe::replicate_roots() {
       auto msg = std::make_unique<RootReplicaMsg>(proto);
       msg->replica.serve = i < serve_n;
       if (auto* m = fed_metrics(node_)) m->counter("scribe.root_replications").inc();
-      node_.send_direct(picked[i], std::move(msg), kAppName);
+      node_.send_direct(picked[i], std::move(msg), app_);
     }
   }
 }
@@ -712,7 +713,7 @@ void Scribe::probe_size(const TopicId& topic, SizeCallback callback, pastry::Sco
           probe->originator = node_.self();
           if (auto* m = fed_metrics(node_)) m->counter("scribe.rootset_probes").inc();
           waiter.via_root_set = true;
-          node_.send_direct(target, std::move(probe), kAppName);
+          node_.send_direct(target, std::move(probe), app_);
           return;
         }
       } else {
@@ -729,7 +730,7 @@ void Scribe::route_size_probe(const TopicId& topic, std::uint64_t request_id,
   probe->topic = topic;
   probe->request_id = request_id;
   probe->originator = node_.self();
-  node_.route(topic, std::move(probe), kAppName, scope);
+  node_.route(topic, std::move(probe), app_, scope);
 }
 
 std::optional<Scribe::SizeInfo> Scribe::replica_answer(const TopicId& topic) {
@@ -773,7 +774,7 @@ void Scribe::send_size_reply(const SizeProbeMsg& probe, const SizeInfo& info, bo
       for (const auto& s : st->serve_set) reply->root_set.push_back(s);
     }
   }
-  node_.send_direct(probe.originator, std::move(reply), kAppName);
+  node_.send_direct(probe.originator, std::move(reply), app_);
 }
 
 void Scribe::complete_size_waiter(std::uint64_t request_id, const SizeInfo& info) {
@@ -881,7 +882,7 @@ void Scribe::maybe_split(const TopicId& topic, TopicState& st) {
   st.split_requested_at = now;
   ++splits_;
   if (auto* m = fed_metrics(node_)) m->counter("scribe.splits").inc();
-  node_.send_direct(*delegate, std::move(msg), kAppName);
+  node_.send_direct(*delegate, std::move(msg), app_);
 }
 
 void Scribe::handle_delegate(const NodeRef& from, DelegateMsg& msg) {
@@ -897,7 +898,7 @@ void Scribe::handle_delegate(const NodeRef& from, DelegateMsg& msg) {
     auto nack = std::make_unique<DelegateNackMsg>();
     nack->topic = msg.topic;
     nack->episode = msg.episode;
-    node_.send_direct(from, std::move(nack), kAppName);
+    node_.send_direct(from, std::move(nack), app_);
     return;
   }
   auto& st = topic_state(msg.topic);
@@ -917,9 +918,9 @@ void Scribe::handle_delegate(const NodeRef& from, DelegateMsg& msg) {
     auto reparent = std::make_unique<ReparentMsg>();
     reparent->topic = msg.topic;
     reparent->old_parent = from.id;
-    node_.send_direct(child, std::move(reparent), kAppName);
+    node_.send_direct(child, std::move(reparent), app_);
   }
-  node_.send_direct(from, std::move(ack), kAppName);
+  node_.send_direct(from, std::move(ack), app_);
 }
 
 void Scribe::handle_delegate_ack(const NodeRef& from, const DelegateAckMsg& msg) {
@@ -966,7 +967,7 @@ void Scribe::handle_reparent(const NodeRef& from, const ReparentMsg& msg) {
   auto leave = std::make_unique<LeaveMsg>();
   leave->topic = msg.topic;
   leave->child = node_.self().id;
-  node_.send_direct(from, std::move(leave), kAppName);
+  node_.send_direct(from, std::move(leave), app_);
 }
 
 void Scribe::on_probe_deadline(std::uint64_t request_id) {
@@ -1014,7 +1015,7 @@ void Scribe::heartbeat_round() {
       if (auto* m = fed_metrics(node_)) m->counter("scribe.heartbeats").inc();
       auto beat = std::make_unique<HeartbeatMsg>();
       beat->topic = topic;
-      node_.send_direct(child.ref, std::move(beat), kAppName);
+      node_.send_direct(child.ref, std::move(beat), app_);
     }
   }
   for (const auto& topic : emptied) maybe_prune(topic);
@@ -1086,29 +1087,29 @@ void Scribe::rejoin(const TopicId& topic) {
   join->child = node_.self();
   join->scope = st->scope;
   join->repair = true;
-  node_.route(topic, std::move(join), kAppName, st->scope);
+  node_.route(topic, std::move(join), app_, st->scope);
 }
 
 // --- Pastry callbacks -------------------------------------------------------------
 
 void Scribe::deliver(const pastry::NodeId& key, pastry::AppMessage& msg, int /*hops*/) {
-  if (auto* join = dynamic_cast<JoinMsg*>(&msg)) {
+  if (auto* join = util::msg_as<JoinMsg>(msg)) {
     topic_state(join->topic).scope = join->scope;
     handle_join(*join, /*at_root=*/true);
     auto* st = find_topic(join->topic);
     if (st != nullptr && !st->parent) st->root = true;
     return;
   }
-  if (auto* mc = dynamic_cast<MulticastMsg*>(&msg)) {
+  if (auto* mc = util::msg_as<MulticastMsg>(msg)) {
     // Rendezvous root: disseminate down the tree.
     handle_multicast_down(mc->topic, mc->data);
     return;
   }
-  if (auto* anycast = dynamic_cast<AnycastMsg*>(&msg)) {
+  if (auto* anycast = util::msg_as<AnycastMsg>(msg)) {
     continue_anycast(std::make_unique<AnycastMsg>(std::move(*anycast)));
     return;
   }
-  if (auto* probe = dynamic_cast<SizeProbeMsg*>(&msg)) {
+  if (auto* probe = util::msg_as<SizeProbeMsg>(msg)) {
     SizeInfo info;
     if (auto* st = find_topic(probe->topic)) info = probe_answer(probe->topic, *st);
     if (probe->originator.id == node_.self().id) {
@@ -1123,7 +1124,7 @@ void Scribe::deliver(const pastry::NodeId& key, pastry::AppMessage& msg, int /*h
 }
 
 void Scribe::receive(const NodeRef& from, pastry::AppMessage& msg) {
-  if (auto* ack = dynamic_cast<JoinAckMsg*>(&msg)) {
+  if (auto* ack = util::msg_as<JoinAckMsg>(msg)) {
     auto& st = topic_state(ack->topic);
     if (st.root || (st.parent && st.parent->id != from.id)) {
       // Stale or duplicated ack: we were promoted to root in the meantime,
@@ -1142,22 +1143,22 @@ void Scribe::receive(const NodeRef& from, pastry::AppMessage& msg) {
     }
     return;
   }
-  if (auto* leave = dynamic_cast<LeaveMsg*>(&msg)) {
+  if (auto* leave = util::msg_as<LeaveMsg>(msg)) {
     if (auto* st = find_topic(leave->topic)) {
       std::erase_if(st->children, [&](const ChildState& c) { return c.ref.id == leave->child; });
       maybe_prune(leave->topic);
     }
     return;
   }
-  if (auto* mc = dynamic_cast<MulticastMsg*>(&msg)) {
+  if (auto* mc = util::msg_as<MulticastMsg>(msg)) {
     handle_multicast_down(mc->topic, mc->data);
     return;
   }
-  if (auto* anycast = dynamic_cast<AnycastMsg*>(&msg)) {
+  if (auto* anycast = util::msg_as<AnycastMsg>(msg)) {
     continue_anycast(std::make_unique<AnycastMsg>(std::move(*anycast)));
     return;
   }
-  if (auto* result = dynamic_cast<AnycastResultMsg*>(&msg)) {
+  if (auto* result = util::msg_as<AnycastResultMsg>(msg)) {
     // A result landing after the deadline completed the waiter is an
     // orphan: complete_anycast counts it and hands the payload to the
     // orphan handler so member-side reservations it carries get released.
@@ -1165,7 +1166,7 @@ void Scribe::receive(const NodeRef& from, pastry::AppMessage& msg) {
                      result->members_visited, *result->payload);
     return;
   }
-  if (auto* report = dynamic_cast<AggReportMsg*>(&msg)) {
+  if (auto* report = util::msg_as<AggReportMsg>(msg)) {
     if (auto* st = find_topic(report->topic)) {
       for (auto& child : st->children) {
         if (child.ref.id == report->child) {
@@ -1177,18 +1178,18 @@ void Scribe::receive(const NodeRef& from, pastry::AppMessage& msg) {
     }
     return;
   }
-  if (auto* beat = dynamic_cast<HeartbeatMsg*>(&msg)) {
+  if (auto* beat = util::msg_as<HeartbeatMsg>(msg)) {
     if (auto* st = find_topic(beat->topic)) {
       if (st->parent && st->parent->id == from.id) {
         st->last_parent_beat = node_.network().engine().now();
         auto ack = std::make_unique<HeartbeatAckMsg>();
         ack->topic = beat->topic;
-        node_.send_direct(from, std::move(ack), kAppName);
+        node_.send_direct(from, std::move(ack), app_);
       }
     }
     return;
   }
-  if (auto* hback = dynamic_cast<HeartbeatAckMsg*>(&msg)) {
+  if (auto* hback = util::msg_as<HeartbeatAckMsg>(msg)) {
     if (auto* st = find_topic(hback->topic)) {
       for (auto& child : st->children) {
         if (child.ref.id == from.id) {
@@ -1199,7 +1200,7 @@ void Scribe::receive(const NodeRef& from, pastry::AppMessage& msg) {
     }
     return;
   }
-  if (auto* probe = dynamic_cast<SizeProbeMsg*>(&msg)) {
+  if (auto* probe = util::msg_as<SizeProbeMsg>(msg)) {
     // Direct root-set probe (originator-side fan-out).  Answer as the
     // root, as a serving replica holder, or decline so the originator
     // drops its roster and falls back to a routed probe.
@@ -1214,7 +1215,7 @@ void Scribe::receive(const NodeRef& from, pastry::AppMessage& msg) {
     send_size_reply(*probe, SizeInfo{}, /*declined=*/true);
     return;
   }
-  if (auto* reply = dynamic_cast<SizeReplyMsg*>(&msg)) {
+  if (auto* reply = util::msg_as<SizeReplyMsg>(msg)) {
     if (!reply->root_set.empty()) {
       learn_root_set(reply->topic, reply->root_set, reply->info.epoch);
     }
@@ -1237,19 +1238,19 @@ void Scribe::receive(const NodeRef& from, pastry::AppMessage& msg) {
     complete_size_waiter(reply->request_id, reply->info);
     return;
   }
-  if (auto* replica = dynamic_cast<RootReplicaMsg*>(&msg)) {
+  if (auto* replica = util::msg_as<RootReplicaMsg>(msg)) {
     handle_replica(*replica);
     return;
   }
-  if (auto* delegate = dynamic_cast<DelegateMsg*>(&msg)) {
+  if (auto* delegate = util::msg_as<DelegateMsg>(msg)) {
     handle_delegate(from, *delegate);
     return;
   }
-  if (auto* dack = dynamic_cast<DelegateAckMsg*>(&msg)) {
+  if (auto* dack = util::msg_as<DelegateAckMsg>(msg)) {
     handle_delegate_ack(from, *dack);
     return;
   }
-  if (auto* dnack = dynamic_cast<DelegateNackMsg*>(&msg)) {
+  if (auto* dnack = util::msg_as<DelegateNackMsg>(msg)) {
     if (auto* st = find_topic(dnack->topic)) {
       if (!st->split_pending || dnack->episode != st->split_episode) {
         // Duplicated or superseded nack: acting on it would abort a later
@@ -1263,7 +1264,7 @@ void Scribe::receive(const NodeRef& from, pastry::AppMessage& msg) {
     }
     return;
   }
-  if (auto* reparent = dynamic_cast<ReparentMsg*>(&msg)) {
+  if (auto* reparent = util::msg_as<ReparentMsg>(msg)) {
     handle_reparent(from, *reparent);
     return;
   }

@@ -311,6 +311,7 @@ class Scribe final : public pastry::PastryApp {
                         pastry::Scope scope);
 
   pastry::PastryNode& node_;
+  pastry::AppId app_;  // kAppName, interned
   ScribeConfig config_;
   /// Ordered by TopicId, NOT hashed: the periodic rounds (aggregation,
   /// heartbeats, parent checks, replica promotion) iterate these maps and

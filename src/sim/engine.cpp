@@ -59,6 +59,12 @@ Engine::Engine(std::uint64_t seed, EngineConfig config) : seed_(seed), config_(c
 
 Engine::~Engine() {
   stop_pool();
+  // Destroy the callbacks of events still pending; the pools then free
+  // their nodes wholesale.
+  for (auto& shard : shards_) {
+    for (const Entry& e : shard->queue.entries()) e.node->destroy_callback();
+    for (const Staged& s : shard->outbox) s.entry.node->destroy_callback();
+  }
   if (exec_ctx().engine == this) exec_ctx() = ExecCtx{};
 }
 
@@ -105,6 +111,8 @@ std::uint32_t Engine::current_shard() const {
   return ctx.engine == this ? ctx.shard : 0;
 }
 
+bool Engine::in_background() const { return shards_[current_shard()]->in_background; }
+
 std::uint32_t Engine::target_shard() const {
   const ExecCtx& ctx = exec_ctx();
   if (ctx.engine == this) return ctx.shard;
@@ -124,149 +132,201 @@ void Engine::clear_exec_context() {
 // --- Timer -------------------------------------------------------------------
 
 void Timer::cancel() {
-  if (!flag_) return;
+  // A generation mismatch means the event already fired (or was cancelled
+  // and popped) and the node now belongs to someone else.
+  if (node_ == nullptr || node_->generation.load(std::memory_order_acquire) != generation_) return;
   // exchange() gates the foreground release: a cross-context cancel of a
   // control-owned timer must release exactly once.
-  if (!flag_->alive.exchange(false, std::memory_order_acq_rel)) return;
-  if (flag_->counts_foreground && flag_->engine != nullptr) {
+  if (!node_->alive.exchange(false, std::memory_order_acq_rel)) return;
+  if (node_->counts_foreground) {
     // Release the foreground claim immediately: run() must not wait out a
     // dead timer's deadline (processing background time in the meantime).
-    flag_->engine->release_foreground(*flag_);
-    flag_->counts_foreground = false;
+    node_->engine->release_foreground(node_->shard);
+    node_->counts_foreground = false;
   }
 }
 
-void Engine::release_foreground(detail::EventFlag& flag) {
-  shards_[flag.shard]->foreground.fetch_sub(1, std::memory_order_acq_rel);
+void Engine::release_foreground(std::uint32_t shard) {
+  shards_[shard]->foreground.fetch_sub(1, std::memory_order_acq_rel);
 }
 
-// --- scheduling entry points -------------------------------------------------
+// --- event nodes ---------------------------------------------------------------
 
-Timer Engine::schedule(SimTime delay, std::function<void()> fn) {
-  RBAY_REQUIRE(delay >= SimTime::zero(), "Engine::schedule: delay must be non-negative");
-  const bool background = shards_[current_shard()]->in_background;
-  return schedule_impl(target_shard(), delay, background, /*observer=*/false, std::move(fn));
+detail::EventNode* Engine::acquire_node() {
+  // The calling context's shard is the only writer of its own free list:
+  // its worker mid-window, or the coordinator at barriers and in setup.
+  Shard& shard = *shards_[current_shard()];
+  if (shard.free_nodes == nullptr) {
+    // Chunks double from 64 nodes up to 4096, so a pool's slack stays a
+    // small fraction of its high-water mark.
+    const std::size_t n = std::clamp<std::size_t>(shard.node_count, 64, 4096);
+    auto chunk = std::make_unique<detail::EventNode[]>(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      detail::EventNode& node = chunk[i];
+      node.engine = this;
+      node.owner = shard.id;
+      node.next_free = shard.free_nodes;
+      shard.free_nodes = &node;
+    }
+    shard.node_chunks.push_back(std::move(chunk));
+    shard.node_count += n;
+  }
+  detail::EventNode* node = shard.free_nodes;
+  shard.free_nodes = node->next_free;
+  return node;
 }
 
-Timer Engine::schedule_on(std::uint32_t shard, SimTime delay, std::function<void()> fn) {
-  RBAY_REQUIRE(delay >= SimTime::zero(), "Engine::schedule_on: delay must be non-negative");
-  RBAY_REQUIRE(shard < shard_count(), "Engine::schedule_on: no such shard");
-  const bool background = shards_[current_shard()]->in_background;
-  return schedule_impl(shard, delay, background, /*observer=*/false, std::move(fn));
+void Engine::free_node(Shard& shard, detail::EventNode& node) {
+  node.destroy_callback();
+  node.generation.fetch_add(1, std::memory_order_release);
+  if (node.owner == shard.id) {
+    node.next_free = shard.free_nodes;
+    shard.free_nodes = &node;
+  } else {
+    shard.foreign_nodes.push_back(&node);
+  }
 }
 
-Timer Engine::schedule_background(SimTime delay, std::function<void()> fn) {
-  RBAY_REQUIRE(delay >= SimTime::zero(), "Engine::schedule_background: delay must be non-negative");
-  return schedule_impl(target_shard(), delay, /*background=*/true, /*observer=*/false,
-                       std::move(fn));
-}
-
-Timer Engine::schedule_periodic(SimTime period, std::function<void()> fn) {
-  RBAY_REQUIRE(period > SimTime::zero(), "Engine::schedule_periodic: period must be positive");
-  auto flag = std::make_shared<detail::EventFlag>();
-  push_periodic(period, flag, std::move(fn), /*observer=*/false);
-  return Timer{std::move(flag)};
-}
-
-Timer Engine::schedule_observer_periodic(SimTime period, std::function<void()> fn) {
-  RBAY_REQUIRE(period > SimTime::zero(),
-               "Engine::schedule_observer_periodic: period must be positive");
-  auto flag = std::make_shared<detail::EventFlag>();
-  push_periodic(period, flag, std::move(fn), /*observer=*/true);
-  return Timer{std::move(flag)};
+void Engine::return_foreign_nodes() {
+  for (auto& shard : shards_) {
+    for (detail::EventNode* node : shard->foreign_nodes) {
+      Shard& owner = *shards_[node->owner];
+      node->next_free = owner.free_nodes;
+      owner.free_nodes = node;
+    }
+    shard->foreign_nodes.clear();
+  }
 }
 
 // --- queues ------------------------------------------------------------------
 
-Timer Engine::schedule_impl(std::uint32_t dst, SimTime delay, bool background, bool observer,
-                            std::function<void()> fn) {
-  auto flag = std::make_shared<detail::EventFlag>();
-  const SimTime at = shards_[current_shard()]->now + delay;
-  push(dst, Entry{at, 0, background, observer, flag, std::move(fn)});
-  return Timer{std::move(flag)};
+namespace {
+constexpr std::size_t kHeapArity = 4;
+}  // namespace
+
+void Engine::EventQueue::push(Entry e) {
+  std::size_t hole = heap_.size();
+  heap_.push_back(e);
+  while (hole > 0) {
+    const std::size_t parent = (hole - 1) / kHeapArity;
+    if (!(e < heap_[parent])) break;
+    heap_[hole] = heap_[parent];
+    hole = parent;
+  }
+  heap_[hole] = e;
+}
+
+Engine::Entry Engine::EventQueue::pop() {
+  const Entry head = heap_.front();
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  const std::size_t n = heap_.size();
+  if (n == 0) return head;
+  std::size_t hole = 0;
+  for (;;) {
+    const std::size_t first = hole * kHeapArity + 1;
+    if (first >= n) break;
+    std::size_t best = first;
+    const std::size_t end = std::min(first + kHeapArity, n);
+    for (std::size_t c = first + 1; c < end; ++c) {
+      if (heap_[c] < heap_[best]) best = c;
+    }
+    if (!(heap_[best] < last)) break;
+    heap_[hole] = heap_[best];
+    hole = best;
+  }
+  heap_[hole] = last;
+  return head;
+}
+
+Timer Engine::submit(detail::EventNode* node, std::uint32_t dst, SimTime delay, bool background,
+                     bool observer, SimTime period) {
+  node->background = background;
+  node->observer = observer;
+  node->period = period;
+  node->counts_foreground = false;
+  node->alive.store(true, std::memory_order_relaxed);
+  const std::uint64_t generation = node->generation.load(std::memory_order_relaxed);
+  push(dst, Entry{shards_[current_shard()]->now + delay, 0, node});
+  return Timer{node, generation};
 }
 
 void Engine::push(std::uint32_t dst, Entry e) {
   RBAY_REQUIRE(dst < shards_.size(), "Engine::push: no such shard");
-  e.flag->engine = this;
-  e.flag->shard = dst;
-  if (!e.background) {
+  detail::EventNode& node = *e.node;
+  const std::uint32_t src = current_shard();
+  const bool staged = in_parallel_window_ && src != dst;
+  // Mid-window cross-shard push: the lookahead contract guarantees it
+  // cannot land inside the window.  A violating event is never queued, so
+  // its node (and callback) is released before the contract fails.
+  if (staged && e.at < window_end_) free_node(*shards_[src], node);
+  RBAY_REQUIRE(!staged || e.at >= window_end_,
+               "Engine::push: cross-shard event violates the lookahead contract "
+               "(delay shorter than the minimum cross-site delay)");
+  node.shard = dst;
+  if (!node.background) {
     // Claim the destination's foreground slot at push time (atomically —
     // the destination may belong to another shard), so the quiescence
     // check counts in-flight cross-shard messages.
     shards_[dst]->foreground.fetch_add(1, std::memory_order_acq_rel);
-    e.flag->counts_foreground = true;
+    node.counts_foreground = true;
   }
-  const std::uint32_t src = current_shard();
-  if (in_parallel_window_ && src != dst) {
-    // Mid-window cross-shard push: park it in the source's outbox.  The
-    // lookahead contract guarantees it cannot land inside the window.
-    RBAY_REQUIRE(e.at >= window_end_,
-                 "Engine::push: cross-shard event violates the lookahead contract "
-                 "(delay shorter than the minimum cross-site delay)");
+  if (staged) {
+    // Park it in the source's outbox until the barrier.
     Shard& source = *shards_[src];
-    source.outbox.push_back(Staged{dst, src, source.outbox_order++, std::move(e)});
+    source.outbox.push_back(Staged{dst, src, source.outbox_order++, e});
     return;
   }
   // Same shard, or a barrier/setup context with the workers parked: enqueue
   // directly (the foreground claim above already happened).
-  enqueue_direct(*shards_[dst], std::move(e));
+  enqueue_direct(*shards_[dst], e);
 }
 
 void Engine::enqueue_direct(Shard& dst, Entry e) {
-  if (e.observer) ++dst.observer_pending;
+  if (e.node->observer) ++dst.observer_pending;
   e.seq = dst.next_seq++;
-  dst.queue.push(std::move(e));
-}
-
-void Engine::push_periodic(SimTime period, std::shared_ptr<detail::EventFlag> flag,
-                           std::function<void()> fn, bool observer) {
-  // Each firing owns its callback and hands it to the next firing; the
-  // chain is linear, so cancelling (or destroying the engine) frees
-  // everything — a self-referential closure would leak as a shared_ptr
-  // cycle.  The chain stays on whatever shard it was first scheduled onto,
-  // because each refire runs in that shard's context and targets it again.
-  const std::uint32_t dst = target_shard();
-  const SimTime at = shards_[current_shard()]->now + period;
-  push(dst, Entry{at, 0, /*background=*/true, observer, flag,
-                 [this, period, observer, flag, fn = std::move(fn)]() mutable {
-                   fn();
-                   if (flag->alive.load(std::memory_order_relaxed)) {
-                     push_periodic(period, std::move(flag), std::move(fn), observer);
-                   }
-                 }});
+  dst.queue.push(e);
 }
 
 void Engine::dispatch(Shard& shard, Entry e) {
+  detail::EventNode& node = *e.node;
   ++shard.popped;
-  if (e.observer) --shard.observer_pending;
-  if (!e.flag->alive.load(std::memory_order_acquire)) return;
-  if (!e.background) {
+  if (node.observer) --shard.observer_pending;
+  if (!node.alive.load(std::memory_order_acquire)) {
+    free_node(shard, node);
+    return;
+  }
+  if (!node.background) {
     shard.foreground.fetch_sub(1, std::memory_order_acq_rel);
-    e.flag->counts_foreground = false;
+    node.counts_foreground = false;
   }
   shard.now = e.at;
   // Stamp the execution slot: per-slot metric cells and causal-log state
   // key off it, and Gauge last-writer resolution keys off the time.
   obs::exec_slot() = obs::ExecSlot{shard.id, e.at.as_micros()};
-  if (!e.observer) {
+  if (!node.observer) {
     ++shard.executed;
     if (events_counter_ != nullptr) events_counter_->inc();
     // sim.queue_depth is refreshed at barriers (update_queue_gauge): a
     // mid-window global depth would depend on thread interleaving.
   }
   const bool saved = shard.in_background;
-  shard.in_background = e.background;
-  e.fn();
+  shard.in_background = node.background;
+  node.invoke();
   shard.in_background = saved;
+  if (node.period > SimTime::zero() && node.alive.load(std::memory_order_relaxed)) {
+    // A live periodic timer re-queues its own node one period on, on the
+    // shard it fired on, after everything its callback scheduled.
+    enqueue_direct(shard, Entry{e.at + node.period, 0, &node});
+    return;
+  }
+  free_node(shard, node);
 }
 
 void Engine::process_shard(Shard& shard, SimTime window_end) {
   set_exec_context(shard.id);
   while (!shard.queue.empty() && shard.queue.top().at < window_end) {
-    Entry e = shard.queue.top();
-    shard.queue.pop();
-    dispatch(shard, std::move(e));
+    dispatch(shard, shard.queue.pop());
   }
 }
 
@@ -276,17 +336,14 @@ void Engine::run_control_batch(SimTime at) {
   // All control work due now runs in one serial batch — including events a
   // batch member schedules at zero delay.  Site shards are parked, so the
   // batch may touch anything.
-  while (!ctl.queue.empty() && ctl.queue.top().at == at) {
-    Entry e = ctl.queue.top();
-    ctl.queue.pop();
-    dispatch(ctl, std::move(e));
-  }
+  while (!ctl.queue.empty() && ctl.queue.top().at == at) dispatch(ctl, ctl.queue.pop());
 }
 
 void Engine::integrate_staged() {
+  return_foreign_nodes();
   staged_scratch_.clear();
   for (auto& shard : shards_) {
-    for (Staged& s : shard->outbox) staged_scratch_.push_back(std::move(s));
+    staged_scratch_.insert(staged_scratch_.end(), shard->outbox.begin(), shard->outbox.end());
     shard->outbox.clear();
     shard->outbox_order = 0;
   }
@@ -300,9 +357,9 @@ void Engine::integrate_staged() {
     return a.src_order < b.src_order;
   });
   for (Staged& s : staged_scratch_) {
-    // Cancelled-in-flight events are enqueued anyway (dispatch skips dead
-    // flags); their foreground claim was already released by the cancel.
-    enqueue_direct(*shards_[s.dst], std::move(s.entry));
+    // Cancelled-in-flight events are enqueued anyway (dispatch frees dead
+    // nodes); their foreground claim was already released by the cancel.
+    enqueue_direct(*shards_[s.dst], s.entry);
   }
   staged_scratch_.clear();
 }
@@ -468,6 +525,12 @@ std::size_t Engine::pending() const {
 std::size_t Engine::foreground_pending() const {
   const std::int64_t n = total_foreground();
   return n < 0 ? 0 : static_cast<std::size_t>(n);
+}
+
+std::size_t Engine::event_nodes() const {
+  std::size_t n = 0;
+  for (const auto& shard : shards_) n += shard->node_count;
+  return n;
 }
 
 std::uint64_t Engine::executed() const {

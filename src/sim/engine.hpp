@@ -37,12 +37,15 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <queue>
+#include <new>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "util/contract.hpp"
@@ -82,20 +85,86 @@ struct EngineConfig {
 };
 
 namespace detail {
-/// Shared liveness record between a Timer and its queued event(s).
-struct EventFlag {
-  std::atomic<bool> alive{true};
-  bool counts_foreground = false;
-  /// Owning shard: which shard's foreground count this flag's claim
-  /// lives in.
-  std::uint32_t shard = 0;
-  Engine* engine = nullptr;
+
+/// Inline callback capacity of an event node, sized to the network delivery
+/// closure (endpoint pair, payload, wire size, delay, trace context).
+/// Larger captures are moved to the heap.
+inline constexpr std::size_t kInlineCallback = 72;
+
+struct CallbackOps {
+  void (*invoke)(void* storage);
+  void (*destroy)(void* storage);
 };
+
+template <class F>
+void invoke_inline(void* storage) {
+  (*std::launder(static_cast<F*>(storage)))();
+}
+template <class F>
+void destroy_inline(void* storage) {
+  std::launder(static_cast<F*>(storage))->~F();
+}
+template <class F>
+void invoke_boxed(void* storage) {
+  (**std::launder(static_cast<F**>(storage)))();
+}
+template <class F>
+void destroy_boxed(void* storage) {
+  delete *std::launder(static_cast<F**>(storage));
+}
+template <class F>
+inline constexpr CallbackOps kInlineOps{&invoke_inline<F>, &destroy_inline<F>};
+template <class F>
+inline constexpr CallbackOps kBoxedOps{&invoke_boxed<F>, &destroy_boxed<F>};
+
+/// One scheduled event: its move-only callback, constructed in place, and
+/// the bookkeeping its 24-byte queue entry does not carry.  Nodes live in
+/// per-shard pools and never move; a node goes back to the pool of the
+/// shard that allocated it (docs/PARALLEL_ENGINE.md, "Event nodes").
+struct EventNode {
+  alignas(std::max_align_t) unsigned char storage[kInlineCallback];
+  const CallbackOps* ops = nullptr;
+  /// Bumped whenever the node is freed, so a Timer naming an earlier
+  /// occupant of the node reads inactive and cannot cancel the new one.
+  std::atomic<std::uint64_t> generation{0};
+  /// Positive for a periodic event, which re-queues this node after each
+  /// firing.
+  SimTime period = SimTime::zero();
+  Engine* engine = nullptr;
+  EventNode* next_free = nullptr;
+  std::uint32_t owner = 0;  // shard whose pool allocated the node
+  std::uint32_t shard = 0;  // shard whose queue (and foreground count) holds it
+  std::atomic<bool> alive{false};
+  bool counts_foreground = false;
+  bool background = false;
+  bool observer = false;
+
+  template <class F>
+  void set_callback(F&& fn) {
+    using Fn = std::decay_t<F>;
+    if constexpr (sizeof(Fn) <= kInlineCallback && alignof(Fn) <= alignof(std::max_align_t)) {
+      ::new (static_cast<void*>(storage)) Fn(std::forward<F>(fn));
+      ops = &kInlineOps<Fn>;
+    } else {
+      ::new (static_cast<void*>(storage)) Fn*(new Fn(std::forward<F>(fn)));
+      ops = &kBoxedOps<Fn>;
+    }
+  }
+  void invoke() { ops->invoke(storage); }
+  void destroy_callback() {
+    ops->destroy(storage);
+    ops = nullptr;
+  }
+};
+
 }  // namespace detail
 
-/// Cancellation token for a scheduled event.  The queue entry stays put,
-/// but cancellation immediately releases the event's foreground claim, so
-/// run() never waits out a dead timer's deadline.
+/// Cancellation token for a scheduled event: the event's node and the
+/// node's generation when the event was scheduled.  The queue entry stays
+/// put, but cancellation immediately releases the event's foreground
+/// claim, so run() never waits out a dead timer's deadline.  A one-shot
+/// timer reads inactive once its event has fired; cancelling it then, or
+/// twice, is a no-op.  A Timer must not outlive its Engine.
 ///
 /// A shard may cancel its own timers, and any context may cancel
 /// control-owned timers (control events only fire at barriers, so the
@@ -108,13 +177,16 @@ class Timer {
 
   void cancel();
   [[nodiscard]] bool active() const {
-    return flag_ && flag_->alive.load(std::memory_order_acquire);
+    return node_ != nullptr && node_->generation.load(std::memory_order_acquire) == generation_ &&
+           node_->alive.load(std::memory_order_acquire);
   }
 
  private:
   friend class Engine;
-  explicit Timer(std::shared_ptr<detail::EventFlag> flag) : flag_(std::move(flag)) {}
-  std::shared_ptr<detail::EventFlag> flag_;
+  Timer(detail::EventNode* node, std::uint64_t generation)
+      : node_(node), generation_(generation) {}
+  detail::EventNode* node_ = nullptr;
+  std::uint64_t generation_ = 0;
 };
 
 class Engine {
@@ -172,24 +244,50 @@ class Engine {
   void set_metrics(obs::Registry* registry);
   [[nodiscard]] obs::Registry* metrics() const { return metrics_; }
 
+  // Every schedule call takes any callable `void()`, move-only ones
+  // included; it is moved into a pooled event node, inline when it fits
+  // detail::kInlineCallback.
+
   /// Schedules `fn` to run `delay` after the current time.  The event is
   /// foreground unless scheduled from within a background event.  Targets
   /// the calling context's shard (or the ShardScope-pinned shard when
   /// scheduling from setup code).
-  Timer schedule(SimTime delay, std::function<void()> fn);
+  template <class F>
+  Timer schedule(SimTime delay, F&& fn) {
+    RBAY_REQUIRE(delay >= SimTime::zero(), "Engine::schedule: delay must be non-negative");
+    return submit(make_node(std::forward<F>(fn)), target_shard(), delay, in_background(),
+                  /*observer=*/false, SimTime::zero());
+  }
 
   /// Schedules `fn` onto a specific shard.  From inside a window, a
   /// cross-shard target must satisfy the lookahead contract:
   /// now() + delay >= the current window end.
-  Timer schedule_on(std::uint32_t shard, SimTime delay, std::function<void()> fn);
+  template <class F>
+  Timer schedule_on(std::uint32_t shard, SimTime delay, F&& fn) {
+    RBAY_REQUIRE(delay >= SimTime::zero(), "Engine::schedule_on: delay must be non-negative");
+    RBAY_REQUIRE(shard < shard_count(), "Engine::schedule_on: no such shard");
+    return submit(make_node(std::forward<F>(fn)), shard, delay, in_background(),
+                  /*observer=*/false, SimTime::zero());
+  }
 
   /// Schedules `fn` every `period`, starting one period from now, until the
   /// returned Timer is cancelled.  Periodic events are background.
-  Timer schedule_periodic(SimTime period, std::function<void()> fn);
+  template <class F>
+  Timer schedule_periodic(SimTime period, F&& fn) {
+    RBAY_REQUIRE(period > SimTime::zero(), "Engine::schedule_periodic: period must be positive");
+    return submit(make_node(std::forward<F>(fn)), target_shard(), period, /*background=*/true,
+                  /*observer=*/false, period);
+  }
 
   /// Schedules a one-shot background event: it (and whatever it schedules)
   /// never keeps run() alive.  For ambient processes like churn drivers.
-  Timer schedule_background(SimTime delay, std::function<void()> fn);
+  template <class F>
+  Timer schedule_background(SimTime delay, F&& fn) {
+    RBAY_REQUIRE(delay >= SimTime::zero(),
+                 "Engine::schedule_background: delay must be non-negative");
+    return submit(make_node(std::forward<F>(fn)), target_shard(), delay, /*background=*/true,
+                  /*observer=*/false, SimTime::zero());
+  }
 
   /// Schedules `fn` every `period` as an *observer*: a background periodic
   /// event that is excluded from the engine's own metrics (`sim.events`,
@@ -198,7 +296,13 @@ class Engine {
   /// without observers attached produces a byte-identical registry
   /// snapshot, provided the observer callbacks themselves neither mutate
   /// simulation state nor draw from the engine Rng.
-  Timer schedule_observer_periodic(SimTime period, std::function<void()> fn);
+  template <class F>
+  Timer schedule_observer_periodic(SimTime period, F&& fn) {
+    RBAY_REQUIRE(period > SimTime::zero(),
+                 "Engine::schedule_observer_periodic: period must be positive");
+    return submit(make_node(std::forward<F>(fn)), target_shard(), period, /*background=*/true,
+                  /*observer=*/true, period);
+  }
 
   /// Runs events (in timestamp order, background included) until no
   /// foreground event remains queued.  Afterwards every shard clock stands
@@ -217,6 +321,9 @@ class Engine {
   [[nodiscard]] std::size_t pending() const;
   [[nodiscard]] std::size_t foreground_pending() const;
   [[nodiscard]] std::uint64_t executed() const;
+  /// Event nodes allocated across all shard pools: the high-water mark of
+  /// events alive at once, since pools never shrink.
+  [[nodiscard]] std::size_t event_nodes() const;
 
   /// Pins the scheduling target for code running *outside* any event (node
   /// construction, setup): while alive, schedule()/schedule_periodic()/...
@@ -238,18 +345,28 @@ class Engine {
   };
 
  private:
+  /// A queued event: ordered by (at, seq); the node holds everything else.
   struct Entry {
     SimTime at;
     std::uint64_t seq = 0;  // assigned by the destination shard on enqueue
-    bool background = false;
-    bool observer = false;
-    std::shared_ptr<detail::EventFlag> flag;
-    std::function<void()> fn;
+    detail::EventNode* node = nullptr;
 
-    bool operator>(const Entry& o) const {
-      if (at != o.at) return at > o.at;
-      return seq > o.seq;
-    }
+    bool operator<(const Entry& o) const { return at != o.at ? at < o.at : seq < o.seq; }
+  };
+
+  /// Min-heap of entries on (at, seq), 4-ary for shallower sifts.  pop()
+  /// moves the head out; entries are never copied in place.
+  class EventQueue {
+   public:
+    [[nodiscard]] bool empty() const { return heap_.empty(); }
+    [[nodiscard]] std::size_t size() const { return heap_.size(); }
+    [[nodiscard]] const Entry& top() const { return heap_.front(); }
+    void push(Entry e);
+    Entry pop();
+    [[nodiscard]] const std::vector<Entry>& entries() const { return heap_; }
+
+   private:
+    std::vector<Entry> heap_;
   };
 
   /// A cross-shard event parked in its source shard's outbox until the
@@ -261,10 +378,11 @@ class Engine {
     Entry entry;
   };
 
-  /// One site (or control) shard: queue, clock, seq, Rng, outbox.  All
-  /// plain fields are touched only by the shard's worker inside a window
-  /// or by the coordinator at barriers; `foreground` is atomic because
-  /// staging and cross-shard cancels adjust it from other contexts.
+  /// One site (or control) shard: queue, clock, seq, Rng, outbox, and its
+  /// event-node pool.  All plain fields are touched only by the shard's
+  /// worker inside a window or by the coordinator at barriers;
+  /// `foreground` is atomic because staging and cross-shard cancels
+  /// adjust it from other contexts.
   struct Shard {
     std::uint32_t id = 0;
     SimTime now = SimTime::zero();
@@ -274,10 +392,17 @@ class Engine {
     std::size_t observer_pending = 0;
     bool in_background = false;
     std::atomic<std::int64_t> foreground{0};
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue;
+    EventQueue queue;
     util::Rng rng{0};
     std::vector<Staged> outbox;
     std::uint64_t outbox_order = 0;
+    // Event-node pool.  Only this shard allocates from or frees to it; a
+    // node this shard runs but another allocated waits in `foreign_nodes`
+    // until the barrier hands it back to its owner.
+    detail::EventNode* free_nodes = nullptr;
+    std::vector<std::unique_ptr<detail::EventNode[]>> node_chunks;
+    std::size_t node_count = 0;
+    std::vector<detail::EventNode*> foreign_nodes;
 
     explicit Shard(std::uint32_t shard_id, util::Rng shard_rng)
         : id(shard_id), rng(shard_rng) {}
@@ -286,18 +411,25 @@ class Engine {
   friend class Timer;
 
   [[nodiscard]] std::uint32_t target_shard() const;  // default scheduling target
+  [[nodiscard]] bool in_background() const;          // calling context is background
+  template <class F>
+  detail::EventNode* make_node(F&& fn) {
+    detail::EventNode* node = acquire_node();
+    node->set_callback(std::forward<F>(fn));
+    return node;
+  }
+  detail::EventNode* acquire_node();
+  void free_node(Shard& shard, detail::EventNode& node);
+  void return_foreign_nodes();
+  Timer submit(detail::EventNode* node, std::uint32_t dst, SimTime delay, bool background,
+               bool observer, SimTime period);
   void push(std::uint32_t dst, Entry e);
   void enqueue_direct(Shard& dst, Entry e);
-  Timer schedule_impl(std::uint32_t dst, SimTime delay, bool background, bool observer,
-                      std::function<void()> fn);
-  /// One firing of a periodic timer: runs `fn`, then re-pushes itself.
-  void push_periodic(SimTime period, std::shared_ptr<detail::EventFlag> flag,
-                     std::function<void()> fn, bool observer);
   void dispatch(Shard& shard, Entry e);
   void process_shard(Shard& shard, SimTime window_end);
   void run_window(SimTime window_end);
   void integrate_staged();
-  void release_foreground(detail::EventFlag& flag);
+  void release_foreground(std::uint32_t shard);
   std::size_t run_windows(bool until_quiescent, SimTime deadline);
   void run_control_batch(SimTime at);
   [[nodiscard]] std::int64_t total_foreground() const;

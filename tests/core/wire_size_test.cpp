@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "core/messages.hpp"
 #include "scribe/messages.hpp"
+#include "util/msg_tag.hpp"
 
 namespace rbay {
 namespace {
@@ -108,7 +111,7 @@ TEST(ProtocolWire, RootReplicaCountsChildrenRosterAndHolders) {
 TEST(ProtocolWire, SizeReplyCloneKeepsTheSizeInfo) {
   const auto original = size_reply();
   const auto copy = original.clone_msg();
-  const auto* reply = dynamic_cast<const scribe::SizeReplyMsg*>(copy.get());
+  const auto* reply = util::msg_as<scribe::SizeReplyMsg>(*copy);
   ASSERT_NE(reply, nullptr);
   EXPECT_EQ(reply->request_id, 5u);
   EXPECT_EQ(reply->info.value, 42.0);
@@ -123,7 +126,7 @@ TEST(ProtocolWire, SizeReplyCloneKeepsTheSizeInfo) {
 TEST(ProtocolWire, RootReplicaCloneKeepsTheReplicaState) {
   const auto original = root_replica();
   const auto copy = original.clone_msg();
-  const auto* msg = dynamic_cast<const scribe::RootReplicaMsg*>(copy.get());
+  const auto* msg = util::msg_as<scribe::RootReplicaMsg>(*copy);
   ASSERT_NE(msg, nullptr);
   EXPECT_EQ(msg->replica.epoch, 4u);
   EXPECT_EQ(msg->replica.agg_kind, scribe::AggregateKind::Sum);
@@ -135,6 +138,69 @@ TEST(ProtocolWire, RootReplicaCloneKeepsTheReplicaState) {
   EXPECT_TRUE(msg->replica.serve);
   EXPECT_EQ(msg->replica.root_set.size(), 3u);
   EXPECT_EQ(msg->wire_size(), original.wire_size());
+}
+
+// Pastry envelopes name their app by interned id; the wire still carries
+// the name, so each envelope costs 24 bytes plus the name plus the message.
+TEST(ProtocolWire, EnvelopesCountTheAppNameBytes) {
+  const std::pair<const char*, std::size_t> expected[] = {
+      {"scribe", 228}, {"rbay.query", 232}, {"past", 226}, {"wire.test", 231}};
+  for (const auto& [name, bytes] : expected) {
+    pastry::RouteEnvelope route;
+    route.app = pastry::intern_app(name);
+    route.msg = root_replica().clone_msg();
+    EXPECT_EQ(route.wire_size(), bytes) << name;
+    pastry::DirectEnvelope direct;
+    direct.app = pastry::intern_app(name);
+    direct.msg = root_replica().clone_msg();
+    EXPECT_EQ(direct.wire_size(), bytes) << name;
+  }
+}
+
+/// An untagged message, as tests and benches define them.
+struct PlainMsg final : pastry::AppMessage {
+  [[nodiscard]] std::size_t wire_size() const override { return 1; }
+  [[nodiscard]] const char* type_name() const override { return "PlainMsg"; }
+};
+
+using ProtocolMessages =
+    std::tuple<scribe::JoinMsg, scribe::JoinAckMsg, scribe::LeaveMsg, scribe::MulticastMsg,
+               scribe::AnycastMsg, scribe::AnycastResultMsg, scribe::AggReportMsg,
+               scribe::SizeProbeMsg, scribe::SizeReplyMsg, scribe::RootReplicaMsg,
+               scribe::DelegateMsg, scribe::DelegateAckMsg, scribe::DelegateNackMsg,
+               scribe::ReparentMsg, scribe::HeartbeatMsg, scribe::HeartbeatAckMsg,
+               core::SiteQueryRequest, core::SiteQueryReply, core::CommitMsg, core::RenewMsg,
+               core::ReleaseMsg, PlainMsg>;
+
+template <class Msg, class... Others>
+void expect_only_own_tag(std::tuple<Others...>* /*types*/) {
+  Msg msg;
+  pastry::AppMessage& base = msg;
+  (
+      [&] {
+        const bool same = std::is_same_v<Msg, Others>;
+        const bool untagged = std::is_same_v<Others, PlainMsg>;
+        EXPECT_EQ(util::msg_as<Others>(base) != nullptr, same && !untagged)
+            << base.type_name() << " as " << Others{}.type_name();
+        if (!same) {
+          EXPECT_NE(util::msg_tag<Msg>(), util::msg_tag<Others>());
+        }
+      }(),
+      ...);
+}
+
+TEST(ProtocolDispatch, EachMessageMatchesOnlyItsOwnTag) {
+  []<class... Msgs>(std::tuple<Msgs...>* types) {
+    (expect_only_own_tag<Msgs>(types), ...);
+  }(static_cast<ProtocolMessages*>(nullptr));
+}
+
+TEST(ProtocolDispatch, CandidatePayloadIsTagged) {
+  core::CandidatePayload payload;
+  scribe::AnycastPayload& base = payload;
+  EXPECT_EQ(util::msg_as<core::CandidatePayload>(base), &payload);
+  const auto copy = payload.clone();
+  EXPECT_NE(util::msg_as<core::CandidatePayload>(*copy), nullptr);
 }
 
 }  // namespace

@@ -128,11 +128,15 @@ ctest --preset tsan -L 'sim|chaos|qplane' --output-on-failure
 # The two bench paths that raced or diverged on a multi-core machine, run
 # on four workers under TSan: the Fig. 8a thread sweep (one delivery
 # recorder shared across site shards) and a control-driven Fig. 10 query
-# loop (a run() that left the clock behind).
+# loop (a run() that left the clock behind).  The throughput bench adds
+# the query-plane path, whose cross-site traffic exercises the event
+# pools' return of nodes to their owning shard at each barrier.
 TSAN_BENCH_OPTIONS="suppressions=$PWD/.tsan-suppressions.txt halt_on_error=1 second_deadlock_stack=1"
 TSAN_OPTIONS="$TSAN_BENCH_OPTIONS" build-tsan/bench/bench_fig8a_scale_nodes --small --threads 4
 TSAN_OPTIONS="$TSAN_BENCH_OPTIONS" RBAY_SIM_THREADS=4 \
   build-tsan/bench/bench_fig10_latency_sites --small
+TSAN_OPTIONS="$TSAN_BENCH_OPTIONS" RBAY_SIM_THREADS=4 \
+  build-tsan/bench/bench_throughput --small
 
 # Flash-crowd scenario: 100x demand spike on one attribute — admission
 # sheds deterministically, the cache absorbs the warm wave.  Transcript
