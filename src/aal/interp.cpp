@@ -31,6 +31,17 @@ bool to_number(const Value& v, double& out) {
   return false;
 }
 
+/// The stdlib binding of `name` for a script whose global scope `globals`
+/// has none of its own; a module table is copied into `globals` first.
+const Value* stdlib_binding(Env& globals, const std::string& name) {
+  if (globals.stdlib == nullptr) return nullptr;
+  auto it = globals.stdlib->vars.find(name);
+  if (it == globals.stdlib->vars.end()) return nullptr;
+  if (!it->second.is_table()) return &it->second;  // natives are shared as they are
+  auto copy = std::make_shared<Table>(*it->second.as_table());
+  return &globals.vars.emplace(name, Value::table(std::move(copy))).first->second;
+}
+
 }  // namespace
 
 /// Statement/expression executor bound to one Interp (budget owner).
@@ -91,8 +102,15 @@ class Executor {
   }
 
   Value read_var(const EnvPtr& env, const std::string& name) {
-    if (Env* e = find_env_with(env, name)) return e->vars[name];
-    return Value::nil();
+    Env* e = env.get();
+    for (;; e = e->parent.get()) {
+      auto it = e->vars.find(name);
+      if (it != e->vars.end()) return it->second;
+      if (!e->parent) break;
+    }
+    // Unbound in every scope up to the globals (`e`): try the stdlib.
+    const Value* v = stdlib_binding(*e, name);
+    return v != nullptr ? *v : Value::nil();
   }
 
   void write_var(const EnvPtr& env, const std::string& name, Value v) {
@@ -465,10 +483,9 @@ void Interp::release_captured_scopes() {
   captured_.clear();
 }
 
-EnvPtr Interp::make_globals() {
-  auto env = std::make_shared<Env>();
-  install_stdlib(*env);
-  return env;
+const Value* lookup_global(Env& globals, const std::string& name) {
+  auto it = globals.vars.find(name);
+  return it != globals.vars.end() ? &it->second : stdlib_binding(globals, name);
 }
 
 }  // namespace rbay::aal

@@ -30,9 +30,6 @@ class Interp {
  public:
   explicit Interp(SandboxLimits limits) : limits_(limits) {}
 
-  /// Fresh global environment pre-loaded with the restricted stdlib.
-  [[nodiscard]] EnvPtr make_globals();
-
   /// Runs a chunk in `env`.  Budget applies to the whole run.
   /// Throws RuntimeError on script errors (including budget exhaustion).
   void run_chunk(const Block& block, const EnvPtr& env);
@@ -79,7 +76,14 @@ class Interp {
   std::size_t prune_at_ = 64;
 };
 
-/// Installs the restricted stdlib into `env` (exposed for tests).
-void install_stdlib(Env& env);
+/// The restricted stdlib, built once per process into a scope that no
+/// script writes.  Every script's globals fall back to it.
+const Env& shared_stdlib();
+
+/// Resolves global `name` of a script whose global scope is `globals`: its
+/// own binding first, else the stdlib's.  A stdlib module table (`math`,
+/// `string`, ...) is copied into `globals` on its first read, so a script
+/// that changes a module changes only its own copy.  nullptr if unbound.
+const Value* lookup_global(Env& globals, const std::string& name);
 
 }  // namespace rbay::aal

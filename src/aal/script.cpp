@@ -1,16 +1,68 @@
 #include "aal/script.hpp"
 
+#include <mutex>
+#include <string_view>
+#include <unordered_map>
+
 namespace rbay::aal {
 
-util::Result<std::shared_ptr<const Chunk>> Chunk::compile(std::string source) {
+namespace {
+
+/// Process-wide intern table: source text → live chunk.  A key views its
+/// chunk's own source, and the chunk's deleter erases the entry before the
+/// text is freed.
+struct ChunkTable {
+  std::mutex mu;
+  std::unordered_map<std::string_view, std::weak_ptr<const Chunk>> live;
+};
+
+ChunkTable& chunk_table() {
+  // Never destroyed: chunks may die during static destruction.
+  static auto* const table = new ChunkTable;
+  return *table;
+}
+
+}  // namespace
+
+util::Result<std::shared_ptr<const Chunk>> Chunk::compile(const std::string& source) {
+  auto& table = chunk_table();
+  {
+    std::lock_guard lock(table.mu);
+    auto it = table.live.find(source);
+    if (it != table.live.end()) {
+      if (auto live = it->second.lock()) return live;
+    }
+  }
   auto parsed = parse(source);
   if (!parsed.ok()) return util::make_error(parsed.error());
-  return std::shared_ptr<const Chunk>{new Chunk(std::move(source), parsed.take())};
+  // Declared before the lock: a chunk that lost a compile race is freed,
+  // and so takes the lock in its deleter, only after it is released.
+  std::shared_ptr<const Chunk> chunk{new Chunk(source, parsed.take()), &Chunk::release};
+  std::lock_guard lock(table.mu);
+  auto it = table.live.find(source);
+  if (it != table.live.end()) {
+    if (auto live = it->second.lock()) return live;
+    table.live.erase(it);  // its chunk is dying; the key must view ours
+  }
+  table.live.emplace(chunk->source(), chunk);
+  return chunk;
+}
+
+void Chunk::release(const Chunk* chunk) {
+  {
+    auto& table = chunk_table();
+    std::lock_guard lock(table.mu);
+    auto it = table.live.find(chunk->source_);
+    if (it != table.live.end() && it->first.data() == chunk->source_.data()) {
+      table.live.erase(it);
+    }
+  }
+  delete chunk;
 }
 
 Script::Script(std::shared_ptr<const Chunk> chunk, SandboxLimits limits)
-    : chunk_(std::move(chunk)), interp_(limits) {
-  globals_ = interp_.make_globals();
+    : chunk_(std::move(chunk)), interp_(limits), globals_(std::make_shared<Env>()) {
+  globals_->stdlib = &shared_stdlib();  // globals start empty
 }
 
 Script::~Script() {
@@ -43,19 +95,21 @@ util::Result<std::shared_ptr<Script>> Script::load(const std::string& source,
 }
 
 bool Script::has_function(const std::string& name) const {
-  auto it = globals_->vars.find(name);
-  return it != globals_->vars.end() && it->second.is_callable();
+  const Value* fn = lookup_global(*globals_, name);
+  return fn != nullptr && fn->is_callable();
 }
 
 util::Result<std::vector<Value>> Script::call_multi(const std::string& name,
                                                     std::vector<Value> args) {
-  auto it = globals_->vars.find(name);
-  if (it == globals_->vars.end() || !it->second.is_callable()) {
+  const Value* found = lookup_global(*globals_, name);
+  if (found == nullptr || !found->is_callable()) {
     return util::make_error("no such function: " + name);
   }
+  // A copy: the call may rebind `name`, which would free the binding.
+  const Value fn = *found;
   interp_.reset_budget();
   try {
-    return interp_.call_value(it->second, std::move(args), 0);
+    return interp_.call_value(fn, std::move(args), 0);
   } catch (const RuntimeError& e) {
     return util::make_error("runtime error in " + name + " (line " + std::to_string(e.line) +
                             "): " + e.message);
@@ -70,8 +124,8 @@ util::Result<Value> Script::call(const std::string& name, std::vector<Value> arg
 }
 
 Value Script::global(const std::string& name) const {
-  auto it = globals_->vars.find(name);
-  return it == globals_->vars.end() ? Value::nil() : it->second;
+  const Value* v = lookup_global(*globals_, name);
+  return v != nullptr ? *v : Value::nil();
 }
 
 void Script::set_global(const std::string& name, Value v) {
@@ -79,22 +133,14 @@ void Script::set_global(const std::string& name, Value v) {
 }
 
 std::size_t Script::memory_footprint(bool include_chunk) const {
-  // Shared chunk (optional) + all global state the chunk created (stdlib
-  // modules excluded: they are shared in spirit, and identical between
-  // RBAY and any baseline).
+  // Shared chunk (optional) + all global state the chunk created.  Names
+  // the stdlib binds are left out, a script's private copy of a module
+  // included: the stdlib is shared, and identical between RBAY and any
+  // baseline.
   std::size_t total = include_chunk ? chunk_->memory_footprint() : 32;
-  static const char* const kStdlibNames[] = {"type", "tostring", "tonumber", "error",
-                                             "assert", "print", "next", "pairs",
-                                             "ipairs", "select", "math", "string", "table"};
+  const auto& stdlib = shared_stdlib().vars;
   for (const auto& [name, value] : globals_->vars) {
-    bool is_stdlib = false;
-    for (const char* n : kStdlibNames) {
-      if (name == n) {
-        is_stdlib = true;
-        break;
-      }
-    }
-    if (is_stdlib) continue;
+    if (stdlib.count(name) != 0) continue;
     total += 32 + name.size() + value.footprint();
   }
   return total;

@@ -23,7 +23,10 @@ namespace rbay::aal {
 /// Chunk while keeping private runtime state.
 class Chunk {
  public:
-  static util::Result<std::shared_ptr<const Chunk>> compile(std::string source);
+  /// Compiles `source`, or returns the live chunk already compiled from the
+  /// same text anywhere in the process.  Chunks are interned by source
+  /// under one mutex and held weakly: a chunk dies with its last script.
+  static util::Result<std::shared_ptr<const Chunk>> compile(const std::string& source);
 
   [[nodiscard]] const Block& ast() const { return ast_; }
   [[nodiscard]] const std::string& source() const { return source_; }
@@ -36,6 +39,9 @@ class Chunk {
 
  private:
   Chunk(std::string source, Block ast) : source_(std::move(source)), ast_(std::move(ast)) {}
+
+  /// Deleter: drops the chunk's intern entry, then frees it.
+  static void release(const Chunk* chunk);
 
   std::string source_;
   Block ast_;

@@ -509,8 +509,6 @@ Value make_module(std::initializer_list<std::pair<const char*, Value>> fns) {
   return Value::table(std::move(t));
 }
 
-}  // namespace
-
 void install_stdlib(Env& env) {
   env.vars["type"] = make_native(builtin_type);
   env.vars["tostring"] = make_native(builtin_tostring);
@@ -570,6 +568,19 @@ void install_stdlib(Env& env) {
   // Deliberately absent: io, os, require, load, dofile, loadstring,
   // collectgarbage, coroutine — the sandbox has no kernel, file system, or
   // network access (§III.B).
+}
+
+}  // namespace
+
+const Env& shared_stdlib() {
+  // Never destroyed: a script that outlives static destruction still
+  // points at it.
+  static const Env* const scope = [] {
+    auto* env = new Env;
+    install_stdlib(*env);
+    return env;
+  }();
+  return *scope;
 }
 
 }  // namespace rbay::aal

@@ -115,10 +115,14 @@ struct Table {
   [[nodiscard]] std::size_t sequence_length() const;
 };
 
-/// Lexical environment (scope chain).
+/// Lexical environment (scope chain).  A script's global scope also points
+/// at the process-wide stdlib scope, which a global read falls back to on a
+/// miss.  The stdlib is deliberately not a `parent`: code that walks or
+/// clears scope chains never reaches it.
 struct Env {
   std::shared_ptr<Env> parent;
   std::map<std::string, Value> vars;
+  const Env* stdlib = nullptr;
 };
 using EnvPtr = std::shared_ptr<Env>;
 

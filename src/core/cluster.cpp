@@ -93,9 +93,10 @@ void RBayCluster::finalize() {
     directory->gateways.push_back(nodes_[members.front()]->self());
   }
   directory_ = std::move(directory);
+  tree_table_ = std::make_shared<const TreeTable>(tree_specs_, directory_->site_names);
 
   for (auto& node : nodes_) {
-    node->set_tree_specs(tree_specs_);
+    node->set_tree_table(tree_table_);
     node->set_taxonomy(taxonomy_);
     node->set_directory(directory_);
   }

@@ -70,6 +70,8 @@ class RBayCluster {
   /// The observability registry, or nullptr when config.metrics is false.
   [[nodiscard]] obs::Registry* metrics() { return metrics_.get(); }
   [[nodiscard]] const std::vector<TreeSpec>& tree_specs() const { return *tree_specs_; }
+  /// Every (spec, site) TreeId; built by finalize().
+  [[nodiscard]] const TreeTable& tree_table() const { return *tree_table_; }
   [[nodiscard]] const ClusterConfig& config() const { return config_; }
 
   [[nodiscard]] std::vector<std::size_t> nodes_in_site(net::SiteId site) const;
@@ -109,6 +111,7 @@ class RBayCluster {
   pastry::Overlay overlay_;
   std::vector<std::unique_ptr<RBayNode>> nodes_;
   std::shared_ptr<std::vector<TreeSpec>> tree_specs_;
+  std::shared_ptr<const TreeTable> tree_table_;
   std::shared_ptr<Taxonomy> taxonomy_;
   std::shared_ptr<Directory> directory_;
   std::unique_ptr<HealthPublisher> health_;  // after nodes_: stops first

@@ -2,7 +2,26 @@
 
 #include <algorithm>
 
+#include "util/contract.hpp"
+
 namespace rbay::core {
+
+TreeTable::TreeTable(std::shared_ptr<const std::vector<TreeSpec>> specs,
+                     const std::vector<std::string>& site_names)
+    : specs_(std::move(specs)), site_count_(site_names.size()) {
+  topics_.reserve(specs_->size() * site_count_);
+  for (std::size_t i = 0; i < specs_->size(); ++i) {
+    const auto& canonical = (*specs_)[i].canonical;
+    RBAY_REQUIRE(by_canonical_.emplace(canonical, i).second, "duplicate tree spec canonical");
+    for (const auto& site_name : site_names) topics_.push_back(site_topic(canonical, site_name));
+  }
+}
+
+std::optional<std::size_t> TreeTable::spec_index(const std::string& canonical) const {
+  auto it = by_canonical_.find(canonical);
+  if (it == by_canonical_.end()) return std::nullopt;
+  return it->second;
+}
 
 void Taxonomy::add_major(const std::string& attribute) {
   if (!is_major(attribute)) majors_.push_back(attribute);

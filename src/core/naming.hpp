@@ -14,8 +14,10 @@
 // attributes search the linked major tree and filter at the members.
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "pastry/node_id.hpp"
@@ -56,6 +58,34 @@ struct TreeSpec {
     spec.predicate.literal = store::AttributeValue{std::string("\x01<none>")};
     return spec;
   }
+};
+
+/// Every TreeId of the federation, built once by RBayCluster::finalize from
+/// the tree specs × the directory's site names and shared, immutable, by
+/// every node: entry (spec, site) is site_topic(spec.canonical,
+/// site_names[site]), so hot paths look a TreeId up instead of hashing it.
+class TreeTable {
+ public:
+  /// Canonicals must be unique: two specs with one canonical would name
+  /// the same tree twice.
+  TreeTable(std::shared_ptr<const std::vector<TreeSpec>> specs,
+            const std::vector<std::string>& site_names);
+
+  [[nodiscard]] const std::vector<TreeSpec>& specs() const { return *specs_; }
+
+  /// TreeId of spec `spec`'s tree in site `site`.
+  [[nodiscard]] const scribe::TopicId& topic(std::size_t spec, net::SiteId site) const {
+    return topics_[spec * site_count_ + site];
+  }
+
+  /// Index of the spec with predicate `canonical`, if there is one.
+  [[nodiscard]] std::optional<std::size_t> spec_index(const std::string& canonical) const;
+
+ private:
+  std::shared_ptr<const std::vector<TreeSpec>> specs_;
+  std::size_t site_count_;
+  std::vector<scribe::TopicId> topics_;  // spec-major
+  std::unordered_map<std::string, std::size_t> by_canonical_;
 };
 
 /// Attribute taxonomy implementing the hybrid naming scheme.

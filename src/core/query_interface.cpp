@@ -392,42 +392,32 @@ void QueryInterface::finish_attempt(std::uint64_t id) {
 
 // --- site-local execution (five steps of Fig. 7) ---------------------------------
 
-std::vector<std::optional<std::string>> QueryInterface::tree_canonicals(
+std::vector<std::size_t> QueryInterface::plan_trees(
     const std::vector<query::Predicate>& predicates) const {
-  std::vector<std::optional<std::string>> out;
-  const auto& specs = owner_.tree_specs();
-  auto has_spec = [&](const std::string& canonical) {
-    return std::any_of(specs.begin(), specs.end(),
-                       [&](const TreeSpec& s) { return s.canonical == canonical; });
+  std::vector<std::size_t> out;
+  const auto* trees = owner_.tree_table();
+  if (trees == nullptr) return out;
+  auto add = [&](std::size_t spec) {
+    if (std::find(out.begin(), out.end(), spec) == out.end()) out.push_back(spec);
   };
   for (const auto& pred : predicates) {
-    const auto canonical = pred.canonical();
-    if (has_spec(canonical)) {
-      out.emplace_back(canonical);
+    if (const auto spec = trees->spec_index(pred.canonical())) {
+      add(*spec);
       continue;
     }
     // Hybrid naming: resolve a minor attribute to its major's existence
     // tree ("link this new attribute to certain major tree", §III.C).
     if (const auto* taxonomy = owner_.taxonomy()) {
       if (auto major = taxonomy->major_of(pred.attribute)) {
-        const auto existence = "has:" + *major;
-        if (has_spec(existence)) {
-          out.emplace_back(existence);
-          continue;
-        }
+        if (const auto spec = trees->spec_index("has:" + *major)) add(*spec);
       }
     }
-    out.emplace_back(std::nullopt);
   }
   return out;
 }
 
 void QueryInterface::run_site_query(SiteJob job, std::function<void(SiteResult)> done) {
-  const auto canonicals = tree_canonicals(job.predicates);
-  std::vector<std::string> trees;
-  for (const auto& c : canonicals) {
-    if (c && std::find(trees.begin(), trees.end(), *c) == trees.end()) trees.push_back(*c);
-  }
+  const auto trees = plan_trees(job.predicates);
   if (trees.empty()) {
     done({});
     return;
@@ -453,7 +443,9 @@ void QueryInterface::run_site_query(SiteJob job, std::function<void(SiteResult)>
   state->sizes.assign(trees.size(), 0.0);
   state->remaining = trees.size();
   state->probe_start = owner_.engine().now();
-  for (const auto& tree : trees) state->topics.push_back(owner_.topic_of(tree));
+  for (const auto spec : trees) {
+    state->topics.push_back(owner_.tree_table()->topic(spec, owner_.site()));
+  }
 
   auto anycast_smallest = [this, state]() {
     const auto probe_end = owner_.engine().now();

@@ -148,10 +148,10 @@ class QueryInterface final : public pastry::PastryApp {
   [[nodiscard]] std::vector<net::SiteId> resolve_sites(const query::Query& q,
                                                        std::string& error) const;
 
-  /// Trees (canonicals) available for these predicates in this site, in
-  /// predicate order; empty optional entries mean "no tree" (minor
-  /// attribute — resolved through the taxonomy or skipped).
-  [[nodiscard]] std::vector<std::optional<std::string>> tree_canonicals(
+  /// Distinct spec indices of the trees these predicates probe, in
+  /// predicate order.  A predicate without a tree of its own resolves
+  /// through the taxonomy to its major's existence tree, or is skipped.
+  [[nodiscard]] std::vector<std::size_t> plan_trees(
       const std::vector<query::Predicate>& predicates) const;
 
   /// Immediate completion for queries admission sheds (no Pending entry,

@@ -75,8 +75,9 @@ bool RBayNode::is_hidden(const std::string& name) const { return hidden_.count(n
 
 // --- federation wiring ---------------------------------------------------------
 
-void RBayNode::set_tree_specs(std::shared_ptr<const std::vector<TreeSpec>> specs) {
-  tree_specs_ = std::move(specs);
+void RBayNode::set_tree_table(std::shared_ptr<const TreeTable> trees) {
+  trees_ = std::move(trees);
+  subscribed_.assign(tree_specs().size(), false);
 }
 
 void RBayNode::set_taxonomy(std::shared_ptr<const Taxonomy> taxonomy) {
@@ -88,7 +89,7 @@ void RBayNode::set_directory(std::shared_ptr<const Directory> directory) {
 }
 
 const std::vector<TreeSpec>& RBayNode::tree_specs() const {
-  return tree_specs_ ? *tree_specs_ : kNoSpecs;
+  return trees_ ? trees_->specs() : kNoSpecs;
 }
 
 void RBayNode::enable_monitor(std::vector<monitor::MetricSpec> metrics,
@@ -107,31 +108,38 @@ void RBayNode::enable_monitor(std::vector<monitor::MetricSpec> metrics,
 // --- tree membership --------------------------------------------------------------
 
 scribe::TopicId RBayNode::topic_of(const std::string& canonical) const {
+  if (trees_ != nullptr) {
+    if (const auto spec = trees_->spec_index(canonical)) return trees_->topic(*spec, site());
+  }
   const std::string site_name = directory_ && site() < directory_->site_names.size()
                                     ? directory_->site_names[site()]
                                     : "site" + std::to_string(site());
   return site_topic(canonical, site_name);
 }
 
-bool RBayNode::store_matches(const query::Predicate& pred) const {
+bool RBayNode::attr_matches(const store::ActiveAttribute* attr,
+                            const query::Predicate& pred) const {
   if (hidden_.count(pred.attribute) != 0) return false;
-  const auto* attr = store_.find(pred.attribute);
   if (attr == nullptr) return false;
   return pred.matches(attr->value());
 }
 
 bool RBayNode::subscribed_to(const TreeSpec& spec) const {
-  return subscribed_canonicals_.count(spec.canonical) != 0;
+  if (trees_ == nullptr) return false;
+  const auto index = trees_->spec_index(spec.canonical);
+  return index && subscribed_[*index];
 }
 
 std::pair<int, int> RBayNode::reevaluate_subscriptions() {
   int joins = 0;
   int leaves = 0;
-  for (const auto& spec : tree_specs()) {
-    const auto topic = topic_of(spec);
+  const auto& specs = tree_specs();
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const auto& spec = specs[i];
+    const auto& topic = trees_->topic(i, site());
     const bool member = scribe_.subscribed(topic);
-    const bool matches = store_matches(spec.predicate);
     auto* attr = store_.find(spec.predicate.attribute);
+    const bool matches = attr_matches(attr, spec.predicate);
     if (!member) {
       if (!matches) continue;
       // "onSubscribe ... returns the value that determines whether joining
@@ -139,7 +147,7 @@ std::pair<int, int> RBayNode::reevaluate_subscriptions() {
       const bool allowed = attr == nullptr || attr->on_subscribe(admin_, spec.canonical);
       if (allowed) {
         scribe_.subscribe(topic, this, nullptr, pastry::Scope::Site);
-        subscribed_canonicals_.insert(spec.canonical);
+        subscribed_[i] = true;
         ++joins;
       }
     } else {
@@ -149,7 +157,7 @@ std::pair<int, int> RBayNode::reevaluate_subscriptions() {
       }
       if (leave) {
         scribe_.unsubscribe(topic);
-        subscribed_canonicals_.erase(spec.canonical);
+        subscribed_[i] = false;
         ++leaves;
       }
     }

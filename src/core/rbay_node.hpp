@@ -76,10 +76,12 @@ class RBayNode final : public scribe::TopicMember {
   [[nodiscard]] const store::AttributeStore& attributes() const { return store_; }
 
   // --- federation wiring (done by RBayCluster) ------------------------------
-  void set_tree_specs(std::shared_ptr<const std::vector<TreeSpec>> specs);
+  void set_tree_table(std::shared_ptr<const TreeTable> trees);
   void set_taxonomy(std::shared_ptr<const Taxonomy> taxonomy);
   void set_directory(std::shared_ptr<const Directory> directory);
   [[nodiscard]] const std::vector<TreeSpec>& tree_specs() const;
+  /// The federation's TreeId table, or nullptr before finalize.
+  [[nodiscard]] const TreeTable* tree_table() const { return trees_.get(); }
   [[nodiscard]] const Taxonomy* taxonomy() const { return taxonomy_.get(); }
   [[nodiscard]] const Directory* directory() const { return directory_.get(); }
 
@@ -98,7 +100,8 @@ class RBayNode final : public scribe::TopicMember {
   void maintenance();
 
   [[nodiscard]] bool subscribed_to(const TreeSpec& spec) const;
-  /// TreeId of the tree for predicate `canonical` in this node's site.
+  /// TreeId of the tree for predicate `canonical` in this node's site (from
+  /// the tree table when `canonical` names a spec).
   [[nodiscard]] scribe::TopicId topic_of(const std::string& canonical) const;
   [[nodiscard]] scribe::TopicId topic_of(const TreeSpec& spec) const {
     return topic_of(spec.canonical);
@@ -130,7 +133,12 @@ class RBayNode final : public scribe::TopicMember {
 
   /// True if the local store satisfies `pred` (hidden attributes never
   /// match; missing attributes never match).
-  [[nodiscard]] bool store_matches(const query::Predicate& pred) const;
+  [[nodiscard]] bool store_matches(const query::Predicate& pred) const {
+    return attr_matches(store_.find(pred.attribute), pred);
+  }
+  /// store_matches for `attr`, the store's entry for `pred.attribute`.
+  [[nodiscard]] bool attr_matches(const store::ActiveAttribute* attr,
+                                  const query::Predicate& pred) const;
 
   /// Runs the onGet gate for every predicate attribute with a handler.
   [[nodiscard]] bool authorize_get(const std::vector<query::Predicate>& predicates,
@@ -145,11 +153,11 @@ class RBayNode final : public scribe::TopicMember {
   std::unique_ptr<monitor::ResourceMonitor> monitor_;
   RBayNodeConfig config_;
 
-  std::shared_ptr<const std::vector<TreeSpec>> tree_specs_;
+  std::shared_ptr<const TreeTable> trees_;
   std::shared_ptr<const Taxonomy> taxonomy_;
   std::shared_ptr<const Directory> directory_;
   std::set<std::string> hidden_;
-  std::set<std::string> subscribed_canonicals_;
+  std::vector<bool> subscribed_;  // per spec index: joined its tree here
   sim::Timer maintenance_timer_;
   std::uint64_t gets_served_ = 0;
 };

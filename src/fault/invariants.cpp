@@ -57,10 +57,12 @@ InvariantReport check_tree_reachability(core::RBayCluster& cluster) {
   InvariantReport report;
   auto& overlay = cluster.overlay();
   const auto& directory = cluster.directory();
-  for (const auto& spec : cluster.tree_specs()) {
+  const auto& trees = cluster.tree_table();
+  for (std::size_t t = 0; t < trees.specs().size(); ++t) {
+    const auto& spec = trees.specs()[t];
     for (net::SiteId s = 0; s < directory.site_names.size(); ++s) {
       const auto& site_name = directory.site_names[s];
-      const auto topic = core::site_topic(spec.canonical, site_name);
+      const auto& topic = trees.topic(t, s);
       const auto tag = tree_tag(spec, site_name);
 
       std::vector<std::size_t> members;
@@ -122,10 +124,12 @@ InvariantReport check_child_consistency(core::RBayCluster& cluster) {
   InvariantReport report;
   auto& overlay = cluster.overlay();
   const auto& directory = cluster.directory();
-  for (const auto& spec : cluster.tree_specs()) {
+  const auto& trees = cluster.tree_table();
+  for (std::size_t t = 0; t < trees.specs().size(); ++t) {
+    const auto& spec = trees.specs()[t];
     for (net::SiteId s = 0; s < directory.site_names.size(); ++s) {
       const auto& site_name = directory.site_names[s];
-      const auto topic = core::site_topic(spec.canonical, site_name);
+      const auto& topic = trees.topic(t, s);
       const auto tag = tree_tag(spec, site_name);
       for (const auto i : cluster.nodes_in_site(s)) {
         if (overlay.is_failed(i)) continue;
@@ -185,10 +189,12 @@ InvariantReport check_aggregates(core::RBayCluster& cluster, double tolerance) {
   InvariantReport report;
   auto& overlay = cluster.overlay();
   const auto& directory = cluster.directory();
-  for (const auto& spec : cluster.tree_specs()) {
+  const auto& trees = cluster.tree_table();
+  for (std::size_t t = 0; t < trees.specs().size(); ++t) {
+    const auto& spec = trees.specs()[t];
     for (net::SiteId s = 0; s < directory.site_names.size(); ++s) {
       const auto& site_name = directory.site_names[s];
-      const auto topic = core::site_topic(spec.canonical, site_name);
+      const auto& topic = trees.topic(t, s);
 
       double truth = 0.0;
       std::vector<std::size_t> roots;
@@ -372,10 +378,12 @@ InvariantReport check_replicas(core::RBayCluster& cluster) {
   InvariantReport report;
   auto& overlay = cluster.overlay();
   const auto& directory = cluster.directory();
-  for (const auto& spec : cluster.tree_specs()) {
+  const auto& trees = cluster.tree_table();
+  for (std::size_t t = 0; t < trees.specs().size(); ++t) {
+    const auto& spec = trees.specs()[t];
     for (net::SiteId s = 0; s < directory.site_names.size(); ++s) {
       const auto& site_name = directory.site_names[s];
-      const auto topic = core::site_topic(spec.canonical, site_name);
+      const auto& topic = trees.topic(t, s);
 
       std::vector<std::size_t> roots;
       for (const auto i : cluster.nodes_in_site(s)) {
@@ -422,10 +430,12 @@ InvariantReport check_fan_in(core::RBayCluster& cluster) {
   if (cap <= 0) return report;  // splitting disabled
   auto& overlay = cluster.overlay();
   const auto& directory = cluster.directory();
-  for (const auto& spec : cluster.tree_specs()) {
+  const auto& trees = cluster.tree_table();
+  for (std::size_t t = 0; t < trees.specs().size(); ++t) {
+    const auto& spec = trees.specs()[t];
     for (net::SiteId s = 0; s < directory.site_names.size(); ++s) {
       const auto& site_name = directory.site_names[s];
-      const auto topic = core::site_topic(spec.canonical, site_name);
+      const auto& topic = trees.topic(t, s);
       for (const auto i : cluster.nodes_in_site(s)) {
         if (overlay.is_failed(i)) continue;
         // Dead children are pruned by heartbeat repair and reported by

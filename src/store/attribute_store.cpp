@@ -33,13 +33,9 @@ void AttributeStore::update_value(const std::string& name, AttributeValue value)
 
 util::Result<void> AttributeStore::attach_handlers(const std::string& name,
                                                    const std::string& source) {
-  auto it = chunk_cache_.find(source);
-  if (it == chunk_cache_.end()) {
-    auto compiled = aal::Chunk::compile(source);
-    if (!compiled.ok()) return util::make_error(compiled.error());
-    it = chunk_cache_.emplace(source, compiled.take()).first;
-  }
-  auto instance = aal::Script::instantiate(it->second);
+  auto compiled = aal::Chunk::compile(source);
+  if (!compiled.ok()) return util::make_error(compiled.error());
+  auto instance = aal::Script::instantiate(compiled.take());
   if (!instance.ok()) return util::make_error(instance.error());
   auto attr_it = attrs_.find(name);
   if (attr_it == attrs_.end()) {

@@ -34,9 +34,10 @@ class AttributeStore {
   [[nodiscard]] const std::map<std::string, ActiveAttribute>& all() const { return attrs_; }
   [[nodiscard]] std::map<std::string, ActiveAttribute>& all() { return attrs_; }
 
-  /// Attaches handler source to `name`, interning identical sources: all
-  /// attributes of this store with the same policy text share one compiled
-  /// script (and its persistent state).  Creates the attribute if missing.
+  /// Attaches handler source to `name`.  Attributes with the same policy
+  /// text, in this store or any other, share one compiled chunk
+  /// (aal::Chunk::compile interns it); each keeps private script state.
+  /// Creates the attribute if missing.
   util::Result<void> attach_handlers(const std::string& name, const std::string& source);
 
   /// Fires every attribute's onTimer handler; returns handler error count.
@@ -50,7 +51,6 @@ class AttributeStore {
 
  private:
   std::map<std::string, ActiveAttribute> attrs_;
-  std::map<std::string, std::shared_ptr<const aal::Chunk>> chunk_cache_;  // source → AST
 };
 
 }  // namespace rbay::store

@@ -120,7 +120,10 @@ ctest --preset ci -L qplane --output-on-failure
 # runs the sharded engine for real — RBAY_SIM_THREADS=4 in the test
 # preset's environment makes every directly-constructed cluster execute
 # on four worker threads — over the engine/determinism, chaos, and
-# query-plane labels.  Suppressions live in .tsan-suppressions.txt
+# query-plane labels.  The sim label also carries aal_concurrency_test:
+# four threads creating and running scripts over one interned chunk and
+# the shared stdlib (the ASan run above covers the chunks' lifetime).
+# Suppressions live in .tsan-suppressions.txt
 # (expected empty; each entry must be documented there).
 cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc 2>/dev/null || echo 4)"
