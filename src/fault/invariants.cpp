@@ -279,7 +279,7 @@ InvariantReport check_pastry(const pastry::Overlay& overlay) {
     return overlay.ref(a).id < overlay.ref(b).id;
   });
 
-  auto check_leaf_side = [&](std::size_t idx, const std::vector<pastry::NodeRef>& side,
+  auto check_leaf_side = [&](std::size_t idx, const pastry::NodeRefView& side,
                              bool clockwise, int half_size) {
     const auto who = "node " + std::to_string(idx) + " " +
                      (clockwise ? "cw" : "ccw") + " leaf side: ";
@@ -350,7 +350,7 @@ InvariantReport check_pastry(const pastry::Overlay& overlay) {
     // within half_size per side — the regimes the chaos suite checks in).
     if (live.size() < 2) continue;
     const auto succ = live[(pos + 1) % live.size()];
-    const auto& cw = node.leaf_set().clockwise();
+    const auto cw = node.leaf_set().clockwise();
     if (cw.empty()) {
       report.add("pastry-leaf",
                  "node " + std::to_string(idx) + " lost its whole clockwise side", {idx});
@@ -363,7 +363,7 @@ InvariantReport check_pastry(const pastry::Overlay& overlay) {
                  {idx, succ});
       continue;
     }
-    const auto& succ_ccw = overlay.node(succ).leaf_set().counter_clockwise();
+    const auto succ_ccw = overlay.node(succ).leaf_set().counter_clockwise();
     if (succ_ccw.empty() || succ_ccw.front().id != node.self().id) {
       report.add("pastry-leaf",
                  "node " + std::to_string(succ) + " does not point back at node " +

@@ -55,7 +55,8 @@ const NetworkStats& Network::stats() const {
 EndpointId Network::add_endpoint(SiteId site, Handler handler) {
   RBAY_REQUIRE(site < topology_.site_count(), "Network::add_endpoint: unknown site");
   RBAY_REQUIRE(handler != nullptr, "Network::add_endpoint: handler required");
-  endpoints_.push_back(Endpoint{site, std::move(handler), false, {}});
+  RBAY_REQUIRE(!engine_.running(), "Network::add_endpoint: endpoints are read-only during runs");
+  endpoints_.push_back(Endpoint{site, false, std::move(handler), {}});
   return static_cast<EndpointId>(endpoints_.size() - 1);
 }
 

@@ -95,6 +95,8 @@ class Network {
   Network& operator=(const Network&) = delete;
 
   /// Registers an endpoint at `site`; the handler runs on each delivery.
+  /// Every shard reads the endpoint table without a lock, so this requires
+  /// that the engine is not running.
   EndpointId add_endpoint(SiteId site, Handler handler);
 
   [[nodiscard]] SiteId site_of(EndpointId ep) const { return endpoints_.at(ep).site; }
@@ -147,10 +149,13 @@ class Network {
  private:
   struct Endpoint {
     SiteId site;
-    Handler handler;
     bool down = false;
+    Handler handler;
     EndpointStats stats;
   };
+  // `down` fills the padding after `site`, so the record has no hole: 72 B
+  // with a 32-byte std::function, where `down` after `handler` made it 80.
+  static_assert(sizeof(Endpoint) == 8 + sizeof(Handler) + sizeof(EndpointStats));
 
   [[nodiscard]] bool partitioned(SiteId a, SiteId b) const;
 

@@ -7,11 +7,15 @@
 // For RBAY's administrative isolation (§III.E) each entry is marked with
 // the site it belongs to, and a site-filtered view is available so that
 // site-scoped routing never leaves the site.
+//
+// Each side is an inline array of node-table indices plus a count, so a
+// leaf set owns no heap memory.
 
-#include <optional>
+#include <array>
+#include <cstdint>
 #include <vector>
 
-#include "pastry/routing_table.hpp"
+#include "pastry/node_table.hpp"
 
 namespace rbay::pastry {
 
@@ -20,13 +24,14 @@ inline constexpr int kLeafHalfSize = 8;
 
 class LeafSet {
  public:
-  LeafSet(NodeRef owner, int half_size = kLeafHalfSize) : owner_(owner), half_(half_size) {}
+  /// Requires 1 <= half_size <= kLeafHalfSize.
+  LeafSet(const NodeTable& nodes, NodeIndex owner, int half_size = kLeafHalfSize);
 
-  [[nodiscard]] const NodeRef& owner() const { return owner_; }
+  [[nodiscard]] const NodeRef& owner() const { return (*nodes_)[owner_]; }
 
   /// Inserts `candidate` if it belongs among the closest neighbors on its
   /// side.  Returns true if the set changed.
-  bool consider(const NodeRef& candidate);
+  bool consider(NodeIndex candidate);
 
   void remove(const NodeId& id);
 
@@ -39,19 +44,33 @@ class LeafSet {
   /// The member (or owner) numerically closest to `key`.
   [[nodiscard]] NodeRef closest(const NodeId& key) const;
 
-  [[nodiscard]] const std::vector<NodeRef>& clockwise() const { return cw_; }
-  [[nodiscard]] const std::vector<NodeRef>& counter_clockwise() const { return ccw_; }
+  /// Members by clockwise distance from the owner, nearest first;
+  /// symmetrically for counter_clockwise().
+  [[nodiscard]] NodeRefView clockwise() const { return cw_.view(*nodes_); }
+  [[nodiscard]] NodeRefView counter_clockwise() const { return ccw_.view(*nodes_); }
+  /// The clockwise side, then counter-clockwise members not already listed.
   [[nodiscard]] std::vector<NodeRef> all() const;
   [[nodiscard]] bool contains(const NodeId& id) const;
   [[nodiscard]] int half_size() const { return half_; }
 
  private:
-  NodeRef owner_;
-  int half_;
-  // cw_[0] is the immediate clockwise successor; sorted by clockwise
-  // distance from owner.  Symmetrically for ccw_.
-  std::vector<NodeRef> cw_;
-  std::vector<NodeRef> ccw_;
+  struct Side {
+    std::array<NodeIndex, kLeafHalfSize> nodes{};
+    std::uint8_t count = 0;
+
+    [[nodiscard]] NodeRefView view(const NodeTable& table) const {
+      return NodeRefView{std::span<const NodeIndex>(nodes.data(), count), ResolveRef{&table}};
+    }
+  };
+
+  bool insert(Side& side, NodeIndex candidate, bool clockwise);
+  void erase(Side& side, const NodeId& id);
+
+  const NodeTable* nodes_;
+  NodeIndex owner_;
+  std::uint8_t half_;
+  Side cw_;
+  Side ccw_;
 };
 
 }  // namespace rbay::pastry

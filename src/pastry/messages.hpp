@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "net/network.hpp"
-#include "pastry/routing_table.hpp"
+#include "pastry/node_table.hpp"
 
 namespace rbay::pastry {
 

@@ -54,24 +54,17 @@ const std::string& app_name(AppId id) {
   return table.names[i];
 }
 
-PastryNode::PastryNode(net::Network& network, net::SiteId site, std::string ip)
+PastryNode::PastryNode(net::Network& network, const NodeTable& nodes, NodeIndex index,
+                       net::SiteId site, std::string_view ip)
     : network_(network),
-      ip_(std::move(ip)),
-      self_{node_id_from_ip(ip_), net::kInvalidEndpoint, site},
-      leaves_(self_),
-      table_(self_),
-      site_leaves_(self_),
-      site_table_(self_) {
-  self_.endpoint = network_.add_endpoint(site, [this](net::Envelope env) {
-    on_envelope(std::move(env));
-  });
-  // The constructors above captured a NodeRef without the endpoint; rebuild
-  // the owner-dependent structures now that it is known.
-  leaves_ = LeafSet{self_};
-  table_ = RoutingTable{self_};
-  site_leaves_ = LeafSet{self_};
-  site_table_ = RoutingTable{self_};
-}
+      nodes_(nodes),
+      self_{node_id_from_ip(ip),
+            network.add_endpoint(site, [this](net::Envelope env) { on_envelope(std::move(env)); }),
+            site},
+      leaves_(nodes, index),
+      table_(nodes, index),
+      site_leaves_(nodes, index),
+      site_table_(nodes, index) {}
 
 void PastryNode::refresh_metrics() {
   auto* registry = network_.engine().metrics();
@@ -104,12 +97,13 @@ std::int64_t PastryNode::proximity_to(const NodeRef& other) const {
 
 void PastryNode::learn(const NodeRef& other) {
   if (other.id == self_.id) return;
+  const NodeIndex i = nodes_.index_of(other);
   const auto prox = proximity_to(other);
-  leaves_.consider(other);
-  table_.consider(other, prox);
+  leaves_.consider(i);
+  table_.consider(i, prox);
   if (other.site == self_.site) {
-    site_leaves_.consider(other);
-    site_table_.consider(other, prox);
+    site_leaves_.consider(i);
+    site_table_.consider(i, prox);
   }
   joined_ = true;
 }
@@ -145,16 +139,20 @@ std::optional<NodeRef> PastryNode::rare_case_hop(const NodeId& key, Scope scope)
   const auto& rt = scope == Scope::Global ? table_ : site_table_;
   const int own_prefix = self_.id.shared_prefix_digits(key, kBitsPerDigit);
 
-  std::optional<NodeRef> best;
+  // closer_to is a total order, so the scan order (and a node seen on both
+  // leaf sides) cannot change the result.
+  const NodeRef* best = nullptr;
   auto try_candidate = [&](const NodeRef& r) {
     if (scope == Scope::Site && r.site != self_.site) return;
     if (r.id.shared_prefix_digits(key, kBitsPerDigit) < own_prefix) return;
-    if (!closer_to(key, r.id, best ? best->id : self_.id)) return;
-    best = r;
+    if (!closer_to(key, r.id, best != nullptr ? best->id : self_.id)) return;
+    best = &r;
   };
-  for (const auto& r : ls.all()) try_candidate(r);
-  for (const auto& r : rt.entries()) try_candidate(r);
-  return best;
+  for (const NodeRef& r : ls.clockwise()) try_candidate(r);
+  for (const NodeRef& r : ls.counter_clockwise()) try_candidate(r);
+  rt.for_each(try_candidate);
+  if (best == nullptr) return std::nullopt;
+  return *best;
 }
 
 std::optional<NodeRef> PastryNode::next_hop(const NodeId& key, Scope scope) const {

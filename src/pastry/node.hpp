@@ -12,6 +12,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/network.hpp"
@@ -56,14 +57,16 @@ class PastryApp {
 class PastryNode {
  public:
   /// Creates the node and registers its network endpoint.  NodeId is
-  /// SHA-1(ip) as in the paper.
-  PastryNode(net::Network& network, net::SiteId site, std::string ip);
+  /// SHA-1(ip) as in the paper.  `index` is the slot the node will take in
+  /// `nodes`, the overlay's node table; routing state stores indices into
+  /// it.
+  PastryNode(net::Network& network, const NodeTable& nodes, NodeIndex index, net::SiteId site,
+             std::string_view ip);
 
   PastryNode(const PastryNode&) = delete;
   PastryNode& operator=(const PastryNode&) = delete;
 
   [[nodiscard]] const NodeRef& self() const { return self_; }
-  [[nodiscard]] const std::string& ip() const { return ip_; }
   [[nodiscard]] net::Network& network() { return network_; }
 
   /// Registers an application under `name` and returns the name's
@@ -152,7 +155,7 @@ class PastryNode {
   }
 
   net::Network& network_;
-  std::string ip_;
+  const NodeTable& nodes_;
   NodeRef self_;
   MetricsCache metrics_;
   LeafSet leaves_;

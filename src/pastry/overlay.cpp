@@ -8,14 +8,17 @@ Overlay::Overlay(sim::Engine& engine, net::Topology topology)
     : engine_(engine), network_(engine, std::move(topology)) {}
 
 PastryNode& Overlay::create_node(net::SiteId site) {
+  RBAY_REQUIRE(!engine_.running(), "Overlay::create_node: the node table is read-only during runs");
   const auto i = nodes_.size();
   // Synthetic unique address: embeds site and index, mirroring the paper's
   // NodeId = SHA-1(IP) derivation.
   const std::string ip = "10." + std::to_string(site) + "." + std::to_string(i / 250) + "." +
                          std::to_string(i % 250) + ":" + std::to_string(i);
-  auto node = std::make_unique<PastryNode>(network_, site, ip);
+  auto node = std::make_unique<PastryNode>(network_, node_table_, static_cast<NodeIndex>(i),
+                                           site, ip);
   RBAY_REQUIRE(by_id_.emplace(node->self().id, i).second,
                "Overlay::create_node: NodeId collision");
+  node_table_.add(node->self());
   nodes_.push_back(std::move(node));
   failed_.push_back(false);
   return *nodes_.back();

@@ -28,7 +28,9 @@ class Overlay {
   Overlay(const Overlay&) = delete;
   Overlay& operator=(const Overlay&) = delete;
 
-  /// Creates a node at `site` with a synthetic unique IP.
+  /// Creates a node at `site` with a synthetic unique IP and appends it to
+  /// the node table.  Requires that the engine is not running: every shard
+  /// reads the node table without a lock.
   PastryNode& create_node(net::SiteId site);
 
   /// Creates `per_site` nodes in every site of the topology.
@@ -41,6 +43,8 @@ class Overlay {
   [[nodiscard]] PastryNode& node(std::size_t i) { return *nodes_.at(i); }
   [[nodiscard]] const PastryNode& node(std::size_t i) const { return *nodes_.at(i); }
   [[nodiscard]] NodeRef ref(std::size_t i) const { return nodes_.at(i)->self(); }
+  /// Every node's NodeRef by node index; routing state points into it.
+  [[nodiscard]] const NodeTable& node_table() const { return node_table_; }
 
   [[nodiscard]] net::Network& network() { return network_; }
   [[nodiscard]] sim::Engine& engine() { return engine_; }
@@ -74,6 +78,7 @@ class Overlay {
  private:
   sim::Engine& engine_;
   net::Network network_;
+  NodeTable node_table_;
   std::vector<std::unique_ptr<PastryNode>> nodes_;
   std::vector<bool> failed_;
   std::unordered_map<NodeId, std::size_t, util::U128Hash> by_id_;

@@ -1,83 +1,75 @@
 #include "pastry/routing_table.hpp"
 
+#include <limits>
+
 namespace rbay::pastry {
 
-RoutingTable::Row& RoutingTable::row_for(int row) {
-  auto& ptr = rows_[static_cast<std::size_t>(row)];
-  if (!ptr) ptr = std::make_unique<Row>();
-  return *ptr;
-}
-
 std::optional<NodeRef> RoutingTable::entry(int row, int col) const {
-  const auto& ptr = rows_.at(static_cast<std::size_t>(row));
-  if (!ptr) return std::nullopt;
-  const auto& e = (*ptr)[static_cast<std::size_t>(col)];
-  return e ? std::optional<NodeRef>(e->ref) : std::nullopt;
+  RBAY_REQUIRE(row >= 0 && row < kDigits && col >= 0 && col < kDigitValues,
+               "RoutingTable::entry: no such slot");
+  const NodeIndex node = node_at(slot_index(row, static_cast<unsigned>(col)));
+  if (node == kNoNode) return std::nullopt;
+  return (*nodes_)[node];
 }
 
-bool RoutingTable::consider(const NodeRef& candidate, std::int64_t proximity_us) {
-  if (candidate.id == owner_.id) return false;
-  const int row = owner_.id.shared_prefix_digits(candidate.id, kBitsPerDigit);
+bool RoutingTable::consider(NodeIndex candidate, std::int64_t proximity_us) {
+  RBAY_REQUIRE(proximity_us >= 0 && proximity_us <= std::numeric_limits<std::uint32_t>::max(),
+               "RoutingTable::consider: proximity out of range");
+  const NodeId& own = owner().id;
+  const NodeId& id = (*nodes_)[candidate].id;
+  if (id == own) return false;
+  const int row = own.shared_prefix_digits(id, kBitsPerDigit);
   if (row >= kDigits) return false;  // identical ids are rejected above
-  const auto col = candidate.id.digit(row, kBitsPerDigit);
-  auto& slot = row_for(row)[col];
-  if (!slot || proximity_us < slot->proximity_us ||
-      (slot->ref.endpoint == candidate.endpoint && slot->ref.id == candidate.id)) {
-    slot = Slot{candidate, proximity_us};
+  const auto rows_needed = static_cast<std::size_t>(row + 1) * kDigitValues;
+  if (slots_.size() < rows_needed) {
+    slots_.reserve(rows_needed);  // exactly: no geometric slack per node
+    slots_.resize(rows_needed);
+  }
+  Slot& slot = slots_[slot_index(row, id.digit(row, kBitsPerDigit))];
+  const auto prox = static_cast<std::uint32_t>(proximity_us);
+  if (slot.node == kNoNode || prox < slot.proximity_us || slot.node == candidate) {
+    slot = Slot{candidate, prox};
     return true;
   }
   return false;
 }
 
 std::optional<NodeRef> RoutingTable::lookup(const NodeId& key) const {
-  const int row = owner_.id.shared_prefix_digits(key, kBitsPerDigit);
+  const int row = owner().id.shared_prefix_digits(key, kBitsPerDigit);
   if (row >= kDigits) return std::nullopt;  // key == owner id
-  const auto col = key.digit(row, kBitsPerDigit);
-  const auto& ptr = rows_[static_cast<std::size_t>(row)];
-  if (!ptr) return std::nullopt;
-  const auto& slot = (*ptr)[col];
-  if (!slot) return std::nullopt;
-  return slot->ref;
+  const NodeIndex node = node_at(slot_index(row, key.digit(row, kBitsPerDigit)));
+  if (node == kNoNode) return std::nullopt;
+  return (*nodes_)[node];
 }
 
 void RoutingTable::remove(const NodeId& id) {
-  for (auto& row : rows_) {
-    if (!row) continue;
-    for (auto& slot : *row) {
-      if (slot && slot->ref.id == id) slot.reset();
-    }
-  }
+  // A node can only sit in the one slot its id selects.
+  const int row = owner().id.shared_prefix_digits(id, kBitsPerDigit);
+  if (row >= kDigits) return;
+  const auto i = slot_index(row, id.digit(row, kBitsPerDigit));
+  const NodeIndex node = node_at(i);
+  if (node != kNoNode && (*nodes_)[node].id == id) slots_[i] = Slot{};
 }
 
 std::vector<NodeRef> RoutingTable::entries() const {
   std::vector<NodeRef> out;
-  for (const auto& row : rows_) {
-    if (!row) continue;
-    for (const auto& slot : *row) {
-      if (slot) out.push_back(slot->ref);
-    }
-  }
+  for_each([&](const NodeRef& r) { out.push_back(r); });
   return out;
 }
 
 std::vector<NodeRef> RoutingTable::row_entries(int row) const {
+  RBAY_REQUIRE(row >= 0 && row < kDigits, "RoutingTable::row_entries: no such row");
   std::vector<NodeRef> out;
-  const auto& ptr = rows_.at(static_cast<std::size_t>(row));
-  if (!ptr) return out;
-  for (const auto& slot : *ptr) {
-    if (slot) out.push_back(slot->ref);
+  for (unsigned col = 0; col < kDigitValues; ++col) {
+    const NodeIndex node = node_at(slot_index(row, col));
+    if (node != kNoNode) out.push_back((*nodes_)[node]);
   }
   return out;
 }
 
 std::size_t RoutingTable::size() const {
   std::size_t n = 0;
-  for (const auto& row : rows_) {
-    if (!row) continue;
-    for (const auto& slot : *row) {
-      if (slot) ++n;
-    }
-  }
+  for_each([&](const NodeRef&) { ++n; });
   return n;
 }
 

@@ -554,8 +554,8 @@ void Scribe::replicate_roots() {
     const auto& leaves =
         st.scope == pastry::Scope::Site ? node_.site_leaf_set() : node_.leaf_set();
     std::vector<NodeRef> targets;
-    const auto& cw = leaves.clockwise();
-    const auto& ccw = leaves.counter_clockwise();
+    const auto cw = leaves.clockwise();
+    const auto ccw = leaves.counter_clockwise();
     for (std::size_t i = 0; i < std::max(cw.size(), ccw.size()); ++i) {
       if (i < cw.size()) targets.push_back(cw[i]);
       if (i < ccw.size()) targets.push_back(ccw[i]);
@@ -824,8 +824,8 @@ void Scribe::maybe_split(const TopicId& topic, TopicState& st) {
   const auto& leaves =
       st.scope == pastry::Scope::Site ? node_.site_leaf_set() : node_.leaf_set();
   std::optional<NodeRef> delegate;
-  const auto& cw = leaves.clockwise();
-  const auto& ccw = leaves.counter_clockwise();
+  const auto cw = leaves.clockwise();
+  const auto ccw = leaves.counter_clockwise();
   for (std::size_t i = 0; i < std::max(cw.size(), ccw.size()) && !delegate; ++i) {
     for (const auto* side : {i < cw.size() ? &cw[i] : nullptr,
                              i < ccw.size() ? &ccw[i] : nullptr}) {

@@ -111,6 +111,8 @@ std::uint32_t Engine::current_shard() const {
   return ctx.engine == this ? ctx.shard : 0;
 }
 
+bool Engine::running() const { return exec_ctx().engine == this; }
+
 bool Engine::in_background() const { return shards_[current_shard()]->in_background; }
 
 std::uint32_t Engine::target_shard() const {

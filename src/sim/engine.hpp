@@ -220,6 +220,10 @@ class Engine {
   [[nodiscard]] std::uint32_t shard_for_site(std::uint32_t site) const { return site + 1; }
   /// The shard of the currently executing context (0 outside any event).
   [[nodiscard]] std::uint32_t current_shard() const;
+  /// True while the calling thread is inside this engine's run() or
+  /// run_until(): in an event, a run hook, or at a barrier.  State that
+  /// every shard reads without a lock may grow only while this is false.
+  [[nodiscard]] bool running() const;
 
   /// Conservative lookahead: the minimum sim-time by which any cross-shard
   /// event must trail its sender's clock.  The Network sets it to the

@@ -40,14 +40,22 @@ NodeRef synth_ref(std::uint64_t n) {
                  static_cast<net::EndpointId>(n), 0};
 }
 
+/// A node table holding synth_ref(0..n), so synth_ref(k) has index k.
+NodeTable synth_table(std::uint64_t n) {
+  NodeTable table;
+  for (std::uint64_t k = 0; k <= n; ++k) table.add(synth_ref(k));
+  return table;
+}
+
 // --- structure-level fuzz ----------------------------------------------------
 
 TEST(LeafSetInvariant, RandomizedConsiderRemoveMatchesGroundTruth) {
   for (const std::uint64_t seed : {7ULL, 42ULL, 1337ULL}) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     util::Rng rng{seed};
+    const auto nodes = synth_table(40);
     const auto owner = synth_ref(0);
-    LeafSet leaves{owner, 4};
+    LeafSet leaves{nodes, 0, 4};
     std::set<std::uint64_t> live;  // ground truth membership
 
     for (int iter = 0; iter < 150; ++iter) {
@@ -57,12 +65,12 @@ TEST(LeafSetInvariant, RandomizedConsiderRemoveMatchesGroundTruth) {
         leaves.remove(synth_ref(n).id);
         live.erase(n);
       } else {
-        leaves.consider(synth_ref(n));
+        leaves.consider(static_cast<NodeIndex>(n));
         live.insert(n);
       }
       // Re-feed everything live: the set must then hold exactly the
       // half_size closest per side, in distance order.
-      for (const auto m : live) leaves.consider(synth_ref(m));
+      for (const auto m : live) leaves.consider(static_cast<NodeIndex>(m));
 
       std::vector<NodeRef> refs;
       refs.reserve(live.size());
@@ -79,10 +87,10 @@ TEST(LeafSetInvariant, RandomizedConsiderRemoveMatchesGroundTruth) {
         }
         return sorted;
       };
-      const auto& cw = leaves.clockwise();
-      const auto& ccw = leaves.counter_clockwise();
-      ASSERT_EQ(cw, expect_side(true));
-      ASSERT_EQ(ccw, expect_side(false));
+      const auto cw = leaves.clockwise();
+      const auto ccw = leaves.counter_clockwise();
+      ASSERT_EQ(std::vector<NodeRef>(cw.begin(), cw.end()), expect_side(true));
+      ASSERT_EQ(std::vector<NodeRef>(ccw.begin(), ccw.end()), expect_side(false));
     }
   }
 }
@@ -91,15 +99,16 @@ TEST(RoutingTableInvariant, RandomizedConsiderRemoveKeepsPrefixRule) {
   for (const std::uint64_t seed : {3ULL, 99ULL}) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     util::Rng rng{seed};
+    const auto nodes = synth_table(500);
     const auto owner = synth_ref(0);
-    RoutingTable table{owner};
+    RoutingTable table{nodes, 0};
     for (int iter = 0; iter < 200; ++iter) {
       SCOPED_TRACE("iter=" + std::to_string(iter));
-      const auto candidate = synth_ref(1 + rng.uniform(500));
+      const auto n = 1 + rng.uniform(500);
       if (rng.chance(0.2)) {
-        table.remove(candidate.id);
+        table.remove(synth_ref(n).id);
       } else {
-        table.consider(candidate, static_cast<std::int64_t>(rng.uniform(100'000)));
+        table.consider(static_cast<NodeIndex>(n), static_cast<std::int64_t>(rng.uniform(100'000)));
       }
       for (int row = 0; row < kDigits; ++row) {
         for (int col = 0; col < kDigitValues; ++col) {
@@ -181,11 +190,11 @@ class ChurnHarness {
       // counter-clockwise neighbor.
       if (live.size() < 2) continue;
       const auto succ = live[(pos + 1) % live.size()];
-      const auto& cw = node.leaf_set().clockwise();
+      const auto cw = node.leaf_set().clockwise();
       ASSERT_FALSE(cw.empty()) << "live node lost its whole clockwise side";
       ASSERT_EQ(cw.front().id, overlay_.ref(succ).id)
           << "immediate successor is not the next live id on the ring";
-      const auto& succ_ccw = overlay_.node(succ).leaf_set().counter_clockwise();
+      const auto succ_ccw = overlay_.node(succ).leaf_set().counter_clockwise();
       ASSERT_FALSE(succ_ccw.empty());
       ASSERT_EQ(succ_ccw.front().id, node.self().id)
           << "successor does not point back (asymmetric leaf sets)";
@@ -233,7 +242,7 @@ class ChurnHarness {
     }
   }
 
-  void check_leaf_side(const PastryNode& node, const std::vector<NodeRef>& side,
+  void check_leaf_side(const PastryNode& node, const NodeRefView& side,
                        bool clockwise) const {
     ASSERT_LE(side.size(), static_cast<std::size_t>(node.leaf_set().half_size()));
     std::set<NodeId> seen;

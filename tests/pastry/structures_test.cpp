@@ -8,9 +8,16 @@
 namespace rbay::pastry {
 namespace {
 
-NodeRef make_ref(const std::string& hex, net::EndpointId ep = 0, net::SiteId site = 0) {
-  return NodeRef{util::U128::from_hex(hex), ep, site};
-}
+/// Structure tests' node table: each added id gets the next endpoint.
+struct Nodes {
+  NodeTable table;
+
+  NodeIndex add(const std::string& hex) {
+    const auto ep = static_cast<net::EndpointId>(table.size());
+    return table.add(NodeRef{util::U128::from_hex(hex), ep, 0});
+  }
+  [[nodiscard]] const NodeId& id(NodeIndex i) const { return table[i].id; }
+};
 
 // --- NodeId helpers ----------------------------------------------------------
 
@@ -31,69 +38,75 @@ TEST(NodeIdHelpers, CloserToBreaksTiesTowardSmallerId) {
 // --- RoutingTable ------------------------------------------------------------
 
 TEST(RoutingTable, PlacesEntriesByPrefixRowAndDigitColumn) {
-  const auto owner = make_ref("a0000000000000000000000000000000");
-  RoutingTable table{owner};
+  Nodes nodes;
+  const auto owner = nodes.add("a0000000000000000000000000000000");
+  RoutingTable table{nodes.table, owner};
   // Shares 1 digit ('a'), next digit 'b' → row 1, column 0xb.
-  const auto other = make_ref("ab000000000000000000000000000000", 1);
+  const auto other = nodes.add("ab000000000000000000000000000000");
   EXPECT_TRUE(table.consider(other, 100));
   const auto entry = table.entry(1, 0xb);
   ASSERT_TRUE(entry.has_value());
-  EXPECT_EQ(entry->id, other.id);
+  EXPECT_EQ(entry->id, nodes.id(other));
   // No prefix shared → row 0, column 0x3.
-  const auto far = make_ref("30000000000000000000000000000000", 2);
+  const auto far = nodes.add("30000000000000000000000000000000");
   EXPECT_TRUE(table.consider(far, 100));
   EXPECT_TRUE(table.entry(0, 0x3).has_value());
 }
 
 TEST(RoutingTable, ProximityWinsOnSlotConflict) {
-  const auto owner = make_ref("a0000000000000000000000000000000");
-  RoutingTable table{owner};
-  const auto slow = make_ref("b0000000000000000000000000000000", 1);
-  const auto fast = make_ref("b1000000000000000000000000000000", 2);
+  Nodes nodes;
+  const auto owner = nodes.add("a0000000000000000000000000000000");
+  RoutingTable table{nodes.table, owner};
+  const auto slow = nodes.add("b0000000000000000000000000000000");
+  const auto fast = nodes.add("b1000000000000000000000000000000");
   EXPECT_TRUE(table.consider(slow, 1000));
   EXPECT_FALSE(table.consider(fast, 2000));  // slower? no: 2000 > 1000, rejected
-  EXPECT_EQ(table.entry(0, 0xb)->id, slow.id);
+  EXPECT_EQ(table.entry(0, 0xb)->id, nodes.id(slow));
   EXPECT_TRUE(table.consider(fast, 10));  // faster candidate replaces
-  EXPECT_EQ(table.entry(0, 0xb)->id, fast.id);
+  EXPECT_EQ(table.entry(0, 0xb)->id, nodes.id(fast));
 }
 
 TEST(RoutingTable, RejectsSelf) {
-  const auto owner = make_ref("a0000000000000000000000000000000");
-  RoutingTable table{owner};
+  Nodes nodes;
+  const auto owner = nodes.add("a0000000000000000000000000000000");
+  RoutingTable table{nodes.table, owner};
   EXPECT_FALSE(table.consider(owner, 0));
   EXPECT_EQ(table.size(), 0u);
 }
 
 TEST(RoutingTable, LookupFollowsKeyDigit) {
-  const auto owner = make_ref("a0000000000000000000000000000000");
-  RoutingTable table{owner};
-  const auto other = make_ref("ab000000000000000000000000000000", 1);
+  Nodes nodes;
+  const auto owner = nodes.add("a0000000000000000000000000000000");
+  RoutingTable table{nodes.table, owner};
+  const auto other = nodes.add("ab000000000000000000000000000000");
   table.consider(other, 1);
   // Key sharing 1 digit with owner, next digit b → finds `other`.
   const auto key = util::U128::from_hex("abcdef00000000000000000000000000");
   const auto hop = table.lookup(key);
   ASSERT_TRUE(hop.has_value());
-  EXPECT_EQ(hop->id, other.id);
+  EXPECT_EQ(hop->id, nodes.id(other));
   // Key with next digit c → no entry.
   EXPECT_FALSE(table.lookup(util::U128::from_hex("ac000000000000000000000000000000")).has_value());
 }
 
 TEST(RoutingTable, RemovePurgesAllSlots) {
-  const auto owner = make_ref("a0000000000000000000000000000000");
-  RoutingTable table{owner};
-  const auto other = make_ref("ab000000000000000000000000000000", 1);
+  Nodes nodes;
+  const auto owner = nodes.add("a0000000000000000000000000000000");
+  RoutingTable table{nodes.table, owner};
+  const auto other = nodes.add("ab000000000000000000000000000000");
   table.consider(other, 1);
   EXPECT_EQ(table.size(), 1u);
-  table.remove(other.id);
+  table.remove(nodes.id(other));
   EXPECT_EQ(table.size(), 0u);
   EXPECT_TRUE(table.entries().empty());
 }
 
 TEST(RoutingTable, RowEntriesFiltersByRow) {
-  const auto owner = make_ref("a0000000000000000000000000000000");
-  RoutingTable table{owner};
-  table.consider(make_ref("b0000000000000000000000000000000", 1), 1);  // row 0
-  table.consider(make_ref("ab000000000000000000000000000000", 2), 1);  // row 1
+  Nodes nodes;
+  const auto owner = nodes.add("a0000000000000000000000000000000");
+  RoutingTable table{nodes.table, owner};
+  table.consider(nodes.add("b0000000000000000000000000000000"), 1);  // row 0
+  table.consider(nodes.add("ab000000000000000000000000000000"), 1);  // row 1
   EXPECT_EQ(table.row_entries(0).size(), 1u);
   EXPECT_EQ(table.row_entries(1).size(), 1u);
   EXPECT_EQ(table.row_entries(2).size(), 0u);
@@ -102,66 +115,74 @@ TEST(RoutingTable, RowEntriesFiltersByRow) {
 // --- LeafSet -------------------------------------------------------------------
 
 TEST(LeafSet, KeepsClosestNeighborsOnEachSide) {
-  const auto owner = make_ref("80000000000000000000000000000000");
-  LeafSet leaves{owner, 2};
+  Nodes nodes;
+  const auto owner = nodes.add("80000000000000000000000000000000");
+  LeafSet leaves{nodes.table, owner, 2};
   // Clockwise (greater) neighbors.
-  leaves.consider(make_ref("81000000000000000000000000000000", 1));
-  leaves.consider(make_ref("82000000000000000000000000000000", 2));
-  leaves.consider(make_ref("83000000000000000000000000000000", 3));
+  leaves.consider(nodes.add("81000000000000000000000000000000"));
+  leaves.consider(nodes.add("82000000000000000000000000000000"));
+  leaves.consider(nodes.add("83000000000000000000000000000000"));
   EXPECT_EQ(leaves.clockwise().size(), 2u);
   EXPECT_EQ(leaves.clockwise()[0].id, util::U128::from_hex("81000000000000000000000000000000"));
   EXPECT_EQ(leaves.clockwise()[1].id, util::U128::from_hex("82000000000000000000000000000000"));
 }
 
 TEST(LeafSet, CoversKeyWithinArc) {
-  const auto owner = make_ref("80000000000000000000000000000000");
-  LeafSet leaves{owner, 2};
-  leaves.consider(make_ref("81000000000000000000000000000000", 1));
-  leaves.consider(make_ref("82000000000000000000000000000000", 2));
-  leaves.consider(make_ref("7e000000000000000000000000000000", 3));
-  leaves.consider(make_ref("7f000000000000000000000000000000", 4));
+  Nodes nodes;
+  const auto owner = nodes.add("80000000000000000000000000000000");
+  LeafSet leaves{nodes.table, owner, 2};
+  leaves.consider(nodes.add("81000000000000000000000000000000"));
+  leaves.consider(nodes.add("82000000000000000000000000000000"));
+  leaves.consider(nodes.add("7e000000000000000000000000000000"));
+  leaves.consider(nodes.add("7f000000000000000000000000000000"));
   EXPECT_TRUE(leaves.covers(util::U128::from_hex("81500000000000000000000000000000")));
   EXPECT_TRUE(leaves.covers(util::U128::from_hex("7e500000000000000000000000000000")));
   EXPECT_FALSE(leaves.covers(util::U128::from_hex("90000000000000000000000000000000")));
   EXPECT_FALSE(leaves.covers(util::U128::from_hex("10000000000000000000000000000000")));
-  EXPECT_TRUE(leaves.covers(owner.id));
+  EXPECT_TRUE(leaves.covers(nodes.id(owner)));
 }
 
 TEST(LeafSet, IncompleteSideCoversEverything) {
-  const auto owner = make_ref("80000000000000000000000000000000");
-  LeafSet leaves{owner, 4};
-  leaves.consider(make_ref("81000000000000000000000000000000", 1));
+  Nodes nodes;
+  const auto owner = nodes.add("80000000000000000000000000000000");
+  LeafSet leaves{nodes.table, owner, 4};
+  leaves.consider(nodes.add("81000000000000000000000000000000"));
   // Only one cw member (< half=4): cw side treated as unbounded.
   EXPECT_TRUE(leaves.covers(util::U128::from_hex("f0000000000000000000000000000000")));
 }
 
 TEST(LeafSet, ClosestPicksNumericallyNearest) {
-  const auto owner = make_ref("80000000000000000000000000000000");
-  LeafSet leaves{owner, 2};
-  const auto n81 = make_ref("81000000000000000000000000000000", 1);
-  const auto n7f = make_ref("7f000000000000000000000000000000", 2);
+  Nodes nodes;
+  const auto owner = nodes.add("80000000000000000000000000000000");
+  LeafSet leaves{nodes.table, owner, 2};
+  const auto n81 = nodes.add("81000000000000000000000000000000");
+  const auto n7f = nodes.add("7f000000000000000000000000000000");
   leaves.consider(n81);
   leaves.consider(n7f);
-  EXPECT_EQ(leaves.closest(util::U128::from_hex("81100000000000000000000000000000")).id, n81.id);
-  EXPECT_EQ(leaves.closest(util::U128::from_hex("7f100000000000000000000000000000")).id, n7f.id);
-  EXPECT_EQ(leaves.closest(owner.id).id, owner.id);
+  EXPECT_EQ(leaves.closest(util::U128::from_hex("81100000000000000000000000000000")).id,
+            nodes.id(n81));
+  EXPECT_EQ(leaves.closest(util::U128::from_hex("7f100000000000000000000000000000")).id,
+            nodes.id(n7f));
+  EXPECT_EQ(leaves.closest(nodes.id(owner)).id, nodes.id(owner));
 }
 
 TEST(LeafSet, RemoveAndContains) {
-  const auto owner = make_ref("80000000000000000000000000000000");
-  LeafSet leaves{owner, 2};
-  const auto n = make_ref("81000000000000000000000000000000", 1);
+  Nodes nodes;
+  const auto owner = nodes.add("80000000000000000000000000000000");
+  LeafSet leaves{nodes.table, owner, 2};
+  const auto n = nodes.add("81000000000000000000000000000000");
   leaves.consider(n);
-  EXPECT_TRUE(leaves.contains(n.id));
-  leaves.remove(n.id);
-  EXPECT_FALSE(leaves.contains(n.id));
+  EXPECT_TRUE(leaves.contains(nodes.id(n)));
+  leaves.remove(nodes.id(n));
+  EXPECT_FALSE(leaves.contains(nodes.id(n)));
   EXPECT_TRUE(leaves.all().empty());
 }
 
 TEST(LeafSet, DuplicateConsiderIsIdempotent) {
-  const auto owner = make_ref("80000000000000000000000000000000");
-  LeafSet leaves{owner, 4};
-  const auto n = make_ref("81000000000000000000000000000000", 1);
+  Nodes nodes;
+  const auto owner = nodes.add("80000000000000000000000000000000");
+  LeafSet leaves{nodes.table, owner, 4};
+  const auto n = nodes.add("81000000000000000000000000000000");
   leaves.consider(n);
   leaves.consider(n);
   EXPECT_EQ(leaves.clockwise().size(), 1u);
@@ -169,10 +190,11 @@ TEST(LeafSet, DuplicateConsiderIsIdempotent) {
 
 TEST(LeafSet, AllDeduplicatesTinyOverlays) {
   // With 3 nodes, the same neighbor appears on both sides.
-  const auto owner = make_ref("80000000000000000000000000000000");
-  LeafSet leaves{owner, 4};
-  const auto a = make_ref("c0000000000000000000000000000000", 1);
-  const auto b = make_ref("40000000000000000000000000000000", 2);
+  Nodes nodes;
+  const auto owner = nodes.add("80000000000000000000000000000000");
+  LeafSet leaves{nodes.table, owner, 4};
+  const auto a = nodes.add("c0000000000000000000000000000000");
+  const auto b = nodes.add("40000000000000000000000000000000");
   leaves.consider(a);
   leaves.consider(b);
   EXPECT_EQ(leaves.all().size(), 2u);

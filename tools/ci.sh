@@ -122,7 +122,9 @@ ctest --preset ci -L qplane --output-on-failure
 # on four worker threads — over the engine/determinism, chaos, and
 # query-plane labels.  The sim label also carries aal_concurrency_test:
 # four threads creating and running scripts over one interned chunk and
-# the shared stdlib (the ASan run above covers the chunks' lifetime).
+# the shared stdlib (the ASan run above covers the chunks' lifetime), and
+# pastry_state_test: routing over the shared node table, and node or
+# endpoint creation from inside worker events, which must throw.
 # Suppressions live in .tsan-suppressions.txt
 # (expected empty; each entry must be documented there).
 cmake --preset tsan
