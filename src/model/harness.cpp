@@ -232,6 +232,22 @@ class Execution {
         gap();
         return;
       }
+      case OpKind::WriteBurst: {
+        if (skip_crashed(op)) return;
+        ++result_.ops_applied;
+        // Every post lands at one instant: no run between them.
+        for (const auto& value : op.burst) {
+          auto posted = cluster_->node(op.node).post(op.attr, value);
+          if (!posted.ok()) {
+            diverge(i, op, "query-error", "post rejected: " + posted.error());
+            return;
+          }
+          model_.post(op.node, op.attr, value);
+          emit("post " + site_target(spec_, op.node) + " " + op.attr + " " + value.to_string());
+        }
+        gap();
+        return;
+      }
       case OpKind::Remove: {
         if (skip_crashed(op)) return;
         ++result_.ops_applied;
@@ -298,6 +314,25 @@ class Execution {
         model_.recover(op.node);
         emit("recover " + site_name_of(spec_, op.node) + " " +
              std::to_string(op.node % spec_.per_site));
+        gap();
+        return;
+      }
+      case OpKind::Outage: {
+        if (skip_crashed(op)) return;  // already down
+        ++result_.ops_applied;
+        const auto site = site_name_of(spec_, op.node);
+        const auto index = std::to_string(op.node % spec_.per_site);
+        cluster_->overlay().fail_node(op.node);
+        cluster_->run_for(spec_.outage);
+        cluster_->run();
+        model_.crash(op.node);
+        emit("fail " + site + " " + index);
+        emit("run " + fmt_ms(spec_.outage));
+        cluster_->overlay().recover_node(op.node);
+        cluster_->node(op.node).reevaluate_subscriptions();
+        cluster_->run();
+        model_.recover(op.node);
+        emit("recover " + site + " " + index);
         gap();
         return;
       }

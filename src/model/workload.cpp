@@ -90,8 +90,17 @@ std::string Op::describe() const {
     case OpKind::AdminExpose:
       os << "admin-expose site" << site_a << " " << canonical << " " << attr;
       break;
+    case OpKind::WriteBurst:
+      os << "burst n" << node << " " << attr << "=";
+      for (std::size_t i = 0; i < burst.size(); ++i) {
+        os << (i > 0 ? "," : "") << burst[i].to_string();
+      }
+      break;
     case OpKind::Crash:
       os << "crash n" << node;
+      break;
+    case OpKind::Outage:
+      os << "outage n" << node;
       break;
     case OpKind::Recover:
       os << "recover n" << node;
@@ -214,6 +223,29 @@ Workload generate_workload(const WorkloadSpec& spec) {
 
   auto emit_mutation = [&]() {
     Op op;
+    if (spec.bursts) {
+      const auto pick = rng.uniform(100);
+      if (pick < 20) {  // same-instant posts that cross a tree predicate
+        const auto pool = live_nodes(true);
+        const char* attrs[] = {"GPU", "CPU", "disk"};
+        op.kind = OpKind::WriteBurst;
+        op.node = pool[rng.uniform(pool.size())];
+        op.attr = attrs[rng.uniform(3)];
+        const auto len = 2 + rng.uniform(3);
+        for (std::size_t k = 0; k < len; ++k) op.burst.push_back(random_value(op.attr));
+        out.ops.push_back(std::move(op));
+        return;
+      }
+      if (pick < 30) {  // down past the heartbeat miss budget, then back
+        const auto pool = live_nodes(false);
+        if (!pool.empty()) {
+          op.kind = OpKind::Outage;
+          op.node = pool[rng.uniform(pool.size())];
+          out.ops.push_back(std::move(op));
+          return;
+        }
+      }
+    }
     const auto roll = rng.uniform(100);
     if (roll < 12 && crashed.size() < 2) {  // crash (bounded churn)
       const auto pool = live_nodes(false);

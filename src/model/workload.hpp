@@ -36,8 +36,10 @@ enum class OpKind {
   Expose,        // node, attr
   AdminHide,     // site_a, canonical, attr — multicast to tree members
   AdminExpose,   // site_a, canonical, attr
+  WriteBurst,    // node, attr, burst values — posted at one instant
   Crash,         // node (never a gateway)
   Recover,       // node
+  Outage,        // node — crash, stay down `spec.outage`, recover
   Partition,     // site_a <-> site_b
   Heal,          // site_a <-> site_b
   Weather,       // site_a, site_b, weather_kind + params — link conditioner
@@ -73,6 +75,7 @@ struct Op {
   double w2 = 0.0;  // p_exit
   double w3 = 0.0;  // p_loss
   util::SimTime window = util::SimTime::zero();  // reorder hold window
+  std::vector<store::AttributeValue> burst;       // WriteBurst values, in order
 
   [[nodiscard]] std::string describe() const;
 };
@@ -121,6 +124,13 @@ struct WorkloadSpec {
   // multicasts are suppressed while weather is active (a dropped one-shot
   // multicast is a real divergence, not a protocol bug).
   bool weather = false;
+  // Write bursts and long outages.  When on, mutation rounds also emit
+  // same-instant post bursts on one node that cross a tree predicate (a
+  // Leave and a re-Join leave the node together) and crashes that stay
+  // down past the heartbeat miss budget, so the parent prunes a child
+  // that comes back still believing it is attached.
+  bool bursts = false;
+  util::SimTime outage = util::SimTime::millis(1500);
   // Engine configuration (docs/PARALLEL_ENGINE.md).  The default runs one
   // worker; the model-par matrix sets threads=4, proving protocol
   // correctness is independent of the worker count.

@@ -110,16 +110,37 @@ std::vector<TopicId> Scribe::known_topics() const {
   return topics;
 }
 
-void Scribe::add_child(const TopicId& topic, TopicState& st, const NodeRef& child) {
+void Scribe::add_child(const TopicId& topic, TopicState& st, const NodeRef& child,
+                       std::uint64_t episode) {
   const auto now = node_.network().engine().now();
   for (auto& c : st.children) {
     if (c.ref.id == child.id) {
       c.last_seen = now;
+      c.episode = std::max(c.episode, episode);
       return;
     }
   }
-  st.children.push_back(ChildState{child, 0.0, false, now});
+  st.children.push_back(ChildState{child, 0.0, false, now, episode});
   maybe_split(topic, st);
+}
+
+void Scribe::send_join(const TopicId& topic, TopicState& st, bool repair) {
+  st.episode = next_episode_++;
+  auto join = std::make_unique<JoinMsg>();
+  join->topic = topic;
+  join->child = node_.self();
+  join->scope = st.scope;
+  join->repair = repair;
+  join->episode = st.episode;
+  node_.route(topic, std::move(join), app_, st.scope);
+}
+
+void Scribe::send_leave(const NodeRef& to, const TopicId& topic, std::uint64_t episode) {
+  auto leave = std::make_unique<LeaveMsg>();
+  leave->topic = topic;
+  leave->child = node_.self().id;
+  leave->episode = episode;
+  node_.send_direct(to, std::move(leave), app_);
 }
 
 void Scribe::subscribe(const TopicId& topic, TopicMember* member,
@@ -138,11 +159,7 @@ void Scribe::subscribe(const TopicId& topic, TopicMember* member,
   }
   st.member = true;
   st.on_joined = std::move(on_joined);
-  auto join = std::make_unique<JoinMsg>();
-  join->topic = topic;
-  join->child = node_.self();
-  join->scope = scope;
-  node_.route(topic, std::move(join), app_, scope);
+  send_join(topic, st, /*repair=*/false);
 }
 
 void Scribe::unsubscribe(const TopicId& topic) {
@@ -165,12 +182,7 @@ void Scribe::maybe_prune(const TopicId& topic) {
       node_.network().engine().now() - st->stale_at <= config_.max_staleness) {
     return;
   }
-  if (st->parent) {
-    auto leave = std::make_unique<LeaveMsg>();
-    leave->topic = topic;
-    leave->child = node_.self().id;
-    node_.send_direct(*st->parent, std::move(leave), app_);
-  }
+  if (st->parent) send_leave(*st->parent, topic, st->episode);
   if (st->epoch > 0) retired_epochs_[topic] = st->epoch;
   topics_.erase(topic);
 }
@@ -189,8 +201,11 @@ bool Scribe::forward(const pastry::NodeId& /*key*/, pastry::AppMessage& msg,
       // Already attached upstream (or the root): absorb the join here.
       return false;
     }
-    // Newly created forwarder: keep routing so we get attached ourselves.
+    // Newly created forwarder: keep routing so we get attached ourselves,
+    // under an episode of our own.
+    st->episode = next_episode_++;
     join->child = node_.self();
+    join->episode = st->episode;
     return true;
   }
   if (auto* anycast = util::msg_as<AnycastMsg>(msg)) {
@@ -252,10 +267,11 @@ void Scribe::handle_join(JoinMsg& join, bool at_root) {
     }
     return;
   }
-  add_child(join.topic, st, join.child);
+  add_child(join.topic, st, join.child, join.episode);
   if (at_root && !st.parent) st.root = true;
   auto ack = std::make_unique<JoinAckMsg>();
   ack->topic = join.topic;
+  ack->episode = join.episode;
   node_.send_direct(join.child, std::move(ack), app_);
 }
 
@@ -964,10 +980,7 @@ void Scribe::handle_reparent(const NodeRef& from, const ReparentMsg& msg) {
   }
   // Stale delegation (we already re-attached elsewhere): decline so the
   // delegate drops the phantom child instead of double-counting us.
-  auto leave = std::make_unique<LeaveMsg>();
-  leave->topic = msg.topic;
-  leave->child = node_.self().id;
-  node_.send_direct(from, std::move(leave), app_);
+  send_leave(from, msg.topic, st != nullptr ? st->episode : 0);
 }
 
 void Scribe::on_probe_deadline(std::uint64_t request_id) {
@@ -1071,7 +1084,9 @@ void Scribe::check_parents() {
 void Scribe::rejoin(const TopicId& topic) {
   auto* st = find_topic(topic);
   if (st == nullptr) return;
-  if (st->parent) node_.forget(st->parent->id);
+  // Scribe-level silence never evicts a Pastry neighbour: a parent that
+  // stopped beating may be alive and merely no longer hold us as a child.
+  // A dead node is forgotten by Pastry's own failure path.
   st->parent.reset();
   // Marks the join attempt time: if no JoinAck resets this, check_parents
   // retries after the repair window.
@@ -1082,12 +1097,7 @@ void Scribe::rejoin(const TopicId& topic) {
     return;
   }
   if (auto* m = fed_metrics(node_)) m->counter("scribe.rejoins").inc();
-  auto join = std::make_unique<JoinMsg>();
-  join->topic = topic;
-  join->child = node_.self();
-  join->scope = st->scope;
-  join->repair = true;
-  node_.route(topic, std::move(join), app_, st->scope);
+  send_join(topic, *st, /*repair=*/true);
 }
 
 // --- Pastry callbacks -------------------------------------------------------------
@@ -1125,14 +1135,21 @@ void Scribe::deliver(const pastry::NodeId& key, pastry::AppMessage& msg, int /*h
 
 void Scribe::receive(const NodeRef& from, pastry::AppMessage& msg) {
   if (auto* ack = util::msg_as<JoinAckMsg>(msg)) {
-    auto& st = topic_state(ack->topic);
-    if (st.root || (st.parent && st.parent->id != from.id)) {
-      // Stale or duplicated ack: we were promoted to root in the meantime,
-      // or a later (re)join already attached us under a different parent.
-      // Overwriting would detach us from the tree we actually live in.
+    auto* found = find_topic(ack->topic);
+    if (found == nullptr || ack->episode != found->episode || found->root ||
+        (found->parent && found->parent->id != from.id)) {
+      // Stale or duplicated ack: the join it answers was abandoned (we left,
+      // or re-joined since), we were promoted to root in the meantime, or a
+      // later (re)join already attached us under a different parent.
+      // Overwriting would detach us from the tree we actually live in; a
+      // Leave for the acked episode drops the acker's phantom child.
       if (auto* m = fed_metrics(node_)) m->counter("scribe.dup_suppressed").inc();
+      if (found == nullptr || !found->parent || found->parent->id != from.id) {
+        send_leave(from, ack->topic, ack->episode);
+      }
       return;
     }
+    auto& st = *found;
     st.parent = from;
     st.root = false;
     st.last_parent_beat = node_.network().engine().now();
@@ -1145,7 +1162,15 @@ void Scribe::receive(const NodeRef& from, pastry::AppMessage& msg) {
   }
   if (auto* leave = util::msg_as<LeaveMsg>(msg)) {
     if (auto* st = find_topic(leave->topic)) {
-      std::erase_if(st->children, [&](const ChildState& c) { return c.ref.id == leave->child; });
+      const auto removed = std::erase_if(st->children, [&](const ChildState& c) {
+        return c.ref.id == leave->child && c.episode <= leave->episode;
+      });
+      if (removed == 0) {
+        // Reordered behind the child's newer Join (or duplicated): the
+        // child is attached again, and dropping it would orphan it.
+        if (auto* m = fed_metrics(node_)) m->counter("scribe.dup_suppressed").inc();
+        return;
+      }
       maybe_prune(leave->topic);
     }
     return;

@@ -188,6 +188,10 @@ class Scribe final : public pastry::PastryApp {
     double last_report = 0.0;
     bool has_report = false;
     util::SimTime last_seen = util::SimTime::zero();
+    /// Newest attachment episode the child joined under (0 when adopted
+    /// by delegation or promotion): only a Leave for this episode or a
+    /// later one removes it.
+    std::uint64_t episode = 0;
   };
 
   struct TopicState {
@@ -200,6 +204,8 @@ class Scribe final : public pastry::PastryApp {
     pastry::Scope scope = pastry::Scope::Global;
     double own_value = 0.0;
     util::SimTime last_parent_beat = util::SimTime::zero();
+    /// Episode of this node's latest Join for the topic (see JoinMsg).
+    std::uint64_t episode = 0;
     std::function<void()> on_joined;
     /// Replication epoch while root: bumped every replication round,
     /// carried over (max) on promotion so probes never see it regress.
@@ -263,7 +269,11 @@ class Scribe final : public pastry::PastryApp {
   [[nodiscard]] const TopicState* find_topic(const TopicId& topic) const;
   [[nodiscard]] TopicState* find_topic(const TopicId& topic);
 
-  void add_child(const TopicId& topic, TopicState& st, const NodeRef& child);
+  void add_child(const TopicId& topic, TopicState& st, const NodeRef& child,
+                 std::uint64_t episode = 0);
+  /// Routes a Join for `topic` under a fresh episode.
+  void send_join(const TopicId& topic, TopicState& st, bool repair);
+  void send_leave(const NodeRef& to, const TopicId& topic, std::uint64_t episode);
   void handle_join(JoinMsg& join, bool at_root);
   void handle_multicast_down(const TopicId& topic, const std::string& data);
   void continue_anycast(std::unique_ptr<AnycastMsg> msg);
@@ -337,6 +347,9 @@ class Scribe final : public pastry::PastryApp {
   std::uint64_t delegations_ = 0;
   std::uint64_t rotations_ = 0;
   std::uint64_t next_request_id_ = 1;
+  /// Join episodes are node-wide, so they stay monotone across a topic's
+  /// teardown and re-creation.
+  std::uint64_t next_episode_ = 1;
   sim::Timer agg_timer_;
   sim::Timer beat_timer_;
   sim::Timer promote_timer_;
