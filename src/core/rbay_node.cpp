@@ -251,7 +251,7 @@ bool RBayNode::on_anycast(const scribe::TopicId& /*topic*/, scribe::AnycastPaylo
   }
   // Reserve the node for this query; an existing reservation by another
   // query makes this node unavailable (the conflict the backoff handles).
-  if (!lock_.try_reserve(job.query_id, engine().now(), job.hold, job.attempt)) {
+  if (!lock_.try_reserve(job.query_id, engine().now(), job.hold, job.attempt, payload.walk)) {
     if (reg != nullptr) {
       reg->fed().counter("query.conflicts").inc();
       reg->causal().local(site(), self().endpoint, "query.conflict", engine().now(),

@@ -17,7 +17,7 @@ bool ReservationLock::reserved(util::SimTime now) const {
 }
 
 bool ReservationLock::try_reserve(const std::string& holder, util::SimTime now,
-                                  util::SimTime hold, int attempt) {
+                                  util::SimTime hold, int attempt, int walk) {
   RBAY_REQUIRE(!holder.empty(), "reservation holder must be named");
   if (committed(now)) return false;
   if (committed_) {
@@ -26,7 +26,12 @@ bool ReservationLock::try_reserve(const std::string& holder, util::SimTime now,
     lease_bounded_ = false;
     holder_.clear();
   }
-  if (reserved(now) && holder_ != holder) return false;
+  const bool held = reserved(now);
+  if (held && holder_ != holder) return false;
+  // The attempt's other walk holds it: both results would carry the node,
+  // and whichever came home second would release the other's pick.
+  if (held && attempt == attempt_ && walk != walk_) return false;
+  if (!held || holder_ != holder || attempt > attempt_) walk_ = walk;
   attempt_ = holder_ == holder ? std::max(attempt_, attempt) : attempt;
   holder_ = holder;
   expiry_ = now + hold;
@@ -65,6 +70,7 @@ void ReservationLock::release(const std::string& holder, util::SimTime now, int 
   holder_.clear();
   expiry_ = util::SimTime::zero();
   attempt_ = 0;
+  walk_ = 0;
 }
 
 util::SimTime Backoff::delay_after(int failures, util::Rng& rng) const {

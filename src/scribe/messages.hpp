@@ -28,6 +28,13 @@ struct AnycastPayload {
   [[nodiscard]] virtual std::size_t wire_size() const = 0;
   [[nodiscard]] virtual std::unique_ptr<AnycastPayload> clone() const = 0;
 
+  /// Which walk of its request the payload travels on: 0 for the first,
+  /// 1 for the retry Scribe starts when the first walk times out.  A slow
+  /// first walk may still come home, so members that reserve on behalf of
+  /// a walk record it: two walks of one request never hold the same node,
+  /// and the loser's release cannot free the winner's pick.
+  int walk = 0;
+
  protected:
   explicit AnycastPayload(util::MsgTag tag) : tag_(tag) {}
 

@@ -477,6 +477,7 @@ void Scribe::on_anycast_deadline(std::uint64_t request_id) {
     msg->request_id = request_id;
     msg->originator = node_.self();
     msg->payload = waiter.retry_payload->clone();
+    msg->payload->walk = waiter.timeouts;
     waiter.deadline = node_.network().engine().schedule(
         config_.anycast_timeout, [this, request_id]() { on_anycast_deadline(request_id); });
     node_.route(waiter.topic, std::move(msg), app_, waiter.scope);

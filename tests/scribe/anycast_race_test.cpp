@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "net/topology.hpp"
+#include "query/reservation.hpp"
 #include "scribe/scribe_helpers.hpp"
 #include "util/sim_time.hpp"
 
@@ -96,6 +97,85 @@ TEST(AnycastRace, FastResultStillCompletesOnceWithNoOrphans) {
   EXPECT_TRUE(satisfied_result);
   EXPECT_EQ(so.scribes[0]->anycast_orphans(), 0u);
   EXPECT_EQ(so.scribes[0]->anycast_waiter_count(), 0u);
+}
+
+/// Reserves its node for the walk that visits it, as the RBAY core node
+/// does: holder "q", attempt 1, walk from the payload.
+class ReservingMember final : public TopicMember {
+ public:
+  ReservingMember(sim::Engine& engine, pastry::NodeId id) : engine_(engine), id_(id) {}
+  void on_multicast(const TopicId&, const std::string&) override {}
+  bool on_anycast(const TopicId&, AnycastPayload& payload) override {
+    auto& collect = dynamic_cast<CollectPayload&>(payload);
+    if (!lock.try_reserve("q", engine_.now(), util::SimTime::seconds(10), 1, payload.walk)) {
+      return false;
+    }
+    collect.collected.push_back(id_);
+    return collect.collected.size() >= collect.want;
+  }
+  query::ReservationLock lock;
+
+ private:
+  sim::Engine& engine_;
+  pastry::NodeId id_;
+};
+
+/// Completes one anycast of `want` nodes under `timeout` and returns the
+/// sim-time it took plus the nodes the completed result carried, with each
+/// orphaned result released the way the query layer releases it.
+struct SlowWalkRun {
+  util::SimTime took = util::SimTime::zero();
+  std::vector<pastry::NodeId> handed_on;
+  std::vector<std::unique_ptr<ReservingMember>> members;
+  std::uint64_t orphans = 0;
+};
+
+SlowWalkRun run_slow_walk(util::SimTime timeout) {
+  ScribeConfig config;
+  config.anycast_timeout = timeout;
+  ScribeOverlay so{8, net::Topology::uniform(1, 10.0, 10.0), config};
+  SlowWalkRun run;
+  const TopicId topic = pastry::tree_id("GPU", "admin");
+  for (std::size_t i = 1; i < so.overlay.size(); ++i) {
+    run.members.push_back(std::make_unique<ReservingMember>(so.engine, so.overlay.ref(i).id));
+    so.scribes[i]->subscribe(topic, run.members.back().get());
+  }
+  so.engine.run();
+  auto member_of = [&](const pastry::NodeId& id) -> ReservingMember& {
+    return *run.members[so.overlay.index_of(id) - 1];
+  };
+  so.scribes[0]->set_orphan_handler([&](const TopicId&, AnycastPayload& p) {
+    for (const auto& id : dynamic_cast<CollectPayload&>(p).collected) {
+      member_of(id).lock.release("q", so.engine.now(), 1);
+    }
+  });
+  const auto start = so.engine.now();
+  auto payload = std::make_unique<CollectPayload>();
+  payload->want = 2;
+  so.scribes[0]->anycast(topic, std::move(payload), [&](bool satisfied, int, AnycastPayload& p) {
+    EXPECT_TRUE(satisfied);
+    run.took = so.engine.now() - start;
+    run.handed_on = dynamic_cast<CollectPayload&>(p).collected;
+  });
+  so.engine.run();
+  run.orphans = so.scribes[0]->anycast_orphans();
+  for (const auto& id : run.handed_on) {
+    EXPECT_TRUE(member_of(id).lock.reserved(so.engine.now()))
+        << "a node the completed result handed on was freed by the orphaned walk";
+  }
+  return run;
+}
+
+TEST(AnycastRace, SlowFirstWalkAndRetryNeverReserveTheSameNode) {
+  // A walk slower than the deadline but faster than two: the retry starts,
+  // the first walk still completes the waiter, and the retry comes home
+  // as an orphan whose release must not free the first walk's nodes.
+  const auto free_run = run_slow_walk(util::SimTime::zero());
+  ASSERT_EQ(free_run.handed_on.size(), 2u);
+  const auto timeout = util::SimTime::micros(free_run.took.as_micros() * 3 / 4);
+  const auto raced = run_slow_walk(timeout);
+  EXPECT_EQ(raced.orphans, 1u) << "the retried walk should come home second";
+  EXPECT_EQ(raced.handed_on.size(), 2u);
 }
 
 }  // namespace
