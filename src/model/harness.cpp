@@ -322,12 +322,15 @@ class Execution {
         ++result_.ops_applied;
         const auto site = site_name_of(spec_, op.node);
         const auto index = std::to_string(op.node % spec_.per_site);
+        // Six beats: past Scribe's miss budget, so the parent prunes the
+        // node while it is down.
+        const auto outage = spec_.heartbeat * std::int64_t{6};
         cluster_->overlay().fail_node(op.node);
-        cluster_->run_for(spec_.outage);
+        cluster_->run_for(outage);
         cluster_->run();
         model_.crash(op.node);
         emit("fail " + site + " " + index);
-        emit("run " + fmt_ms(spec_.outage));
+        emit("run " + fmt_ms(outage));
         cluster_->overlay().recover_node(op.node);
         cluster_->node(op.node).reevaluate_subscriptions();
         cluster_->run();

@@ -39,7 +39,7 @@ enum class OpKind {
   WriteBurst,    // node, attr, burst values — posted at one instant
   Crash,         // node (never a gateway)
   Recover,       // node
-  Outage,        // node — crash, stay down `spec.outage`, recover
+  Outage,        // node — crash, stay down past the heartbeat budget, recover
   Partition,     // site_a <-> site_b
   Heal,          // site_a <-> site_b
   Weather,       // site_a, site_b, weather_kind + params — link conditioner
@@ -130,7 +130,6 @@ struct WorkloadSpec {
   // down past the heartbeat miss budget, so the parent prunes a child
   // that comes back still believing it is attached.
   bool bursts = false;
-  util::SimTime outage = util::SimTime::millis(1500);
   // Engine configuration (docs/PARALLEL_ENGINE.md).  The default runs one
   // worker; the model-par matrix sets threads=4, proving protocol
   // correctness is independent of the worker count.
