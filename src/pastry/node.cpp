@@ -54,10 +54,11 @@ const std::string& app_name(AppId id) {
   return table.names[i];
 }
 
-PastryNode::PastryNode(net::Network& network, const NodeTable& nodes, NodeIndex index,
-                       net::SiteId site, std::string_view ip)
+PastryNode::PastryNode(net::Network& network, const NodeTable& nodes, SharedMetrics& metrics,
+                       NodeIndex index, net::SiteId site, std::string_view ip)
     : network_(network),
       nodes_(nodes),
+      metrics_(metrics),
       self_{node_id_from_ip(ip),
             network.add_endpoint(site, [this](net::Envelope env) { on_envelope(std::move(env)); }),
             site},
@@ -66,20 +67,27 @@ PastryNode::PastryNode(net::Network& network, const NodeTable& nodes, NodeIndex 
       site_leaves_(nodes, index),
       site_table_(nodes, index) {}
 
-void PastryNode::refresh_metrics() {
-  auto* registry = network_.engine().metrics();
-  metrics_ = MetricsCache{};
-  metrics_.registry = registry;
-  if (registry == nullptr) return;
-  auto& fed = registry->fed();
-  metrics_.routes = &fed.counter("pastry.routes");
-  metrics_.forwards = &fed.counter("pastry.forwards");
-  metrics_.delivers = &fed.counter("pastry.delivers");
-  metrics_.joins = &fed.counter("pastry.joins");
-  metrics_.repairs = &fed.counter("pastry.leaf_repairs");
-  metrics_.delivery_hops = &fed.latency("pastry.delivery_hops");
-  metrics_.node_forwards = &registry->node(self_.id.to_hex()).counter("pastry.forwards");
-  metrics_.causal = &registry->causal();
+void SharedMetrics::refresh(obs::Registry* attached) {
+  const auto next = generation + 1;
+  *this = SharedMetrics{};
+  generation = next;
+  registry = attached;
+  if (attached == nullptr) return;
+  auto& fed = attached->fed();
+  routes = &fed.counter("pastry.routes");
+  forwards = &fed.counter("pastry.forwards");
+  delivers = &fed.counter("pastry.delivers");
+  joins = &fed.counter("pastry.joins");
+  repairs = &fed.counter("pastry.leaf_repairs");
+  delivery_hops = &fed.latency("pastry.delivery_hops");
+  causal = &attached->causal();
+}
+
+void PastryNode::refresh_node_metrics() {
+  metrics_generation_ = metrics_.generation;
+  node_forwards_ = metrics_.registry == nullptr
+                       ? nullptr
+                       : &metrics_.registry->node(self_.id.to_hex()).counter("pastry.forwards");
 }
 
 AppId PastryNode::register_app(const std::string& name, PastryApp* app) {
@@ -111,7 +119,7 @@ void PastryNode::learn(const NodeRef& other) {
 void PastryNode::forget(const NodeId& id) {
   const bool in_leaf_set = leaves_.contains(id) || site_leaves_.contains(id);
   if (in_leaf_set) {
-    if (auto* c = metric(&MetricsCache::repairs)) c->inc();
+    if (auto* c = metric(&SharedMetrics::repairs)) c->inc();
   }
   leaves_.remove(id);
   table_.remove(id);
@@ -175,7 +183,7 @@ std::optional<NodeRef> PastryNode::next_hop(const NodeId& key, Scope scope) cons
 void PastryNode::route(const NodeId& key, std::unique_ptr<AppMessage> msg, AppId app,
                        Scope scope) {
   RBAY_REQUIRE(msg != nullptr, "route: message required");
-  if (auto* c = metric(&MetricsCache::routes)) c->inc();
+  if (auto* c = metric(&SharedMetrics::routes)) c->inc();
   const auto hop = next_hop(key, scope);
   if (!hop) {
     deliver_local(key, app, *msg, 0);
@@ -209,7 +217,7 @@ void PastryNode::join(const NodeRef& bootstrap) {
 }
 
 void PastryNode::deliver_local(const NodeId& key, AppId app, AppMessage& msg, int hops) {
-  if (metric(&MetricsCache::delivers) != nullptr) {
+  if (metric(&SharedMetrics::delivers) != nullptr) {
     metrics_.delivers->inc();
     metrics_.delivery_hops->add_us(hops);
     // One causal point per routed delivery: the hop-attribution test
@@ -231,9 +239,9 @@ void PastryNode::handle_route(std::unique_ptr<RouteEnvelope> env) {
     return;
   }
   ++forward_count_;
-  if (metric(&MetricsCache::forwards) != nullptr) {
+  if (metric(&SharedMetrics::forwards) != nullptr) {
     metrics_.forwards->inc();
-    metrics_.node_forwards->inc();
+    node_forwards_->inc();
   }
   if (auto* handler = find_app(env->app)) {
     if (!handler->forward(env->key, *env->msg, *hop)) return;
@@ -275,9 +283,9 @@ void PastryNode::handle_join_request(JoinRequest& req) {
 void PastryNode::handle_join_reply(const JoinReply& reply) {
   if (join_reply_seen_) {
     // Duplicated (or second-root) join reply: we already consumed one.
-    // Running the loop again would re-announce to every collected node,
-    // re-count the join, and re-fire on_joined.  Cold path — no cache
-    // handle, register the suppression counter on demand.
+    // Running the loop again would re-announce to every collected node
+    // and re-count the join.  Cold path — no cache handle, register the
+    // suppression counter on demand.
     if (auto* reg = network_.engine().metrics()) {
       reg->fed().counter("pastry.dup_join_replies").inc();
     }
@@ -292,8 +300,7 @@ void PastryNode::handle_join_reply(const JoinReply& reply) {
     network_.send(self_.endpoint, r.endpoint, std::move(ann));
   }
   joined_ = true;
-  if (auto* c = metric(&MetricsCache::joins)) c->inc();
-  if (on_joined) on_joined();
+  if (auto* c = metric(&SharedMetrics::joins)) c->inc();
 }
 
 void PastryNode::on_envelope(net::Envelope env) {

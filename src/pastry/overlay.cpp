@@ -1,11 +1,18 @@
 #include "pastry/overlay.hpp"
 
 #include <algorithm>
+#include <array>
+#include <span>
 
 namespace rbay::pastry {
 
 Overlay::Overlay(sim::Engine& engine, net::Topology topology)
-    : engine_(engine), network_(engine, std::move(topology)) {}
+    : engine_(engine), network_(engine, std::move(topology)) {
+  // Workers only read the shared handles: refresh them before any exists.
+  engine_.on_run_start([this] {
+    if (metrics_.registry != engine_.metrics()) metrics_.refresh(engine_.metrics());
+  });
+}
 
 PastryNode& Overlay::create_node(net::SiteId site) {
   RBAY_REQUIRE(!engine_.running(), "Overlay::create_node: the node table is read-only during runs");
@@ -14,8 +21,8 @@ PastryNode& Overlay::create_node(net::SiteId site) {
   // NodeId = SHA-1(IP) derivation.
   const std::string ip = "10." + std::to_string(site) + "." + std::to_string(i / 250) + "." +
                          std::to_string(i % 250) + ":" + std::to_string(i);
-  auto node = std::make_unique<PastryNode>(network_, node_table_, static_cast<NodeIndex>(i),
-                                           site, ip);
+  auto node = std::make_unique<PastryNode>(network_, node_table_, metrics_,
+                                           static_cast<NodeIndex>(i), site, ip);
   RBAY_REQUIRE(by_id_.emplace(node->self().id, i).second,
                "Overlay::create_node: NodeId collision");
   node_table_.add(node->self());
@@ -32,27 +39,35 @@ void Overlay::populate(std::size_t per_site) {
 
 namespace {
 
+/// Scratch of one fill_tables depth: the group's digit partitions and
+/// each partition's per-site representative (row-major, kDigitValues x
+/// site count).  Every group at a depth reuses it; deeper levels have
+/// their own, so a partition stays intact while its subgroup recurses.
+struct FillScratch {
+  std::array<std::vector<std::size_t>, kDigitValues> parts;
+  std::vector<std::size_t> rep;
+};
+
 /// Recursively fills routing tables for a group of nodes sharing `depth`
 /// leading digits: partition by the next digit, give every node one entry
 /// per sibling partition (preferring a same-site representative), recurse.
-void fill_tables(std::vector<std::unique_ptr<PastryNode>>& nodes,
-                 net::Network& network,
-                 const std::vector<std::size_t>& group, int depth, bool site_scoped) {
+void fill_tables(std::vector<std::unique_ptr<PastryNode>>& nodes, std::size_t site_count,
+                 std::span<const std::size_t> group, int depth, bool site_scoped,
+                 std::vector<FillScratch>& scratch) {
   if (group.size() <= 1 || depth >= kDigits) return;
 
-  std::vector<std::vector<std::size_t>> parts(kDigitValues);
+  auto& [parts, rep] = scratch[static_cast<std::size_t>(depth)];
+  for (auto& part : parts) part.clear();
   for (std::size_t idx : group) {
     parts[nodes[idx]->self().id.digit(depth, kBitsPerDigit)].push_back(idx);
   }
 
   // Per-partition, per-site representative index (first member wins; the
   // choice is deterministic and proximity dominates via same-site pick).
-  const auto site_count = network.topology().site_count();
-  std::vector<std::vector<std::size_t>> rep(kDigitValues,
-                                            std::vector<std::size_t>(site_count, SIZE_MAX));
+  rep.assign(kDigitValues * site_count, SIZE_MAX);
   for (unsigned d = 0; d < kDigitValues; ++d) {
     for (std::size_t idx : parts[d]) {
-      auto& slot = rep[d][nodes[idx]->self().site];
+      auto& slot = rep[d * site_count + nodes[idx]->self().site];
       if (slot == SIZE_MAX) slot = idx;
     }
   }
@@ -63,12 +78,13 @@ void fill_tables(std::vector<std::unique_ptr<PastryNode>>& nodes,
       auto& node = *nodes[idx];
       for (unsigned e = 0; e < kDigitValues; ++e) {
         if (e == d || parts[e].empty()) continue;
+        const std::span<const std::size_t> reps(rep.data() + e * site_count, site_count);
         // Prefer a representative in the node's own site, else the first
         // site that has one.
-        std::size_t pick = rep[e][node.self().site];
+        std::size_t pick = reps[node.self().site];
         if (pick == SIZE_MAX) {
           if (site_scoped) continue;  // site tables only hold same-site nodes
-          for (auto candidate : rep[e]) {
+          for (auto candidate : reps) {
             if (candidate != SIZE_MAX) {
               pick = candidate;
               break;
@@ -78,7 +94,7 @@ void fill_tables(std::vector<std::unique_ptr<PastryNode>>& nodes,
         if (pick != SIZE_MAX) node.learn(nodes[pick]->self());
       }
     }
-    fill_tables(nodes, network, parts[d], depth + 1, site_scoped);
+    fill_tables(nodes, site_count, parts[d], depth + 1, site_scoped, scratch);
   }
 }
 
@@ -104,7 +120,9 @@ void Overlay::build_static() {
   }
 
   // Per-site ring neighbors for the site-scoped leaf sets.
-  for (net::SiteId s = 0; s < network_.topology().site_count(); ++s) {
+  const std::size_t site_count = network_.topology().site_count();
+  std::vector<FillScratch> scratch(kDigits);
+  for (net::SiteId s = 0; s < site_count; ++s) {
     std::vector<std::size_t> site_order;
     for (std::size_t i : order) {
       if (nodes_[i]->self().site == s) site_order.push_back(i);
@@ -118,12 +136,11 @@ void Overlay::build_static() {
       }
     }
     // Site routing tables over same-site nodes only.
-    fill_tables(nodes_, network_, site_order, 0, /*site_scoped=*/true);
+    fill_tables(nodes_, site_count, site_order, 0, /*site_scoped=*/true, scratch);
   }
 
   // Global routing tables.
-  std::vector<std::size_t> all(order.begin(), order.end());
-  fill_tables(nodes_, network_, all, 0, /*site_scoped=*/false);
+  fill_tables(nodes_, site_count, order, 0, /*site_scoped=*/false, scratch);
 }
 
 std::size_t Overlay::index_of(const NodeId& id) const {

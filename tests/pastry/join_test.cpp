@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "obs/metrics.hpp"
 #include "pastry/test_helpers.hpp"
 #include "util/sha1.hpp"
 
@@ -38,18 +39,21 @@ TEST(Join, AllNodesReportJoined) {
   }
 }
 
-TEST(Join, JoinCallbackFires) {
+TEST(Join, JoinCompletesOnce) {
   sim::Engine engine{5};
+  obs::Registry reg;
+  engine.set_metrics(&reg);
   Overlay overlay{engine, net::Topology::single_site()};
   auto& a = overlay.create_node(0);
   auto& b = overlay.create_node(0);
   ProbeApp app_a{a};
   ProbeApp app_b{b};
-  bool joined = false;
-  b.on_joined = [&] { joined = true; };
+  EXPECT_FALSE(b.joined());
   b.join(a.self());
   engine.run();
-  EXPECT_TRUE(joined);
+  // The join reply was consumed exactly once: the protocol completed.
+  EXPECT_TRUE(b.joined());
+  EXPECT_EQ(reg.fed().counter("pastry.joins").value(), 1u);
 }
 
 TEST(Join, ProtocolBuiltOverlayRoutesCorrectly) {
