@@ -57,9 +57,9 @@ struct JoinMsg final : pastry::TaggedMessage<JoinMsg> {
   /// The child's attachment episode: a per-node counter bumped by every
   /// join it sends, echoed by the JoinAck and carried by its later Leave,
   /// so a stale Leave cannot undo a newer Join.
-  std::uint64_t episode = 0;
+  std::uint32_t episode = 0;
 
-  [[nodiscard]] std::size_t wire_size() const override { return 16 + 24 + 8; }
+  [[nodiscard]] std::size_t wire_size() const override { return 16 + 24 + 4; }
   [[nodiscard]] const char* type_name() const override { return "scribe.Join"; }
   [[nodiscard]] std::unique_ptr<pastry::AppMessage> clone_msg() const override {
     return std::make_unique<JoinMsg>(*this);
@@ -69,9 +69,9 @@ struct JoinMsg final : pastry::TaggedMessage<JoinMsg> {
 /// Parent→child acknowledgment carrying the parent's identity.
 struct JoinAckMsg final : pastry::TaggedMessage<JoinAckMsg> {
   TopicId topic;
-  std::uint64_t episode = 0;  // the acknowledged JoinMsg's episode
+  std::uint32_t episode = 0;  // the acknowledged JoinMsg's episode
 
-  [[nodiscard]] std::size_t wire_size() const override { return 16 + 8; }
+  [[nodiscard]] std::size_t wire_size() const override { return 16 + 4; }
   [[nodiscard]] const char* type_name() const override { return "scribe.JoinAck"; }
   [[nodiscard]] std::unique_ptr<pastry::AppMessage> clone_msg() const override {
     return std::make_unique<JoinAckMsg>(*this);
@@ -84,9 +84,9 @@ struct LeaveMsg final : pastry::TaggedMessage<LeaveMsg> {
   pastry::NodeId child;
   /// The attachment episode being ended: the parent ignores the Leave if
   /// it already holds the child under a newer one.
-  std::uint64_t episode = 0;
+  std::uint32_t episode = 0;
 
-  [[nodiscard]] std::size_t wire_size() const override { return 32 + 8; }
+  [[nodiscard]] std::size_t wire_size() const override { return 32 + 4; }
   [[nodiscard]] const char* type_name() const override { return "scribe.Leave"; }
   [[nodiscard]] std::unique_ptr<pastry::AppMessage> clone_msg() const override {
     return std::make_unique<LeaveMsg>(*this);

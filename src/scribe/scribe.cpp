@@ -1,6 +1,8 @@
 #include "scribe/scribe.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <functional>
 #include <limits>
 
 #include "obs/metrics.hpp"
@@ -13,9 +15,11 @@ namespace {
 
 /// Missed-beat multiple after which a child declares its parent dead.
 constexpr int kHeartbeatMisses = 3;
-/// Leaf-set neighbours each tree root replicates rendezvous state to,
-/// every aggregation round.
+/// Leaf-set neighbours each tree root replicates rendezvous state to.
 constexpr int kRootReplicas = 2;
+/// Rounds between unconditional refreshes of an unchanged report or
+/// replica (capped by half the staleness bound, see refresh_interval).
+constexpr std::int64_t kRefreshRounds = 8;
 
 /// Federation scope of the engine-attached registry, or nullptr when
 /// observability is off.  Scribe operations are per-query / per-round (not
@@ -31,6 +35,39 @@ obs::Scope* fed_metrics(pastry::PastryNode& node) {
 obs::CausalLog* causal_log(pastry::PastryNode& node) {
   auto* registry = node.network().engine().metrics();
   return registry == nullptr ? nullptr : &registry->causal();
+}
+
+/// Folds `v` into the running digest `h` (splitmix64 finaliser).
+std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
+  h ^= v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
+  h ^= h >> 30;
+  h *= 0xBF58476D1CE4E5B9ull;
+  h ^= h >> 27;
+  h *= 0x94D049BB133111EBull;
+  return h ^ (h >> 31);
+}
+
+std::uint64_t mix_ids(std::uint64_t h, const std::vector<NodeRef>& refs) {
+  h = mix(h, refs.size());
+  for (const auto& r : refs) h = mix(mix(h, r.id.hi()), r.id.lo());
+  return h;
+}
+
+/// Digest of what a replica holder would store (everything but the
+/// epoch and, outside a degraded window, the send time) plus who holds a
+/// copy: a root re-sends only when it changes.
+std::uint64_t replica_digest(const ReplicaState& rep, bool window,
+                             const std::vector<NodeRef>& targets) {
+  std::uint64_t h = mix(0, std::bit_cast<std::uint64_t>(rep.value));
+  h = mix(h, static_cast<std::uint64_t>(rep.agg_kind));
+  h = mix(h, static_cast<std::uint64_t>(rep.scope));
+  h = mix(h, window ? static_cast<std::uint64_t>(rep.snapshot_time.as_micros()) + 1 : 0);
+  h = mix_ids(h, rep.children);
+  h = mix_ids(h, rep.root_set);
+  h = mix_ids(h, targets);
+  h = mix(h, rep.holders.size());
+  for (const auto& holder : rep.holders) h = mix(h, std::hash<std::string>{}(holder));
+  return h;
 }
 
 double identity(AggregateKind kind) {
@@ -57,10 +94,7 @@ double combine(AggregateKind kind, double a, double b) {
 Scribe::Scribe(pastry::PastryNode& node, ScribeConfig config)
     : node_(node), app_(node.register_app(kAppName, this)), config_(config) {
   auto& engine = node_.network().engine();
-  if (config_.aggregation_interval > util::SimTime::zero()) {
-    agg_timer_ = engine.schedule_periodic(config_.aggregation_interval,
-                                          [this]() { aggregation_round(); });
-  }
+  round_origin_ = engine.now();
   if (config_.heartbeat_interval > util::SimTime::zero()) {
     beat_timer_ = engine.schedule_periodic(config_.heartbeat_interval, [this]() {
       heartbeat_round();
@@ -70,7 +104,8 @@ Scribe::Scribe(pastry::PastryNode& node, ScribeConfig config)
 }
 
 Scribe::~Scribe() {
-  agg_timer_.cancel();
+  grid_timer_.cancel();
+  refresh_timer_.cancel();
   beat_timer_.cancel();
   promote_timer_.cancel();
   for (auto& [id, waiter] : anycast_waiters_) waiter.deadline.cancel();
@@ -111,7 +146,7 @@ std::vector<TopicId> Scribe::known_topics() const {
 }
 
 void Scribe::add_child(const TopicId& topic, TopicState& st, const NodeRef& child,
-                       std::uint64_t episode) {
+                       std::uint32_t episode) {
   const auto now = node_.network().engine().now();
   for (auto& c : st.children) {
     if (c.ref.id == child.id) {
@@ -120,7 +155,8 @@ void Scribe::add_child(const TopicId& topic, TopicState& st, const NodeRef& chil
       return;
     }
   }
-  st.children.push_back(ChildState{child, 0.0, false, now, episode});
+  st.children.push_back(ChildState{child, 0.0, now, false, episode});
+  touch();
   maybe_split(topic, st);
 }
 
@@ -135,7 +171,24 @@ void Scribe::send_join(const TopicId& topic, TopicState& st, bool repair) {
   node_.route(topic, std::move(join), app_, st.scope);
 }
 
-void Scribe::send_leave(const NodeRef& to, const TopicId& topic, std::uint64_t episode) {
+void Scribe::erase_topic(const TopicId& topic) {
+  auto it = topics_.find(topic);
+  if (it == topics_.end()) return;
+  if (it->second.epoch > 0) retired_epochs_[topic] = it->second.epoch;
+  std::erase_if(join_callbacks_, [&](const auto& entry) { return entry.first == topic; });
+  topics_.erase(it);
+}
+
+void Scribe::fire_joined(const TopicId& topic) {
+  auto it = std::find_if(join_callbacks_.begin(), join_callbacks_.end(),
+                         [&](const auto& entry) { return entry.first == topic; });
+  if (it == join_callbacks_.end()) return;
+  auto cb = std::move(it->second);
+  join_callbacks_.erase(it);
+  cb();
+}
+
+void Scribe::send_leave(const NodeRef& to, const TopicId& topic, std::uint32_t episode) {
   auto leave = std::make_unique<LeaveMsg>();
   leave->topic = topic;
   leave->child = node_.self().id;
@@ -150,6 +203,7 @@ void Scribe::subscribe(const TopicId& topic, TopicMember* member,
   auto& st = topic_state(topic);
   st.handler = member;
   st.scope = scope;
+  touch();
   if (st.member || st.parent || st.root) {
     // Already attached (as member or forwarder); upgrading to member needs
     // no protocol traffic.
@@ -158,7 +212,8 @@ void Scribe::subscribe(const TopicId& topic, TopicMember* member,
     return;
   }
   st.member = true;
-  st.on_joined = std::move(on_joined);
+  std::erase_if(join_callbacks_, [&](const auto& entry) { return entry.first == topic; });
+  if (on_joined) join_callbacks_.emplace_back(topic, std::move(on_joined));
   send_join(topic, st, /*repair=*/false);
 }
 
@@ -168,6 +223,7 @@ void Scribe::unsubscribe(const TopicId& topic) {
   if (auto* m = fed_metrics(node_)) m->counter("scribe.unsubscribes").inc();
   st->member = false;
   st->handler = nullptr;
+  touch();
   maybe_prune(topic);
 }
 
@@ -183,8 +239,7 @@ void Scribe::maybe_prune(const TopicId& topic) {
     return;
   }
   if (st->parent) send_leave(*st->parent, topic, st->episode);
-  if (st->epoch > 0) retired_epochs_[topic] = st->epoch;
-  topics_.erase(topic);
+  erase_topic(topic);
 }
 
 // --- join handling ----------------------------------------------------------
@@ -260,11 +315,8 @@ void Scribe::handle_join(JoinMsg& join, bool at_root) {
   if (join.child.id == node_.self().id) {
     // Our own join delivered back to us: we are the rendezvous root.
     st.root = true;
-    if (st.on_joined) {
-      auto cb = std::move(st.on_joined);
-      st.on_joined = nullptr;
-      cb();
-    }
+    touch();
+    fire_joined(join.topic);
     return;
   }
   add_child(join.topic, st, join.child, join.episode);
@@ -497,6 +549,87 @@ void Scribe::on_anycast_deadline(std::uint64_t request_id) {
 
 void Scribe::set_aggregation(const TopicId& topic, AggregateKind kind) {
   topic_state(topic).agg_kind = kind;
+  touch();
+}
+
+void Scribe::contribution_changed(const TopicId& topic) {
+  if (subscribed(topic)) touch();
+}
+
+util::SimTime Scribe::refresh_interval() const {
+  auto refresh = config_.aggregation_interval * kRefreshRounds;
+  if (config_.max_staleness > util::SimTime::zero()) {
+    refresh = std::min(refresh, util::SimTime::micros(config_.max_staleness.as_micros() / 2));
+  }
+  return std::max(refresh, config_.aggregation_interval);
+}
+
+std::optional<util::SimTime> Scribe::next_round() const {
+  std::optional<util::SimTime> next;
+  if (grid_timer_.active()) next = grid_at_;
+  if (refresh_timer_.active() && (!next || refresh_at_ < *next)) next = refresh_at_;
+  return next;
+}
+
+util::SimTime Scribe::next_grid_after(util::SimTime t) const {
+  const auto period = config_.aggregation_interval.as_micros();
+  const auto since = std::max<std::int64_t>((t - round_origin_).as_micros(), 0);
+  return round_origin_ + util::SimTime::micros((since / period + 1) * period);
+}
+
+void Scribe::touch() {
+  if (config_.aggregation_interval <= util::SimTime::zero()) return;
+  // An armed grid round is already at the next grid instant.
+  if (grid_timer_.active()) return;
+  grid_at_ = next_grid_after(node_.network().engine().now());
+  arm_round(grid_timer_, grid_at_);
+}
+
+void Scribe::reattached(TopicState& st) {
+  st.reported = false;
+  touch();
+}
+
+void Scribe::arm_round(sim::Timer& slot, util::SimTime at) {
+  auto& engine = node_.network().engine();
+  // Background, so a sleeping tree never holds run() open; armed on the
+  // calling context's shard (the node's own site shard, or control).
+  slot = engine.schedule_background(at - engine.now(), [this, &slot]() {
+    slot = sim::Timer{};  // reads active until dropped: let the round re-arm it
+    aggregation_round();
+  });
+}
+
+void Scribe::arm_next_round() {
+  const auto now = node_.network().engine().now();
+  const auto next = next_grid_after(now);
+  const auto refresh = refresh_interval();
+  std::optional<util::SimTime> wake;
+  for (const auto& [topic, st] : topics_) {
+    const bool over_cap = config_.fan_in_cap > 0 &&
+                          st.children.size() > static_cast<std::size_t>(config_.fan_in_cap);
+    if (st.degraded || over_cap) {
+      touch();
+      return;
+    }
+    const bool replicating = st.root && (st.member || !st.children.empty());
+    if (!st.parent && !replicating) continue;
+    // First grid instant at or after the deadline, never before `next`.
+    const auto due = std::max(next, next_grid_after(st.refreshed_at + refresh -
+                                                    util::SimTime::micros(1)));
+    if (!wake || due < *wake) wake = due;
+  }
+  if (!wake) return;
+  if (*wake == next) {
+    touch();
+    return;
+  }
+  // Refresh deadlines only move later (each send pushes one out, and a
+  // new tree position sends at once), so an armed refresh timer is never
+  // late; if it fires early the round finds nothing due and re-arms.
+  if (refresh_timer_.active()) return;
+  refresh_at_ = *wake;
+  arm_round(refresh_timer_, refresh_at_);
 }
 
 double Scribe::subtree_value(const TopicId& topic, const TopicState& st) const {
@@ -519,6 +652,7 @@ double Scribe::aggregate_value(const TopicId& topic) const {
 
 void Scribe::aggregation_round() {
   const auto now = node_.network().engine().now();
+  const auto refresh = refresh_interval();
   for (auto& [topic, st] : topics_) {
     // A promoted root exits the degraded window once every adopted child
     // has reported into the live view, or the snapshot aged past the
@@ -545,23 +679,30 @@ void Scribe::aggregation_round() {
       maybe_split(topic, st);
     }
     if (!st.parent) continue;
+    // Report only news: a new value, a new parent, or a due refresh.
+    const double value = subtree_value(topic, st);
+    if (st.reported && value == st.reported_value && now - st.refreshed_at < refresh) continue;
+    st.reported = true;
+    st.reported_value = value;
+    st.refreshed_at = now;
     if (auto* m = fed_metrics(node_)) m->counter("scribe.agg_reports").inc();
     auto report = std::make_unique<AggReportMsg>();
     report->topic = topic;
     report->child = node_.self().id;
-    report->value = subtree_value(topic, st);
+    report->value = value;
     node_.send_direct(*st.parent, std::move(report), app_);
   }
   replicate_roots();
+  arm_next_round();
 }
 
 void Scribe::replicate_roots() {
   // Root-set rotation needs at least `root_set` replicated holders.
   const int replicas_wanted = std::max(kRootReplicas, config_.root_set);
   const auto now = node_.network().engine().now();
+  const auto refresh = refresh_interval();
   for (auto& [topic, st] : topics_) {
     if (!st.root || (!st.member && st.children.empty())) continue;
-    ++st.epoch;
     // While degraded, replicate the snapshot we are actually serving so a
     // chained failover inherits the same (value, age) view.
     const bool window = st.degraded && now - st.stale_at <= config_.max_staleness;
@@ -585,7 +726,10 @@ void Scribe::replicate_roots() {
                                    [&](const NodeRef& p) { return p.id == target.id; });
       if (!dup) picked.push_back(target);
     }
-    if (picked.empty()) continue;
+    if (picked.empty()) {
+      st.refreshed_at = now;  // nobody to hold a copy: look again at the refresh
+      continue;
+    }
 
     // The first `root_set` picks become serving members: they may answer
     // probes and accept anycast entries from the replicated snapshot.
@@ -595,14 +739,14 @@ void Scribe::replicate_roots() {
         config_.root_set > 0
             ? std::min(picked.size(), static_cast<std::size_t>(config_.root_set))
             : 0;
-    st.serve_set.assign(picked.begin(),
-                        picked.begin() + static_cast<std::ptrdiff_t>(serve_n));
+    if (!st.root_state) st.root_state = std::make_unique<RootState>();
+    auto& rs = *st.root_state;
+    rs.serve_set.assign(picked.begin(), picked.begin() + static_cast<std::ptrdiff_t>(serve_n));
 
     RootReplicaMsg proto;
     proto.topic = topic;
     auto& rep = proto.replica;
     rep.scope = st.scope;
-    rep.epoch = st.epoch;
     rep.agg_kind = st.agg_kind;
     rep.value = window ? st.stale_value : subtree_value(topic, st);
     rep.snapshot_time = window ? st.stale_at : now;
@@ -612,8 +756,17 @@ void Scribe::replicate_roots() {
     if (serve_n > 0) {
       rep.root_set.reserve(serve_n + 1);
       rep.root_set.push_back(node_.self());
-      for (const auto& s : st.serve_set) rep.root_set.push_back(s);
+      for (const auto& s : rs.serve_set) rep.root_set.push_back(s);
     }
+    // Replicate only news: what a holder would store changed (value,
+    // children, holders, roster, degraded snapshot, or who holds a copy),
+    // or the refresh is due.
+    const auto digest = replica_digest(rep, window, picked);
+    if (rs.sent && rs.digest == digest && now - st.refreshed_at < refresh) continue;
+    rep.epoch = ++st.epoch;
+    st.refreshed_at = now;
+    rs.sent = true;
+    rs.digest = digest;
     for (std::size_t i = 0; i < picked.size(); ++i) {
       auto msg = std::make_unique<RootReplicaMsg>(proto);
       msg->replica.serve = i < serve_n;
@@ -631,6 +784,8 @@ void Scribe::handle_replica(RootReplicaMsg& msg) {
 }
 
 void Scribe::neighbor_failed(const pastry::NodeId& /*id*/) {
+  // A root may have lost a replica holder: let the next round re-pick.
+  touch();
   if (replicas_.empty() || promote_pending_) return;
   // Deferred by one (same-instant) event: the leaf-set notification can
   // arrive mid-rejoin with a TopicState reference live upstack, and
@@ -670,6 +825,8 @@ void Scribe::promote_from_replica(const TopicId& topic, ReplicaState replica) {
   st.degraded = true;
   st.stale_value = replica.value;
   st.stale_at = replica.snapshot_time;
+  st.root_state.reset();
+  touch();
   for (const auto& child : replica.children) {
     if (child.id == node_.self().id) continue;
     add_child(topic, st, child);
@@ -788,7 +945,9 @@ void Scribe::send_size_reply(const SizeProbeMsg& probe, const SizeInfo& info, bo
   } else if (config_.root_set > 0) {
     if (const auto* st = find_topic(probe.topic); st != nullptr && st->root) {
       reply->root_set.push_back(node_.self());
-      for (const auto& s : st->serve_set) reply->root_set.push_back(s);
+      if (st->root_state) {
+        for (const auto& s : st->root_state->serve_set) reply->root_set.push_back(s);
+      }
     }
   }
   node_.send_direct(probe.originator, std::move(reply), app_);
@@ -924,6 +1083,7 @@ void Scribe::handle_delegate(const NodeRef& from, DelegateMsg& msg) {
   if (!st.parent && !st.root) {
     st.parent = from;
     st.last_parent_beat = node_.network().engine().now();
+    reattached(st);
   }
   auto ack = std::make_unique<DelegateAckMsg>();
   ack->topic = msg.topic;
@@ -957,6 +1117,7 @@ void Scribe::handle_delegate_ack(const NodeRef& from, const DelegateAckMsg& msg)
     moved += std::erase_if(st->children,
                            [&](const ChildState& c) { return c.ref.id == id; });
   }
+  touch();
   delegations_ += moved;
   if (auto* m = fed_metrics(node_)) m->counter("scribe.delegations").inc(moved);
   // Link the delegate as the surplus children's new upstream; if it is
@@ -970,6 +1131,7 @@ void Scribe::handle_reparent(const NodeRef& from, const ReparentMsg& msg) {
   if (st != nullptr && !st->root && st->parent && st->parent->id == msg.old_parent) {
     st->parent = from;
     st->last_parent_beat = node_.network().engine().now();
+    reattached(*st);
     return;
   }
   if (st != nullptr && !st->root && st->parent && st->parent->id == from.id) {
@@ -1021,9 +1183,10 @@ void Scribe::heartbeat_round() {
     // `last_seen` is stamped at attach, so the same miss budget covers a
     // child that never acked at all (JoinAck or first report lost) —
     // including one attached at virtual time zero, whose stamp is 0.
-    std::erase_if(st.children, [&](const ChildState& c) {
-      return now - c.last_seen > limit;
-    });
+    if (std::erase_if(st.children,
+                      [&](const ChildState& c) { return now - c.last_seen > limit; }) > 0) {
+      touch();
+    }
     if (!st.member && st.children.empty()) emptied.push_back(topic);
     for (const auto& child : st.children) {
       if (auto* m = fed_metrics(node_)) m->counter("scribe.heartbeats").inc();
@@ -1089,12 +1252,13 @@ void Scribe::rejoin(const TopicId& topic) {
   // stopped beating may be alive and merely no longer hold us as a child.
   // A dead node is forgotten by Pastry's own failure path.
   st->parent.reset();
+  st->reported = false;
+  st->root_state.reset();
   // Marks the join attempt time: if no JoinAck resets this, check_parents
   // retries after the repair window.
   st->last_parent_beat = node_.network().engine().now();
   if (!st->member && st->children.empty()) {
-    if (st->epoch > 0) retired_epochs_[topic] = st->epoch;
-    topics_.erase(topic);
+    erase_topic(topic);
     return;
   }
   if (auto* m = fed_metrics(node_)) m->counter("scribe.rejoins").inc();
@@ -1154,11 +1318,8 @@ void Scribe::receive(const NodeRef& from, pastry::AppMessage& msg) {
     st.parent = from;
     st.root = false;
     st.last_parent_beat = node_.network().engine().now();
-    if (st.on_joined) {
-      auto cb = std::move(st.on_joined);
-      st.on_joined = nullptr;
-      cb();
-    }
+    reattached(st);
+    fire_joined(ack->topic);
     return;
   }
   if (auto* leave = util::msg_as<LeaveMsg>(msg)) {
@@ -1172,6 +1333,7 @@ void Scribe::receive(const NodeRef& from, pastry::AppMessage& msg) {
         if (auto* m = fed_metrics(node_)) m->counter("scribe.dup_suppressed").inc();
         return;
       }
+      touch();
       maybe_prune(leave->topic);
     }
     return;
@@ -1196,6 +1358,7 @@ void Scribe::receive(const NodeRef& from, pastry::AppMessage& msg) {
     if (auto* st = find_topic(report->topic)) {
       for (auto& child : st->children) {
         if (child.ref.id == report->child) {
+          if (!child.has_report || child.last_report != report->value) touch();
           child.last_report = report->value;
           child.has_report = true;
           break;

@@ -8,8 +8,21 @@
 //   * multicast — policy pushes from admins to all members (onDeliver);
 //   * anycast  — distributed DFS that visits members until a handler says
 //     the request is satisfied (query serving);
-//   * aggregate — RBAY's extension: periodic hierarchical roll-up of a
-//     composable function (count/sum/min/max) to the root.
+//   * aggregate — RBAY's extension: hierarchical roll-up of a composable
+//     function (count/sum/min/max) to the root.
+//
+// Roll-up is change-driven with a bounded refresh.  Rounds sit on a
+// per-node grid of `aggregation_interval`, but a node wakes for one only
+// when a topic it carries changed (a child report with a new value, a
+// join, leave or prune, a local subscribe/unsubscribe, a parent change,
+// a degraded window, a pending fan-in split, or contribution_changed()),
+// or when a refresh is due.  A round reports a subtree value upstream
+// only if it differs from the last one sent to the current parent, and a
+// root replicates its rendezvous state only if the snapshot changed; both
+// are re-sent unconditionally once per refresh interval
+// (min(8 x aggregation_interval, max_staleness / 2)), which bounds how
+// long a lost message can hide a change.  A settled federation therefore
+// sends no aggregation traffic between refreshes and its nodes sleep.
 //
 // Tree repair: when enabled, parents heartbeat children; a child that
 // misses beats re-joins through Pastry, converging on the new root.
@@ -40,6 +53,8 @@ class TopicMember {
 
   /// Local contribution to the topic's aggregate (default: membership
   /// count, i.e. 1.0 — which makes the root's aggregate the tree size).
+  /// A member whose contribution changes must call
+  /// Scribe::contribution_changed: a node sleeps until something changes.
   virtual double aggregate_contribution(const TopicId& topic) {
     (void)topic;
     return 1.0;
@@ -49,7 +64,9 @@ class TopicMember {
 double combine(AggregateKind kind, double a, double b);
 
 struct ScribeConfig {
-  /// Period of aggregation roll-up rounds; zero disables the timer.
+  /// Grid of aggregation roll-up rounds (a node wakes on it only when a
+  /// topic changed or a refresh is due); zero disables aggregation and
+  /// root replication.
   util::SimTime aggregation_interval = util::SimTime::zero();
   /// Parent→child heartbeat period; zero disables repair.
   util::SimTime heartbeat_interval = util::SimTime::zero();
@@ -110,6 +127,19 @@ class Scribe final : public pastry::PastryApp {
 
   /// Sets the aggregate function for a topic this node participates in.
   void set_aggregation(const TopicId& topic, AggregateKind kind);
+
+  /// The local member's aggregate_contribution for `topic` changed: the
+  /// next round re-evaluates and reports it.
+  void contribution_changed(const TopicId& topic);
+
+  /// Longest a round lets an unchanged report or root replica go unsent:
+  /// min(8 x aggregation_interval, max_staleness / 2), at least one
+  /// interval.
+  [[nodiscard]] util::SimTime refresh_interval() const;
+
+  /// Sim-time of the pending round wake-up, or nullopt while the node
+  /// sleeps with nothing changed and no refresh due (introspection).
+  [[nodiscard]] std::optional<util::SimTime> next_round() const;
 
   /// This node's current aggregated view of its subtree (at the root: the
   /// whole tree).  Count aggregation yields tree size.
@@ -186,39 +216,46 @@ class Scribe final : public pastry::PastryApp {
   struct ChildState {
     NodeRef ref;
     double last_report = 0.0;
-    bool has_report = false;
     util::SimTime last_seen = util::SimTime::zero();
+    bool has_report = false;
     /// Newest attachment episode the child joined under (0 when adopted
     /// by delegation or promotion): only a Leave for this episode or a
-    /// later one removes it.
-    std::uint64_t episode = 0;
+    /// later one removes it.  Packs with `has_report`.
+    std::uint32_t episode = 0;
   };
 
+  /// Replication state a node keeps only while it is a root.
+  struct RootState {
+    /// With root_set > 0: the serving holders picked by the last
+    /// replication pass (advertised, with self first, as the root set).
+    std::vector<NodeRef> serve_set;
+    /// Digest of the last replica sent and of its holders (see
+    /// replica_digest): a round replicates only news.
+    bool sent = false;
+    std::uint64_t digest = 0;
+  };
+
+  // Field order packs the flags and small enums into one tail word.
   struct TopicState {
-    bool member = false;
-    bool root = false;
     TopicMember* handler = nullptr;
     std::optional<NodeRef> parent;
     std::vector<ChildState> children;
-    AggregateKind agg_kind = AggregateKind::Count;
-    pastry::Scope scope = pastry::Scope::Global;
-    double own_value = 0.0;
     util::SimTime last_parent_beat = util::SimTime::zero();
-    /// Episode of this node's latest Join for the topic (see JoinMsg).
-    std::uint64_t episode = 0;
-    std::function<void()> on_joined;
-    /// Replication epoch while root: bumped every replication round,
-    /// carried over (max) on promotion so probes never see it regress.
+    /// Replication epoch while root: bumped by every replica send, carried
+    /// over (max) on promotion so probes never see it regress.
     std::uint64_t epoch = 0;
+    /// Quiet roll-up: the value last reported to the current parent (see
+    /// `reported`), and when this node last reported or replicated — the
+    /// refresh deadline runs from it.
+    double reported_value = 0.0;
+    util::SimTime refreshed_at = util::SimTime::zero();
     /// Promoted-root repair window: serve `stale_value` (snapshotted at
     /// `stale_at`) until the subtree reports afresh or staleness exceeds
     /// the configured bound.
-    bool degraded = false;
     double stale_value = 0.0;
     util::SimTime stale_at = util::SimTime::zero();
-    /// Fan-in split in flight: a DelegateMsg is out and unanswered.  The
-    /// timestamp lets periodic rounds retry a delegation lost to a crash.
-    bool split_pending = false;
+    /// Timestamp of the in-flight fan-in split, so rounds can retry a
+    /// delegation lost to a crash.
     util::SimTime split_requested_at = util::SimTime::zero();
     /// Monotone per-topic split episode, stamped into every DelegateMsg
     /// and echoed by acks/nacks: answers from any episode but the pending
@@ -227,10 +264,20 @@ class Scribe final : public pastry::PastryApp {
     /// Candidates that NACKed the current overload episode (skipped until
     /// the next periodic retry clears the list).
     std::vector<pastry::NodeId> split_declined;
-    /// While root with root_set > 0: the serving holders picked in the
-    /// last replication round (advertised, with self first, as the root
-    /// set).
-    std::vector<NodeRef> serve_set;
+    /// Non-null while root and replicating.
+    std::unique_ptr<RootState> root_state;
+    /// Episode of this node's latest Join for the topic (see JoinMsg).
+    std::uint32_t episode = 0;
+    AggregateKind agg_kind = AggregateKind::Count;
+    pastry::Scope scope = pastry::Scope::Global;
+    bool member = false;
+    bool root = false;
+    /// A report was sent to the current parent: until one has, every
+    /// round reports.
+    bool reported = false;
+    bool degraded = false;
+    /// Fan-in split in flight: a DelegateMsg is out and unanswered.
+    bool split_pending = false;
   };
 
   struct AnycastWaiter {
@@ -270,15 +317,31 @@ class Scribe final : public pastry::PastryApp {
   [[nodiscard]] TopicState* find_topic(const TopicId& topic);
 
   void add_child(const TopicId& topic, TopicState& st, const NodeRef& child,
-                 std::uint64_t episode = 0);
+                 std::uint32_t episode = 0);
   /// Routes a Join for `topic` under a fresh episode.
   void send_join(const TopicId& topic, TopicState& st, bool repair);
-  void send_leave(const NodeRef& to, const TopicId& topic, std::uint64_t episode);
+  void send_leave(const NodeRef& to, const TopicId& topic, std::uint32_t episode);
+  /// Drops the topic's state, keeping its epoch for a rebuilt tree and
+  /// forgetting any pending subscribe callback.
+  void erase_topic(const TopicId& topic);
+  /// Fires and forgets the pending subscribe callback for `topic`.
+  void fire_joined(const TopicId& topic);
   void handle_join(JoinMsg& join, bool at_root);
   void handle_multicast_down(const TopicId& topic, const std::string& data);
   void continue_anycast(std::unique_ptr<AnycastMsg> msg);
   void finish_anycast(AnycastMsg& msg, bool satisfied);
   void maybe_prune(const TopicId& topic);
+  /// Something a round reads changed: wake at the next grid instant.
+  void touch();
+  /// The parent changed (or is gone): the next round reports afresh.
+  void reattached(TopicState& st);
+  [[nodiscard]] util::SimTime next_grid_after(util::SimTime t) const;
+  /// Schedules a round at grid instant `at` into `slot`.
+  void arm_round(sim::Timer& slot, util::SimTime at);
+  /// After a round: wake at the next grid instant while a topic is in a
+  /// degraded window or over its fan-in cap, else at the earliest refresh
+  /// deadline, else not at all.
+  void arm_next_round();
   void aggregation_round();
   void heartbeat_round();
   void check_parents();
@@ -349,8 +412,20 @@ class Scribe final : public pastry::PastryApp {
   std::uint64_t next_request_id_ = 1;
   /// Join episodes are node-wide, so they stay monotone across a topic's
   /// teardown and re-creation.
-  std::uint64_t next_episode_ = 1;
-  sim::Timer agg_timer_;
+  std::uint32_t next_episode_ = 1;
+  /// Subscribe callbacks waiting for their topic's JOIN to be absorbed;
+  /// kept out of TopicState because almost no topic has one.
+  std::vector<std::pair<TopicId, std::function<void()>>> join_callbacks_;
+  /// Rounds are one-shot background timers on the grid that starts at
+  /// `round_origin_` (construction time): `grid_timer_` at the next grid
+  /// instant once something changed, `refresh_timer_` at the earliest
+  /// refresh deadline.  Neither is ever moved, so no cancelled event
+  /// lingers in the queue.
+  sim::Timer grid_timer_;
+  sim::Timer refresh_timer_;
+  util::SimTime grid_at_ = util::SimTime::zero();
+  util::SimTime refresh_at_ = util::SimTime::zero();
+  util::SimTime round_origin_ = util::SimTime::zero();
   sim::Timer beat_timer_;
   sim::Timer promote_timer_;
   bool promote_pending_ = false;

@@ -35,7 +35,7 @@ TEST(Aggregate, SumAggregatesContributions) {
   ScribeOverlay so{10, net::Topology::single_site(), agg_config()};
   const TopicId topic = pastry::tree_id("CPU", "admin");
   for (std::size_t i = 0; i < so.members.size(); ++i) {
-    so.members[i]->contribution = static_cast<double>(i);  // 0..9 → sum 45
+    so.members[i]->set_contribution(static_cast<double>(i));  // 0..9 → sum 45
   }
   so.subscribe_all(topic);
   for (auto& s : so.scribes) s->set_aggregation(topic, AggregateKind::Sum);
@@ -49,7 +49,7 @@ TEST(Aggregate, MinAndMaxRollUp) {
   const TopicId tmin = pastry::tree_id("min-attr", "a");
   const TopicId tmax = pastry::tree_id("max-attr", "a");
   for (std::size_t i = 0; i < so.members.size(); ++i) {
-    so.members[i]->contribution = 10.0 + static_cast<double>(i);  // 10..21
+    so.members[i]->set_contribution(10.0 + static_cast<double>(i));  // 10..21
   }
   so.subscribe_all(tmin);
   so.subscribe_all(tmax);

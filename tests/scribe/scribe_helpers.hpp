@@ -35,13 +35,24 @@ class RecordingMember final : public TopicMember {
     return collect.collected.size() >= collect.want;
   }
 
-  double aggregate_contribution(const TopicId&) override { return contribution; }
+  double aggregate_contribution(const TopicId&) override { return contribution_; }
+
+  /// Changes this member's contribution to every topic and tells its
+  /// Scribe, whose rounds only re-read changed topics.
+  void set_contribution(double value) {
+    contribution_ = value;
+    if (scribe == nullptr) return;
+    for (const auto& topic : scribe->known_topics()) scribe->contribution_changed(topic);
+  }
 
   pastry::NodeId self_id;
+  Scribe* scribe = nullptr;
   bool refuse = false;
-  double contribution = 1.0;
   int anycast_visits = 0;
   std::vector<std::pair<TopicId, std::string>> multicasts;
+
+ private:
+  double contribution_ = 1.0;
 };
 
 struct ScribeOverlay {
@@ -52,14 +63,16 @@ struct ScribeOverlay {
 
   explicit ScribeOverlay(std::size_t per_site,
                          net::Topology topo = net::Topology::single_site(),
-                         ScribeConfig config = {}, std::uint64_t seed = 42)
-      : engine(seed), overlay(engine, std::move(topo)) {
+                         ScribeConfig config = {}, std::uint64_t seed = 42,
+                         sim::EngineConfig engine_config = {})
+      : engine(seed, engine_config), overlay(engine, std::move(topo)) {
     overlay.populate(per_site);
     overlay.build_static();
     for (std::size_t i = 0; i < overlay.size(); ++i) {
       scribes.push_back(std::make_unique<Scribe>(overlay.node(i), config));
       auto member = std::make_unique<RecordingMember>();
       member->self_id = overlay.ref(i).id;
+      member->scribe = scribes.back().get();
       members.push_back(std::move(member));
     }
   }
