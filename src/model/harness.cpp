@@ -319,24 +319,18 @@ class Execution {
       }
       case OpKind::Outage: {
         if (skip_crashed(op)) return;  // already down
-        ++result_.ops_applied;
-        const auto site = site_name_of(spec_, op.node);
-        const auto index = std::to_string(op.node % spec_.per_site);
+        Op down = op;
+        down.kind = OpKind::Crash;
+        apply(i, down);
         // Six beats: past Scribe's miss budget, so the parent prunes the
         // node while it is down.
         const auto outage = spec_.heartbeat * std::int64_t{6};
-        cluster_->overlay().fail_node(op.node);
         cluster_->run_for(outage);
         cluster_->run();
-        model_.crash(op.node);
-        emit("fail " + site + " " + index);
         emit("run " + fmt_ms(outage));
-        cluster_->overlay().recover_node(op.node);
-        cluster_->node(op.node).reevaluate_subscriptions();
-        cluster_->run();
-        model_.recover(op.node);
-        emit("recover " + site + " " + index);
-        gap();
+        Op up = op;
+        up.kind = OpKind::Recover;
+        apply(i, up);
         return;
       }
       case OpKind::Partition:
