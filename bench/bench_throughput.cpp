@@ -107,16 +107,16 @@ RunStats run_config(bool optimized, const bench::Args& args, std::size_t per_sit
     stats.p999_us = static_cast<std::int64_t>(latency_us.percentile(99.9));
   }
   auto& fed_metrics = cluster.metrics()->fed();
-  const auto hits = fed_metrics.counter("qplane.cache_hits").value();
-  const auto misses = fed_metrics.counter("qplane.cache_misses").value();
+  const auto hits = fed_metrics.counter<"qplane.cache_hits">().value();
+  const auto misses = fed_metrics.counter<"qplane.cache_misses">().value();
   if (hits + misses > 0) {
     stats.cache_hit_rate_pct = static_cast<std::int64_t>(100 * hits / (hits + misses));
   }
   if (stats.offered > 0) {
     stats.shed_rate_pct = static_cast<std::int64_t>(100 * stats.shed / stats.offered);
   }
-  stats.probe_walks = fed_metrics.counter("qplane.probe_walks").value();
-  stats.probes_coalesced = fed_metrics.counter("qplane.probes_coalesced").value();
+  stats.probe_walks = fed_metrics.counter<"qplane.probe_walks">().value();
+  stats.probes_coalesced = fed_metrics.counter<"qplane.probes_coalesced">().value();
   if (optimized) {
     bench::dump_observability(cluster, timeseries.get(), args);
   }

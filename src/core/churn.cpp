@@ -48,7 +48,7 @@ void ChurnDriver::schedule_down(std::size_t i) {
   timers_[i] = cluster_.engine().schedule_background(delay, [this, i]() {
     if (cluster_.overlay().is_failed(i)) return;
     ++failures_;
-    if (auto* reg = cluster_.engine().metrics()) reg->fed().counter("churn.failures").inc();
+    if (auto* reg = cluster_.engine().metrics()) reg->fed().counter<"churn.failures">().inc();
     trackers_[i].record_down(cluster_.engine().now());
     cluster_.overlay().fail_node(i);
     schedule_up(i);
@@ -62,7 +62,7 @@ void ChurnDriver::schedule_up(std::size_t i) {
   timers_[i] = cluster_.engine().schedule_background(delay, [this, i]() {
     if (!cluster_.overlay().is_failed(i)) return;
     ++recoveries_;
-    if (auto* reg = cluster_.engine().metrics()) reg->fed().counter("churn.recoveries").inc();
+    if (auto* reg = cluster_.engine().metrics()) reg->fed().counter<"churn.recoveries">().inc();
     const auto now = cluster_.engine().now();
     trackers_[i].record_up(now);
     cluster_.overlay().recover_node(i);

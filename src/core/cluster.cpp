@@ -9,8 +9,7 @@ RBayCluster::RBayCluster(ClusterConfig config)
       tree_specs_(std::make_shared<std::vector<TreeSpec>>()),
       taxonomy_(std::make_shared<Taxonomy>()) {
   // Attach before any node exists so every component sees the registry
-  // from its first event (the overlay constructor only builds the network,
-  // which refreshes its metric handles lazily).
+  // from its first event.
   if (config_.metrics) {
     metrics_ = std::make_unique<obs::Registry>();
     engine_.set_metrics(metrics_.get());
@@ -34,7 +33,7 @@ void RBayCluster::on_node_crashed(std::size_t index) {
     if (holder.size() > prefix.size() && holder.compare(0, prefix.size(), prefix) == 0) {
       lock.release(holder, now);
       if (metrics_ != nullptr) {
-        metrics_->fed().counter("reservation.crash_releases").inc();
+        metrics_->fed().counter<"reservation.crash_releases">().inc();
       }
     }
   }

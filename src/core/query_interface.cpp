@@ -74,7 +74,7 @@ void QueryInterface::release_orphans(const std::string& query_id, int attempt,
   if (candidates.empty()) return;
   send_releases(query_id, attempt, candidates);
   if (auto* reg = owner_.engine().metrics()) {
-    reg->fed().counter("query.orphan_releases").inc(candidates.size());
+    reg->fed().counter<"query.orphan_releases">().inc(candidates.size());
   }
 }
 
@@ -102,7 +102,7 @@ void QueryInterface::execute(query::Query query, Callback callback) {
   pending.outcome.query_id = query_id_of(id);
   pending.outcome.started = owner_.engine().now();
   if (auto* reg = owner_.engine().metrics()) {
-    reg->fed().counter("query.started").inc();
+    reg->fed().counter<"query.started">().inc();
     pending.ctx = reg->causal().begin_trace(pending.outcome.query_id, owner_.site(),
                                             owner_.self().endpoint, pending.outcome.started);
   }
@@ -113,11 +113,11 @@ void QueryInterface::execute(query::Query query, Callback callback) {
   const auto verdict = admission_.submit([this, id]() { attempt(id); });
   if (auto* reg = owner_.engine().metrics()) {
     auto& fed = reg->fed();
-    fed.counter(verdict == qplane::AdmissionController::Verdict::Queue ? "qplane.queued"
-                                                                       : "qplane.admitted")
+    (verdict == qplane::AdmissionController::Verdict::Queue ? fed.counter<"qplane.queued">()
+                                                            : fed.counter<"qplane.admitted">())
         .inc();
-    fed.gauge("qplane.inflight").set(static_cast<std::int64_t>(admission_.inflight()));
-    fed.gauge("qplane.queue_depth").set(static_cast<std::int64_t>(admission_.queued()));
+    fed.gauge<"qplane.inflight">().set(static_cast<std::int64_t>(admission_.inflight()));
+    fed.gauge<"qplane.queue_depth">().set(static_cast<std::int64_t>(admission_.queued()));
   }
 }
 
@@ -125,7 +125,7 @@ void QueryInterface::shed_query(const query::Query& /*query*/, Callback& callbac
   QueryOutcome outcome;
   outcome.shed = true;
   outcome.started = outcome.finished = owner_.engine().now();
-  if (auto* reg = owner_.engine().metrics()) reg->fed().counter("qplane.shed").inc();
+  if (auto* reg = owner_.engine().metrics()) reg->fed().counter<"qplane.shed">().inc();
   callback(outcome);
 }
 
@@ -214,7 +214,7 @@ void QueryInterface::attempt(std::uint64_t id) {
                                                 "query.site_timeout", owner_.engine().now())
                                : obs::TraceContext{});
     if (auto* reg = owner_.engine().metrics()) {
-      reg->fed().counter("query.site_timeouts").inc(
+      reg->fed().counter<"query.site_timeouts">().inc(
           static_cast<std::uint64_t>(tp.waiting_sites));
     }
     tp.outcome.sites_timed_out += tp.waiting_sites;
@@ -268,10 +268,10 @@ void QueryInterface::complete(std::map<std::uint64_t, Pending>::iterator it) {
   std::sort(p.outcome.sites_answered.begin(), p.outcome.sites_answered.end());
   if (auto* reg = owner_.engine().metrics()) {
     auto& fed = reg->fed();
-    fed.counter(p.outcome.satisfied ? "query.satisfied" : "query.failed").inc();
-    fed.counter("query.attempts").inc(static_cast<std::uint64_t>(p.outcome.attempts));
-    fed.latency("query.latency").add(p.outcome.latency());
-    reg->site(owner_.site()).latency("query.latency").add(p.outcome.latency());
+    (p.outcome.satisfied ? fed.counter<"query.satisfied">() : fed.counter<"query.failed">()).inc();
+    fed.counter<"query.attempts">().inc(static_cast<std::uint64_t>(p.outcome.attempts));
+    fed.latency<"query.latency">().add(p.outcome.latency());
+    reg->site(owner_.site()).latency<"query.latency">().add(p.outcome.latency());
     // Terminus of the causal chain: its parent is the ambient span (the
     // final reply/timeout that completed the query), making the walk from
     // here backward the critical path.
@@ -286,8 +286,8 @@ void QueryInterface::complete(std::map<std::uint64_t, Pending>::iterator it) {
   admission_.release();
   if (auto* reg = owner_.engine().metrics()) {
     auto& fed = reg->fed();
-    fed.gauge("qplane.inflight").set(static_cast<std::int64_t>(admission_.inflight()));
-    fed.gauge("qplane.queue_depth").set(static_cast<std::int64_t>(admission_.queued()));
+    fed.gauge<"qplane.inflight">().set(static_cast<std::int64_t>(admission_.inflight()));
+    fed.gauge<"qplane.queue_depth">().set(static_cast<std::int64_t>(admission_.queued()));
   }
   cb(outcome);
 }
@@ -319,8 +319,8 @@ void QueryInterface::finish_attempt(std::uint64_t id) {
     p.outcome.satisfied = true;
     if (p.outcome.stale) {
       if (auto* reg = owner_.engine().metrics()) {
-        reg->fed().counter("query.stale_answers").inc();
-        if (p.outcome.cached) reg->fed().counter("query.cached_answers").inc();
+        reg->fed().counter<"query.stale_answers">().inc();
+        if (p.outcome.cached) reg->fed().counter<"query.cached_answers">().inc();
         obs::ContextScope stale_scope(causal, base);
         causal->local(owner_.site(), owner_.self().endpoint, "query.stale_answer",
                       owner_.engine().now(), static_cast<int>(obs::Phase::kProbe));
@@ -377,7 +377,7 @@ void QueryInterface::finish_attempt(std::uint64_t id) {
 
   const query::Backoff backoff{kBackoffSlot};
   const auto delay = backoff.delay_after(p.outcome.attempts, owner_.engine().rng());
-  if (auto* reg = owner_.engine().metrics()) reg->fed().counter("query.backoff_retries").inc();
+  if (auto* reg = owner_.engine().metrics()) reg->fed().counter<"query.backoff_retries">().inc();
   if (causal != nullptr) {
     // Move the re-attachment point to a "query.backoff_retry" event hanging
     // off the reply that ended this attempt: the next attempt's messages
@@ -451,7 +451,7 @@ void QueryInterface::run_site_query(SiteJob job, std::function<void(SiteResult)>
     const auto probe_end = owner_.engine().now();
     auto* causal = causal_log(owner_.engine());
     if (auto* reg = owner_.engine().metrics()) {
-      reg->fed().latency("query.phase_probe").add(probe_end - state->probe_start);
+      reg->fed().latency<"query.phase_probe">().add(probe_end - state->probe_start);
     }
     // Steps 1-2 finished: one probe span per site attempt, hops = trees
     // probed.  Cache hits and coalesced probes send no message of their
@@ -497,7 +497,7 @@ void QueryInterface::run_site_query(SiteJob job, std::function<void(SiteResult)>
           auto& filled = *util::msg_as<CandidatePayload>(result);
           const auto end = owner_.engine().now();
           if (auto* reg = owner_.engine().metrics()) {
-            reg->fed().latency("query.phase_anycast").add(end - anycast_start);
+            reg->fed().latency<"query.phase_anycast">().add(end - anycast_start);
           }
           // The walk's end closes step 3; steps 4a/4b share its sim-time but
           // count different work: members visited vs slots actually filled.
@@ -529,7 +529,7 @@ void QueryInterface::run_site_query(SiteJob job, std::function<void(SiteResult)>
     // degraded read whose age is bounded by the cache TTL.
     if (answer_cache_.enabled()) {
       if (auto hit = answer_cache_.lookup(topic, owner_.engine().now())) {
-        if (auto* reg = owner_.engine().metrics()) reg->fed().counter("qplane.cache_hits").inc();
+        if (auto* reg = owner_.engine().metrics()) reg->fed().counter<"qplane.cache_hits">().inc();
         state->sizes[i] = hit->value;
         state->result.stale = true;
         state->result.cached = true;
@@ -537,14 +537,14 @@ void QueryInterface::run_site_query(SiteJob job, std::function<void(SiteResult)>
         if (--state->remaining == 0) anycast_smallest();
         continue;
       }
-      if (auto* reg = owner_.engine().metrics()) reg->fed().counter("qplane.cache_misses").inc();
+      if (auto* reg = owner_.engine().metrics()) reg->fed().counter<"qplane.cache_misses">().inc();
     }
     auto on_info = [this, state, i, anycast_smallest](const scribe::Scribe::SizeInfo& info) {
       if (info.from_root_set) {
         // Served by a non-root member of the tree's root set (hot-root
         // rotation): the probe never reached the rendezvous root.
         if (auto* reg = owner_.engine().metrics()) {
-          reg->fed().counter("qplane.rootset_answers").inc();
+          reg->fed().counter<"qplane.rootset_answers">().inc();
         }
       }
       if (answer_cache_.enabled()) {
@@ -555,14 +555,14 @@ void QueryInterface::run_site_query(SiteJob job, std::function<void(SiteResult)>
           // A degraded (post-failover) answer just evicted the cached
           // pre-failover entry: the cache is invalidated on root crash.
           if (auto* reg = owner_.engine().metrics()) {
-            reg->fed().counter("qplane.cache_invalidations").inc();
+            reg->fed().counter<"qplane.cache_invalidations">().inc();
           }
         }
         if (answer_cache_.epoch_rejects() > rejects) {
           // A late fresh answer from an older replication epoch tried to
           // roll the cache back and was refused.
           if (auto* reg = owner_.engine().metrics()) {
-            reg->fed().counter("qplane.cache.epoch_rejects").inc();
+            reg->fed().counter<"qplane.cache.epoch_rejects">().inc();
           }
         }
       }
@@ -582,9 +582,9 @@ void QueryInterface::run_site_query(SiteJob job, std::function<void(SiteResult)>
                        owner_.scribe().probe_size(t, std::move(cb), pastry::Scope::Site);
                      });
       if (auto* reg = owner_.engine().metrics()) {
-        reg->fed()
-            .counter(batcher_.walks() > walks ? "qplane.probe_walks" : "qplane.probes_coalesced")
-            .inc();
+        auto& fed = reg->fed();
+        (batcher_.walks() > walks ? fed.counter<"qplane.probe_walks">()
+                                  : fed.counter<"qplane.probes_coalesced">()).inc();
       }
     } else {
       owner_.scribe().probe_size(topic, std::move(on_info), pastry::Scope::Site);
@@ -652,7 +652,7 @@ void QueryInterface::receive(const pastry::NodeRef& from, pastry::AppMessage& ms
       // counted the site, decremented waiting_sites, and recorded these
       // same reservations — do NOT release them, just drop the copy.
       if (auto* reg = owner_.engine().metrics()) {
-        reg->fed().counter("query.dup_site_replies").inc();
+        reg->fed().counter<"query.dup_site_replies">().inc();
       }
       return;
     }

@@ -236,7 +236,7 @@ bool RBayNode::on_anycast(const scribe::TopicId& /*topic*/, scribe::AnycastPaylo
   auto* request = util::msg_as<CandidatePayload>(payload);
   if (request == nullptr) return false;
   auto* reg = engine().metrics();
-  if (reg != nullptr) reg->fed().counter("query.member_checks").inc();
+  if (reg != nullptr) reg->fed().counter<"query.member_checks">().inc();
   const auto& job = request->job;
   const auto want = static_cast<std::size_t>(job.k);
   if (request->found.size() >= want) return true;
@@ -253,14 +253,14 @@ bool RBayNode::on_anycast(const scribe::TopicId& /*topic*/, scribe::AnycastPaylo
   // query makes this node unavailable (the conflict the backoff handles).
   if (!lock_.try_reserve(job.query_id, engine().now(), job.hold, job.attempt, payload.walk)) {
     if (reg != nullptr) {
-      reg->fed().counter("query.conflicts").inc();
+      reg->fed().counter<"query.conflicts">().inc();
       reg->causal().local(site(), self().endpoint, "query.conflict", engine().now(),
                           static_cast<int>(obs::Phase::kSlotFill));
     }
     return false;
   }
   if (reg != nullptr) {
-    reg->fed().counter("query.slots_filled").inc();
+    reg->fed().counter<"query.slots_filled">().inc();
     // Causal point for step 4b; the hop-attribution test cross-checks its
     // count against the SlotFill span's hops.
     reg->causal().local(site(), self().endpoint, "query.slot_fill", engine().now(),

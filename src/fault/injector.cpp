@@ -97,7 +97,7 @@ void FaultInjector::crash(std::size_t node_index) {
   }
   overlay.fail_node(node_index);
   ++stats_.crashes;
-  if (auto* m = cluster_.metrics()) m->fed().counter("fault.crashes").inc();
+  if (auto* m = cluster_.metrics()) m->fed().counter<"fault.crashes">().inc();
   note("crash node " + std::to_string(node_index) + " (" +
        overlay.ref(node_index).id.to_hex().substr(0, 8) + ")");
 }
@@ -113,7 +113,7 @@ void FaultInjector::recover(std::size_t node_index) {
   // the node-restart path, not a fresh node.
   cluster_.node(node_index).reevaluate_subscriptions();
   ++stats_.recoveries;
-  if (auto* m = cluster_.metrics()) m->fed().counter("fault.recoveries").inc();
+  if (auto* m = cluster_.metrics()) m->fed().counter<"fault.recoveries">().inc();
   note("recover node " + std::to_string(node_index));
 }
 
@@ -171,7 +171,7 @@ void FaultInjector::apply(const FaultAction& a) {
       network.set_partitioned(sa, sb, on);
       (on ? stats_.partitions : stats_.heals) += 1;
       if (auto* m = cluster_.metrics()) {
-        m->fed().counter(on ? "fault.partitions" : "fault.heals").inc();
+        (on ? m->fed().counter<"fault.partitions">() : m->fed().counter<"fault.heals">()).inc();
       }
       note(std::string(on ? "partition " : "heal ") + a.site_a + " <-> " + a.site_b);
       break;
@@ -222,7 +222,7 @@ void FaultInjector::apply(const FaultAction& a) {
         }
       }
       ++stats_.weather;
-      if (auto* m = cluster_.metrics()) m->fed().counter("fault.weather").inc();
+      if (auto* m = cluster_.metrics()) m->fed().counter<"fault.weather">().inc();
       // The applied log carries the full directive so a diffed transcript
       // (and the model oracle) sees exactly the weather the sim saw.
       const auto text = describe(a);

@@ -132,8 +132,8 @@ void Watchdog::open_episode(const Violation& violation, util::SimTime at) {
   // metrics, keeping the snapshot identical to an unwatched run.
   if (obs::Registry* reg = cluster_.metrics()) {
     obs::Scope& fed = reg->fed();
-    fed.counter("watchdog.violations_opened").inc();
-    fed.gauge("watchdog.violations_open").set(static_cast<std::int64_t>(open_count_));
+    fed.counter<"watchdog.violations_opened">().inc();
+    fed.gauge<"watchdog.violations_open">().set(static_cast<std::int64_t>(open_count_));
     const std::string what = "watchdog.open:" + violation.invariant;
     reg->causal().local(/*site=*/0, /*endpoint=*/0, what.c_str(), at);
   }
@@ -147,9 +147,9 @@ void Watchdog::close_episode(Episode& episode, util::SimTime at) {
 
   if (obs::Registry* reg = cluster_.metrics()) {
     obs::Scope& fed = reg->fed();
-    fed.counter("watchdog.violations_closed").inc();
-    fed.gauge("watchdog.violations_open").set(static_cast<std::int64_t>(open_count_));
-    fed.latency("watchdog.time_to_heal").add(episode.closed - episode.opened);
+    fed.counter<"watchdog.violations_closed">().inc();
+    fed.gauge<"watchdog.violations_open">().set(static_cast<std::int64_t>(open_count_));
+    fed.latency<"watchdog.time_to_heal">().add(episode.closed - episode.opened);
     const std::string what = "watchdog.close:" + episode.invariant;
     reg->causal().local(/*site=*/0, /*endpoint=*/0, what.c_str(), at);
   }

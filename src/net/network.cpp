@@ -12,11 +12,21 @@ Network::Network(sim::Engine& engine, Topology topology)
   slot_stats_.assign(sites + 1, NetworkStats{});
   update_lookahead();
   engine_.on_run_start([this] {
-    // Neither the metric-cache refresh nor a flight-ring grow may happen
-    // mid-window (both move memory other shards read), so both are done
-    // here, with the workers guaranteed parked.
-    if (metrics_.registry != engine_.metrics()) refresh_metrics();
-    if (metrics_.causal != nullptr) metrics_.causal->reserve_rings(endpoints_.size());
+    auto* registry = engine_.metrics();
+    if (registry == nullptr) return;
+    // The traffic metrics appear from the first run, whatever it sends.
+    auto& fed = registry->fed();
+    fed.counter<"net.messages_sent">();
+    fed.counter<"net.messages_delivered">();
+    fed.counter<"net.messages_dropped">();
+    fed.counter<"net.bytes_sent">();
+    fed.latency<"net.delivery_delay">();
+    for (SiteId s = 0; s < topology_.site_count(); ++s) {
+      registry->site(s).counter<"net.messages_sent">();
+      registry->site(s).counter<"net.bytes_sent">();
+    }
+    // Workers are parked: growing the rings cannot move memory they read.
+    registry->causal().reserve_rings(endpoints_.size());
   });
 }
 
@@ -80,30 +90,13 @@ void Network::set_partitioned(SiteId a, SiteId b, bool on) {
   }
 }
 
-void Network::refresh_metrics() {
-  auto* registry = engine_.metrics();
-  metrics_ = MetricsCache{};
-  metrics_.registry = registry;
-  if (registry == nullptr) return;
-  auto& fed = registry->fed();
-  metrics_.sent = &fed.counter("net.messages_sent");
-  metrics_.delivered = &fed.counter("net.messages_delivered");
-  metrics_.dropped = &fed.counter("net.messages_dropped");
-  metrics_.bytes = &fed.counter("net.bytes_sent");
-  metrics_.delay = &fed.latency("net.delivery_delay");
-  metrics_.causal = &registry->causal();
-  for (SiteId s = 0; s < topology_.site_count(); ++s) {
-    metrics_.site_sent.push_back(&registry->site(s).counter("net.messages_sent"));
-    metrics_.site_bytes.push_back(&registry->site(s).counter("net.bytes_sent"));
-  }
-}
-
 void Network::send(EndpointId from, EndpointId to, std::unique_ptr<Payload> payload) {
   RBAY_REQUIRE(from < endpoints_.size(), "Network::send: unknown sender");
   RBAY_REQUIRE(to < endpoints_.size(), "Network::send: unknown receiver");
   RBAY_REQUIRE(payload != nullptr, "Network::send: payload required");
 
-  if (metrics_.registry != engine_.metrics()) refresh_metrics();
+  auto* registry = engine_.metrics();
+  obs::CausalLog* causal = registry == nullptr ? nullptr : &registry->causal();
 
   auto& src = endpoints_[from];
   NetworkStats& stats = live_stats();
@@ -112,10 +105,9 @@ void Network::send(EndpointId from, EndpointId to, std::unique_ptr<Payload> payl
     // A dead node does not speak: its timers may still fire in the
     // simulation, but nothing leaves the machine.
     ++stats.messages_dropped;
-    if (metrics_.dropped != nullptr) metrics_.dropped->inc();
-    if (metrics_.causal != nullptr) {
-      metrics_.causal->on_drop(metrics_.causal->current(), sa, from, payload->type_name(),
-                               engine_.now());
+    if (registry != nullptr) {
+      registry->fed().counter<"net.messages_dropped">().inc();
+      causal->on_drop(causal->current(), sa, from, payload->type_name(), engine_.now());
     }
     return;
   }
@@ -126,42 +118,42 @@ void Network::send(EndpointId from, EndpointId to, std::unique_ptr<Payload> payl
   src.stats.bytes_sent += size;
 
   const SiteId sb = endpoints_[to].site;
-  if (metrics_.sent != nullptr) {
-    metrics_.sent->inc();
-    metrics_.bytes->inc(size);
-    metrics_.site_sent[sa]->inc();
-    metrics_.site_bytes[sa]->inc(size);
-  }
   // Stamp the causal identity: a fresh span whose parent is whatever
   // context is ambient right now (the delivery that triggered this send).
   obs::TraceContext trace;
-  if (metrics_.causal != nullptr) {
-    trace = metrics_.causal->on_send(sa, from, payload->type_name(), engine_.now());
+  if (registry != nullptr) {
+    auto& fed = registry->fed();
+    fed.counter<"net.messages_sent">().inc();
+    fed.counter<"net.bytes_sent">().inc(size);
+    auto& site = registry->site(sa);
+    site.counter<"net.messages_sent">().inc();
+    site.counter<"net.bytes_sent">().inc(size);
+    trace = causal->on_send(sa, from, payload->type_name(), engine_.now());
   }
   if (partitioned(sa, sb) || (drop_probability_ > 0.0 && engine_.rng().chance(drop_probability_))) {
     ++stats.messages_dropped;
-    if (metrics_.dropped != nullptr) metrics_.dropped->inc();
-    if (metrics_.causal != nullptr) {
-      metrics_.causal->on_drop(trace, sa, from, payload->type_name(), engine_.now());
+    if (registry != nullptr) {
+      registry->fed().counter<"net.messages_dropped">().inc();
+      causal->on_drop(trace, sa, from, payload->type_name(), engine_.now());
     }
     return;
   }
 
   // Link weather.  decide() draws from the engine RNG only for links that
   // actually have weather, so an unarmed conditioner leaves the RNG
-  // sequence — and therefore same-seed snapshots — untouched.
+  // sequence — and therefore same-seed snapshots — untouched.  The weather
+  // counters appear on the first event of their kind, so a run that never
+  // arms the conditioner has none of them.
   WeatherDecision weather;
   if (conditioner_.armed()) {
     weather = conditioner_.decide(sa, sb, engine_.rng());
     if (weather.drop) {
       ++stats.messages_dropped;
       ++stats.weather_dropped;
-      if (metrics_.dropped != nullptr) metrics_.dropped->inc();
-      if (metrics_.registry != nullptr) {
-        lazy_counter(metrics_.weather_drops, "net.weather_drops").inc();
-      }
-      if (metrics_.causal != nullptr) {
-        metrics_.causal->on_drop(trace, sa, from, payload->type_name(), engine_.now());
+      if (registry != nullptr) {
+        registry->fed().counter<"net.messages_dropped">().inc();
+        registry->fed().counter<"net.weather_drops">().inc();
+        causal->on_drop(trace, sa, from, payload->type_name(), engine_.now());
       }
       return;
     }
@@ -187,9 +179,7 @@ void Network::send(EndpointId from, EndpointId to, std::unique_ptr<Payload> payl
   const util::SimTime delay = jittered(base) + weather.hold;
   if (weather.hold > util::SimTime::zero()) {
     ++stats.reordered;
-    if (metrics_.registry != nullptr) {
-      lazy_counter(metrics_.reordered, "net.reordered").inc();
-    }
+    if (registry != nullptr) registry->fed().counter<"net.reordered">().inc();
   }
 
   if (weather.duplicate) {
@@ -201,10 +191,10 @@ void Network::send(EndpointId from, EndpointId to, std::unique_ptr<Payload> payl
       const util::SimTime dup_delay = jittered(base) + weather.dup_hold;
       ++stats.duplicated;
       if (weather.dup_hold > util::SimTime::zero()) ++stats.reordered;
-      if (metrics_.registry != nullptr) {
-        lazy_counter(metrics_.duplicates, "net.duplicates").inc();
+      if (registry != nullptr) {
+        registry->fed().counter<"net.duplicates">().inc();
         if (weather.dup_hold > util::SimTime::zero()) {
-          lazy_counter(metrics_.reordered, "net.reordered").inc();
+          registry->fed().counter<"net.reordered">().inc();
         }
       }
       schedule_delivery(from, to, std::move(copy), size, dup_delay, trace);
@@ -219,29 +209,29 @@ void Network::schedule_delivery(EndpointId from, EndpointId to, std::unique_ptr<
   auto deliver = [this, from, to, payload = std::move(payload), size, delay,
                   trace]() mutable {
     auto& dst = endpoints_[to];
+    auto* registry = engine_.metrics();
+    obs::CausalLog* causal = registry == nullptr ? nullptr : &registry->causal();
     if (dst.down) {
       ++live_stats().messages_dropped;
-      if (metrics_.dropped != nullptr) metrics_.dropped->inc();
-      if (metrics_.causal != nullptr) {
-        metrics_.causal->on_drop(trace, dst.site, to, payload->type_name(), engine_.now());
+      if (registry != nullptr) {
+        registry->fed().counter<"net.messages_dropped">().inc();
+        causal->on_drop(trace, dst.site, to, payload->type_name(), engine_.now());
       }
       return;
     }
     ++live_stats().messages_delivered;
     ++dst.stats.received;
     dst.stats.bytes_received += size;
-    if (metrics_.delivered != nullptr) {
-      metrics_.delivered->inc();
-      metrics_.delay->add(delay);
-    }
-    if (metrics_.causal != nullptr) {
-      metrics_.causal->on_recv(trace, dst.site, to, payload->type_name(), engine_.now());
+    if (registry != nullptr) {
+      registry->fed().counter<"net.messages_delivered">().inc();
+      registry->fed().latency<"net.delivery_delay">().add(delay);
+      causal->on_recv(trace, dst.site, to, payload->type_name(), engine_.now());
     }
     // Re-establish the message's context around the handler: every send or
     // recorded local op the handler performs becomes a child span of this
     // message.  That one rule propagates causality through pastry, scribe,
     // and the query protocol without any per-protocol plumbing.
-    obs::ContextScope scope(metrics_.causal, trace);
+    obs::ContextScope scope(causal, trace);
     dst.handler(Envelope{from, to, std::move(payload), trace});
   };
   // The closure owns the payload and is stored inline in its event node.
@@ -251,11 +241,6 @@ void Network::schedule_delivery(EndpointId from, EndpointId to, std::unique_ptr<
   // satisfy the lookahead contract by construction — see
   // update_lookahead().
   engine_.schedule_on(engine_.shard_for_site(endpoints_[to].site), delay, std::move(deliver));
-}
-
-obs::Counter& Network::lazy_counter(obs::Counter*& slot, const char* name) {
-  if (slot == nullptr) slot = &metrics_.registry->fed().counter(name);
-  return *slot;
 }
 
 void Network::reset_stats() {

@@ -87,8 +87,8 @@ class Network {
   /// Construction also fixes the engine's shard topology (one shard per
   /// site), computes the conservative cross-shard lookahead from
   /// the minimum cross-site one-way delay, and registers a run-start hook
-  /// that refreshes metric caches and pre-sizes the causal flight rings —
-  /// none of which may happen mid-window.
+  /// that declares the traffic metrics and pre-sizes the causal flight
+  /// rings, which may not grow mid-window.
   Network(sim::Engine& engine, Topology topology);
 
   Network(const Network&) = delete;
@@ -159,30 +159,6 @@ class Network {
 
   [[nodiscard]] bool partitioned(SiteId a, SiteId b) const;
 
-  /// Cached handles into the engine's registry: send() is the hottest path
-  /// in the simulator, so per-message map lookups are unacceptable.  The
-  /// cache is invalidated by pointer comparison whenever the attached
-  /// registry changes (including attach-after-construction).
-  struct MetricsCache {
-    obs::Registry* registry = nullptr;
-    obs::Counter* sent = nullptr;
-    obs::Counter* delivered = nullptr;
-    obs::Counter* dropped = nullptr;
-    obs::Counter* bytes = nullptr;
-    obs::LatencyHisto* delay = nullptr;
-    obs::CausalLog* causal = nullptr;
-    std::vector<obs::Counter*> site_sent;
-    std::vector<obs::Counter*> site_bytes;
-    // Weather counters register lazily, on the first event of each kind:
-    // a run that never arms the conditioner keeps its registry snapshot
-    // byte-identical to one built before the conditioner existed.
-    obs::Counter* weather_drops = nullptr;
-    obs::Counter* duplicates = nullptr;
-    obs::Counter* reordered = nullptr;
-  };
-  void refresh_metrics();
-  obs::Counter& lazy_counter(obs::Counter*& slot, const char* name);
-
   /// Schedules one delivery after `delay` onto the destination endpoint's
   /// site shard.
   void schedule_delivery(EndpointId from, EndpointId to, std::unique_ptr<Payload> payload,
@@ -203,7 +179,6 @@ class Network {
   LinkConditioner conditioner_;
   std::vector<NetworkStats> slot_stats_;
   mutable NetworkStats merged_stats_;
-  MetricsCache metrics_;
 };
 
 }  // namespace rbay::net

@@ -251,12 +251,6 @@ std::uint64_t CausalLog::flight_overwrites() const {
   return n;
 }
 
-void CausalLog::bind_counters(Counter* events, Counter* dropped, Counter* flight_overwrites) {
-  events_counter_ = events;
-  dropped_counter_ = dropped;
-  overwrites_counter_ = flight_overwrites;
-}
-
 void CausalLog::record(CausalEvent ev) {
   SlotState& s = slot();
   ev.slot = static_cast<std::uint8_t>(&s - slots_.data());
@@ -269,7 +263,7 @@ void CausalLog::record(CausalEvent ev) {
       ring.slots[ring.next] = ev;
       ring.next = (ring.next + 1) % flight_capacity_;
       ++s.flight_overwrites;
-      if (overwrites_counter_ != nullptr) overwrites_counter_->inc();
+      if (metrics_ != nullptr) metrics_->counter<"trace.flight_overwrites">().inc();
     } else {
       ring.slots.push_back(ev);
       ring.next = ring.slots.size() % flight_capacity_;
@@ -279,12 +273,12 @@ void CausalLog::record(CausalEvent ev) {
   if (ev.trace_id == 0) return;
   if (s.events.size() >= kMaxEvents / slots_.size()) {
     ++s.dropped;
-    if (dropped_counter_ != nullptr) dropped_counter_->inc();
+    if (metrics_ != nullptr) metrics_->counter<"trace.dropped">().inc();
     traces_.with(ev.trace_id, [](TraceMeta& meta) { meta.complete = false; });
     return;
   }
   s.events.push_back(std::move(ev));
-  if (events_counter_ != nullptr) events_counter_->inc();
+  if (metrics_ != nullptr) metrics_->counter<"trace.events">().inc();
 }
 
 }  // namespace rbay::obs

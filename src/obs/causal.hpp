@@ -54,7 +54,7 @@
 
 namespace rbay::obs {
 
-class Counter;
+class Scope;
 
 enum class CausalKind : std::uint8_t {
   kSend = 0,   // message handed to the network at the sender
@@ -107,6 +107,10 @@ class CausalLog {
   static constexpr std::size_t kMaxEvents = std::size_t{1} << 18;
   static constexpr std::size_t kMaxTraces = 4096;
   static constexpr std::size_t kDefaultFlightCapacity = 64;
+
+  /// `metrics` receives the trace.events / trace.dropped /
+  /// trace.flight_overwrites counts; a standalone log passes none.
+  explicit CausalLog(Scope* metrics = nullptr) : metrics_(metrics) {}
 
   // --- sharding ----------------------------------------------------------
   /// Declares the execution-slot count (site shards + control).  Called by
@@ -185,11 +189,6 @@ class CausalLog {
   /// Flight-ring wraps: routine, and unrelated to trace completeness.
   [[nodiscard]] std::uint64_t flight_overwrites() const;
 
-  /// Binds the trace.events / trace.dropped / trace.flight_overwrites
-  /// counters.  The Registry calls this lazily from its causal() accessor
-  /// so a registry that never traces never grows the counters.
-  void bind_counters(Counter* events, Counter* dropped, Counter* flight_overwrites);
-
  private:
   struct FlightRing {
     std::vector<CausalEvent> slots;  // insertion order wraps at capacity
@@ -236,9 +235,7 @@ class CausalLog {
   std::atomic<std::size_t> trace_count_{0};
   std::vector<FlightRing> rings_;  // indexed by endpoint; pre-sized
   std::size_t flight_capacity_ = kDefaultFlightCapacity;
-  Counter* events_counter_ = nullptr;
-  Counter* dropped_counter_ = nullptr;
-  Counter* overwrites_counter_ = nullptr;
+  Scope* metrics_;
   /// Merged-events cache, rebuilt when the per-slot totals change.
   mutable std::vector<CausalEvent> merged_;
   mutable std::size_t merged_from_ = 0;

@@ -12,8 +12,11 @@
 //   * to_json() emits integers only (counts, microseconds) — no
 //     floating-point formatting;
 //   * "disabled" means no Registry is attached to the engine: instrumented
-//     code guards on a null pointer and pays nothing else.  std::map node
-//     stability lets hot paths cache Counter*/Gauge* handles across calls.
+//     code guards on a null pointer and pays nothing else.
+//
+// One way to write a metric: a string-literal key at the call site,
+// `fed.counter<"net.messages_sent">().inc()`, interned to a dense id once
+// and found lock-free by every Scope, so no writer keeps handles.
 //
 // Sharded-engine rules (docs/PARALLEL_ENGINE.md).  Metric writes arrive
 // concurrently from per-site shards, so every instrument is
@@ -25,18 +28,23 @@
 //     write with the lexicographically greatest (sim-time, slot) stamp —
 //     a pure function of the deterministic per-shard event sequences, so
 //     Registry::to_json() is byte-identical at any worker-thread count.
-//   * Scope/Registry lookup maps take a mutex (lookups that create);
-//     cached handles keep hot paths lock-free.  Ordered iteration and
-//     to_json() are snapshot-time operations: they run at barriers or
-//     after the run, when no shard is writing.
+//   * A key lookup that creates takes the scope's mutex (shards may
+//     first-touch a metric mid-window); one that finds is lock-free.
+//     Ordered iteration and to_json() are snapshot-time operations: they
+//     run at barriers or after the run, when no shard is writing.
 // An engine without a Network never leaves slot 0, so every structure
 // stays in its slot-0 cell.
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 #include "obs/causal.hpp"
 #include "obs/exec_slot.hpp"
@@ -104,10 +112,6 @@ class Gauge {
     if (v > c.max) c.max = v;
     c.stamp_us = exec_slot().time_us;
     c.written = true;
-  }
-  void add(std::int64_t delta) {
-    Cell& c = detail::slot_cell(cell0_, extra_);
-    set(c.value + delta);
   }
   [[nodiscard]] std::int64_t value() const {
     std::int64_t best = 0;
@@ -200,46 +204,107 @@ class LatencyHisto {
   std::atomic<detail::CellBlock<Cell>*> extra_{nullptr};
 };
 
-/// A namespace of metrics.  Lookup creates on first use; references stay
-/// valid for the registry's lifetime (std::map node stability).  Creating
-/// lookups lock a mutex (shards may first-touch a metric mid-window);
-/// ordered iteration is snapshot-time only.
+/// A metric name interned (under a process-wide lock) to a dense id.
+class MetricKey {
+ public:
+  explicit MetricKey(std::string_view name);
+  [[nodiscard]] std::uint32_t id() const { return id_; }
+  [[nodiscard]] const std::string& name() const { return *name_; }
+
+ private:
+  std::uint32_t id_;
+  const std::string* name_;  // the interned copy: stable for the process
+};
+
+/// A string literal usable as a template argument: `counter<"sim.events">()`.
+template <std::size_t N>
+struct MetricName {
+  char chars[N];
+  consteval MetricName(const char (&s)[N]) { std::copy_n(s, N, chars); }  // NOLINT: implicit
+};
+
+namespace detail {
+
+/// The key of a call site, interned on the site's first run.
+template <MetricName N>
+const MetricKey& key_of() {
+  static const MetricKey key{std::string_view(N.chars, sizeof(N.chars) - 1)};
+  return key;
+}
+
+/// Dense id -> T* table, read lock-free; writers hold the owner's mutex.
+template <typename T>
+class IdIndex {
+ public:
+  /// The item under `id`, made by `make()` under `mu` on first use (`make`
+  /// must return the same item if two threads race to it).
+  template <typename Make>
+  T& get(std::uint32_t id, std::mutex& mu, Make&& make) {
+    const Table* seen = table_.load(std::memory_order_acquire);
+    if (seen != nullptr && id < seen->size) {
+      if (T* found = seen->slots[id].load(std::memory_order_acquire)) return *found;
+    }
+    std::lock_guard<std::mutex> lk(mu);
+    Table* t = owner_.get();
+    if (t == nullptr || id >= t->size) {  // grow: the copy owns the table readers may hold
+      auto grown = std::make_unique<Table>(std::max<std::size_t>(8, std::bit_ceil(id + 1UL)));
+      for (std::size_t i = 0; t != nullptr && i < t->size; ++i) {
+        grown->slots[i].store(t->slots[i].load());
+      }
+      grown->older = std::move(owner_);
+      owner_ = std::move(grown);
+      t = owner_.get();
+      table_.store(t, std::memory_order_release);
+    }
+    T& item = make();
+    t->slots[id].store(&item, std::memory_order_release);
+    return item;
+  }
+
+ private:
+  struct Table {
+    explicit Table(std::size_t n) : size(n), slots(new std::atomic<T*>[n]()) {}
+    std::size_t size;
+    std::unique_ptr<std::atomic<T*>[]> slots;
+    std::unique_ptr<Table> older;
+  };
+  std::unique_ptr<Table> owner_;
+  std::atomic<Table*> table_{nullptr};
+};
+
+}  // namespace detail
+
+/// A namespace of metrics.  A key lookup creates on first use; references
+/// stay valid for the registry's lifetime (std::map node stability).
+/// Ordered iteration is snapshot-time only.
 class Scope {
  public:
   Scope() = default;
   Scope(const Scope&) = delete;
   Scope& operator=(const Scope&) = delete;
 
-  Counter& counter(const std::string& name) {
-    std::lock_guard<std::mutex> lk(mu_);
-    return counters_[name];
-  }
-  Gauge& gauge(const std::string& name) {
-    std::lock_guard<std::mutex> lk(mu_);
-    return gauges_[name];
-  }
-  LatencyHisto& latency(const std::string& name) {
-    std::lock_guard<std::mutex> lk(mu_);
-    return latencies_[name];
-  }
+  /// The only creating lookups: by key, or by a call-site literal key.
+  Counter& counter(const MetricKey& key) { return lookup(counters_, counter_ids_, key); }
+  Gauge& gauge(const MetricKey& key) { return lookup(gauges_, gauge_ids_, key); }
+  LatencyHisto& latency(const MetricKey& key) { return lookup(latencies_, latency_ids_, key); }
+  template <MetricName Name>
+  Counter& counter() { return counter(detail::key_of<Name>()); }
+  template <MetricName Name>
+  Gauge& gauge() { return gauge(detail::key_of<Name>()); }
+  template <MetricName Name>
+  LatencyHisto& latency() { return latency(detail::key_of<Name>()); }
 
   /// Read-only lookup that never creates (the time-series sampler and the
   /// scenario `expect metric` directive must observe without perturbing
   /// the snapshot).  Returns nullptr when the metric does not exist.
   [[nodiscard]] const Counter* find_counter(const std::string& name) const {
-    std::lock_guard<std::mutex> lk(mu_);
-    const auto it = counters_.find(name);
-    return it == counters_.end() ? nullptr : &it->second;
+    return find(counters_, name);
   }
   [[nodiscard]] const Gauge* find_gauge(const std::string& name) const {
-    std::lock_guard<std::mutex> lk(mu_);
-    const auto it = gauges_.find(name);
-    return it == gauges_.end() ? nullptr : &it->second;
+    return find(gauges_, name);
   }
   [[nodiscard]] const LatencyHisto* find_latency(const std::string& name) const {
-    std::lock_guard<std::mutex> lk(mu_);
-    const auto it = latencies_.find(name);
-    return it == latencies_.end() ? nullptr : &it->second;
+    return find(latencies_, name);
   }
 
   /// Ordered read-only iteration (the time-series sampler walks these).
@@ -258,10 +323,24 @@ class Scope {
   void write_json(std::string& out) const;
 
  private:
+  template <typename T>
+  T& lookup(std::map<std::string, T>& by_name, detail::IdIndex<T>& by_id, const MetricKey& key) {
+    return by_id.get(key.id(), mu_, [&]() -> T& { return by_name[key.name()]; });
+  }
+  template <typename T>
+  const T* find(const std::map<std::string, T>& by_name, const std::string& name) const {
+    std::lock_guard<std::mutex> lk(mu_);
+    const auto it = by_name.find(name);
+    return it == by_name.end() ? nullptr : &it->second;
+  }
+
   mutable std::mutex mu_;
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, LatencyHisto> latencies_;
+  detail::IdIndex<Counter> counter_ids_;
+  detail::IdIndex<Gauge> gauge_ids_;
+  detail::IdIndex<LatencyHisto> latency_ids_;
 };
 
 /// The root of the observability tree: federation scope, per-site scopes
@@ -275,9 +354,9 @@ class Registry {
   Registry& operator=(const Registry&) = delete;
 
   Scope& fed() { return fed_; }
+  /// Site scopes are found lock-free once created, like keyed metrics.
   Scope& site(std::uint32_t site_id) {
-    std::lock_guard<std::mutex> lk(mu_);
-    return sites_[site_id];
+    return site_ids_.get(site_id, mu_, [&]() -> Scope& { return sites_[site_id]; });
   }
   Scope& node(const std::string& node_key) {
     std::lock_guard<std::mutex> lk(mu_);
@@ -287,16 +366,12 @@ class Registry {
   /// Read-only view of the per-site scopes (never creates; snapshot-time).
   [[nodiscard]] const std::map<std::uint32_t, Scope>& sites() const { return sites_; }
 
-  /// Causal tracing log.  The mutable accessor lazily binds the trace.*
-  /// counters into the federation scope, so a registry whose causal log is
-  /// never touched keeps a counter-free snapshot.
+  /// Causal tracing log.  The mutable accessor makes the trace.* counters
+  /// appear: a registry that never traces keeps a counter-free snapshot.
   CausalLog& causal() {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (!causal_bound_) {
-      causal_.bind_counters(&fed_.counter("trace.events"), &fed_.counter("trace.dropped"),
-                            &fed_.counter("trace.flight_overwrites"));
-      causal_bound_ = true;
-    }
+    fed_.counter<"trace.events">();
+    fed_.counter<"trace.dropped">();
+    fed_.counter<"trace.flight_overwrites">();
     return causal_;
   }
   [[nodiscard]] const CausalLog& causal_log() const { return causal_; }
@@ -315,9 +390,9 @@ class Registry {
   mutable std::mutex mu_;
   Scope fed_;
   std::map<std::uint32_t, Scope> sites_;
+  detail::IdIndex<Scope> site_ids_;
   std::map<std::string, Scope> nodes_;
-  CausalLog causal_;
-  bool causal_bound_ = false;
+  CausalLog causal_{&fed_};
 };
 
 }  // namespace rbay::obs

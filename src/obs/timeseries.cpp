@@ -130,8 +130,8 @@ void TimeSeries::transition(RuleState& state, bool open, util::SimTime at) {
   // on an alert transition, so an alert-free run keeps its snapshot
   // byte-identical to an unsampled one.
   Scope& fed = registry_.fed();
-  fed.counter(open ? "obs.alerts.opened" : "obs.alerts.closed").inc();
-  fed.gauge("obs.alerts.open").set(static_cast<std::int64_t>(open_alerts_));
+  (open ? fed.counter<"obs.alerts.opened">() : fed.counter<"obs.alerts.closed">()).inc();
+  fed.gauge<"obs.alerts.open">().set(static_cast<std::int64_t>(open_alerts_));
   const std::string what = std::string(open ? "alert.open:" : "alert.close:") + state.rule.name;
   registry_.causal().local(/*site=*/0, /*endpoint=*/0, what.c_str(), at);
 }

@@ -54,11 +54,10 @@ const std::string& app_name(AppId id) {
   return table.names[i];
 }
 
-PastryNode::PastryNode(net::Network& network, const NodeTable& nodes, SharedMetrics& metrics,
-                       NodeIndex index, net::SiteId site, std::string_view ip)
+PastryNode::PastryNode(net::Network& network, const NodeTable& nodes, NodeIndex index,
+                       net::SiteId site, std::string_view ip)
     : network_(network),
       nodes_(nodes),
-      metrics_(metrics),
       self_{node_id_from_ip(ip),
             network.add_endpoint(site, [this](net::Envelope env) { on_envelope(std::move(env)); }),
             site},
@@ -67,27 +66,20 @@ PastryNode::PastryNode(net::Network& network, const NodeTable& nodes, SharedMetr
       site_leaves_(nodes, index),
       site_table_(nodes, index) {}
 
-void SharedMetrics::refresh(obs::Registry* attached) {
-  const auto next = generation + 1;
-  *this = SharedMetrics{};
-  generation = next;
-  registry = attached;
-  if (attached == nullptr) return;
-  auto& fed = attached->fed();
-  routes = &fed.counter("pastry.routes");
-  forwards = &fed.counter("pastry.forwards");
-  delivers = &fed.counter("pastry.delivers");
-  joins = &fed.counter("pastry.joins");
-  repairs = &fed.counter("pastry.leaf_repairs");
-  delivery_hops = &fed.latency("pastry.delivery_hops");
-  causal = &attached->causal();
-}
-
-void PastryNode::refresh_node_metrics() {
-  metrics_generation_ = metrics_.generation;
-  node_forwards_ = metrics_.registry == nullptr
-                       ? nullptr
-                       : &metrics_.registry->node(self_.id.to_hex()).counter("pastry.forwards");
+void PastryNode::bind_metrics(obs::Registry* registry) {
+  forwards_registry_ = registry;  // node_forwards_ is only read under a registry
+  if (registry == nullptr) return;
+  // The pastry.* metrics appear with any node's first write, and a node's
+  // own forwards counter with its first.
+  auto& fed = registry->fed();
+  fed.counter<"pastry.routes">();
+  fed.counter<"pastry.forwards">();
+  fed.counter<"pastry.delivers">();
+  fed.counter<"pastry.joins">();
+  fed.counter<"pastry.leaf_repairs">();
+  fed.latency<"pastry.delivery_hops">();
+  registry->causal();
+  node_forwards_ = &registry->node(self_.id.to_hex()).counter<"pastry.forwards">();
 }
 
 AppId PastryNode::register_app(const std::string& name, PastryApp* app) {
@@ -119,7 +111,7 @@ void PastryNode::learn(const NodeRef& other) {
 void PastryNode::forget(const NodeId& id) {
   const bool in_leaf_set = leaves_.contains(id) || site_leaves_.contains(id);
   if (in_leaf_set) {
-    if (auto* c = metric(&SharedMetrics::repairs)) c->inc();
+    if (auto* registry = metrics()) registry->fed().counter<"pastry.leaf_repairs">().inc();
   }
   leaves_.remove(id);
   table_.remove(id);
@@ -183,7 +175,7 @@ std::optional<NodeRef> PastryNode::next_hop(const NodeId& key, Scope scope) cons
 void PastryNode::route(const NodeId& key, std::unique_ptr<AppMessage> msg, AppId app,
                        Scope scope) {
   RBAY_REQUIRE(msg != nullptr, "route: message required");
-  if (auto* c = metric(&SharedMetrics::routes)) c->inc();
+  if (auto* registry = metrics()) registry->fed().counter<"pastry.routes">().inc();
   const auto hop = next_hop(key, scope);
   if (!hop) {
     deliver_local(key, app, *msg, 0);
@@ -217,13 +209,13 @@ void PastryNode::join(const NodeRef& bootstrap) {
 }
 
 void PastryNode::deliver_local(const NodeId& key, AppId app, AppMessage& msg, int hops) {
-  if (metric(&SharedMetrics::delivers) != nullptr) {
-    metrics_.delivers->inc();
-    metrics_.delivery_hops->add_us(hops);
+  if (auto* registry = metrics()) {
+    registry->fed().counter<"pastry.delivers">().inc();
+    registry->fed().latency<"pastry.delivery_hops">().add_us(hops);
     // One causal point per routed delivery: the hop-attribution test
     // cross-checks its count against the delivery_hops sample count.
-    metrics_.causal->local(network_.site_of(self_.endpoint), self_.endpoint, "pastry.deliver",
-                           network_.engine().now());
+    registry->causal().local(network_.site_of(self_.endpoint), self_.endpoint, "pastry.deliver",
+                             network_.engine().now());
   }
   if (auto* handler = find_app(app)) {
     handler->deliver(key, msg, hops);
@@ -239,8 +231,8 @@ void PastryNode::handle_route(std::unique_ptr<RouteEnvelope> env) {
     return;
   }
   ++forward_count_;
-  if (metric(&SharedMetrics::forwards) != nullptr) {
-    metrics_.forwards->inc();
+  if (auto* registry = metrics()) {
+    registry->fed().counter<"pastry.forwards">().inc();
     node_forwards_->inc();
   }
   if (auto* handler = find_app(env->app)) {
@@ -284,10 +276,10 @@ void PastryNode::handle_join_reply(const JoinReply& reply) {
   if (join_reply_seen_) {
     // Duplicated (or second-root) join reply: we already consumed one.
     // Running the loop again would re-announce to every collected node
-    // and re-count the join.  Cold path — no cache handle, register the
-    // suppression counter on demand.
+    // and re-count the join.  Only this counter appears: a duplicate does
+    // not bind the node's metrics.
     if (auto* reg = network_.engine().metrics()) {
-      reg->fed().counter("pastry.dup_join_replies").inc();
+      reg->fed().counter<"pastry.dup_join_replies">().inc();
     }
     return;
   }
@@ -300,7 +292,7 @@ void PastryNode::handle_join_reply(const JoinReply& reply) {
     network_.send(self_.endpoint, r.endpoint, std::move(ann));
   }
   joined_ = true;
-  if (auto* c = metric(&SharedMetrics::joins)) c->inc();
+  if (auto* registry = metrics()) registry->fed().counter<"pastry.joins">().inc();
 }
 
 void PastryNode::on_envelope(net::Envelope env) {

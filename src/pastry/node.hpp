@@ -53,36 +53,14 @@ class PastryApp {
   virtual void neighbor_failed(const NodeId& id) { (void)id; }
 };
 
-/// Registry handles every node of one overlay shares: the federation-wide
-/// pastry.* metrics are the same objects on every node, so the overlay
-/// keeps one copy.  Routing runs per message, so the lookups must not.
-/// The overlay refreshes it at the top of every engine run, before any
-/// worker reads it; setup code outside a run refreshes it lazily when the
-/// attached registry changed.
-struct SharedMetrics {
-  obs::Registry* registry = nullptr;
-  /// Bumped by every refresh, so nodes know to re-resolve their own
-  /// per-node handle.
-  std::uint32_t generation = 0;
-  obs::Counter* routes = nullptr;
-  obs::Counter* forwards = nullptr;
-  obs::Counter* delivers = nullptr;
-  obs::Counter* joins = nullptr;
-  obs::Counter* repairs = nullptr;
-  obs::LatencyHisto* delivery_hops = nullptr;  // values are hop counts
-  obs::CausalLog* causal = nullptr;
-
-  void refresh(obs::Registry* attached);
-};
-
 class PastryNode {
  public:
   /// Creates the node and registers its network endpoint.  NodeId is
   /// SHA-1(ip) as in the paper.  `index` is the slot the node will take in
   /// `nodes`, the overlay's node table; routing state stores indices into
-  /// it.  `metrics` is the overlay's shared handle cache.
-  PastryNode(net::Network& network, const NodeTable& nodes, SharedMetrics& metrics,
-             NodeIndex index, net::SiteId site, std::string_view ip);
+  /// it.
+  PastryNode(net::Network& network, const NodeTable& nodes, NodeIndex index, net::SiteId site,
+             std::string_view ip);
 
   PastryNode(const PastryNode&) = delete;
   PastryNode& operator=(const PastryNode&) = delete;
@@ -152,22 +130,22 @@ class PastryNode {
   [[nodiscard]] std::int64_t proximity_to(const NodeRef& other) const;
   [[nodiscard]] std::optional<NodeRef> rare_case_hop(const NodeId& key, Scope scope) const;
 
-  /// The shared handle `which`, or nullptr when no registry is attached.
-  /// Also resolves this node's own per-node counter after a refresh.
-  [[nodiscard]] obs::Counter* metric(obs::Counter* SharedMetrics::* which) {
-    if (metrics_.registry != network_.engine().metrics()) {
-      metrics_.refresh(network_.engine().metrics());
-    }
-    if (metrics_generation_ != metrics_.generation) refresh_node_metrics();
-    return metrics_.*which;
+  /// The attached registry, or nullptr.  The node's first call under a
+  /// registry binds its per-node forwards counter (bind_metrics).
+  [[nodiscard]] obs::Registry* metrics() {
+    auto* registry = network_.engine().metrics();
+    if (registry != forwards_registry_) bind_metrics(registry);
+    return registry;
   }
-  void refresh_node_metrics();
+  void bind_metrics(obs::Registry* registry);
 
   net::Network& network_;
   const NodeTable& nodes_;
-  SharedMetrics& metrics_;
   NodeRef self_;
-  obs::Counter* node_forwards_ = nullptr;  // per-node scope (Fig. 8b)
+  // This node's pastry.forwards in the per-node scope (Fig. 8b), and the
+  // registry it lives in.
+  obs::Registry* forwards_registry_ = nullptr;
+  obs::Counter* node_forwards_ = nullptr;
   LeafSet leaves_;
   RoutingTable table_;
   LeafSet site_leaves_;
@@ -178,9 +156,6 @@ class PastryNode {
   // learn() (e.g. a concurrent joiner's StateAnnounce) can set before our
   // own reply arrives — that must not suppress the real JoinReply.
   bool join_reply_seen_ = false;
-  // SharedMetrics::generation node_forwards_ was resolved under; fills
-  // the padding after the two flags.
-  std::uint32_t metrics_generation_ = 0;
   std::uint64_t forward_count_ = 0;
 };
 // Per-node memory on 100k-node overlays: keep the node record from

@@ -7,12 +7,7 @@
 namespace rbay::pastry {
 
 Overlay::Overlay(sim::Engine& engine, net::Topology topology)
-    : engine_(engine), network_(engine, std::move(topology)) {
-  // Workers only read the shared handles: refresh them before any exists.
-  engine_.on_run_start([this] {
-    if (metrics_.registry != engine_.metrics()) metrics_.refresh(engine_.metrics());
-  });
-}
+    : engine_(engine), network_(engine, std::move(topology)) {}
 
 PastryNode& Overlay::create_node(net::SiteId site) {
   RBAY_REQUIRE(!engine_.running(), "Overlay::create_node: the node table is read-only during runs");
@@ -21,8 +16,8 @@ PastryNode& Overlay::create_node(net::SiteId site) {
   // NodeId = SHA-1(IP) derivation.
   const std::string ip = "10." + std::to_string(site) + "." + std::to_string(i / 250) + "." +
                          std::to_string(i % 250) + ":" + std::to_string(i);
-  auto node = std::make_unique<PastryNode>(network_, node_table_, metrics_,
-                                           static_cast<NodeIndex>(i), site, ip);
+  auto node =
+      std::make_unique<PastryNode>(network_, node_table_, static_cast<NodeIndex>(i), site, ip);
   RBAY_REQUIRE(by_id_.emplace(node->self().id, i).second,
                "Overlay::create_node: NodeId collision");
   node_table_.add(node->self());

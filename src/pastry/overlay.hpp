@@ -79,7 +79,6 @@ class Overlay {
   sim::Engine& engine_;
   net::Network network_;
   NodeTable node_table_;
-  SharedMetrics metrics_;
   std::vector<std::unique_ptr<PastryNode>> nodes_;
   std::vector<bool> failed_;
   std::unordered_map<NodeId, std::size_t, util::U128Hash> by_id_;

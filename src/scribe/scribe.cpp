@@ -22,9 +22,7 @@ constexpr int kRootReplicas = 2;
 constexpr std::int64_t kRefreshRounds = 8;
 
 /// Federation scope of the engine-attached registry, or nullptr when
-/// observability is off.  Scribe operations are per-query / per-round (not
-/// per-message), so a map lookup at the call site is affordable and no
-/// handle cache is needed.
+/// observability is off.
 obs::Scope* fed_metrics(pastry::PastryNode& node) {
   auto* registry = node.network().engine().metrics();
   return registry == nullptr ? nullptr : &registry->fed();
@@ -199,7 +197,7 @@ void Scribe::send_leave(const NodeRef& to, const TopicId& topic, std::uint32_t e
 void Scribe::subscribe(const TopicId& topic, TopicMember* member,
                        std::function<void()> on_joined, pastry::Scope scope) {
   RBAY_REQUIRE(member != nullptr, "Scribe::subscribe: member handler required");
-  if (auto* m = fed_metrics(node_)) m->counter("scribe.subscribes").inc();
+  if (auto* m = fed_metrics(node_)) m->counter<"scribe.subscribes">().inc();
   auto& st = topic_state(topic);
   st.handler = member;
   st.scope = scope;
@@ -220,7 +218,7 @@ void Scribe::subscribe(const TopicId& topic, TopicMember* member,
 void Scribe::unsubscribe(const TopicId& topic) {
   auto* st = find_topic(topic);
   if (st == nullptr || !st->member) return;
-  if (auto* m = fed_metrics(node_)) m->counter("scribe.unsubscribes").inc();
+  if (auto* m = fed_metrics(node_)) m->counter<"scribe.unsubscribes">().inc();
   st->member = false;
   st->handler = nullptr;
   touch();
@@ -330,7 +328,7 @@ void Scribe::handle_join(JoinMsg& join, bool at_root) {
 // --- multicast ---------------------------------------------------------------
 
 void Scribe::multicast(const TopicId& topic, std::string data, pastry::Scope scope) {
-  if (auto* m = fed_metrics(node_)) m->counter("scribe.multicasts").inc();
+  if (auto* m = fed_metrics(node_)) m->counter<"scribe.multicasts">().inc();
   auto msg = std::make_unique<MulticastMsg>();
   msg->topic = topic;
   msg->data = std::move(data);
@@ -360,7 +358,7 @@ void Scribe::handle_multicast_down(const TopicId& topic, const std::string& data
 void Scribe::anycast(const TopicId& topic, std::unique_ptr<AnycastPayload> payload,
                      AnycastCallback callback, pastry::Scope scope) {
   RBAY_REQUIRE(payload != nullptr, "Scribe::anycast: payload required");
-  if (auto* m = fed_metrics(node_)) m->counter("scribe.anycasts").inc();
+  if (auto* m = fed_metrics(node_)) m->counter<"scribe.anycasts">().inc();
   const auto id = next_request_id_++;
   auto& waiter = anycast_waiters_[id];
   waiter.callback = std::move(callback);
@@ -409,7 +407,7 @@ void Scribe::continue_anycast(std::unique_ptr<AnycastMsg> msg) {
     msg->stack.push_back(node_.self());
     if (st->member && st->handler != nullptr) {
       ++msg->members_visited;
-      if (auto* m = fed_metrics(node_)) m->counter("scribe.anycast_visits").inc();
+      if (auto* m = fed_metrics(node_)) m->counter<"scribe.anycast_visits">().inc();
       bool taken = false;
       {
         // The member's on_anycast (slot fill, reservation) runs as a child
@@ -506,7 +504,7 @@ void Scribe::complete_anycast(std::uint64_t request_id, const TopicId& topic, bo
     // member-side reservations taken during the walk, which the owner must
     // release or they leak until the hold expires.
     ++anycast_orphans_;
-    if (auto* m = fed_metrics(node_)) m->counter("scribe.anycast_orphans").inc();
+    if (auto* m = fed_metrics(node_)) m->counter<"scribe.anycast_orphans">().inc();
     if (orphan_handler_) orphan_handler_(topic, payload);
     return;
   }
@@ -517,12 +515,12 @@ void Scribe::on_anycast_deadline(std::uint64_t request_id) {
   auto it = anycast_waiters_.find(request_id);
   if (it == anycast_waiters_.end()) return;
   auto& waiter = it->second;
-  if (auto* m = fed_metrics(node_)) m->counter("scribe.anycast_timeouts").inc();
+  if (auto* m = fed_metrics(node_)) m->counter<"scribe.anycast_timeouts">().inc();
   if (waiter.timeouts++ == 0 && waiter.retry_payload != nullptr) {
     // First expiry: the walk died on a dead link (node crashed mid-DFS).
     // Retry once from the entry node — by now the tree has usually been
     // repaired around the failure — under a fresh deadline.
-    if (auto* m = fed_metrics(node_)) m->counter("scribe.anycast_retries").inc();
+    if (auto* m = fed_metrics(node_)) m->counter<"scribe.anycast_retries">().inc();
     auto msg = std::make_unique<AnycastMsg>();
     msg->topic = waiter.topic;
     msg->scope = waiter.scope;
@@ -685,7 +683,7 @@ void Scribe::aggregation_round() {
     st.reported = true;
     st.reported_value = value;
     st.refreshed_at = now;
-    if (auto* m = fed_metrics(node_)) m->counter("scribe.agg_reports").inc();
+    if (auto* m = fed_metrics(node_)) m->counter<"scribe.agg_reports">().inc();
     auto report = std::make_unique<AggReportMsg>();
     report->topic = topic;
     report->child = node_.self().id;
@@ -770,7 +768,7 @@ void Scribe::replicate_roots() {
     for (std::size_t i = 0; i < picked.size(); ++i) {
       auto msg = std::make_unique<RootReplicaMsg>(proto);
       msg->replica.serve = i < serve_n;
-      if (auto* m = fed_metrics(node_)) m->counter("scribe.root_replications").inc();
+      if (auto* m = fed_metrics(node_)) m->counter<"scribe.root_replications">().inc();
       node_.send_direct(picked[i], std::move(msg), app_);
     }
   }
@@ -831,7 +829,7 @@ void Scribe::promote_from_replica(const TopicId& topic, ReplicaState replica) {
     if (child.id == node_.self().id) continue;
     add_child(topic, st, child);
   }
-  if (auto* m = fed_metrics(node_)) m->counter("scribe.root_failovers").inc();
+  if (auto* m = fed_metrics(node_)) m->counter<"scribe.root_failovers">().inc();
   if (auto* causal = causal_log(node_)) {
     causal->local(node_.network().site_of(node_.self().endpoint), node_.self().endpoint,
                   "root.failover", node_.network().engine().now());
@@ -847,7 +845,7 @@ Scribe::SizeInfo Scribe::probe_answer(const TopicId& topic, TopicState& st) {
       info.value = st.stale_value;
       info.stale = true;
       info.age = age;
-      if (auto* m = fed_metrics(node_)) m->counter("scribe.stale_reads").inc();
+      if (auto* m = fed_metrics(node_)) m->counter<"scribe.stale_reads">().inc();
       return info;
     }
     st.degraded = false;  // bound exceeded: serve the (partial) live view
@@ -857,7 +855,7 @@ Scribe::SizeInfo Scribe::probe_answer(const TopicId& topic, TopicState& st) {
 }
 
 void Scribe::probe_size(const TopicId& topic, SizeCallback callback, pastry::Scope scope) {
-  if (auto* m = fed_metrics(node_)) m->counter("scribe.size_probes").inc();
+  if (auto* m = fed_metrics(node_)) m->counter<"scribe.size_probes">().inc();
   const auto id = next_request_id_++;
   auto& waiter = size_waiters_[id];
   waiter.callback = std::move(callback);
@@ -885,7 +883,7 @@ void Scribe::probe_size(const TopicId& topic, SizeCallback callback, pastry::Sco
           probe->topic = topic;
           probe->request_id = id;
           probe->originator = node_.self();
-          if (auto* m = fed_metrics(node_)) m->counter("scribe.rootset_probes").inc();
+          if (auto* m = fed_metrics(node_)) m->counter<"scribe.rootset_probes">().inc();
           waiter.via_root_set = true;
           node_.send_direct(target, std::move(probe), app_);
           return;
@@ -926,7 +924,7 @@ std::optional<Scribe::SizeInfo> Scribe::replica_answer(const TopicId& topic) {
 
 void Scribe::answer_probe_from_replica(const SizeProbeMsg& probe, const SizeInfo& info) {
   ++rotations_;
-  if (auto* m = fed_metrics(node_)) m->counter("scribe.rotations").inc();
+  if (auto* m = fed_metrics(node_)) m->counter<"scribe.rotations">().inc();
   send_size_reply(probe, info);
 }
 
@@ -1057,7 +1055,7 @@ void Scribe::maybe_split(const TopicId& topic, TopicState& st) {
   st.split_pending = true;
   st.split_requested_at = now;
   ++splits_;
-  if (auto* m = fed_metrics(node_)) m->counter("scribe.splits").inc();
+  if (auto* m = fed_metrics(node_)) m->counter<"scribe.splits">().inc();
   node_.send_direct(*delegate, std::move(msg), app_);
 }
 
@@ -1107,7 +1105,7 @@ void Scribe::handle_delegate_ack(const NodeRef& from, const DelegateAckMsg& msg)
     // Duplicated on the wire (the first copy already applied and cleared
     // the pending flag) or an answer to a superseded episode: applying it
     // again would double-count the delegation and re-link the delegate.
-    if (auto* m = fed_metrics(node_)) m->counter("scribe.dup_suppressed").inc();
+    if (auto* m = fed_metrics(node_)) m->counter<"scribe.dup_suppressed">().inc();
     return;
   }
   st->split_pending = false;
@@ -1119,7 +1117,7 @@ void Scribe::handle_delegate_ack(const NodeRef& from, const DelegateAckMsg& msg)
   }
   touch();
   delegations_ += moved;
-  if (auto* m = fed_metrics(node_)) m->counter("scribe.delegations").inc(moved);
+  if (auto* m = fed_metrics(node_)) m->counter<"scribe.delegations">().inc(moved);
   // Link the delegate as the surplus children's new upstream; if it is
   // still over the cap afterwards, add_child's trigger splits again.
   add_child(msg.topic, *st, from);
@@ -1138,7 +1136,7 @@ void Scribe::handle_reparent(const NodeRef& from, const ReparentMsg& msg) {
     // Duplicate of a reparent we already applied: the sender is our parent
     // now.  Declining with a Leave would detach us from the live tree.
     st->last_parent_beat = node_.network().engine().now();
-    if (auto* m = fed_metrics(node_)) m->counter("scribe.dup_suppressed").inc();
+    if (auto* m = fed_metrics(node_)) m->counter<"scribe.dup_suppressed">().inc();
     return;
   }
   // Stale delegation (we already re-attached elsewhere): decline so the
@@ -1160,13 +1158,13 @@ void Scribe::on_probe_deadline(std::uint64_t request_id) {
       waiter.deadline = node_.network().engine().schedule(
           config_.anycast_timeout, [this, request_id]() { on_probe_deadline(request_id); });
     }
-    if (auto* m = fed_metrics(node_)) m->counter("scribe.rootset_probe_retries").inc();
+    if (auto* m = fed_metrics(node_)) m->counter<"scribe.rootset_probe_retries">().inc();
     route_size_probe(waiter.topic, request_id, waiter.scope);
     return;
   }
   auto cb = std::move(waiter.callback);
   size_waiters_.erase(it);
-  if (auto* m = fed_metrics(node_)) m->counter("scribe.size_probe_timeouts").inc();
+  if (auto* m = fed_metrics(node_)) m->counter<"scribe.size_probe_timeouts">().inc();
   cb(SizeInfo{});  // value 0: the caller treats an unreachable tree as empty
 }
 
@@ -1189,7 +1187,7 @@ void Scribe::heartbeat_round() {
     }
     if (!st.member && st.children.empty()) emptied.push_back(topic);
     for (const auto& child : st.children) {
-      if (auto* m = fed_metrics(node_)) m->counter("scribe.heartbeats").inc();
+      if (auto* m = fed_metrics(node_)) m->counter<"scribe.heartbeats">().inc();
       auto beat = std::make_unique<HeartbeatMsg>();
       beat->topic = topic;
       node_.send_direct(child.ref, std::move(beat), app_);
@@ -1261,7 +1259,7 @@ void Scribe::rejoin(const TopicId& topic) {
     erase_topic(topic);
     return;
   }
-  if (auto* m = fed_metrics(node_)) m->counter("scribe.rejoins").inc();
+  if (auto* m = fed_metrics(node_)) m->counter<"scribe.rejoins">().inc();
   send_join(topic, *st, /*repair=*/true);
 }
 
@@ -1308,7 +1306,7 @@ void Scribe::receive(const NodeRef& from, pastry::AppMessage& msg) {
       // later (re)join already attached us under a different parent.
       // Overwriting would detach us from the tree we actually live in; a
       // Leave for the acked episode drops the acker's phantom child.
-      if (auto* m = fed_metrics(node_)) m->counter("scribe.dup_suppressed").inc();
+      if (auto* m = fed_metrics(node_)) m->counter<"scribe.dup_suppressed">().inc();
       if (found == nullptr || !found->parent || found->parent->id != from.id) {
         send_leave(from, ack->topic, ack->episode);
       }
@@ -1330,7 +1328,7 @@ void Scribe::receive(const NodeRef& from, pastry::AppMessage& msg) {
       if (removed == 0) {
         // Reordered behind the child's newer Join (or duplicated): the
         // child is attached again, and dropping it would orphan it.
-        if (auto* m = fed_metrics(node_)) m->counter("scribe.dup_suppressed").inc();
+        if (auto* m = fed_metrics(node_)) m->counter<"scribe.dup_suppressed">().inc();
         return;
       }
       touch();
@@ -1414,7 +1412,7 @@ void Scribe::receive(const NodeRef& from, pastry::AppMessage& msg) {
       if (!it->second.via_root_set) {
         // Duplicated decline: the first copy already re-routed this waiter;
         // a second routed probe would double the traffic for nothing.
-        if (auto* m = fed_metrics(node_)) m->counter("scribe.dup_suppressed").inc();
+        if (auto* m = fed_metrics(node_)) m->counter<"scribe.dup_suppressed">().inc();
         return;
       }
       // The fanned-out member can no longer serve: forget the roster and
@@ -1444,7 +1442,7 @@ void Scribe::receive(const NodeRef& from, pastry::AppMessage& msg) {
       if (!st->split_pending || dnack->episode != st->split_episode) {
         // Duplicated or superseded nack: acting on it would abort a later
         // episode's in-flight delegation (or retry one already resolved).
-        if (auto* m = fed_metrics(node_)) m->counter("scribe.dup_suppressed").inc();
+        if (auto* m = fed_metrics(node_)) m->counter<"scribe.dup_suppressed">().inc();
         return;
       }
       st->split_pending = false;

@@ -70,11 +70,10 @@ Engine::~Engine() {
 
 void Engine::set_metrics(obs::Registry* registry) {
   metrics_ = registry;
-  events_counter_ = registry == nullptr ? nullptr : &registry->fed().counter("sim.events");
-  queue_gauge_ = registry == nullptr ? nullptr : &registry->fed().gauge("sim.queue_depth");
-  if (registry != nullptr && shards_.size() > 1) {
-    registry->set_exec_slots(static_cast<std::uint32_t>(shards_.size()));
-  }
+  if (registry == nullptr) return;
+  registry->fed().counter<"sim.events">();
+  registry->fed().gauge<"sim.queue_depth">();
+  if (shards_.size() > 1) registry->set_exec_slots(static_cast<std::uint32_t>(shards_.size()));
 }
 
 void Engine::configure_shards(std::uint32_t site_count) {
@@ -308,7 +307,7 @@ void Engine::dispatch(Shard& shard, Entry e) {
   obs::exec_slot() = obs::ExecSlot{shard.id, e.at.as_micros()};
   if (!node.observer) {
     ++shard.executed;
-    if (events_counter_ != nullptr) events_counter_->inc();
+    if (metrics_ != nullptr) metrics_->fed().counter<"sim.events">().inc();
     // sim.queue_depth is refreshed at barriers (update_queue_gauge): a
     // mid-window global depth would depend on thread interleaving.
   }
@@ -440,7 +439,7 @@ void Engine::stop_pool() {
 }
 
 void Engine::update_queue_gauge() {
-  if (queue_gauge_ == nullptr) return;
+  if (metrics_ == nullptr) return;
   std::size_t depth = 0;
   std::size_t observers = 0;
   for (const auto& shard : shards_) {
@@ -451,7 +450,7 @@ void Engine::update_queue_gauge() {
   // the (stamp, slot) merge lets any later site-side writer win — there is
   // none, the engine is this gauge's only writer.
   obs::exec_slot() = obs::ExecSlot{0, shards_[0]->now.as_micros()};
-  queue_gauge_->set(static_cast<std::int64_t>(depth - observers));
+  metrics_->fed().gauge<"sim.queue_depth">().set(static_cast<std::int64_t>(depth - observers));
 }
 
 std::int64_t Engine::total_foreground() const {

@@ -237,14 +237,14 @@ class Engine {
   [[nodiscard]] SimTime cross_shard_lookahead() const { return lookahead_; }
 
   /// Registers a hook run (in control context) at the top of every
-  /// run()/run_until() — how the Network refreshes caches and pre-sizes
-  /// flight rings before workers exist.
+  /// run()/run_until() — how the Network declares its metrics and
+  /// pre-sizes flight rings before workers exist.
   void on_run_start(std::function<void()> hook) { run_hooks_.push_back(std::move(hook)); }
 
   /// Attaches an observability registry (nullptr detaches).  Detached is
-  /// the default and costs one pointer check per event; attach *before*
-  /// building the federation so components can cache their metric handles.
-  /// The registry must outlive the engine's use of it.
+  /// the default and costs one pointer check per event.  Attaching makes
+  /// sim.events and sim.queue_depth appear.  The registry must outlive the
+  /// engine's use of it.
   void set_metrics(obs::Registry* registry);
   [[nodiscard]] obs::Registry* metrics() const { return metrics_; }
 
@@ -449,8 +449,6 @@ class Engine {
   const EngineConfig config_;
 
   obs::Registry* metrics_ = nullptr;
-  obs::Counter* events_counter_ = nullptr;
-  obs::Gauge* queue_gauge_ = nullptr;
 
   std::vector<std::unique_ptr<Shard>> shards_;  // [0] = control, [s+1] = site s
   SimTime lookahead_ = SimTime::micros(0);      // 0 = unset (no cross-shard traffic)

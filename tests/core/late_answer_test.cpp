@@ -64,7 +64,7 @@ struct LateAnswerFixture {
   }
 
   std::uint64_t orphan_releases() {
-    return cluster.metrics()->fed().counter("query.orphan_releases").value();
+    return cluster.metrics()->fed().counter<"query.orphan_releases">().value();
   }
 };
 
@@ -131,7 +131,7 @@ TEST(LateSiteAnswer, EarlierAttemptsLateReplyLeavesTheCommittedNodeHeld) {
   const auto now = cluster.engine().now();
   EXPECT_EQ(cluster.node(gpu).lock().holder(), out.query_id);
   EXPECT_TRUE(cluster.node(gpu).lock().committed(now));
-  EXPECT_EQ(cluster.metrics()->fed().counter("query.orphan_releases").value(), 1u);
+  EXPECT_EQ(cluster.metrics()->fed().counter<"query.orphan_releases">().value(), 1u);
 }
 
 }  // namespace

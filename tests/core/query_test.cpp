@@ -183,7 +183,7 @@ TEST(QueryEndToEnd, GroupByOverCollectsAndReleasesTheSurplus) {
   ASSERT_TRUE(done);
   ASSERT_TRUE(out.satisfied) << out.error;
   ASSERT_EQ(out.nodes.size(), 5u);
-  EXPECT_EQ(cluster.metrics()->fed().counter("query.slots_filled").value(), 15u);
+  EXPECT_EQ(cluster.metrics()->fed().counter<"query.slots_filled">().value(), 15u);
   std::size_t holders = 0;
   for (std::size_t i = 0; i < cluster.size(); ++i) {
     if (cluster.node(i).lock().holder() == out.query_id) ++holders;

@@ -108,8 +108,8 @@ TEST(FailoverChaos, RootCrashDuringAggregationServesBoundedStaleCount) {
     EXPECT_FALSE(fresh.stale);
     EXPECT_DOUBLE_EQ(fresh.count, static_cast<double>(kPerSite - 1));
 
-    EXPECT_GE(cluster.metrics()->fed().counter("scribe.root_failovers").value(), 1u);
-    EXPECT_GE(cluster.metrics()->fed().counter("query.stale_answers").value(), 1u);
+    EXPECT_GE(cluster.metrics()->fed().counter<"scribe.root_failovers">().value(), 1u);
+    EXPECT_GE(cluster.metrics()->fed().counter<"query.stale_answers">().value(), 1u);
   }
 }
 

@@ -72,7 +72,7 @@ TEST(SplitChaos, DelegateCrashMidAggregationRepairsUnderTheCap) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     auto cluster = make_cluster(seed);
     populate(cluster);
-    ASSERT_GE(cluster.metrics()->fed().counter("scribe.delegations").value(), 1u)
+    ASSERT_GE(cluster.metrics()->fed().counter<"scribe.delegations">().value(), 1u)
         << "a 32-node tree capped at " << kCap << " must have delegated";
 
     // A delegate is an interior non-root node: it carries re-parented

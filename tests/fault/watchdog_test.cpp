@@ -70,9 +70,9 @@ TEST(Watchdog, MeasuresTimeToHealAcrossACrash) {
 
   // Registry writes mirror the episode transitions exactly.
   auto& fed = cluster->metrics()->fed();
-  EXPECT_EQ(fed.counter("watchdog.violations_opened").value(), watchdog.opened_total());
-  EXPECT_EQ(fed.counter("watchdog.violations_closed").value(), watchdog.healed_total());
-  EXPECT_EQ(fed.gauge("watchdog.violations_open").value(), 0);
+  EXPECT_EQ(fed.counter<"watchdog.violations_opened">().value(), watchdog.opened_total());
+  EXPECT_EQ(fed.counter<"watchdog.violations_closed">().value(), watchdog.healed_total());
+  EXPECT_EQ(fed.gauge<"watchdog.violations_open">().value(), 0);
   const auto* heal = fed.find_latency("watchdog.time_to_heal");
   ASSERT_NE(heal, nullptr);
   EXPECT_EQ(heal->count(), watchdog.healed_total());

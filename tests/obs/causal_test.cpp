@@ -132,7 +132,7 @@ TEST(CausalTrace, ContextPropagationAcrossQuery) {
 TEST(CausalTrace, HopAttributionCrossCheck) {
   CausalFixture f{16};
   auto* registry = f.cluster.metrics();
-  const auto delivers_before = registry->fed().counter("pastry.delivers").value();
+  const auto delivers_before = registry->fed().counter<"pastry.delivers">().value();
 
   const auto out =
       f.run_query(0, "SELECT 3 FROM * WHERE GPU = true AND CPU_utilization < 10%");
@@ -160,11 +160,11 @@ TEST(CausalTrace, HopAttributionCrossCheck) {
   // Pastry-level cross-check: the delivery histogram samples once per
   // deliver, and the traced "pastry.deliver" causal points are a subset of
   // all delivers in the window (background routing is untraced).
-  EXPECT_EQ(registry->fed().latency("pastry.delivery_hops").count(),
-            registry->fed().counter("pastry.delivers").value());
+  EXPECT_EQ(registry->fed().latency<"pastry.delivery_hops">().count(),
+            registry->fed().counter<"pastry.delivers">().value());
   const auto traced_delivers = f.count_events(trace_id, "pastry.deliver");
   EXPECT_GE(traced_delivers, 1);
-  EXPECT_GE(registry->fed().counter("pastry.delivers").value() - delivers_before,
+  EXPECT_GE(registry->fed().counter<"pastry.delivers">().value() - delivers_before,
             static_cast<std::uint64_t>(traced_delivers));
 }
 
@@ -233,10 +233,10 @@ TEST(CausalTrace, FlightRecorderRingStaysBounded) {
   // none of them is a lost trace event.
   auto& fed = f.cluster.metrics()->fed();
   EXPECT_GT(causal.flight_overwrites(), 0u);
-  EXPECT_EQ(fed.counter("trace.flight_overwrites").value(), causal.flight_overwrites());
+  EXPECT_EQ(fed.counter<"trace.flight_overwrites">().value(), causal.flight_overwrites());
   EXPECT_EQ(causal.dropped(), 0u);
-  EXPECT_EQ(fed.counter("trace.dropped").value(), 0u);
-  EXPECT_GT(fed.counter("trace.events").value(), 0u);
+  EXPECT_EQ(fed.counter<"trace.dropped">().value(), 0u);
+  EXPECT_GT(fed.counter<"trace.events">().value(), 0u);
 
   const auto dump = causal.dump_flight(endpoint);
   EXPECT_NE(dump.find("flight recorder endpoint"), std::string::npos);

@@ -17,10 +17,10 @@ TEST(TimeSeriesTest, RecordsCounterDeltasPerWindow) {
   Registry registry;
   TimeSeries series{engine, registry, util::SimTime::millis(100)};
 
-  registry.fed().counter("work.done").inc(5);
-  registry.site(2).counter("work.done").inc(3);
+  registry.fed().counter<"work.done">().inc(5);
+  registry.site(2).counter<"work.done">().inc(3);
   series.sample();
-  registry.fed().counter("work.done").inc(2);
+  registry.fed().counter<"work.done">().inc(2);
   series.sample();
   series.sample();  // idle window: no delta
 
@@ -39,9 +39,9 @@ TEST(TimeSeriesTest, RecordsGaugesAndLatencyQuantiles) {
   Registry registry;
   TimeSeries series{engine, registry, util::SimTime::millis(100)};
 
-  registry.fed().gauge("depth").set(7);
-  registry.fed().latency("op.latency").add(util::SimTime::micros(1000));
-  registry.fed().latency("op.latency").add(util::SimTime::micros(2000));
+  registry.fed().gauge<"depth">().set(7);
+  registry.fed().latency<"op.latency">().add(util::SimTime::micros(1000));
+  registry.fed().latency<"op.latency">().add(util::SimTime::micros(2000));
   series.sample();
 
   const auto json = series.to_json();
@@ -56,7 +56,7 @@ TEST(TimeSeriesTest, RingDropsOldestWindowsAndCountsThem) {
   TimeSeries series{engine, registry, util::SimTime::millis(100), /*capacity=*/4};
 
   for (int i = 0; i < 6; ++i) {
-    registry.fed().counter("tick").inc();
+    registry.fed().counter<"tick">().inc();
     series.sample();
   }
   EXPECT_EQ(series.window_count(), 4u);
@@ -71,7 +71,7 @@ TEST(TimeSeriesTest, CounterRuleOpensAndClosesWithHysteresis) {
   series.add_rule({"drops", /*is_gauge=*/false, "net.drops", '>', 2.0,
                    /*alpha=*/1.0, /*for_windows=*/2});
 
-  auto& drops = registry.fed().counter("net.drops");
+  auto& drops = registry.fed().counter<"net.drops">();
   // One hot window is not enough (for_windows = 2).
   drops.inc(5);
   series.sample();
@@ -93,9 +93,9 @@ TEST(TimeSeriesTest, CounterRuleOpensAndClosesWithHysteresis) {
   EXPECT_FALSE(series.alert_log()[1].open);
 
   // Transitions are the one place the sampler touches the registry.
-  EXPECT_EQ(registry.fed().counter("obs.alerts.opened").value(), 1u);
-  EXPECT_EQ(registry.fed().counter("obs.alerts.closed").value(), 1u);
-  EXPECT_EQ(registry.fed().gauge("obs.alerts.open").value(), 0);
+  EXPECT_EQ(registry.fed().counter<"obs.alerts.opened">().value(), 1u);
+  EXPECT_EQ(registry.fed().counter<"obs.alerts.closed">().value(), 1u);
+  EXPECT_EQ(registry.fed().gauge<"obs.alerts.open">().value(), 0);
 }
 
 TEST(TimeSeriesTest, EwmaSmoothsSpikes) {
@@ -105,7 +105,7 @@ TEST(TimeSeriesTest, EwmaSmoothsSpikes) {
   // Heavy smoothing: one 100-delta spike moves the EWMA from 0 to only 10.
   series.add_rule({"burst", false, "x", '>', 50.0, /*alpha=*/0.1, 1});
 
-  auto& x = registry.fed().counter("x");
+  auto& x = registry.fed().counter<"x">();
   x.inc(100);  // first sample primes the EWMA with the raw value...
   series.sample();
   EXPECT_EQ(series.alerts_open(), 1u);  // ...so the first spike does fire
@@ -126,10 +126,10 @@ TEST(TimeSeriesTest, GaugeRuleReadsLiveValue) {
   TimeSeries series{engine, registry, util::SimTime::millis(100)};
   series.add_rule({"deep", /*is_gauge=*/true, "queue", '>', 10.0});
 
-  registry.fed().gauge("queue").set(50);
+  registry.fed().gauge<"queue">().set(50);
   series.sample();
   EXPECT_EQ(series.alerts_open(), 1u);
-  registry.fed().gauge("queue").set(0);
+  registry.fed().gauge<"queue">().set(0);
   series.sample();
   EXPECT_EQ(series.alerts_open(), 0u);
 }
@@ -152,7 +152,7 @@ TEST(TimeSeriesTest, ExportIsByteIdenticalAcrossRuns) {
     series.add_rule({"hot", false, "work", '>', 3.0});
     series.start();
     engine.schedule_periodic(util::SimTime::millis(30),
-                             [&registry] { registry.fed().counter("work").inc(2); });
+                             [&registry] { registry.fed().counter<"work">().inc(2); });
     engine.run_until(util::SimTime::seconds(2));
     series.stop();
     series.sample();
@@ -169,7 +169,7 @@ TEST(TimeSeriesTest, QuietSamplerLeavesRegistrySnapshotUntouched) {
     Registry registry;
     engine.set_metrics(&registry);
     engine.schedule_periodic(util::SimTime::millis(40),
-                             [&registry] { registry.fed().counter("app.work").inc(); });
+                             [&registry] { registry.fed().counter<"app.work">().inc(); });
     TimeSeries series{engine, registry, util::SimTime::millis(100)};
     // A rule that never fires must not create obs.alerts.* metrics.
     series.add_rule({"never", false, "app.work", '>', 1e9});

@@ -112,8 +112,8 @@ TEST(QueryTrace, ForcedConflictRecordsBackoffRetry) {
   ASSERT_EQ(outs.size(), 2u);
 
   auto& fed = f.cluster.metrics()->fed();
-  EXPECT_GE(fed.counter("query.conflicts").value(), 1u);
-  EXPECT_GE(fed.counter("query.backoff_retries").value(), 1u);
+  EXPECT_GE(fed.counter<"query.conflicts">().value(), 1u);
+  EXPECT_GE(fed.counter<"query.backoff_retries">().value(), 1u);
 
   // The query that needed >1 attempt carries the retry on its trace and a
   // span set for every attempt.

@@ -53,7 +53,7 @@ TEST(Join, JoinCompletesOnce) {
   engine.run();
   // The join reply was consumed exactly once: the protocol completed.
   EXPECT_TRUE(b.joined());
-  EXPECT_EQ(reg.fed().counter("pastry.joins").value(), 1u);
+  EXPECT_EQ(reg.fed().counter<"pastry.joins">().value(), 1u);
 }
 
 TEST(Join, ProtocolBuiltOverlayRoutesCorrectly) {

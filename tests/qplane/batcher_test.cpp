@@ -127,7 +127,7 @@ TEST(ProbeBatcherIntegration, ConcurrentCountsShareOneWalkAndAgree) {
   constexpr int kWaiters = 6;
   std::vector<core::QueryOutcome> outcomes;
   const auto before_probes =
-      cluster.metrics()->fed().counter("scribe.size_probes").value();
+      cluster.metrics()->fed().counter<"scribe.size_probes">().value();
   for (int i = 0; i < kWaiters; ++i) {
     cluster.node(0).query().execute_sql(
         "SELECT COUNT FROM Site1 WHERE GPU = true",
@@ -146,10 +146,10 @@ TEST(ProbeBatcherIntegration, ConcurrentCountsShareOneWalkAndAgree) {
     EXPECT_EQ(o.staleness, outcomes.front().staleness);
   }
   auto& fed = cluster.metrics()->fed();
-  EXPECT_EQ(fed.counter("qplane.probe_walks").value(), 1u);
-  EXPECT_EQ(fed.counter("qplane.probes_coalesced").value(),
+  EXPECT_EQ(fed.counter<"qplane.probe_walks">().value(), 1u);
+  EXPECT_EQ(fed.counter<"qplane.probes_coalesced">().value(),
             static_cast<std::uint64_t>(kWaiters - 1));
-  EXPECT_EQ(fed.counter("scribe.size_probes").value() - before_probes, 1u)
+  EXPECT_EQ(fed.counter<"scribe.size_probes">().value() - before_probes, 1u)
       << "the tree must see exactly one probe for the whole storm";
 }
 

@@ -190,8 +190,8 @@ TEST(AnswerCacheIntegration, HitInsideTtlThenFreshAfterExpiry) {
   EXPECT_FALSE(after.stale);
 
   auto& fed = cluster.metrics()->fed();
-  EXPECT_GE(fed.counter("qplane.cache_hits").value(), 1u);
-  EXPECT_GE(fed.counter("qplane.cache_misses").value(), 1u);
+  EXPECT_GE(fed.counter<"qplane.cache_hits">().value(), 1u);
+  EXPECT_GE(fed.counter<"qplane.cache_misses">().value(), 1u);
 }
 
 /// Counter value out of a Registry::to_json() snapshot (counters are

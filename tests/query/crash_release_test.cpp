@@ -65,7 +65,7 @@ TEST(CrashRelease, CommittedIndefiniteLeaseFreedWhenHolderCrashes) {
   f.cluster.overlay().fail_node(15);
   EXPECT_TRUE(f.cluster.node(resource).lock().holder().empty())
       << "crashed holder's indefinite lease must be released immediately";
-  EXPECT_EQ(f.cluster.metrics()->fed().counter("reservation.crash_releases").value(), 1u);
+  EXPECT_EQ(f.cluster.metrics()->fed().counter<"reservation.crash_releases">().value(), 1u);
 
   // The freed node is reservable again, and the checker stays green.
   const auto outcome2 = f.run_query(14);
@@ -104,7 +104,7 @@ TEST(CrashRelease, BystanderCrashLeavesForeignLeasesAlone) {
   // Node 14 never issued a query: its crash must not touch 15's lease.
   f.cluster.overlay().fail_node(14);
   EXPECT_EQ(f.cluster.node(resource).lock().holder(), holder);
-  EXPECT_EQ(f.cluster.metrics()->fed().counter("reservation.crash_releases").value(), 0u);
+  EXPECT_EQ(f.cluster.metrics()->fed().counter<"reservation.crash_releases">().value(), 0u);
 }
 
 }  // namespace

@@ -130,8 +130,8 @@ TEST(Failover, AnycastDeadlineRetriesOnceThenReportsMiss) {
   ASSERT_TRUE(fired) << "the second deadline must deliver the miss";
   EXPECT_FALSE(satisfied);
   EXPECT_EQ(so.scribes[entry]->anycast_waiter_count(), 0u);
-  EXPECT_EQ(reg.fed().counter("scribe.anycast_timeouts").value(), 2u);
-  EXPECT_EQ(reg.fed().counter("scribe.anycast_retries").value(), 1u);
+  EXPECT_EQ(reg.fed().counter<"scribe.anycast_timeouts">().value(), 2u);
+  EXPECT_EQ(reg.fed().counter<"scribe.anycast_retries">().value(), 1u);
 }
 
 TEST(Failover, CompletedAnycastCancelsItsDeadline) {
@@ -158,7 +158,7 @@ TEST(Failover, CompletedAnycastCancelsItsDeadline) {
   EXPECT_TRUE(fired);
   EXPECT_TRUE(satisfied);
   EXPECT_EQ(so.scribes[entry]->anycast_waiter_count(), 0u);
-  EXPECT_EQ(reg.fed().counter("scribe.anycast_timeouts").value(), 0u)
+  EXPECT_EQ(reg.fed().counter<"scribe.anycast_timeouts">().value(), 0u)
       << "a completed walk must not also time out";
 }
 
@@ -188,7 +188,7 @@ TEST(Failover, SizeProbeDeadlineAnswersEmptyInsteadOfLeaking) {
   ASSERT_TRUE(fired);
   EXPECT_DOUBLE_EQ(info.value, 0.0);  // unreachable tree reads as empty
   EXPECT_EQ(so.scribes[prober]->size_waiter_count(), 0u);
-  EXPECT_EQ(reg.fed().counter("scribe.size_probe_timeouts").value(), 1u);
+  EXPECT_EQ(reg.fed().counter<"scribe.size_probe_timeouts">().value(), 1u);
 }
 
 TEST(Failover, WithoutTimeoutsALostWalkStillLeaksItsWaiter) {

@@ -28,7 +28,7 @@ ScribeConfig quiet_config() {
 }
 
 std::uint64_t counter(obs::Registry& reg, const char* name) {
-  return reg.fed().counter(name).value();
+  return reg.fed().counter(obs::MetricKey{name}).value();
 }
 
 TEST(QuietTrees, RefreshIntervalDerivesFromConfig) {

@@ -48,8 +48,8 @@ TEST(Split, FanInCapBoundsEveryNodeAndPreservesTheAggregate) {
   // The cap forced at least one overload to delegate.
   EXPECT_GT(total_splits(so), 0u);
   EXPECT_GT(total_delegations(so), 0u);
-  EXPECT_EQ(reg.fed().counter("scribe.splits").value(), total_splits(so));
-  EXPECT_EQ(reg.fed().counter("scribe.delegations").value(), total_delegations(so));
+  EXPECT_EQ(reg.fed().counter<"scribe.splits">().value(), total_splits(so));
+  EXPECT_EQ(reg.fed().counter<"scribe.delegations">().value(), total_delegations(so));
 
   // No node exceeds the cap at quiescence, and the tree stays one
   // consistent parent-linked structure.
@@ -127,7 +127,7 @@ TEST(Split, DuplicateStormCannotDoubleCountDelegations) {
   // The storm really exercised the guards: duplicates were delivered and
   // at least one reached an idempotence check.
   EXPECT_GT(so.overlay.network().stats().duplicated, 0u);
-  EXPECT_GT(reg.fed().counter("scribe.dup_suppressed").value(), 0u);
+  EXPECT_GT(reg.fed().counter<"scribe.dup_suppressed">().value(), 0u);
 
   // Heal the weather and let repair settle, then the usual split
   // invariants must hold exactly as in the clean-network test.
@@ -138,7 +138,7 @@ TEST(Split, DuplicateStormCannotDoubleCountDelegations) {
   EXPECT_GT(total_delegations(so), 0u);
   // Every delegation the metric saw is one the per-node books saw: a
   // double-applied ack would inflate the counter past the reconciled sum.
-  EXPECT_EQ(reg.fed().counter("scribe.delegations").value(), total_delegations(so));
+  EXPECT_EQ(reg.fed().counter<"scribe.delegations">().value(), total_delegations(so));
   for (std::size_t i = 0; i < so.overlay.size(); ++i) {
     EXPECT_LE(so.scribes[i]->children_of(topic).size(), static_cast<std::size_t>(kCap))
         << "node " << i << " over the fan-in cap after the storm";
@@ -181,8 +181,8 @@ TEST(Split, RootSetRotationServesProbesFromReplicaHolders) {
   std::uint64_t rotations = 0;
   for (const auto& s : so.scribes) rotations += s->rotation_count();
   EXPECT_EQ(rotations, rotated);
-  EXPECT_EQ(reg.fed().counter("scribe.rotations").value(), rotated);
-  EXPECT_GT(reg.fed().counter("scribe.rootset_probes").value(), 0u);
+  EXPECT_EQ(reg.fed().counter<"scribe.rotations">().value(), rotated);
+  EXPECT_GT(reg.fed().counter<"scribe.rootset_probes">().value(), 0u);
 }
 
 TEST(Split, DeadRosterMemberFallsBackToRoutingInsteadOfAnsweringEmpty) {

@@ -2,13 +2,12 @@
 # check_metric_docs.sh — fail when docs/OBSERVABILITY.md drifts from the
 # metric names actually registered in src/.
 #
-# Extracts every counter/gauge/latency name from src/ (including names
-# picked via ternaries, e.g. `counter(ok ? "query.satisfied" :
-# "query.failed")`, which is why the second pass scans whole lines rather
-# than just the call argument) plus the rbay.health.* self-published
-# attribute names, and requires each to appear verbatim in
-# docs/OBSERVABILITY.md.  Run from anywhere; tools/ci.sh runs it on every
-# build.
+# Extracts every counter/gauge/latency name from src/ — a metric is
+# written only through a string-literal key at the call site,
+# `counter<"a.b">()` / `gauge<"a.b">()` / `latency<"a.b">()` (obs/metrics.hpp)
+# — plus the rbay.health.* self-published attribute names, and requires
+# each to appear verbatim in docs/OBSERVABILITY.md.  Run from anywhere;
+# tools/ci.sh runs it on every build.
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -18,15 +17,9 @@ doc="$root/docs/OBSERVABILITY.md"
 
 names=$(
   {
-    # Direct registrations: counter("a.b") / gauge("a.b") / latency("a.b").
-    grep -rhoE '(counter|gauge|latency)\(\s*"[a-z0-9._]+"' "$root/src" |
+    # Metric keys: counter<"a.b"> / gauge<"a.b"> / latency<"a.b">.
+    grep -rhoE '(counter|gauge|latency)<"[a-z0-9._]+">' "$root/src" |
       grep -oE '"[^"]+"'
-    # Ternary / computed names: any metric-shaped literal on a registration
-    # line or its two continuation lines (clang-format wraps long ternaries,
-    # e.g. the qplane.queued/qplane.admitted pick in query_interface.cpp).
-    grep -rhE -A2 '(counter|gauge|latency)\(' "$root/src" \
-      --include='*.cpp' --include='*.hpp' |
-      grep -oE '"[a-z][a-z0-9_]*\.[a-z0-9_.]+"' || true
     # Self-published health attributes (aggregated through Scribe trees).
     grep -rhoE '"rbay\.health\.[a-z0-9_]+"' "$root/src" || true
   } | tr -d '"' | sort -u

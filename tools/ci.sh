@@ -154,6 +154,11 @@ if ! build-ci/tools/rbay_sim --metrics build-ci/artifacts/flash_crowd_metrics.js
   exit 1
 fi
 
+# The first integer value of key $2 in the JSON file $1 (empty if absent).
+json_int() {
+  sed -n "s/.*\"$2\":\([0-9][0-9]*\).*/\1/p" "$1" | head -n 1
+}
+
 # Fresh clones have no cached artifact dir: seed the trend gates below
 # from the committed baselines so a regression fails the very first CI
 # run too, not just the second.
@@ -168,12 +173,10 @@ done
 # build-ci/artifacts/ across CI runs via the artifact cache).
 PREV_QPS=""
 if [ -f build-ci/artifacts/BENCH_throughput.json ]; then
-  PREV_QPS="$(sed -n 's/.*"sustained_qps":\([0-9][0-9]*\).*/\1/p' \
-      build-ci/artifacts/BENCH_throughput.json | head -n 1)"
+  PREV_QPS="$(json_int build-ci/artifacts/BENCH_throughput.json sustained_qps)"
 fi
 build-ci/bench/bench_throughput --small --json build-ci/artifacts/BENCH_throughput.json
-NEW_QPS="$(sed -n 's/.*"sustained_qps":\([0-9][0-9]*\).*/\1/p' \
-    build-ci/artifacts/BENCH_throughput.json | head -n 1)"
+NEW_QPS="$(json_int build-ci/artifacts/BENCH_throughput.json sustained_qps)"
 if [ -n "$PREV_QPS" ] && [ -n "$NEW_QPS" ]; then
   FLOOR=$((PREV_QPS * 90 / 100))
   if [ "$NEW_QPS" -lt "$FLOOR" ]; then
@@ -194,18 +197,13 @@ fi
 PREV_HOT=""
 PREV_QUERIES=""
 if [ -f build-ci/artifacts/BENCH_fig8b.json ]; then
-  PREV_HOT="$(sed -n 's/.*"zipf_capped_hottest_bp":\([0-9][0-9]*\).*/\1/p' \
-      build-ci/artifacts/BENCH_fig8b.json | head -n 1)"
-  PREV_QUERIES="$(sed -n 's/.*"zipf_queries":\([0-9][0-9]*\).*/\1/p' \
-      build-ci/artifacts/BENCH_fig8b.json | head -n 1)"
+  PREV_HOT="$(json_int build-ci/artifacts/BENCH_fig8b.json zipf_capped_hottest_bp)"
+  PREV_QUERIES="$(json_int build-ci/artifacts/BENCH_fig8b.json zipf_queries)"
 fi
 build-ci/bench/bench_fig8b_scale_queries --json build-ci/artifacts/BENCH_fig8b.json
-NEW_QUERIES="$(sed -n 's/.*"zipf_queries":\([0-9][0-9]*\).*/\1/p' \
-    build-ci/artifacts/BENCH_fig8b.json | head -n 1)"
-UNCAPPED_HOT="$(sed -n 's/.*"zipf_uncapped_hottest_bp":\([0-9][0-9]*\).*/\1/p' \
-    build-ci/artifacts/BENCH_fig8b.json | head -n 1)"
-CAPPED_HOT="$(sed -n 's/.*"zipf_capped_hottest_bp":\([0-9][0-9]*\).*/\1/p' \
-    build-ci/artifacts/BENCH_fig8b.json | head -n 1)"
+NEW_QUERIES="$(json_int build-ci/artifacts/BENCH_fig8b.json zipf_queries)"
+UNCAPPED_HOT="$(json_int build-ci/artifacts/BENCH_fig8b.json zipf_uncapped_hottest_bp)"
+CAPPED_HOT="$(json_int build-ci/artifacts/BENCH_fig8b.json zipf_capped_hottest_bp)"
 if [ -z "$UNCAPPED_HOT" ] || [ -z "$CAPPED_HOT" ]; then
   echo "hot-tree gate: BENCH_fig8b.json missing zipf share fields" >&2
   exit 1
@@ -239,15 +237,13 @@ echo "hot-tree balance ok: hottest share ${CAPPED_HOT}bp capped vs ${UNCAPPED_HO
 # not comparable to the committed baseline.
 PREV_EPS=""
 if [ -f build-ci/artifacts/BENCH_fig8a.json ]; then
-  PREV_EPS="$(sed -n 's/.*"peak_events_per_sec":\([0-9][0-9]*\).*/\1/p' \
-      build-ci/artifacts/BENCH_fig8a.json | head -n 1)"
+  PREV_EPS="$(json_int build-ci/artifacts/BENCH_fig8a.json peak_events_per_sec)"
 fi
 cmake --preset default
 cmake --build --preset default -j "$(nproc 2>/dev/null || echo 4)" --target bench_fig8a_scale_nodes
 build/bench/bench_fig8a_scale_nodes --small --threads 8 \
   --json build-ci/artifacts/BENCH_fig8a.json
-NEW_EPS="$(sed -n 's/.*"peak_events_per_sec":\([0-9][0-9]*\).*/\1/p' \
-    build-ci/artifacts/BENCH_fig8a.json | head -n 1)"
+NEW_EPS="$(json_int build-ci/artifacts/BENCH_fig8a.json peak_events_per_sec)"
 if [ -z "$NEW_EPS" ]; then
   echo "parallel-engine gate: BENCH_fig8a.json missing peak_events_per_sec" >&2
   exit 1
