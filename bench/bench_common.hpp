@@ -8,7 +8,8 @@
 // Table II RTT matrix), so the shapes — who wins, growth rates, plateaus —
 // are comparable to the paper even though the absolute testbed differs.
 // All benches accept `--seed N` and default to the documented workload
-// scale; `--small` shrinks the workload for smoke runs.  Every bench also
+// scale; `--small` shrinks the workload for smoke runs.  `--help` prints
+// the flags, and an unknown flag exits with status 2.  Every bench also
 // accepts the uniform observability flags:
 //
 //   --metrics <path>     dump the registry's JSON snapshot ('-' = stdout)
@@ -47,26 +48,44 @@ struct Args {
   std::string trace_path;       // empty = no Chrome trace export
   std::string timeseries_path;  // empty = no health-plane sampling
 
+  /// Parses the uniform flags.  `--help` prints the usage line and exits
+  /// 0; an unknown flag, or one missing its value, prints it to stderr
+  /// and exits 2.
   static Args parse(int argc, char** argv) {
     Args args;
     for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
+      const bool has_value = i + 1 < argc;
+      if (std::strcmp(argv[i], "--seed") == 0 && has_value) {
         args.seed = std::strtoull(argv[++i], nullptr, 10);
       } else if (std::strcmp(argv[i], "--small") == 0) {
         args.small = true;
-      } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
+      } else if (std::strcmp(argv[i], "--threads") == 0 && has_value) {
         args.threads = std::atoi(argv[++i]);
-      } else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
+      } else if (std::strcmp(argv[i], "--metrics") == 0 && has_value) {
         args.metrics_path = argv[++i];
-      } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+      } else if (std::strcmp(argv[i], "--json") == 0 && has_value) {
         args.json_path = argv[++i];
-      } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
+      } else if (std::strcmp(argv[i], "--trace") == 0 && has_value) {
         args.trace_path = argv[++i];
-      } else if (std::strcmp(argv[i], "--timeseries") == 0 && i + 1 < argc) {
+      } else if (std::strcmp(argv[i], "--timeseries") == 0 && has_value) {
         args.timeseries_path = argv[++i];
+      } else if (std::strcmp(argv[i], "--help") == 0) {
+        usage(stdout, argv[0]);
+        std::exit(0);
+      } else {
+        std::fprintf(stderr, "%s: unknown or incomplete option '%s'\n", argv[0], argv[i]);
+        usage(stderr, argv[0]);
+        std::exit(2);
       }
     }
     return args;
+  }
+
+  static void usage(std::FILE* out, const char* program) {
+    std::fprintf(out,
+                 "usage: %s [--seed N] [--small] [--threads N] [--json PATH] "
+                 "[--metrics PATH] [--trace PATH] [--timeseries PATH]  (PATH '-' = stdout)\n",
+                 program);
   }
 
   /// Tracing and time-series sampling ride on the obs registry, so either
@@ -76,33 +95,33 @@ struct Args {
   }
 };
 
+/// Writes one bench output file: `text` to `path` ('-' = stdout), noting
+/// "<what> written to <path>" on stderr.  No-op on an empty path.
+inline void write_output(const std::string& path, const std::string& text, const char* what) {
+  if (path.empty()) return;
+  if (path == "-") {
+    std::fputs(text.c_str(), stdout);
+    return;
+  }
+  std::ofstream out{path};
+  out << text;
+  std::fprintf(stderr, "%s written to %s\n", what, path.c_str());
+}
+
 /// Writes the cluster's metrics snapshot to `path` ('-' = stdout).
 /// No-op when the cluster was built without metrics.
 inline void dump_metrics(core::RBayCluster& cluster, const std::string& path) {
   if (path.empty() || cluster.metrics() == nullptr) return;
-  const std::string json = cluster.metrics()->to_json();
-  if (path == "-") {
-    std::fputs(json.c_str(), stdout);
-    return;
-  }
-  std::ofstream out{path};
-  out << json;
-  std::fprintf(stderr, "metrics written to %s\n", path.c_str());
+  write_output(path, cluster.metrics()->to_json(), "metrics");
 }
 
 /// Writes the cluster's causal log as Chrome trace-event JSON to `path`
 /// ('-' = stdout).  No-op when the cluster was built without metrics.
 inline void dump_trace(core::RBayCluster& cluster, const std::string& path) {
   if (path.empty() || cluster.metrics() == nullptr) return;
-  const std::string json =
-      obs::write_chrome_trace(cluster.metrics()->causal_log(), cluster.chrome_labels());
-  if (path == "-") {
-    std::fputs(json.c_str(), stdout);
-    return;
-  }
-  std::ofstream out{path};
-  out << json;
-  std::fprintf(stderr, "trace written to %s\n", path.c_str());
+  write_output(path,
+               obs::write_chrome_trace(cluster.metrics()->causal_log(), cluster.chrome_labels()),
+               "trace");
 }
 
 /// Starts the health-plane sampler on the cluster when --timeseries was
@@ -123,14 +142,7 @@ inline void dump_timeseries(obs::TimeSeries* series, const std::string& path) {
   if (series == nullptr || path.empty()) return;
   series->stop();
   series->sample();
-  const std::string json = series->to_json();
-  if (path == "-") {
-    std::fputs(json.c_str(), stdout);
-    return;
-  }
-  std::ofstream out{path};
-  out << json;
-  std::fprintf(stderr, "time series written to %s\n", path.c_str());
+  write_output(path, series->to_json(), "time series");
 }
 
 /// The uniform end-of-run export bundle: metrics snapshot, Chrome trace,
@@ -155,7 +167,7 @@ inline void warn_no_sim(const Args& args) {
 }
 
 /// Observability rig for benches that drive a raw Engine/Overlay with no
-/// RBayCluster (fig8a/fig8b's routing halves, micro-ops, Table II): owns
+/// RBayCluster (fig8a/fig8b's routing halves, Table II): owns
 /// the registry, attaches it to the engine, and starts the sampler when
 /// --timeseries was given.  Call dump() after the measured run; the rig
 /// detaches from the engine on destruction.
@@ -181,26 +193,16 @@ class EngineObs {
   void dump() {
     if (registry_ == nullptr) return;
     dump_timeseries(series_.get(), args_.timeseries_path);
-    write(registry_->to_json(), args_.metrics_path, "metrics");
+    write_output(args_.metrics_path, registry_->to_json(), "metrics");
     if (!args_.trace_path.empty()) {
       // No cluster directory here, so site/endpoint labels fall back to
       // the exporter's "site-N" / "ep-N" defaults.
-      write(obs::write_chrome_trace(registry_->causal_log(), {}), args_.trace_path, "trace");
+      write_output(args_.trace_path, obs::write_chrome_trace(registry_->causal_log(), {}),
+                   "trace");
     }
   }
 
  private:
-  static void write(const std::string& json, const std::string& path, const char* what) {
-    if (path.empty()) return;
-    if (path == "-") {
-      std::fputs(json.c_str(), stdout);
-      return;
-    }
-    std::ofstream out{path};
-    out << json;
-    std::fprintf(stderr, "%s written to %s\n", what, path.c_str());
-  }
-
   sim::Engine& engine_;
   const Args args_;
   std::unique_ptr<obs::Registry> registry_;
@@ -279,14 +281,7 @@ struct BenchJson {
   /// Writes the summary to `path` ('-' = stdout); no-op on empty path.
   void dump(const std::string& path) const {
     if (path.empty()) return;
-    const std::string json = to_json();
-    if (path == "-") {
-      std::fputs(json.c_str(), stdout);
-      return;
-    }
-    std::ofstream out{path};
-    out << json;
-    std::fprintf(stderr, "bench summary written to %s\n", path.c_str());
+    write_output(path, to_json(), "bench summary");
   }
 };
 

@@ -8,20 +8,17 @@
 // We sweep the node count 10 → 10,000 (512 → 8,192 with --small halved)
 // and report the mean hop count per decade, plus the log16(N) reference.
 //
-// `--threads N` additionally runs the parallel-engine scaling sweep
+// `--threads N` additionally runs the parallel-engine sweep
 // (docs/PARALLEL_ENGINE.md): the same routing workload on a 16-site
 // uniform topology — 100,000 nodes (10,000 with --small) — executed at
 // 1, 2, 4, ... N worker threads on the sharded engine.  Reported per
-// point: wall-clock events/sec plus the hop checksum, which must be
-// IDENTICAL at every thread count (the bench exits non-zero otherwise —
-// the sweep doubles as a determinism check at 100k-node scale).  With
-// --json the sweep lands in BENCH_fig8a.json; CI trend-gates its
-// `peak_events_per_sec` against the previously archived copy.
+// point: events executed and the hop checksum, which must be IDENTICAL at
+// every thread count (the bench exits non-zero otherwise — the sweep is a
+// determinism check at 100k-node scale; CI runs it under TSan).  How fast
+// the simulator runs this point is perfbench's `route_100k` workload,
+// which CI gates against artifacts/BENCH_route_100k.json.
 
-#include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -47,18 +44,13 @@ class HopRecorder final : public pastry::PastryApp {
 
 struct SweepPoint {
   unsigned threads = 0;
-  std::size_t nodes = 0;
-  std::size_t sites = 0;
   std::uint64_t events = 0;
-  std::int64_t wall_ms = 0;
-  std::int64_t events_per_sec = 0;
   std::uint64_t hop_sum = 0;  // determinism checksum across thread counts
   std::size_t deliveries = 0;
 };
 
 /// One point of the parallel-engine sweep: the routing workload on a
-/// 16-site sharded engine with `threads` workers, measured in wall-clock
-/// events/sec of the run() phase (setup excluded).
+/// 16-site sharded engine with `threads` workers.
 SweepPoint run_sweep_point(unsigned threads, std::size_t n, int queries,
                            std::uint64_t seed) {
   sim::EngineConfig config;
@@ -92,20 +84,11 @@ SweepPoint run_sweep_point(unsigned threads, std::size_t n, int queries,
     overlay.node(from).route(key, std::make_unique<AtomicQuery>(), "q");
   }
 
-  const auto start = std::chrono::steady_clock::now();
   engine.run();
-  const auto wall = std::chrono::duration_cast<std::chrono::milliseconds>(
-      std::chrono::steady_clock::now() - start);
 
   SweepPoint point;
   point.threads = threads;
-  point.nodes = overlay.size();
-  point.sites = kSites;
   point.events = engine.executed();
-  point.wall_ms = wall.count();
-  point.events_per_sec = static_cast<std::int64_t>(
-      static_cast<double>(point.events) /
-      (static_cast<double>(std::max<std::int64_t>(wall.count(), 1)) / 1000.0));
   for (const HopRecorder& recorder : recorders) {  // merged in site order
     for (const double hops : recorder.hop_samples.values()) {
       point.hop_sum += static_cast<std::uint64_t>(hops);
@@ -179,17 +162,13 @@ int main(int argc, char** argv) {
   const int sweep_queries = args.small ? 20000 : 100000;
   std::printf("\nparallel engine: %zu nodes over 16 sites, %d routed queries\n",
               sweep_nodes, sweep_queries);
-  std::printf("%10s %12s %12s %14s %12s\n", "#threads", "events", "wall ms",
-              "events/sec", "hop sum");
+  std::printf("%10s %12s %12s\n", "#threads", "events", "hop sum");
 
   std::vector<SweepPoint> sweep;
   for (unsigned t = 1; t <= static_cast<unsigned>(args.threads); t *= 2) {
     sweep.push_back(run_sweep_point(t, sweep_nodes, sweep_queries, args.seed));
     const auto& p = sweep.back();
-    std::printf("%10u %12llu %12lld %14lld %12llu\n", p.threads,
-                static_cast<unsigned long long>(p.events),
-                static_cast<long long>(p.wall_ms),
-                static_cast<long long>(p.events_per_sec),
+    std::printf("%10u %12llu %12llu\n", p.threads, static_cast<unsigned long long>(p.events),
                 static_cast<unsigned long long>(p.hop_sum));
   }
 
@@ -212,64 +191,5 @@ int main(int argc, char** argv) {
               "at every thread count\n",
               static_cast<unsigned long long>(sweep.front().events),
               static_cast<unsigned long long>(sweep.front().hop_sum));
-
-  if (!args.json_path.empty()) {
-    // Hand-rolled summary: the sweep shape does not fit BenchJson's latency
-    // series.  `peak_events_per_sec` (highest thread count) is the field
-    // tools/ci.sh trend-gates; wall-clock numbers are machine-dependent,
-    // the schedule fields (events, hop_sum) are exact.
-    std::string out = "{";
-    obs::json::append_key(out, "bench");
-    obs::json::append_string(out, "fig8a");
-    out += ",";
-    obs::json::append_key(out, "seed");
-    obs::json::append_uint(out, args.seed);
-    out += ",";
-    obs::json::append_key(out, "sweep_nodes");
-    obs::json::append_uint(out, sweep_nodes);
-    out += ",";
-    obs::json::append_key(out, "nproc");  // cores the wall-clock figures ran on
-    obs::json::append_uint(out, std::thread::hardware_concurrency());
-    out += ",";
-    obs::json::append_key(out, "peak_threads");
-    obs::json::append_uint(out, sweep.back().threads);
-    out += ",";
-    obs::json::append_key(out, "peak_events_per_sec");
-    obs::json::append_int(out, sweep.back().events_per_sec);
-    out += ",";
-    obs::json::append_key(out, "threads_sweep");
-    out += "[";
-    obs::json::Comma comma;
-    for (const auto& p : sweep) {
-      comma.next(out);
-      out += "{";
-      obs::json::append_key(out, "threads");
-      obs::json::append_uint(out, p.threads);
-      out += ",";
-      obs::json::append_key(out, "nodes");
-      obs::json::append_uint(out, p.nodes);
-      out += ",";
-      obs::json::append_key(out, "events");
-      obs::json::append_uint(out, p.events);
-      out += ",";
-      obs::json::append_key(out, "wall_ms");
-      obs::json::append_int(out, p.wall_ms);
-      out += ",";
-      obs::json::append_key(out, "events_per_sec");
-      obs::json::append_int(out, p.events_per_sec);
-      out += ",";
-      obs::json::append_key(out, "hop_sum");
-      obs::json::append_uint(out, p.hop_sum);
-      out += "}";
-    }
-    out += "]}\n";
-    if (args.json_path == "-") {
-      std::fputs(out.c_str(), stdout);
-    } else {
-      std::ofstream file{args.json_path};
-      file << out;
-      std::fprintf(stderr, "bench summary written to %s\n", args.json_path.c_str());
-    }
-  }
   return 0;
 }

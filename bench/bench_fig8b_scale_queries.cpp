@@ -299,13 +299,7 @@ int main(int argc, char** argv) {
     obs::json::append_key(json, "zipf_capped_rotations");
     obs::json::append_uint(json, capped.rotations);
     json += "}\n";
-    if (args.json_path == "-") {
-      std::fputs(json.c_str(), stdout);
-    } else {
-      std::ofstream jout{args.json_path};
-      jout << json;
-      std::fprintf(stderr, "bench summary written to %s\n", args.json_path.c_str());
-    }
+    bench::write_output(args.json_path, json, "bench summary");
   }
   return 0;
 }

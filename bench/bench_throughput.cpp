@@ -232,13 +232,7 @@ int main(int argc, char** argv) {
     out += ",";
     append_series(out, on);
     out += "]}\n";
-    if (args.json_path == "-") {
-      std::fputs(out.c_str(), stdout);
-    } else {
-      std::ofstream f{args.json_path};
-      f << out;
-      std::fprintf(stderr, "bench summary written to %s\n", args.json_path.c_str());
-    }
+    bench::write_output(args.json_path, out, "bench summary");
   }
   return 0;
 }
