@@ -18,10 +18,10 @@
 //                        windows — docs/HEALTH.md; render with rbay_top)
 //
 // Benches that sweep several configurations instrument their *last*
-// (full-scale) cluster — the one whose numbers headline the figure.  The
-// figure benches additionally accept `--json <path>` (machine-readable
-// result summary, integer microseconds — CI archives these as
-// BENCH_<id>.json).
+// (full-scale) cluster — the one whose numbers headline the figure.  Two
+// flags are accepted only by the benches that read them (`ExtraFlags`):
+// `--json <path>` (machine-readable result summary, integer microseconds —
+// CI archives these as BENCH_<id>.json) and fig8a's `--threads N`.
 
 #include <cstdio>
 #include <cstdlib>
@@ -39,6 +39,13 @@
 
 namespace rbay::bench {
 
+/// The bench-specific flags a bench reads.  Any other bench rejects them
+/// like an unknown flag, so they never go silently unused.
+struct ExtraFlags {
+  bool json = false;
+  bool threads = false;
+};
+
 struct Args {
   std::uint64_t seed = 42;
   bool small = false;
@@ -48,10 +55,10 @@ struct Args {
   std::string trace_path;       // empty = no Chrome trace export
   std::string timeseries_path;  // empty = no health-plane sampling
 
-  /// Parses the uniform flags.  `--help` prints the usage line and exits
-  /// 0; an unknown flag, or one missing its value, prints it to stderr
-  /// and exits 2.
-  static Args parse(int argc, char** argv) {
+  /// Parses the uniform flags plus those in `extra`.  `--help` prints the
+  /// usage line and exits 0; an unknown flag, or one missing its value,
+  /// prints it to stderr and exits 2.
+  static Args parse(int argc, char** argv, ExtraFlags extra = {}) {
     Args args;
     for (int i = 1; i < argc; ++i) {
       const bool has_value = i + 1 < argc;
@@ -59,33 +66,34 @@ struct Args {
         args.seed = std::strtoull(argv[++i], nullptr, 10);
       } else if (std::strcmp(argv[i], "--small") == 0) {
         args.small = true;
-      } else if (std::strcmp(argv[i], "--threads") == 0 && has_value) {
+      } else if (extra.threads && std::strcmp(argv[i], "--threads") == 0 && has_value) {
         args.threads = std::atoi(argv[++i]);
       } else if (std::strcmp(argv[i], "--metrics") == 0 && has_value) {
         args.metrics_path = argv[++i];
-      } else if (std::strcmp(argv[i], "--json") == 0 && has_value) {
+      } else if (extra.json && std::strcmp(argv[i], "--json") == 0 && has_value) {
         args.json_path = argv[++i];
       } else if (std::strcmp(argv[i], "--trace") == 0 && has_value) {
         args.trace_path = argv[++i];
       } else if (std::strcmp(argv[i], "--timeseries") == 0 && has_value) {
         args.timeseries_path = argv[++i];
       } else if (std::strcmp(argv[i], "--help") == 0) {
-        usage(stdout, argv[0]);
+        usage(stdout, argv[0], extra);
         std::exit(0);
       } else {
         std::fprintf(stderr, "%s: unknown or incomplete option '%s'\n", argv[0], argv[i]);
-        usage(stderr, argv[0]);
+        usage(stderr, argv[0], extra);
         std::exit(2);
       }
     }
     return args;
   }
 
-  static void usage(std::FILE* out, const char* program) {
+  static void usage(std::FILE* out, const char* program, ExtraFlags extra) {
     std::fprintf(out,
-                 "usage: %s [--seed N] [--small] [--threads N] [--json PATH] "
+                 "usage: %s [--seed N] [--small]%s%s "
                  "[--metrics PATH] [--trace PATH] [--timeseries PATH]  (PATH '-' = stdout)\n",
-                 program);
+                 program, extra.threads ? " [--threads N]" : "",
+                 extra.json ? " [--json PATH]" : "");
   }
 
   /// Tracing and time-series sampling ride on the obs registry, so either

@@ -13,7 +13,7 @@ using namespace rbay;
 using bench::EvalFederation;
 
 int main(int argc, char** argv) {
-  const auto args = bench::Args::parse(argc, argv);
+  const auto args = bench::Args::parse(argc, argv, {.json = true});
   bench::print_header("Fig. 10", "avg query latency vs #requesting sites, per origin locale");
 
   EvalFederation fed{args.small ? std::size_t{40} : std::size_t{150}, args.seed,

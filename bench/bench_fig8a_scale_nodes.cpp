@@ -14,9 +14,10 @@
 // 1, 2, 4, ... N worker threads on the sharded engine.  Reported per
 // point: events executed and the hop checksum, which must be IDENTICAL at
 // every thread count (the bench exits non-zero otherwise — the sweep is a
-// determinism check at 100k-node scale; CI runs it under TSan).  How fast
-// the simulator runs this point is perfbench's `route_100k` workload,
-// which CI gates against artifacts/BENCH_route_100k.json.
+// determinism check at 100k-node scale; CI runs it under TSan at up to 8
+// workers).  The bench reports no wall-clock figures: simulator speed is
+// perfbench's `route_100k` workload, the same routing on at most two
+// workers, gated by tools/bench_gate.py.
 
 #include <cmath>
 #include <vector>
@@ -101,7 +102,7 @@ SweepPoint run_sweep_point(unsigned threads, std::size_t n, int queries,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = bench::Args::parse(argc, argv);
+  const auto args = bench::Args::parse(argc, argv, {.threads = true});
   bench::print_header("Fig. 8a", "average #hops per query vs #nodes (single site)");
 
   const std::vector<std::size_t> sizes =

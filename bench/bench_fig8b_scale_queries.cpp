@@ -159,7 +159,7 @@ std::uint64_t share_bp(std::uint64_t forwards, int queries) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = bench::Args::parse(argc, argv);
+  const auto args = bench::Args::parse(argc, argv, {.json = true});
   bench::print_header("Fig. 8b", "load balance of query forwarding across NodeIds");
 
   const std::size_t n = args.small ? 500 : 2000;

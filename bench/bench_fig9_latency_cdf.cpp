@@ -14,7 +14,7 @@ using namespace rbay;
 using bench::EvalFederation;
 
 int main(int argc, char** argv) {
-  const auto args = bench::Args::parse(argc, argv);
+  const auto args = bench::Args::parse(argc, argv, {.json = true});
   bench::print_header("Fig. 9", "CDF of composite query latencies (1-site .. 8-site)");
 
   EvalFederation fed{args.small ? std::size_t{40} : std::size_t{150}, args.seed,

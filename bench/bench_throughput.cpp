@@ -177,7 +177,7 @@ void append_series(std::string& out, const RunStats& s) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = bench::Args::parse(argc, argv);
+  const auto args = bench::Args::parse(argc, argv, {.json = true});
   bench::print_header("Throughput", "sustained query QPS — query-plane off vs on");
 
   const std::size_t per_site = args.small ? 40 : 1250;

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """tools/bench_gate.py against doctored copies of the committed baselines.
 
-Each case copies artifacts/ into a temporary directory, derives fresh
-results from the baselines themselves, changes one number, and runs the
-gate.  The route baseline's core count is set to this machine's, so the
+Each case copies tools/bench_gate.py and artifacts/ into a temporary
+directory laid out like the repository, so the copy reads the doctored
+baselines; it derives fresh results from the baselines themselves,
+changes one number, and runs the copy.  The route baseline's core count is set to this machine's, so the
 unchanged values pass on any machine; one case sets it to another count.
 """
 
@@ -28,8 +29,9 @@ def read(name):
 class BenchGateTest(unittest.TestCase):
     def setUp(self):
         self.dir = tempfile.mkdtemp(prefix="bench_gate_test.")
-        self.baselines = os.path.join(self.dir, "baselines")
-        shutil.copytree(ARTIFACTS, self.baselines)
+        shutil.copytree(ARTIFACTS, os.path.join(self.dir, "artifacts"))
+        os.mkdir(os.path.join(self.dir, "tools"))
+        self.gate_copy = shutil.copy(GATE, os.path.join(self.dir, "tools"))
         self.throughput = read("BENCH_throughput.json")
         self.fig8b = read("BENCH_fig8b.json")
         self.route = read("BENCH_route_100k.json")
@@ -48,7 +50,7 @@ class BenchGateTest(unittest.TestCase):
 
     def gate(self):
         """Runs every check; returns (exit status, stdout + stderr)."""
-        self.write(os.path.join("baselines", "BENCH_route_100k.json"), self.route)
+        self.write(os.path.join("artifacts", "BENCH_route_100k.json"), self.route)
         logs = []
         for i, (value, correct) in enumerate(zip(self.route_values, self.route_correct)):
             result = {"correct": correct, "attempted": 1, "failed": 0,
@@ -58,7 +60,7 @@ class BenchGateTest(unittest.TestCase):
                 f.write("route_100k seed=1 trace=0 report line\n" + json.dumps(result) + "\n")
             logs.append(path)
         proc = subprocess.run(
-            [sys.executable, GATE, "--baselines", self.baselines,
+            [sys.executable, self.gate_copy,
              "--throughput", self.write("throughput.json", self.throughput),
              "--fig8b", self.write("fig8b.json", self.fig8b), "--route", *logs],
             capture_output=True, text=True)
@@ -111,6 +113,14 @@ class BenchGateTest(unittest.TestCase):
     def test_nproc_mismatch_fails(self):
         self.route["nproc"] += 1
         self.assert_fails("record a baseline for this machine")
+
+    def test_a_missing_input_fails(self):
+        proc = subprocess.run(
+            [sys.executable, self.gate_copy, "--throughput",
+             self.write("throughput.json", self.throughput)],
+            capture_output=True, text=True)
+        self.assertEqual(proc.returncode, 2, proc.stderr)
+        self.assertIn("the gate needs --fig8b --route", proc.stderr)
 
     def test_incorrect_run_fails(self):
         self.route_correct[3] = False

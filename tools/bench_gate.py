@@ -8,9 +8,9 @@
 
 A RUN_LOG is the standard output of
 `python3 perfbench/run.py --workload route_100k --seed 1 --trace 0`; its
-last line is the run's result as JSON.  Each check runs when its input is
-given, and compares only with the baseline file (never with an earlier
-run's output):
+last line is the run's result as JSON.  All three inputs are required and
+every check runs; each compares only with its baseline file in artifacts/
+(never with an earlier run's output):
 
   throughput  sustained_qps >= 90% of BENCH_throughput.json
   fig8b       zipf_queries equal to BENCH_fig8b.json, zipf_capped_hottest_bp
@@ -139,8 +139,6 @@ def record_route(run_paths):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--baselines", default=os.path.join(ROOT, "artifacts"),
-                        help="directory of committed baselines (default: artifacts/)")
     parser.add_argument("--throughput", metavar="JSON", help="fresh BENCH_throughput.json")
     parser.add_argument("--fig8b", metavar="JSON", help="fresh BENCH_fig8b.json")
     parser.add_argument("--route", metavar="RUN_LOG", nargs="+", help="route_100k run.py logs")
@@ -155,19 +153,17 @@ def main():
             sys.exit(f"bench_gate: {e}")
         return
 
-    checks = []
-    if args.throughput:
-        checks.append((check_throughput, args.throughput, "BENCH_throughput.json"))
-    if args.fig8b:
-        checks.append((check_fig8b, args.fig8b, "BENCH_fig8b.json"))
-    if args.route:
-        checks.append((check_route, args.route, "BENCH_route_100k.json"))
-    if not checks:
-        parser.error("nothing to check")
+    missing = [f"--{name}" for name in ("throughput", "fig8b", "route")
+               if getattr(args, name) is None]
+    if missing:
+        parser.error(f"the gate needs {' '.join(missing)} (or --record-route)")
+    checks = [(check_throughput, args.throughput, "BENCH_throughput.json"),
+              (check_fig8b, args.fig8b, "BENCH_fig8b.json"),
+              (check_route, args.route, "BENCH_route_100k.json")]
     failed = False
     for check, fresh, baseline in checks:
         try:
-            print(check(fresh, os.path.join(args.baselines, baseline)))
+            print(check(fresh, os.path.join(ROOT, "artifacts", baseline)))
         except GateError as e:
             print(e, file=sys.stderr)
             failed = True
