@@ -175,10 +175,11 @@ inline void warn_no_sim(const Args& args) {
 }
 
 /// Observability rig for benches that drive a raw Engine/Overlay with no
-/// RBayCluster (fig8a/fig8b's routing halves, Table II): owns
-/// the registry, attaches it to the engine, and starts the sampler when
-/// --timeseries was given.  Call dump() after the measured run; the rig
-/// detaches from the engine on destruction.
+/// RBayCluster (fig8a, fig11, Table II): owns the registry, attaches it to
+/// the engine, and starts the sampler when --timeseries was given.  Build
+/// it after the Network/Overlay: the sampler schedules its first event,
+/// and the engine fixes its shards when the network is built.  Call dump()
+/// after the measured run; the rig detaches from the engine on destruction.
 class EngineObs {
  public:
   EngineObs(sim::Engine& engine, const Args& args) : engine_(engine), args_(args) {

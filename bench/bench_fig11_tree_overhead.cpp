@@ -68,8 +68,8 @@ int main(int argc, char** argv) {
   const auto& types = bench::instance_types();
 
   sim::Engine engine{args.seed};
-  bench::EngineObs obs{engine, args};
   pastry::Overlay overlay{engine, net::Topology::ec2_eight_sites()};
+  bench::EngineObs obs{engine, args};
   overlay.populate(per_site);
   overlay.build_static();
 

@@ -117,8 +117,8 @@ int main(int argc, char** argv) {
     sim::Engine engine{args.seed};
     // The obs flags instrument the headline (largest) sweep point.
     const bool instrumented = n == sizes.back();
-    bench::EngineObs obs{engine, instrumented ? args : bench::Args{}};
     pastry::Overlay overlay{engine, net::Topology::single_site()};
+    bench::EngineObs obs{engine, instrumented ? args : bench::Args{}};
     for (std::size_t i = 0; i < n; ++i) overlay.create_node(0);
     overlay.build_static();
 

@@ -26,8 +26,8 @@ int main(int argc, char** argv) {
   bench::print_header("Table II", "average round-trip latency between Amazon sites");
 
   sim::Engine engine{args.seed};
-  bench::EngineObs obs{engine, args};
   net::Network network{engine, net::Topology::ec2_eight_sites()};
+  bench::EngineObs obs{engine, args};
   const auto& topo = network.topology();
   const auto sites = topo.site_count();
   const int pings = args.small ? 5 : 50;

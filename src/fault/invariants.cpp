@@ -482,16 +482,51 @@ InvariantReport check_waiters(core::RBayCluster& cluster) {
   return report;
 }
 
-InvariantReport check_all(core::RBayCluster& cluster) {
-  InvariantReport report = check_tree_reachability(cluster);
-  report.merge(check_child_consistency(cluster));
-  report.merge(check_aggregates(cluster));
-  report.merge(check_reservations(cluster));
-  report.merge(check_replicas(cluster));
-  report.merge(check_fan_in(cluster));
-  report.merge(check_waiters(cluster));
-  report.merge(check_pastry(cluster.overlay()));
+namespace {
+
+constexpr NamedChecker kCheckers[] = {
+    {"trees", check_tree_reachability},
+    {"children", check_child_consistency},
+    {"aggregates", [](core::RBayCluster& c) { return check_aggregates(c); }},
+    {"reservations", check_reservations},
+    {"replicas", check_replicas},
+    {"fan-in", check_fan_in},
+    {"waiters", check_waiters},
+    {"pastry", [](core::RBayCluster& c) { return check_pastry(c.overlay()); }},
+};
+
+}  // namespace
+
+util::Result<std::vector<const NamedChecker*>> find_checkers(
+    const std::vector<std::string>& names) {
+  std::vector<const NamedChecker*> found;
+  if (names.empty()) {
+    for (const NamedChecker& checker : kCheckers) found.push_back(&checker);
+  }
+  for (const std::string& name : names) {
+    const auto* checker = std::find_if(std::begin(kCheckers), std::end(kCheckers),
+                                       [&](const NamedChecker& c) { return name == c.name; });
+    if (checker == std::end(kCheckers)) {
+      std::string known;
+      for (const NamedChecker& c : kCheckers) {
+        known += (known.empty() ? "" : "|") + std::string(c.name);
+      }
+      return util::make_error("unknown checker '" + name + "' (" + known + ")");
+    }
+    found.push_back(checker);
+  }
+  return found;
+}
+
+InvariantReport run_checkers(core::RBayCluster& cluster,
+                             const std::vector<const NamedChecker*>& checkers) {
+  InvariantReport report;
+  for (const NamedChecker* checker : checkers) report.merge(checker->check(cluster));
   return report;
+}
+
+InvariantReport check_all(core::RBayCluster& cluster) {
+  return run_checkers(cluster, find_checkers({}).value());
 }
 
 std::string failure_dump(core::RBayCluster& cluster, const InvariantReport& report) {

@@ -38,6 +38,7 @@
 
 #include "core/cluster.hpp"
 #include "pastry/overlay.hpp"
+#include "util/result.hpp"
 
 namespace rbay::fault {
 
@@ -82,6 +83,23 @@ InvariantReport check_waiters(core::RBayCluster& cluster);
 
 /// Overlay-only checks; usable without a cluster (pastry churn tests).
 InvariantReport check_pastry(const pastry::Overlay& overlay);
+
+/// A checker under the name the scenario `check-invariants` directive and
+/// the Watchdog take.
+struct NamedChecker {
+  const char* name;
+  InvariantReport (*check)(core::RBayCluster& cluster);
+};
+
+/// Resolves checker names (trees, children, aggregates, reservations,
+/// replicas, fan-in, waiters, pastry); an empty list is every checker, in
+/// check_all's order.  Errors on an unknown name, listing the known ones.
+util::Result<std::vector<const NamedChecker*>> find_checkers(
+    const std::vector<std::string>& names);
+
+/// Runs `checkers` in order and merges their reports.
+InvariantReport run_checkers(core::RBayCluster& cluster,
+                             const std::vector<const NamedChecker*>& checkers);
 
 /// Runs every checker above and merges the reports.
 InvariantReport check_all(core::RBayCluster& cluster);

@@ -7,41 +7,19 @@
 
 namespace rbay::fault {
 
-namespace {
-
-constexpr const char* kKnownChecks[] = {"trees",    "children", "aggregates", "reservations",
-                                        "replicas", "fan-in",   "waiters",    "pastry"};
-
-bool known_check(const std::string& name) {
-  for (const char* k : kKnownChecks) {
-    if (name == k) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
 util::Result<std::vector<std::string>> Watchdog::parse_checks(
     const std::vector<std::string>& names) {
-  std::vector<std::string> checks;
-  for (const auto& name : names) {
-    if (!known_check(name)) {
-      return util::make_error(
-          "unknown checker '" + name +
-          "' (trees|children|aggregates|reservations|replicas|fan-in|waiters|pastry)");
-    }
-    checks.push_back(name);
-  }
-  return checks;
+  if (auto found = find_checkers(names); !found.ok()) return util::make_error(found.error());
+  return names;
 }
 
 Watchdog::Watchdog(core::RBayCluster& cluster, util::SimTime period,
-                   std::vector<std::string> checks)
-    : cluster_(cluster), period_(period), checks_(std::move(checks)) {
+                   const std::vector<std::string>& checks)
+    : cluster_(cluster), period_(period) {
   RBAY_REQUIRE(period_ > util::SimTime::zero(), "Watchdog: period must be positive");
-  for (const auto& name : checks_) {
-    RBAY_REQUIRE(known_check(name), "Watchdog: unknown checker (use parse_checks)");
-  }
+  auto found = find_checkers(checks);
+  RBAY_REQUIRE(found.ok(), "Watchdog: unknown checker (use parse_checks)");
+  checkers_ = found.take();
 }
 
 Watchdog::~Watchdog() { stop(); }
@@ -57,31 +35,6 @@ void Watchdog::stop() {
   started_ = false;
 }
 
-InvariantReport Watchdog::run_checks() {
-  if (checks_.empty()) return check_all(cluster_);
-  InvariantReport report;
-  for (const auto& which : checks_) {
-    if (which == "trees") {
-      report.merge(check_tree_reachability(cluster_));
-    } else if (which == "children") {
-      report.merge(check_child_consistency(cluster_));
-    } else if (which == "aggregates") {
-      report.merge(check_aggregates(cluster_));
-    } else if (which == "reservations") {
-      report.merge(check_reservations(cluster_));
-    } else if (which == "replicas") {
-      report.merge(check_replicas(cluster_));
-    } else if (which == "fan-in") {
-      report.merge(check_fan_in(cluster_));
-    } else if (which == "waiters") {
-      report.merge(check_waiters(cluster_));
-    } else if (which == "pastry") {
-      report.merge(check_pastry(cluster_.overlay()));
-    }
-  }
-  return report;
-}
-
 Watchdog::Episode* Watchdog::find_open(const std::string& invariant) {
   for (auto& episode : episodes_) {
     if (!episode.healed && episode.invariant == invariant) return &episode;
@@ -91,7 +44,7 @@ Watchdog::Episode* Watchdog::find_open(const std::string& invariant) {
 
 void Watchdog::poll() {
   ++polls_;
-  const InvariantReport report = run_checks();
+  const InvariantReport report = run_checkers(cluster_, checkers_);
   const util::SimTime at = cluster_.engine().now();
 
   // One episode per invariant name: a report with three tree-reachability
@@ -134,8 +87,8 @@ void Watchdog::open_episode(const Violation& violation, util::SimTime at) {
     obs::Scope& fed = reg->fed();
     fed.counter<"watchdog.violations_opened">().inc();
     fed.gauge<"watchdog.violations_open">().set(static_cast<std::int64_t>(open_count_));
-    const std::string what = "watchdog.open:" + violation.invariant;
-    reg->causal().local(/*site=*/0, /*endpoint=*/0, what.c_str(), at);
+    const std::string event = "watchdog.open:" + violation.invariant;
+    reg->causal().local(/*site=*/0, /*endpoint=*/0, obs::intern_name(event).name->c_str(), at);
   }
 }
 
@@ -150,8 +103,8 @@ void Watchdog::close_episode(Episode& episode, util::SimTime at) {
     fed.counter<"watchdog.violations_closed">().inc();
     fed.gauge<"watchdog.violations_open">().set(static_cast<std::int64_t>(open_count_));
     fed.latency<"watchdog.time_to_heal">().add(episode.closed - episode.opened);
-    const std::string what = "watchdog.close:" + episode.invariant;
-    reg->causal().local(/*site=*/0, /*endpoint=*/0, what.c_str(), at);
+    const std::string event = "watchdog.close:" + episode.invariant;
+    reg->causal().local(/*site=*/0, /*endpoint=*/0, obs::intern_name(event).name->c_str(), at);
   }
 }
 

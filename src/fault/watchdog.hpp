@@ -46,7 +46,7 @@ class Watchdog {
       const std::vector<std::string>& names);
 
   Watchdog(core::RBayCluster& cluster, util::SimTime period,
-           std::vector<std::string> checks = {});
+           const std::vector<std::string>& checks = {});
   ~Watchdog();
 
   Watchdog(const Watchdog&) = delete;
@@ -84,14 +84,13 @@ class Watchdog {
   [[nodiscard]] std::uint64_t healed_total() const { return healed_total_; }
 
  private:
-  [[nodiscard]] InvariantReport run_checks();
   Episode* find_open(const std::string& invariant);
   void open_episode(const Violation& violation, util::SimTime at);
   void close_episode(Episode& episode, util::SimTime at);
 
   core::RBayCluster& cluster_;
   util::SimTime period_;
-  std::vector<std::string> checks_;  // empty: check_all
+  std::vector<const NamedChecker*> checkers_;
   sim::Timer timer_;
   bool started_ = false;
 

@@ -1,12 +1,27 @@
 #include "obs/causal.hpp"
 
 #include <algorithm>
+#include <deque>
+#include <unordered_map>
 #include <utility>
 
 #include "obs/metrics.hpp"
 #include "util/contract.hpp"
 
 namespace rbay::obs {
+
+InternedName intern_name(std::string_view name) {
+  static std::mutex mu;
+  static std::deque<std::string> names;  // deque: interned strings never move
+  static std::unordered_map<std::string_view, std::uint32_t> ids;
+  std::lock_guard<std::mutex> lk(mu);
+  auto it = ids.find(name);
+  if (it == ids.end()) {
+    const std::string& stored = names.emplace_back(name);  // the map keys views of it
+    it = ids.emplace(stored, static_cast<std::uint32_t>(names.size() - 1)).first;
+  }
+  return {it->second, &names[it->second]};
+}
 
 const char* causal_kind_name(CausalKind kind) {
   switch (kind) {
@@ -68,7 +83,9 @@ void CausalLog::set_slots(std::uint32_t slots) {
 }
 
 void CausalLog::reserve_rings(std::size_t endpoint_count) {
-  if (rings_.size() < endpoint_count) rings_.resize(endpoint_count);
+  if (rings_.size() >= endpoint_count) return;
+  rings_.resize(endpoint_count);
+  flight_.resize(endpoint_count * flight_capacity_);
 }
 
 TraceContext CausalLog::begin_trace(const std::string& query_id, std::uint32_t site,
@@ -155,7 +172,7 @@ TraceContext CausalLog::phase_point(std::uint32_t site, std::uint32_t endpoint,
   CausalEvent ev = stamp(CausalKind::kLocal, ctx, site, endpoint, what, at);
   ev.since = since;
   ev.hops = hops;
-  record(std::move(ev));
+  record(ev);
   return ctx;
 }
 
@@ -172,19 +189,23 @@ void CausalLog::set_flight_capacity(std::size_t capacity) {
   flight_capacity_ = capacity == 0 ? 1 : capacity;
   // Existing rings keep their contents up to the new capacity; simplest
   // deterministic behavior is to restart them.  (The Network's run-start
-  // hook re-reserves the ring vector afterwards.)
+  // hook re-reserves the rings afterwards.)
   rings_.clear();
+  flight_.clear();
 }
 
 std::vector<CausalEvent> CausalLog::flight_events(std::uint32_t endpoint) const {
   std::vector<CausalEvent> out;
   if (endpoint >= rings_.size()) return out;
   const FlightRing& ring = rings_[endpoint];
-  const std::size_t n = ring.slots.size();
+  const CausalEvent* events = &flight_[endpoint * flight_capacity_];
+  // Until the ring wraps, its events are slots [0, total); after, `next`
+  // is the oldest.
+  const bool wrapped = ring.total > flight_capacity_;
+  const std::size_t n = wrapped ? flight_capacity_ : ring.total;
+  const std::size_t start = wrapped ? ring.next : 0;
   out.reserve(n);
-  // When the ring has wrapped, `next` points at the oldest slot.
-  const std::size_t start = (ring.total > n) ? ring.next : 0;
-  for (std::size_t i = 0; i < n; ++i) out.push_back(ring.slots[(start + i) % n]);
+  for (std::size_t i = 0; i < n; ++i) out.push_back(events[(start + i) % flight_capacity_]);
   return out;
 }
 
@@ -239,45 +260,26 @@ std::vector<std::pair<std::string, std::uint64_t>> CausalLog::traces_by_query() 
   return out;
 }
 
-std::uint64_t CausalLog::dropped() const {
-  std::uint64_t n = 0;
-  for (const SlotState& s : slots_) n += s.dropped;
-  return n;
-}
-
-std::uint64_t CausalLog::flight_overwrites() const {
-  std::uint64_t n = 0;
-  for (const SlotState& s : slots_) n += s.flight_overwrites;
-  return n;
-}
-
 void CausalLog::record(CausalEvent ev) {
   SlotState& s = slot();
   ev.slot = static_cast<std::uint8_t>(&s - slots_.data());
   // Flight ring first: it sees every event, traced or not.
   if (ev.endpoint < rings_.size()) {
     FlightRing& ring = rings_[ev.endpoint];
-    ++ring.total;
-    const bool wrapped = ring.slots.size() >= flight_capacity_;
-    if (wrapped) {
-      ring.slots[ring.next] = ev;
-      ring.next = (ring.next + 1) % flight_capacity_;
-      ++s.flight_overwrites;
-      if (metrics_ != nullptr) metrics_->counter<"trace.flight_overwrites">().inc();
-    } else {
-      ring.slots.push_back(ev);
-      ring.next = ring.slots.size() % flight_capacity_;
+    flight_[ev.endpoint * flight_capacity_ + ring.next] = ev;
+    if (++ring.next == flight_capacity_) ring.next = 0;
+    if (++ring.total > flight_capacity_ && metrics_ != nullptr) {
+      metrics_->counter<"trace.flight_overwrites">().inc();
     }
   }
 
   if (ev.trace_id == 0) return;
   if (s.events.size() >= kMaxEvents / slots_.size()) {
-    ++s.dropped;
     if (metrics_ != nullptr) metrics_->counter<"trace.dropped">().inc();
     traces_.with(ev.trace_id, [](TraceMeta& meta) { meta.complete = false; });
     return;
   }
-  s.events.push_back(std::move(ev));
+  s.events.push_back(ev);
   if (metrics_ != nullptr) metrics_->counter<"trace.events">().inc();
 }
 

@@ -24,12 +24,18 @@
 //   * Flight recorder.  Every event — traced or not — is also written into
 //     a small per-endpoint ring (set_flight_capacity), so when a chaos
 //     invariant fails the harness can dump the last N causal events of the
-//     nodes named in the report.  Each endpoint's ring is written only by
-//     its site's shard (plus barrier-serialized control events), so rings
-//     need no locks — but they must be pre-sized via reserve_rings()
-//     because growing the ring vector would move rings other shards are
-//     writing.  Events for an endpoint without a ring skip the recorder.  Ring overwrites are routine and count into
+//     nodes named in the report.  The rings are one array of capacity
+//     events per endpoint, written by index.  Each endpoint's ring is
+//     written only by its site's shard (plus barrier-serialized control
+//     events), so rings need no locks — but they must be pre-sized via
+//     reserve_rings() because growing the array would move rings other
+//     shards are writing.  Events for an endpoint without a ring skip the
+//     recorder.  Ring overwrites are routine and count into
 //     trace.flight_overwrites, never into trace.dropped.
+//
+// Events are plain 64-byte records: `what` points at a name with static
+// storage (a literal or Payload::type_name()) or one interned by
+// intern_name(), so recording an event copies no string.
 //
 // The per-query span view (obs/critical_path.hpp, build_query_trace) is
 // derived from this log at snapshot time; phase_point() records the
@@ -44,6 +50,8 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -64,6 +72,16 @@ enum class CausalKind : std::uint8_t {
 };
 
 [[nodiscard]] const char* causal_kind_name(CausalKind kind);
+
+/// A name in the process-wide name table (under a lock): a dense id and a
+/// copy that never moves or dies.  Metric keys and the event names built
+/// at run time (alert and watchdog transitions) share the table.
+struct InternedName {
+  std::uint32_t id;
+  const std::string* name;
+};
+[[nodiscard]] InternedName intern_name(std::string_view name);
+
 /// "probe".."commit" for obs::Phase values, "none" for kPhaseNone.
 [[nodiscard]] const char* phase_label(std::uint8_t phase);
 
@@ -80,10 +98,12 @@ struct CausalEvent {
   std::uint64_t parent_span_id = 0;
   util::SimTime at = util::SimTime::zero();
   util::SimTime since = util::SimTime::zero();  // phase points: span start
-  std::string what;  // payload type name or local-op label
+  const char* what = "";  // payload type name or local-op label: static or interned
 };
 
 static_assert(kMaxExecSlots <= 256, "CausalEvent::slot stores the execution slot in one byte");
+static_assert(std::is_trivially_copyable_v<CausalEvent> && sizeof(CausalEvent) == 64,
+              "a causal event is a plain 64-byte record");
 
 struct TraceMeta {
   std::string query_id;
@@ -109,7 +129,8 @@ class CausalLog {
   static constexpr std::size_t kDefaultFlightCapacity = 64;
 
   /// `metrics` receives the trace.events / trace.dropped /
-  /// trace.flight_overwrites counts; a standalone log passes none.
+  /// trace.flight_overwrites counts, the only record of losses; a
+  /// standalone log passes none.
   explicit CausalLog(Scope* metrics = nullptr) : metrics_(metrics) {}
 
   // --- sharding ----------------------------------------------------------
@@ -117,8 +138,8 @@ class CausalLog {
   /// the engine before its first run, while only slot 0 has state.  A log
   /// that is never told keeps one slot.
   void set_slots(std::uint32_t slots);
-  /// Pre-sizes the flight-ring vector (a run must not grow it from inside
-  /// a window; see the flight-recorder note above).
+  /// Pre-sizes the flight rings (a run must not grow them from inside a
+  /// window; see the flight-recorder note above).
   void reserve_rings(std::size_t endpoint_count);
 
   // --- ambient context ---------------------------------------------------
@@ -184,14 +205,11 @@ class CausalLog {
   /// Query ids of every trace, ordered, each with its trace id.
   /// Snapshot-time only.
   [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> traces_by_query() const;
-  /// Traced events lost to the log bound.
-  [[nodiscard]] std::uint64_t dropped() const;
-  /// Flight-ring wraps: routine, and unrelated to trace completeness.
-  [[nodiscard]] std::uint64_t flight_overwrites() const;
 
  private:
+  /// One endpoint's ring: events [e * capacity, (e + 1) * capacity) of
+  /// flight_, with `next` the slot the next event overwrites.
   struct FlightRing {
-    std::vector<CausalEvent> slots;  // insertion order wraps at capacity
     std::size_t next = 0;
     std::uint64_t total = 0;
   };
@@ -202,8 +220,6 @@ class CausalLog {
     TraceContext current{};
     std::uint64_t next_trace = 0;
     std::uint64_t next_span = 0;
-    std::uint64_t dropped = 0;
-    std::uint64_t flight_overwrites = 0;
     std::vector<CausalEvent> events;
   };
 
@@ -233,7 +249,8 @@ class CausalLog {
   util::StripedMap<std::uint64_t, TraceMeta> traces_;
   util::StripedMap<std::string, std::uint64_t> by_query_;
   std::atomic<std::size_t> trace_count_{0};
-  std::vector<FlightRing> rings_;  // indexed by endpoint; pre-sized
+  std::vector<FlightRing> rings_;    // indexed by endpoint; pre-sized
+  std::vector<CausalEvent> flight_;  // rings_.size() * flight_capacity_ events
   std::size_t flight_capacity_ = kDefaultFlightCapacity;
   Scope* metrics_;
   /// Merged-events cache, rebuilt when the per-slot totals change.

@@ -23,9 +23,9 @@ util::SimTime CriticalPath::segment_sum() const {
   return sum;
 }
 
-bool CriticalPath::crosses(const std::string& what) const {
+bool CriticalPath::crosses(std::string_view what) const {
   return std::any_of(chain.begin(), chain.end(),
-                     [&](const CausalEvent& ev) { return ev.what == what; });
+                     [what](const CausalEvent& ev) { return what == ev.what; });
 }
 
 CriticalPath analyze_critical_path(const CausalLog& log, std::uint64_t trace_id) {
@@ -105,7 +105,7 @@ CriticalPath analyze_critical_path(const CausalLog& log, std::uint64_t trace_id)
       path.by_site[seg.to_site] = path.by_site[seg.to_site] + seg.duration();
     }
     path.by_phase[seg.phase] = path.by_phase[seg.phase] + seg.duration();
-    path.segments.push_back(std::move(seg));
+    path.segments.push_back(seg);
   }
   return path;
 }
@@ -121,12 +121,12 @@ std::string CriticalPath::to_string() const {
          std::to_string(total.as_micros()) + "us)\n";
   for (const CriticalSegment& seg : segments) {
     out += "  +" + std::to_string(seg.duration().as_micros()) + "us ";
+    out += seg.network ? "net   " : "local ";
+    out += seg.what;
     if (seg.network) {
-      out += "net   " + seg.what + " site " + std::to_string(seg.from_site) + " -> " +
-             std::to_string(seg.to_site);
+      out += " site " + std::to_string(seg.from_site) + " -> " + std::to_string(seg.to_site);
     } else {
-      out += "local " + seg.what + " site " + std::to_string(seg.to_site) + " ep " +
-             std::to_string(seg.endpoint);
+      out += " site " + std::to_string(seg.to_site) + " ep " + std::to_string(seg.endpoint);
     }
     out += " phase=" + std::string(phase_label(seg.phase)) + "\n";
   }
@@ -232,9 +232,9 @@ const Span* QueryTrace::first_span(Phase phase) const {
   return it == spans.end() ? nullptr : &*it;
 }
 
-bool QueryTrace::has_event(const std::string& what) const {
+bool QueryTrace::has_event(std::string_view what) const {
   return std::any_of(events.begin(), events.end(),
-                     [&what](const TraceEvent& e) { return e.what == what; });
+                     [what](const TraceEvent& e) { return what == e.what; });
 }
 
 namespace {
@@ -242,7 +242,7 @@ namespace {
 constexpr std::string_view kQueryPrefix = "query.";
 
 /// Local points rendered as trace events, named without the prefix.
-bool is_incident(const std::string& what) {
+bool is_incident(std::string_view what) {
   return what == "query.site_timeout" || what == "query.backoff_retry" ||
          what == "query.conflict" || what == "query.stale_answer";
 }
@@ -270,7 +270,7 @@ QueryTrace view_of(const TraceMeta& meta, const std::vector<const CausalEvent*>&
   };
   for (const CausalEvent* ev : events) {
     if (ev->kind != CausalKind::kLocal) continue;
-    const std::string& what = ev->what;
+    const std::string_view what = ev->what;
     if (what == "query.probe") {
       add(*ev, Phase::kProbe, ev->since, ev->hops);
     } else if (what == "query.anycast") {
@@ -290,8 +290,7 @@ QueryTrace view_of(const TraceMeta& meta, const std::vector<const CausalEvent*>&
     } else if (what == "query.finish") {
       close_open(ev->at);
     } else if (is_incident(what)) {
-      trace.events.push_back(
-          TraceEvent{ev->at, ev->attempt, what.substr(kQueryPrefix.size())});
+      trace.events.push_back(TraceEvent{ev->at, ev->attempt, ev->what + kQueryPrefix.size()});
     }
   }
   // The terminus itself may have been lost to the log bound.

@@ -20,6 +20,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -36,7 +37,7 @@ struct CriticalSegment {
   std::uint32_t endpoint = 0;  // endpoint where the segment ends
   util::SimTime start = util::SimTime::zero();
   util::SimTime end = util::SimTime::zero();
-  std::string what;  // message type (network) or next causal step (local)
+  const char* what = "";  // message type (network) or next causal step (local)
 
   [[nodiscard]] util::SimTime duration() const { return end - start; }
 };
@@ -59,7 +60,7 @@ struct CriticalPath {
   std::vector<CausalEvent> chain;
 
   [[nodiscard]] util::SimTime segment_sum() const;
-  [[nodiscard]] bool crosses(const std::string& what) const;
+  [[nodiscard]] bool crosses(std::string_view what) const;
 
   [[nodiscard]] std::string to_string() const;
   void write_json(std::string& out) const;
@@ -100,7 +101,7 @@ struct Span {
 struct TraceEvent {
   util::SimTime at = util::SimTime::zero();
   int attempt = 1;
-  std::string what;
+  const char* what = "";  // the incident's name without its "query." prefix
 };
 
 struct QueryTrace {
@@ -117,7 +118,7 @@ struct QueryTrace {
 
   [[nodiscard]] bool has_phase(Phase phase) const;
   [[nodiscard]] const Span* first_span(Phase phase) const;
-  [[nodiscard]] bool has_event(const std::string& what) const;
+  [[nodiscard]] bool has_event(std::string_view what) const;
 };
 
 /// The span view of one query; nullopt when the query was never traced.

@@ -1,6 +1,7 @@
 #include "obs/export_chrome.hpp"
 
 #include <set>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -20,7 +21,7 @@ std::string endpoint_label(const ChromeTraceLabels& labels, std::uint32_t ep) {
   return it != labels.endpoints.end() ? it->second.name : "ep-" + std::to_string(ep);
 }
 
-void open_event(std::string& out, json::Comma& comma, const char* ph, const std::string& name,
+void open_event(std::string& out, json::Comma& comma, const char* ph, std::string_view name,
                 const char* cat, std::uint32_t pid, std::uint32_t tid) {
   comma.next(out);
   out += "\n{";
@@ -55,6 +56,18 @@ void append_span_args(std::string& out, const CausalEvent& ev) {
   out += ',';
   json::append_key(out, "attempt");
   json::append_uint(out, ev.attempt);
+  out += '}';
+}
+
+/// An "i" instant event on the event's thread, named `prefix` + its name.
+void instant_event(std::string& out, json::Comma& comma, const char* prefix,
+                   const CausalEvent& ev) {
+  open_event(out, comma, "i", std::string(prefix) + ev.what, phase_label(ev.phase), ev.site,
+             ev.endpoint);
+  out += ",\"s\":\"t\",";
+  json::append_key(out, "ts");
+  json::append_int(out, ev.at.as_micros());
+  append_span_args(out, ev);
   out += '}';
 }
 
@@ -98,59 +111,25 @@ std::string write_chrome_trace(const CausalLog& log, const ChromeTraceLabels& la
     if (ev.kind == CausalKind::kRecv) recv_by_span.emplace(ev.span_id, &ev);
   }
 
+  // A delivered send is a slice; every other event is an instant named by
+  // its kind: an undelivered send, a receipt, a drop, or a bare local point.
+  constexpr const char* kInstantPrefix[] = {"send:", "recv:", "drop:", ""};
   for (const CausalEvent& ev : log.events()) {
-    const char* cat = phase_label(ev.phase);
-    switch (ev.kind) {
-      case CausalKind::kSend: {
-        auto it = recv_by_span.find(ev.span_id);
-        if (it != recv_by_span.end()) {
-          open_event(out, comma, "X", ev.what, cat, ev.site, ev.endpoint);
-          out += ',';
-          json::append_key(out, "ts");
-          json::append_int(out, ev.at.as_micros());
-          out += ',';
-          json::append_key(out, "dur");
-          json::append_int(out, (it->second->at - ev.at).as_micros());
-          append_span_args(out, ev);
-          out += '}';
-        } else {
-          open_event(out, comma, "i", "send:" + ev.what, cat, ev.site, ev.endpoint);
-          out += ",\"s\":\"t\",";
-          json::append_key(out, "ts");
-          json::append_int(out, ev.at.as_micros());
-          append_span_args(out, ev);
-          out += '}';
-        }
-        break;
-      }
-      case CausalKind::kRecv: {
-        open_event(out, comma, "i", "recv:" + ev.what, cat, ev.site, ev.endpoint);
-        out += ",\"s\":\"t\",";
-        json::append_key(out, "ts");
-        json::append_int(out, ev.at.as_micros());
-        append_span_args(out, ev);
-        out += '}';
-        break;
-      }
-      case CausalKind::kDrop: {
-        open_event(out, comma, "i", "drop:" + ev.what, cat, ev.site, ev.endpoint);
-        out += ",\"s\":\"t\",";
-        json::append_key(out, "ts");
-        json::append_int(out, ev.at.as_micros());
-        append_span_args(out, ev);
-        out += '}';
-        break;
-      }
-      case CausalKind::kLocal: {
-        open_event(out, comma, "i", ev.what, cat, ev.site, ev.endpoint);
-        out += ",\"s\":\"t\",";
-        json::append_key(out, "ts");
-        json::append_int(out, ev.at.as_micros());
-        append_span_args(out, ev);
-        out += '}';
-        break;
-      }
+    const auto recv =
+        ev.kind == CausalKind::kSend ? recv_by_span.find(ev.span_id) : recv_by_span.end();
+    if (recv == recv_by_span.end()) {
+      instant_event(out, comma, kInstantPrefix[static_cast<int>(ev.kind)], ev);
+      continue;
     }
+    open_event(out, comma, "X", ev.what, phase_label(ev.phase), ev.site, ev.endpoint);
+    out += ',';
+    json::append_key(out, "ts");
+    json::append_int(out, ev.at.as_micros());
+    out += ',';
+    json::append_key(out, "dur");
+    json::append_int(out, (recv->second->at - ev.at).as_micros());
+    append_span_args(out, ev);
+    out += '}';
   }
   out += "\n]}\n";
   return out;

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace rbay::obs::json {
@@ -16,7 +17,7 @@ namespace rbay::obs::json {
 inline void append_int(std::string& out, std::int64_t v) { out += std::to_string(v); }
 inline void append_uint(std::string& out, std::uint64_t v) { out += std::to_string(v); }
 
-inline void append_string(std::string& out, const std::string& s) {
+inline void append_string(std::string& out, std::string_view s) {
   out += '"';
   for (const char c : s) {
     switch (c) {
@@ -39,7 +40,7 @@ inline void append_string(std::string& out, const std::string& s) {
   out += '"';
 }
 
-inline void append_key(std::string& out, const std::string& key) {
+inline void append_key(std::string& out, std::string_view key) {
   append_string(out, key);
   out += ':';
 }

@@ -2,30 +2,12 @@
 
 #include <bit>
 #include <cmath>
-#include <deque>
-#include <unordered_map>
 
 #include "obs/critical_path.hpp"
 #include "obs/json.hpp"
 #include "util/contract.hpp"
 
 namespace rbay::obs {
-
-// --- keys -------------------------------------------------------------------
-
-MetricKey::MetricKey(std::string_view name) {
-  static std::mutex mu;
-  static std::deque<std::string> names;  // deque: interned strings never move
-  static std::unordered_map<std::string_view, std::uint32_t> ids;
-  std::lock_guard<std::mutex> lk(mu);
-  auto it = ids.find(name);
-  if (it == ids.end()) {
-    const std::string& stored = names.emplace_back(name);  // the map keys views of it
-    it = ids.emplace(stored, static_cast<std::uint32_t>(names.size() - 1)).first;
-  }
-  id_ = it->second;
-  name_ = &names[id_];
-}
 
 // --- LatencyHisto -----------------------------------------------------------
 

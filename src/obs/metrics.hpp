@@ -204,16 +204,15 @@ class LatencyHisto {
   std::atomic<detail::CellBlock<Cell>*> extra_{nullptr};
 };
 
-/// A metric name interned (under a process-wide lock) to a dense id.
+/// A metric name interned (intern_name) to a dense id.
 class MetricKey {
  public:
-  explicit MetricKey(std::string_view name);
-  [[nodiscard]] std::uint32_t id() const { return id_; }
-  [[nodiscard]] const std::string& name() const { return *name_; }
+  explicit MetricKey(std::string_view name) : name_(intern_name(name)) {}
+  [[nodiscard]] std::uint32_t id() const { return name_.id; }
+  [[nodiscard]] const std::string& name() const { return *name_.name; }
 
  private:
-  std::uint32_t id_;
-  const std::string* name_;  // the interned copy: stable for the process
+  InternedName name_;
 };
 
 /// A string literal usable as a template argument: `counter<"sim.events">()`.

@@ -132,8 +132,8 @@ void TimeSeries::transition(RuleState& state, bool open, util::SimTime at) {
   Scope& fed = registry_.fed();
   (open ? fed.counter<"obs.alerts.opened">() : fed.counter<"obs.alerts.closed">()).inc();
   fed.gauge<"obs.alerts.open">().set(static_cast<std::int64_t>(open_alerts_));
-  const std::string what = std::string(open ? "alert.open:" : "alert.close:") + state.rule.name;
-  registry_.causal().local(/*site=*/0, /*endpoint=*/0, what.c_str(), at);
+  const std::string event = std::string(open ? "alert.open:" : "alert.close:") + state.rule.name;
+  registry_.causal().local(/*site=*/0, /*endpoint=*/0, intern_name(event).name->c_str(), at);
 }
 
 std::string TimeSeries::to_json() const {

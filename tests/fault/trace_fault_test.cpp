@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <set>
 #include <string>
+#include <string_view>
 
 #include "core/cluster.hpp"
 #include "core/naming.hpp"
@@ -106,7 +107,7 @@ TEST(TraceFault, QuerySurvivesMidQueryRootCrashWithTraceIntact) {
       EXPECT_GE(ev->at, prev);
       prev = ev->at;
       max_attempt = std::max(max_attempt, static_cast<int>(ev->attempt));
-      if (ev->what == "query.backoff_retry") ++retries;
+      if (std::string_view(ev->what) == "query.backoff_retry") ++retries;
     }
     EXPECT_EQ(max_attempt, out.attempts);
     EXPECT_EQ(retries, out.attempts - 1);

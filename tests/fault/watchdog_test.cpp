@@ -11,6 +11,7 @@
 #include "fault/schedule.hpp"
 #include "fault/watchdog.hpp"
 #include "obs/metrics.hpp"
+#include "obs/timeseries.hpp"
 
 namespace rbay::fault {
 namespace {
@@ -123,6 +124,35 @@ TEST(Watchdog, CleanRunLeavesRegistrySnapshotUntouched) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     EXPECT_EQ(snapshot(seed, false), snapshot(seed, true));
   }
+}
+
+TEST(Watchdog, InternedEventNamesOutliveAlertAndEpisode) {
+  auto cluster = build_federation(5);
+  obs::CausalLog& causal = cluster->metrics()->causal();
+  causal.set_flight_capacity(4096);  // endpoint 0's ring keeps the whole run
+  std::string rule;
+  std::string invariant;
+  {
+    obs::TimeSeries series{cluster->engine(), *cluster->metrics(), SimTime::millis(100)};
+    series.add_rule({std::string("busy-") + "engine-events", false, "sim.events", '>', 0.0});
+    series.start();
+    Watchdog watchdog{*cluster, SimTime::millis(50)};
+    watchdog.start();
+    FaultInjector injector{*cluster};
+    auto schedule = parse_schedule("at 100ms crash Site0 1\n");
+    ASSERT_TRUE(schedule.ok()) << schedule.error();
+    ASSERT_TRUE(injector.arm(schedule.value()).ok());
+    cluster->run_for(SimTime::millis(400));
+    ASSERT_FALSE(series.alert_log().empty());
+    ASSERT_FALSE(watchdog.episodes().empty());
+    rule = series.alert_log().front().rule;
+    invariant = watchdog.episodes().front().invariant;
+  }
+  // The events' names were built from strings the sampler and the watchdog
+  // owned; the ring still reads them after both are gone.
+  const std::string dump = causal.dump_flight(0);
+  EXPECT_NE(dump.find(" local alert.open:" + rule + " "), std::string::npos) << dump;
+  EXPECT_NE(dump.find(" local watchdog.open:" + invariant + " "), std::string::npos) << dump;
 }
 
 TEST(Watchdog, ParseChecksValidatesNames) {

@@ -88,7 +88,7 @@ TEST(CausalTrace, ContextPropagationAcrossQuery) {
 
   const auto events = log.trace_events(trace_id);
   ASSERT_FALSE(events.empty());
-  EXPECT_EQ(events.front()->what, "query.start");
+  EXPECT_STREQ(events.front()->what, "query.start");
   EXPECT_EQ(f.count_events(trace_id, "query.start"), 1);
   EXPECT_EQ(f.count_events(trace_id, "query.finish"), 1);
 
@@ -108,7 +108,7 @@ TEST(CausalTrace, ContextPropagationAcrossQuery) {
   std::map<std::uint64_t, int> recv_count;
   for (const auto* ev : events) {
     if (ev->parent_span_id == 0) {
-      EXPECT_EQ(ev->what, "query.start");
+      EXPECT_STREQ(ev->what, "query.start");
     } else {
       EXPECT_EQ(spans.count(ev->parent_span_id), 1u)
           << ev->what << " has an unknown parent span";
@@ -178,8 +178,8 @@ TEST(CausalTrace, CriticalPathReconciliation) {
   EXPECT_EQ(path.query_id, out.query_id);
   EXPECT_TRUE(path.complete);
   ASSERT_FALSE(path.chain.empty());
-  EXPECT_EQ(path.chain.front().what, "query.start");
-  EXPECT_EQ(path.chain.back().what, "query.finish");
+  EXPECT_STREQ(path.chain.front().what, "query.start");
+  EXPECT_STREQ(path.chain.back().what, "query.finish");
 
   // The acceptance pin: per-segment durations telescope exactly to the
   // end-to-end latency — no gaps, no double counting.
@@ -229,12 +229,9 @@ TEST(CausalTrace, FlightRecorderRingStaysBounded) {
   }
 
   // Plenty of traffic wrapped the tiny rings; the overwrites are counted
-  // both in the log and in the bound trace.flight_overwrites counter, and
-  // none of them is a lost trace event.
+  // in trace.flight_overwrites, and none of them is a lost trace event.
   auto& fed = f.cluster.metrics()->fed();
-  EXPECT_GT(causal.flight_overwrites(), 0u);
-  EXPECT_EQ(fed.counter<"trace.flight_overwrites">().value(), causal.flight_overwrites());
-  EXPECT_EQ(causal.dropped(), 0u);
+  EXPECT_GT(fed.counter<"trace.flight_overwrites">().value(), 0u);
   EXPECT_EQ(fed.counter<"trace.dropped">().value(), 0u);
   EXPECT_GT(fed.counter<"trace.events">().value(), 0u);
 

@@ -124,7 +124,8 @@ ctest --preset ci -L qplane --output-on-failure
 # four threads creating and running scripts over one interned chunk and
 # the shared stdlib (the ASan run above covers the chunks' lifetime), and
 # pastry_state_test: routing over the shared node table, and node or
-# endpoint creation from inside worker events, which must throw.
+# endpoint creation from inside worker events, which must throw, and
+# obs_causal_test: causal logs and flight rings written from every shard.
 # Suppressions live in .tsan-suppressions.txt
 # (expected empty; each entry must be documented there).
 cmake --preset tsan
@@ -134,7 +135,8 @@ ctest --preset tsan -L 'sim|chaos|qplane' --output-on-failure
 # on several workers under TSan: the Fig. 8a thread sweep (one delivery
 # recorder shared across site shards), which also fails unless 1, 2, 4
 # and 8 workers run the identical schedule, and a control-driven Fig. 10
-# query loop on four (a run() that left the clock behind).  The
+# query loop on four (a run() that left the clock behind), once traced so
+# every shard writes its causal log and flight rings.  The
 # throughput bench adds the query-plane path, whose cross-site traffic
 # exercises the event pools' return of nodes to their owning shard at
 # each barrier.
@@ -142,6 +144,8 @@ TSAN_BENCH_OPTIONS="suppressions=$PWD/.tsan-suppressions.txt halt_on_error=1 sec
 TSAN_OPTIONS="$TSAN_BENCH_OPTIONS" build-tsan/bench/bench_fig8a_scale_nodes --small --threads 8
 TSAN_OPTIONS="$TSAN_BENCH_OPTIONS" RBAY_SIM_THREADS=4 \
   build-tsan/bench/bench_fig10_latency_sites --small
+TSAN_OPTIONS="$TSAN_BENCH_OPTIONS" RBAY_SIM_THREADS=4 \
+  build-tsan/bench/bench_fig10_latency_sites --small --trace build-tsan/fig10_trace.json
 TSAN_OPTIONS="$TSAN_BENCH_OPTIONS" RBAY_SIM_THREADS=4 \
   build-tsan/bench/bench_throughput --small
 

@@ -828,35 +828,9 @@ class Runner {
 
   util::Result<void> do_check_invariants(const Directive& d) {
     if (!finalized_) return error_at(d.line, "check-invariants before finalize");
-    fault::InvariantReport report;
-    if (d.args.empty()) {
-      report = fault::check_all(*cluster_);
-    } else {
-      for (const auto& which : d.args) {
-        if (which == "trees") {
-          report.merge(fault::check_tree_reachability(*cluster_));
-        } else if (which == "children") {
-          report.merge(fault::check_child_consistency(*cluster_));
-        } else if (which == "aggregates") {
-          report.merge(fault::check_aggregates(*cluster_));
-        } else if (which == "reservations") {
-          report.merge(fault::check_reservations(*cluster_));
-        } else if (which == "replicas") {
-          report.merge(fault::check_replicas(*cluster_));
-        } else if (which == "fan-in") {
-          report.merge(fault::check_fan_in(*cluster_));
-        } else if (which == "waiters") {
-          report.merge(fault::check_waiters(*cluster_));
-        } else if (which == "pastry") {
-          report.merge(fault::check_pastry(cluster_->overlay()));
-        } else {
-          return error_at(
-              d.line,
-              "unknown checker '" + which +
-                  "' (trees|children|aggregates|reservations|replicas|fan-in|waiters|pastry)");
-        }
-      }
-    }
+    const auto checkers = fault::find_checkers(d.args);
+    if (!checkers.ok()) return error_at(d.line, checkers.error());
+    const fault::InvariantReport report = fault::run_checkers(*cluster_, checkers.value());
     ++report_.expectations;
     if (!report.ok()) {
       std::string msg = "invariant check failed (seed " + std::to_string(config_.seed) +
