@@ -109,10 +109,11 @@ int main(int argc, char** argv) {
   std::vector<util::Samples> deliver_latency(sites);
   const auto admin_ep = overlay.network().add_endpoint(0, [](net::Envelope) {});
   (void)admin_ep;
+  pastry::AppId admincmd{};
   for (net::SiteId s = 0; s < sites; ++s) {
     const auto gw_idx = overlay.nodes_in_site(s)[0];
     gateways.push_back(std::make_unique<GatewayApp>(*scribes[gw_idx]));
-    overlay.node(gw_idx).register_app("admincmd", gateways.back().get());
+    admincmd = overlay.node(gw_idx).register_app("admincmd", gateways.back().get());
   }
   const auto virginia_admin = overlay.nodes_in_site(0)[1];
   for (net::SiteId s = 0; s < sites; ++s) {
@@ -124,8 +125,7 @@ int main(int argc, char** argv) {
       auto cmd = std::make_unique<AdminCmd>();
       cmd->topic = topic;
       cmd->data = "deliver|expiration|+3600";
-      overlay.node(virginia_admin)
-          .send_direct(overlay.ref(gw_idx), std::move(cmd), "admincmd");
+      overlay.node(virginia_admin).send_direct(overlay.ref(gw_idx), std::move(cmd), admincmd);
       engine.run();
       for (const auto& m : members) {
         for (const auto at : m->arrivals) deliver_latency[s].add((at - t0).as_millis());

@@ -65,8 +65,9 @@ SweepPoint run_sweep_point(unsigned threads, std::size_t n, int queries,
   // One recorder per site: a site's nodes deliver only on that site's
   // shard, so each recorder has a single writer at any worker count.
   std::vector<HopRecorder> recorders(kSites);
+  pastry::AppId app{};
   for (std::size_t i = 0; i < overlay.size(); ++i) {
-    overlay.node(i).register_app("q", &recorders[overlay.ref(i).site]);
+    app = overlay.node(i).register_app("q", &recorders[overlay.ref(i).site]);
   }
 
   // Same key universe / query mix as the hop sweep, drawn from the
@@ -82,7 +83,7 @@ SweepPoint run_sweep_point(unsigned threads, std::size_t n, int queries,
   for (int q = 0; q < queries; ++q) {
     const auto from = rng.uniform(overlay.size());
     const auto& key = keys[rng.uniform(keys.size())];
-    overlay.node(from).route(key, std::make_unique<AtomicQuery>(), "q");
+    overlay.node(from).route(key, std::make_unique<AtomicQuery>(), app);
   }
 
   engine.run();
@@ -123,8 +124,9 @@ int main(int argc, char** argv) {
     overlay.build_static();
 
     HopRecorder recorder;
+    pastry::AppId app{};
     for (std::size_t i = 0; i < n; ++i) {
-      overlay.node(i).register_app("q", &recorder);
+      app = overlay.node(i).register_app("q", &recorder);
     }
 
     // Exposed attribute keys: node i exposes attribute (i*attrs..+9) with
@@ -145,7 +147,7 @@ int main(int argc, char** argv) {
     for (int q = 0; q < queries; ++q) {
       const auto from = rng.uniform(n);
       const auto& key = keys[rng.uniform(keys.size())];
-      overlay.node(from).route(key, std::make_unique<AtomicQuery>(), "q");
+      overlay.node(from).route(key, std::make_unique<AtomicQuery>(), app);
     }
     engine.run();
     obs.dump();

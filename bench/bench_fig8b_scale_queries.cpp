@@ -173,7 +173,8 @@ int main(int argc, char** argv) {
 
   std::vector<int> deliveries(keys, 0);
   KeyRecorder recorder{deliveries};
-  for (std::size_t i = 0; i < n; ++i) overlay.node(i).register_app("q", &recorder);
+  pastry::AppId app{};
+  for (std::size_t i = 0; i < n; ++i) app = overlay.node(i).register_app("q", &recorder);
 
   auto& rng = engine.rng();
   for (int k = 0; k < keys; ++k) {
@@ -181,7 +182,7 @@ int main(int argc, char** argv) {
     for (int q = 0; q < queries_per_key; ++q) {
       auto msg = std::make_unique<AtomicQuery>();
       msg->key_index = k;
-      overlay.node(rng.uniform(n)).route(key, std::move(msg), "q");
+      overlay.node(rng.uniform(n)).route(key, std::move(msg), app);
     }
   }
   engine.run();

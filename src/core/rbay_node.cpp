@@ -20,13 +20,6 @@ RBayNode::RBayNode(pastry::Overlay& overlay, net::SiteId site, std::string admin
       scribe_(pastry_, config.scribe),
       config_(config) {
   query_ = std::make_unique<QueryInterface>(*this, config_.query);
-  // Root replicas carry the reservation holders active at each node so a
-  // promoted standby knows which queries held slots before the crash.
-  scribe_.set_reservation_reporter([this]() {
-    std::vector<std::string> holders;
-    if (!lock_.holder().empty()) holders.push_back(lock_.holder());
-    return holders;
-  });
   if (config_.maintenance_interval > util::SimTime::zero()) {
     maintenance_timer_ = engine().schedule_periodic(config_.maintenance_interval,
                                                     [this]() { maintenance(); });

@@ -76,7 +76,8 @@ class PastryNode {
   /// Routes `msg` toward the root of `key` within `scope`.
   void route(const NodeId& key, std::unique_ptr<AppMessage> msg, AppId app,
              Scope scope = Scope::Global);
-  /// Same, naming the app by string (interned on every call).
+  /// Same, naming the app by string (interned on every call).  Only
+  /// perfbench's route_100k still sends this way.
   void route(const NodeId& key, std::unique_ptr<AppMessage> msg, const std::string& name,
              Scope scope = Scope::Global) {
     route(key, std::move(msg), intern_app(name), scope);
@@ -84,11 +85,6 @@ class PastryNode {
 
   /// Sends directly to a known node, bypassing key routing.
   void send_direct(const NodeRef& target, std::unique_ptr<AppMessage> msg, AppId app);
-  /// Same, naming the app by string (interned on every call).
-  void send_direct(const NodeRef& target, std::unique_ptr<AppMessage> msg,
-                   const std::string& name) {
-    send_direct(target, std::move(msg), intern_app(name));
-  }
 
   /// Starts the join protocol via an existing overlay member.
   void join(const NodeRef& bootstrap);

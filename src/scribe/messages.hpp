@@ -226,9 +226,9 @@ struct SizeReplyMsg final : pastry::TaggedMessage<SizeReplyMsg> {
 };
 
 /// Rendezvous state a warm standby needs to take over a tree on root
-/// failure — the children/subscriber set, the latest aggregate snapshot
-/// (stamped with a monotone epoch), and the reservation holders active at
-/// the root.  Shipped in a RootReplicaMsg and held by the receiver.
+/// failure — the children/subscriber set and the latest aggregate
+/// snapshot, stamped with a monotone epoch.  Shipped in a RootReplicaMsg
+/// and held by the receiver.
 struct ReplicaState {
   std::uint64_t epoch = 0;
   AggregateKind agg_kind = AggregateKind::Count;
@@ -238,7 +238,6 @@ struct ReplicaState {
   /// Stamped by the receiver; not on the wire.
   util::SimTime received_at = util::SimTime::zero();
   std::vector<NodeRef> children;
-  std::vector<std::string> holders;
   /// Root-set rotation (`root_set` > 0): this holder is a *serving*
   /// member of the topic's root set — it may answer size probes and
   /// accept anycast entries from its replicated snapshot while it is
@@ -250,16 +249,14 @@ struct ReplicaState {
   std::vector<NodeRef> root_set;
 };
 
-/// Root → leaf-set successor: incremental replication of the rendezvous
-/// state, every aggregation round.
+/// Root → leaf-set neighbour: the rendezvous state, sent when it changed
+/// or its refresh is due.
 struct RootReplicaMsg final : pastry::TaggedMessage<RootReplicaMsg> {
   TopicId topic;
   ReplicaState replica;
 
   [[nodiscard]] std::size_t wire_size() const override {
-    std::size_t holders_bytes = 0;
-    for (const auto& h : replica.holders) holders_bytes += h.size();
-    return 49 + replica.children.size() * 24 + replica.root_set.size() * 24 + holders_bytes;
+    return 49 + replica.children.size() * 24 + replica.root_set.size() * 24;
   }
   [[nodiscard]] const char* type_name() const override { return "scribe.RootReplica"; }
   [[nodiscard]] std::unique_ptr<pastry::AppMessage> clone_msg() const override {

@@ -1,9 +1,11 @@
 #include "scribe/scribe.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
-#include <functional>
 #include <limits>
+#include <optional>
+#include <span>
 
 #include "obs/metrics.hpp"
 #include "util/log.hpp"
@@ -45,27 +47,45 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
   return h ^ (h >> 31);
 }
 
-std::uint64_t mix_ids(std::uint64_t h, const std::vector<NodeRef>& refs) {
-  h = mix(h, refs.size());
-  for (const auto& r : refs) h = mix(mix(h, r.id.hi()), r.id.lo());
-  return h;
+std::uint64_t mix_id(std::uint64_t h, const pastry::NodeId& id) {
+  return mix(mix(h, id.hi()), id.lo());
 }
 
-/// Digest of what a replica holder would store (everything but the
-/// epoch and, outside a degraded window, the send time) plus who holds a
-/// copy: a root re-sends only when it changes.
-std::uint64_t replica_digest(const ReplicaState& rep, bool window,
-                             const std::vector<NodeRef>& targets) {
-  std::uint64_t h = mix(0, std::bit_cast<std::uint64_t>(rep.value));
-  h = mix(h, static_cast<std::uint64_t>(rep.agg_kind));
-  h = mix(h, static_cast<std::uint64_t>(rep.scope));
-  h = mix(h, window ? static_cast<std::uint64_t>(rep.snapshot_time.as_micros()) + 1 : 0);
-  h = mix_ids(h, rep.children);
-  h = mix_ids(h, rep.root_set);
-  h = mix_ids(h, targets);
-  h = mix(h, rep.holders.size());
-  for (const auto& holder : rep.holders) h = mix(h, std::hash<std::string>{}(holder));
-  return h;
+/// Calls `visit` on `leaves` in straddle order, cw[0], ccw[0], cw[1],
+/// ccw[1], ..., until it returns true.  Picks taken in this order sit on
+/// both sides of the owner on the id ring, so whichever neighbour
+/// inherits a TreeId is among the first.
+template <class Visit>
+void straddle(const pastry::LeafSet& leaves, Visit visit) {
+  const auto cw = leaves.clockwise();
+  const auto ccw = leaves.counter_clockwise();
+  for (std::size_t i = 0; i < std::max(cw.size(), ccw.size()); ++i) {
+    if (i < cw.size() && visit(cw[i])) return;
+    if (i < ccw.size() && visit(ccw[i])) return;
+  }
+}
+
+/// Where a root sends its replicas: the first distinct leaf-set members
+/// other than the root, in straddle order.
+struct ReplicaPicks {
+  std::array<NodeRef, 2 * pastry::kLeafHalfSize> refs{};
+  std::size_t count = 0;
+
+  [[nodiscard]] std::span<const NodeRef> view() const { return {refs.data(), count}; }
+};
+
+ReplicaPicks replica_picks(const pastry::LeafSet& leaves, const pastry::NodeId& self,
+                           std::size_t wanted) {
+  ReplicaPicks picks;
+  straddle(leaves, [&](const NodeRef& ref) {
+    const auto taken = picks.view();
+    if (ref.id != self && std::none_of(taken.begin(), taken.end(),
+                                       [&](const NodeRef& p) { return p.id == ref.id; })) {
+      picks.refs[picks.count++] = ref;
+    }
+    return picks.count >= wanted;
+  });
+  return picks;
 }
 
 double identity(AggregateKind kind) {
@@ -696,34 +716,24 @@ void Scribe::aggregation_round() {
 
 void Scribe::replicate_roots() {
   // Root-set rotation needs at least `root_set` replicated holders.
-  const int replicas_wanted = std::max(kRootReplicas, config_.root_set);
+  const auto wanted = static_cast<std::size_t>(std::max(kRootReplicas, config_.root_set));
   const auto now = node_.network().engine().now();
   const auto refresh = refresh_interval();
+  // Picks depend only on the scope's leaf set: taken once per scope.
+  std::array<std::optional<ReplicaPicks>, 2> scope_picks;
   for (auto& [topic, st] : topics_) {
     if (!st.root || (!st.member && st.children.empty())) continue;
     // While degraded, replicate the snapshot we are actually serving so a
     // chained failover inherits the same (value, age) view.
     const bool window = st.degraded && now - st.stale_at <= config_.max_staleness;
 
-    // Alternate successor/predecessor so copies straddle the root on the
-    // id ring: whichever neighbor inherits the TreeId holds one.
-    const auto& leaves =
-        st.scope == pastry::Scope::Site ? node_.site_leaf_set() : node_.leaf_set();
-    std::vector<NodeRef> targets;
-    const auto cw = leaves.clockwise();
-    const auto ccw = leaves.counter_clockwise();
-    for (std::size_t i = 0; i < std::max(cw.size(), ccw.size()); ++i) {
-      if (i < cw.size()) targets.push_back(cw[i]);
-      if (i < ccw.size()) targets.push_back(ccw[i]);
+    const bool site = st.scope == pastry::Scope::Site;
+    auto& picks = scope_picks[site ? 1 : 0];
+    if (!picks) {
+      picks = replica_picks(site ? node_.site_leaf_set() : node_.leaf_set(), node_.self().id,
+                            wanted);
     }
-    std::vector<NodeRef> picked;
-    for (const auto& target : targets) {
-      if (static_cast<int>(picked.size()) >= replicas_wanted) break;
-      if (target.id == node_.self().id) continue;
-      const bool dup = std::any_of(picked.begin(), picked.end(),
-                                   [&](const NodeRef& p) { return p.id == target.id; });
-      if (!dup) picked.push_back(target);
-    }
+    const auto picked = picks->view();
     if (picked.empty()) {
       st.refreshed_at = now;  // nobody to hold a copy: look again at the refresh
       continue;
@@ -741,30 +751,39 @@ void Scribe::replicate_roots() {
     auto& rs = *st.root_state;
     rs.serve_set.assign(picked.begin(), picked.begin() + static_cast<std::ptrdiff_t>(serve_n));
 
-    RootReplicaMsg proto;
-    proto.topic = topic;
-    auto& rep = proto.replica;
-    rep.scope = st.scope;
-    rep.agg_kind = st.agg_kind;
-    rep.value = window ? st.stale_value : subtree_value(topic, st);
-    rep.snapshot_time = window ? st.stale_at : now;
-    rep.children.reserve(st.children.size());
-    for (const auto& child : st.children) rep.children.push_back(child.ref);
-    if (reservation_reporter_) rep.holders = reservation_reporter_();
-    if (serve_n > 0) {
-      rep.root_set.reserve(serve_n + 1);
-      rep.root_set.push_back(node_.self());
-      for (const auto& s : rs.serve_set) rep.root_set.push_back(s);
-    }
     // Replicate only news: what a holder would store changed (value,
-    // children, holders, roster, degraded snapshot, or who holds a copy),
-    // or the refresh is due.
-    const auto digest = replica_digest(rep, window, picked);
+    // children, degraded snapshot, or who holds a copy, which also fixes
+    // the roster), or the refresh is due.  Outside a degraded window the
+    // send time is not news, and the epoch never is.
+    const double value = window ? st.stale_value : subtree_value(topic, st);
+    std::uint64_t digest = mix(0, std::bit_cast<std::uint64_t>(value));
+    digest = mix(digest, static_cast<std::uint64_t>(st.agg_kind));
+    digest = mix(digest, static_cast<std::uint64_t>(st.scope));
+    digest = mix(digest, window ? static_cast<std::uint64_t>(st.stale_at.as_micros()) + 1 : 0);
+    digest = mix(digest, st.children.size());
+    for (const auto& child : st.children) digest = mix_id(digest, child.ref.id);
+    digest = mix(digest, picked.size());
+    for (const auto& p : picked) digest = mix_id(digest, p.id);
     if (rs.sent && rs.digest == digest && now - st.refreshed_at < refresh) continue;
-    rep.epoch = ++st.epoch;
     st.refreshed_at = now;
     rs.sent = true;
     rs.digest = digest;
+
+    RootReplicaMsg proto;
+    proto.topic = topic;
+    auto& rep = proto.replica;
+    rep.epoch = ++st.epoch;
+    rep.scope = st.scope;
+    rep.agg_kind = st.agg_kind;
+    rep.value = value;
+    rep.snapshot_time = window ? st.stale_at : now;
+    rep.children.reserve(st.children.size());
+    for (const auto& child : st.children) rep.children.push_back(child.ref);
+    if (serve_n > 0) {
+      rep.root_set.reserve(serve_n + 1);
+      rep.root_set.push_back(node_.self());
+      rep.root_set.insert(rep.root_set.end(), rs.serve_set.begin(), rs.serve_set.end());
+    }
     for (std::size_t i = 0; i < picked.size(); ++i) {
       auto msg = std::make_unique<RootReplicaMsg>(proto);
       msg->replica.serve = i < serve_n;
@@ -992,26 +1011,18 @@ void Scribe::maybe_split(const TopicId& topic, TopicState& st) {
            st.split_declined.end();
   };
 
-  // Delegate choice: alternate clockwise/counter-clockwise leaf-set picks
-  // (same straddling order replication uses), skipping ourselves, current
-  // children, our parent, and this episode's NACKers.
+  // Delegate choice: the first leaf-set member in straddle order, as for
+  // replication, that is not ourselves, a current child, our parent, or
+  // one of this episode's NACKers.
   const auto& leaves =
       st.scope == pastry::Scope::Site ? node_.site_leaf_set() : node_.leaf_set();
   std::optional<NodeRef> delegate;
-  const auto cw = leaves.clockwise();
-  const auto ccw = leaves.counter_clockwise();
-  for (std::size_t i = 0; i < std::max(cw.size(), ccw.size()) && !delegate; ++i) {
-    for (const auto* side : {i < cw.size() ? &cw[i] : nullptr,
-                             i < ccw.size() ? &ccw[i] : nullptr}) {
-      if (side == nullptr) continue;
-      if (side->id == node_.self().id) continue;
-      if (is_child(side->id)) continue;
-      if (st.parent && st.parent->id == side->id) continue;
-      if (declined(side->id)) continue;
-      delegate = *side;
-      break;
-    }
-  }
+  straddle(leaves, [&](const NodeRef& ref) {
+    if (ref.id == node_.self().id || is_child(ref.id) || declined(ref.id)) return false;
+    if (st.parent && st.parent->id == ref.id) return false;
+    delegate = ref;
+    return true;
+  });
   // Fallback: the lightest current child.  A live child's parent is us, so
   // it always accepts — the cap is enforceable even on a sparse ring.
   bool delegate_is_child = false;

@@ -152,13 +152,6 @@ class Scribe final : public pastry::PastryApp {
   void probe_size(const TopicId& topic, SizeCallback callback,
                   pastry::Scope scope = pastry::Scope::Global);
 
-  /// Reports this node's active reservation holders for inclusion in root
-  /// replicas (set by the RBAY core node; may be null).
-  using ReservationReporter = std::function<std::vector<std::string>()>;
-  void set_reservation_reporter(ReservationReporter reporter) {
-    reservation_reporter_ = std::move(reporter);
-  }
-
   /// Fires when an anycast result arrives for a waiter that already
   /// completed (a reply racing the timeout retry).  The payload may carry
   /// member-side state — reservations taken during the walk — that the
@@ -229,8 +222,8 @@ class Scribe final : public pastry::PastryApp {
     /// With root_set > 0: the serving holders picked by the last
     /// replication pass (advertised, with self first, as the root set).
     std::vector<NodeRef> serve_set;
-    /// Digest of the last replica sent and of its holders (see
-    /// replica_digest): a round replicates only news.
+    /// Digest of the last replica sent and of who holds it (see
+    /// replicate_roots): a round replicates only news.
     bool sent = false;
     std::uint64_t digest = 0;
   };
@@ -403,7 +396,6 @@ class Scribe final : public pastry::PastryApp {
   std::unordered_map<TopicId, RootSetEntry, util::U128Hash> root_sets_;
   std::unordered_map<std::uint64_t, AnycastWaiter> anycast_waiters_;
   std::unordered_map<std::uint64_t, SizeWaiter> size_waiters_;
-  ReservationReporter reservation_reporter_;
   OrphanHandler orphan_handler_;
   std::uint64_t anycast_orphans_ = 0;
   std::uint64_t splits_ = 0;

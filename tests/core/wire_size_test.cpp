@@ -92,7 +92,6 @@ scribe::RootReplicaMsg root_replica() {
   msg.replica.value = 17;
   msg.replica.snapshot_time = util::SimTime::millis(750);
   msg.replica.children = refs(2);
-  msg.replica.holders = {"0123456789ab#7", "fedcba987654#12"};
   msg.replica.serve = true;
   msg.replica.root_set = refs(3);
   return msg;
@@ -102,8 +101,8 @@ TEST(ProtocolWire, SizeReplyCountsRootSetRoster) {
   EXPECT_EQ(size_reply().wire_size(), 123u);
 }
 
-TEST(ProtocolWire, RootReplicaCountsChildrenRosterAndHolders) {
-  EXPECT_EQ(root_replica().wire_size(), 198u);
+TEST(ProtocolWire, RootReplicaCountsChildrenAndRoster) {
+  EXPECT_EQ(root_replica().wire_size(), 169u);
 }
 
 // The link conditioner duplicates a message through clone_msg(): the copy
@@ -134,7 +133,6 @@ TEST(ProtocolWire, RootReplicaCloneKeepsTheReplicaState) {
   EXPECT_EQ(msg->replica.value, 17.0);
   EXPECT_EQ(msg->replica.snapshot_time, util::SimTime::millis(750));
   EXPECT_EQ(msg->replica.children.size(), 2u);
-  EXPECT_EQ(msg->replica.holders, original.replica.holders);
   EXPECT_TRUE(msg->replica.serve);
   EXPECT_EQ(msg->replica.root_set.size(), 3u);
   EXPECT_EQ(msg->wire_size(), original.wire_size());
@@ -144,7 +142,7 @@ TEST(ProtocolWire, RootReplicaCloneKeepsTheReplicaState) {
 // the name, so each envelope costs 24 bytes plus the name plus the message.
 TEST(ProtocolWire, EnvelopesCountTheAppNameBytes) {
   const std::pair<const char*, std::size_t> expected[] = {
-      {"scribe", 228}, {"rbay.query", 232}, {"past", 226}, {"wire.test", 231}};
+      {"scribe", 199}, {"rbay.query", 203}, {"past", 197}, {"wire.test", 202}};
   for (const auto& [name, bytes] : expected) {
     pastry::RouteEnvelope route;
     route.app = pastry::intern_app(name);

@@ -7,6 +7,7 @@
 #include <map>
 #include <optional>
 
+#include "core/cluster.hpp"
 #include "obs/metrics.hpp"
 #include "scribe/scribe_helpers.hpp"
 
@@ -255,6 +256,65 @@ TEST(QuietTrees, EpochAdvancesPerSendAndNeverRegresses) {
   EXPECT_GT(last, epoch0);
   EXPECT_LT(last - epoch0, 40u);
   EXPECT_EQ(holders, (last - epoch0) * 2);
+}
+
+// A replica carries only what failover reads: the root node's own
+// reservation is not tree state, so taking and releasing one between
+// rounds leaves the replica unchanged and sends nothing before the
+// refresh deadline.
+TEST(QuietTrees, RootReservationChangeSendsNoReplica) {
+  core::ClusterConfig config;
+  config.node.scribe = quiet_config();
+  config.metrics = true;
+  core::RBayCluster cluster{config};
+  cluster.add_tree_spec(core::TreeSpec::from_predicate(
+      {"GPU", query::CompareOp::Eq, store::AttributeValue{true}}));
+  cluster.populate(12);
+  for (std::size_t i = 0; i < cluster.size(); ++i) {
+    ASSERT_TRUE(cluster.node(i).post("GPU", true).ok());
+  }
+  cluster.finalize();
+  cluster.run_for(SimTime::seconds(4));
+  const auto topic = cluster.node(0).topic_of(cluster.tree_specs()[0]);
+  std::size_t root = SIZE_MAX;
+  for (std::size_t i = 0; i < cluster.size(); ++i) {
+    if (cluster.node(i).scribe().is_root_of(topic)) root = i;
+  }
+  ASSERT_NE(root, SIZE_MAX);
+  auto& node = cluster.node(root);
+  auto& scribe = node.scribe();
+
+  // Step to just past a replica send, so a whole refresh interval lies ahead.
+  const auto epoch0 = scribe.root_epoch_of(topic);
+  std::uint64_t epoch = epoch0;
+  for (int step = 0; step < 16 && epoch == epoch0; ++step) {
+    cluster.run_for(quiet_config().aggregation_interval);
+    epoch = scribe.root_epoch_of(topic);
+  }
+  ASSERT_GT(epoch, epoch0) << "no refresh within two refresh intervals";
+  const auto deadline = cluster.engine().now() + scribe.refresh_interval() -
+                        quiet_config().aggregation_interval;
+  const auto sends = counter(*cluster.metrics(), "scribe.root_replications");
+
+  // A round at the root with the reservation held, then one after it is
+  // released; the tree and the root's contribution stay the same.
+  for (const bool held : {true, false}) {
+    const auto now = cluster.engine().now();
+    if (held) {
+      ASSERT_TRUE(node.lock().try_reserve("0123456789ab#1", now, SimTime::seconds(10)));
+    } else {
+      node.lock().release("0123456789ab#1", now);
+    }
+    scribe.contribution_changed(topic);
+    const auto wake = scribe.next_round();
+    ASSERT_TRUE(wake.has_value());
+    ASSERT_LT(*wake, deadline) << "the root must run a round before its refresh";
+    cluster.run_for(quiet_config().aggregation_interval);
+  }
+  EXPECT_LT(cluster.engine().now(), deadline);
+  EXPECT_EQ(scribe.root_epoch_of(topic), epoch) << "a reservation is not replica news";
+  EXPECT_EQ(counter(*cluster.metrics(), "scribe.root_replications"), sends);
+  EXPECT_DOUBLE_EQ(scribe.aggregate_value(topic), 12.0);
 }
 
 }  // namespace

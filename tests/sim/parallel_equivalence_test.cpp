@@ -114,21 +114,5 @@ TEST(ParallelEquivalence, RepeatedShardedRunsAreByteIdentical) {
   EXPECT_EQ(a.value().timeseries_json, b.value().timeseries_json);
 }
 
-TEST(ParallelEquivalence, ThreadsDirectiveSelectsTheShardedEngine) {
-  // `threads N` in the scenario text takes effect (and wins over the
-  // options default).  The run must still satisfy its expectations.
-  std::string text = "threads 4\n" + workload(29);
-  const auto report = run_scenario(text);  // default options: one worker
-  ASSERT_TRUE(report.ok()) << report.error();
-  EXPECT_EQ(report.value().queries_satisfied, 3);
-}
-
-TEST(ParallelEquivalence, ThreadsDirectiveMustPrecedeNodes) {
-  const auto report = run_scenario(
-      "topology single\nseed 1\ntree GPU = true\nnodes Local 2\nthreads 2\n");
-  ASSERT_FALSE(report.ok());
-  EXPECT_NE(report.error().find("threads"), std::string::npos) << report.error();
-}
-
 }  // namespace
 }  // namespace rbay::tools

@@ -46,12 +46,10 @@ usage: rbay_sim [--metrics <path>] [--trace <path>] [--timeseries <path>]
                      with tools/rbay_top.
   --threads N        advance the site shards with N worker threads
                      (docs/PARALLEL_ENGINE.md); the output is the same at
-                     every N.  A scenario-level `threads` directive takes
-                     precedence over this flag.
+                     every N.
 
 directives (one per line; '#' comments; see tools/scenario.hpp for details):
   topology ec2 | single | uniform <sites> <intra_ms> <cross_ms>
-  threads N (worker threads; same output at every N)
   seed N | aggregation MS | heartbeat MS | max-attempts N
   tree <attr> <op> <literal>       tree-exists <attr>
   taxonomy-major <attr>            taxonomy-link <attr> <parent>

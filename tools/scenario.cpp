@@ -226,7 +226,6 @@ class Runner {
   util::Result<void> apply_inner(const Directive& d) {
     const auto& kw = d.keyword;
     if (kw == "topology") return do_topology(d);
-    if (kw == "threads") return do_threads(d);
     auto& scribe_cfg = config_.node.scribe;
     auto& query_cfg = config_.node.query;
     if (kw == "seed") return set_u64(d, config_.seed);
@@ -297,18 +296,6 @@ class Runner {
       return {};
     }
     return error_at(d.line, "topology: expected 'ec2', 'single', or 'uniform K intra cross'");
-  }
-
-  /// threads <N> — advance the site shards with N worker threads
-  /// (docs/PARALLEL_ENGINE.md).  The schedule, and so the transcript, is
-  /// the same at every N.
-  util::Result<void> do_threads(const Directive& d) {
-    if (cluster_ != nullptr) return error_at(d.line, "threads must precede 'nodes'");
-    if (d.args.size() != 1) return error_at(d.line, "threads needs a worker count");
-    const int n = std::stoi(d.args[0]);
-    if (n < 1) return error_at(d.line, "threads needs a positive worker count");
-    config_.engine.threads = static_cast<unsigned>(n);
-    return {};
   }
 
   util::Result<void> set_u64(const Directive& d, std::uint64_t& target) {

@@ -27,9 +27,6 @@
 // Directives (a <target> is `*`, a site name, or `<site>:<i>` addressing
 // the site's i-th node — the form counterexample exports use):
 //   topology ec2 | single | uniform <sites> <intra_ms> <cross_ms>
-//   threads N                       advance site shards with N worker
-//                                   threads (before 'nodes'; same output
-//                                   at every N — docs/PARALLEL_ENGINE.md)
 //   seed N | aggregation MS | heartbeat MS | max-attempts N
 //   site-timeout MS | reservation-hold MS
 //   admission-window N [queue]     in-flight query budget (+FIFO backlog)
@@ -133,8 +130,8 @@ struct ScenarioOptions {
   /// Engine configuration (docs/PARALLEL_ENGINE.md).  The default is one
   /// worker — NOT EngineConfig::from_env() — so a scenario run never
   /// depends on the environment; the worker count never changes the
-  /// transcript.  Set per run (equivalence matrix) or per scenario
-  /// (`threads N` directive / `--threads N` flag).
+  /// transcript.  Set per run: the equivalence matrix, or rbay_sim's
+  /// `--threads N` flag.
   sim::EngineConfig engine{};
 };
 // ScenarioReport::timeseries_json is filled whenever the scenario declares
