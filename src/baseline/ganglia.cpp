@@ -90,12 +90,6 @@ void GangliaFederation::start() {
 
 void GangliaFederation::stop() { poll_timer_.cancel(); }
 
-std::size_t GangliaFederation::member_count() const {
-  std::size_t n = 0;
-  for (const auto& c : clusters_) n += c.members.size();
-  return n;
-}
-
 void GangliaFederation::poll_cycle() {
   ++cycles_;
   for (auto& cluster : clusters_) {

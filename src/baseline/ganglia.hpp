@@ -45,8 +45,6 @@ class GangliaFederation {
   // --- bottleneck observability -------------------------------------------
   [[nodiscard]] std::uint64_t central_bytes_received() const;
   [[nodiscard]] std::uint64_t central_messages_received() const;
-  [[nodiscard]] net::EndpointId central_endpoint() const { return central_; }
-  [[nodiscard]] std::size_t member_count() const;
   [[nodiscard]] std::uint64_t poll_cycles() const { return cycles_; }
 
  private:

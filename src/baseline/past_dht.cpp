@@ -185,10 +185,4 @@ PastDht::PastDht(pastry::Overlay& overlay, PastDhtConfig config) {
   }
 }
 
-std::size_t PastDht::total_stored() const {
-  std::size_t total = 0;
-  for (const auto& s : services_) total += s->stored_keys();
-  return total;
-}
-
 }  // namespace rbay::baseline

@@ -77,9 +77,6 @@ class PastDht {
   [[nodiscard]] PastDhtNode& node(std::size_t i) { return *services_.at(i); }
   [[nodiscard]] std::size_t size() const { return services_.size(); }
 
-  /// Total replicas stored across the overlay (for replication tests).
-  [[nodiscard]] std::size_t total_stored() const;
-
  private:
   std::vector<std::unique_ptr<PastDhtNode>> services_;
 };

@@ -39,9 +39,6 @@ class ChurnDriver {
   void start();
   void stop();
 
-  [[nodiscard]] const monitor::ReliabilityTracker& tracker(std::size_t i) const {
-    return trackers_.at(i);
-  }
   [[nodiscard]] bool is_churny(std::size_t i) const { return churny_.at(i); }
   [[nodiscard]] bool is_gateway(std::size_t i) const { return gateway_.at(i); }
   [[nodiscard]] std::uint64_t failures() const { return failures_; }

@@ -106,7 +106,6 @@ class Taxonomy {
   [[nodiscard]] std::optional<std::string> major_of(const std::string& attribute) const;
 
   [[nodiscard]] std::size_t major_count() const { return majors_.size(); }
-  [[nodiscard]] std::size_t link_count() const { return parents_.size(); }
 
  private:
   std::vector<std::string> majors_;

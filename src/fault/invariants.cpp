@@ -509,7 +509,8 @@ util::Result<std::vector<const NamedChecker*>> find_checkers(
     if (checker == std::end(kCheckers)) {
       std::string known;
       for (const NamedChecker& c : kCheckers) {
-        known += (known.empty() ? "" : "|") + std::string(c.name);
+        if (!known.empty()) known += '|';
+        known += c.name;
       }
       return util::make_error("unknown checker '" + name + "' (" + known + ")");
     }

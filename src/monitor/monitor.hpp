@@ -81,7 +81,6 @@ class ResourceMonitor {
   /// subscriptions, the paper's onSubscribe/onUnsubscribe churn).
   std::function<void()> on_tick;
 
-  [[nodiscard]] std::size_t metric_count() const { return metrics_.size(); }
   [[nodiscard]] std::uint64_t ticks() const { return ticks_; }
 
  private:

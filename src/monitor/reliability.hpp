@@ -37,10 +37,7 @@ class ReliabilityTracker {
   /// EWMA so long-running survivors keep improving.
   [[nodiscard]] double predicted_availability(util::SimTime now) const;
 
-  [[nodiscard]] bool currently_up() const { return up_; }
   [[nodiscard]] int completed_sessions() const { return sessions_; }
-  [[nodiscard]] double ewma_uptime_seconds() const { return ewma_up_s_; }
-  [[nodiscard]] double ewma_downtime_seconds() const { return ewma_down_s_; }
 
  private:
   void fold(double& ewma, double sample_s) const;

@@ -1,27 +1,12 @@
 #include "obs/causal.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <unordered_map>
 #include <utility>
 
 #include "obs/metrics.hpp"
 #include "util/contract.hpp"
 
 namespace rbay::obs {
-
-InternedName intern_name(std::string_view name) {
-  static std::mutex mu;
-  static std::deque<std::string> names;  // deque: interned strings never move
-  static std::unordered_map<std::string_view, std::uint32_t> ids;
-  std::lock_guard<std::mutex> lk(mu);
-  auto it = ids.find(name);
-  if (it == ids.end()) {
-    const std::string& stored = names.emplace_back(name);  // the map keys views of it
-    it = ids.emplace(stored, static_cast<std::uint32_t>(names.size() - 1)).first;
-  }
-  return {it->second, &names[it->second]};
-}
 
 const char* causal_kind_name(CausalKind kind) {
   switch (kind) {
@@ -90,20 +75,14 @@ void CausalLog::reserve_rings(std::size_t endpoint_count) {
 
 TraceContext CausalLog::begin_trace(const std::string& query_id, std::uint32_t site,
                                     std::uint32_t endpoint, util::SimTime at) {
-  if (trace_count_.load(std::memory_order_relaxed) >= kMaxTraces) return TraceContext{};
+  SlotState& s = slot();
+  if (s.begun.size() >= kMaxTraces) return TraceContext{};
   TraceContext ctx;
   ctx.trace_id = mint_trace();
   ctx.span_id = mint_span();
   ctx.parent_span_id = 0;
-
-  TraceMeta meta;
-  meta.query_id = query_id;
-  meta.root_span = ctx.span_id;
-  meta.started = at;
-  traces_.get_or_create(ctx.trace_id).ref = std::move(meta);
-  by_query_.get_or_create(query_id).ref = ctx.trace_id;
-  trace_count_.fetch_add(1, std::memory_order_relaxed);
-
+  s.begun.emplace_back(ctx.trace_id,
+                       TraceMeta{.query_id = query_id, .root_span = ctx.span_id, .started = at});
   record(stamp(CausalKind::kLocal, ctx, site, endpoint, "query.start", at));
   return ctx;
 }
@@ -120,23 +99,55 @@ void CausalLog::finish_trace(const TraceContext& fallback, std::uint32_t site,
   ctx.parent_span_id = parent.span_id;
   ctx.span_id = mint_span();
   ctx.phase = kPhaseNone;
-  traces_.with(ctx.trace_id, [&](TraceMeta& meta) {
-    meta.terminus_span = ctx.span_id;
-    meta.finished = at;
-    meta.done = true;
-    meta.satisfied = satisfied;
-    meta.attempts = attempts;
-  });
+  slot().finished.push_back({ctx.trace_id, ctx.span_id, at, satisfied, attempts});
   record(stamp(CausalKind::kLocal, ctx, site, endpoint, "query.finish", at));
 }
 
 const TraceMeta* CausalLog::find_trace(std::uint64_t trace_id) const {
-  return traces_.find(trace_id);
+  merge_traces();
+  const auto it = traces_.find(trace_id);
+  return it == traces_.end() ? nullptr : &it->second;
 }
 
 std::uint64_t CausalLog::trace_id_for(const std::string& query_id) const {
-  const std::uint64_t* id = by_query_.find(query_id);
-  return id == nullptr ? 0 : *id;
+  merge_traces();
+  const auto it = by_query_.find(query_id);
+  return it == by_query_.end() ? 0 : it->second;
+}
+
+void CausalLog::merge_traces() const {
+  std::size_t total = 0;
+  for (const SlotState& s : slots_) total += s.begun.size() + s.finished.size() + s.lost.size();
+  if (total == traces_from_) return;
+  // Every entry is reset to its begin record, then the finishes and
+  // losses of all slots apply, each in slot order.  Entries are
+  // reassigned, never erased, so the pointers find_trace handed out stay
+  // valid.
+  for (const SlotState& s : slots_) {
+    for (const auto& [trace_id, begun] : s.begun) {
+      traces_[trace_id] = begun;
+      by_query_[begun.query_id] = trace_id;
+    }
+  }
+  for (const SlotState& s : slots_) {
+    for (const TraceFinished& f : s.finished) {
+      const auto it = traces_.find(f.trace_id);
+      if (it == traces_.end()) continue;
+      TraceMeta& meta = it->second;
+      meta.terminus_span = f.terminus_span;
+      meta.finished = f.at;
+      meta.done = true;
+      meta.satisfied = f.satisfied;
+      meta.attempts = f.attempts;
+    }
+  }
+  for (const SlotState& s : slots_) {
+    for (const std::uint64_t trace_id : s.lost) {
+      const auto it = traces_.find(trace_id);
+      if (it != traces_.end()) it->second.complete = false;
+    }
+  }
+  traces_from_ = total;
 }
 
 TraceContext CausalLog::on_send(std::uint32_t site, std::uint32_t endpoint, const char* what,
@@ -253,11 +264,8 @@ std::vector<const CausalEvent*> CausalLog::trace_events(std::uint64_t trace_id) 
 }
 
 std::vector<std::pair<std::string, std::uint64_t>> CausalLog::traces_by_query() const {
-  std::vector<std::pair<std::string, std::uint64_t>> out;
-  by_query_.for_each_ordered([&](const std::string& query_id, const std::uint64_t& trace_id) {
-    out.emplace_back(query_id, trace_id);
-  });
-  return out;
+  merge_traces();
+  return {by_query_.begin(), by_query_.end()};
 }
 
 void CausalLog::record(CausalEvent ev) {
@@ -276,7 +284,7 @@ void CausalLog::record(CausalEvent ev) {
   if (ev.trace_id == 0) return;
   if (s.events.size() >= kMaxEvents / slots_.size()) {
     if (metrics_ != nullptr) metrics_->counter<"trace.dropped">().inc();
-    traces_.with(ev.trace_id, [](TraceMeta& meta) { meta.complete = false; });
+    if (s.lost.empty() || s.lost.back() != ev.trace_id) s.lost.push_back(ev.trace_id);
     return;
   }
   s.events.push_back(ev);

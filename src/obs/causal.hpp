@@ -21,6 +21,13 @@
 //     worker-thread count.  Bounded by kMaxEvents split evenly across
 //     slots; past that, traced events are counted in trace.dropped and
 //     their trace is marked incomplete (TraceMeta::complete).
+//   * Trace records.  begin_trace, finish_trace and a dropped traced event
+//     each append a record to the calling slot's own lists; find_trace,
+//     trace_id_for and traces_by_query read a snapshot-time merge of them,
+//     cached like events().  No record is shared between slots, so the
+//     trace registry, like the event log, is the same at any worker count.
+//     kMaxTraces is counted per slot: each slot admits up to kMaxTraces
+//     traces that it begins.
 //   * Flight recorder.  Every event — traced or not — is also written into
 //     a small per-endpoint ring (set_flight_capacity), so when a chaos
 //     invariant fails the harness can dump the last N causal events of the
@@ -35,7 +42,7 @@
 //
 // Events are plain 64-byte records: `what` points at a name with static
 // storage (a literal or Payload::type_name()) or one interned by
-// intern_name(), so recording an event copies no string.
+// intern_name() (obs/metrics.hpp), so recording an event copies no string.
 //
 // The per-query span view (obs/critical_path.hpp, build_query_trace) is
 // derived from this log at snapshot time; phase_point() records the
@@ -45,10 +52,8 @@
 // per-slot counters strided by the slot count S (slot k mints k+1, k+1+S,
 // ...), so ids are a pure function of (seed, shard).
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -58,7 +63,6 @@
 #include "obs/context.hpp"
 #include "obs/exec_slot.hpp"
 #include "util/sim_time.hpp"
-#include "util/striped_map.hpp"
 
 namespace rbay::obs {
 
@@ -72,15 +76,6 @@ enum class CausalKind : std::uint8_t {
 };
 
 [[nodiscard]] const char* causal_kind_name(CausalKind kind);
-
-/// A name in the process-wide name table (under a lock): a dense id and a
-/// copy that never moves or dies.  Metric keys and the event names built
-/// at run time (alert and watchdog transitions) share the table.
-struct InternedName {
-  std::uint32_t id;
-  const std::string* name;
-};
-[[nodiscard]] InternedName intern_name(std::string_view name);
 
 /// "probe".."commit" for obs::Phase values, "none" for kPhaseNone.
 [[nodiscard]] const char* phase_label(std::uint8_t phase);
@@ -153,7 +148,8 @@ class CausalLog {
 
   // --- trace lifecycle ---------------------------------------------------
   /// Mints a trace + root span and records the "query.start" event.
-  /// Returns an inactive context once kMaxTraces traces exist.
+  /// Returns an inactive context once the calling slot has begun
+  /// kMaxTraces traces.
   TraceContext begin_trace(const std::string& query_id, std::uint32_t site,
                            std::uint32_t endpoint, util::SimTime at);
   /// Records the "query.finish" terminus.  Its parent is the ambient span
@@ -163,8 +159,10 @@ class CausalLog {
   void finish_trace(const TraceContext& fallback, std::uint32_t site, std::uint32_t endpoint,
                     util::SimTime at, bool satisfied, int attempts);
 
+  /// Snapshot-time only, like events(); the pointer stays valid for the
+  /// log's lifetime.
   [[nodiscard]] const TraceMeta* find_trace(std::uint64_t trace_id) const;
-  /// 0 when the query was never traced.
+  /// 0 when the query was never traced.  Snapshot-time only.
   [[nodiscard]] std::uint64_t trace_id_for(const std::string& query_id) const;
 
   // --- event recording ---------------------------------------------------
@@ -189,7 +187,6 @@ class CausalLog {
 
   // --- flight recorder ---------------------------------------------------
   void set_flight_capacity(std::size_t capacity);
-  [[nodiscard]] std::size_t flight_capacity() const { return flight_capacity_; }
   /// Ring contents for `endpoint`, oldest first.
   [[nodiscard]] std::vector<CausalEvent> flight_events(std::uint32_t endpoint) const;
   /// Human-readable ring dump ("  t=... send pastry.Route trace=3 ...").
@@ -214,13 +211,25 @@ class CausalLog {
     std::uint64_t total = 0;
   };
 
-  /// Per-execution-slot state: ambient context, id counters, event log.
-  /// Each is touched only by its shard (or barrier-serialized control).
+  struct TraceFinished {
+    std::uint64_t trace_id;
+    std::uint64_t terminus_span;
+    util::SimTime at;
+    bool satisfied;
+    int attempts;
+  };
+
+  /// Per-execution-slot state: ambient context, id counters, event log and
+  /// trace records.  Each is touched only by its shard (or
+  /// barrier-serialized control).
   struct SlotState {
     TraceContext current{};
     std::uint64_t next_trace = 0;
     std::uint64_t next_span = 0;
     std::vector<CausalEvent> events;
+    std::vector<std::pair<std::uint64_t, TraceMeta>> begun;  // trace id, meta at begin
+    std::vector<TraceFinished> finished;
+    std::vector<std::uint64_t> lost;  // traces that lost an event; runs folded
   };
 
   SlotState& slot() {
@@ -244,11 +253,10 @@ class CausalLog {
   /// no trace is ambient).
   TraceContext child_of_ambient();
   void record(CausalEvent ev);
+  /// Brings the merged trace maps up to date with the per-slot records.
+  void merge_traces() const;
 
   std::vector<SlotState> slots_{1};
-  util::StripedMap<std::uint64_t, TraceMeta> traces_;
-  util::StripedMap<std::string, std::uint64_t> by_query_;
-  std::atomic<std::size_t> trace_count_{0};
   std::vector<FlightRing> rings_;    // indexed by endpoint; pre-sized
   std::vector<CausalEvent> flight_;  // rings_.size() * flight_capacity_ events
   std::size_t flight_capacity_ = kDefaultFlightCapacity;
@@ -256,6 +264,11 @@ class CausalLog {
   /// Merged-events cache, rebuilt when the per-slot totals change.
   mutable std::vector<CausalEvent> merged_;
   mutable std::size_t merged_from_ = 0;
+  /// Merged trace maps, rebuilt in place when the per-slot record totals
+  /// change.
+  mutable std::map<std::uint64_t, TraceMeta> traces_;
+  mutable std::map<std::string, std::uint64_t> by_query_;
+  mutable std::size_t traces_from_ = 0;
 };
 
 /// RAII swap of the ambient context.  Null-log tolerant so instrumented

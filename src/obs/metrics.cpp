@@ -2,12 +2,27 @@
 
 #include <bit>
 #include <cmath>
+#include <deque>
+#include <unordered_map>
 
 #include "obs/critical_path.hpp"
 #include "obs/json.hpp"
 #include "util/contract.hpp"
 
 namespace rbay::obs {
+
+InternedName intern_name(std::string_view name) {
+  static std::mutex mu;
+  static std::deque<std::string> names;  // deque: interned strings never move
+  static std::unordered_map<std::string_view, std::uint32_t> ids;
+  std::lock_guard<std::mutex> lk(mu);
+  auto it = ids.find(name);
+  if (it == ids.end()) {
+    const std::string& stored = names.emplace_back(name);  // the map keys views of it
+    it = ids.emplace(stored, static_cast<std::uint32_t>(names.size() - 1)).first;
+  }
+  return {it->second, &names[it->second]};
+}
 
 // --- LatencyHisto -----------------------------------------------------------
 
@@ -224,18 +239,6 @@ std::string Registry::to_json() const {
     for (const auto& [site_id, scope] : sites_) {
       comma.next(out);
       json::append_key(out, std::to_string(site_id));
-      scope.write_json(out);
-    }
-  }
-  out += '}';
-  out += ',';
-  json::append_key(out, "nodes");
-  out += '{';
-  {
-    json::Comma comma;
-    for (const auto& [key, scope] : nodes_) {
-      comma.next(out);
-      json::append_key(out, key);
       scope.write_json(out);
     }
   }

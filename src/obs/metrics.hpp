@@ -1,8 +1,8 @@
 #pragma once
 
 // Observability registry: named counters, gauges, and HDR-style latency
-// histograms, organized into scopes — one federation-wide, one per site,
-// one per node — plus the causal log that query traces are built from.
+// histograms, organized into scopes — one federation-wide and one per site
+// — plus the causal log that query traces are built from.
 //
 // Design rules (they are what make the deterministic-replay test possible):
 //   * every timestamp and latency is sim-time from the engine's virtual
@@ -204,6 +204,15 @@ class LatencyHisto {
   std::atomic<detail::CellBlock<Cell>*> extra_{nullptr};
 };
 
+/// A name in the process-wide name table (under a lock): a dense id and a
+/// copy that never moves or dies.  Metric keys and the event names built
+/// at run time (alert and watchdog transitions) share the table.
+struct InternedName {
+  std::uint32_t id;
+  const std::string* name;
+};
+[[nodiscard]] InternedName intern_name(std::string_view name);
+
 /// A metric name interned (intern_name) to a dense id.
 class MetricKey {
  public:
@@ -343,9 +352,9 @@ class Scope {
 };
 
 /// The root of the observability tree: federation scope, per-site scopes
-/// (keyed by site id), per-node scopes (keyed by node id hex), and the
-/// causal log.  Attach to a sim::Engine with engine.set_metrics(&reg);
-/// detached (the default) every instrumented path is a null-check no-op.
+/// (keyed by site id), and the causal log.  Attach to a sim::Engine with
+/// engine.set_metrics(&reg); detached (the default) every instrumented
+/// path is a null-check no-op.
 class Registry {
  public:
   Registry() = default;
@@ -356,10 +365,6 @@ class Registry {
   /// Site scopes are found lock-free once created, like keyed metrics.
   Scope& site(std::uint32_t site_id) {
     return site_ids_.get(site_id, mu_, [&]() -> Scope& { return sites_[site_id]; });
-  }
-  Scope& node(const std::string& node_key) {
-    std::lock_guard<std::mutex> lk(mu_);
-    return nodes_[node_key];
   }
   [[nodiscard]] const Scope& fed() const { return fed_; }
   /// Read-only view of the per-site scopes (never creates; snapshot-time).
@@ -380,9 +385,9 @@ class Registry {
   /// fixed; until then everything stays on slot 0.
   void set_exec_slots(std::uint32_t slots);
 
-  /// Full snapshot: {"federation": {...}, "sites": {...}, "nodes": {...},
-  /// "traces": [...]}.  Integers only; byte-stable across same-seed runs.
-  /// Snapshot-time only: no shard may be writing.
+  /// Full snapshot: {"federation": {...}, "sites": {...}, "traces": [...]}.
+  /// Integers only; byte-stable across same-seed runs.  Snapshot-time
+  /// only: no shard may be writing.
   [[nodiscard]] std::string to_json() const;
 
  private:
@@ -390,7 +395,6 @@ class Registry {
   Scope fed_;
   std::map<std::uint32_t, Scope> sites_;
   detail::IdIndex<Scope> site_ids_;
-  std::map<std::string, Scope> nodes_;
   CausalLog causal_{&fed_};
 };
 

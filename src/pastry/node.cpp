@@ -66,22 +66,6 @@ PastryNode::PastryNode(net::Network& network, const NodeTable& nodes, NodeIndex 
       site_leaves_(nodes, index),
       site_table_(nodes, index) {}
 
-void PastryNode::bind_metrics(obs::Registry* registry) {
-  forwards_registry_ = registry;  // node_forwards_ is only read under a registry
-  if (registry == nullptr) return;
-  // The pastry.* metrics appear with any node's first write, and a node's
-  // own forwards counter with its first.
-  auto& fed = registry->fed();
-  fed.counter<"pastry.routes">();
-  fed.counter<"pastry.forwards">();
-  fed.counter<"pastry.delivers">();
-  fed.counter<"pastry.joins">();
-  fed.counter<"pastry.leaf_repairs">();
-  fed.latency<"pastry.delivery_hops">();
-  registry->causal();
-  node_forwards_ = &registry->node(self_.id.to_hex()).counter<"pastry.forwards">();
-}
-
 AppId PastryNode::register_app(const std::string& name, PastryApp* app) {
   RBAY_REQUIRE(app != nullptr, "register_app: app required");
   const AppId id = intern_app(name);
@@ -233,7 +217,6 @@ void PastryNode::handle_route(std::unique_ptr<RouteEnvelope> env) {
   ++forward_count_;
   if (auto* registry = metrics()) {
     registry->fed().counter<"pastry.forwards">().inc();
-    node_forwards_->inc();
   }
   if (auto* handler = find_app(env->app)) {
     if (!handler->forward(env->key, *env->msg, *hop)) return;

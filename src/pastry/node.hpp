@@ -126,22 +126,12 @@ class PastryNode {
   [[nodiscard]] std::int64_t proximity_to(const NodeRef& other) const;
   [[nodiscard]] std::optional<NodeRef> rare_case_hop(const NodeId& key, Scope scope) const;
 
-  /// The attached registry, or nullptr.  The node's first call under a
-  /// registry binds its per-node forwards counter (bind_metrics).
-  [[nodiscard]] obs::Registry* metrics() {
-    auto* registry = network_.engine().metrics();
-    if (registry != forwards_registry_) bind_metrics(registry);
-    return registry;
-  }
-  void bind_metrics(obs::Registry* registry);
+  /// The attached registry, or nullptr.
+  [[nodiscard]] obs::Registry* metrics() { return network_.engine().metrics(); }
 
   net::Network& network_;
   const NodeTable& nodes_;
   NodeRef self_;
-  // This node's pastry.forwards in the per-node scope (Fig. 8b), and the
-  // registry it lives in.
-  obs::Registry* forwards_registry_ = nullptr;
-  obs::Counter* node_forwards_ = nullptr;
   LeafSet leaves_;
   RoutingTable table_;
   LeafSet site_leaves_;
@@ -156,6 +146,6 @@ class PastryNode {
 };
 // Per-node memory on 100k-node overlays: keep the node record from
 // growing back unnoticed.
-static_assert(sizeof(PastryNode) <= 352, "PastryNode grew");
+static_assert(sizeof(PastryNode) <= 336, "PastryNode grew");
 
 }  // namespace rbay::pastry

@@ -7,7 +7,20 @@
 namespace rbay::pastry {
 
 Overlay::Overlay(sim::Engine& engine, net::Topology topology)
-    : engine_(engine), network_(engine, std::move(topology)) {}
+    : engine_(engine), network_(engine, std::move(topology)) {
+  engine_.on_run_start([this] {
+    auto* registry = engine_.metrics();
+    if (registry == nullptr) return;
+    // The routing metrics appear from the first run, whatever it routes.
+    auto& fed = registry->fed();
+    fed.counter<"pastry.routes">();
+    fed.counter<"pastry.forwards">();
+    fed.counter<"pastry.delivers">();
+    fed.counter<"pastry.joins">();
+    fed.counter<"pastry.leaf_repairs">();
+    fed.latency<"pastry.delivery_hops">();
+  });
+}
 
 PastryNode& Overlay::create_node(net::SiteId site) {
   RBAY_REQUIRE(!engine_.running(), "Overlay::create_node: the node table is read-only during runs");

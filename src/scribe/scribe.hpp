@@ -164,7 +164,6 @@ class Scribe final : public pastry::PastryApp {
   [[nodiscard]] std::vector<NodeRef> children_of(const TopicId& topic) const;
   [[nodiscard]] std::optional<NodeRef> parent_of(const TopicId& topic) const;
   [[nodiscard]] bool is_root_of(const TopicId& topic) const;
-  [[nodiscard]] std::size_t topic_count() const { return topics_.size(); }
 
   /// Failover introspection (invariant checkers, tests).
   [[nodiscard]] std::size_t anycast_waiter_count() const { return anycast_waiters_.size(); }

@@ -234,7 +234,6 @@ class Engine {
   /// federation's periodic timers would otherwise keep an unbounded
   /// window spinning forever.
   void set_cross_shard_lookahead(SimTime lookahead);
-  [[nodiscard]] SimTime cross_shard_lookahead() const { return lookahead_; }
 
   /// Registers a hook run (in control context) at the top of every
   /// run()/run_until() — how the Network declares its metrics and

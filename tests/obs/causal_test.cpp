@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
+#include <string_view>
 
 #include "core/cluster.hpp"
 #include "obs/causal.hpp"
@@ -238,6 +240,87 @@ TEST(CausalTrace, FlightRecorderRingStaysBounded) {
   const auto dump = causal.dump_flight(endpoint);
   EXPECT_NE(dump.find("flight recorder endpoint"), std::string::npos);
   EXPECT_NE(dump.find("t="), std::string::npos);
+}
+
+/// Runs the calling thread as execution slot `index` until destroyed, the
+/// way the engine does around a shard's events.
+struct OnSlot {
+  explicit OnSlot(std::uint32_t index) { obs::exec_slot().index = index; }
+  ~OnSlot() { obs::exec_slot().index = 0; }
+  OnSlot(const OnSlot&) = delete;
+  OnSlot& operator=(const OnSlot&) = delete;
+};
+
+TEST(CausalTrace, TraceCapIsCountedPerSlot) {
+  obs::CausalLog log;
+  log.set_slots(3);
+  {
+    OnSlot on{1};
+    for (std::size_t i = 0; i < obs::CausalLog::kMaxTraces; ++i) {
+      EXPECT_TRUE(log.begin_trace(std::string("a").append(std::to_string(i)), 0, 0,
+                                  util::SimTime::zero())
+                      .active());
+    }
+    EXPECT_FALSE(log.begin_trace("a-over", 0, 0, util::SimTime::zero()).active());
+  }
+  OnSlot on{2};
+  const auto ctx = log.begin_trace("b", 1, 0, util::SimTime::zero());
+  EXPECT_TRUE(ctx.active()) << "another slot's traces used up this slot's cap";
+  EXPECT_EQ(log.trace_id_for("b"), ctx.trace_id);
+  EXPECT_EQ(log.trace_id_for("a-over"), 0u);
+  EXPECT_EQ(log.traces_by_query().size(), obs::CausalLog::kMaxTraces + 1);
+}
+
+/// Begins and finishes one trace, then drops one of its events by filling
+/// a slot's share of the log, each step on the given slot of a log with
+/// `slots` slots.  Returns the merged TraceMeta after checking that its
+/// terminus is the span of the recorded "query.finish" event.
+obs::TraceMeta trace_meta_on(std::uint32_t slots, std::uint32_t begin_on,
+                             std::uint32_t finish_on, std::uint32_t drop_on) {
+  obs::CausalLog log;
+  log.set_slots(slots);
+  obs::TraceContext root;
+  {
+    OnSlot on{begin_on};
+    root = log.begin_trace("q", 0, 0, util::SimTime::micros(5));
+  }
+  {
+    OnSlot on{finish_on};
+    log.finish_trace(root, 0, 0, util::SimTime::micros(9), false, 3);
+  }
+  std::uint64_t terminus = 0;
+  for (const auto* ev : log.trace_events(root.trace_id)) {
+    if (std::string_view(ev->what) == "query.finish") terminus = ev->span_id;
+  }
+  {
+    // A late reply arriving after the finish, until the slot's log is full.
+    OnSlot on{drop_on};
+    for (std::size_t i = 0; i <= obs::CausalLog::kMaxEvents / slots; ++i) {
+      log.on_recv(root, 0, 0, "late.reply", util::SimTime::micros(10));
+    }
+  }
+  const auto* meta = log.find_trace(root.trace_id);
+  EXPECT_NE(meta, nullptr);
+  if (meta == nullptr) return {};
+  EXPECT_NE(terminus, 0u);
+  EXPECT_EQ(meta->terminus_span, terminus);
+  return *meta;
+}
+
+TEST(CausalTrace, TraceMetaDoesNotDependOnTheSlotsThatWroteIt) {
+  const obs::TraceMeta one = trace_meta_on(1, 0, 0, 0);
+  const obs::TraceMeta split = trace_meta_on(3, 0, 2, 1);
+  EXPECT_EQ(split.query_id, one.query_id);
+  EXPECT_EQ(split.root_span, one.root_span);
+  EXPECT_EQ(split.started, one.started);
+  EXPECT_EQ(split.finished, one.finished);
+  EXPECT_EQ(split.done, one.done);
+  EXPECT_EQ(split.satisfied, one.satisfied);
+  EXPECT_EQ(split.attempts, one.attempts);
+  EXPECT_EQ(split.complete, one.complete);
+  EXPECT_TRUE(one.done);
+  EXPECT_EQ(one.attempts, 3);
+  EXPECT_FALSE(one.complete);
 }
 
 }  // namespace

@@ -92,7 +92,7 @@ TEST(Scope, LookupCreatesOnceAndReferencesAreStable) {
   Counter& a = s.counter<"x">();
   a.inc();
   // Creating unrelated metrics must not move `a` (std::map node stability).
-  for (int i = 0; i < 100; ++i) s.counter(MetricKey{"c" + std::to_string(i)});
+  for (int i = 0; i < 100; ++i) s.counter(MetricKey{std::string("c").append(std::to_string(i))});
   s.gauge<"g">().set(7);
   s.latency<"l">().add_us(5);
   EXPECT_EQ(&s.counter<"x">(), &a);
@@ -127,7 +127,6 @@ TEST(Registry, JsonHasAllSectionsAndIsStable) {
   Registry reg;
   reg.fed().counter<"events">().inc(3);
   reg.site(1).counter<"msgs">().inc();
-  reg.node("abcd").gauge<"depth">().set(2);
   reg.fed().latency<"lat">().add_us(250);
   TraceWriter q{reg.causal(), "q-1", SimTime::micros(10)};
   q.point(q.root, "query.probe", Phase::kProbe, SimTime::micros(10), SimTime::micros(20), 2);
@@ -136,7 +135,6 @@ TEST(Registry, JsonHasAllSectionsAndIsStable) {
   const std::string json = reg.to_json();
   EXPECT_NE(json.find("\"federation\""), std::string::npos);
   EXPECT_NE(json.find("\"sites\""), std::string::npos);
-  EXPECT_NE(json.find("\"nodes\""), std::string::npos);
   EXPECT_NE(json.find("\"traces\""), std::string::npos);
   EXPECT_NE(json.find("\"events\":3"), std::string::npos);
   EXPECT_NE(json.find("\"q-1\""), std::string::npos);

@@ -131,5 +131,14 @@ TEST(Rng, ChanceProbabilityRoughlyHolds) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.25, 0.02);
 }
 
+TEST(RngStream, StreamsAreDeterministicAndDistinct) {
+  EXPECT_EQ(Rng::stream(42, 1).next_u64(), Rng::stream(42, 1).next_u64());
+  EXPECT_NE(Rng::stream(42, 1).next_u64(), Rng::stream(42, 2).next_u64());
+  EXPECT_NE(Rng::stream(42, 1).next_u64(), Rng::stream(43, 1).next_u64());
+  // Stream 0 is not the base sequence: the sharded engine reserves the
+  // legacy constructor stream for the control shard.
+  EXPECT_NE(Rng::stream(42, 0).next_u64(), Rng{42}.next_u64());
+}
+
 }  // namespace
 }  // namespace rbay::util

@@ -44,41 +44,25 @@ cmake --build --preset ci -j "$(nproc 2>/dev/null || echo 4)"
 mkdir -p build-ci/artifacts
 RBAY_MODEL_ARTIFACTS="$PWD/build-ci/artifacts" ctest --preset ci
 
-# The composed gray-WAN storm scenario must ride out the weather with
-# exact answers and green invariants, its transcript archived either way.
-if ! build-ci/tools/rbay_sim --metrics build-ci/artifacts/gray_wan_metrics.json \
-    scenarios/gray_wan.rbay \
-    > build-ci/artifacts/gray_wan.log 2>&1; then
-  echo "gray_wan scenario FAILED; transcript follows" >&2
-  cat build-ci/artifacts/gray_wan.log >&2
-  exit 1
-fi
-
-# Rendezvous-failover gate: crash a tree root mid-aggregation and storm
-# the federation; the run's transcript (degraded reads, invariant verdict,
-# and — on a trip — the flight-recorder failure dump the scenario embeds
-# in its error output) is archived whether it passes or fails.
-if ! build-ci/tools/rbay_sim --metrics build-ci/artifacts/chaos_root_crash_metrics.json \
-    scenarios/chaos_root_crash.rbay \
-    > build-ci/artifacts/chaos_root_crash.log 2>&1; then
-  echo "chaos_root_crash scenario FAILED; failure dump follows" >&2
-  cat build-ci/artifacts/chaos_root_crash.log >&2
-  exit 1
-fi
-
-# Health-plane gate (docs/HEALTH.md): the self-hosted health scenario —
-# rbay.health.* trees answering federation-health queries, watchdog
-# episodes opening and healing across a root crash, timeseries alert
-# rules — run under the sanitizers, with the sampled time series and its
-# rendered dashboard archived either way.
-if ! build-ci/tools/rbay_sim \
-    --timeseries build-ci/artifacts/health_watch_timeseries.json \
-    scenarios/health_watch.rbay \
-    > build-ci/artifacts/health_watch.log 2>&1; then
-  echo "health_watch scenario FAILED; transcript follows" >&2
-  cat build-ci/artifacts/health_watch.log >&2
-  exit 1
-fi
+# Archive four shipped scenarios' runs (ctest above already ran them as
+# tests): the gray-WAN storm, the root-crash failover, the health plane
+# and the flash crowd.  Each keeps its transcript and its metrics
+# snapshot, or for health_watch its sampled time series and the rendered
+# rbay_top dashboard.  A failing run prints its transcript, which for
+# the chaos scenarios embeds the flight-recorder failure dump.
+for name in gray_wan chaos_root_crash health_watch flash_crowd; do
+  out=build-ci/artifacts/$name
+  case "$name" in
+    health_watch) output="--timeseries ${out}_timeseries.json" ;;
+    *) output="--metrics ${out}_metrics.json" ;;
+  esac
+  # $output is unquoted on purpose: it is a flag and its path.
+  if ! build-ci/tools/rbay_sim $output "scenarios/$name.rbay" > "$out.log" 2>&1; then
+    echo "$name scenario FAILED; transcript follows" >&2
+    cat "$out.log" >&2
+    exit 1
+  fi
+done
 build-ci/tools/rbay_top build-ci/artifacts/health_watch_timeseries.json \
   > build-ci/artifacts/health_watch_top.txt
 
@@ -124,17 +108,6 @@ TSAN_OPTIONS="$TSAN_BENCH_OPTIONS" RBAY_SIM_THREADS=4 \
   build-tsan/bench/bench_fig10_latency_sites --small --trace build-tsan/fig10_trace.json
 TSAN_OPTIONS="$TSAN_BENCH_OPTIONS" RBAY_SIM_THREADS=4 \
   build-tsan/bench/bench_throughput --small
-
-# Flash-crowd scenario: 100x demand spike on one attribute — admission
-# sheds deterministically, the cache absorbs the warm wave.  Transcript
-# and metrics snapshot are archived either way.
-if ! build-ci/tools/rbay_sim --metrics build-ci/artifacts/flash_crowd_metrics.json \
-    scenarios/flash_crowd.rbay \
-    > build-ci/artifacts/flash_crowd.log 2>&1; then
-  echo "flash_crowd scenario FAILED; transcript follows" >&2
-  cat build-ci/artifacts/flash_crowd.log >&2
-  exit 1
-fi
 
 # Trend gates against the baselines committed in artifacts/; the rules and
 # bounds are in tools/bench_gate.py.  Fig. 8b runs at full size because the
