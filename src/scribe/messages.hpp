@@ -3,6 +3,7 @@
 // Scribe wire messages (carried as Pastry AppMessages under app "scribe").
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -342,11 +343,14 @@ struct HeartbeatMsg final : pastry::TaggedMessage<HeartbeatMsg> {
 };
 
 /// Child→parent liveness response; lets parents prune dead children (and
-/// stop counting their stale aggregate reports).
+/// stop counting their stale aggregate reports).  Once the child has
+/// reported to this parent it also carries the value last reported, so a
+/// lost or reordered AggReportMsg is repaired within one heartbeat.
 struct HeartbeatAckMsg final : pastry::TaggedMessage<HeartbeatAckMsg> {
   TopicId topic;
+  std::optional<double> report;
 
-  [[nodiscard]] std::size_t wire_size() const override { return 16; }
+  [[nodiscard]] std::size_t wire_size() const override { return report ? 24 : 16; }
   [[nodiscard]] const char* type_name() const override { return "scribe.HeartbeatAck"; }
   [[nodiscard]] std::unique_ptr<pastry::AppMessage> clone_msg() const override {
     return std::make_unique<HeartbeatAckMsg>(*this);

@@ -19,8 +19,8 @@ namespace {
 constexpr int kHeartbeatMisses = 3;
 /// Leaf-set neighbours each tree root replicates rendezvous state to.
 constexpr int kRootReplicas = 2;
-/// Rounds between unconditional refreshes of an unchanged report or
-/// replica (capped by half the staleness bound, see refresh_interval).
+/// Rounds between unconditional refreshes of an unchanged root replica
+/// (capped by half the staleness bound, see refresh_interval).
 constexpr std::int64_t kRefreshRounds = 8;
 
 /// Federation scope of the engine-attached registry, or nullptr when
@@ -608,6 +608,14 @@ void Scribe::reattached(TopicState& st) {
   touch();
 }
 
+bool Scribe::record_report(ChildState& child, double value) {
+  if (child.has_report && child.last_report == value) return false;
+  child.last_report = value;
+  child.has_report = true;
+  touch();
+  return true;
+}
+
 void Scribe::arm_round(sim::Timer& slot, util::SimTime at) {
   auto& engine = node_.network().engine();
   // Background, so a sleeping tree never holds run() open; armed on the
@@ -630,10 +638,11 @@ void Scribe::arm_next_round() {
       touch();
       return;
     }
+    // Only a replicating root has a deadline: reports are never refreshed.
     const bool replicating = st.root && (st.member || !st.children.empty());
-    if (!st.parent && !replicating) continue;
+    if (!replicating || !st.root_state) continue;
     // First grid instant at or after the deadline, never before `next`.
-    const auto due = std::max(next, next_grid_after(st.refreshed_at + refresh -
+    const auto due = std::max(next, next_grid_after(st.root_state->refreshed_at + refresh -
                                                     util::SimTime::micros(1)));
     if (!wake || due < *wake) wake = due;
   }
@@ -670,7 +679,6 @@ double Scribe::aggregate_value(const TopicId& topic) const {
 
 void Scribe::aggregation_round() {
   const auto now = node_.network().engine().now();
-  const auto refresh = refresh_interval();
   for (auto& [topic, st] : topics_) {
     // A promoted root exits the degraded window once every adopted child
     // has reported into the live view, or the snapshot aged past the
@@ -697,12 +705,12 @@ void Scribe::aggregation_round() {
       maybe_split(topic, st);
     }
     if (!st.parent) continue;
-    // Report only news: a new value, a new parent, or a due refresh.
+    // Report only news: a new value or a new parent.  A lost report is
+    // repaired by the heartbeat ack, which carries `reported_value`.
     const double value = subtree_value(topic, st);
-    if (st.reported && value == st.reported_value && now - st.refreshed_at < refresh) continue;
+    if (st.reported && value == st.reported_value) continue;
     st.reported = true;
     st.reported_value = value;
-    st.refreshed_at = now;
     if (auto* m = fed_metrics(node_)) m->counter<"scribe.agg_reports">().inc();
     auto report = std::make_unique<AggReportMsg>();
     report->topic = topic;
@@ -734,8 +742,10 @@ void Scribe::replicate_roots() {
                             wanted);
     }
     const auto picked = picks->view();
+    if (!st.root_state) st.root_state = std::make_unique<RootState>();
+    auto& rs = *st.root_state;
     if (picked.empty()) {
-      st.refreshed_at = now;  // nobody to hold a copy: look again at the refresh
+      rs.refreshed_at = now;  // nobody to hold a copy: look again at the refresh
       continue;
     }
 
@@ -747,8 +757,6 @@ void Scribe::replicate_roots() {
         config_.root_set > 0
             ? std::min(picked.size(), static_cast<std::size_t>(config_.root_set))
             : 0;
-    if (!st.root_state) st.root_state = std::make_unique<RootState>();
-    auto& rs = *st.root_state;
     rs.serve_set.assign(picked.begin(), picked.begin() + static_cast<std::ptrdiff_t>(serve_n));
 
     // Replicate only news: what a holder would store changed (value,
@@ -764,8 +772,8 @@ void Scribe::replicate_roots() {
     for (const auto& child : st.children) digest = mix_id(digest, child.ref.id);
     digest = mix(digest, picked.size());
     for (const auto& p : picked) digest = mix_id(digest, p.id);
-    if (rs.sent && rs.digest == digest && now - st.refreshed_at < refresh) continue;
-    st.refreshed_at = now;
+    if (rs.sent && rs.digest == digest && now - rs.refreshed_at < refresh) continue;
+    rs.refreshed_at = now;
     rs.sent = true;
     rs.digest = digest;
 
@@ -1367,9 +1375,7 @@ void Scribe::receive(const NodeRef& from, pastry::AppMessage& msg) {
     if (auto* st = find_topic(report->topic)) {
       for (auto& child : st->children) {
         if (child.ref.id == report->child) {
-          if (!child.has_report || child.last_report != report->value) touch();
-          child.last_report = report->value;
-          child.has_report = true;
+          record_report(child, report->value);
           break;
         }
       }
@@ -1382,6 +1388,7 @@ void Scribe::receive(const NodeRef& from, pastry::AppMessage& msg) {
         st->last_parent_beat = node_.network().engine().now();
         auto ack = std::make_unique<HeartbeatAckMsg>();
         ack->topic = beat->topic;
+        if (st->reported) ack->report = st->reported_value;
         node_.send_direct(from, std::move(ack), app_);
       }
     }
@@ -1392,6 +1399,10 @@ void Scribe::receive(const NodeRef& from, pastry::AppMessage& msg) {
       for (auto& child : st->children) {
         if (child.ref.id == from.id) {
           child.last_seen = node_.network().engine().now();
+          // The child's last report, lost or reordered on the wire.
+          if (hback->report && record_report(child, *hback->report)) {
+            if (auto* m = fed_metrics(node_)) m->counter<"scribe.report_repairs">().inc();
+          }
           break;
         }
       }

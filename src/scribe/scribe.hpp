@@ -11,18 +11,20 @@
 //   * aggregate — RBAY's extension: hierarchical roll-up of a composable
 //     function (count/sum/min/max) to the root.
 //
-// Roll-up is change-driven with a bounded refresh.  Rounds sit on a
-// per-node grid of `aggregation_interval`, but a node wakes for one only
-// when a topic it carries changed (a child report with a new value, a
-// join, leave or prune, a local subscribe/unsubscribe, a parent change,
-// a degraded window, a pending fan-in split, or contribution_changed()),
-// or when a refresh is due.  A round reports a subtree value upstream
+// Roll-up is change-driven.  Rounds sit on a per-node grid of
+// `aggregation_interval`, but a node wakes for one only when a topic it
+// carries changed (a child report with a new value, a join, leave or
+// prune, a local subscribe/unsubscribe, a parent change, a degraded
+// window, a pending fan-in split, or contribution_changed()), or when a
+// root's replica refresh is due.  A round reports a subtree value upstream
 // only if it differs from the last one sent to the current parent, and a
-// root replicates its rendezvous state only if the snapshot changed; both
-// are re-sent unconditionally once per refresh interval
-// (min(8 x aggregation_interval, max_staleness / 2)), which bounds how
-// long a lost message can hide a change.  A settled federation therefore
-// sends no aggregation traffic between refreshes and its nodes sleep.
+// root replicates its rendezvous state only if the snapshot changed.
+// Reports are never re-sent blind: the heartbeat ack carries the value
+// last reported, so with repair on a lost or reordered report is repaired
+// within one heartbeat.  Only root replicas are re-sent unconditionally,
+// once per refresh interval (min(8 x aggregation_interval,
+// max_staleness / 2)), which bounds a promoted replica's age.  A settled
+// federation therefore sends no reports, and only its roots wake.
 //
 // Tree repair: when enabled, parents heartbeat children; a child that
 // misses beats re-joins through Pastry, converging on the new root.
@@ -65,10 +67,11 @@ double combine(AggregateKind kind, double a, double b);
 
 struct ScribeConfig {
   /// Grid of aggregation roll-up rounds (a node wakes on it only when a
-  /// topic changed or a refresh is due); zero disables aggregation and
-  /// root replication.
+  /// topic changed or a root's replica refresh is due); zero disables
+  /// aggregation and root replication.
   util::SimTime aggregation_interval = util::SimTime::zero();
-  /// Parent→child heartbeat period; zero disables repair.
+  /// Parent→child heartbeat period; zero disables repair, including the
+  /// repair of a lost aggregation report (the ack carries the last one).
   util::SimTime heartbeat_interval = util::SimTime::zero();
   /// Longest a promoted root may serve a replicated aggregate snapshot as
   /// a degraded (stale-tagged) read before failing back to its live view.
@@ -132,13 +135,14 @@ class Scribe final : public pastry::PastryApp {
   /// next round re-evaluates and reports it.
   void contribution_changed(const TopicId& topic);
 
-  /// Longest a round lets an unchanged report or root replica go unsent:
+  /// Longest a root lets an unchanged replica go unsent:
   /// min(8 x aggregation_interval, max_staleness / 2), at least one
-  /// interval.
+  /// interval.  Reports have no refresh (the heartbeat ack repairs them).
   [[nodiscard]] util::SimTime refresh_interval() const;
 
   /// Sim-time of the pending round wake-up, or nullopt while the node
-  /// sleeps with nothing changed and no refresh due (introspection).
+  /// sleeps with nothing changed and no replica refresh due
+  /// (introspection).
   [[nodiscard]] std::optional<util::SimTime> next_round() const;
 
   /// This node's current aggregated view of its subtree (at the root: the
@@ -225,6 +229,9 @@ class Scribe final : public pastry::PastryApp {
     /// replicate_roots): a round replicates only news.
     bool sent = false;
     std::uint64_t digest = 0;
+    /// When this root last replicated (or found no holder): the refresh
+    /// deadline runs from it.
+    util::SimTime refreshed_at = util::SimTime::zero();
   };
 
   // Field order packs the flags and small enums into one tail word.
@@ -237,10 +244,8 @@ class Scribe final : public pastry::PastryApp {
     /// over (max) on promotion so probes never see it regress.
     std::uint64_t epoch = 0;
     /// Quiet roll-up: the value last reported to the current parent (see
-    /// `reported`), and when this node last reported or replicated — the
-    /// refresh deadline runs from it.
+    /// `reported`); heartbeat acks carry it so a lost report is repaired.
     double reported_value = 0.0;
-    util::SimTime refreshed_at = util::SimTime::zero();
     /// Promoted-root repair window: serve `stale_value` (snapshotted at
     /// `stale_at`) until the subtree reports afresh or staleness exceeds
     /// the configured bound.
@@ -271,6 +276,9 @@ class Scribe final : public pastry::PastryApp {
     /// Fan-in split in flight: a DelegateMsg is out and unanswered.
     bool split_pending = false;
   };
+  // One per topic a node carries: keep the record from growing back
+  // unnoticed.
+  static_assert(sizeof(TopicState) <= 176, "TopicState grew");
 
   struct AnycastWaiter {
     AnycastCallback callback;
@@ -327,12 +335,17 @@ class Scribe final : public pastry::PastryApp {
   void touch();
   /// The parent changed (or is gone): the next round reports afresh.
   void reattached(TopicState& st);
+  /// Records `value` as `child`'s last report: the only writer of
+  /// ChildState::last_report, for AggReportMsg and for the value a
+  /// HeartbeatAckMsg carries.  Returns whether the record changed (and
+  /// then wakes the next round).
+  bool record_report(ChildState& child, double value);
   [[nodiscard]] util::SimTime next_grid_after(util::SimTime t) const;
   /// Schedules a round at grid instant `at` into `slot`.
   void arm_round(sim::Timer& slot, util::SimTime at);
   /// After a round: wake at the next grid instant while a topic is in a
-  /// degraded window or over its fan-in cap, else at the earliest refresh
-  /// deadline, else not at all.
+  /// degraded window or over its fan-in cap, else at the earliest root
+  /// replica refresh deadline, else not at all.
   void arm_next_round();
   void aggregation_round();
   void heartbeat_round();

@@ -105,6 +105,20 @@ TEST(ProtocolWire, RootReplicaCountsChildrenAndRoster) {
   EXPECT_EQ(root_replica().wire_size(), 169u);
 }
 
+// An ack carries the child's last report only once it has reported to the
+// parent; the value costs 8 bytes, and a duplicate keeps it.
+TEST(ProtocolWire, HeartbeatAckCountsCarriedReport) {
+  scribe::HeartbeatAckMsg ack;
+  EXPECT_EQ(ack.wire_size(), 16u);
+  ack.report = 3.5;
+  EXPECT_EQ(ack.wire_size(), 24u);
+  const auto copy = ack.clone_msg();
+  const auto* msg = util::msg_as<scribe::HeartbeatAckMsg>(*copy);
+  ASSERT_NE(msg, nullptr);
+  EXPECT_EQ(msg->report, 3.5);
+  EXPECT_EQ(msg->wire_size(), 24u);
+}
+
 // The link conditioner duplicates a message through clone_msg(): the copy
 // must carry the embedded record, not a default-constructed one.
 TEST(ProtocolWire, SizeReplyCloneKeepsTheSizeInfo) {

@@ -1,10 +1,10 @@
 // Quiet trees: aggregation reports and root replicas go out only when
-// they carry news, refreshed once per refresh interval, and a clean node
-// sleeps through the aggregation grid instead of waking every round.
+// they carry news, a lost report is repaired by the heartbeat ack, only
+// roots refresh (their replicas, once per refresh interval), and a clean
+// node sleeps through the aggregation grid instead of waking every round.
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <optional>
 
 #include "core/cluster.hpp"
@@ -61,37 +61,39 @@ TEST(QuietTrees, SettledIdleFederationWakesOnlyAtRefreshDeadlines) {
   const auto replicas0 = counter(reg, "scribe.root_replications");
   const auto executed0 = so.engine.executed();
 
-  // Sample every node's pending wake-up once per grid step: each node's
-  // successive wake-ups must sit exactly one refresh interval apart.
-  std::map<std::size_t, SimTime> last_wake;
-  std::map<std::size_t, int> wakes;
+  // Sample every node's pending wake-up once per grid step: a non-root
+  // node never wakes, and the root's successive wake-ups sit exactly one
+  // refresh interval apart.
+  std::optional<SimTime> last_root_wake;
+  int root_wakes = 0;
   const int steps = 4 * 8;  // four refresh intervals of 250ms rounds
   for (int step = 0; step < steps; ++step) {
     for (std::size_t i = 0; i < so.scribes.size(); ++i) {
       const auto wake = so.scribes[i]->next_round();
-      ASSERT_TRUE(wake.has_value()) << "a tree node must keep its refresh armed";
-      auto it = last_wake.find(i);
-      if (it != last_wake.end() && it->second != *wake) {
-        EXPECT_EQ(*wake - it->second, refresh) << "node " << i << " woke off its refresh";
-        ++wakes[i];
+      if (i != root) {
+        EXPECT_FALSE(wake.has_value()) << "non-root node " << i << " woke at step " << step;
+        continue;
       }
-      last_wake[i] = *wake;
+      ASSERT_TRUE(wake.has_value()) << "the root must keep its replica refresh armed";
+      if (last_root_wake && *last_root_wake != *wake) {
+        EXPECT_EQ(*wake - *last_root_wake, refresh) << "the root woke off its refresh";
+        ++root_wakes;
+      }
+      last_root_wake = wake;
     }
     so.engine.run_for(quiet_config().aggregation_interval);
   }
-  for (std::size_t i = 0; i < so.scribes.size(); ++i) {
-    EXPECT_GE(wakes[i], 3) << "node " << i;
-    EXPECT_LE(wakes[i], 4) << "node " << i;
-  }
+  EXPECT_GE(root_wakes, 3);
+  EXPECT_LE(root_wakes, 4);
 
-  // At most one refresh report per non-root node and one replica per
-  // holder in each refresh interval.
+  // No report at all, and one replica per holder in each refresh interval.
   const auto windows = static_cast<std::uint64_t>(steps / 8 + 1);
-  EXPECT_LE(counter(reg, "scribe.agg_reports") - reports0, (so.scribes.size() - 1) * windows);
+  EXPECT_EQ(counter(reg, "scribe.agg_reports") - reports0, 0u);
   EXPECT_LE(counter(reg, "scribe.root_replications") - replicas0, 2 * windows);
   // The same 8 s under a report every round would run 30 x 32 round
-  // firings alone; quiet, events are a few per node per refresh.
-  EXPECT_LE(so.engine.executed() - executed0, so.scribes.size() * windows * 3);
+  // firings alone; quiet, events are the root's round and its two
+  // replica deliveries per refresh.
+  EXPECT_LE(so.engine.executed() - executed0, windows * 3);
   EXPECT_DOUBLE_EQ(so.scribes[root]->aggregate_value(topic), 30.0);
 }
 
@@ -111,8 +113,12 @@ TEST(QuietTrees, ChangedContributionReachesRootWithoutWaitingForRefresh) {
   EXPECT_DOUBLE_EQ(so.scribes[root]->aggregate_value(topic), 30.0);
 }
 
-TEST(QuietTrees, DroppedReportIsRepairedWithinOneRefreshInterval) {
-  ScribeOverlay so{20, net::Topology::single_site(), quiet_config(), 42, engine_config()};
+TEST(QuietTrees, DroppedReportIsRepairedWithinOneHeartbeat) {
+  auto cfg = quiet_config();
+  cfg.heartbeat_interval = SimTime::millis(250);
+  ScribeOverlay so{20, net::Topology::single_site(), cfg, 42, engine_config()};
+  obs::Registry reg;
+  so.engine.set_metrics(&reg);
   const TopicId topic = pastry::tree_id("CPU", "admin");
   so.subscribe_all(topic);
   for (auto& s : so.scribes) s->set_aggregation(topic, AggregateKind::Sum);
@@ -133,24 +139,28 @@ TEST(QuietTrees, DroppedReportIsRepairedWithinOneRefreshInterval) {
 
   // The fault schedule's `drop` action: every message is lost while the
   // leaf's next round reports its new value.
+  const auto reports0 = counter(reg, "scribe.agg_reports");
   so.overlay.network().set_drop_probability(1.0);
   so.members[*leaf]->set_contribution(5.0);
-  const auto changed_at = so.engine.now();
-  so.engine.run_for(quiet_config().aggregation_interval);
+  while (counter(reg, "scribe.agg_reports") == reports0) {
+    ASSERT_LE(so.engine.now(), SimTime::seconds(6)) << "the leaf never reported";
+    so.engine.run_for(SimTime::millis(1));
+  }
+  const auto lost_at = so.engine.now();
   so.overlay.network().set_drop_probability(0.0);
-
-  // The report is gone and nothing else changed: the root keeps the old
-  // value until the leaf's refresh re-sends the news.
-  so.engine.run_for(SimTime::millis(500));
+  EXPECT_EQ(counter(reg, "scribe.agg_reports") - reports0, 1u);
   EXPECT_DOUBLE_EQ(so.scribes[root]->aggregate_value(topic), 20.0);
+
+  // The report is gone and the leaf never re-sends it: the root's next
+  // heartbeat is answered with an ack carrying the value last reported.
   while (so.scribes[root]->aggregate_value(topic) != 24.0 &&
-         so.engine.now() - changed_at <= refresh * std::int64_t{2}) {
+         so.engine.now() - lost_at <= refresh * std::int64_t{2}) {
     so.engine.run_for(SimTime::millis(10));
   }
   EXPECT_DOUBLE_EQ(so.scribes[root]->aggregate_value(topic), 24.0);
-  // Within one refresh interval of the lost send, plus one round of slack
-  // for the grid and the one-hop delivery.
-  EXPECT_LE(so.engine.now() - changed_at, refresh + quiet_config().aggregation_interval);
+  EXPECT_LE(so.engine.now() - lost_at, cfg.heartbeat_interval + cfg.aggregation_interval);
+  EXPECT_EQ(counter(reg, "scribe.report_repairs"), 1u);
+  EXPECT_EQ(counter(reg, "scribe.agg_reports") - reports0, 1u) << "a repair is not a report";
 }
 
 TEST(QuietTrees, ForegroundChangeDoesNotLengthenRun) {
