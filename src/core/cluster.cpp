@@ -23,15 +23,15 @@ RBayCluster::RBayCluster(ClusterConfig config)
 
 void RBayCluster::on_node_crashed(std::size_t index) {
   if (index >= nodes_.size()) return;  // overlay-only tests, pre-add_node
-  // Query holders are "<12-hex-digit id prefix>#<seq>" (QueryInterface
-  // naming); match any reservation the crashed node originated.
-  const std::string prefix = nodes_[index]->pastry().self().id.to_hex().substr(0, 12) + "#";
+  // Release every reservation held by a query the crashed node originated
+  // (QueryId::origin is the origin's full NodeId).
+  const auto& crashed = nodes_[index]->pastry().self().id;
   const auto now = engine_.now();
   for (std::size_t j = 0; j < nodes_.size(); ++j) {
     auto& lock = nodes_[j]->lock();
-    const std::string holder = lock.holder();  // copy: release() clears it
-    if (holder.size() > prefix.size() && holder.compare(0, prefix.size(), prefix) == 0) {
-      lock.release(holder, now);
+    const auto holder = lock.holder();  // copy: release() clears it
+    if (holder && holder->origin == crashed) {
+      lock.release(*holder, now);
       if (metrics_ != nullptr) {
         metrics_->fed().counter<"reservation.crash_releases">().inc();
       }

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "pastry/messages.hpp"
+#include "query/reservation.hpp"
 #include "query/sql.hpp"
 #include "scribe/messages.hpp"
 #include "util/sim_time.hpp"
@@ -27,7 +28,7 @@ struct Candidate {
 /// One site's share of a query (Fig. 7 steps 1-4): what the query
 /// interface runs in its own site and ships to every other site's gateway.
 struct SiteJob {
-  std::string query_id;  // reservation holder identity
+  query::QueryId query_id;  // reservation holder identity
   int attempt = 1;
   bool count_only = false;
   int k = 1;
@@ -72,8 +73,8 @@ struct CandidatePayload final : scribe::TaggedAnycastPayload<CandidatePayload> {
 };
 
 /// Query interface → remote site gateway: run this query inside your site.
+/// The reply's `request_id` is `job.query_id.seq`.
 struct SiteQueryRequest final : pastry::TaggedMessage<SiteQueryRequest> {
-  std::uint64_t request_id = 0;
   pastry::NodeRef origin;
   SiteJob job;
 
@@ -104,9 +105,9 @@ struct SiteQueryReply final : pastry::TaggedMessage<SiteQueryReply> {
 /// Customer decision on a reserved node (Fig. 7, step 5).  `lease` bounds
 /// the tenancy (zero = indefinite).
 struct CommitMsg final : pastry::TaggedMessage<CommitMsg> {
-  std::string query_id;
+  query::QueryId query_id;
   util::SimTime lease = util::SimTime::zero();
-  [[nodiscard]] std::size_t wire_size() const override { return 24 + query_id.size(); }
+  [[nodiscard]] std::size_t wire_size() const override { return 24 + query::QueryId::kWireSize; }
   [[nodiscard]] const char* type_name() const override { return "rbay.Commit"; }
   [[nodiscard]] std::unique_ptr<pastry::AppMessage> clone_msg() const override {
     return std::make_unique<CommitMsg>(*this);
@@ -115,9 +116,9 @@ struct CommitMsg final : pastry::TaggedMessage<CommitMsg> {
 
 /// Tenant extends its lease before expiry.
 struct RenewMsg final : pastry::TaggedMessage<RenewMsg> {
-  std::string query_id;
+  query::QueryId query_id;
   util::SimTime lease = util::SimTime::zero();
-  [[nodiscard]] std::size_t wire_size() const override { return 24 + query_id.size(); }
+  [[nodiscard]] std::size_t wire_size() const override { return 24 + query::QueryId::kWireSize; }
   [[nodiscard]] const char* type_name() const override { return "rbay.Renew"; }
   [[nodiscard]] std::unique_ptr<pastry::AppMessage> clone_msg() const override {
     return std::make_unique<RenewMsg>(*this);
@@ -125,11 +126,11 @@ struct RenewMsg final : pastry::TaggedMessage<RenewMsg> {
 };
 
 struct ReleaseMsg final : pastry::TaggedMessage<ReleaseMsg> {
-  std::string query_id;
+  query::QueryId query_id;
   /// The query attempt whose reservations this frees (0 = any): the node
   /// ignores a release older than the attempt that last reserved it.
   int attempt = 0;
-  [[nodiscard]] std::size_t wire_size() const override { return 20 + query_id.size(); }
+  [[nodiscard]] std::size_t wire_size() const override { return 20 + query::QueryId::kWireSize; }
   [[nodiscard]] const char* type_name() const override { return "rbay.Release"; }
   [[nodiscard]] std::unique_ptr<pastry::AppMessage> clone_msg() const override {
     return std::make_unique<ReleaseMsg>(*this);

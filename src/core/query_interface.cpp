@@ -55,11 +55,7 @@ QueryInterface::QueryInterface(RBayNode& owner, QueryConfig config)
       });
 }
 
-std::string QueryInterface::query_id_of(std::uint64_t id) const {
-  return owner_.self().id.to_hex().substr(0, 12) + "#" + std::to_string(id);
-}
-
-void QueryInterface::send_releases(const std::string& query_id, int attempt,
+void QueryInterface::send_releases(const query::QueryId& query_id, int attempt,
                                    std::span<const Candidate> nodes) {
   for (const auto& c : nodes) {
     auto release = std::make_unique<ReleaseMsg>();
@@ -69,7 +65,7 @@ void QueryInterface::send_releases(const std::string& query_id, int attempt,
   }
 }
 
-void QueryInterface::release_orphans(const std::string& query_id, int attempt,
+void QueryInterface::release_orphans(const query::QueryId& query_id, int attempt,
                                      const std::vector<Candidate>& candidates) {
   if (candidates.empty()) return;
   send_releases(query_id, attempt, candidates);
@@ -99,11 +95,11 @@ void QueryInterface::execute(query::Query query, Callback callback) {
   Pending pending;
   pending.query = std::move(query);
   pending.callback = std::move(callback);
-  pending.outcome.query_id = query_id_of(id);
+  pending.outcome.query_id = {owner_.self().id, id};
   pending.outcome.started = owner_.engine().now();
   if (auto* reg = owner_.engine().metrics()) {
     reg->fed().counter<"query.started">().inc();
-    pending.ctx = reg->causal().begin_trace(pending.outcome.query_id, owner_.site(),
+    pending.ctx = reg->causal().begin_trace(to_string(pending.outcome.query_id), owner_.site(),
                                             owner_.self().endpoint, pending.outcome.started);
   }
   pending_.emplace(id, std::move(pending));
@@ -227,7 +223,8 @@ void QueryInterface::attempt(std::uint64_t id) {
       run_site_query(job, [this, id, attempt_no](SiteResult result) {
         auto pit = pending_.find(id);
         if (pit == pending_.end() || pit->second.outcome.attempts != attempt_no) {
-          release_orphans(query_id_of(id), attempt_no, result.candidates);  // late local answer
+          // Late local answer.
+          release_orphans({owner_.self().id, id}, attempt_no, result.candidates);
           return;
         }
         result.site = owner_.site();
@@ -238,7 +235,6 @@ void QueryInterface::attempt(std::uint64_t id) {
       RBAY_REQUIRE(dir != nullptr && site < dir->gateways.size(),
                    "cross-site query without gateway directory");
       auto req = std::make_unique<SiteQueryRequest>();
-      req->request_id = id;
       req->origin = owner_.self();
       req->job = job;
       owner_.pastry().send_direct(dir->gateways[site], std::move(req), app_);
@@ -547,23 +543,16 @@ void QueryInterface::run_site_query(SiteJob job, std::function<void(SiteResult)>
           reg->fed().counter<"qplane.rootset_answers">().inc();
         }
       }
-      if (answer_cache_.enabled()) {
-        const auto evictions = answer_cache_.invalidations();
-        const auto rejects = answer_cache_.epoch_rejects();
-        answer_cache_.store(state->topics[i], info, owner_.engine().now());
-        if (answer_cache_.invalidations() > evictions) {
-          // A degraded (post-failover) answer just evicted the cached
-          // pre-failover entry: the cache is invalidated on root crash.
-          if (auto* reg = owner_.engine().metrics()) {
-            reg->fed().counter<"qplane.cache_invalidations">().inc();
-          }
-        }
-        if (answer_cache_.epoch_rejects() > rejects) {
-          // A late fresh answer from an older replication epoch tried to
-          // roll the cache back and was refused.
-          if (auto* reg = owner_.engine().metrics()) {
-            reg->fed().counter<"qplane.cache.epoch_rejects">().inc();
-          }
+      using Stored = qplane::AnswerCache::StoreResult;
+      const auto stored = answer_cache_.store(state->topics[i], info, owner_.engine().now());
+      if (auto* reg = owner_.engine().metrics()) {
+        // Invalidated: a degraded (post-failover) answer evicted the cached
+        // pre-failover entry.  EpochRejected: a late answer from an older
+        // replication epoch tried to roll the cache back and was refused.
+        if (stored == Stored::Invalidated) {
+          reg->fed().counter<"qplane.cache_invalidations">().inc();
+        } else if (stored == Stored::EpochRejected) {
+          reg->fed().counter<"qplane.cache.epoch_rejects">().inc();
         }
       }
       state->sizes[i] = info.value;
@@ -576,15 +565,15 @@ void QueryInterface::run_site_query(SiteJob job, std::function<void(SiteResult)>
     if (config_.qplane.batch_probes) {
       // Coalesce concurrent walks for the same tree: the first waiter's
       // walk answers everyone who piles on while it is in flight.
-      const auto walks = batcher_.walks();
-      batcher_.probe(topic, std::move(on_info),
-                     [this](const scribe::TopicId& t, scribe::Scribe::SizeCallback cb) {
-                       owner_.scribe().probe_size(t, std::move(cb), pastry::Scope::Site);
-                     });
+      const bool coalesced = batcher_.probe(
+          topic, std::move(on_info),
+          [this](const scribe::TopicId& t, scribe::Scribe::SizeCallback cb) {
+            owner_.scribe().probe_size(t, std::move(cb), pastry::Scope::Site);
+          });
       if (auto* reg = owner_.engine().metrics()) {
         auto& fed = reg->fed();
-        (batcher_.walks() > walks ? fed.counter<"qplane.probe_walks">()
-                                  : fed.counter<"qplane.probes_coalesced">()).inc();
+        (coalesced ? fed.counter<"qplane.probes_coalesced">() : fed.counter<"qplane.probe_walks">())
+            .inc();
       }
     } else {
       owner_.scribe().probe_size(topic, std::move(on_info), pastry::Scope::Site);
@@ -626,7 +615,7 @@ void QueryInterface::deliver(const pastry::NodeId& /*key*/, pastry::AppMessage& 
 void QueryInterface::receive(const pastry::NodeRef& from, pastry::AppMessage& msg) {
   if (auto* req = util::msg_as<SiteQueryRequest>(msg)) {
     // Gateway role: run the query inside our site and reply to the origin.
-    const auto request_id = req->request_id;
+    const auto request_id = req->job.query_id.seq;
     const auto attempt_no = req->job.attempt;
     const auto origin = req->origin;
     run_site_query(std::move(req->job), [this, request_id, attempt_no, origin](SiteResult result) {
@@ -643,7 +632,8 @@ void QueryInterface::receive(const pastry::NodeRef& from, pastry::AppMessage& ms
     auto it = pending_.find(reply->request_id);
     if (it == pending_.end() || it->second.outcome.attempts != reply->attempt) {
       // Late reply: its query finished or moved on to a later attempt.
-      release_orphans(query_id_of(reply->request_id), reply->attempt, reply->result.candidates);
+      release_orphans({owner_.self().id, reply->request_id}, reply->attempt,
+                      reply->result.candidates);
       return;
     }
     const auto& answered = it->second.outcome.sites_answered;

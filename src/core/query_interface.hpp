@@ -40,7 +40,7 @@ class RBayNode;
 struct QueryOutcome {
   bool satisfied = false;
   std::string error;  // non-empty on planner-level failure
-  std::string query_id;
+  query::QueryId query_id;
   std::vector<Candidate> nodes;  // reserved candidates (k best)
   int attempts = 0;
   int sites_queried = 0;
@@ -117,18 +117,16 @@ class QueryInterface final : public pastry::PastryApp {
     obs::TraceContext ctx;
   };
 
-  /// Reservation holder name of this interface's query `id`.
-  [[nodiscard]] std::string query_id_of(std::uint64_t id) const;
-
   /// Sends each node a ReleaseMsg for the reservation `query_id` took in
   /// attempt `attempt`; a node a later attempt reserved again ignores it.
-  void send_releases(const std::string& query_id, int attempt, std::span<const Candidate> nodes);
+  void send_releases(const query::QueryId& query_id, int attempt,
+                     std::span<const Candidate> nodes);
 
   /// Releases reservations no live attempt will commit or release: those
   /// carried by an orphaned anycast result or by a site answer that
   /// arrived after its query finished or moved on to a later attempt.
   /// Counted in query.orphan_releases, one per ReleaseMsg sent.
-  void release_orphans(const std::string& query_id, int attempt,
+  void release_orphans(const query::QueryId& query_id, int attempt,
                        const std::vector<Candidate>& candidates);
 
   void attempt(std::uint64_t id);

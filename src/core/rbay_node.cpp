@@ -213,12 +213,14 @@ void RBayNode::on_multicast(const scribe::TopicId& /*topic*/, const std::string&
 // --- anycast candidate filling (Fig. 7, step 4) ------------------------------------------
 
 bool RBayNode::authorize_get(const std::vector<query::Predicate>& predicates,
-                             const std::string& caller, const std::string& payload) {
+                             const query::QueryId& caller, const std::string& payload) {
+  std::string caller_text;  // formatted only when a handler runs
   for (const auto& pred : predicates) {
     auto* attr = store_.find(pred.attribute);
     if (attr == nullptr || !attr->has_handler(store::AAEvent::kOnGet)) continue;
     ++gets_served_;
-    auto result = attr->on_get(caller, aal::Value::string(payload));
+    if (caller_text.empty()) caller_text = to_string(caller);
+    auto result = attr->on_get(caller_text, aal::Value::string(payload));
     // A handler error or a nil return denies access (fail-closed).
     if (!result.ok() || result.value().is_nil()) return false;
   }

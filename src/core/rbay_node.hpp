@@ -140,9 +140,10 @@ class RBayNode final : public scribe::TopicMember {
   [[nodiscard]] bool attr_matches(const store::ActiveAttribute* attr,
                                   const query::Predicate& pred) const;
 
-  /// Runs the onGet gate for every predicate attribute with a handler.
+  /// Runs the onGet gate for every predicate attribute with a handler;
+  /// the handler's `caller` is `to_string(caller)`.
   [[nodiscard]] bool authorize_get(const std::vector<query::Predicate>& predicates,
-                                   const std::string& caller, const std::string& payload);
+                                   const query::QueryId& caller, const std::string& payload);
 
   std::string admin_;
   pastry::PastryNode& pastry_;

@@ -231,22 +231,11 @@ InvariantReport check_reservations(core::RBayCluster& cluster) {
     const bool reserved = lock.reserved(now);
     if (!committed && !reserved) continue;
 
-    const auto where = "node " + std::to_string(i) + " held by '" + lock.holder() + "'";
+    const auto& holder = *lock.holder();
+    const auto where = "node " + std::to_string(i) + " held by '" + to_string(holder) + "'";
     const std::size_t self_idx = i;
-    // query_id format: first 12 hex chars of the originating node's id,
-    // then "#<seq>" — resolve the holder back to its node.
-    const auto& holder = lock.holder();
-    const auto hash = holder.find('#');
-    std::size_t origin = cluster.size();
-    if (hash == 12) {
-      const auto prefix = holder.substr(0, 12);
-      for (std::size_t j = 0; j < cluster.size(); ++j) {
-        if (cluster.node(j).self().id.to_hex().substr(0, 12) == prefix) {
-          origin = j;
-          break;
-        }
-      }
-    }
+    std::size_t origin = 0;
+    while (origin < cluster.size() && cluster.node(origin).self().id != holder.origin) ++origin;
     if (origin == cluster.size()) {
       report.add("reservation", where + ": holder does not resolve to any node",
                  {self_idx});
@@ -261,7 +250,7 @@ InvariantReport check_reservations(core::RBayCluster& cluster) {
     if (reserved && !committed) {
       report.add("reservation",
                  where + ": anycast hold still pending at quiescence (expires " +
-                     std::to_string(lock.lease_expiry().as_millis()) + "ms)",
+                     std::to_string(lock.hold_expiry().as_millis()) + "ms)",
                  {self_idx, origin});
     }
   }

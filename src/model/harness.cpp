@@ -714,10 +714,10 @@ class Execution {
     settle();
     const auto now = cluster_->engine().now();
     const auto want = model_.committed_now(now);
-    std::map<std::size_t, std::string> got;
+    std::map<std::size_t, query::QueryId> got;
     for (std::size_t n = 0; n < cluster_->size(); ++n) {
       auto& lock = cluster_->node(n).lock();
-      if (lock.committed(now)) got.emplace(n, lock.holder());
+      if (lock.committed(now)) got.emplace(n, *lock.holder());
     }
     // The ledger itself is not expressible in the scenario DSL; the export
     // keeps the closest replayable check (no orphaned reservations).
@@ -725,9 +725,9 @@ class Execution {
     if (got == want) return;
     std::ostringstream os;
     os << "sim={";
-    for (const auto& [n, holder] : got) os << " n" << n << ":" << holder;
+    for (const auto& [n, holder] : got) os << " n" << n << ":" << to_string(holder);
     os << " } model={";
-    for (const auto& [n, holder] : want) os << " n" << n << ":" << holder;
+    for (const auto& [n, holder] : want) os << " n" << n << ":" << to_string(holder);
     os << " }";
     diverge(i, op, "ledger", os.str());
   }

@@ -289,7 +289,7 @@ ReferenceModel::SelectPrediction ReferenceModel::predict_select(std::size_t orig
 
 // --- reservation ledger -----------------------------------------------------
 
-void ReferenceModel::commit(std::size_t origin, const std::string& query_id,
+void ReferenceModel::commit(std::size_t origin, const query::QueryId& query_id,
                             const std::vector<std::size_t>& nodes, util::SimTime now,
                             util::SimTime lease) {
   for (const auto node : nodes) {
@@ -303,7 +303,7 @@ void ReferenceModel::commit(std::size_t origin, const std::string& query_id,
   }
 }
 
-void ReferenceModel::release(std::size_t origin, const std::string& query_id,
+void ReferenceModel::release(std::size_t origin, const query::QueryId& query_id,
                              const std::vector<std::size_t>& nodes) {
   for (const auto node : nodes) {
     if (!reachable(origin, node)) continue;  // ReleaseMsg dropped
@@ -312,8 +312,8 @@ void ReferenceModel::release(std::size_t origin, const std::string& query_id,
   }
 }
 
-std::map<std::size_t, std::string> ReferenceModel::committed_now(util::SimTime now) const {
-  std::map<std::size_t, std::string> out;
+std::map<std::size_t, query::QueryId> ReferenceModel::committed_now(util::SimTime now) const {
+  std::map<std::size_t, query::QueryId> out;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     const auto& t = nodes_[i].tenancy;
     if (!t) continue;

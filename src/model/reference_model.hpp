@@ -42,6 +42,7 @@
 #include "core/naming.hpp"
 #include "fault/schedule.hpp"
 #include "net/topology.hpp"
+#include "query/reservation.hpp"
 #include "query/sql.hpp"
 #include "store/attribute.hpp"
 #include "util/sim_time.hpp"
@@ -50,7 +51,7 @@ namespace rbay::model {
 
 /// A committed (or still-leased) tenancy on one resource node.
 struct Tenancy {
-  std::string holder;      // query id ("<hex12>#<seq>")
+  query::QueryId holder;
   std::size_t origin = 0;  // node index that ran the query interface
   bool lease_bounded = false;
   util::SimTime lease_expiry = util::SimTime::zero();
@@ -131,13 +132,13 @@ class ReferenceModel {
   /// Customer committed `query_id` (originated at `origin`) on `nodes`.
   /// Zero lease = indefinite.  Unreachable targets silently keep their
   /// previous state, mirroring a dropped CommitMsg.
-  void commit(std::size_t origin, const std::string& query_id,
+  void commit(std::size_t origin, const query::QueryId& query_id,
               const std::vector<std::size_t>& nodes, util::SimTime now, util::SimTime lease);
   /// Customer released `query_id` on `nodes` (same reachability gating).
-  void release(std::size_t origin, const std::string& query_id,
+  void release(std::size_t origin, const query::QueryId& query_id,
                const std::vector<std::size_t>& nodes);
   /// node index -> holder for every tenancy whose lease is live at `now`.
-  [[nodiscard]] std::map<std::size_t, std::string> committed_now(util::SimTime now) const;
+  [[nodiscard]] std::map<std::size_t, query::QueryId> committed_now(util::SimTime now) const;
 
   [[nodiscard]] const std::vector<core::TreeSpec>& specs() const { return specs_; }
   [[nodiscard]] const std::vector<std::string>& site_names() const { return site_names_; }

@@ -36,8 +36,9 @@ std::optional<AnswerCache::SizeInfo> AnswerCache::lookup(const scribe::TopicId& 
   return info;
 }
 
-void AnswerCache::store(const scribe::TopicId& topic, const SizeInfo& info, util::SimTime now) {
-  if (!enabled()) return;
+AnswerCache::StoreResult AnswerCache::store(const scribe::TopicId& topic, const SizeInfo& info,
+                                            util::SimTime now) {
+  if (!enabled()) return StoreResult::Skipped;
   if (info.stale) {
     // Degraded read: the root failed over and a promoted replica answered
     // from its snapshot.  Never cache it, and drop whatever we held — the
@@ -46,25 +47,21 @@ void AnswerCache::store(const scribe::TopicId& topic, const SizeInfo& info, util
     // duplicated) stale reply from an older epoch must not evict an answer
     // the cache learned from a newer round.
     if (auto it = entries_.find(topic); it != entries_.end()) {
-      if (info.epoch < it->second.epoch) {
-        ++epoch_rejects_;
-        return;
-      }
+      if (info.epoch < it->second.epoch) return StoreResult::EpochRejected;
       entries_.erase(it);
-      ++invalidations_;
+      return StoreResult::Invalidated;
     }
-    return;
+    return StoreResult::Skipped;
   }
   if (auto it = entries_.find(topic); it != entries_.end() && info.epoch < it->second.epoch) {
     // Late-arriving fresh answer from an older replication epoch (a slow
     // probe overtaken by a newer round, or a pre-rotation answer landing
     // after the root set advanced).  Storing it would roll the cache back
     // in time; keep the newer entry.
-    ++epoch_rejects_;
-    return;
+    return StoreResult::EpochRejected;
   }
   entries_[topic] = Entry{info.value, info.epoch, now};
-  ++stores_;
+  return StoreResult::Stored;
 }
 
 }  // namespace rbay::qplane

@@ -41,21 +41,23 @@ class AnswerCache {
   /// stale with age = time in cache.  Expired entries are erased (miss).
   std::optional<SizeInfo> lookup(const scribe::TopicId& topic, util::SimTime now);
 
+  /// What `store` did: cached a fresh answer, evicted the entry for a
+  /// degraded one, dropped one older than the entry's epoch, or nothing
+  /// (cache off, or a degraded answer with no entry to evict).
+  enum class StoreResult { Stored, Invalidated, EpochRejected, Skipped };
+
   /// Records a probe answer.  Fresh answers are stored unless their epoch
   /// is older than the cached entry's (a late answer from a previous
-  /// replication round must not roll the cache back — counted as an epoch
-  /// reject); degraded answers are never stored and evict any existing
-  /// entry, so a root failover invalidates the cache the moment the
-  /// promoted replica starts answering.
-  void store(const scribe::TopicId& topic, const SizeInfo& info, util::SimTime now);
+  /// replication round must not roll the cache back); degraded answers are
+  /// never stored and evict any existing entry, so a root failover
+  /// invalidates the cache the moment the promoted replica starts
+  /// answering.
+  StoreResult store(const scribe::TopicId& topic, const SizeInfo& info, util::SimTime now);
 
   void clear() { entries_.clear(); }
 
   [[nodiscard]] std::uint64_t hits() const { return hits_; }
   [[nodiscard]] std::uint64_t misses() const { return misses_; }
-  [[nodiscard]] std::uint64_t stores() const { return stores_; }
-  [[nodiscard]] std::uint64_t invalidations() const { return invalidations_; }
-  [[nodiscard]] std::uint64_t epoch_rejects() const { return epoch_rejects_; }
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
  private:
@@ -70,9 +72,6 @@ class AnswerCache {
   std::unordered_map<scribe::TopicId, Entry, util::U128Hash> entries_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
-  std::uint64_t stores_ = 0;
-  std::uint64_t invalidations_ = 0;
-  std::uint64_t epoch_rejects_ = 0;
 };
 
 }  // namespace rbay::qplane

@@ -4,14 +4,10 @@
 
 namespace rbay::qplane {
 
-void ProbeBatcher::probe(const scribe::TopicId& topic, SizeCallback cb, const ProbeFn& issue) {
+bool ProbeBatcher::probe(const scribe::TopicId& topic, SizeCallback cb, const ProbeFn& issue) {
   auto& waiters = inflight_[topic];
   waiters.push_back(std::move(cb));
-  if (waiters.size() > 1) {
-    ++coalesced_;
-    return;
-  }
-  ++walks_;
+  if (waiters.size() > 1) return true;
   issue(topic, [this, topic](const SizeInfo& info) {
     auto it = inflight_.find(topic);
     if (it == inflight_.end()) return;
@@ -21,6 +17,7 @@ void ProbeBatcher::probe(const scribe::TopicId& topic, SizeCallback cb, const Pr
     inflight_.erase(it);
     for (auto& waiter : cohort) waiter(info);
   });
+  return false;
 }
 
 }  // namespace rbay::qplane

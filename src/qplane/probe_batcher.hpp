@@ -30,19 +30,14 @@ class ProbeBatcher {
   using ProbeFn = std::function<void(const scribe::TopicId&, SizeCallback)>;
 
   /// Registers `cb` as a waiter for `topic`.  If no walk is in flight for
-  /// the topic, issues one via `issue`; otherwise coalesces onto it.
-  void probe(const scribe::TopicId& topic, SizeCallback cb, const ProbeFn& issue);
+  /// the topic, issues one via `issue` and returns false; otherwise
+  /// coalesces onto it and returns true.
+  bool probe(const scribe::TopicId& topic, SizeCallback cb, const ProbeFn& issue);
 
   [[nodiscard]] std::size_t inflight() const { return inflight_.size(); }
-  /// Real tree walks issued.
-  [[nodiscard]] std::uint64_t walks() const { return walks_; }
-  /// Probes answered by piggybacking on an in-flight walk.
-  [[nodiscard]] std::uint64_t coalesced() const { return coalesced_; }
 
  private:
   std::unordered_map<scribe::TopicId, std::vector<SizeCallback>, util::U128Hash> inflight_;
-  std::uint64_t walks_ = 0;
-  std::uint64_t coalesced_ = 0;
 };
 
 }  // namespace rbay::qplane

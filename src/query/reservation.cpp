@@ -1,10 +1,18 @@
 #include "query/reservation.hpp"
 
 #include <algorithm>
+#include <cinttypes>
+#include <cstdio>
 
 #include "util/contract.hpp"
 
 namespace rbay::query {
+
+std::string to_string(const QueryId& id) {
+  char text[40];
+  std::snprintf(text, sizeof text, "%012" PRIx64 "#%" PRIu64, id.origin.hi() >> 16, id.seq);
+  return text;
+}
 
 bool ReservationLock::committed(util::SimTime now) const {
   if (!committed_) return false;
@@ -13,18 +21,18 @@ bool ReservationLock::committed(util::SimTime now) const {
 }
 
 bool ReservationLock::reserved(util::SimTime now) const {
-  return committed(now) || (!committed_ && !holder_.empty() && now < expiry_);
+  return committed(now) || (!committed_ && holder_ && now < expiry_);
 }
 
-bool ReservationLock::try_reserve(const std::string& holder, util::SimTime now,
+bool ReservationLock::try_reserve(const QueryId& holder, util::SimTime now,
                                   util::SimTime hold, int attempt, int walk) {
-  RBAY_REQUIRE(!holder.empty(), "reservation holder must be named");
   if (committed(now)) return false;
   if (committed_) {
     // Previous tenancy's lease expired: the node is back in the pool.
     committed_ = false;
     lease_bounded_ = false;
-    holder_.clear();
+    lease_expiry_ = util::SimTime::zero();
+    holder_.reset();
   }
   const bool held = reserved(now);
   if (held && holder_ != holder) return false;
@@ -38,7 +46,7 @@ bool ReservationLock::try_reserve(const std::string& holder, util::SimTime now,
   return true;
 }
 
-bool ReservationLock::commit(const std::string& holder, util::SimTime now,
+bool ReservationLock::commit(const QueryId& holder, util::SimTime now,
                              util::SimTime lease) {
   if (committed(now)) return false;
   if (!reserved(now) || holder_ != holder) return false;
@@ -48,7 +56,7 @@ bool ReservationLock::commit(const std::string& holder, util::SimTime now,
   return true;
 }
 
-bool ReservationLock::renew(const std::string& holder, util::SimTime now,
+bool ReservationLock::renew(const QueryId& holder, util::SimTime now,
                             util::SimTime lease) {
   RBAY_REQUIRE(lease > util::SimTime::zero(), "renewal needs a positive lease");
   if (!committed(now) || holder_ != holder) return false;
@@ -57,7 +65,7 @@ bool ReservationLock::renew(const std::string& holder, util::SimTime now,
   return true;
 }
 
-void ReservationLock::release(const std::string& holder, util::SimTime now, int attempt) {
+void ReservationLock::release(const QueryId& holder, util::SimTime now, int attempt) {
   (void)now;
   if (holder_ != holder || (attempt != 0 && attempt < attempt_)) return;
   // The holder's release always clears its tenancy — live lease, expired
@@ -67,7 +75,7 @@ void ReservationLock::release(const std::string& holder, util::SimTime now, int 
   committed_ = false;
   lease_bounded_ = false;
   lease_expiry_ = util::SimTime::zero();
-  holder_.clear();
+  holder_.reset();
   expiry_ = util::SimTime::zero();
   attempt_ = 0;
   walk_ = 0;

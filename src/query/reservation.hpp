@@ -15,8 +15,26 @@
 
 #include "util/rng.hpp"
 #include "util/sim_time.hpp"
+#include "util/u128.hpp"
 
 namespace rbay::query {
+
+/// One query's identity: its origin node's NodeId and the sequence number
+/// the origin's query interface gave it.  Reservations, commits, releases
+/// and crash-release compare it exactly; only `to_string` formats it.
+struct QueryId {
+  util::U128 origin;
+  std::uint64_t seq = 0;
+
+  /// Bytes on the wire: 16 B origin + 8 B seq.
+  static constexpr std::size_t kWireSize = 24;
+
+  friend bool operator==(const QueryId&, const QueryId&) = default;
+};
+
+/// "<12 hex digits of the origin's top 48 bits>#<seq>": the key of the
+/// query's trace (`.traces[]`, Chrome export) and the AAL onGet `caller`.
+[[nodiscard]] std::string to_string(const QueryId& id);
 
 /// Per-node reservation lock with expiry (lives on the resource node).
 ///
@@ -30,32 +48,35 @@ class ReservationLock {
   /// holder's query attempt; the lock remembers the latest that reserved.
   /// `walk` names the anycast walk of that attempt (AnycastPayload::walk):
   /// a node held by one walk is refused to the attempt's other walk.
-  bool try_reserve(const std::string& holder, util::SimTime now, util::SimTime hold,
+  bool try_reserve(const QueryId& holder, util::SimTime now, util::SimTime hold,
                    int attempt = 0, int walk = 0);
 
   /// Commits the reservation (the customer took the node).  Only the
   /// current holder may commit.  `lease` bounds the tenancy; zero means
   /// indefinitely.
-  bool commit(const std::string& holder, util::SimTime now,
+  bool commit(const QueryId& holder, util::SimTime now,
               util::SimTime lease = util::SimTime::zero());
 
   /// Extends a live lease by the current holder to `now + lease`.
-  bool renew(const std::string& holder, util::SimTime now, util::SimTime lease);
+  bool renew(const QueryId& holder, util::SimTime now, util::SimTime lease);
 
   /// Explicitly releases `holder`'s reservation or committed lease.  A
   /// release from an attempt older than the latest that reserved is
   /// ignored: it is a late answer to a retried query, and the node now
   /// belongs to the later attempt.  Attempt 0 releases unconditionally.
-  void release(const std::string& holder, util::SimTime now, int attempt = 0);
+  void release(const QueryId& holder, util::SimTime now, int attempt = 0);
 
   [[nodiscard]] bool reserved(util::SimTime now) const;
   [[nodiscard]] bool committed(util::SimTime now) const;
-  [[nodiscard]] const std::string& holder() const { return holder_; }
+  /// The query holding or renting the node; nullopt when free.
+  [[nodiscard]] const std::optional<QueryId>& holder() const { return holder_; }
   /// Lease end (zero = indefinite / not committed).
   [[nodiscard]] util::SimTime lease_expiry() const { return lease_expiry_; }
+  /// End of the uncommitted anycast hold (meaningless once committed).
+  [[nodiscard]] util::SimTime hold_expiry() const { return expiry_; }
 
  private:
-  std::string holder_;
+  std::optional<QueryId> holder_;
   util::SimTime expiry_ = util::SimTime::zero();
   int attempt_ = 0;
   int walk_ = 0;

@@ -55,7 +55,7 @@ struct LateAnswerFixture {
   }
 
   /// Nodes in `site` still reserved (or leased) by `query_id`.
-  std::size_t held_by(net::SiteId site, const std::string& query_id) {
+  std::size_t held_by(net::SiteId site, const query::QueryId& query_id) {
     std::size_t held = 0;
     for (const auto i : cluster.nodes_in_site(site)) {
       if (cluster.node(i).lock().holder() == query_id) ++held;

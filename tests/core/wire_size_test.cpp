@@ -29,7 +29,7 @@ pastry::NodeRef ref(int i) {
 
 core::SiteJob job() {
   core::SiteJob j;
-  j.query_id = "0123456789ab#7";
+  j.query_id = {util::U128{0x0123456789abcdefULL, 0x42}, 7};
   j.attempt = 2;
   j.k = 9;
   j.get_payload = "password";
@@ -46,7 +46,6 @@ std::vector<pastry::NodeRef> refs(int n) {
 
 TEST(ProtocolWire, SiteQueryRequestCountsPayloadAndPredicates) {
   core::SiteQueryRequest req;
-  req.request_id = 7;
   req.origin = ref(1);
   req.job = job();
   EXPECT_EQ(req.wire_size(), 236u);
@@ -70,6 +69,23 @@ TEST(ProtocolWire, CandidatePayloadCountsJobAndFoundSlots) {
   payload.job = job();
   for (int i = 0; i < 2; ++i) payload.found.push_back(core::Candidate{ref(i), 0.5, true});
   EXPECT_EQ(payload.wire_size(), 268u);
+}
+
+// The query id travels at its fixed width, 16 B origin + 8 B seq, not as
+// its text form.
+TEST(ProtocolWire, CommitRenewReleaseCountTheFixedWidthQueryId) {
+  core::CommitMsg commit;
+  commit.query_id = job().query_id;
+  commit.lease = util::SimTime::seconds(10);
+  EXPECT_EQ(commit.wire_size(), 48u);
+  core::RenewMsg renew;
+  renew.query_id = job().query_id;
+  renew.lease = util::SimTime::seconds(10);
+  EXPECT_EQ(renew.wire_size(), 48u);
+  core::ReleaseMsg release;
+  release.query_id = job().query_id;
+  release.attempt = 2;
+  EXPECT_EQ(release.wire_size(), 44u);
 }
 
 scribe::SizeReplyMsg size_reply() {

@@ -115,10 +115,18 @@ TEST(Invariants, ReservationCheckerFlagsPendingHoldAndCrashReleaseFreesDeadHolde
   ASSERT_TRUE(outcome.satisfied) << outcome.error;
   ASSERT_EQ(outcome.nodes.size(), 1u);
 
-  // Un-dispositioned anycast hold: pending at the observation point.
+  // Un-dispositioned anycast hold: pending at the observation point, and
+  // the report names the hold's own expiry, still in the future.
+  const auto resource = f.cluster.index_of(outcome.nodes[0].node.id);
+  const auto& lock = f.cluster.node(resource).lock();
+  const auto now = f.cluster.engine().now();
+  EXPECT_GT(lock.hold_expiry(), now);
+  EXPECT_LE(lock.hold_expiry(), outcome.finished + core::QueryConfig{}.reservation_hold);
   auto report = check_reservations(f.cluster);
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.to_string().find("pending"), std::string::npos) << report.to_string();
+  const auto expires = "(expires " + std::to_string(lock.hold_expiry().as_millis()) + "ms)";
+  EXPECT_NE(report.to_string().find(expires), std::string::npos) << report.to_string();
 
   // Committed (indefinite) lease whose holder node then dies: the
   // cluster's crash-release hook frees the resource the moment the crash
@@ -126,9 +134,8 @@ TEST(Invariants, ReservationCheckerFlagsPendingHoldAndCrashReleaseFreesDeadHolde
   // checker would flag a dead holder.
   f.cluster.node(15).query().commit(outcome);
   f.cluster.run();
-  const auto resource = f.cluster.index_of(outcome.nodes[0].node.id);
   f.cluster.overlay().fail_node(15);
-  EXPECT_TRUE(f.cluster.node(resource).lock().holder().empty())
+  EXPECT_FALSE(f.cluster.node(resource).lock().holder().has_value())
       << "crash-release hook left the crashed holder's lease in place";
   report = check_reservations(f.cluster);
   EXPECT_TRUE(report.ok()) << report.to_string();

@@ -87,7 +87,7 @@ TEST(TraceFault, QuerySurvivesMidQueryRootCrashWithTraceIntact) {
     EXPECT_GE(out.attempts, 2) << "root crash did not force a retry";
 
     const auto& log = cluster.metrics()->causal_log();
-    const auto trace_id = log.trace_id_for(out.query_id);
+    const auto trace_id = log.trace_id_for(to_string(out.query_id));
     ASSERT_NE(trace_id, 0u);
     const auto events = log.trace_events(trace_id);
     ASSERT_FALSE(events.empty());
@@ -114,7 +114,7 @@ TEST(TraceFault, QuerySurvivesMidQueryRootCrashWithTraceIntact) {
 
     // The critical path covers the failed attempt: it runs through the
     // site timeout and the backoff retry, and still telescopes exactly.
-    const auto path = obs::analyze_critical_path(log, out.query_id);
+    const auto path = obs::analyze_critical_path(log, to_string(out.query_id));
     EXPECT_TRUE(path.complete);
     EXPECT_TRUE(path.crosses("query.backoff_retry")) << path.to_string();
     EXPECT_EQ(path.total, out.latency());

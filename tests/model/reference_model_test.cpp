@@ -7,6 +7,12 @@
 namespace rbay::model {
 namespace {
 
+// Queries from two origins (the model keys tenancies by id, not origin).
+const query::QueryId kAA1{util::U128{0xaa}, 1};
+const query::QueryId kAA2{util::U128{0xaa}, 2};
+const query::QueryId kBB1{util::U128{0xbb}, 1};
+const query::QueryId kBB2{util::U128{0xbb}, 2};
+
 query::Predicate pred(const std::string& attr, query::CompareOp op,
                       store::AttributeValue literal) {
   query::Predicate p;
@@ -124,14 +130,14 @@ TEST(ReferenceModel, SelectEligibilityAndTenancy) {
   EXPECT_EQ(s.gatherable, 4);
 
   // A live indefinite tenancy removes a node from the pool.
-  m.commit(0, "aa#1", {1, 2}, util::SimTime::seconds(1), util::SimTime::zero());
+  m.commit(0, kAA1, {1, 2}, util::SimTime::seconds(1), util::SimTime::zero());
   s = m.predict_select(0, q, util::SimTime::seconds(2));
   EXPECT_EQ(s.eligible.size(), 2u);
   EXPECT_FALSE(s.satisfied);  // min(3,1)+min(3,1) = 2 < 3
 
   // An expired lease is reclaimable on the spot.
-  m.release(0, "aa#1", {1, 2});
-  m.commit(0, "aa#2", {1}, util::SimTime::seconds(2), util::SimTime::seconds(1));
+  m.release(0, kAA1, {1, 2});
+  m.commit(0, kAA2, {1}, util::SimTime::seconds(2), util::SimTime::seconds(1));
   s = m.predict_select(0, q, util::SimTime::seconds(10));
   EXPECT_EQ(s.eligible.size(), 4u);
   EXPECT_TRUE(s.satisfied);
@@ -143,25 +149,25 @@ TEST(ReferenceModel, LedgerMirrorsReachabilityAndCrashRelease) {
 
   // A commit across a partition silently drops the remote half.
   m.set_partitioned(0, 1, true);
-  m.commit(0, "aa#1", {1, 3}, now, util::SimTime::zero());
+  m.commit(0, kAA1, {1, 3}, now, util::SimTime::zero());
   auto ledger = m.committed_now(now);
   ASSERT_EQ(ledger.size(), 1u);
-  EXPECT_EQ(ledger.at(1), "aa#1");
+  EXPECT_EQ(ledger.at(1), kAA1);
 
   // Release is gated the same way; after healing it lands.
-  m.release(0, "aa#1", {1});
+  m.release(0, kAA1, {1});
   EXPECT_TRUE(m.committed_now(now).empty());
   m.heal_all();
 
   // A crash of the ORIGIN releases everything it originated, god-view.
-  m.commit(1, "bb#1", {0, 3}, now, util::SimTime::zero());
+  m.commit(1, kBB1, {0, 3}, now, util::SimTime::zero());
   EXPECT_EQ(m.committed_now(now).size(), 2u);
   m.crash(1);
   EXPECT_TRUE(m.committed_now(now).empty());
 
   // Expired leases age out of the observable ledger lazily.
   m.recover(1);
-  m.commit(1, "bb#2", {3}, now, util::SimTime::seconds(2));
+  m.commit(1, kBB2, {3}, now, util::SimTime::seconds(2));
   EXPECT_EQ(m.committed_now(util::SimTime::seconds(2)).size(), 1u);
   EXPECT_TRUE(m.committed_now(util::SimTime::seconds(10)).empty());
 }

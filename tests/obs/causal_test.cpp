@@ -78,13 +78,13 @@ TEST(CausalTrace, ContextPropagationAcrossQuery) {
   ASSERT_TRUE(out.satisfied) << out.error;
 
   const auto& log = f.log();
-  const auto trace_id = log.trace_id_for(out.query_id);
+  const auto trace_id = log.trace_id_for(to_string(out.query_id));
   ASSERT_NE(trace_id, 0u) << "query was not traced";
 
   const auto* meta = log.find_trace(trace_id);
   ASSERT_NE(meta, nullptr);
   EXPECT_TRUE(meta->done);
-  EXPECT_EQ(meta->query_id, out.query_id);
+  EXPECT_EQ(meta->query_id, to_string(out.query_id));
   EXPECT_EQ(meta->started, out.started);
   EXPECT_EQ(meta->finished, out.finished);
 
@@ -141,10 +141,10 @@ TEST(CausalTrace, HopAttributionCrossCheck) {
   ASSERT_TRUE(out.satisfied) << out.error;
 
   const auto& log = f.log();
-  const auto trace_id = log.trace_id_for(out.query_id);
+  const auto trace_id = log.trace_id_for(to_string(out.query_id));
   ASSERT_NE(trace_id, 0u);
 
-  const auto trace = obs::build_query_trace(log, out.query_id);
+  const auto trace = obs::build_query_trace(log, to_string(out.query_id));
   ASSERT_TRUE(trace.has_value());
 
   // The MemberSearch span's hop count, the outcome's visit count, and the
@@ -176,8 +176,8 @@ TEST(CausalTrace, CriticalPathReconciliation) {
       f.run_query(0, "SELECT 3 FROM * WHERE GPU = true AND CPU_utilization < 10%");
   ASSERT_TRUE(out.satisfied) << out.error;
 
-  const auto path = obs::analyze_critical_path(f.log(), out.query_id);
-  EXPECT_EQ(path.query_id, out.query_id);
+  const auto path = obs::analyze_critical_path(f.log(), to_string(out.query_id));
+  EXPECT_EQ(path.query_id, to_string(out.query_id));
   EXPECT_TRUE(path.complete);
   ASSERT_FALSE(path.chain.empty());
   EXPECT_STREQ(path.chain.front().what, "query.start");

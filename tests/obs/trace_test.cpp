@@ -49,7 +49,7 @@ struct TraceFixture {
   }
 
   std::optional<obs::QueryTrace> trace_of(const QueryOutcome& out) {
-    return obs::build_query_trace(cluster.metrics()->causal_log(), out.query_id);
+    return obs::build_query_trace(cluster.metrics()->causal_log(), to_string(out.query_id));
   }
 };
 
@@ -60,7 +60,7 @@ TEST(QueryTrace, CompositeQueryRecordsAllFivePhasesInOrder) {
   ASSERT_TRUE(out.satisfied) << out.error;
 
   const auto trace = f.trace_of(out);
-  ASSERT_TRUE(trace.has_value()) << "no trace for query " << out.query_id;
+  ASSERT_TRUE(trace.has_value()) << "no trace for query " << to_string(out.query_id);
   EXPECT_TRUE(trace->done);
   EXPECT_TRUE(trace->satisfied);
   EXPECT_EQ(trace->attempts, out.attempts);
@@ -123,7 +123,7 @@ TEST(QueryTrace, ForcedConflictRecordsBackoffRetry) {
     ASSERT_TRUE(trace.has_value());
     if (out.attempts > 1) {
       saw_retry = true;
-      EXPECT_TRUE(trace->has_event("backoff_retry")) << out.query_id;
+      EXPECT_TRUE(trace->has_event("backoff_retry")) << to_string(out.query_id);
       int max_attempt = 0;
       for (const auto& span : trace->spans) max_attempt = std::max(max_attempt, span.attempt);
       EXPECT_EQ(max_attempt, out.attempts);

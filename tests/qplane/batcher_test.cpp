@@ -40,12 +40,13 @@ TEST(ProbeBatcher, CoalescesWaitersAndFansOutByteIdenticalAnswers) {
   };
 
   std::vector<SizeInfo> got;
+  std::vector<bool> coalesced;
   for (int i = 0; i < 5; ++i) {
-    batcher.probe(topic, [&got](const SizeInfo& info) { got.push_back(info); }, issue);
+    coalesced.push_back(
+        batcher.probe(topic, [&got](const SizeInfo& info) { got.push_back(info); }, issue));
   }
   EXPECT_EQ(issued, 1);
-  EXPECT_EQ(batcher.walks(), 1u);
-  EXPECT_EQ(batcher.coalesced(), 4u);
+  EXPECT_EQ(coalesced, (std::vector<bool>{false, true, true, true, true}));
   EXPECT_EQ(batcher.inflight(), 1u);
   EXPECT_TRUE(got.empty());
 
@@ -63,11 +64,9 @@ TEST(ProbeBatcher, DistinctTopicsWalkIndependently) {
   ProbeBatcher batcher;
   int issued = 0;
   auto issue = [&](const scribe::TopicId&, ProbeBatcher::SizeCallback) { ++issued; };
-  batcher.probe(pastry::tree_id("GPU", "admin"), [](const SizeInfo&) {}, issue);
-  batcher.probe(pastry::tree_id("CPU", "admin"), [](const SizeInfo&) {}, issue);
+  EXPECT_FALSE(batcher.probe(pastry::tree_id("GPU", "admin"), [](const SizeInfo&) {}, issue));
+  EXPECT_FALSE(batcher.probe(pastry::tree_id("CPU", "admin"), [](const SizeInfo&) {}, issue));
   EXPECT_EQ(issued, 2);
-  EXPECT_EQ(batcher.walks(), 2u);
-  EXPECT_EQ(batcher.coalesced(), 0u);
   EXPECT_EQ(batcher.inflight(), 2u);
 }
 
@@ -82,15 +81,17 @@ TEST(ProbeBatcher, ReprobeFromInsideFanOutStartsAFreshWalk) {
     replies.push_back(std::move(cb));
   };
   int inner_answers = 0;
+  bool inner_coalesced = true;
   batcher.probe(topic,
                 [&](const SizeInfo&) {
-                  batcher.probe(topic, [&](const SizeInfo&) { ++inner_answers; }, issue);
+                  inner_coalesced = batcher.probe(
+                      topic, [&](const SizeInfo&) { ++inner_answers; }, issue);
                 },
                 issue);
   ASSERT_EQ(replies.size(), 1u);
   replies[0](make_info(1.0, 1, false, util::SimTime::zero()));
   ASSERT_EQ(replies.size(), 2u) << "re-probe should have issued a fresh walk";
-  EXPECT_EQ(batcher.walks(), 2u);
+  EXPECT_FALSE(inner_coalesced);
   replies[1](make_info(2.0, 2, false, util::SimTime::zero()));
   EXPECT_EQ(inner_answers, 1);
   EXPECT_EQ(batcher.inflight(), 0u);

@@ -18,6 +18,7 @@ namespace rbay::qplane {
 namespace {
 
 using util::SimTime;
+using Stored = AnswerCache::StoreResult;
 
 AnswerCache::SizeInfo fresh_info(double value, std::uint64_t epoch) {
   AnswerCache::SizeInfo info{};
@@ -72,9 +73,8 @@ TEST(AnswerCache, DegradedStoreInvalidatesInsteadOfCaching) {
   auto degraded = fresh_info(8.0, 3);
   degraded.stale = true;
   degraded.age = SimTime::millis(40);
-  cache.store(topic, degraded, SimTime::millis(50));
+  EXPECT_EQ(cache.store(topic, degraded, SimTime::millis(50)), Stored::Invalidated);
   EXPECT_EQ(cache.size(), 0u) << "a degraded reply must evict, not refresh";
-  EXPECT_EQ(cache.invalidations(), 1u);
   EXPECT_FALSE(cache.lookup(topic, SimTime::millis(60)).has_value());
 }
 
@@ -91,9 +91,7 @@ TEST(AnswerCache, ReorderedStaleReplyCannotEvictFresherEntry) {
   auto late_stale = fresh_info(7.0, 3);  // pre-failover epoch, reordered
   late_stale.stale = true;
   late_stale.age = SimTime::millis(40);
-  cache.store(topic, late_stale, SimTime::millis(10));
-  EXPECT_EQ(cache.epoch_rejects(), 1u);
-  EXPECT_EQ(cache.invalidations(), 0u);
+  EXPECT_EQ(cache.store(topic, late_stale, SimTime::millis(10)), Stored::EpochRejected);
 
   const auto hit = cache.lookup(topic, SimTime::millis(20));
   ASSERT_TRUE(hit.has_value()) << "fresher entry must survive the stale straggler";
@@ -103,8 +101,7 @@ TEST(AnswerCache, ReorderedStaleReplyCannotEvictFresherEntry) {
   // A degraded reply at the cached epoch (or newer) still invalidates.
   auto current_stale = fresh_info(9.0, 5);
   current_stale.stale = true;
-  cache.store(topic, current_stale, SimTime::millis(30));
-  EXPECT_EQ(cache.invalidations(), 1u);
+  EXPECT_EQ(cache.store(topic, current_stale, SimTime::millis(30)), Stored::Invalidated);
   EXPECT_FALSE(cache.lookup(topic, SimTime::millis(40)).has_value());
 }
 
@@ -117,9 +114,9 @@ TEST(AnswerCache, LowerEpochStoreIsRejectedInsteadOfRollingBack) {
   const auto topic = pastry::tree_id("GPU", "admin");
   cache.store(topic, fresh_info(9.0, 5), SimTime::zero());
 
-  cache.store(topic, fresh_info(7.0, 3), SimTime::millis(10));  // stragglers
-  cache.store(topic, fresh_info(6.0, 4), SimTime::millis(20));
-  EXPECT_EQ(cache.epoch_rejects(), 2u);
+  // Stragglers.
+  EXPECT_EQ(cache.store(topic, fresh_info(7.0, 3), SimTime::millis(10)), Stored::EpochRejected);
+  EXPECT_EQ(cache.store(topic, fresh_info(6.0, 4), SimTime::millis(20)), Stored::EpochRejected);
 
   const auto hit = cache.lookup(topic, SimTime::millis(50));
   ASSERT_TRUE(hit.has_value());
@@ -127,9 +124,8 @@ TEST(AnswerCache, LowerEpochStoreIsRejectedInsteadOfRollingBack) {
   EXPECT_EQ(hit->epoch, 5u);
 
   // Same or newer epochs still refresh normally.
-  cache.store(topic, fresh_info(10.0, 5), SimTime::millis(60));
-  cache.store(topic, fresh_info(11.0, 6), SimTime::millis(70));
-  EXPECT_EQ(cache.epoch_rejects(), 2u);
+  EXPECT_EQ(cache.store(topic, fresh_info(10.0, 5), SimTime::millis(60)), Stored::Stored);
+  EXPECT_EQ(cache.store(topic, fresh_info(11.0, 6), SimTime::millis(70)), Stored::Stored);
   const auto fresh = cache.lookup(topic, SimTime::millis(80));
   ASSERT_TRUE(fresh.has_value());
   EXPECT_EQ(fresh->value, 11.0);

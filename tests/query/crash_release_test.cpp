@@ -3,8 +3,8 @@
 // cluster's crash-release hook existed this leaked — the dead holder's
 // lease had no expiry, nobody could ever reserve the node again, and the
 // reservation invariant checker flagged a dead holder.  The hook releases
-// every lease whose holder id carries the crashed node's query-id prefix
-// the moment the crash is detected.
+// every lease held by a query the crashed node originated the moment the
+// crash is detected.
 
 #include <gtest/gtest.h>
 
@@ -60,10 +60,10 @@ TEST(CrashRelease, CommittedIndefiniteLeaseFreedWhenHolderCrashes) {
   f.cluster.run();
 
   const auto resource = f.cluster.index_of(outcome.nodes[0].node.id);
-  ASSERT_FALSE(f.cluster.node(resource).lock().holder().empty());
+  ASSERT_TRUE(f.cluster.node(resource).lock().holder().has_value());
 
   f.cluster.overlay().fail_node(15);
-  EXPECT_TRUE(f.cluster.node(resource).lock().holder().empty())
+  EXPECT_FALSE(f.cluster.node(resource).lock().holder().has_value())
       << "crashed holder's indefinite lease must be released immediately";
   EXPECT_EQ(f.cluster.metrics()->fed().counter<"reservation.crash_releases">().value(), 1u);
 
@@ -83,12 +83,12 @@ TEST(CrashRelease, PendingHoldFreedWhenOriginatorCrashesBeforeCommit) {
   const auto outcome = f.run_query(15);
   ASSERT_TRUE(outcome.satisfied) << outcome.error;
   const auto resource = f.cluster.index_of(outcome.nodes[0].node.id);
-  ASSERT_FALSE(f.cluster.node(resource).lock().holder().empty());
+  ASSERT_TRUE(f.cluster.node(resource).lock().holder().has_value());
 
   // Crash before any commit/release disposition: the short-lease hold
   // would expire on its own, but the hook frees it right away.
   f.cluster.overlay().fail_node(15);
-  EXPECT_TRUE(f.cluster.node(resource).lock().holder().empty());
+  EXPECT_FALSE(f.cluster.node(resource).lock().holder().has_value());
 }
 
 TEST(CrashRelease, BystanderCrashLeavesForeignLeasesAlone) {
@@ -99,7 +99,7 @@ TEST(CrashRelease, BystanderCrashLeavesForeignLeasesAlone) {
   f.cluster.run();
   const auto resource = f.cluster.index_of(outcome.nodes[0].node.id);
   const auto holder = f.cluster.node(resource).lock().holder();
-  ASSERT_FALSE(holder.empty());
+  ASSERT_TRUE(holder.has_value());
 
   // Node 14 never issued a query: its crash must not touch 15's lease.
   f.cluster.overlay().fail_node(14);

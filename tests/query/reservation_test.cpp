@@ -11,92 +11,105 @@ namespace {
 
 using util::SimTime;
 
+// Three queries: two from one origin, one from another.
+const QueryId kQ1{util::U128{0x0123456789abcdefULL, 0x42}, 1};
+const QueryId kQ2{util::U128{0x0123456789abcdefULL, 0x42}, 2};
+const QueryId kQ3{util::U128{0xfedcba9876543210ULL, 0x42}, 1};
+
+TEST(QueryId, TextIsTwelveHexDigitsOfTheOriginThenSeq) {
+  // Trace keys and AAL onGet policies depend on this exact text.
+  EXPECT_EQ(to_string(QueryId{util::U128{0x0123456789abcdefULL, 0x42}, 7}), "0123456789ab#7");
+  EXPECT_EQ(to_string(QueryId{util::U128{0x000000000000ffffULL, ~0ULL}, 18446744073709551615ULL}),
+            "000000000000#18446744073709551615");
+  EXPECT_EQ(to_string(kQ3), "fedcba987654#1");
+}
+
 TEST(ReservationLock, BasicReserveAndExpiry) {
   ReservationLock lock;
   EXPECT_FALSE(lock.reserved(SimTime::zero()));
-  EXPECT_TRUE(lock.try_reserve("q1", SimTime::zero(), SimTime::millis(500)));
+  EXPECT_TRUE(lock.try_reserve(kQ1, SimTime::zero(), SimTime::millis(500)));
   EXPECT_TRUE(lock.reserved(SimTime::millis(100)));
   // After expiry the lock frees itself ("released after a short time window").
   EXPECT_FALSE(lock.reserved(SimTime::millis(600)));
-  EXPECT_TRUE(lock.try_reserve("q2", SimTime::millis(600), SimTime::millis(500)));
+  EXPECT_TRUE(lock.try_reserve(kQ2, SimTime::millis(600), SimTime::millis(500)));
 }
 
 TEST(ReservationLock, ConflictingReservationRejected) {
   ReservationLock lock;
-  ASSERT_TRUE(lock.try_reserve("q1", SimTime::zero(), SimTime::millis(500)));
-  EXPECT_FALSE(lock.try_reserve("q2", SimTime::millis(100), SimTime::millis(500)));
+  ASSERT_TRUE(lock.try_reserve(kQ1, SimTime::zero(), SimTime::millis(500)));
+  EXPECT_FALSE(lock.try_reserve(kQ2, SimTime::millis(100), SimTime::millis(500)));
   // Same holder may refresh.
-  EXPECT_TRUE(lock.try_reserve("q1", SimTime::millis(100), SimTime::millis(500)));
+  EXPECT_TRUE(lock.try_reserve(kQ1, SimTime::millis(100), SimTime::millis(500)));
 }
 
 TEST(ReservationLock, CommitRequiresActiveReservation) {
   ReservationLock lock;
-  EXPECT_FALSE(lock.commit("q1", SimTime::zero()));  // never reserved
-  ASSERT_TRUE(lock.try_reserve("q1", SimTime::zero(), SimTime::millis(500)));
-  EXPECT_FALSE(lock.commit("q2", SimTime::millis(10)));   // wrong holder
-  EXPECT_FALSE(lock.commit("q1", SimTime::millis(600)));  // expired
-  ASSERT_TRUE(lock.try_reserve("q1", SimTime::millis(700), SimTime::millis(500)));
-  EXPECT_TRUE(lock.commit("q1", SimTime::millis(800)));
+  EXPECT_FALSE(lock.commit(kQ1, SimTime::zero()));  // never reserved
+  ASSERT_TRUE(lock.try_reserve(kQ1, SimTime::zero(), SimTime::millis(500)));
+  EXPECT_FALSE(lock.commit(kQ2, SimTime::millis(10)));   // wrong holder
+  EXPECT_FALSE(lock.commit(kQ1, SimTime::millis(600)));  // expired
+  ASSERT_TRUE(lock.try_reserve(kQ1, SimTime::millis(700), SimTime::millis(500)));
+  EXPECT_TRUE(lock.commit(kQ1, SimTime::millis(800)));
   EXPECT_TRUE(lock.committed(SimTime::millis(900)));
   // Committed nodes are taken: nobody can reserve or re-commit.
-  EXPECT_FALSE(lock.try_reserve("q3", SimTime::millis(900), SimTime::millis(500)));
-  EXPECT_FALSE(lock.commit("q1", SimTime::millis(900)));
+  EXPECT_FALSE(lock.try_reserve(kQ3, SimTime::millis(900), SimTime::millis(500)));
+  EXPECT_FALSE(lock.commit(kQ1, SimTime::millis(900)));
 }
 
 TEST(ReservationLock, ReleaseFreesOnlyOwnHold) {
   ReservationLock lock;
-  ASSERT_TRUE(lock.try_reserve("q1", SimTime::zero(), SimTime::millis(500)));
-  lock.release("q2", SimTime::millis(10));  // not the holder: no-op
+  ASSERT_TRUE(lock.try_reserve(kQ1, SimTime::zero(), SimTime::millis(500)));
+  lock.release(kQ2, SimTime::millis(10));  // not the holder: no-op
   EXPECT_TRUE(lock.reserved(SimTime::millis(10)));
-  lock.release("q1", SimTime::millis(10));
+  lock.release(kQ1, SimTime::millis(10));
   EXPECT_FALSE(lock.reserved(SimTime::millis(10)));
 }
 
 TEST(ReservationLock, TenantCanReturnACommittedNode) {
   ReservationLock lock;
-  ASSERT_TRUE(lock.try_reserve("q1", SimTime::zero(), SimTime::millis(500)));
-  ASSERT_TRUE(lock.commit("q1", SimTime::millis(1)));
+  ASSERT_TRUE(lock.try_reserve(kQ1, SimTime::zero(), SimTime::millis(500)));
+  ASSERT_TRUE(lock.commit(kQ1, SimTime::millis(1)));
   // A stranger's release is a no-op...
-  lock.release("q2", SimTime::millis(2));
+  lock.release(kQ2, SimTime::millis(2));
   EXPECT_TRUE(lock.committed(SimTime::millis(2)));
   // ...but the tenant returns the node to the pool.
-  lock.release("q1", SimTime::millis(3));
+  lock.release(kQ1, SimTime::millis(3));
   EXPECT_FALSE(lock.committed(SimTime::millis(3)));
-  EXPECT_TRUE(lock.try_reserve("q3", SimTime::millis(4), SimTime::millis(500)));
+  EXPECT_TRUE(lock.try_reserve(kQ3, SimTime::millis(4), SimTime::millis(500)));
 }
 
 TEST(ReservationLock, LeaseExpiresAndFreesTheNode) {
   ReservationLock lock;
-  ASSERT_TRUE(lock.try_reserve("q1", SimTime::zero(), SimTime::millis(500)));
-  ASSERT_TRUE(lock.commit("q1", SimTime::millis(1), SimTime::seconds(10)));
+  ASSERT_TRUE(lock.try_reserve(kQ1, SimTime::zero(), SimTime::millis(500)));
+  ASSERT_TRUE(lock.commit(kQ1, SimTime::millis(1), SimTime::seconds(10)));
   EXPECT_TRUE(lock.committed(SimTime::seconds(5)));
   EXPECT_FALSE(lock.committed(SimTime::seconds(11)));
   // After expiry a new customer can reserve.
-  EXPECT_TRUE(lock.try_reserve("q2", SimTime::seconds(12), SimTime::millis(500)));
-  EXPECT_EQ(lock.holder(), "q2");
+  EXPECT_TRUE(lock.try_reserve(kQ2, SimTime::seconds(12), SimTime::millis(500)));
+  EXPECT_EQ(lock.holder(), kQ2);
 }
 
 TEST(ReservationLock, RenewExtendsTheLease) {
   ReservationLock lock;
-  ASSERT_TRUE(lock.try_reserve("q1", SimTime::zero(), SimTime::millis(500)));
-  ASSERT_TRUE(lock.commit("q1", SimTime::millis(1), SimTime::seconds(10)));
+  ASSERT_TRUE(lock.try_reserve(kQ1, SimTime::zero(), SimTime::millis(500)));
+  ASSERT_TRUE(lock.commit(kQ1, SimTime::millis(1), SimTime::seconds(10)));
   // Renew at t=8 for another 10 s: alive until ~18.
-  EXPECT_TRUE(lock.renew("q1", SimTime::seconds(8), SimTime::seconds(10)));
+  EXPECT_TRUE(lock.renew(kQ1, SimTime::seconds(8), SimTime::seconds(10)));
   EXPECT_TRUE(lock.committed(SimTime::seconds(15)));
   EXPECT_FALSE(lock.committed(SimTime::seconds(19)));
   // Renewing an expired lease fails; so does a stranger's renewal.
-  EXPECT_FALSE(lock.renew("q1", SimTime::seconds(20), SimTime::seconds(10)));
-  ASSERT_TRUE(lock.try_reserve("q2", SimTime::seconds(21), SimTime::millis(500)));
-  ASSERT_TRUE(lock.commit("q2", SimTime::seconds(21), SimTime::seconds(10)));
-  EXPECT_FALSE(lock.renew("q1", SimTime::seconds(22), SimTime::seconds(10)));
+  EXPECT_FALSE(lock.renew(kQ1, SimTime::seconds(20), SimTime::seconds(10)));
+  ASSERT_TRUE(lock.try_reserve(kQ2, SimTime::seconds(21), SimTime::millis(500)));
+  ASSERT_TRUE(lock.commit(kQ2, SimTime::seconds(21), SimTime::seconds(10)));
+  EXPECT_FALSE(lock.renew(kQ1, SimTime::seconds(22), SimTime::seconds(10)));
 }
 
 TEST(ReservationLock, IndefiniteCommitNeedsNoRenewal) {
   ReservationLock lock;
-  ASSERT_TRUE(lock.try_reserve("q1", SimTime::zero(), SimTime::millis(500)));
-  ASSERT_TRUE(lock.commit("q1", SimTime::millis(1)));  // lease = zero
+  ASSERT_TRUE(lock.try_reserve(kQ1, SimTime::zero(), SimTime::millis(500)));
+  ASSERT_TRUE(lock.commit(kQ1, SimTime::millis(1)));  // lease = zero
   EXPECT_TRUE(lock.committed(SimTime::seconds(1'000'000)));
-  EXPECT_TRUE(lock.renew("q1", SimTime::seconds(5), SimTime::seconds(1)));  // no-op ok
+  EXPECT_TRUE(lock.renew(kQ1, SimTime::seconds(5), SimTime::seconds(1)));  // no-op ok
   EXPECT_TRUE(lock.committed(SimTime::seconds(1'000'000)));
 }
 
@@ -106,42 +119,56 @@ TEST(ReservationLock, ReleaseAfterLeaseExpiryClearsTenancyImmediately) {
   // lease_expiry_ stale until some later try_reserve.  The holder's
   // release must wipe its tenancy no matter when it arrives.
   ReservationLock lock;
-  ASSERT_TRUE(lock.try_reserve("q1", SimTime::zero(), SimTime::millis(500)));
-  ASSERT_TRUE(lock.commit("q1", SimTime::millis(1), SimTime::seconds(10)));
+  ASSERT_TRUE(lock.try_reserve(kQ1, SimTime::zero(), SimTime::millis(500)));
+  ASSERT_TRUE(lock.commit(kQ1, SimTime::millis(1), SimTime::seconds(10)));
   ASSERT_FALSE(lock.committed(SimTime::seconds(11)));  // lease ran out
 
-  lock.release("q1", SimTime::seconds(11));
-  EXPECT_TRUE(lock.holder().empty()) << "stale holder survived a late release";
+  lock.release(kQ1, SimTime::seconds(11));
+  EXPECT_FALSE(lock.holder().has_value()) << "stale holder survived a late release";
   EXPECT_EQ(lock.lease_expiry(), SimTime::zero()) << "stale lease_expiry survived";
   EXPECT_FALSE(lock.reserved(SimTime::seconds(11)));
-  EXPECT_TRUE(lock.try_reserve("q2", SimTime::seconds(12), SimTime::millis(500)));
+  EXPECT_TRUE(lock.try_reserve(kQ2, SimTime::seconds(12), SimTime::millis(500)));
+}
+
+TEST(ReservationLock, ReserveOverLapsedLeaseClearsTheOldLeaseExpiry) {
+  // Regression: reclaiming an expired lease kept the old tenant's
+  // lease_expiry, so the new query's hold reported the old lease's end.
+  ReservationLock lock;
+  ASSERT_TRUE(lock.try_reserve(kQ1, SimTime::zero(), SimTime::millis(500)));
+  ASSERT_TRUE(lock.commit(kQ1, SimTime::millis(1), SimTime::seconds(10)));
+  ASSERT_FALSE(lock.committed(SimTime::seconds(11)));  // lease ran out
+
+  ASSERT_TRUE(lock.try_reserve(kQ3, SimTime::seconds(11), SimTime::millis(500)));
+  EXPECT_EQ(lock.holder(), kQ3);
+  EXPECT_EQ(lock.lease_expiry(), SimTime::zero()) << "old tenant's lease end survived";
+  EXPECT_EQ(lock.hold_expiry(), SimTime::seconds(11) + SimTime::millis(500));
 }
 
 TEST(ReservationLock, RenewAfterLeaseExpiryFailsAndLeavesLockFree) {
   ReservationLock lock;
-  ASSERT_TRUE(lock.try_reserve("q1", SimTime::zero(), SimTime::millis(500)));
-  ASSERT_TRUE(lock.commit("q1", SimTime::millis(1), SimTime::seconds(10)));
+  ASSERT_TRUE(lock.try_reserve(kQ1, SimTime::zero(), SimTime::millis(500)));
+  ASSERT_TRUE(lock.commit(kQ1, SimTime::millis(1), SimTime::seconds(10)));
   // Too late: the tenancy lapsed, renewal must not resurrect it.
-  EXPECT_FALSE(lock.renew("q1", SimTime::seconds(11), SimTime::seconds(10)));
+  EXPECT_FALSE(lock.renew(kQ1, SimTime::seconds(11), SimTime::seconds(10)));
   EXPECT_FALSE(lock.committed(SimTime::seconds(12)));
   EXPECT_FALSE(lock.reserved(SimTime::seconds(12)));
 }
 
 TEST(ReservationLock, DifferentHolderReservesOverExpiredCommit) {
   ReservationLock lock;
-  ASSERT_TRUE(lock.try_reserve("q1", SimTime::zero(), SimTime::millis(500)));
-  ASSERT_TRUE(lock.commit("q1", SimTime::millis(1), SimTime::seconds(10)));
+  ASSERT_TRUE(lock.try_reserve(kQ1, SimTime::zero(), SimTime::millis(500)));
+  ASSERT_TRUE(lock.commit(kQ1, SimTime::millis(1), SimTime::seconds(10)));
 
   // q2 takes the node straight off the expired commit — and from there the
   // full lifecycle works as if the lock were fresh.
-  ASSERT_TRUE(lock.try_reserve("q2", SimTime::seconds(11), SimTime::millis(500)));
-  EXPECT_EQ(lock.holder(), "q2");
+  ASSERT_TRUE(lock.try_reserve(kQ2, SimTime::seconds(11), SimTime::millis(500)));
+  EXPECT_EQ(lock.holder(), kQ2);
   EXPECT_FALSE(lock.committed(SimTime::seconds(11)));  // hold, not tenancy
   // The previous tenant lost all rights.
-  EXPECT_FALSE(lock.commit("q1", SimTime::seconds(11)));
-  EXPECT_TRUE(lock.commit("q2", SimTime::seconds(11), SimTime::seconds(5)));
+  EXPECT_FALSE(lock.commit(kQ1, SimTime::seconds(11)));
+  EXPECT_TRUE(lock.commit(kQ2, SimTime::seconds(11), SimTime::seconds(5)));
   EXPECT_TRUE(lock.committed(SimTime::seconds(12)));
-  lock.release("q2", SimTime::seconds(13));
+  lock.release(kQ2, SimTime::seconds(13));
   EXPECT_FALSE(lock.reserved(SimTime::seconds(13)));
 }
 

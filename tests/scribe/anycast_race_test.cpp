@@ -99,15 +99,17 @@ TEST(AnycastRace, FastResultStillCompletesOnceWithNoOrphans) {
   EXPECT_EQ(so.scribes[0]->anycast_waiter_count(), 0u);
 }
 
+const query::QueryId kQuery{util::U128{1}, 1};
+
 /// Reserves its node for the walk that visits it, as the RBAY core node
-/// does: holder "q", attempt 1, walk from the payload.
+/// does: holder kQuery, attempt 1, walk from the payload.
 class ReservingMember final : public TopicMember {
  public:
   ReservingMember(sim::Engine& engine, pastry::NodeId id) : engine_(engine), id_(id) {}
   void on_multicast(const TopicId&, const std::string&) override {}
   bool on_anycast(const TopicId&, AnycastPayload& payload) override {
     auto& collect = dynamic_cast<CollectPayload&>(payload);
-    if (!lock.try_reserve("q", engine_.now(), util::SimTime::seconds(10), 1, payload.walk)) {
+    if (!lock.try_reserve(kQuery, engine_.now(), util::SimTime::seconds(10), 1, payload.walk)) {
       return false;
     }
     collect.collected.push_back(id_);
@@ -146,7 +148,7 @@ SlowWalkRun run_slow_walk(util::SimTime timeout) {
   };
   so.scribes[0]->set_orphan_handler([&](const TopicId&, AnycastPayload& p) {
     for (const auto& id : dynamic_cast<CollectPayload&>(p).collected) {
-      member_of(id).lock.release("q", so.engine.now(), 1);
+      member_of(id).lock.release(kQuery, so.engine.now(), 1);
     }
   });
   const auto start = so.engine.now();

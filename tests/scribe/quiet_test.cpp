@@ -308,12 +308,13 @@ TEST(QuietTrees, RootReservationChangeSendsNoReplica) {
 
   // A round at the root with the reservation held, then one after it is
   // released; the tree and the root's contribution stay the same.
+  const query::QueryId holder{util::U128{0x0123456789abcdefULL, 0}, 1};
   for (const bool held : {true, false}) {
     const auto now = cluster.engine().now();
     if (held) {
-      ASSERT_TRUE(node.lock().try_reserve("0123456789ab#1", now, SimTime::seconds(10)));
+      ASSERT_TRUE(node.lock().try_reserve(holder, now, SimTime::seconds(10)));
     } else {
-      node.lock().release("0123456789ab#1", now);
+      node.lock().release(holder, now);
     }
     scribe.contribution_changed(topic);
     const auto wake = scribe.next_round();
