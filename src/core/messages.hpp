@@ -56,6 +56,9 @@ struct SiteResult {
   util::SimTime staleness = util::SimTime::zero();
   /// Answered (at least partly) from the probe answer cache.
   bool cached = false;
+  /// Every probed tree's root answered that the tree is empty: a
+  /// definitive no from this site, which a retry cannot change.
+  bool trees_empty = false;
 };
 
 /// The anycast payload: "this anycast message has a buffer of k empty

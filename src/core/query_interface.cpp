@@ -44,9 +44,9 @@ QueryInterface::QueryInterface(RBayNode& owner, QueryConfig config)
     : owner_(owner), app_(owner.pastry().register_app(kAppName, this)), config_(config),
       admission_(config.qplane.admission_window, config.qplane.admission_queue),
       answer_cache_(config.qplane.cache_ttl) {
-  // A satisfied anycast result that raced the timeout retry carries
-  // member-side reservations nobody will ever commit or release; free them
-  // the moment the orphaned payload surfaces (see Scribe::complete_anycast).
+  // A walk that comes home after its deadline's miss carries member-side
+  // reservations nobody will ever commit or release; free them the moment
+  // the orphaned payload surfaces (see Scribe::complete_anycast).
   owner_.scribe().set_orphan_handler(
       [this](const scribe::TopicId& /*topic*/, scribe::AnycastPayload& payload) {
         if (auto* filled = util::msg_as<CandidatePayload>(payload)) {
@@ -158,6 +158,7 @@ void QueryInterface::attempt(std::uint64_t id) {
   auto& p = it->second;
   ++p.outcome.attempts;
   p.gathered.clear();
+  p.empty_sites = 0;
   p.count_total = 0.0;
   p.outcome.sites_answered.clear();
 
@@ -249,6 +250,7 @@ void QueryInterface::site_done(std::uint64_t id, SiteResult result) {
   p.outcome.members_visited += result.visited;
   p.outcome.sites_answered.push_back(result.site);
   p.count_total += result.count;
+  if (result.trees_empty) ++p.empty_sites;
   if (result.stale) {
     p.outcome.stale = true;
     p.outcome.staleness = std::max(p.outcome.staleness, result.staleness);
@@ -356,7 +358,8 @@ void QueryInterface::finish_attempt(std::uint64_t id) {
   }
 
   // Not enough: release everything and retry after truncated exponential
-  // backoff, or give up after max_attempts.
+  // backoff, or give up after max_attempts or on a definitive no from
+  // every queried site.
   {
     obs::TraceContext rctx = base;
     rctx.phase = static_cast<std::uint8_t>(obs::Phase::kCommit);
@@ -365,7 +368,8 @@ void QueryInterface::finish_attempt(std::uint64_t id) {
   }
   p.gathered.clear();
 
-  if (p.outcome.attempts >= config_.max_attempts) {
+  if (p.outcome.attempts >= config_.max_attempts ||
+      p.empty_sites == p.outcome.sites_queried) {
     p.outcome.satisfied = false;
     complete(it);
     return;
@@ -424,6 +428,11 @@ void QueryInterface::run_site_query(SiteJob job, std::function<void(SiteResult)>
     std::vector<scribe::TopicId> topics;
     std::vector<double> sizes;
     std::size_t remaining = 0;
+    /// Some tree's size did not come from its root on this attempt: the
+    /// probe missed its deadline, or the answer cache served it (the cache
+    /// also stores a missed probe's zero).  An all-empty answer is then
+    /// not final.
+    bool unconfirmed = false;
     util::SimTime probe_start = util::SimTime::zero();
     // The answer under construction.  Degraded reads accumulate across the
     // probed trees: stale if any root answered stale (or the answer cache
@@ -461,7 +470,11 @@ void QueryInterface::run_site_query(SiteJob job, std::function<void(SiteResult)>
       if (best == SIZE_MAX || state->sizes[i] < state->sizes[best]) best = i;
     }
     if (best == SIZE_MAX) {
-      state->done({});  // no tree has members: nothing matches here
+      // No tree has members: nothing matches here.  Definitive when every
+      // root said so.
+      SiteResult empty;
+      empty.trees_empty = !state->unconfirmed;
+      state->done(std::move(empty));
       return;
     }
     if (state->job.count_only) {
@@ -488,9 +501,10 @@ void QueryInterface::run_site_query(SiteJob job, std::function<void(SiteResult)>
     owner_.scribe().anycast(
         state->topics[best], std::move(payload),
         [this, state, anycast_start, anycast_ctx](bool /*satisfied*/, int visited,
-                                                  scribe::AnycastPayload& result) {
-          // The walk carries the CandidatePayload this query built.
-          auto& filled = *util::msg_as<CandidatePayload>(result);
+                                                  scribe::AnycastPayload* result) {
+          // The walk carries the CandidatePayload this query built; a walk
+          // that missed its deadline carries nothing (no candidates).
+          auto* filled = result != nullptr ? util::msg_as<CandidatePayload>(*result) : nullptr;
           const auto end = owner_.engine().now();
           if (auto* reg = owner_.engine().metrics()) {
             reg->fed().latency<"query.phase_anycast">().add(end - anycast_start);
@@ -502,8 +516,8 @@ void QueryInterface::run_site_query(SiteJob job, std::function<void(SiteResult)>
                              obs::Phase::kMemberSearch, anycast_start, visited);
           record_phase_point(causal, anycast_ctx, owner_, "query.slots_filled",
                              obs::Phase::kSlotFill, anycast_start,
-                             static_cast<int>(filled.found.size()));
-          state->result.candidates = std::move(filled.found);
+                             filled != nullptr ? static_cast<int>(filled->found.size()) : 0);
+          if (filled != nullptr) state->result.candidates = std::move(filled->found);
           state->result.visited = visited;
           state->done(std::move(state->result));
         },
@@ -527,6 +541,7 @@ void QueryInterface::run_site_query(SiteJob job, std::function<void(SiteResult)>
       if (auto hit = answer_cache_.lookup(topic, owner_.engine().now())) {
         if (auto* reg = owner_.engine().metrics()) reg->fed().counter<"qplane.cache_hits">().inc();
         state->sizes[i] = hit->value;
+        state->unconfirmed = true;
         state->result.stale = true;
         state->result.cached = true;
         state->result.staleness = std::max(state->result.staleness, hit->age);
@@ -556,6 +571,7 @@ void QueryInterface::run_site_query(SiteJob job, std::function<void(SiteResult)>
         }
       }
       state->sizes[i] = info.value;
+      if (info.timed_out) state->unconfirmed = true;
       if (info.stale) {
         state->result.stale = true;
         state->result.staleness = std::max(state->result.staleness, info.age);

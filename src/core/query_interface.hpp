@@ -11,8 +11,19 @@
 //      reserve themselves + fill slots,
 //   5. the interface commits or releases the reservations.
 // Cross-site queries fan out in parallel to each requested site's gateway
-// ("border router", §III.E); conflicts trigger re-query after a truncated
-// exponential backoff.
+// ("border router", §III.E).
+//
+// An attempt that gathers fewer than k candidates re-queries after a
+// truncated exponential backoff (§III.D), up to max_attempts.  That backoff
+// is the only retry a query has, and it covers every short answer:
+//   - a conflict: another query holds a member's reservation,
+//   - a denial: a member's onGet handler refused the caller,
+//   - a walk that missed its anycast deadline (Scribe reports a miss),
+//   - a size probe that missed its deadline (read as an empty tree),
+//   - a site that did not answer before the site timeout.
+// A site whose probed trees' roots all answered "empty" gives a definitive
+// no: when every queried site does, the query ends unsatisfied at once.
+// COUNT queries read the roots' aggregates and never retry.
 
 #include <functional>
 #include <map>
@@ -107,6 +118,8 @@ class QueryInterface final : public pastry::PastryApp {
     Callback callback;
     QueryOutcome outcome;
     int waiting_sites = 0;
+    /// Sites whose answer this attempt was SiteResult::trees_empty.
+    int empty_sites = 0;
     double count_total = 0.0;
     std::vector<Candidate> gathered;
     sim::Timer timeout;

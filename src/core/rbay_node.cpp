@@ -246,7 +246,7 @@ bool RBayNode::on_anycast(const scribe::TopicId& /*topic*/, scribe::AnycastPaylo
   }
   // Reserve the node for this query; an existing reservation by another
   // query makes this node unavailable (the conflict the backoff handles).
-  if (!lock_.try_reserve(job.query_id, engine().now(), job.hold, job.attempt, payload.walk)) {
+  if (!lock_.try_reserve(job.query_id, engine().now(), job.hold, job.attempt)) {
     if (reg != nullptr) {
       reg->fed().counter<"query.conflicts">().inc();
       reg->causal().local(site(), self().endpoint, "query.conflict", engine().now(),

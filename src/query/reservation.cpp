@@ -25,7 +25,7 @@ bool ReservationLock::reserved(util::SimTime now) const {
 }
 
 bool ReservationLock::try_reserve(const QueryId& holder, util::SimTime now,
-                                  util::SimTime hold, int attempt, int walk) {
+                                  util::SimTime hold, int attempt) {
   if (committed(now)) return false;
   if (committed_) {
     // Previous tenancy's lease expired: the node is back in the pool.
@@ -36,10 +36,6 @@ bool ReservationLock::try_reserve(const QueryId& holder, util::SimTime now,
   }
   const bool held = reserved(now);
   if (held && holder_ != holder) return false;
-  // The attempt's other walk holds it: both results would carry the node,
-  // and whichever came home second would release the other's pick.
-  if (held && attempt == attempt_ && walk != walk_) return false;
-  if (!held || holder_ != holder || attempt > attempt_) walk_ = walk;
   attempt_ = holder_ == holder ? std::max(attempt_, attempt) : attempt;
   holder_ = holder;
   expiry_ = now + hold;
@@ -78,7 +74,6 @@ void ReservationLock::release(const QueryId& holder, util::SimTime now, int atte
   holder_.reset();
   expiry_ = util::SimTime::zero();
   attempt_ = 0;
-  walk_ = 0;
 }
 
 util::SimTime Backoff::delay_after(int failures, util::Rng& rng) const {

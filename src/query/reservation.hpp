@@ -46,10 +46,10 @@ class ReservationLock {
   /// Attempts to reserve for `holder` until `now + hold`.  Fails if an
   /// unexpired reservation by another holder exists.  `attempt` is the
   /// holder's query attempt; the lock remembers the latest that reserved.
-  /// `walk` names the anycast walk of that attempt (AnycastPayload::walk):
-  /// a node held by one walk is refused to the attempt's other walk.
+  /// The holder may reserve again (a duplicated walk, or a later attempt's
+  /// walk): that renews the hold.
   bool try_reserve(const QueryId& holder, util::SimTime now, util::SimTime hold,
-                   int attempt = 0, int walk = 0);
+                   int attempt = 0);
 
   /// Commits the reservation (the customer took the node).  Only the
   /// current holder may commit.  `lease` bounds the tenancy; zero means
@@ -79,7 +79,6 @@ class ReservationLock {
   std::optional<QueryId> holder_;
   util::SimTime expiry_ = util::SimTime::zero();
   int attempt_ = 0;
-  int walk_ = 0;
   bool committed_ = false;
   bool lease_bounded_ = false;
   util::SimTime lease_expiry_ = util::SimTime::zero();

@@ -20,21 +20,15 @@ enum class AggregateKind { Count, Sum, Min, Max };
 
 /// Mutable payload carried by an anycast as it walks the tree.  Concrete
 /// payloads (e.g. the query plane's k-slot candidate buffer) subclass this;
-/// member handlers mutate it in place.  `clone()` exists so the originator
-/// can keep a pristine copy to retry with after an anycast timeout.
+/// member handlers mutate it in place.  `clone()` exists so the network can
+/// duplicate an anycast or its result (`clone_msg()` below) with a payload
+/// of its own.
 struct AnycastPayload {
   AnycastPayload() = default;
   virtual ~AnycastPayload() = default;
   [[nodiscard]] util::MsgTag tag() const { return tag_; }
   [[nodiscard]] virtual std::size_t wire_size() const = 0;
   [[nodiscard]] virtual std::unique_ptr<AnycastPayload> clone() const = 0;
-
-  /// Which walk of its request the payload travels on: 0 for the first,
-  /// 1 for the retry Scribe starts when the first walk times out.  A slow
-  /// first walk may still come home, so members that reserve on behalf of
-  /// a walk record it: two walks of one request never hold the same node,
-  /// and the loser's release cannot free the winner's pick.
-  int walk = 0;
 
  protected:
   explicit AnycastPayload(util::MsgTag tag) : tag_(tag) {}
@@ -203,6 +197,9 @@ struct SizeInfo {
   /// Served by a non-root member of the topic's root set (always a
   /// staleness-bounded degraded read).
   bool from_root_set = false;
+  /// No answer: the probe missed its deadline, and `value` 0 says nothing
+  /// about the tree.  Set only by the originator, never on the wire.
+  bool timed_out = false;
 };
 
 struct SizeReplyMsg final : pastry::TaggedMessage<SizeReplyMsg> {

@@ -382,12 +382,8 @@ void Scribe::anycast(const TopicId& topic, std::unique_ptr<AnycastPayload> paylo
   const auto id = next_request_id_++;
   auto& waiter = anycast_waiters_[id];
   waiter.callback = std::move(callback);
-  waiter.topic = topic;
-  waiter.scope = scope;
   if (config_.anycast_timeout > util::SimTime::zero()) {
-    // Keep a pristine payload so an expired walk can restart from here,
-    // and arm the deadline that makes a dead walk observable at all.
-    waiter.retry_payload = payload->clone();
+    // The deadline is what makes a dead walk observable at all.
     waiter.deadline = node_.network().engine().schedule(
         config_.anycast_timeout, [this, id]() { on_anycast_deadline(id); });
   }
@@ -519,48 +515,27 @@ void Scribe::complete_anycast(std::uint64_t request_id, const TopicId& topic, bo
                               int members_visited, AnycastPayload& payload) {
   auto waiter = take_anycast_waiter(request_id);
   if (!waiter) {
-    // The waiter already completed — this reply raced the timeout path (or
-    // its retry).  Don't drop it on the floor: a satisfied result may carry
-    // member-side reservations taken during the walk, which the owner must
-    // release or they leak until the hold expires.
+    // The deadline already completed the waiter with a miss: this walk was
+    // slow, not dead.  Don't drop it on the floor: a satisfied result may
+    // carry member-side reservations taken during the walk, which the owner
+    // must release or they leak until the hold expires.
     ++anycast_orphans_;
     if (auto* m = fed_metrics(node_)) m->counter<"scribe.anycast_orphans">().inc();
     if (orphan_handler_) orphan_handler_(topic, payload);
     return;
   }
-  waiter->callback(satisfied, members_visited, payload);
+  waiter->callback(satisfied, members_visited, &payload);
 }
 
 void Scribe::on_anycast_deadline(std::uint64_t request_id) {
-  auto it = anycast_waiters_.find(request_id);
-  if (it == anycast_waiters_.end()) return;
-  auto& waiter = it->second;
+  // The walk died on a dead link (a node crashed mid-DFS, a message was
+  // lost) or is merely slow: complete with a miss so the caller's backoff
+  // retry takes over.  The waiter is gone before the callback runs, so a
+  // result that still comes home is an orphan, never a second completion.
+  auto waiter = take_anycast_waiter(request_id);
+  if (!waiter) return;
   if (auto* m = fed_metrics(node_)) m->counter<"scribe.anycast_timeouts">().inc();
-  if (waiter.timeouts++ == 0 && waiter.retry_payload != nullptr) {
-    // First expiry: the walk died on a dead link (node crashed mid-DFS).
-    // Retry once from the entry node — by now the tree has usually been
-    // repaired around the failure — under a fresh deadline.
-    if (auto* m = fed_metrics(node_)) m->counter<"scribe.anycast_retries">().inc();
-    auto msg = std::make_unique<AnycastMsg>();
-    msg->topic = waiter.topic;
-    msg->scope = waiter.scope;
-    msg->request_id = request_id;
-    msg->originator = node_.self();
-    msg->payload = waiter.retry_payload->clone();
-    msg->payload->walk = waiter.timeouts;
-    waiter.deadline = node_.network().engine().schedule(
-        config_.anycast_timeout, [this, request_id]() { on_anycast_deadline(request_id); });
-    node_.route(waiter.topic, std::move(msg), app_, waiter.scope);
-    return;
-  }
-  // Second expiry: complete with a miss so the caller's backoff machinery
-  // takes over.  Take the waiter through the single choke point: the map
-  // entry is gone before the callback runs, so the original (or retried)
-  // result landing later is handled as an orphan, never a double-complete.
-  auto taken = take_anycast_waiter(request_id);
-  auto payload = std::move(taken->retry_payload);
-  auto cb = std::move(taken->callback);
-  cb(false, 0, *payload);
+  waiter->callback(false, 0, nullptr);
 }
 
 // --- aggregation ---------------------------------------------------------------
@@ -1184,7 +1159,9 @@ void Scribe::on_probe_deadline(std::uint64_t request_id) {
   auto cb = std::move(waiter.callback);
   size_waiters_.erase(it);
   if (auto* m = fed_metrics(node_)) m->counter<"scribe.size_probe_timeouts">().inc();
-  cb(SizeInfo{});  // value 0: the caller treats an unreachable tree as empty
+  SizeInfo missed;
+  missed.timed_out = true;  // value 0, but not a root's answer
+  cb(missed);
 }
 
 // --- repair ---------------------------------------------------------------------

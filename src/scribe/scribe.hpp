@@ -77,8 +77,8 @@ struct ScribeConfig {
   /// a degraded (stale-tagged) read before failing back to its live view.
   util::SimTime max_staleness = util::SimTime::seconds(5);
   /// Deadline for anycast walks and size probes; zero disables timeouts
-  /// (an expired anycast is retried once from the entry node, then
-  /// completed with a miss).
+  /// (an expired anycast completes with a miss, which the query layer
+  /// retries after backoff).
   util::SimTime anycast_timeout = util::SimTime::zero();
   /// Hot-tree load balancing: maximum children a tree node carries before
   /// it delegates the surplus to a leaf-set pick (D3-Tree style weight
@@ -122,9 +122,10 @@ class Scribe final : public pastry::PastryApp {
                  pastry::Scope scope = pastry::Scope::Global);
 
   /// Starts an anycast DFS over the topic tree.  The callback fires on this
-  /// node with the final payload (satisfied = a member consumed it).
+  /// node with the final payload (satisfied = a member consumed it), or
+  /// with a null payload when the walk missed its deadline.
   using AnycastCallback =
-      std::function<void(bool satisfied, int members_visited, AnycastPayload& payload)>;
+      std::function<void(bool satisfied, int members_visited, AnycastPayload* payload)>;
   void anycast(const TopicId& topic, std::unique_ptr<AnycastPayload> payload,
                AnycastCallback callback, pastry::Scope scope = pastry::Scope::Global);
 
@@ -157,9 +158,10 @@ class Scribe final : public pastry::PastryApp {
                   pastry::Scope scope = pastry::Scope::Global);
 
   /// Fires when an anycast result arrives for a waiter that already
-  /// completed (a reply racing the timeout retry).  The payload may carry
-  /// member-side state — reservations taken during the walk — that the
-  /// owner must reconcile; without a handler it is only counted.
+  /// completed (a slow walk coming home after its deadline's miss).  The
+  /// payload may carry member-side state — reservations taken during the
+  /// walk — that the owner must reconcile; without a handler it is only
+  /// counted.
   using OrphanHandler = std::function<void(const TopicId& topic, AnycastPayload& payload)>;
   void set_orphan_handler(OrphanHandler handler) { orphan_handler_ = std::move(handler); }
   [[nodiscard]] std::uint64_t anycast_orphans() const { return anycast_orphans_; }
@@ -283,10 +285,6 @@ class Scribe final : public pastry::PastryApp {
   struct AnycastWaiter {
     AnycastCallback callback;
     sim::Timer deadline;
-    std::unique_ptr<AnycastPayload> retry_payload;
-    TopicId topic;
-    pastry::Scope scope = pastry::Scope::Global;
-    int timeouts = 0;
   };
 
   struct SizeWaiter {
@@ -362,8 +360,8 @@ class Scribe final : public pastry::PastryApp {
   /// deadline), or nullopt if it already completed.  Every anycast
   /// completion path takes the waiter through here, which is what makes
   /// completion idempotent: the map entry is gone before any callback
-  /// runs, so whichever of {result, timeout, retry-result} fires second
-  /// finds nothing and is handled as an orphan.
+  /// runs, so whichever of {result, deadline} fires second finds nothing
+  /// (a result that does is handled as an orphan).
   [[nodiscard]] std::optional<AnycastWaiter> take_anycast_waiter(std::uint64_t request_id);
   void complete_anycast(std::uint64_t request_id, const TopicId& topic, bool satisfied,
                         int members_visited, AnycastPayload& payload);

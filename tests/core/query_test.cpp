@@ -85,8 +85,11 @@ TEST(QueryEndToEnd, CompositePredicateChecksBoth) {
 
 TEST(QueryEndToEnd, UnsatisfiableQueryFailsAfterRetries) {
   QueryFixture f{1, 10};
-  f.provision(0.0, 1.0);  // nobody has a GPU
-  const auto out = f.run_query(0, "SELECT 1 FROM * WHERE GPU = true");
+  f.provision(1.0, 0.0);  // everyone has a GPU, nobody is idle
+  // The walk visits GPU members that all fail the second predicate and
+  // comes home short, which the backoff retries.  (A query whose probed
+  // trees are all empty ends at once: core/retry_test.cpp.)
+  const auto out = f.run_query(0, "SELECT 1 FROM * WHERE GPU = true AND CPU_utilization < 10%");
   EXPECT_FALSE(out.satisfied);
   EXPECT_TRUE(out.nodes.empty());
   EXPECT_GT(out.attempts, 1);  // backoff retries happened

@@ -21,11 +21,11 @@ AnycastResult run_anycast(ScribeOverlay& so, std::size_t from, const TopicId& to
   auto payload = std::make_unique<CollectPayload>();
   payload->want = want;
   so.scribes[from]->anycast(topic, std::move(payload),
-                            [&](bool satisfied, int visited, AnycastPayload& p) {
+                            [&](bool satisfied, int visited, AnycastPayload* p) {
                               result.done = true;
                               result.satisfied = satisfied;
                               result.members_visited = visited;
-                              result.collected = dynamic_cast<CollectPayload&>(p).collected;
+                              result.collected = dynamic_cast<CollectPayload&>(*p).collected;
                             });
   so.engine.run();
   return result;
@@ -120,10 +120,10 @@ TEST(Anycast, ConcurrentAnycastsAreIndependent) {
     auto payload = std::make_unique<CollectPayload>();
     payload->want = 3;
     so.scribes[q]->anycast(topic, std::move(payload),
-                           [&](bool satisfied, int, AnycastPayload& p) {
+                           [&](bool satisfied, int, AnycastPayload* p) {
                              ++done;
                              EXPECT_TRUE(satisfied);
-                             EXPECT_EQ(dynamic_cast<CollectPayload&>(p).collected.size(), 3u);
+                             EXPECT_EQ(dynamic_cast<CollectPayload&>(*p).collected.size(), 3u);
                            });
   }
   so.engine.run();

@@ -97,7 +97,7 @@ TEST(Failover, RootCrashPromotesReplicaHolderServingTheStaleSnapshot) {
   EXPECT_DOUBLE_EQ(info.value, 23.0);
 }
 
-TEST(Failover, AnycastDeadlineRetriesOnceThenReportsMiss) {
+TEST(Failover, AnycastDeadlineReportsMissAtFirstDeadline) {
   auto cfg = failover_config();
   cfg.heartbeat_interval = SimTime::zero();  // no prune/rejoin noise
   cfg.anycast_timeout = SimTime::millis(500);
@@ -117,21 +117,25 @@ TEST(Failover, AnycastDeadlineRetriesOnceThenReportsMiss) {
   // and every message it sends from here on is lost.
   so.members[entry]->refuse = true;
   auto payload = std::make_unique<CollectPayload>();
-  bool fired = false;
+  int fired = 0;
   bool satisfied = true;
+  const AnycastPayload* result = &*payload;
   so.scribes[entry]->anycast(topic, std::move(payload),
-                             [&](bool ok, int, AnycastPayload&) {
-                               fired = true;
+                             [&](bool ok, int, AnycastPayload* p) {
+                               ++fired;
                                satisfied = ok;
+                               result = p;
                              });
   EXPECT_EQ(so.scribes[entry]->anycast_waiter_count(), 1u);
   so.engine.run_for(SimTime::seconds(2));
 
-  ASSERT_TRUE(fired) << "the second deadline must deliver the miss";
+  // The first deadline is the last word: a miss with no payload, and no
+  // second walk (the query layer's backoff is the only retry).
+  ASSERT_EQ(fired, 1) << "the deadline must deliver the miss exactly once";
   EXPECT_FALSE(satisfied);
+  EXPECT_EQ(result, nullptr);
   EXPECT_EQ(so.scribes[entry]->anycast_waiter_count(), 0u);
-  EXPECT_EQ(reg.fed().counter<"scribe.anycast_timeouts">().value(), 2u);
-  EXPECT_EQ(reg.fed().counter<"scribe.anycast_retries">().value(), 1u);
+  EXPECT_EQ(reg.fed().counter<"scribe.anycast_timeouts">().value(), 1u);
 }
 
 TEST(Failover, CompletedAnycastCancelsItsDeadline) {
@@ -149,7 +153,7 @@ TEST(Failover, CompletedAnycastCancelsItsDeadline) {
   bool fired = false;
   bool satisfied = false;
   so.scribes[entry]->anycast(topic, std::make_unique<CollectPayload>(),
-                             [&](bool ok, int, AnycastPayload&) {
+                             [&](bool ok, int, AnycastPayload*) {
                                fired = true;
                                satisfied = ok;
                              });
@@ -209,7 +213,7 @@ TEST(Failover, WithoutTimeoutsALostWalkStillLeaksItsWaiter) {
   so.members[entry]->refuse = true;  // force the walk onto the lossy wire
   bool fired = false;
   so.scribes[entry]->anycast(topic, std::make_unique<CollectPayload>(),
-                             [&](bool, int, AnycastPayload&) { fired = true; });
+                             [&](bool, int, AnycastPayload*) { fired = true; });
   so.engine.run_for(SimTime::seconds(5));
 
   EXPECT_FALSE(fired);

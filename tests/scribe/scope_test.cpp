@@ -80,9 +80,9 @@ TEST(SiteScope, AnycastServedBySiteMembers) {
   std::vector<pastry::NodeId> collected;
   f.so.scribes[origin]->anycast(
       f.topic_for_site(4), std::move(payload),
-      [&](bool ok, int, AnycastPayload& p) {
+      [&](bool ok, int, AnycastPayload* p) {
         satisfied = ok;
-        collected = dynamic_cast<CollectPayload&>(p).collected;
+        collected = dynamic_cast<CollectPayload&>(*p).collected;
       },
       pastry::Scope::Site);
   f.so.engine.run();
@@ -124,7 +124,7 @@ TEST(SiteScope, PartitionedSiteKeepsServingLocally) {
   bool satisfied = false;
   f.so.scribes[origin]->anycast(
       f.topic_for_site(6), std::move(payload),
-      [&](bool ok, int, AnycastPayload&) { satisfied = ok; }, pastry::Scope::Site);
+      [&](bool ok, int, AnycastPayload*) { satisfied = ok; }, pastry::Scope::Site);
   f.so.engine.run();
   EXPECT_TRUE(satisfied);
 }

@@ -6,7 +6,10 @@
 # written only through a string-literal key at the call site,
 # `counter<"a.b">()` / `gauge<"a.b">()` / `latency<"a.b">()` (obs/metrics.hpp)
 # — plus the rbay.health.* self-published attribute names, and requires
-# each to appear verbatim in docs/OBSERVABILITY.md.  Run from anywhere;
+# each to appear verbatim in docs/OBSERVABILITY.md.  The other direction
+# too: every metric name in a row of the doc's metric table (the rows
+# whose Kind column is counter, gauge or histogram) must be registered in
+# src/, so a row outliving its metric fails.  Run from anywhere;
 # tools/ci.sh runs it on every build.
 set -euo pipefail
 
@@ -34,9 +37,26 @@ while IFS= read -r name; do
   fi
 done <<<"$names"
 
+# Metric table rows: | Scope | `a.b` / `c.d` | Kind | Meaning |.
+documented=$(
+  awk -F'|' 'NF >= 6 && $4 ~ /^ *(counter|gauge|histogram) *$/ { print $3 }' "$doc" |
+    grep -oE '`[^`]+`' | tr -d '`' | sort -u
+)
+
+stale=0
+while IFS= read -r name; do
+  [[ -n "$name" ]] || continue
+  if ! grep -qxF "$name" <<<"$names"; then
+    echo "check_metric_docs: '$name' has a row in docs/OBSERVABILITY.md but is not registered in src/" >&2
+    stale=$((stale + 1))
+  fi
+done <<<"$documented"
+
 total=$(wc -l <<<"$names")
-if [[ "$missing" -gt 0 ]]; then
-  echo "check_metric_docs: $missing of $total metric names undocumented" >&2
+rows=$(wc -l <<<"$documented")
+if [[ "$missing" -gt 0 || "$stale" -gt 0 ]]; then
+  echo "check_metric_docs: $missing of $total metric names undocumented," \
+    "$stale of $rows documented names unregistered" >&2
   exit 1
 fi
-echo "check_metric_docs: all $total metric names documented"
+echo "check_metric_docs: all $total metric names documented, all $rows documented names registered"
