@@ -126,7 +126,9 @@ ZipfRun run_zipf_series(std::uint64_t seed, bool balanced, bool small,
                                         "Local");
     double value = -1.0;
     cluster.node(origin).scribe().probe_size(
-        topic, [&](const scribe::Scribe::SizeInfo& info) { value = info.value; });
+        topic, [&](const scribe::Scribe::SizeInfo* info) {
+          if (info != nullptr) value = info->value;
+        });
     cluster.run();
     out.answers.push_back(value);
   }

@@ -67,11 +67,11 @@ end
   double size = -1;
   auto probe = [&]() {
     cluster.node(1).scribe().probe_size(cluster.node(1).topic_of(gpu_tree),
-                                        [&](const scribe::Scribe::SizeInfo& i) { size = i.value; },
+                                        [&](const scribe::Scribe::SizeInfo* i) { if (i != nullptr) size = i->value; },
                                         pastry::Scope::Site);
     cluster.run_for(util::SimTime::seconds(2));  // re-aggregate
     cluster.node(1).scribe().probe_size(cluster.node(1).topic_of(gpu_tree),
-                                        [&](const scribe::Scribe::SizeInfo& i) { size = i.value; },
+                                        [&](const scribe::Scribe::SizeInfo* i) { if (i != nullptr) size = i->value; },
                                         pastry::Scope::Site);
     cluster.run();
     return size;

@@ -51,7 +51,7 @@ void HealthPublisher::publish_node(std::size_t index) {
   // Integer per-mille hit ratio: float division would be deterministic
   // here, but integers keep every published value exactly representable
   // and greppable in dumps.
-  const auto& cache = node.query().answer_cache();
+  const auto& cache = node.query().tree_sizes();
   const std::uint64_t lookups = cache.hits() + cache.misses();
   const std::int64_t hit_pm =
       lookups == 0 ? 0 : static_cast<std::int64_t>(cache.hits() * 1000 / lookups);

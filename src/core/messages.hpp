@@ -54,10 +54,11 @@ struct SiteResult {
   /// snapshot, `staleness` sim-time old.
   bool stale = false;
   util::SimTime staleness = util::SimTime::zero();
-  /// Answered (at least partly) from the probe answer cache.
+  /// Answered (at least partly) from the size table's stored answers.
   bool cached = false;
-  /// Every probed tree's root answered that the tree is empty: a
-  /// definitive no from this site, which a retry cannot change.
+  /// A definitive no from this site, which a retry cannot change: no
+  /// predicate resolves to a tree, or a probed tree's root answered on
+  /// this attempt that the tree is empty.
   bool trees_empty = false;
 };
 

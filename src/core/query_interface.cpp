@@ -43,7 +43,27 @@ obs::TraceContext record_phase_point(obs::CausalLog* causal, const obs::TraceCon
 QueryInterface::QueryInterface(RBayNode& owner, QueryConfig config)
     : owner_(owner), app_(owner.pastry().register_app(kAppName, this)), config_(config),
       admission_(config.qplane.admission_window, config.qplane.admission_queue),
-      answer_cache_(config.qplane.cache_ttl) {
+      tree_sizes_(
+          config.qplane.cache_ttl, config.qplane.batch_probes,
+          [this] { return owner_.engine().now(); },
+          [this](const scribe::TopicId& topic, scribe::Scribe::SizeCallback cb) {
+            owner_.scribe().probe_size(topic, std::move(cb), pastry::Scope::Site);
+          },
+          [this](const scribe::SizeInfo& info, qplane::TreeSizes::Stored stored) {
+            // Once per root answer, however many reads it fans out to.
+            auto* reg = owner_.engine().metrics();
+            if (reg == nullptr) return;
+            // Served by a non-root member of the tree's root set (hot-root
+            // rotation): the probe never reached the rendezvous root.
+            if (info.from_root_set) reg->fed().counter<"qplane.rootset_answers">().inc();
+            // Invalidated: a degraded (post-failover) answer evicted the
+            // stored one.  EpochRejected: an older epoch's answer was refused.
+            if (stored == qplane::TreeSizes::Stored::Invalidated) {
+              reg->fed().counter<"qplane.cache_invalidations">().inc();
+            } else if (stored == qplane::TreeSizes::Stored::EpochRejected) {
+              reg->fed().counter<"qplane.cache.epoch_rejects">().inc();
+            }
+          }) {
   // A walk that comes home after its deadline's miss carries member-side
   // reservations nobody will ever commit or release; free them the moment
   // the orphaned payload surfaces (see Scribe::complete_anycast).
@@ -419,24 +439,23 @@ std::vector<std::size_t> QueryInterface::plan_trees(
 void QueryInterface::run_site_query(SiteJob job, std::function<void(SiteResult)> done) {
   const auto trees = plan_trees(job.predicates);
   if (trees.empty()) {
-    done({});
+    // No predicate resolves to a tree, and the tree table cannot change
+    // while the query runs: nothing here can match.
+    SiteResult none;
+    none.trees_empty = true;
+    done(std::move(none));
     return;
   }
 
   struct ProbeState {
     SiteJob job;
     std::vector<scribe::TopicId> topics;
-    std::vector<double> sizes;
+    /// Each tree's size: from its root on this attempt, from the size
+    /// table's stored answer, or missed.
+    std::vector<qplane::TreeSize> sizes;
     std::size_t remaining = 0;
-    /// Some tree's size did not come from its root on this attempt: the
-    /// probe missed its deadline, or the answer cache served it (the cache
-    /// also stores a missed probe's zero).  An all-empty answer is then
-    /// not final.
-    bool unconfirmed = false;
     util::SimTime probe_start = util::SimTime::zero();
-    // The answer under construction.  Degraded reads accumulate across the
-    // probed trees: stale if any root answered stale (or the answer cache
-    // did), staleness the oldest such snapshot's age.
+    // The answer under construction.
     SiteResult result;
     // This site query's own causal context (phase points hang off it).
     obs::TraceContext ctx;
@@ -445,7 +464,7 @@ void QueryInterface::run_site_query(SiteJob job, std::function<void(SiteResult)>
   auto state = std::make_shared<ProbeState>();
   state->job = std::move(job);
   state->done = std::move(done);
-  state->sizes.assign(trees.size(), 0.0);
+  state->sizes.resize(trees.size());
   state->remaining = trees.size();
   state->probe_start = owner_.engine().now();
   for (const auto spec : trees) {
@@ -463,26 +482,40 @@ void QueryInterface::run_site_query(SiteJob job, std::function<void(SiteResult)>
     // own, so the count is recorded here.
     record_phase_point(causal, state->ctx, owner_, "query.probe", obs::Phase::kProbe,
                        state->probe_start, static_cast<int>(state->topics.size()));
-    // Step 3: "choose the tree with smaller size to send another anycast".
+    // Step 3: "choose the tree with smaller size to send another anycast",
+    // over the sizes a root or the table gave; a missed probe says nothing.
+    // Degraded reads accumulate: stale if any root answered stale or the
+    // table served a stored answer, staleness the oldest such answer's age.
+    using From = qplane::TreeSize::From;
+    auto& result = state->result;
     std::size_t best = SIZE_MAX;
+    bool root_said_empty = false;
     for (std::size_t i = 0; i < state->sizes.size(); ++i) {
-      if (state->sizes[i] <= 0.0) continue;
-      if (best == SIZE_MAX || state->sizes[i] < state->sizes[best]) best = i;
+      const auto& size = state->sizes[i];
+      if (size.from == From::Missed) continue;
+      if (size.info.stale) {
+        result.stale = true;
+        result.cached = result.cached || size.from == From::Cache;
+        result.staleness = std::max(result.staleness, size.info.age);
+      }
+      if (size.from == From::Root && size.info.value <= 0.0) root_said_empty = true;
+      if (best == SIZE_MAX || size.info.value < state->sizes[best].info.value) best = i;
     }
-    if (best == SIZE_MAX) {
-      // No tree has members: nothing matches here.  Definitive when every
-      // root said so.
-      SiteResult empty;
-      empty.trees_empty = !state->unconfirmed;
-      state->done(std::move(empty));
+    if (best == SIZE_MAX || state->sizes[best].info.value <= 0.0) {
+      // Every probe missed, or a predicate's tree has no members here, so
+      // no node can match and COUNT reads 0.  The no is final only when a
+      // root said so on this attempt: a stored size may be up to the TTL
+      // old, and a miss is no answer.
+      result.trees_empty = root_said_empty;
+      state->done(std::move(result));
       return;
     }
     if (state->job.count_only) {
       // SELECT COUNT stops after steps 1-2: the root's aggregate IS the
       // answer (exact for a single tree-backed predicate; the smallest
       // tree's size is the tight upper bound for conjunctions).
-      state->result.count = state->sizes[best];
-      state->done(std::move(state->result));
+      result.count = state->sizes[best].info.value;
+      state->done(std::move(result));
       return;
     }
     auto payload = std::make_unique<CandidatePayload>();
@@ -524,7 +557,7 @@ void QueryInterface::run_site_query(SiteJob job, std::function<void(SiteResult)>
         pastry::Scope::Site);
   };
 
-  // Steps 1-2: probe every predicate tree's size in parallel.  Probe
+  // Steps 1-2: read every predicate tree's size in parallel.  Probe
   // requests are Probe-phase causal children of whatever dispatched this
   // site query (local attempt or gateway request).
   auto* causal = causal_log(owner_.engine());
@@ -533,66 +566,24 @@ void QueryInterface::run_site_query(SiteJob job, std::function<void(SiteResult)>
   state->ctx = probe_ctx;
   obs::ContextScope probe_scope(causal, probe_ctx);
   for (std::size_t i = 0; i < state->topics.size(); ++i) {
-    const auto topic = state->topics[i];
-    // Answer cache (COUNT/size results only reach steps 1-2): a live entry
-    // short-circuits the tree walk entirely, surfaced as a staleness-tagged
-    // degraded read whose age is bounded by the cache TTL.
-    if (answer_cache_.enabled()) {
-      if (auto hit = answer_cache_.lookup(topic, owner_.engine().now())) {
-        if (auto* reg = owner_.engine().metrics()) reg->fed().counter<"qplane.cache_hits">().inc();
-        state->sizes[i] = hit->value;
-        state->unconfirmed = true;
-        state->result.stale = true;
-        state->result.cached = true;
-        state->result.staleness = std::max(state->result.staleness, hit->age);
-        if (--state->remaining == 0) anycast_smallest();
-        continue;
+    using Read = qplane::TreeSizes::Read;
+    const auto read = tree_sizes_.read(
+        state->topics[i], [state, i, anycast_smallest](const qplane::TreeSize& size) {
+          state->sizes[i] = size;
+          if (--state->remaining == 0) anycast_smallest();
+        });
+    if (auto* reg = owner_.engine().metrics()) {
+      auto& fed = reg->fed();
+      if (read == Read::Hit) {
+        fed.counter<"qplane.cache_hits">().inc();
+      } else if (tree_sizes_.caching()) {
+        fed.counter<"qplane.cache_misses">().inc();
       }
-      if (auto* reg = owner_.engine().metrics()) reg->fed().counter<"qplane.cache_misses">().inc();
-    }
-    auto on_info = [this, state, i, anycast_smallest](const scribe::Scribe::SizeInfo& info) {
-      if (info.from_root_set) {
-        // Served by a non-root member of the tree's root set (hot-root
-        // rotation): the probe never reached the rendezvous root.
-        if (auto* reg = owner_.engine().metrics()) {
-          reg->fed().counter<"qplane.rootset_answers">().inc();
-        }
-      }
-      using Stored = qplane::AnswerCache::StoreResult;
-      const auto stored = answer_cache_.store(state->topics[i], info, owner_.engine().now());
-      if (auto* reg = owner_.engine().metrics()) {
-        // Invalidated: a degraded (post-failover) answer evicted the cached
-        // pre-failover entry.  EpochRejected: a late answer from an older
-        // replication epoch tried to roll the cache back and was refused.
-        if (stored == Stored::Invalidated) {
-          reg->fed().counter<"qplane.cache_invalidations">().inc();
-        } else if (stored == Stored::EpochRejected) {
-          reg->fed().counter<"qplane.cache.epoch_rejects">().inc();
-        }
-      }
-      state->sizes[i] = info.value;
-      if (info.timed_out) state->unconfirmed = true;
-      if (info.stale) {
-        state->result.stale = true;
-        state->result.staleness = std::max(state->result.staleness, info.age);
-      }
-      if (--state->remaining == 0) anycast_smallest();
-    };
-    if (config_.qplane.batch_probes) {
-      // Coalesce concurrent walks for the same tree: the first waiter's
-      // walk answers everyone who piles on while it is in flight.
-      const bool coalesced = batcher_.probe(
-          topic, std::move(on_info),
-          [this](const scribe::TopicId& t, scribe::Scribe::SizeCallback cb) {
-            owner_.scribe().probe_size(t, std::move(cb), pastry::Scope::Site);
-          });
-      if (auto* reg = owner_.engine().metrics()) {
-        auto& fed = reg->fed();
-        (coalesced ? fed.counter<"qplane.probes_coalesced">() : fed.counter<"qplane.probe_walks">())
+      if (read != Read::Hit && tree_sizes_.batching()) {
+        (read == Read::Coalesced ? fed.counter<"qplane.probes_coalesced">()
+                                 : fed.counter<"qplane.probe_walks">())
             .inc();
       }
-    } else {
-      owner_.scribe().probe_size(topic, std::move(on_info), pastry::Scope::Site);
     }
   }
 }

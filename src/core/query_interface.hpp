@@ -15,15 +15,16 @@
 //
 // An attempt that gathers fewer than k candidates re-queries after a
 // truncated exponential backoff (§III.D), up to max_attempts.  That backoff
-// is the only retry a query has, and it covers every short answer:
-//   - a conflict: another query holds a member's reservation,
-//   - a denial: a member's onGet handler refused the caller,
-//   - a walk that missed its anycast deadline (Scribe reports a miss),
-//   - a size probe that missed its deadline (read as an empty tree),
-//   - a site that did not answer before the site timeout.
-// A site whose probed trees' roots all answered "empty" gives a definitive
-// no: when every queried site does, the query ends unsatisfied at once.
-// COUNT queries read the roots' aggregates and never retry.
+// is the only retry a query has, and it covers every short answer: a
+// conflict or onGet denial at a member, a walk that missed its deadline or
+// came home short, a site whose every size probe missed or whose empty
+// size came from the size table (up to cache_ttl old), and a site that
+// did not answer before the site timeout.
+// A site's "no" is final, and a retry cannot change it, when
+//   - no predicate resolves to a tree (directly or through the taxonomy), or
+//   - a probed tree's root answered on this attempt that the tree is empty.
+// When every queried site gives a final no, the query ends unsatisfied at
+// once.  COUNT queries read the roots' aggregates and never retry.
 
 #include <functional>
 #include <map>
@@ -37,8 +38,7 @@
 #include "core/query_config.hpp"
 #include "obs/context.hpp"
 #include "qplane/admission.hpp"
-#include "qplane/answer_cache.hpp"
-#include "qplane/probe_batcher.hpp"
+#include "qplane/tree_sizes.hpp"
 #include "pastry/node.hpp"
 #include "query/reservation.hpp"
 #include "query/sql.hpp"
@@ -108,9 +108,9 @@ class QueryInterface final : public pastry::PastryApp {
   static constexpr const char* kAppName = "rbay.query";
 
   /// Health introspection (rbay.health.* publication, docs/HEALTH.md):
-  /// admission window state and answer-cache hit counters, read-only.
+  /// admission window state and size-table hit counters, read-only.
   [[nodiscard]] const qplane::AdmissionController& admission() const { return admission_; }
-  [[nodiscard]] const qplane::AnswerCache& answer_cache() const { return answer_cache_; }
+  [[nodiscard]] const qplane::TreeSizes& tree_sizes() const { return tree_sizes_; }
 
  private:
   struct Pending {
@@ -175,11 +175,10 @@ class QueryInterface final : public pastry::PastryApp {
   std::uint64_t next_id_ = 1;
   std::map<std::uint64_t, Pending> pending_;
   // Query-plane throughput layer (docs/QUERY_PLANE.md): window admission
-  // over this interface's queries, per-tree probe coalescing, and the
-  // staleness-bounded COUNT/size answer cache.
+  // over this interface's queries, and the per-tree size table (stored
+  // root answers, coalesced probes).
   qplane::AdmissionController admission_;
-  qplane::ProbeBatcher batcher_;
-  qplane::AnswerCache answer_cache_;
+  qplane::TreeSizes tree_sizes_;
 };
 
 }  // namespace rbay::core

@@ -182,7 +182,8 @@ std::optional<std::string> ReferenceModel::resolve_tree(const query::Predicate& 
 std::optional<std::string> ReferenceModel::probed_tree(
     const std::vector<query::Predicate>& predicates, net::SiteId site) const {
   // Mirrors run_site_query: dedup resolved canonicals preserving predicate
-  // order, then pick the smallest positive aggregate, first-min on ties.
+  // order, then pick the smallest aggregate, first-min on ties.  An empty
+  // tree means no node matches every predicate, so there is no answer.
   std::vector<std::string> trees;
   for (const auto& pred : predicates) {
     if (auto c = resolve_tree(pred)) {
@@ -193,7 +194,7 @@ std::optional<std::string> ReferenceModel::probed_tree(
   double best_size = 0.0;
   for (const auto& tree : trees) {
     const auto size = tree_size(tree, site);
-    if (size <= 0.0) continue;
+    if (size <= 0.0) return std::nullopt;
     if (!best || size < best_size) {
       best = tree;
       best_size = size;

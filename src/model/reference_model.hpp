@@ -155,8 +155,9 @@ class ReferenceModel {
 
   [[nodiscard]] bool store_matches(const NodeState& n, const query::Predicate& pred) const;
   [[nodiscard]] bool gateway_alive(net::SiteId site) const;
-  /// Per-site answer shared by COUNT and SELECT: the smallest positive
-  /// resolved tree (first-min ties), or nullopt when nothing matches here.
+  /// Per-site answer shared by COUNT and SELECT: the smallest resolved
+  /// tree (first-min ties), or nullopt when nothing matches here (no tree
+  /// resolves, or one of them is empty).
   [[nodiscard]] std::optional<std::string> probed_tree(
       const std::vector<query::Predicate>& predicates, net::SiteId site) const;
 

@@ -197,9 +197,6 @@ struct SizeInfo {
   /// Served by a non-root member of the topic's root set (always a
   /// staleness-bounded degraded read).
   bool from_root_set = false;
-  /// No answer: the probe missed its deadline, and `value` 0 says nothing
-  /// about the tree.  Set only by the originator, never on the wire.
-  bool timed_out = false;
 };
 
 struct SizeReplyMsg final : pastry::TaggedMessage<SizeReplyMsg> {

@@ -959,7 +959,7 @@ void Scribe::complete_size_waiter(std::uint64_t request_id, const SizeInfo& info
   auto waiter = std::move(it->second);
   size_waiters_.erase(it);
   waiter.deadline.cancel();
-  waiter.callback(info);
+  waiter.callback(&info);
 }
 
 void Scribe::learn_root_set(const TopicId& topic, const std::vector<NodeRef>& members,
@@ -1159,9 +1159,7 @@ void Scribe::on_probe_deadline(std::uint64_t request_id) {
   auto cb = std::move(waiter.callback);
   size_waiters_.erase(it);
   if (auto* m = fed_metrics(node_)) m->counter<"scribe.size_probe_timeouts">().inc();
-  SizeInfo missed;
-  missed.timed_out = true;  // value 0, but not a root's answer
-  cb(missed);
+  cb(nullptr);
 }
 
 // --- repair ---------------------------------------------------------------------

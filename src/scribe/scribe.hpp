@@ -152,8 +152,10 @@ class Scribe final : public pastry::PastryApp {
 
   using SizeInfo = scribe::SizeInfo;
 
-  /// Asks the topic root for its aggregate (Fig. 7 steps 1-2).
-  using SizeCallback = std::function<void(const SizeInfo& info)>;
+  /// Asks the topic root for its aggregate (Fig. 7 steps 1-2).  The
+  /// callback fires with the root's answer, or with null when the probe
+  /// missed its deadline.
+  using SizeCallback = std::function<void(const SizeInfo* info)>;
   void probe_size(const TopicId& topic, SizeCallback callback,
                   pastry::Scope scope = pastry::Scope::Global);
 
@@ -296,7 +298,7 @@ class Scribe final : public pastry::PastryApp {
     pastry::Scope scope = pastry::Scope::Global;
     /// True while the probe is in flight on the direct root-set path: a
     /// deadline then drops the (possibly dead-member) roster and retries
-    /// once via routing instead of answering empty.
+    /// once via routing instead of reporting a miss.
     bool via_root_set = false;
   };
 

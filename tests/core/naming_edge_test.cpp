@@ -132,11 +132,12 @@ TEST(NamingEdge, UnlinkedAttributeDeniesWithoutTaxonomyEscape) {
   TaxonomyFixture f{14};
   f.provision_cpus();
   // RAM has no tree and no taxonomy entry: no tree resolves, every site
-  // answers empty, and the query denies without error.
+  // gives a final no, and the query denies without error or retry.
   const auto denied =
       f.run_query(0, "SELECT 1 FROM * WHERE RAM > 8", util::SimTime::seconds(30));
   EXPECT_FALSE(denied.satisfied);
   EXPECT_TRUE(denied.error.empty()) << denied.error;
+  EXPECT_EQ(denied.attempts, 1);
   // COUNT over the same unresolvable predicate still answers, with zero.
   const auto counted = f.run_query(0, "SELECT COUNT FROM * WHERE RAM > 8");
   ASSERT_TRUE(counted.satisfied) << counted.error;

@@ -85,11 +85,11 @@ TEST(QueryEndToEnd, CompositePredicateChecksBoth) {
 
 TEST(QueryEndToEnd, UnsatisfiableQueryFailsAfterRetries) {
   QueryFixture f{1, 10};
-  f.provision(1.0, 0.0);  // everyone has a GPU, nobody is idle
-  // The walk visits GPU members that all fail the second predicate and
-  // comes home short, which the backoff retries.  (A query whose probed
-  // trees are all empty ends at once: core/retry_test.cpp.)
-  const auto out = f.run_query(0, "SELECT 1 FROM * WHERE GPU = true AND CPU_utilization < 10%");
+  f.provision(1.0, 0.0);  // ten GPU nodes
+  // The GPU tree is not empty, but the walk can fill only 10 of the 20
+  // slots and comes home short, which the backoff retries.  (A query a
+  // probed tree's root answers as empty ends at once: core/retry_test.cpp.)
+  const auto out = f.run_query(0, "SELECT 20 FROM * WHERE GPU = true");
   EXPECT_FALSE(out.satisfied);
   EXPECT_TRUE(out.nodes.empty());
   EXPECT_GT(out.attempts, 1);  // backoff retries happened

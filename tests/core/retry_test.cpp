@@ -131,8 +131,8 @@ TEST(QueryRetry, SelectForAValueNoNodeHoldsEndsOnTheFirstAttempt) {
 }
 
 TEST(QueryRetry, CachedEmptyAnswerIsRetriedByTheQueryBackoff) {
-  // Only a root's answer is final: the answer cache also keeps the zero of
-  // a probe that missed its deadline, so an empty size it serves is not.
+  // Only a root's answer on this attempt is final: a size the table
+  // stored may be up to cache_ttl old, so an empty size it serves is not.
   RetryFixture f{0, util::SimTime::millis(100), 0.5, util::SimTime::seconds(2)};
   QueryOutcome first;
   QueryOutcome second;
@@ -171,6 +171,88 @@ TEST(QueryRetry, SizeProbeDeadlineIsRetriedByTheQueryBackoff) {
   EXPECT_EQ(out.attempts, 2);
   EXPECT_EQ(f.counter("scribe.size_probe_timeouts"), 1u);
   EXPECT_EQ(f.counter("query.backoff_retries"), 1u);
+}
+
+TEST(QueryRetry, MissedProbeLeavesNoEmptyAnswerInTheTable) {
+  // A probe that missed its deadline is no answer, so the size table
+  // stores nothing for it: once the network heals, the next query walks to
+  // the root, stores its answer, and a query after it is served from the
+  // table and satisfied on its first attempt.
+  RetryFixture f{kNodes - 1, util::SimTime::millis(100), 0.5, util::SimTime::seconds(2)};
+  const auto topic = f.cluster.tree_table().topic(0, 0);
+  ASSERT_NE(f.cluster.overlay().root_of_in_site(topic, 0), 0u)
+      << "the probe must cross the wire";
+  f.cluster.network().set_drop_probability(1.0);
+  QueryOutcome first;
+  bool done = false;
+  f.start("SELECT 1 FROM * WHERE GPU = true", first, done);
+  f.run_until_counter("scribe.size_probe_timeouts", 1);
+  f.cluster.network().set_drop_probability(0.0);
+  f.cluster.run_for(util::SimTime::millis(500));
+  ASSERT_TRUE(done) << "first query never completed";
+  EXPECT_TRUE(first.satisfied) << first.error;
+  EXPECT_EQ(first.attempts, 2);
+  f.cluster.node(0).query().release(first);
+
+  QueryOutcome second;
+  done = false;
+  f.start("SELECT 1 FROM * WHERE GPU = true", second, done);
+  f.cluster.run_for(util::SimTime::millis(500));
+  ASSERT_TRUE(done) << "second query never completed";
+  EXPECT_TRUE(second.satisfied) << second.error;
+  EXPECT_EQ(second.attempts, 1);
+  EXPECT_TRUE(second.cached);
+  EXPECT_EQ(f.counter("scribe.size_probe_timeouts"), 1u);
+}
+
+TEST(QueryRetry, RootThatAnswersEmptyEndsTheConjunctionWithoutAnAnycast) {
+  // 11 of 12 nodes hold a GPU, every node is busy: the CPU_utilization
+  // < 10% root answers 0, so no node can match both predicates.  The site
+  // sends no anycast into the GPU tree, and its no is final.
+  RBayCluster cluster(
+      RetryFixture::make_config(util::SimTime::millis(100), 0.5, util::SimTime::zero()));
+  cluster.add_tree_spec(
+      TreeSpec::from_predicate({"GPU", query::CompareOp::Eq, store::AttributeValue{true}}));
+  cluster.add_tree_spec(TreeSpec::from_predicate(
+      {"CPU_utilization", query::CompareOp::Less, store::AttributeValue{0.1}}));
+  cluster.populate(kNodes);
+  for (std::size_t i = 0; i < cluster.size(); ++i) {
+    ASSERT_TRUE(cluster.node(i).post("GPU", i != 0).ok());
+    ASSERT_TRUE(cluster.node(i).post("CPU_utilization", 0.8).ok());
+  }
+  cluster.finalize();
+  cluster.run_for(util::SimTime::seconds(2));
+
+  QueryOutcome out;
+  bool done = false;
+  cluster.node(0).query().execute_sql(
+      "SELECT 1 FROM * WHERE GPU = true AND CPU_utilization < 10%",
+      [&](const QueryOutcome& o) {
+        out = o;
+        done = true;
+      });
+  cluster.run_for(util::SimTime::seconds(1));
+
+  ASSERT_TRUE(done) << "query never completed";
+  EXPECT_FALSE(out.satisfied);
+  EXPECT_TRUE(out.error.empty()) << out.error;
+  EXPECT_EQ(out.attempts, 1);
+  EXPECT_EQ(out.members_visited, 0);
+  EXPECT_EQ(cluster.metrics()->fed().counter<"scribe.anycasts">().value(), 0u);
+
+  // COUNT over the same conjunction reads the empty tree's 0.
+  QueryOutcome counted;
+  done = false;
+  cluster.node(0).query().execute_sql(
+      "SELECT COUNT FROM * WHERE GPU = true AND CPU_utilization < 10%",
+      [&](const QueryOutcome& o) {
+        counted = o;
+        done = true;
+      });
+  cluster.run_for(util::SimTime::seconds(1));
+  ASSERT_TRUE(done) << "count never completed";
+  EXPECT_TRUE(counted.satisfied);
+  EXPECT_DOUBLE_EQ(counted.count, 0.0);
 }
 
 }  // namespace

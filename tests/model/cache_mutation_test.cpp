@@ -1,7 +1,7 @@
-// Mutation self-test for the query-plane answer cache.  Unlike the
+// Mutation self-test for the query plane's answer caching.  Unlike the
 // aggregate mutation (a compile-time model bias), this one corrupts the
 // SIMULATOR at runtime: with RBAY_MODEL_MUTATE_CACHE set, every
-// AnswerCache instance serves exactly one expired entry — with its
+// qplane::TreeSizes instance serves exactly one expired entry — with its
 // honest, over-TTL age — instead of evicting it.  The oracle's cached
 // answer rule (count == model AND staleness <= cache TTL) must catch
 // the serve, shrink the workload to a small counterexample, and export

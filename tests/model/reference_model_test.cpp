@@ -71,7 +71,7 @@ TEST(ReferenceModel, HybridNamingResolution) {
           .has_value());
 }
 
-TEST(ReferenceModel, CountSumsSmallestPositiveTreePerSite) {
+TEST(ReferenceModel, CountSumsSmallestTreePerSite) {
   auto m = two_site_model();
   // Site0: two GPU members, one CPU member; Site1: one GPU member.
   m.post(0, "GPU", store::AttributeValue{true});
@@ -87,10 +87,10 @@ TEST(ReferenceModel, CountSumsSmallestPositiveTreePerSite) {
   EXPECT_EQ(c.sites_answered, (std::vector<net::SiteId>{0, 1}));
   EXPECT_EQ(c.sites_timed_out, 0);
 
-  // Conjunction probes the smaller tree per site: CPU (1) on Site0, GPU
-  // (1) on Site1 (its CPU tree is empty, so GPU is the smallest positive).
+  // Conjunction reads the smaller tree per site: CPU (1) on Site0, and 0
+  // on Site1, whose empty CPU tree means no node there matches both.
   q.predicates.push_back(pred("CPU", query::CompareOp::Less, store::AttributeValue{0.5}));
-  EXPECT_EQ(m.predict_count(0, q).count, 2.0);
+  EXPECT_EQ(m.predict_count(0, q).count, 1.0);
 }
 
 TEST(ReferenceModel, PartitionAndGatewayGateRemoteSites) {

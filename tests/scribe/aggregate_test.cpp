@@ -68,7 +68,7 @@ TEST(Aggregate, SizeProbeAnswersFromRoot) {
   so.subscribe_all(topic);
   so.engine.run_for(SimTime::seconds(2));
   double size = -1;
-  so.scribes[3]->probe_size(topic, [&](const Scribe::SizeInfo& i) { size = i.value; });
+  so.scribes[3]->probe_size(topic, [&](const Scribe::SizeInfo* i) { if (i != nullptr) size = i->value; });
   so.engine.run();
   EXPECT_DOUBLE_EQ(size, 25.0);
 }
@@ -77,7 +77,7 @@ TEST(Aggregate, SizeProbeOnEmptyTopicReturnsZero) {
   ScribeOverlay so{10, net::Topology::single_site(), agg_config()};
   const TopicId topic = pastry::tree_id("empty", "x");
   double size = -1;
-  so.scribes[0]->probe_size(topic, [&](const Scribe::SizeInfo& i) { size = i.value; });
+  so.scribes[0]->probe_size(topic, [&](const Scribe::SizeInfo* i) { if (i != nullptr) size = i->value; });
   so.engine.run();
   EXPECT_DOUBLE_EQ(size, 0.0);
 }

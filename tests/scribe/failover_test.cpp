@@ -69,8 +69,9 @@ TEST(Failover, RootCrashPromotesReplicaHolderServingTheStaleSnapshot) {
   const std::size_t prober = promoted == 0 ? 1 : 0;
   Scribe::SizeInfo info;
   bool done = false;
-  so.scribes[prober]->probe_size(topic, [&](const Scribe::SizeInfo& i) {
-    info = i;
+  so.scribes[prober]->probe_size(topic, [&](const Scribe::SizeInfo* i) {
+    ASSERT_NE(i, nullptr) << "probe missed its deadline";
+    info = *i;
     done = true;
   });
   so.engine.run();
@@ -87,8 +88,9 @@ TEST(Failover, RootCrashPromotesReplicaHolderServingTheStaleSnapshot) {
   ASSERT_NE(settled_root, SIZE_MAX);
   EXPECT_FALSE(so.scribes[settled_root]->is_degraded(topic));
   done = false;
-  so.scribes[prober]->probe_size(topic, [&](const Scribe::SizeInfo& i) {
-    info = i;
+  so.scribes[prober]->probe_size(topic, [&](const Scribe::SizeInfo* i) {
+    ASSERT_NE(i, nullptr) << "probe missed its deadline";
+    info = *i;
     done = true;
   });
   so.engine.run();
@@ -166,7 +168,7 @@ TEST(Failover, CompletedAnycastCancelsItsDeadline) {
       << "a completed walk must not also time out";
 }
 
-TEST(Failover, SizeProbeDeadlineAnswersEmptyInsteadOfLeaking) {
+TEST(Failover, SizeProbeDeadlineReportsMissInsteadOfLeaking) {
   auto cfg = failover_config();
   cfg.heartbeat_interval = SimTime::zero();
   cfg.anycast_timeout = SimTime::millis(500);
@@ -181,16 +183,15 @@ TEST(Failover, SizeProbeDeadlineAnswersEmptyInsteadOfLeaking) {
   const auto root = so.overlay.root_of(topic);
   const std::size_t prober = root == 0 ? 1 : 0;
   bool fired = false;
-  Scribe::SizeInfo info;
-  info.value = -1.0;
-  so.scribes[prober]->probe_size(topic, [&](const Scribe::SizeInfo& i) {
+  bool missed = false;
+  so.scribes[prober]->probe_size(topic, [&](const Scribe::SizeInfo* i) {
     fired = true;
-    info = i;
+    missed = i == nullptr;
   });
   so.engine.run_for(SimTime::seconds(2));
 
   ASSERT_TRUE(fired);
-  EXPECT_DOUBLE_EQ(info.value, 0.0);  // unreachable tree reads as empty
+  EXPECT_TRUE(missed) << "an unreachable root gives no answer, not an empty tree";
   EXPECT_EQ(so.scribes[prober]->size_waiter_count(), 0u);
   EXPECT_EQ(reg.fed().counter<"scribe.size_probe_timeouts">().value(), 1u);
 }

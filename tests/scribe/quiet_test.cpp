@@ -219,8 +219,9 @@ TEST(QuietTrees, RootFailoverServesStaleReadWithinMaxStaleness) {
   const std::size_t prober = promoted == 0 ? 1 : 0;
   Scribe::SizeInfo info;
   bool done = false;
-  so.scribes[prober]->probe_size(topic, [&](const Scribe::SizeInfo& i) {
-    info = i;
+  so.scribes[prober]->probe_size(topic, [&](const Scribe::SizeInfo* i) {
+    ASSERT_NE(i, nullptr) << "probe missed its deadline";
+    info = *i;
     done = true;
   });
   so.engine.run();

@@ -102,7 +102,7 @@ TEST(SiteScope, SameTopicNameDifferentSitesAreIndependent) {
   EXPECT_NE(f.topic_for_site(0), f.topic_for_site(7));
   double size0 = -1;
   f.so.scribes[f.so.overlay.nodes_in_site(0)[0]]->probe_size(
-      f.topic_for_site(0), [&](const Scribe::SizeInfo& i) { size0 = i.value; },
+      f.topic_for_site(0), [&](const Scribe::SizeInfo* i) { if (i != nullptr) size0 = i->value; },
       pastry::Scope::Site);
   f.so.engine.run();
   // No aggregation timer in this fixture: root sees only its own subtree

@@ -163,8 +163,9 @@ TEST(Split, RootSetRotationServesProbesFromReplicaHolders) {
   for (int round = 0; round < 6; ++round) {
     Scribe::SizeInfo info;
     bool done = false;
-    so.scribes[prober]->probe_size(topic, [&](const Scribe::SizeInfo& i) {
-      info = i;
+    so.scribes[prober]->probe_size(topic, [&](const Scribe::SizeInfo* i) {
+      ASSERT_NE(i, nullptr) << "probe missed its deadline";
+      info = *i;
       done = true;
     });
     so.engine.run();
@@ -197,7 +198,7 @@ TEST(Split, DeadRosterMemberFallsBackToRoutingInsteadOfAnsweringEmpty) {
   const std::size_t prober = root == 0 ? 1 : 0;
   // Warm the prober's roster cache with one answered probe.
   bool done = false;
-  so.scribes[prober]->probe_size(topic, [&](const Scribe::SizeInfo&) { done = true; });
+  so.scribes[prober]->probe_size(topic, [&](const Scribe::SizeInfo*) { done = true; });
   so.engine.run();
   ASSERT_TRUE(done);
 
@@ -209,8 +210,9 @@ TEST(Split, DeadRosterMemberFallsBackToRoutingInsteadOfAnsweringEmpty) {
   for (int round = 0; round < 4; ++round) {
     Scribe::SizeInfo info;
     done = false;
-    so.scribes[prober]->probe_size(topic, [&](const Scribe::SizeInfo& i) {
-      info = i;
+    so.scribes[prober]->probe_size(topic, [&](const Scribe::SizeInfo* i) {
+      ASSERT_NE(i, nullptr) << "probe missed its deadline";
+      info = *i;
       done = true;
     });
     so.engine.run();
