@@ -94,7 +94,7 @@ void QueryInterface::release_orphans(const query::QueryId& query_id, int attempt
   }
 }
 
-void QueryInterface::execute_sql(const std::string& sql, Callback callback) {
+void QueryInterface::execute_sql(std::string_view sql, Callback callback) {
   auto parsed = query::parse_query(sql);
   if (!parsed.ok()) {
     QueryOutcome outcome;
@@ -212,32 +212,6 @@ void QueryInterface::attempt(std::uint64_t id) {
   job.hold = config_.reservation_hold;
 
   const int attempt_no = p.outcome.attempts;
-  // Sites that never answer (lost messages under churn, dead tree nodes)
-  // must not hang the query: treat them as empty at the deadline.
-  p.timeout.cancel();
-  p.timeout = owner_.engine().schedule(config_.site_timeout, [this, id, attempt_no]() {
-    auto tit = pending_.find(id);
-    if (tit == pending_.end()) return;
-    auto& tp = tit->second;
-    if (tp.outcome.attempts != attempt_no || tp.waiting_sites <= 0) return;
-    // A timer firing has no ambient context; rejoin the trace through the
-    // stored per-query context so the timeout (and whatever finish_attempt
-    // does next) stays on the causal chain.
-    auto* tcausal = causal_log(owner_.engine());
-    obs::ContextScope rejoin(tcausal, tp.ctx);
-    obs::ContextScope fire(tcausal,
-                           tcausal != nullptr
-                               ? tcausal->local(owner_.site(), owner_.self().endpoint,
-                                                "query.site_timeout", owner_.engine().now())
-                               : obs::TraceContext{});
-    if (auto* reg = owner_.engine().metrics()) {
-      reg->fed().counter<"query.site_timeouts">().inc(
-          static_cast<std::uint64_t>(tp.waiting_sites));
-    }
-    tp.outcome.sites_timed_out += tp.waiting_sites;
-    tp.waiting_sites = 0;
-    finish_attempt(id);
-  });
   for (const auto site : sites) {
     if (site == owner_.site()) {
       // Local part runs on this very node's query interface.
@@ -261,6 +235,39 @@ void QueryInterface::attempt(std::uint64_t id) {
       owner_.pastry().send_direct(dir->gateways[site], std::move(req), app_);
     }
   }
+
+  // Sites that never answer (lost messages under churn, dead tree nodes)
+  // must not hang the query: treat them as empty at the deadline.  Armed
+  // only for an attempt that still waits: the local site may have answered
+  // inside the loop (a COUNT served from the size table) and ended it.
+  it = pending_.find(id);
+  if (it == pending_.end() || it->second.outcome.attempts != attempt_no ||
+      it->second.waiting_sites <= 0) {
+    return;
+  }
+  it->second.timeout = owner_.engine().schedule(config_.site_timeout, [this, id, attempt_no]() {
+    auto tit = pending_.find(id);
+    if (tit == pending_.end()) return;
+    auto& tp = tit->second;
+    if (tp.outcome.attempts != attempt_no || tp.waiting_sites <= 0) return;
+    // A timer firing has no ambient context; rejoin the trace through the
+    // stored per-query context so the timeout (and whatever finish_attempt
+    // does next) stays on the causal chain.
+    auto* tcausal = causal_log(owner_.engine());
+    obs::ContextScope rejoin(tcausal, tp.ctx);
+    obs::ContextScope fire(tcausal,
+                           tcausal != nullptr
+                               ? tcausal->local(owner_.site(), owner_.self().endpoint,
+                                                "query.site_timeout", owner_.engine().now())
+                               : obs::TraceContext{});
+    if (auto* reg = owner_.engine().metrics()) {
+      reg->fed().counter<"query.site_timeouts">().inc(
+          static_cast<std::uint64_t>(tp.waiting_sites));
+    }
+    tp.outcome.sites_timed_out += tp.waiting_sites;
+    tp.waiting_sites = 0;
+    finish_attempt(id);
+  });
 }
 
 void QueryInterface::site_done(std::uint64_t id, SiteResult result) {

@@ -25,12 +25,18 @@
 //   - a probed tree's root answered on this attempt that the tree is empty.
 // When every queried site gives a final no, the query ends unsatisfied at
 // once.  COUNT queries read the roots' aggregates and never retry.
+//
+// The site timeout is armed after an attempt has dispatched to every site,
+// and only if the attempt still waits for one.  An attempt answered inside
+// its own dispatch (a local COUNT whose sizes all come from the size table)
+// leaves no timer behind in the event queue.
 
 #include <functional>
 #include <map>
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/messages.hpp"
@@ -90,7 +96,7 @@ class QueryInterface final : public pastry::PastryApp {
 
   /// Parses and executes SQL text ("each query interface works
   /// independently to look up resources for its nearby customers").
-  void execute_sql(const std::string& sql, Callback callback);
+  void execute_sql(std::string_view sql, Callback callback);
 
   void execute(query::Query query, Callback callback);
 

@@ -15,9 +15,10 @@ AdmissionController::Verdict AdmissionController::submit(std::function<void()> s
     start();
     return Verdict::Admit;
   }
-  RBAY_REQUIRE(queued_.size() < static_cast<std::size_t>(queue_capacity_),
+  RBAY_REQUIRE(queued() < static_cast<std::size_t>(queue_capacity_),
                "admission submit past capacity: check would_shed() first");
-  queued_.push_back(std::move(start));
+  if (!queued_) queued_ = std::make_unique<std::deque<std::function<void()>>>();
+  queued_->push_back(std::move(start));
   ++queued_total_;
   return Verdict::Queue;
 }
@@ -36,11 +37,11 @@ void AdmissionController::release() {
   draining_ = true;
   while (pending_releases_ > 0) {
     --pending_releases_;
-    if (!queued_.empty()) {
+    if (queued() > 0) {
       // The freed slot transfers to the oldest queued query: inflight
       // stays constant across the hand-off.
-      auto start = std::move(queued_.front());
-      queued_.pop_front();
+      auto start = std::move(queued_->front());
+      queued_->pop_front();
       ++admitted_;
       start();
     } else {

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 
 #include "util/contract.hpp"
 
@@ -33,7 +34,7 @@ class AdmissionController {
   /// True when `submit` would shed (window and backlog both full).
   [[nodiscard]] bool would_shed() const {
     return enabled() && inflight_ >= static_cast<std::size_t>(window_) &&
-           queued_.size() >= static_cast<std::size_t>(queue_capacity_);
+           queued() >= static_cast<std::size_t>(queue_capacity_);
   }
 
   /// Takes a slot for `start` (invoking it before returning) or queues it.
@@ -49,7 +50,7 @@ class AdmissionController {
   void release();
 
   [[nodiscard]] std::size_t inflight() const { return inflight_; }
-  [[nodiscard]] std::size_t queued() const { return queued_.size(); }
+  [[nodiscard]] std::size_t queued() const { return queued_ ? queued_->size() : 0; }
   [[nodiscard]] std::uint64_t admitted_total() const { return admitted_; }
   [[nodiscard]] std::uint64_t queued_total() const { return queued_total_; }
 
@@ -59,7 +60,9 @@ class AdmissionController {
   std::size_t inflight_ = 0;
   std::uint64_t admitted_ = 0;
   std::uint64_t queued_total_ = 0;
-  std::deque<std::function<void()>> queued_;
+  /// FIFO backlog, allocated when the first query queues: an empty deque
+  /// still holds a node and a map (~600 B), and most interfaces never queue.
+  std::unique_ptr<std::deque<std::function<void()>>> queued_;
   /// Slots freed by re-entrant release() calls, drained iteratively by
   /// the outermost frame (see release()).
   std::size_t pending_releases_ = 0;

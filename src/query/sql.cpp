@@ -1,8 +1,11 @@
 #include "query/sql.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <sstream>
+#include <charconv>
+#include <cmath>
+#include <cstdlib>
+#include <string_view>
+#include <utility>
 
 namespace rbay::query {
 
@@ -19,6 +22,7 @@ const char* compare_op_name(CompareOp op) {
 }
 
 namespace {
+
 int compare_values(const store::AttributeValue& a, const store::AttributeValue& b, bool& ok) {
   ok = true;
   double na = 0, nb = 0;
@@ -32,6 +36,214 @@ int compare_values(const store::AttributeValue& a, const store::AttributeValue& 
   ok = false;
   return 0;
 }
+
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+bool is_word_start(char c) { return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_'; }
+bool is_word_char(char c) { return is_word_start(c) || is_digit(c) || c == '.'; }
+bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }  // C-locale isspace
+
+/// Quoted so it re-lexes as one string token: a string can hold one quote
+/// character or the other, never both (strings have no escapes).
+void append_quoted(std::string& out, std::string_view s) {
+  const char quote = s.find('"') == std::string_view::npos ? '"' : '\'';
+  out.append(1, quote).append(s).append(1, quote);
+}
+
+/// Writes a literal the lexer reads back as the same value: strings quoted
+/// (so "5" and "true" stay strings), doubles in the shortest fixed form that
+/// round-trips (the lexer has no exponents).
+void append_literal(std::string& out, const store::AttributeValue& v) {
+  if (v.is_string()) {
+    append_quoted(out, v.as_string());
+  } else if (v.is_double() && std::isinf(v.as_double())) {
+    out.append(310, '9');  // a digit run past DBL_MAX reads as infinity
+  } else if (v.is_double()) {
+    char buf[400];  // DBL_MAX has 309 digits, the least denormal 324 decimals
+    const auto end = std::to_chars(buf, buf + sizeof buf, v.as_double(), std::chars_format::fixed);
+    out.append(buf, end.ptr);
+  } else {
+    out += v.to_string();
+  }
+}
+
+struct SqlToken {
+  enum Kind { Word, Number, String, Op, Star, Comma, Semicolon, Percent, End, Error } kind = End;
+  std::string_view text{};  // a view into the query (an operator's canonical spelling)
+  double number = 0.0;
+  CompareOp op = CompareOp::Eq;
+};
+
+/// The double strtod reads from a digit run, bit for bit (tree names hash
+/// the canonical literal), without strtod's copy and locale lookup.
+double parse_number(std::string_view digits) {
+  double v = 0.0;
+  if (std::from_chars(digits.data(), digits.data() + digits.size(), v).ec == std::errc{}) return v;
+  return std::strtod(std::string(digits).c_str(), nullptr);  // out of range: inf or underflow
+}
+
+/// ASCII case-insensitive match against an upper-case keyword.
+bool is_keyword(std::string_view word, std::string_view kw) {
+  return word.size() == kw.size() &&
+         std::equal(word.begin(), word.end(), kw.begin(), [](char w, char k) {
+           return (w >= 'a' && w <= 'z' ? static_cast<char>(w - 'a' + 'A') : w) == k;
+         });
+}
+
+/// Recursive-descent parser over a one-token lookahead lexed in place:
+/// tokens are views into the query text, nothing is copied until a field
+/// of the Query takes it.
+class SqlParser {
+ public:
+  explicit SqlParser(std::string_view src) : src_(src) { tok_ = lex(); }
+
+  util::Result<Query> run() {
+    Query q;
+    if (!keyword("SELECT")) return util::make_error("query must start with SELECT");
+    if (tok_.kind == SqlToken::Number) {
+      // A count past int range is refused too: the cast would be undefined.
+      const double k = next().number;
+      if (!(k >= 1 && k < 2147483648.0)) return util::make_error("SELECT count must be >= 1");
+      q.k = static_cast<int>(k);
+    } else if (keyword("COUNT")) {
+      q.count_only = true;  // answered from the tree roots' aggregates, no anycast
+    } else if (!accept(SqlToken::Star) && !accept(SqlToken::Word)) {
+      // `SELECT NodeId` / `SELECT *` both mean "one server" (k = 1).
+      return util::make_error("expected count, column, or * after SELECT");
+    }
+
+    if (!keyword("FROM")) return util::make_error("expected FROM");
+    if (!accept(SqlToken::Star)) {
+      const char* missing = "expected * or site list after FROM";
+      do {
+        if (tok_.kind != SqlToken::Word && tok_.kind != SqlToken::String) {
+          return util::make_error(missing);
+        }
+        q.sites.emplace_back(next().text);
+        missing = "expected site name after ','";
+      } while (accept(SqlToken::Comma));
+    }
+
+    if (keyword("WHERE")) {
+      do {
+        Predicate p;
+        if (tok_.kind != SqlToken::Word) return util::make_error("expected attribute name");
+        p.attribute = next().text;
+        if (tok_.kind != SqlToken::Op) return util::make_error("expected comparison operator");
+        p.op = next().op;
+        // Literal: number (optionally a percentage), boolean word, string,
+        // or bare word (WHERE OS = Ubuntu).
+        if (tok_.kind == SqlToken::Number) {
+          const double v = next().number;
+          // `10%` → 0.1, matching CPU_utilization's [0, 1] scale
+          p.literal = store::AttributeValue{accept(SqlToken::Percent) ? v / 100.0 : v};
+        } else if (keyword("TRUE")) {
+          p.literal = store::AttributeValue{true};
+        } else if (keyword("FALSE")) {
+          p.literal = store::AttributeValue{false};
+        } else if (tok_.kind == SqlToken::String || tok_.kind == SqlToken::Word) {
+          p.literal = store::AttributeValue{std::string(next().text)};
+        } else {
+          return util::make_error("expected literal after operator");
+        }
+        q.predicates.push_back(std::move(p));
+      } while (keyword("AND"));
+    }
+
+    bool group = keyword("GROUPBY");
+    if (!group && keyword("GROUP")) {
+      if (!keyword("BY")) return util::make_error("expected BY after GROUP");
+      group = true;
+    }
+    if (group) {
+      if (tok_.kind != SqlToken::Word) return util::make_error("expected attribute after GROUPBY");
+      q.group_by = std::string(next().text);
+      q.descending = keyword("DESC");
+      if (!q.descending) keyword("ASC");
+    }
+
+    if (keyword("WITH")) {
+      if (tok_.kind != SqlToken::String) return util::make_error("expected string after WITH");
+      q.payload = next().text;
+    }
+
+    while (accept(SqlToken::Semicolon)) {
+    }
+    if (tok_.kind != SqlToken::End) {
+      return util::make_error(std::string("unexpected trailing token '").append(tok_.text) + "'");
+    }
+    return q;
+  }
+
+  /// Lexes what the parse left unread and returns the lexer's error, if
+  /// any: a lexer error anywhere in the text beats a parse error before it.
+  const std::string& lex_rest() {
+    while (tok_.kind != SqlToken::End && tok_.kind != SqlToken::Error) tok_ = lex();
+    return lex_error_;
+  }
+
+ private:
+  SqlToken next() { return std::exchange(tok_, lex()); }
+  bool accept(SqlToken::Kind kind) {
+    if (tok_.kind != kind) return false;
+    next();
+    return true;
+  }
+  bool keyword(std::string_view kw) {
+    return tok_.kind == SqlToken::Word && is_keyword(tok_.text, kw) && accept(SqlToken::Word);
+  }
+
+  SqlToken lex() {
+    while (pos_ < src_.size() && is_space(src_[pos_])) ++pos_;
+    if (!lex_error_.empty()) return {SqlToken::Error};
+    if (pos_ == src_.size()) return {SqlToken::End};
+    const std::size_t start = pos_;
+    const char c = src_[pos_++];
+    auto run = [&](auto in_run) {
+      while (pos_ < src_.size() && in_run(src_[pos_])) ++pos_;
+      return src_.substr(start, pos_ - start);
+    };
+    if (is_word_start(c)) return {SqlToken::Word, run(is_word_char)};
+    if (is_digit(c) || (c == '.' && pos_ < src_.size() && is_digit(src_[pos_]))) {
+      const auto digits = run([](char ch) { return is_digit(ch) || ch == '.'; });
+      return {SqlToken::Number, digits, parse_number(digits)};
+    }
+    if (c == '"' || c == '\'') {
+      const auto close = src_.find(c, pos_);
+      if (close == std::string_view::npos) return fail("unterminated string in query");
+      pos_ = close + 1;
+      return {SqlToken::String, src_.substr(start + 1, close - start - 1)};
+    }
+    auto op = [&](CompareOp o, std::size_t length) {
+      pos_ = start + length;
+      return SqlToken{SqlToken::Op, compare_op_name(o), 0.0, o};
+    };
+    const char after = pos_ < src_.size() ? src_[pos_] : '\0';
+    switch (c) {
+      case '*': return {SqlToken::Star, "*"};
+      case ',': return {SqlToken::Comma, ","};
+      case ';': return {SqlToken::Semicolon, ";"};
+      case '%': return {SqlToken::Percent, "%"};
+      case '=': return op(CompareOp::Eq, 1);
+      case '!': return after == '=' ? op(CompareOp::NotEq, 2) : fail("unexpected '!' in query");
+      case '<':
+        if (after == '=') return op(CompareOp::LessEq, 2);
+        return after == '>' ? op(CompareOp::NotEq, 2) : op(CompareOp::Less, 1);
+      case '>': return after == '=' ? op(CompareOp::GreaterEq, 2) : op(CompareOp::Greater, 1);
+      default: return fail(std::string("unexpected character '") + c + "' in query");
+    }
+  }
+
+  SqlToken fail(std::string message) {
+    lex_error_ = std::move(message);
+    return {SqlToken::Error};
+  }
+
+  std::string_view src_;
+  std::size_t pos_ = 0;
+  std::string lex_error_;
+  SqlToken tok_;
+};
+
 }  // namespace
 
 bool Predicate::matches(const store::AttributeValue& value) const {
@@ -57,274 +269,29 @@ std::string Predicate::canonical() const {
 }
 
 std::string Query::to_string() const {
-  std::ostringstream os;
-  os << "SELECT ";
-  if (count_only) {
-    os << "COUNT";
-  } else {
-    os << k;
-  }
-  os << " FROM ";
-  if (sites.empty()) {
-    os << "*";
-  } else {
-    for (std::size_t i = 0; i < sites.size(); ++i) {
-      if (i > 0) os << ", ";
-      os << sites[i];
-    }
+  std::string out = "SELECT ";
+  out += count_only ? "COUNT" : std::to_string(k);
+  out += " FROM ";
+  if (sites.empty()) out += '*';
+  for (std::size_t i = 0; i < sites.size(); ++i) {
+    if (i > 0) out += ", ";
+    append_quoted(out, sites[i]);
   }
   for (std::size_t i = 0; i < predicates.size(); ++i) {
-    os << (i == 0 ? " WHERE " : " AND ") << predicates[i].attribute << " "
-       << compare_op_name(predicates[i].op) << " " << predicates[i].literal.to_string();
+    out.append(i == 0 ? " WHERE " : " AND ").append(predicates[i].attribute);
+    out.append(" ").append(compare_op_name(predicates[i].op)).append(" ");
+    append_literal(out, predicates[i].literal);
   }
-  if (group_by) os << " GROUPBY " << *group_by << (descending ? " DESC" : " ASC");
-  return os.str();
+  if (group_by) out.append(" GROUPBY ").append(*group_by).append(descending ? " DESC" : " ASC");
+  if (!payload.empty()) append_quoted(out.append(" WITH "), payload);
+  return out;
 }
 
-namespace {
-
-struct SqlToken {
-  enum Kind { Word, Number, String, Op, Star, Comma, Semicolon, Percent, End } kind = End;
-  std::string text;
-  double number = 0.0;
-};
-
-class SqlLexer {
- public:
-  explicit SqlLexer(const std::string& src) : src_(src) {}
-
-  util::Result<std::vector<SqlToken>> run() {
-    std::vector<SqlToken> out;
-    while (pos_ < src_.size()) {
-      const char c = src_[pos_];
-      if (std::isspace(static_cast<unsigned char>(c))) {
-        ++pos_;
-        continue;
-      }
-      if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-        std::string word;
-        while (pos_ < src_.size() &&
-               (std::isalnum(static_cast<unsigned char>(src_[pos_])) || src_[pos_] == '_' ||
-                src_[pos_] == '.')) {
-          word += src_[pos_++];
-        }
-        out.push_back({SqlToken::Word, word, 0});
-        continue;
-      }
-      if (std::isdigit(static_cast<unsigned char>(c)) ||
-          (c == '.' && pos_ + 1 < src_.size() &&
-           std::isdigit(static_cast<unsigned char>(src_[pos_ + 1])))) {
-        std::string num;
-        while (pos_ < src_.size() &&
-               (std::isdigit(static_cast<unsigned char>(src_[pos_])) || src_[pos_] == '.')) {
-          num += src_[pos_++];
-        }
-        out.push_back({SqlToken::Number, num, std::strtod(num.c_str(), nullptr)});
-        continue;
-      }
-      if (c == '"' || c == '\'') {
-        const char quote = c;
-        ++pos_;
-        std::string s;
-        while (pos_ < src_.size() && src_[pos_] != quote) s += src_[pos_++];
-        if (pos_ >= src_.size()) return util::make_error("unterminated string in query");
-        ++pos_;
-        out.push_back({SqlToken::String, s, 0});
-        continue;
-      }
-      switch (c) {
-        case '*': out.push_back({SqlToken::Star, "*", 0}); ++pos_; break;
-        case ',': out.push_back({SqlToken::Comma, ",", 0}); ++pos_; break;
-        case ';': out.push_back({SqlToken::Semicolon, ";", 0}); ++pos_; break;
-        case '%': out.push_back({SqlToken::Percent, "%", 0}); ++pos_; break;
-        case '=': out.push_back({SqlToken::Op, "=", 0}); ++pos_; break;
-        case '!':
-          if (pos_ + 1 < src_.size() && src_[pos_ + 1] == '=') {
-            out.push_back({SqlToken::Op, "!=", 0});
-            pos_ += 2;
-          } else {
-            return util::make_error("unexpected '!' in query");
-          }
-          break;
-        case '<':
-        case '>': {
-          std::string op(1, c);
-          ++pos_;
-          if (pos_ < src_.size() && src_[pos_] == '=') {
-            op += '=';
-            ++pos_;
-          } else if (c == '<' && pos_ < src_.size() && src_[pos_] == '>') {
-            op = "!=";
-            ++pos_;
-          }
-          out.push_back({SqlToken::Op, op, 0});
-          break;
-        }
-        default:
-          return util::make_error(std::string("unexpected character '") + c + "' in query");
-      }
-    }
-    out.push_back({SqlToken::End, "", 0});
-    return out;
-  }
-
- private:
-  const std::string& src_;
-  std::size_t pos_ = 0;
-};
-
-std::string upper(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::toupper(c)); });
-  return s;
-}
-
-class SqlParser {
- public:
-  explicit SqlParser(std::vector<SqlToken> tokens) : tokens_(std::move(tokens)) {}
-
-  util::Result<Query> run() {
-    Query q;
-    if (!keyword("SELECT")) return util::make_error("query must start with SELECT");
-
-    if (peek().kind == SqlToken::Number) {
-      q.k = static_cast<int>(next().number);
-      if (q.k < 1) return util::make_error("SELECT count must be >= 1");
-    } else if (peek().kind == SqlToken::Word && upper(peek().text) == "COUNT") {
-      // SELECT COUNT — answered from the tree roots' aggregates, no anycast.
-      next();
-      q.count_only = true;
-    } else if (peek().kind == SqlToken::Star || peek().kind == SqlToken::Word) {
-      // `SELECT NodeId` / `SELECT *` both mean "one server".
-      next();
-      q.k = 1;
-    } else {
-      return util::make_error("expected count, column, or * after SELECT");
-    }
-
-    if (!keyword("FROM")) return util::make_error("expected FROM");
-    if (peek().kind == SqlToken::Star) {
-      next();
-    } else if (peek().kind == SqlToken::Word || peek().kind == SqlToken::String) {
-      q.sites.push_back(next().text);
-      while (peek().kind == SqlToken::Comma) {
-        next();
-        if (peek().kind != SqlToken::Word && peek().kind != SqlToken::String) {
-          return util::make_error("expected site name after ','");
-        }
-        q.sites.push_back(next().text);
-      }
-    } else {
-      return util::make_error("expected * or site list after FROM");
-    }
-
-    if (keyword("WHERE")) {
-      for (;;) {
-        auto pred = parse_predicate();
-        if (!pred.ok()) return util::make_error(pred.error());
-        q.predicates.push_back(pred.take());
-        if (!keyword("AND")) break;
-      }
-    }
-
-    bool has_group = keyword("GROUPBY");
-    if (!has_group && keyword("GROUP")) {
-      if (!keyword("BY")) return util::make_error("expected BY after GROUP");
-      has_group = true;
-    }
-    if (has_group) {
-      if (peek().kind != SqlToken::Word) return util::make_error("expected attribute after GROUPBY");
-      q.group_by = next().text;
-      if (keyword("DESC")) {
-        q.descending = true;
-      } else if (keyword("ASC")) {
-        q.descending = false;
-      }
-    }
-
-    if (keyword("WITH")) {
-      if (peek().kind != SqlToken::String) return util::make_error("expected string after WITH");
-      q.payload = next().text;
-    }
-
-    while (peek().kind == SqlToken::Semicolon) next();
-    if (peek().kind != SqlToken::End) {
-      return util::make_error("unexpected trailing token '" + peek().text + "'");
-    }
-    return q;
-  }
-
- private:
-  const SqlToken& peek() const { return tokens_[pos_]; }
-  const SqlToken& next() { return tokens_[pos_++]; }
-
-  bool keyword(const std::string& kw) {
-    if (peek().kind == SqlToken::Word && upper(peek().text) == kw) {
-      next();
-      return true;
-    }
-    return false;
-  }
-
-  util::Result<Predicate> parse_predicate() {
-    if (peek().kind != SqlToken::Word) return util::make_error("expected attribute name");
-    Predicate p;
-    p.attribute = next().text;
-    if (peek().kind != SqlToken::Op) return util::make_error("expected comparison operator");
-    const std::string op = next().text;
-    if (op == "=") {
-      p.op = CompareOp::Eq;
-    } else if (op == "!=") {
-      p.op = CompareOp::NotEq;
-    } else if (op == "<") {
-      p.op = CompareOp::Less;
-    } else if (op == "<=") {
-      p.op = CompareOp::LessEq;
-    } else if (op == ">") {
-      p.op = CompareOp::Greater;
-    } else {
-      p.op = CompareOp::GreaterEq;
-    }
-    // Literal: number (optionally a percentage), string, or boolean word.
-    if (peek().kind == SqlToken::Number) {
-      double v = next().number;
-      if (peek().kind == SqlToken::Percent) {
-        next();
-        v /= 100.0;  // `10%` → 0.1, matching CPU_utilization's [0, 1] scale
-      }
-      p.literal = store::AttributeValue{v};
-    } else if (peek().kind == SqlToken::String) {
-      p.literal = store::AttributeValue{next().text};
-    } else if (peek().kind == SqlToken::Word) {
-      const std::string w = upper(peek().text);
-      if (w == "TRUE") {
-        next();
-        p.literal = store::AttributeValue{true};
-      } else if (w == "FALSE") {
-        next();
-        p.literal = store::AttributeValue{false};
-      } else {
-        // Bare word literal, e.g. WHERE OS = Ubuntu
-        p.literal = store::AttributeValue{next().text};
-      }
-    } else {
-      return util::make_error("expected literal after operator");
-    }
-    return p;
-  }
-
-  std::vector<SqlToken> tokens_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-util::Result<Query> parse_query(const std::string& sql) {
-  SqlLexer lexer{sql};
-  auto tokens = lexer.run();
-  if (!tokens.ok()) return util::make_error(tokens.error());
-  SqlParser parser{tokens.take()};
-  return parser.run();
+util::Result<Query> parse_query(std::string_view sql) {
+  SqlParser parser{sql};
+  auto q = parser.run();
+  if (!q.ok() && !parser.lex_rest().empty()) return util::make_error(parser.lex_rest());
+  return q;
 }
 
 }  // namespace rbay::query

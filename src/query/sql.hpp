@@ -16,6 +16,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "store/attribute.hpp"
@@ -56,6 +57,6 @@ struct Query {
 };
 
 /// Parses the SQL-subset text.  Errors name the offending token.
-util::Result<Query> parse_query(const std::string& sql);
+util::Result<Query> parse_query(std::string_view sql);
 
 }  // namespace rbay::query

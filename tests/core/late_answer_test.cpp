@@ -94,6 +94,21 @@ TEST(LateSiteAnswer, LocalAnswerAfterTimeoutReleasesItsReservations) {
   EXPECT_EQ(f.orphan_releases(), 1u);
 }
 
+TEST(LateSiteAnswer, SiteThatNeverAnswersEndsTheAttemptAtTheSiteTimeout) {
+  // Site 0 -> site 1 blackholes, so the gateway never hears the request:
+  // the site timeout, armed because the attempt still waits after its
+  // dispatch, is what ends the query.
+  LateAnswerFixture f{util::SimTime::millis(150), 1};
+  f.cluster.network().conditioner().set_asym_partition(0, 1, true);
+  const auto out = f.query_then_wait("SELECT 1 FROM Site1 WHERE GPU = true");
+  ASSERT_FALSE(out.satisfied);
+  EXPECT_EQ(out.attempts, 1);
+  EXPECT_EQ(out.sites_timed_out, 1);
+  EXPECT_TRUE(out.sites_answered.empty());
+  EXPECT_EQ(out.latency(), util::SimTime::millis(150));
+  EXPECT_EQ(f.cluster.metrics()->fed().counter<"query.site_timeouts">().value(), 1u);
+}
+
 TEST(LateSiteAnswer, EarlierAttemptsLateReplyLeavesTheCommittedNodeHeld) {
   // Site 1 has a single GPU node, so every attempt reserves that node.  A
   // gray link slows site 1's attempt-1 reply to about 2 s, far past the

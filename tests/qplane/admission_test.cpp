@@ -99,6 +99,31 @@ TEST(Admission, SynchronousCompletionsDrainWithoutRecursion) {
   EXPECT_FALSE(ac.would_shed());
 }
 
+TEST(Admission, BacklogThatDrainedKeepsFifoOrderWhenItQueuesAgain) {
+  AdmissionController ac(1, 3);
+  std::vector<int> started;
+  auto starter = [&started](int id) { return [&started, id] { started.push_back(id); }; };
+
+  EXPECT_EQ(ac.queued(), 0u);  // nothing queued yet: no backlog
+  EXPECT_EQ(ac.submit(starter(1)), Verdict::Admit);
+  EXPECT_EQ(ac.submit(starter(2)), Verdict::Queue);
+  ac.release();  // 2 takes the slot; the backlog is empty again
+  EXPECT_EQ(ac.queued(), 0u);
+  EXPECT_EQ(started, (std::vector<int>{1, 2}));
+
+  EXPECT_EQ(ac.submit(starter(3)), Verdict::Queue);
+  EXPECT_EQ(ac.submit(starter(4)), Verdict::Queue);
+  EXPECT_EQ(ac.submit(starter(5)), Verdict::Queue);
+  EXPECT_TRUE(ac.would_shed());
+  ac.release();
+  ac.release();
+  ac.release();
+  EXPECT_EQ(started, (std::vector<int>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(ac.inflight(), 1u);
+  EXPECT_EQ(ac.queued(), 0u);
+  EXPECT_EQ(ac.queued_total(), 4u);
+}
+
 TEST(Admission, ZeroBacklogShedsAtTheWindow) {
   AdmissionController ac(1, 0);
   EXPECT_EQ(ac.submit([] {}), Verdict::Admit);

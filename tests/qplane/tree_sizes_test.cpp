@@ -367,6 +367,46 @@ TEST(AnswerCacheIntegration, HitInsideTtlThenFreshAfterExpiry) {
   EXPECT_GE(fed.counter<"qplane.cache_misses">().value(), 1u);
 }
 
+TEST(AnswerCacheIntegration, CountsServedFromTheTableLeaveNoTimerBehind) {
+  // A COUNT whose every size comes from the table completes inside
+  // execute_sql; its attempt never waits, so it must arm no site timeout
+  // (a cancelled one would sit in the event queue for the whole 3 s).
+  core::ClusterConfig config;
+  config.topology = net::Topology::single_site();
+  config.seed = 5;
+  config.node.scribe.aggregation_interval = SimTime::millis(100);
+  config.node.query.qplane.cache_ttl = SimTime::seconds(10);
+  core::RBayCluster cluster(config);
+  cluster.add_tree_spec(core::TreeSpec::from_predicate(
+      {"GPU", query::CompareOp::Eq, store::AttributeValue{true}}));
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(cluster.add_node(0).post("GPU", store::AttributeValue{true}).ok());
+  }
+  cluster.finalize();
+  cluster.run_for(SimTime::seconds(2));
+
+  auto& qi = cluster.node(2).query();
+  int served = 0;
+  auto count = [&] {
+    qi.execute_sql("SELECT COUNT FROM * WHERE GPU = true", [&](const core::QueryOutcome& o) {
+      EXPECT_TRUE(o.satisfied);
+      EXPECT_EQ(o.count, 8.0);
+      served += o.cached ? 1 : 0;
+    });
+  };
+  count();  // warms the table through a root walk
+  cluster.run_for(SimTime::millis(50));
+  ASSERT_EQ(served, 0);
+
+  auto& engine = cluster.engine();
+  const auto pending = engine.pending();
+  const auto event_nodes = engine.event_nodes();
+  for (int i = 0; i < 1000; ++i) count();
+  EXPECT_EQ(served, 1000) << "every COUNT must be answered from the table, synchronously";
+  EXPECT_EQ(engine.pending(), pending);
+  EXPECT_EQ(engine.event_nodes(), event_nodes);
+}
+
 /// Counter value out of a Registry::to_json() snapshot (counters are
 /// emitted as "name":value).
 std::uint64_t counter_in_json(const std::string& json, const std::string& name) {

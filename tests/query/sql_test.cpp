@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdlib>
+#include <random>
+#include <string>
+#include <vector>
+
 namespace rbay::query {
 namespace {
 
@@ -105,6 +112,261 @@ TEST(SqlParser, Errors) {
   EXPECT_FALSE(parse_query("SELECT 1 FROM * GROUP x").ok());  // GROUP without BY
 }
 
+// --- golden tables -------------------------------------------------------------
+
+/// Every field of `a` and `b` equal; `what` names the input in failures.
+void expect_same_query(const Query& a, const Query& b, const std::string& what) {
+  EXPECT_EQ(a.k, b.k) << what;
+  EXPECT_EQ(a.count_only, b.count_only) << what;
+  EXPECT_EQ(a.sites, b.sites) << what;
+  ASSERT_EQ(a.predicates.size(), b.predicates.size()) << what;
+  for (std::size_t i = 0; i < a.predicates.size(); ++i) {
+    EXPECT_EQ(a.predicates[i].attribute, b.predicates[i].attribute) << what << " #" << i;
+    EXPECT_EQ(a.predicates[i].op, b.predicates[i].op) << what << " #" << i;
+    EXPECT_EQ(a.predicates[i].literal, b.predicates[i].literal)
+        << what << " #" << i << ": " << a.predicates[i].literal.to_string() << " vs "
+        << b.predicates[i].literal.to_string();
+  }
+  EXPECT_EQ(a.group_by, b.group_by) << what;
+  EXPECT_EQ(a.descending, b.descending) << what;
+  EXPECT_EQ(a.payload, b.payload) << what;
+}
+
+Query make_query(int k, bool count_only, std::vector<std::string> sites,
+                 std::vector<Predicate> predicates, std::optional<std::string> group_by = {},
+                 bool descending = false, std::string payload = {}) {
+  Query q;
+  q.k = k;
+  q.count_only = count_only;
+  q.sites = std::move(sites);
+  q.predicates = std::move(predicates);
+  q.group_by = std::move(group_by);
+  q.descending = descending;
+  q.payload = std::move(payload);
+  return q;
+}
+
+TEST(SqlGolden, AcceptedInputsParseToEveryField) {
+  using V = store::AttributeValue;
+  const struct {
+    std::string sql;
+    Query want;
+  } cases[] = {
+      {"select count from * where GPU = TRUE;;",
+       make_query(1, true, {}, {{"GPU", CompareOp::Eq, V{true}}})},
+      {"SeLeCt 3 FrOm Virginia, \"New York\" WhErE a <> 1 GrOuP bY cpu DeSc",
+       make_query(3, false, {"Virginia", "New York"}, {{"a", CompareOp::NotEq, V{1.0}}}, "cpu",
+                  true)},
+      {"SELECT 5 FROM * WHERE CPU_utilization < 10%",
+       make_query(5, false, {}, {{"CPU_utilization", CompareOp::Less, V{0.1}}})},
+      {"SELECT 1 FROM * WHERE x = 5 %",
+       make_query(1, false, {}, {{"x", CompareOp::Eq, V{0.05}}})},
+      // A digit run with two dots reads as strtod reads it: the longest
+      // number prefix.
+      {"SELECT 1 FROM * WHERE v = 1.2.3", make_query(1, false, {}, {{"v", CompareOp::Eq, V{1.2}}})},
+      {"SELECT 1 FROM * WHERE n >= .5 AND m = 007 AND z = 5.",
+       make_query(1, false, {},
+                  {{"n", CompareOp::GreaterEq, V{0.5}},
+                   {"m", CompareOp::Eq, V{7.0}},
+                   {"z", CompareOp::Eq, V{5.0}}})},
+      {"SELECT * FROM * WHERE os = Ubuntu AND txt = 'x y' AND q = \"it's\" GROUPBY n ASC "
+       "WITH \"pw\";",
+       make_query(1, false, {},
+                  {{"os", CompareOp::Eq, V{"Ubuntu"}},
+                   {"txt", CompareOp::Eq, V{"x y"}},
+                   {"q", CompareOp::Eq, V{"it's"}}},
+                  "n", false, "pw")},
+      {"SELECT NodeId FROM Tokyo", make_query(1, false, {"Tokyo"}, {})},
+      {"SELECT 2.9 FROM *", make_query(2, false, {}, {})},
+      // A number ends at the first non-digit: `1AND` is `1` then `AND`.
+      {"SELECT 1 FROM * WHERE a=1AND b!=2",
+       make_query(1, false, {}, {{"a", CompareOp::Eq, V{1.0}}, {"b", CompareOp::NotEq, V{2.0}}})},
+      {"SELECT 1 FROM * WHERE instance = c3.8xlarge AND flag = False AND s <= b",
+       make_query(1, false, {},
+                  {{"instance", CompareOp::Eq, V{"c3.8xlarge"}},
+                   {"flag", CompareOp::Eq, V{false}},
+                   {"s", CompareOp::LessEq, V{"b"}}})},
+      {"\tSELECT\n4\rFROM\v*\f;", make_query(4, false, {}, {})},
+      {"SELECT 1 FROM *;;;", make_query(1, false, {}, {})},
+      {"SELECT 1 FROM * WHERE a > 2 AND b < 3 GROUP BY a",
+       make_query(1, false, {}, {{"a", CompareOp::Greater, V{2.0}}, {"b", CompareOp::Less, V{3.0}}},
+                  "a")},
+      // FROM takes any word as a site, keywords included.
+      {"SELECT 1 FROM WHERE", make_query(1, false, {"WHERE"}, {})},
+      {"SELECT 1 FROM a,'',\"b c\"", make_query(1, false, {"a", "", "b c"}, {})},
+      {"SELECT 1 FROM * WITH \"\"", make_query(1, false, {}, {})},
+  };
+  for (const auto& c : cases) {
+    auto r = parse_query(c.sql);
+    ASSERT_TRUE(r.ok()) << c.sql << ": " << r.error();
+    expect_same_query(r.value(), c.want, c.sql);
+  }
+}
+
+TEST(SqlGolden, NumbersReadBitForBitAsStrtodAndRoundTrip) {
+  // Tree names hash the canonical literal, so a number must be exactly the
+  // double strtod reads from its digit run, out-of-range runs included.
+  std::vector<std::string> runs = {"0", "007", ".5", "5.", "1.2.3", "0.1", "9007199254740993",
+                                   "2.2250738585072011", "123456789012345678901234567890",
+                                   std::string(400, '9'), "0." + std::string(320, '0') + "5",
+                                   "0." + std::string(400, '0') + "1"};
+  std::mt19937_64 rng(42);
+  for (int i = 0; i < 2000; ++i) {
+    std::string run(1, static_cast<char>('0' + rng() % 10));
+    for (auto n = rng() % 24; n > 0; --n) {
+      run += rng() % 8 == 0 ? '.' : static_cast<char>('0' + rng() % 10);
+    }
+    runs.push_back(run);
+  }
+  for (const auto& run : runs) {
+    const auto q = parse_ok("SELECT 1 FROM * WHERE n = " + run);
+    ASSERT_EQ(q.predicates.size(), 1u) << run;
+    const auto want = std::bit_cast<std::uint64_t>(std::strtod(run.c_str(), nullptr));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(q.predicates[0].literal.as_double()), want) << run;
+    const auto again = parse_ok(q.to_string());
+    ASSERT_EQ(again.predicates.size(), 1u) << q.to_string();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(again.predicates[0].literal.as_double()), want)
+        << run << " -> " << q.to_string();
+  }
+}
+
+TEST(SqlGolden, RejectedInputsNameTheirError) {
+  const struct {
+    std::string sql;
+    std::string error;
+  } cases[] = {
+      {"", "query must start with SELECT"},
+      {"FROM *", "query must start with SELECT"},
+      {"SELECT 0 FROM *", "SELECT count must be >= 1"},
+      {"SELECT , FROM *", "expected count, column, or * after SELECT"},
+      {"SELECT 1 WHERE a = 1", "expected FROM"},
+      {"SELECT 1 FROM , x", "expected * or site list after FROM"},
+      {"SELECT 1 FROM a,", "expected site name after ','"},
+      {"SELECT 1 FROM * WHERE 5 = 1", "expected attribute name"},
+      {"SELECT 1 FROM * WHERE a = 1 AND", "expected attribute name"},
+      {"SELECT 1 FROM * WHERE a", "expected comparison operator"},
+      {"SELECT 1 FROM * WHERE a =", "expected literal after operator"},
+      {"SELECT 1 FROM * GROUP x", "expected BY after GROUP"},
+      {"SELECT 1 FROM * GROUPBY 5", "expected attribute after GROUPBY"},
+      {"SELECT 1 FROM * GROUP BY", "expected attribute after GROUPBY"},
+      {"SELECT 1 FROM * WITH pw", "expected string after WITH"},
+      {"SELECT 1 FROM * trailing junk", "unexpected trailing token 'trailing'"},
+      {"SELECT 1 FROM * 'str'", "unexpected trailing token 'str'"},
+      {"SELECT 1 FROM * WHERE a = 1 <> 2", "unexpected trailing token '!='"},
+      {"SELECT 1 FROM * WHERE a = 'unterminated", "unterminated string in query"},
+      {"SELECT 1 FROM * WHERE a ! 1", "unexpected '!' in query"},
+      {"SELECT 1 FROM * WHERE a = -1", "unexpected character '-' in query"},
+      {"SELECT 1 FROM * WHERE a = 1 #", "unexpected character '#' in query"},
+      // The whole input is lexed before it is parsed: a lexer error wins
+      // over a parse error earlier in the text.
+      {"FROM * WHERE a = $", "unexpected character '$' in query"},
+      {"SELECT 1 FROM * junk 'open", "unterminated string in query"},
+      // Bytes >= 0x80 are no letters (C-locale classification).
+      {"SELECT 1 FROM * WHERE city = M\xC3\xBCnchen", "unexpected character '\xC3' in query"},
+  };
+  for (const auto& c : cases) {
+    auto r = parse_query(c.sql);
+    ASSERT_FALSE(r.ok()) << c.sql;
+    EXPECT_EQ(r.error(), c.error) << c.sql;
+  }
+}
+
+// --- seeded random inputs ------------------------------------------------------
+
+/// Query-shaped text from a token soup: mostly grammatical, with random
+/// case, spacing and stray bytes, so both the accept and reject paths run.
+std::string random_sql(std::mt19937_64& rng) {
+  auto pick = [&rng](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+  static const char* const kWords[] = {"SELECT", "COUNT", "FROM", "WHERE", "AND", "GROUP",
+                                       "BY", "GROUPBY", "DESC", "ASC", "WITH", "true",
+                                       "FALSE", "NodeId", "GPU", "CPU_utilization", "os",
+                                       "c3.8xlarge", "_x", "Tokyo", "a.b.c"};
+  static const char* const kOps[] = {"=", "!=", "<", "<=", ">", ">=", "<>", "!", "%",
+                                     ",", ";", "*"};
+  static const char* const kSpace[] = {" ", "  ", "\t", "\n", ""};
+  auto word = [&] {
+    std::string w = kWords[pick(std::size(kWords))];
+    for (auto& ch : w) {
+      if (pick(4) == 0 && ch >= 'A' && ch <= 'Z') ch = static_cast<char>(ch - 'A' + 'a');
+    }
+    return w;
+  };
+  auto number = [&] {
+    std::string n;
+    const auto digits = 1 + pick(6);
+    for (std::size_t i = 0; i < digits; ++i) {
+      n += static_cast<char>('0' + pick(10));
+      if (pick(5) == 0) n += '.';
+    }
+    return n;
+  };
+  auto string_lit = [&] {
+    const char quote = pick(2) == 0 ? '"' : '\'';
+    std::string s(1, quote);
+    const auto len = pick(8);
+    for (std::size_t i = 0; i < len; ++i) {
+      const auto ch = static_cast<char>(' ' + pick(95));
+      if (ch != quote) s += ch;
+    }
+    if (pick(20) != 0) s += quote;
+    return s;
+  };
+  std::string out;
+  if (pick(4) != 0) {
+    // Grammatical skeleton, then random damage below.
+    out = "SELECT ";
+    out += pick(3) == 0 ? "COUNT" : (pick(2) == 0 ? number() : word());
+    out += " FROM ";
+    out += pick(2) == 0 ? "*" : word() + (pick(2) == 0 ? ", " + string_lit() : "");
+    const auto preds = pick(4);
+    for (std::size_t i = 0; i < preds; ++i) {
+      out += i == 0 ? " WHERE " : " AND ";
+      out += word();
+      out += kOps[pick(6)];
+      const auto lit = pick(3);
+      out += lit == 0 ? number() + (pick(3) == 0 ? "%" : "") : lit == 1 ? string_lit() : word();
+    }
+    if (pick(3) == 0) out += std::string(pick(2) == 0 ? " GROUPBY " : " group by ") + word();
+    if (pick(3) == 0) out += " WITH " + string_lit();
+    if (pick(2) == 0) out += ";";
+  }
+  const auto extra = pick(4);
+  for (std::size_t i = 0; i < extra; ++i) {
+    std::string piece;
+    switch (pick(5)) {
+      case 0: piece = word(); break;
+      case 1: piece = number(); break;
+      case 2: piece = string_lit(); break;
+      case 3: piece = kOps[pick(std::size(kOps))]; break;
+      default: piece = std::string(1, static_cast<char>(pick(256))); break;
+    }
+    out.insert(pick(out.size() + 1), piece + kSpace[pick(std::size(kSpace))]);
+  }
+  return out;
+}
+
+TEST(SqlRandom, NoCrashAndAcceptedQueriesRoundTrip) {
+  std::mt19937_64 rng(20171);  // fixed seed: failures reproduce
+  int accepted = 0;
+  constexpr int kInputs = 20000;
+  for (int i = 0; i < kInputs; ++i) {
+    const auto sql = random_sql(rng);
+    auto r = parse_query(sql);
+    if (!r.ok()) {
+      EXPECT_FALSE(r.error().empty()) << sql;
+      continue;
+    }
+    ++accepted;
+    const auto text = r.value().to_string();
+    auto again = parse_query(text);
+    ASSERT_TRUE(again.ok()) << sql << " -> " << text << ": " << again.error();
+    expect_same_query(again.value(), r.value(), sql + " -> " + text);
+  }
+  // Both paths ran often enough to mean something.
+  EXPECT_GT(accepted, kInputs / 10);
+  EXPECT_LT(accepted, kInputs * 9 / 10);
+}
+
 TEST(Predicate, MatchesNumericComparisons) {
   Predicate p{"cpu", CompareOp::Less, store::AttributeValue{0.1}};
   EXPECT_TRUE(p.matches(store::AttributeValue{0.05}));
@@ -141,12 +403,23 @@ TEST(Predicate, CanonicalForm) {
 }
 
 TEST(Query, ToStringRoundTripsThroughParser) {
-  const auto q = parse_ok("SELECT 4 FROM Tokyo WHERE a < 5 GROUPBY a DESC");
-  const auto q2 = parse_ok(q.to_string());
-  EXPECT_EQ(q2.k, 4);
-  EXPECT_EQ(q2.sites, q.sites);
-  EXPECT_EQ(q2.predicates.size(), q.predicates.size());
-  EXPECT_EQ(q2.descending, q.descending);
+  // String literals stay quoted strings (even "5" and "true"), multi-word
+  // literals and site names stay one token, and WITH survives.
+  const char* inputs[] = {
+      "SELECT 4 FROM Tokyo WHERE a < 5 GROUPBY a DESC",
+      R"(SELECT 5 FROM * WHERE CPU_model = "Intel Core i7" AND CPU_utilization < 10%)",
+      R"(SELECT 1 FROM * WHERE GPU = true WITH "rbay")",
+      R"(SELECT 1 FROM * WHERE os = '5' AND kind = 'true' AND q = "it's" AND r = 'say "hi"')",
+      R"(SELECT 2 FROM "New York", Tokyo WHERE n >= 0.000001 GROUP BY n DESC)",
+  };
+  for (const char* sql : inputs) {
+    const auto q = parse_ok(sql);
+    const auto text = q.to_string();
+    auto again = parse_query(text);
+    ASSERT_TRUE(again.ok()) << sql << " -> " << text << ": " << again.error();
+    expect_same_query(again.value(), q, text);
+  }
+  EXPECT_EQ(parse_ok(inputs[2]).to_string(), R"(SELECT 1 FROM * WHERE GPU = true WITH "rbay")");
 }
 
 }  // namespace

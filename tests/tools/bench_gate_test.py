@@ -4,10 +4,12 @@
 Each case copies tools/bench_gate.py and artifacts/ into a temporary
 directory laid out like the repository, so the copy reads the doctored
 baselines; it derives fresh results from the baselines themselves,
-changes one number, and runs the copy.  The route baseline's core count is set to this machine's, so the
-unchanged values pass on any machine; one case sets it to another count.
+changes one number, and runs the copy.  The speed baselines' core counts
+are set to this machine's, so the unchanged values pass on any machine; one
+case sets one to another count.
 """
 
+import importlib.util
 import json
 import os
 import shutil
@@ -34,10 +36,14 @@ class BenchGateTest(unittest.TestCase):
         self.gate_copy = shutil.copy(GATE, os.path.join(self.dir, "tools"))
         self.throughput = read("BENCH_throughput.json")
         self.fig8b = read("BENCH_fig8b.json")
-        self.route = read("BENCH_route_100k.json")
-        self.route["nproc"] = len(os.sched_getaffinity(0))
-        self.route_values = [self.route["ops_per_ref"]] * 5
-        self.route_correct = [True] * 5
+        # Per speed-gated workload: its baseline and five runs' values and
+        # correctness.
+        self.speed = {}
+        for workload in ("route_100k", "count_storm"):
+            base = read(f"BENCH_{workload}.json")
+            base["nproc"] = len(os.sched_getaffinity(0))
+            self.speed[workload] = {"base": base, "values": [base["ops_per_ref"]] * 5,
+                                    "correct": [True] * 5}
 
     def tearDown(self):
         shutil.rmtree(self.dir)
@@ -50,19 +56,22 @@ class BenchGateTest(unittest.TestCase):
 
     def gate(self):
         """Runs every check; returns (exit status, stdout + stderr)."""
-        self.write(os.path.join("artifacts", "BENCH_route_100k.json"), self.route)
-        logs = []
-        for i, (value, correct) in enumerate(zip(self.route_values, self.route_correct)):
-            result = {"correct": correct, "attempted": 1, "failed": 0,
-                      "metrics": {"ops_per_ref": {"value": value, "unit": "ops/ref"}}}
-            path = os.path.join(self.dir, f"route{i}.log")
-            with open(path, "w") as f:
-                f.write("route_100k seed=1 trace=0 report line\n" + json.dumps(result) + "\n")
-            logs.append(path)
+        speed_args = []
+        for workload, flag in (("route_100k", "--route"), ("count_storm", "--count-storm")):
+            runs = self.speed[workload]
+            self.write(os.path.join("artifacts", f"BENCH_{workload}.json"), runs["base"])
+            speed_args.append(flag)
+            for i, (value, correct) in enumerate(zip(runs["values"], runs["correct"])):
+                result = {"correct": correct, "attempted": 1, "failed": 0,
+                          "metrics": {"ops_per_ref": {"value": value, "unit": "ops/ref"}}}
+                path = os.path.join(self.dir, f"{workload}{i}.log")
+                with open(path, "w") as f:
+                    f.write(f"{workload} seed=1 trace=0 report line\n" + json.dumps(result) + "\n")
+                speed_args.append(path)
         proc = subprocess.run(
             [sys.executable, self.gate_copy,
              "--throughput", self.write("throughput.json", self.throughput),
-             "--fig8b", self.write("fig8b.json", self.fig8b), "--route", *logs],
+             "--fig8b", self.write("fig8b.json", self.fig8b), *speed_args],
             capture_output=True, text=True)
         return proc.returncode, proc.stdout + proc.stderr
 
@@ -76,15 +85,18 @@ class BenchGateTest(unittest.TestCase):
         self.assertEqual(status, 0, output)
         self.assertIn("throughput ok", output)
         self.assertIn("hot-tree balance ok", output)
-        self.assertIn("simulator speed ok", output)
+        self.assertIn("simulator speed ok: route_100k", output)
+        self.assertIn("simulator speed ok: count_storm", output)
 
     def test_route_inside_its_bound_passes(self):
-        self.route_values = [v * 0.95 for v in self.route_values]
+        runs = self.speed["route_100k"]
+        runs["values"] = [v * 0.95 for v in runs["values"]]
         status, output = self.gate()
         self.assertEqual(status, 0, output)
 
     def test_one_slow_run_of_five_passes(self):
-        self.route_values[2] *= 0.8
+        for workload in self.speed:
+            self.speed[workload]["values"][2] *= 0.5
         status, output = self.gate()
         self.assertEqual(status, 0, output)
 
@@ -111,12 +123,29 @@ class BenchGateTest(unittest.TestCase):
         self.assert_fails("not comparable")
 
     def test_ops_per_ref_eleven_percent_low_fails(self):
-        self.route_values = [v * 0.89 for v in self.route_values]
-        self.assert_fails("simulator speed regression")
+        runs = self.speed["route_100k"]
+        runs["values"] = [v * 0.89 for v in runs["values"]]
+        self.assert_fails("simulator speed regression: route_100k")
+
+    def test_count_storm_just_under_its_floor_fails_and_at_it_passes(self):
+        runs = self.speed["count_storm"]
+        spec = importlib.util.spec_from_file_location("bench_gate", GATE)
+        gate = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gate)
+        _, floor = gate.SPEED_GATES["count_storm"]
+        runs["values"] = [runs["base"]["ops_per_ref"] * floor * 1.001] * 5
+        status, output = self.gate()
+        self.assertEqual(status, 0, output)
+        runs["values"] = [runs["base"]["ops_per_ref"] * floor * 0.999] * 5
+        self.assert_fails("simulator speed regression: count_storm")
 
     def test_nproc_mismatch_fails(self):
-        self.route["nproc"] += 1
-        self.assert_fails("record a baseline for this machine")
+        for workload, flag in (("route_100k", "--record-route"),
+                               ("count_storm", "--record-count-storm")):
+            with self.subTest(workload=workload):
+                self.speed[workload]["base"]["nproc"] += 1
+                self.assert_fails(f"bench_gate.py {flag} LOG")
+                self.speed[workload]["base"]["nproc"] -= 1
 
     def test_a_missing_input_fails(self):
         proc = subprocess.run(
@@ -124,11 +153,30 @@ class BenchGateTest(unittest.TestCase):
              self.write("throughput.json", self.throughput)],
             capture_output=True, text=True)
         self.assertEqual(proc.returncode, 2, proc.stderr)
-        self.assertIn("the gate needs --fig8b --route", proc.stderr)
+        self.assertIn("the gate needs --fig8b --route --count-storm", proc.stderr)
 
     def test_incorrect_run_fails(self):
-        self.route_correct[3] = False
-        self.assert_fails("route_100k run incorrect")
+        for workload in self.speed:
+            with self.subTest(workload=workload):
+                self.speed[workload]["correct"][3] = False
+                self.assert_fails(f"{workload} run incorrect")
+                self.speed[workload]["correct"][3] = True
+
+    def test_record_prints_the_median_with_this_machines_cores(self):
+        logs = []
+        for i, value in enumerate((3.0, 1.0, 2.0)):
+            path = os.path.join(self.dir, f"run{i}.log")
+            with open(path, "w") as f:
+                f.write(json.dumps({"correct": True,
+                                    "metrics": {"ops_per_ref": {"value": value}}}) + "\n")
+            logs.append(path)
+        proc = subprocess.run([sys.executable, self.gate_copy, "--record-count-storm", *logs],
+                              capture_output=True, text=True)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        baseline = json.loads(proc.stdout)
+        self.assertEqual(baseline["bench"], "count_storm")
+        self.assertEqual(baseline["ops_per_ref"], 2.0)
+        self.assertEqual(baseline["nproc"], len(os.sched_getaffinity(0)))
 
 
 if __name__ == "__main__":

@@ -3,42 +3,58 @@
 
     tools/bench_gate.py --throughput FRESH_BENCH_throughput.json \\
                         --fig8b FRESH_BENCH_fig8b.json \\
-                        --route RUN_LOG [RUN_LOG ...]
+                        --route RUN_LOG [RUN_LOG ...] \\
+                        --count-storm RUN_LOG [RUN_LOG ...]
     tools/bench_gate.py --record-route RUN_LOG [RUN_LOG ...] > artifacts/BENCH_route_100k.json
+    tools/bench_gate.py --record-count-storm RUN_LOG [RUN_LOG ...] \\
+                        > artifacts/BENCH_count_storm.json
 
 A RUN_LOG is the standard output of
-`python3 perfbench/run.py --workload route_100k --seed 1 --trace 0`; its
-last line is the run's result as JSON.  All three inputs are required and
-every check runs; each compares only with its baseline file in artifacts/
-(never with an earlier run's output).  Sustained QPS and the hot-tree
-shares are sim-time figures that a seed fixes exactly, so they must equal
-their baselines; a change that moves them on purpose re-records the file.
+`python3 perfbench/run.py --workload WORKLOAD --seed 1 --trace 0`; its last
+line is the run's result as JSON.  All four inputs are required and every
+check runs; each compares only with its baseline file in artifacts/ (never
+with an earlier run's output).  Sustained QPS and the hot-tree shares are
+sim-time figures that a seed fixes exactly, so they must equal their
+baselines; a change that moves them on purpose re-records the file.
 
-  throughput  sustained_qps equal to BENCH_throughput.json
-  fig8b       zipf_queries and zipf_capped_hottest_bp equal to
-              BENCH_fig8b.json, and the capped share at least 2x under the
-              uncapped share of the same run
-  route       every run correct, the baseline recorded on a machine with
-              this one's core count, and the median ops_per_ref >= 94% of
-              BENCH_route_100k.json
+  throughput   sustained_qps equal to BENCH_throughput.json
+  fig8b        zipf_queries and zipf_capped_hottest_bp equal to
+               BENCH_fig8b.json, and the capped share at least 2x under the
+               uncapped share of the same run
+  route        simulator speed on route_100k (Pastry routing at 100k nodes)
+  count-storm  simulator speed on count_storm (COUNTs served from the size
+               table at 12k qps)
 
-Prints one line per check and exits 1 if any fails.  --record-route
-prints a new route baseline: the median ops_per_ref of the given runs,
-with this machine's core count.
+A speed check passes when every run is correct, the baseline was recorded
+on a machine with this one's core count, and the median ops_per_ref is at
+least the workload's floor times its BENCH_<workload>.json baseline.
+
+Prints one line per check and exits 1 if any fails.  --record-route and
+--record-count-storm print a new speed baseline: the median ops_per_ref of
+the given runs, with this machine's core count.
 """
 
 import argparse
+import functools
 import json
 import os
 import statistics
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-ROUTE_COMMAND = "python3 perfbench/run.py --workload route_100k --seed 1 --trace 0"
-# Five-run medians of the unchanged code read 2.4% under to 4.0% over their
-# ten-run baseline.  A 94% floor passes all of them and fails every one
-# against a baseline 12% higher; a 90% floor let half of those through.
-ROUTE_FLOOR = 0.94
+# Speed-gated perfbench workloads: each one's command-line name and its
+# floor, as a fraction of its ten-run baseline.
+SPEED_GATES = {
+    # Five-run medians of the unchanged code read 2.4% under to 4.0% over
+    # their ten-run baseline.  A 94% floor passes all of them and fails
+    # every one against a baseline 12% higher; a 90% floor let half of
+    # those through.
+    "route_100k": ("route", 0.94),
+    # Every five-run window of twenty runs of the unchanged code read 4.4%
+    # under to 0.8% over their ten-run baseline.  A 92% floor passes all of
+    # them and fails every one against a baseline 10% higher.
+    "count_storm": ("count-storm", 0.92),
+}
 
 
 class GateError(Exception):
@@ -64,7 +80,11 @@ def nproc():
     return len(os.sched_getaffinity(0))
 
 
-def read_runs(paths):
+def speed_command(workload):
+    return f"python3 perfbench/run.py --workload {workload} --seed 1 --trace 0"
+
+
+def read_runs(workload, paths):
     """(correct, ops_per_ref) of each run.py log: its last line is the result."""
     runs = []
     for path in paths:
@@ -74,7 +94,7 @@ def read_runs(paths):
             result = json.loads(lines[-1])
             runs.append((result["correct"] is True, result["metrics"]["ops_per_ref"]["value"]))
         except (OSError, ValueError, IndexError, KeyError, TypeError) as e:
-            raise GateError(f"{path} is not a run.py result log: {e!r}")
+            raise GateError(f"{path} is not a {workload} run.py result log: {e!r}")
     return runs
 
 
@@ -106,35 +126,37 @@ def check_fig8b(fresh_path, base_path):
             f"as the baseline")
 
 
-def check_route(run_paths, base_path):
+def check_speed(workload, run_paths, base_path):
     base = load_json(base_path)
     base_nproc = field(base, "nproc", base_path)
     base_value = field(base, "ops_per_ref", base_path)
     if base_nproc != nproc():
+        flag, _ = SPEED_GATES[workload]
         raise GateError(f"simulator speed: {base_path} was recorded on {base_nproc} cores, "
                         f"this machine has {nproc()}; record a baseline for this machine: "
-                        f"run `{ROUTE_COMMAND}` ten times into logs, then "
-                        f"`tools/bench_gate.py --record-route LOG... > {base_path}`")
-    runs = read_runs(run_paths)
+                        f"run `{speed_command(workload)}` ten times into logs, then "
+                        f"`tools/bench_gate.py --record-{flag} LOG... > {base_path}`")
+    runs = read_runs(workload, run_paths)
     wrong = [path for path, (correct, _) in zip(run_paths, runs) if not correct]
     if wrong:
-        raise GateError(f"simulator speed: route_100k run incorrect: {', '.join(wrong)}")
+        raise GateError(f"simulator speed: {workload} run incorrect: {', '.join(wrong)}")
     values = [value for _, value in runs]
     median = statistics.median(values)
+    _, floor = SPEED_GATES[workload]
     shown = " ".join(f"{v:.0f}" for v in values)
-    if median < ROUTE_FLOOR * base_value:
-        raise GateError(f"simulator speed regression: route_100k median {median:.0f} ops/ref "
-                        f"< {ROUTE_FLOOR:.0%} of baseline {base_value:.0f} (runs: {shown})")
-    return (f"simulator speed ok: route_100k median {median:.0f} ops/ref "
+    if median < floor * base_value:
+        raise GateError(f"simulator speed regression: {workload} median {median:.0f} ops/ref "
+                        f"< {floor:.0%} of baseline {base_value:.0f} (runs: {shown})")
+    return (f"simulator speed ok: {workload} median {median:.0f} ops/ref "
             f"(baseline {base_value:.0f}; runs: {shown})")
 
 
-def record_route(run_paths):
-    runs = read_runs(run_paths)
+def record_speed(workload, run_paths):
+    runs = read_runs(workload, run_paths)
     if not all(correct for correct, _ in runs):
-        raise GateError("cannot record a baseline from an incorrect route_100k run")
+        raise GateError(f"cannot record a baseline from an incorrect {workload} run")
     values = [value for _, value in runs]
-    baseline = {"bench": "route_100k", "command": ROUTE_COMMAND, "nproc": nproc(),
+    baseline = {"bench": workload, "command": speed_command(workload), "nproc": nproc(),
                 "ops_per_ref": statistics.median(values), "runs": values}
     return json.dumps(baseline)
 
@@ -143,29 +165,32 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--throughput", metavar="JSON", help="fresh BENCH_throughput.json")
     parser.add_argument("--fig8b", metavar="JSON", help="fresh BENCH_fig8b.json")
-    parser.add_argument("--route", metavar="RUN_LOG", nargs="+", help="route_100k run.py logs")
-    parser.add_argument("--record-route", metavar="RUN_LOG", nargs="+",
-                        help="print a route_100k baseline from these run.py logs")
-    args = parser.parse_args()
+    for workload, (flag, _) in SPEED_GATES.items():
+        parser.add_argument(f"--{flag}", dest=workload, metavar="RUN_LOG", nargs="+",
+                            help=f"{workload} run.py logs")
+        parser.add_argument(f"--record-{flag}", dest=f"record_{workload}", metavar="RUN_LOG",
+                            nargs="+", help=f"print a {workload} baseline from these run.py logs")
+    args = vars(parser.parse_args())
 
-    if args.record_route:
-        try:
-            print(record_route(args.record_route))
-        except GateError as e:
-            sys.exit(f"bench_gate: {e}")
-        return
+    for workload in SPEED_GATES:
+        if args[f"record_{workload}"]:
+            try:
+                print(record_speed(workload, args[f"record_{workload}"]))
+            except GateError as e:
+                sys.exit(f"bench_gate: {e}")
+            return
 
-    missing = [f"--{name}" for name in ("throughput", "fig8b", "route")
-               if getattr(args, name) is None]
+    # (flag, input, check); each input's baseline is artifacts/BENCH_<input>.json.
+    checks = [("throughput", "throughput", check_throughput), ("fig8b", "fig8b", check_fig8b)]
+    checks += [(flag, workload, functools.partial(check_speed, workload))
+               for workload, (flag, _) in SPEED_GATES.items()]
+    missing = [f"--{flag}" for flag, name, _ in checks if args[name] is None]
     if missing:
-        parser.error(f"the gate needs {' '.join(missing)} (or --record-route)")
-    checks = [(check_throughput, args.throughput, "BENCH_throughput.json"),
-              (check_fig8b, args.fig8b, "BENCH_fig8b.json"),
-              (check_route, args.route, "BENCH_route_100k.json")]
+        parser.error(f"the gate needs {' '.join(missing)} (or a --record-* option)")
     failed = False
-    for check, fresh, baseline in checks:
+    for _, name, check in checks:
         try:
-            print(check(fresh, os.path.join(ROOT, "artifacts", baseline)))
+            print(check(args[name], os.path.join(ROOT, "artifacts", f"BENCH_{name}.json")))
         except GateError as e:
             print(e, file=sys.stderr)
             failed = True

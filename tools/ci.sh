@@ -114,10 +114,13 @@ TSAN_OPTIONS="$TSAN_BENCH_OPTIONS" RBAY_SIM_THREADS=4 \
 # gate compares its shares only with a run of the baseline's query count.
 build-ci/bench/bench_throughput --small --json build-ci/artifacts/BENCH_throughput.json
 build-ci/bench/bench_fig8b_scale_queries --json build-ci/artifacts/BENCH_fig8b.json
-for i in 1 2 3 4 5; do
-  python3 perfbench/run.py --workload route_100k --seed 1 --trace 0 \
-    > "build-ci/artifacts/route_100k.run$i.log"
+for workload in route_100k count_storm; do
+  for i in 1 2 3 4 5; do
+    python3 perfbench/run.py --workload "$workload" --seed 1 --trace 0 \
+      > "build-ci/artifacts/$workload.run$i.log"
+  done
 done
 python3 tools/bench_gate.py --throughput build-ci/artifacts/BENCH_throughput.json \
   --fig8b build-ci/artifacts/BENCH_fig8b.json \
-  --route build-ci/artifacts/route_100k.run[1-5].log
+  --route build-ci/artifacts/route_100k.run[1-5].log \
+  --count-storm build-ci/artifacts/count_storm.run[1-5].log
