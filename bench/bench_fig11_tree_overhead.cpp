@@ -49,7 +49,7 @@ class GatewayApp final : public pastry::PastryApp {
   void deliver(const pastry::NodeId&, pastry::AppMessage&, int) override {}
   void receive(const pastry::NodeRef&, pastry::AppMessage& msg) override {
     if (auto* cmd = dynamic_cast<AdminCmd*>(&msg)) {
-      scribe_.multicast(cmd->topic, cmd->data, pastry::Scope::Site);
+      scribe_.multicast(cmd->topic, cmd->data);
     }
   }
 
@@ -97,8 +97,7 @@ int main(int argc, char** argv) {
             topic, members[idx].get(),
             [&join_latency, s, t0, &engine]() {
               join_latency[s].add((engine.now() - t0).as_millis());
-            },
-            pastry::Scope::Site);
+            });
       }
     }
     engine.run();

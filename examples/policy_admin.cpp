@@ -67,12 +67,10 @@ end
   double size = -1;
   auto probe = [&]() {
     cluster.node(1).scribe().probe_size(cluster.node(1).topic_of(gpu_tree),
-                                        [&](const scribe::Scribe::SizeInfo* i) { if (i != nullptr) size = i->value; },
-                                        pastry::Scope::Site);
+                                        [&](const scribe::Scribe::SizeInfo* i) { if (i != nullptr) size = i->value; });
     cluster.run_for(util::SimTime::seconds(2));  // re-aggregate
     cluster.node(1).scribe().probe_size(cluster.node(1).topic_of(gpu_tree),
-                                        [&](const scribe::Scribe::SizeInfo* i) { if (i != nullptr) size = i->value; },
-                                        pastry::Scope::Site);
+                                        [&](const scribe::Scribe::SizeInfo* i) { if (i != nullptr) size = i->value; });
     cluster.run();
     return size;
   };

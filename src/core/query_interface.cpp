@@ -47,7 +47,7 @@ QueryInterface::QueryInterface(RBayNode& owner, QueryConfig config)
           config.qplane.cache_ttl, config.qplane.batch_probes,
           [this] { return owner_.engine().now(); },
           [this](const scribe::TopicId& topic, scribe::Scribe::SizeCallback cb) {
-            owner_.scribe().probe_size(topic, std::move(cb), pastry::Scope::Site);
+            owner_.scribe().probe_size(topic, std::move(cb));
           },
           [this](const scribe::SizeInfo& info, qplane::TreeSizes::Stored stored) {
             // Once per root answer, however many reads it fans out to.
@@ -560,8 +560,7 @@ void QueryInterface::run_site_query(SiteJob job, std::function<void(SiteResult)>
           if (filled != nullptr) state->result.candidates = std::move(filled->found);
           state->result.visited = visited;
           state->done(std::move(state->result));
-        },
-        pastry::Scope::Site);
+        });
   };
 
   // Steps 1-2: read every predicate tree's size in parallel.  Probe

@@ -139,7 +139,7 @@ std::pair<int, int> RBayNode::reevaluate_subscriptions() {
       // the topic tree" — the admin's policy gates exposure.
       const bool allowed = attr == nullptr || attr->on_subscribe(admin_, spec.canonical);
       if (allowed) {
-        scribe_.subscribe(topic, this, nullptr, pastry::Scope::Site);
+        scribe_.subscribe(topic, this);
         subscribed_[i] = true;
         ++joins;
       }
@@ -167,14 +167,12 @@ void RBayNode::maintenance() {
 
 void RBayNode::admin_deliver(const TreeSpec& spec, const std::string& attribute,
                              const std::string& payload) {
-  scribe_.multicast(topic_of(spec), "deliver|" + attribute + "|" + payload,
-                    pastry::Scope::Site);
+  scribe_.multicast(topic_of(spec), "deliver|" + attribute + "|" + payload);
 }
 
 void RBayNode::admin_set_hidden(const TreeSpec& spec, const std::string& attribute,
                                 bool hidden) {
-  scribe_.multicast(topic_of(spec), std::string(hidden ? "hide|" : "expose|") + attribute,
-                    pastry::Scope::Site);
+  scribe_.multicast(topic_of(spec), std::string(hidden ? "hide|" : "expose|") + attribute);
 }
 
 void RBayNode::on_multicast(const scribe::TopicId& /*topic*/, const std::string& data) {
@@ -271,7 +269,5 @@ bool RBayNode::on_anycast(const scribe::TopicId& /*topic*/, scribe::AnycastPaylo
   request->found.push_back(std::move(candidate));
   return request->found.size() >= want;
 }
-
-double RBayNode::aggregate_contribution(const scribe::TopicId& /*topic*/) { return 1.0; }
 
 }  // namespace rbay::core

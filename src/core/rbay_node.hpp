@@ -126,7 +126,6 @@ class RBayNode final : public scribe::TopicMember {
   // --- scribe::TopicMember --------------------------------------------------------
   void on_multicast(const scribe::TopicId& topic, const std::string& data) override;
   bool on_anycast(const scribe::TopicId& topic, scribe::AnycastPayload& payload) override;
-  double aggregate_contribution(const scribe::TopicId& topic) override;
 
  private:
   friend class QueryInterface;

@@ -1,8 +1,5 @@
 #include "qplane/workload_driver.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <numbers>
 #include <utility>
 
 namespace rbay::qplane {
@@ -13,7 +10,6 @@ OpenLoopDriver::OpenLoopDriver(sim::Engine& engine, ArrivalShape shape, std::siz
       rng_(engine.rng().fork()) {
   RBAY_REQUIRE(universe_ > 0, "OpenLoopDriver: empty query universe");
   RBAY_REQUIRE(shape_.rate_qps > 0.0, "OpenLoopDriver: arrival rate must be positive");
-  shape_.diurnal_amplitude = std::clamp(shape_.diurnal_amplitude, 0.0, 0.95);
 }
 
 void OpenLoopDriver::run(util::SimTime duration) {
@@ -22,16 +18,7 @@ void OpenLoopDriver::run(util::SimTime duration) {
 }
 
 void OpenLoopDriver::arm_next() {
-  // Sample the next interarrival at the instantaneous rate (a good
-  // approximation of the inhomogeneous process when the period is long
-  // relative to 1/rate, which the shapes we drive satisfy).
-  double rate = shape_.rate_qps;
-  if (shape_.diurnal_amplitude > 0.0) {
-    const double phase = 2.0 * std::numbers::pi * engine_.now().as_seconds() /
-                         shape_.diurnal_period.as_seconds();
-    rate *= 1.0 + shape_.diurnal_amplitude * std::sin(phase);
-  }
-  const auto gap = util::SimTime::seconds(rng_.exponential(rate));
+  const auto gap = util::SimTime::seconds(rng_.exponential(shape_.rate_qps));
   if (engine_.now() + gap >= horizon_) return;
   engine_.schedule(gap, [this] {
     ++arrivals_;

@@ -2,11 +2,11 @@
 
 // Open-loop workload driver for throughput experiments.
 //
-// Arrivals follow a (possibly diurnally modulated) Poisson process on the
-// virtual clock; each arrival picks a target from a Zipf popularity
-// distribution over a fixed universe of queries (the hot attribute gets
-// the lion's share, matching the federation-traffic shape the enterprise-
-// cloud overlay literature reports).  Open-loop means arrivals never wait
+// Arrivals follow a homogeneous Poisson process on the virtual clock;
+// each arrival picks a target from a Zipf popularity distribution over a
+// fixed universe of queries (the hot attribute gets the lion's share,
+// matching the federation-traffic shape the enterprise-cloud overlay
+// literature reports).  Open-loop means arrivals never wait
 // for completions — overload is real, which is what admission control is
 // for.
 
@@ -22,10 +22,6 @@ namespace rbay::qplane {
 struct ArrivalShape {
   /// Base Poisson arrival rate, queries per virtual second.
   double rate_qps = 100.0;
-  /// Diurnal modulation: instantaneous rate = base * (1 + A*sin(2*pi*t/P)).
-  /// Zero amplitude = homogeneous Poisson.
-  double diurnal_amplitude = 0.0;
-  util::SimTime diurnal_period = util::SimTime::seconds(60);
   /// Zipf skew over the query universe (0 = uniform popularity).
   double zipf_skew = 0.9;
 };

@@ -103,6 +103,7 @@ class SqlParser {
       // A count past int range is refused too: the cast would be undefined.
       const double k = next().number;
       if (!(k >= 1 && k < 2147483648.0)) return util::make_error("SELECT count must be >= 1");
+      if (k != std::floor(k)) return util::make_error("SELECT count must be a whole number");
       q.k = static_cast<int>(k);
     } else if (keyword("COUNT")) {
       q.count_only = true;  // answered from the tree roots' aggregates, no anycast
@@ -205,6 +206,9 @@ class SqlParser {
     if (is_word_start(c)) return {SqlToken::Word, run(is_word_char)};
     if (is_digit(c) || (c == '.' && pos_ < src_.size() && is_digit(src_[pos_]))) {
       const auto digits = run([](char ch) { return is_digit(ch) || ch == '.'; });
+      if (std::count(digits.begin(), digits.end(), '.') > 1) {
+        return fail(std::string("malformed number '").append(digits) + "' in query");
+      }
       return {SqlToken::Number, digits, parse_number(digits)};
     }
     if (c == '"' || c == '\'') {

@@ -44,7 +44,6 @@ using TaggedAnycastPayload = util::Tagged<T, AnycastPayload>;
 struct JoinMsg final : pastry::TaggedMessage<JoinMsg> {
   TopicId topic;
   NodeRef child;
-  pastry::Scope scope = pastry::Scope::Global;
   /// Repair joins travel all the way to the rendezvous root instead of
   /// being absorbed at the first tree node: two orphans repairing
   /// concurrently must not adopt each other and form a detached cycle.
@@ -104,7 +103,6 @@ struct MulticastMsg final : pastry::TaggedMessage<MulticastMsg> {
 /// travel with the message; `payload` accumulates the answer.
 struct AnycastMsg final : pastry::TaggedMessage<AnycastMsg> {
   TopicId topic;
-  pastry::Scope scope = pastry::Scope::Global;
   std::uint64_t request_id = 0;
   NodeRef originator;
   int members_visited = 0;
@@ -122,7 +120,6 @@ struct AnycastMsg final : pastry::TaggedMessage<AnycastMsg> {
   [[nodiscard]] std::unique_ptr<pastry::AppMessage> clone_msg() const override {
     auto copy = std::make_unique<AnycastMsg>();
     copy->topic = topic;
-    copy->scope = scope;
     copy->request_id = request_id;
     copy->originator = originator;
     copy->members_visited = members_visited;
@@ -203,16 +200,12 @@ struct SizeReplyMsg final : pastry::TaggedMessage<SizeReplyMsg> {
   TopicId topic;
   std::uint64_t request_id = 0;
   SizeInfo info;
-  /// Direct probe landed on a node that can no longer serve for this
-  /// topic (replica expired / state gone): the originator must drop its
-  /// cached root set and fall back to a routed probe.
-  bool declined = false;
   /// Advertised root set (root first, then serving replica holders) so the
   /// originator can fan later probes directly across the set.
   std::vector<NodeRef> root_set;
 
   [[nodiscard]] std::size_t wire_size() const override {
-    return 51 + root_set.size() * 24;
+    return 50 + root_set.size() * 24;
   }
   [[nodiscard]] const char* type_name() const override { return "scribe.SizeReply"; }
   [[nodiscard]] std::unique_ptr<pastry::AppMessage> clone_msg() const override {
@@ -227,7 +220,6 @@ struct SizeReplyMsg final : pastry::TaggedMessage<SizeReplyMsg> {
 struct ReplicaState {
   std::uint64_t epoch = 0;
   AggregateKind agg_kind = AggregateKind::Count;
-  pastry::Scope scope = pastry::Scope::Global;
   double value = 0.0;
   util::SimTime snapshot_time = util::SimTime::zero();
   /// Stamped by the receiver; not on the wire.
@@ -251,7 +243,7 @@ struct RootReplicaMsg final : pastry::TaggedMessage<RootReplicaMsg> {
   ReplicaState replica;
 
   [[nodiscard]] std::size_t wire_size() const override {
-    return 49 + replica.children.size() * 24 + replica.root_set.size() * 24;
+    return 48 + replica.children.size() * 24 + replica.root_set.size() * 24;
   }
   [[nodiscard]] const char* type_name() const override { return "scribe.RootReplica"; }
   [[nodiscard]] std::unique_ptr<pastry::AppMessage> clone_msg() const override {
@@ -264,7 +256,6 @@ struct RootReplicaMsg final : pastry::TaggedMessage<RootReplicaMsg> {
 /// Sent when the parent's fan-in exceeds the configured cap.
 struct DelegateMsg final : pastry::TaggedMessage<DelegateMsg> {
   TopicId topic;
-  pastry::Scope scope = pastry::Scope::Global;
   AggregateKind agg_kind = AggregateKind::Count;
   /// Per-parent split episode: acks/nacks echo it, and the parent ignores
   /// answers from any episode but the pending one — duplicated or stale
@@ -273,7 +264,7 @@ struct DelegateMsg final : pastry::TaggedMessage<DelegateMsg> {
   std::vector<NodeRef> children;
 
   [[nodiscard]] std::size_t wire_size() const override {
-    return 18 + children.size() * 24;
+    return 17 + children.size() * 24;
   }
   [[nodiscard]] const char* type_name() const override { return "scribe.Delegate"; }
   [[nodiscard]] std::unique_ptr<pastry::AppMessage> clone_msg() const override {

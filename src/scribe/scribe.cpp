@@ -15,6 +15,8 @@ namespace rbay::scribe {
 
 namespace {
 
+/// Every tree is site-scoped: all routing uses the site state.
+constexpr auto kScope = pastry::Scope::Site;
 /// Missed-beat multiple after which a child declares its parent dead.
 constexpr int kHeartbeatMisses = 3;
 /// Leaf-set neighbours each tree root replicates rendezvous state to.
@@ -183,10 +185,9 @@ void Scribe::send_join(const TopicId& topic, TopicState& st, bool repair) {
   auto join = std::make_unique<JoinMsg>();
   join->topic = topic;
   join->child = node_.self();
-  join->scope = st.scope;
   join->repair = repair;
   join->episode = st.episode;
-  node_.route(topic, std::move(join), app_, st.scope);
+  node_.route(topic, std::move(join), app_, kScope);
 }
 
 void Scribe::erase_topic(const TopicId& topic) {
@@ -215,12 +216,11 @@ void Scribe::send_leave(const NodeRef& to, const TopicId& topic, std::uint32_t e
 }
 
 void Scribe::subscribe(const TopicId& topic, TopicMember* member,
-                       std::function<void()> on_joined, pastry::Scope scope) {
+                       std::function<void()> on_joined) {
   RBAY_REQUIRE(member != nullptr, "Scribe::subscribe: member handler required");
   if (auto* m = fed_metrics(node_)) m->counter<"scribe.subscribes">().inc();
   auto& st = topic_state(topic);
   st.handler = member;
-  st.scope = scope;
   touch();
   if (st.member || st.parent || st.root) {
     // Already attached (as member or forwarder); upgrading to member needs
@@ -267,7 +267,6 @@ bool Scribe::forward(const pastry::NodeId& /*key*/, pastry::AppMessage& msg,
   if (auto* join = util::msg_as<JoinMsg>(msg)) {
     if (join->child.id == node_.self().id) return true;  // our own fresh join
     if (join->repair) return true;  // repair joins attach only at the root
-    topic_state(join->topic).scope = join->scope;
     handle_join(*join, /*at_root=*/false);
     auto* st = find_topic(join->topic);
     if (st != nullptr && (st->parent || st->root || st->member)) {
@@ -347,12 +346,12 @@ void Scribe::handle_join(JoinMsg& join, bool at_root) {
 
 // --- multicast ---------------------------------------------------------------
 
-void Scribe::multicast(const TopicId& topic, std::string data, pastry::Scope scope) {
+void Scribe::multicast(const TopicId& topic, std::string data) {
   if (auto* m = fed_metrics(node_)) m->counter<"scribe.multicasts">().inc();
   auto msg = std::make_unique<MulticastMsg>();
   msg->topic = topic;
   msg->data = std::move(data);
-  node_.route(topic, std::move(msg), app_, scope);
+  node_.route(topic, std::move(msg), app_, kScope);
 }
 
 void Scribe::handle_multicast_down(const TopicId& topic, const std::string& data) {
@@ -374,9 +373,8 @@ void Scribe::handle_multicast_down(const TopicId& topic, const std::string& data
 
 // --- anycast -----------------------------------------------------------------
 
-
 void Scribe::anycast(const TopicId& topic, std::unique_ptr<AnycastPayload> payload,
-                     AnycastCallback callback, pastry::Scope scope) {
+                     AnycastCallback callback) {
   RBAY_REQUIRE(payload != nullptr, "Scribe::anycast: payload required");
   if (auto* m = fed_metrics(node_)) m->counter<"scribe.anycasts">().inc();
   const auto id = next_request_id_++;
@@ -389,11 +387,10 @@ void Scribe::anycast(const TopicId& topic, std::unique_ptr<AnycastPayload> paylo
   }
   auto msg = std::make_unique<AnycastMsg>();
   msg->topic = topic;
-  msg->scope = scope;
   msg->request_id = id;
   msg->originator = node_.self();
   msg->payload = std::move(payload);
-  node_.route(topic, std::move(msg), app_, scope);
+  node_.route(topic, std::move(msg), app_, kScope);
 }
 
 void Scribe::continue_anycast(std::unique_ptr<AnycastMsg> msg) {
@@ -475,12 +472,11 @@ void Scribe::continue_anycast(std::unique_ptr<AnycastMsg> msg) {
   // Fragment exhausted.  During tree-repair windows the entry fragment may
   // be detached from the main tree; keep routing toward the rendezvous
   // root (visited nodes pass the message through instead of intercepting).
-  const auto onward = node_.next_hop(msg->topic, msg->scope);
+  const auto onward = node_.next_hop(msg->topic, kScope);
   if (onward && msg->reroutes < 4) {
     ++msg->reroutes;
     const auto topic = msg->topic;
-    const auto scope = msg->scope;
-    node_.route(topic, std::move(msg), app_, scope);
+    node_.route(topic, std::move(msg), app_, kScope);
     return;
   }
   finish_anycast(*msg, /*satisfied=*/false);
@@ -702,20 +698,15 @@ void Scribe::replicate_roots() {
   const auto wanted = static_cast<std::size_t>(std::max(kRootReplicas, config_.root_set));
   const auto now = node_.network().engine().now();
   const auto refresh = refresh_interval();
-  // Picks depend only on the scope's leaf set: taken once per scope.
-  std::array<std::optional<ReplicaPicks>, 2> scope_picks;
+  // Picks depend only on the site leaf set: taken once per round.
+  std::optional<ReplicaPicks> picks;
   for (auto& [topic, st] : topics_) {
     if (!st.root || (!st.member && st.children.empty())) continue;
     // While degraded, replicate the snapshot we are actually serving so a
     // chained failover inherits the same (value, age) view.
     const bool window = st.degraded && now - st.stale_at <= config_.max_staleness;
 
-    const bool site = st.scope == pastry::Scope::Site;
-    auto& picks = scope_picks[site ? 1 : 0];
-    if (!picks) {
-      picks = replica_picks(site ? node_.site_leaf_set() : node_.leaf_set(), node_.self().id,
-                            wanted);
-    }
+    if (!picks) picks = replica_picks(node_.site_leaf_set(), node_.self().id, wanted);
     const auto picked = picks->view();
     if (!st.root_state) st.root_state = std::make_unique<RootState>();
     auto& rs = *st.root_state;
@@ -741,7 +732,6 @@ void Scribe::replicate_roots() {
     const double value = window ? st.stale_value : subtree_value(topic, st);
     std::uint64_t digest = mix(0, std::bit_cast<std::uint64_t>(value));
     digest = mix(digest, static_cast<std::uint64_t>(st.agg_kind));
-    digest = mix(digest, static_cast<std::uint64_t>(st.scope));
     digest = mix(digest, window ? static_cast<std::uint64_t>(st.stale_at.as_micros()) + 1 : 0);
     digest = mix(digest, st.children.size());
     for (const auto& child : st.children) digest = mix_id(digest, child.ref.id);
@@ -756,7 +746,6 @@ void Scribe::replicate_roots() {
     proto.topic = topic;
     auto& rep = proto.replica;
     rep.epoch = ++st.epoch;
-    rep.scope = st.scope;
     rep.agg_kind = st.agg_kind;
     rep.value = value;
     rep.snapshot_time = window ? st.stale_at : now;
@@ -804,7 +793,7 @@ void Scribe::promotion_check() {
     if (st != nullptr && st->root) continue;  // already own the TreeId
     // Ownership test: with the dead root purged from routing state, a null
     // next hop means this node is now numerically closest to the TreeId.
-    if (node_.next_hop(topic, rep.scope).has_value()) continue;
+    if (node_.next_hop(topic, kScope).has_value()) continue;
     to_promote.emplace_back(topic, rep);
   }
   for (auto& [topic, rep] : to_promote) {
@@ -817,7 +806,6 @@ void Scribe::promote_from_replica(const TopicId& topic, ReplicaState replica) {
   auto& st = topic_state(topic);
   st.root = true;
   st.parent.reset();
-  st.scope = replica.scope;
   st.agg_kind = replica.agg_kind;
   // Epoch carries over monotonically: probes crossing the failover never
   // see it regress.
@@ -856,13 +844,12 @@ Scribe::SizeInfo Scribe::probe_answer(const TopicId& topic, TopicState& st) {
   return info;
 }
 
-void Scribe::probe_size(const TopicId& topic, SizeCallback callback, pastry::Scope scope) {
+void Scribe::probe_size(const TopicId& topic, SizeCallback callback) {
   if (auto* m = fed_metrics(node_)) m->counter<"scribe.size_probes">().inc();
   const auto id = next_request_id_++;
   auto& waiter = size_waiters_[id];
   waiter.callback = std::move(callback);
   waiter.topic = topic;
-  waiter.scope = scope;
   if (config_.anycast_timeout > util::SimTime::zero()) {
     waiter.deadline = node_.network().engine().schedule(
         config_.anycast_timeout, [this, id]() { on_probe_deadline(id); });
@@ -870,8 +857,7 @@ void Scribe::probe_size(const TopicId& topic, SizeCallback callback, pastry::Sco
   // Root-set fan-out: with a fresh advertised roster, probe a member of
   // the root set directly (round-robin) instead of converging every probe
   // on the rendezvous root through the same last-hop forwarders.  A
-  // member that can no longer serve declines, which falls back to the
-  // routed path below.
+  // member that can no longer serve routes the probe on to the root.
   if (config_.root_set > 0 && config_.max_staleness > util::SimTime::zero()) {
     auto it = root_sets_.find(topic);
     if (it != root_sets_.end()) {
@@ -895,16 +881,15 @@ void Scribe::probe_size(const TopicId& topic, SizeCallback callback, pastry::Sco
       }
     }
   }
-  route_size_probe(topic, id, scope);
+  route_size_probe(topic, id);
 }
 
-void Scribe::route_size_probe(const TopicId& topic, std::uint64_t request_id,
-                              pastry::Scope scope) {
+void Scribe::route_size_probe(const TopicId& topic, std::uint64_t request_id) {
   auto probe = std::make_unique<SizeProbeMsg>();
   probe->topic = topic;
   probe->request_id = request_id;
   probe->originator = node_.self();
-  node_.route(topic, std::move(probe), app_, scope);
+  node_.route(topic, std::move(probe), app_, kScope);
 }
 
 std::optional<Scribe::SizeInfo> Scribe::replica_answer(const TopicId& topic) {
@@ -930,12 +915,11 @@ void Scribe::answer_probe_from_replica(const SizeProbeMsg& probe, const SizeInfo
   send_size_reply(probe, info);
 }
 
-void Scribe::send_size_reply(const SizeProbeMsg& probe, const SizeInfo& info, bool declined) {
+void Scribe::send_size_reply(const SizeProbeMsg& probe, const SizeInfo& info) {
   auto reply = std::make_unique<SizeReplyMsg>();
   reply->topic = probe.topic;
   reply->request_id = probe.request_id;
   reply->info = info;
-  reply->declined = declined;
   // The root-set roster: a serving holder re-advertises the one it was
   // replicated; a root names itself first, then its serving holders.
   if (info.from_root_set) {
@@ -997,10 +981,8 @@ void Scribe::maybe_split(const TopicId& topic, TopicState& st) {
   // Delegate choice: the first leaf-set member in straddle order, as for
   // replication, that is not ourselves, a current child, our parent, or
   // one of this episode's NACKers.
-  const auto& leaves =
-      st.scope == pastry::Scope::Site ? node_.site_leaf_set() : node_.leaf_set();
   std::optional<NodeRef> delegate;
-  straddle(leaves, [&](const NodeRef& ref) {
+  straddle(node_.site_leaf_set(), [&](const NodeRef& ref) {
     if (ref.id == node_.self().id || is_child(ref.id) || declined(ref.id)) return false;
     if (st.parent && st.parent->id == ref.id) return false;
     delegate = ref;
@@ -1039,7 +1021,6 @@ void Scribe::maybe_split(const TopicId& topic, TopicState& st) {
 
   auto msg = std::make_unique<DelegateMsg>();
   msg->topic = topic;
-  msg->scope = st.scope;
   msg->agg_kind = st.agg_kind;
   msg->episode = ++st.split_episode;
   msg->children.reserve(need);
@@ -1070,7 +1051,6 @@ void Scribe::handle_delegate(const NodeRef& from, DelegateMsg& msg) {
     return;
   }
   auto& st = topic_state(msg.topic);
-  st.scope = msg.scope;
   st.agg_kind = msg.agg_kind;
   if (!st.parent && !st.root) {
     st.parent = from;
@@ -1153,7 +1133,7 @@ void Scribe::on_probe_deadline(std::uint64_t request_id) {
           config_.anycast_timeout, [this, request_id]() { on_probe_deadline(request_id); });
     }
     if (auto* m = fed_metrics(node_)) m->counter<"scribe.rootset_probe_retries">().inc();
-    route_size_probe(waiter.topic, request_id, waiter.scope);
+    route_size_probe(waiter.topic, request_id);
     return;
   }
   auto cb = std::move(waiter.callback);
@@ -1213,7 +1193,7 @@ void Scribe::check_parents() {
         // root must verify it still is.  A recovered ex-root (or a root
         // beaten by a newly joined closer node) re-attaches, bringing its
         // subtree.
-        if (node_.next_hop(topic, st.scope).has_value()) {
+        if (node_.next_hop(topic, kScope).has_value()) {
           st.root = false;
           to_rejoin.push_back(topic);
         }
@@ -1261,7 +1241,6 @@ void Scribe::rejoin(const TopicId& topic) {
 
 void Scribe::deliver(const pastry::NodeId& key, pastry::AppMessage& msg, int /*hops*/) {
   if (auto* join = util::msg_as<JoinMsg>(msg)) {
-    topic_state(join->topic).scope = join->scope;
     handle_join(*join, /*at_root=*/true);
     auto* st = find_topic(join->topic);
     if (st != nullptr && !st->parent) st->root = true;
@@ -1386,8 +1365,8 @@ void Scribe::receive(const NodeRef& from, pastry::AppMessage& msg) {
   }
   if (auto* probe = util::msg_as<SizeProbeMsg>(msg)) {
     // Direct root-set probe (originator-side fan-out).  Answer as the
-    // root, as a serving replica holder, or decline so the originator
-    // drops its roster and falls back to a routed probe.
+    // root or as a serving replica holder; otherwise route it on toward
+    // the root, which answers the originator.
     if (auto* st = find_topic(probe->topic); st != nullptr && st->root) {
       send_size_reply(*probe, probe_answer(probe->topic, *st));
       return;
@@ -1396,28 +1375,12 @@ void Scribe::receive(const NodeRef& from, pastry::AppMessage& msg) {
       answer_probe_from_replica(*probe, *info);
       return;
     }
-    send_size_reply(*probe, SizeInfo{}, /*declined=*/true);
+    node_.route(probe->topic, std::make_unique<SizeProbeMsg>(std::move(*probe)), app_, kScope);
     return;
   }
   if (auto* reply = util::msg_as<SizeReplyMsg>(msg)) {
     if (!reply->root_set.empty()) {
       learn_root_set(reply->topic, reply->root_set, reply->info.epoch);
-    }
-    if (reply->declined) {
-      auto it = size_waiters_.find(reply->request_id);
-      if (it == size_waiters_.end()) return;
-      if (!it->second.via_root_set) {
-        // Duplicated decline: the first copy already re-routed this waiter;
-        // a second routed probe would double the traffic for nothing.
-        if (auto* m = fed_metrics(node_)) m->counter<"scribe.dup_suppressed">().inc();
-        return;
-      }
-      // The fanned-out member can no longer serve: forget the roster and
-      // fall back to routing, under the same waiter (and deadline).
-      root_sets_.erase(reply->topic);
-      it->second.via_root_set = false;
-      route_size_probe(it->second.topic, reply->request_id, it->second.scope);
-      return;
     }
     complete_size_waiter(reply->request_id, reply->info);
     return;

@@ -2,6 +2,12 @@
 
 // Scribe: application-level group communication over Pastry (§II.B.2-3).
 //
+// Every tree is site-scoped: a TopicId names one tree in each site that
+// subscribes to it, and every route, next hop, replica pick and delegate
+// pick uses the node's site routing state (Scope::Site).  Administrations
+// stay isolated as in SDIMS; cross-site queries go through RBAY's site
+// gateways, not through Scribe.
+//
 // Nodes sharing an attribute join the attribute's tree.  The union of the
 // Pastry routes from members to the TreeId forms the spanning tree; interior
 // nodes may be pure forwarders.  Supported operations:
@@ -103,8 +109,7 @@ class Scribe final : public pastry::PastryApp {
   /// `on_joined` (optional) fires when the JOIN is absorbed upstream (or
   /// immediately if this node is the topic root).
   void subscribe(const TopicId& topic, TopicMember* member,
-                 std::function<void()> on_joined = nullptr,
-                 pastry::Scope scope = pastry::Scope::Global);
+                 std::function<void()> on_joined = nullptr);
 
   void unsubscribe(const TopicId& topic);
 
@@ -118,8 +123,7 @@ class Scribe final : public pastry::PastryApp {
   [[nodiscard]] std::vector<TopicId> known_topics() const;
 
   /// Multicasts `data` to all members via the rendezvous root.
-  void multicast(const TopicId& topic, std::string data,
-                 pastry::Scope scope = pastry::Scope::Global);
+  void multicast(const TopicId& topic, std::string data);
 
   /// Starts an anycast DFS over the topic tree.  The callback fires on this
   /// node with the final payload (satisfied = a member consumed it), or
@@ -127,7 +131,7 @@ class Scribe final : public pastry::PastryApp {
   using AnycastCallback =
       std::function<void(bool satisfied, int members_visited, AnycastPayload* payload)>;
   void anycast(const TopicId& topic, std::unique_ptr<AnycastPayload> payload,
-               AnycastCallback callback, pastry::Scope scope = pastry::Scope::Global);
+               AnycastCallback callback);
 
   /// Sets the aggregate function for a topic this node participates in.
   void set_aggregation(const TopicId& topic, AggregateKind kind);
@@ -156,8 +160,7 @@ class Scribe final : public pastry::PastryApp {
   /// callback fires with the root's answer, or with null when the probe
   /// missed its deadline.
   using SizeCallback = std::function<void(const SizeInfo* info)>;
-  void probe_size(const TopicId& topic, SizeCallback callback,
-                  pastry::Scope scope = pastry::Scope::Global);
+  void probe_size(const TopicId& topic, SizeCallback callback);
 
   /// Fires when an anycast result arrives for a waiter that already
   /// completed (a slow walk coming home after its deadline's miss).  The
@@ -270,7 +273,6 @@ class Scribe final : public pastry::PastryApp {
     /// Episode of this node's latest Join for the topic (see JoinMsg).
     std::uint32_t episode = 0;
     AggregateKind agg_kind = AggregateKind::Count;
-    pastry::Scope scope = pastry::Scope::Global;
     bool member = false;
     bool root = false;
     /// A report was sent to the current parent: until one has, every
@@ -292,10 +294,9 @@ class Scribe final : public pastry::PastryApp {
   struct SizeWaiter {
     SizeCallback callback;
     sim::Timer deadline;
-    /// Kept so a declined direct probe (root-set fan-out hitting a node
-    /// whose replica expired) can fall back to a routed probe in place.
+    /// Kept so a direct probe that missed its deadline can retry through
+    /// routing in place.
     TopicId topic;
-    pastry::Scope scope = pastry::Scope::Global;
     /// True while the probe is in flight on the direct root-set path: a
     /// deadline then drops the (possibly dead-member) roster and retries
     /// once via routing instead of reporting a miss.
@@ -379,14 +380,13 @@ class Scribe final : public pastry::PastryApp {
   /// Answers `probe` directly to its originator, advertising the root-set
   /// roster when this node serves one.  The only place a SizeReplyMsg is
   /// built.
-  void send_size_reply(const SizeProbeMsg& probe, const SizeInfo& info, bool declined = false);
+  void send_size_reply(const SizeProbeMsg& probe, const SizeInfo& info);
   /// Removes the waiter for `request_id` (cancelling its deadline) and
   /// answers it; a no-op if it already completed.
   void complete_size_waiter(std::uint64_t request_id, const SizeInfo& info);
   void learn_root_set(const TopicId& topic, const std::vector<NodeRef>& members,
                       std::uint64_t epoch);
-  void route_size_probe(const TopicId& topic, std::uint64_t request_id,
-                        pastry::Scope scope);
+  void route_size_probe(const TopicId& topic, std::uint64_t request_id);
 
   pastry::PastryNode& node_;
   pastry::AppId app_;  // kAppName, interned

@@ -69,8 +69,7 @@ TEST(Recovery, RecoveredExRootDoesNotSplitTheTree) {
   // Aggregated size at the (restored) root must cover every member again.
   double size = -1;
   f.cluster.node(1).scribe().probe_size(
-      topic, [&](const scribe::Scribe::SizeInfo* i) { if (i != nullptr) size = i->value; },
-      pastry::Scope::Site);
+      topic, [&](const scribe::Scribe::SizeInfo* i) { if (i != nullptr) size = i->value; });
   f.cluster.run();
   EXPECT_GE(size, 39.0) << "tree stayed fragmented after ex-root recovery";
 }

@@ -44,8 +44,7 @@ TEST(RBayNode, TreeSizeAggregatesMatchMembership) {
 
   double size = -1;
   cluster.node(0).scribe().probe_size(cluster.node(0).topic_of(cluster.tree_specs()[0]),
-                                      [&](const scribe::Scribe::SizeInfo* i) { if (i != nullptr) size = i->value; },
-                                      pastry::Scope::Site);
+                                      [&](const scribe::Scribe::SizeInfo* i) { if (i != nullptr) size = i->value; });
   cluster.run();
   EXPECT_DOUBLE_EQ(size, 8.0);
 }

@@ -104,7 +104,6 @@ scribe::RootReplicaMsg root_replica() {
   scribe::RootReplicaMsg msg;
   msg.replica.epoch = 4;
   msg.replica.agg_kind = scribe::AggregateKind::Sum;
-  msg.replica.scope = pastry::Scope::Site;
   msg.replica.value = 17;
   msg.replica.snapshot_time = util::SimTime::millis(750);
   msg.replica.children = refs(2);
@@ -114,11 +113,20 @@ scribe::RootReplicaMsg root_replica() {
 }
 
 TEST(ProtocolWire, SizeReplyCountsRootSetRoster) {
-  EXPECT_EQ(size_reply().wire_size(), 123u);
+  EXPECT_EQ(size_reply().wire_size(), 122u);
 }
 
 TEST(ProtocolWire, RootReplicaCountsChildrenAndRoster) {
-  EXPECT_EQ(root_replica().wire_size(), 169u);
+  EXPECT_EQ(root_replica().wire_size(), 168u);
+}
+
+// A delegation counts topic 16 + kind 1, then 24 bytes per child handed over.
+TEST(ProtocolWire, DelegateCountsHandedOverChildren) {
+  scribe::DelegateMsg msg;
+  msg.agg_kind = scribe::AggregateKind::Max;
+  msg.episode = 6;
+  msg.children = refs(2);
+  EXPECT_EQ(msg.wire_size(), 65u);
 }
 
 // An ack carries the child's last report only once it has reported to the
@@ -159,7 +167,6 @@ TEST(ProtocolWire, RootReplicaCloneKeepsTheReplicaState) {
   ASSERT_NE(msg, nullptr);
   EXPECT_EQ(msg->replica.epoch, 4u);
   EXPECT_EQ(msg->replica.agg_kind, scribe::AggregateKind::Sum);
-  EXPECT_EQ(msg->replica.scope, pastry::Scope::Site);
   EXPECT_EQ(msg->replica.value, 17.0);
   EXPECT_EQ(msg->replica.snapshot_time, util::SimTime::millis(750));
   EXPECT_EQ(msg->replica.children.size(), 2u);
@@ -172,7 +179,7 @@ TEST(ProtocolWire, RootReplicaCloneKeepsTheReplicaState) {
 // the name, so each envelope costs 24 bytes plus the name plus the message.
 TEST(ProtocolWire, EnvelopesCountTheAppNameBytes) {
   const std::pair<const char*, std::size_t> expected[] = {
-      {"scribe", 199}, {"rbay.query", 203}, {"past", 197}, {"wire.test", 202}};
+      {"scribe", 198}, {"rbay.query", 202}, {"past", 196}, {"wire.test", 201}};
   for (const auto& [name, bytes] : expected) {
     pastry::RouteEnvelope route;
     route.app = pastry::intern_app(name);

@@ -1,5 +1,5 @@
 // Open-loop workload driver: Poisson arrival counts, Zipf popularity
-// skew, diurnal modulation, and the arrival horizon.
+// skew, and the arrival horizon.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -42,26 +42,6 @@ TEST(OpenLoopDriver, ZipfPopularityFavorsLowRanks) {
     EXPECT_GE(per_rank[0], per_rank[r]) << "rank " << r;
   }
   EXPECT_GT(per_rank[0], 5 * per_rank[20]);
-}
-
-TEST(OpenLoopDriver, DiurnalModulationShapesTheArrivalStream) {
-  sim::Engine engine(5);
-  ArrivalShape shape;
-  shape.rate_qps = 200.0;
-  shape.diurnal_amplitude = 0.9;
-  shape.diurnal_period = SimTime::seconds(20);
-  std::uint64_t peak_half = 0;
-  std::uint64_t trough_half = 0;
-  OpenLoopDriver driver(engine, shape, 5, [&](std::size_t) {
-    const double t = engine.now().as_seconds();
-    const double phase = t - 20.0 * std::floor(t / 20.0);
-    (phase < 10.0 ? peak_half : trough_half) += 1;
-  });
-  driver.run(SimTime::seconds(60));
-  engine.run();
-  // sin > 0 through the first half-period: ~3.6x the trough rate at
-  // amplitude 0.9 — demand well above 2x survives the sampling noise.
-  EXPECT_GT(peak_half, 2 * trough_half);
 }
 
 TEST(OpenLoopDriver, ArrivalsStopAtTheHorizon) {

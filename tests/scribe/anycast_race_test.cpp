@@ -2,7 +2,7 @@
 // complete the waiter twice, and the losing (orphaned) result must be
 // surfaced so its member-side reservations can be released.
 //
-// The hazard (fixed alongside this test): the cross-site walk outlives
+// The hazard (fixed alongside this test): the slow walk outlives
 // the deadline, which completes the caller with a miss, and then comes
 // home satisfied.  Before completion was funneled through the
 // take-the-waiter-first choke point, the late result re-entered the
@@ -23,23 +23,19 @@ using testing::CollectPayload;
 using testing::ScribeOverlay;
 
 TEST(AnycastRace, LateResultAfterTimeoutIsOrphanedNotDoubleCompleted) {
-  // Cross-site RTT (2 x 200ms) dwarfs the 50ms anycast deadline: the
-  // walk cannot come home before it has fired.
+  // A 200ms RTT within the one site dwarfs the 50ms anycast deadline:
+  // the walk cannot come home before it has fired.
   ScribeConfig config;
   config.anycast_timeout = util::SimTime::millis(50);
-  ScribeOverlay so{4, net::Topology::uniform(2, 0.5, 200.0), config};
+  ScribeOverlay so{8, net::Topology::uniform(1, 200.0, 200.0), config};
 
-  // Members live only in site 1; the caller anycasts from site 0.
+  // Every node but the caller is a member, so the walk needs at least one
+  // hop to reach a member and one more to come home.
   const TopicId topic = pastry::tree_id("GPU", "admin");
-  std::size_t caller = SIZE_MAX;
-  for (std::size_t i = 0; i < so.overlay.size(); ++i) {
-    if (so.overlay.ref(i).site == 1) {
-      so.scribes[i]->subscribe(topic, so.members[i].get());
-    } else if (caller == SIZE_MAX) {
-      caller = i;
-    }
+  const std::size_t caller = 0;
+  for (std::size_t i = 1; i < so.overlay.size(); ++i) {
+    so.scribes[i]->subscribe(topic, so.members[i].get());
   }
-  ASSERT_NE(caller, SIZE_MAX);
   so.engine.run();
 
   std::vector<std::vector<pastry::NodeId>> orphaned;
@@ -56,8 +52,7 @@ TEST(AnycastRace, LateResultAfterTimeoutIsOrphanedNotDoubleCompleted) {
                               [&](bool satisfied, int, AnycastPayload*) {
                                 ++completions;
                                 last_satisfied = satisfied;
-                              },
-                              pastry::Scope::Global);
+                              });
   so.engine.run();
 
   // Exactly one completion — the deadline's miss.  The walk found a member

@@ -101,16 +101,6 @@ TEST(Anycast, DfsDoesNotRevisitMembers) {
   }
 }
 
-TEST(Anycast, WorksAcrossSites) {
-  ScribeOverlay so{4, net::Topology::ec2_eight_sites()};
-  const TopicId topic = pastry::tree_id("GPU", "global");
-  so.subscribe_all(topic);
-  const auto r = run_anycast(so, 0, topic, 16);
-  ASSERT_TRUE(r.done);
-  EXPECT_TRUE(r.satisfied);
-  EXPECT_EQ(r.collected.size(), 16u);
-}
-
 TEST(Anycast, ConcurrentAnycastsAreIndependent) {
   ScribeOverlay so{24};
   const TopicId topic = pastry::tree_id("GPU", "admin");

@@ -185,8 +185,12 @@ TEST(QuietTrees, ForegroundChangeDoesNotLengthenRun) {
   EXPECT_EQ(so.engine.foreground_pending(), 0u);
 
   so.engine.run_for(SimTime::seconds(2));
-  EXPECT_DOUBLE_EQ(so.scribes[so.overlay.root_of(topic)]->aggregate_value(topic),
-                   static_cast<double>(so.overlay.size()));
+  // One tree per site: each site root counts its own site's members.
+  for (net::SiteId s = 0; s < 2; ++s) {
+    EXPECT_DOUBLE_EQ(so.scribes[so.overlay.root_of_in_site(topic, s)]->aggregate_value(topic),
+                     static_cast<double>(so.overlay.nodes_in_site(s).size()))
+        << "site " << s;
+  }
 }
 
 TEST(QuietTrees, RootFailoverServesStaleReadWithinMaxStaleness) {

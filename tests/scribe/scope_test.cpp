@@ -8,8 +8,9 @@ namespace {
 using testing::CollectPayload;
 using testing::ScribeOverlay;
 
-/// Per-site topics with Scope::Site: the administrative-isolation mode the
-/// RBAY core uses for its per-site attribute trees (§III.E).
+/// Per-site topics: every Scribe tree is site-scoped, the administrative
+/// isolation the RBAY core relies on for its per-site attribute trees
+/// (§III.E).
 struct SiteScopedFixture {
   ScribeOverlay so{6, net::Topology::ec2_eight_sites()};
 
@@ -20,7 +21,7 @@ struct SiteScopedFixture {
   void subscribe_site(net::SiteId s) {
     const auto topic = topic_for_site(s);
     for (const auto idx : so.overlay.nodes_in_site(s)) {
-      so.scribes[idx]->subscribe(topic, so.members[idx].get(), nullptr, pastry::Scope::Site);
+      so.scribes[idx]->subscribe(topic, so.members[idx].get());
     }
     so.engine.run();
   }
@@ -57,7 +58,7 @@ TEST(SiteScope, MulticastStaysInSite) {
   f.subscribe_site(2);
   f.subscribe_site(5);
   const auto origin = f.so.overlay.nodes_in_site(2)[1];
-  f.so.scribes[origin]->multicast(f.topic_for_site(2), "update", pastry::Scope::Site);
+  f.so.scribes[origin]->multicast(f.topic_for_site(2), "update");
   f.so.engine.run();
   for (std::size_t i = 0; i < f.so.overlay.size(); ++i) {
     const auto site = f.so.overlay.node(i).self().site;
@@ -83,8 +84,7 @@ TEST(SiteScope, AnycastServedBySiteMembers) {
       [&](bool ok, int, AnycastPayload* p) {
         satisfied = ok;
         collected = dynamic_cast<CollectPayload&>(*p).collected;
-      },
-      pastry::Scope::Site);
+      });
   f.so.engine.run();
   ASSERT_TRUE(satisfied);
   EXPECT_EQ(collected.size(), 4u);
@@ -102,8 +102,7 @@ TEST(SiteScope, SameTopicNameDifferentSitesAreIndependent) {
   EXPECT_NE(f.topic_for_site(0), f.topic_for_site(7));
   double size0 = -1;
   f.so.scribes[f.so.overlay.nodes_in_site(0)[0]]->probe_size(
-      f.topic_for_site(0), [&](const Scribe::SizeInfo* i) { if (i != nullptr) size0 = i->value; },
-      pastry::Scope::Site);
+      f.topic_for_site(0), [&](const Scribe::SizeInfo* i) { if (i != nullptr) size0 = i->value; });
   f.so.engine.run();
   // No aggregation timer in this fixture: root sees only its own subtree
   // counts that have reported; with no agg rounds it sees members=own.
@@ -124,7 +123,7 @@ TEST(SiteScope, PartitionedSiteKeepsServingLocally) {
   bool satisfied = false;
   f.so.scribes[origin]->anycast(
       f.topic_for_site(6), std::move(payload),
-      [&](bool ok, int, AnycastPayload*) { satisfied = ok; }, pastry::Scope::Site);
+      [&](bool ok, int, AnycastPayload*) { satisfied = ok; });
   f.so.engine.run();
   EXPECT_TRUE(satisfied);
 }

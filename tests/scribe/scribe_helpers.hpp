@@ -85,11 +85,11 @@ struct ScribeOverlay {
   }
 
   /// Verifies the tree is consistent: every live subscriber has a path of
-  /// live parent links ending at the topic root.
+  /// live parent links ending at the topic root of its site.
   [[nodiscard]] bool tree_is_consistent(const TopicId& topic) const {
-    const auto root = overlay.root_of(topic);
     for (std::size_t i = 0; i < overlay.size(); ++i) {
       if (overlay.is_failed(i) || !scribes[i]->subscribed(topic)) continue;
+      const auto root = overlay.root_of_in_site(topic, overlay.ref(i).site);
       std::size_t at = i;
       int steps = 0;
       while (at != root) {

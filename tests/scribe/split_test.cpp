@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <vector>
+
 #include "obs/metrics.hpp"
 #include "scribe/scribe_helpers.hpp"
 
@@ -219,6 +223,84 @@ TEST(Split, DeadRosterMemberFallsBackToRoutingInsteadOfAnsweringEmpty) {
     ASSERT_TRUE(done);
     EXPECT_GT(info.value, 0.0) << "probe round " << round << " answered empty";
   }
+}
+
+// A serving holder whose replica aged past max_staleness cannot answer a
+// direct probe: it routes the probe on toward the root, which answers the
+// originator.  One probe leaves the prober, one reply comes back, and the
+// holder never answers.
+TEST(Split, StaleHolderRoutesADirectProbeOnToTheRoot) {
+  auto cfg = capped_config(0, /*root_set=*/2);
+  cfg.heartbeat_interval = SimTime::zero();  // nothing but root replicas on the wire
+  ScribeOverlay so{24, net::Topology::single_site(), cfg};
+  obs::Registry reg;
+  so.engine.set_metrics(&reg);
+  const TopicId topic = pastry::tree_id("GPU", "admin");
+  so.subscribe_all(topic);
+  so.engine.run_for(SimTime::seconds(2));
+
+  // The roster, root first, as every serving holder holds it.
+  const auto root = so.overlay.root_of(topic);
+  std::vector<NodeRef> roster;
+  for (const auto& s : so.scribes) {
+    if (const auto* rep = s->replica_of(topic); rep != nullptr && rep->serve) {
+      roster = rep->root_set;
+      break;
+    }
+  }
+  ASSERT_EQ(roster.size(), 3u);
+  ASSERT_EQ(roster[0].id, so.overlay.ref(root).id);
+  const auto holder = so.overlay.index_of(roster[1].id);
+  std::size_t prober = 0;
+  while (std::any_of(roster.begin(), roster.end(),
+                     [&](const NodeRef& r) { return r.id == so.overlay.ref(prober).id; })) {
+    ++prober;
+  }
+
+  // Lose every root refresh until the holder's replica is older than
+  // max_staleness, stopping just after one, so the next is a full
+  // refresh interval away.
+  const auto* replica = so.scribes[holder]->replica_of(topic);
+  ASSERT_NE(replica, nullptr);
+  so.overlay.network().set_drop_probability(1.0);
+  do {
+    const auto wake = so.scribes[root]->next_round();
+    ASSERT_TRUE(wake.has_value());
+    so.engine.run_until(*wake + SimTime::millis(1));
+  } while (so.engine.now() - replica->snapshot_time <= cfg.max_staleness);
+  so.overlay.network().set_drop_probability(0.0);
+
+  auto probe = [&] {
+    std::optional<Scribe::SizeInfo> info;
+    so.scribes[prober]->probe_size(topic, [&](const Scribe::SizeInfo* i) {
+      ASSERT_NE(i, nullptr) << "probe missed its deadline";
+      info = *i;
+    });
+    so.engine.run();
+    return info;
+  };
+  // Warm the roster: a routed probe learns it from the root, and the next
+  // goes to the root directly, so round-robin's third pick is the holder.
+  ASSERT_TRUE(probe().has_value());
+  ASSERT_TRUE(probe().has_value());
+
+  const auto& net = so.overlay.network();
+  const auto prober_ep = so.overlay.ref(prober).endpoint;
+  const auto sent0 = net.endpoint_stats(prober_ep).sent;
+  const auto received0 = net.endpoint_stats(prober_ep).received;
+  const auto direct0 = reg.fed().counter<"scribe.rootset_probes">().value();
+  const auto rotations0 = so.scribes[holder]->rotation_count();
+  const auto info = probe();
+  ASSERT_TRUE(info.has_value());
+  ASSERT_GT(so.engine.now() - replica->snapshot_time, cfg.max_staleness)
+      << "a refresh reached the holder before the probe";
+  EXPECT_EQ(reg.fed().counter<"scribe.rootset_probes">().value() - direct0, 1u);
+  EXPECT_DOUBLE_EQ(info->value, 24.0) << "the root's full count";
+  EXPECT_FALSE(info->from_root_set);
+  EXPECT_EQ(net.endpoint_stats(prober_ep).sent - sent0, 1u) << "exactly one SizeProbe";
+  EXPECT_EQ(net.endpoint_stats(prober_ep).received - received0, 1u)
+      << "only the root's SizeReply, none from the holder";
+  EXPECT_EQ(so.scribes[holder]->rotation_count(), rotations0);
 }
 
 }  // namespace

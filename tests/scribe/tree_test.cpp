@@ -126,18 +126,6 @@ TEST(ScribeTree, ManyTopicsCoexist) {
   EXPECT_LE(max_roots, 8) << "tree roots are badly concentrated";
 }
 
-TEST(ScribeTree, CrossSiteTreeSpansAllSites) {
-  ScribeOverlay so{4, net::Topology::ec2_eight_sites()};
-  const TopicId topic = pastry::tree_id("GPU", "global");
-  so.subscribe_all(topic);
-  EXPECT_TRUE(so.tree_is_consistent(topic));
-  so.scribes[0]->multicast(topic, "hello world");
-  so.engine.run();
-  for (std::size_t i = 0; i < so.overlay.size(); ++i) {
-    EXPECT_EQ(so.members[i]->multicasts.size(), 1u);
-  }
-}
-
 TEST(ScribeTree, HeartbeatPrunesChildThatAttachedAtTimeZeroAndNeverAcks) {
   // Regression: the prune loop used to skip children with last_seen == 0,
   // so a child that attached at t=0 and then went silent was immortal.
